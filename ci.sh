@@ -15,6 +15,13 @@ cargo fmt --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+# The benchmark package (own workspace, offline stand-ins for every
+# registry crate) builds the layer crates against e2e/stubs: a layer
+# change that uses an API the stand-ins lack must fail here, not in the
+# benchmark pipeline.
+echo "==> end-to-end benchmark package builds against its stub crates"
+cargo test --release --offline --manifest-path e2e/Cargo.toml
+
 echo "==> fault-injection suite (lossy wire, codec fuzz)"
 cargo test --release -q -p oe-net
 cargo test --release -q -p openembedding --test fault_suite

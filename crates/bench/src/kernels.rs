@@ -10,7 +10,9 @@
 //! - per-row optimizer applies, scalar reference vs vectorized kernels
 //!   vs the batched multi-row kernel, in million f32 updates/s;
 //! - wire codec encode/decode, owned (`Packet::encode`/`decode`) vs
-//!   borrowed (`Packet::encode_push` / `RequestView`), in MB/s.
+//!   borrowed (`Packet::encode_push` / `RequestView`), in MB/s;
+//! - the shared integrity hash on its two paths: the frame checksum
+//!   pass in MB/s and one PMem slot checksum in ns.
 //!
 //! Absolute rates are machine-dependent and only recorded for the
 //! trajectory; the *ratios* (vector/scalar, view/owned) are what the
@@ -19,6 +21,7 @@
 
 use oe_core::{Optimizer, OptimizerKind};
 use oe_net::{validate_frame, Packet, Request, RequestView};
+use oe_pmem::layout::payload_checksum;
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
@@ -95,6 +98,12 @@ pub struct CodecResult {
     /// `validate_frame` + `RequestView` + scatter into reused buffers,
     /// MB/s — the server's actual hot path.
     pub decode_view_mbps: f64,
+    /// `validate_frame` alone — the frame integrity hash, the term both
+    /// decode arms share — MB/s.
+    pub checksum_mbps: f64,
+    /// `payload_checksum` of one `codec_dim`-wide f32 slot payload (what
+    /// every PMem `read_slot` / `write_slot` pays), ns per call.
+    pub slot_checksum_ns: f64,
     /// `encode_borrowed_mbps / encode_owned_mbps` — the gated ratio.
     pub speedup_encode: f64,
     /// `decode_view_mbps / decode_owned_mbps` — the gated ratio.
@@ -232,9 +241,24 @@ fn bench_codec(cfg: &KernelsConfig) -> CodecResult {
             _ => unreachable!("encoded a push"),
         }
     });
+    let checksum_ns = best_ns(cfg.reps, || {
+        black_box(validate_frame(black_box(&frame)).expect("valid frame"));
+    });
+    let slot: Vec<u8> = grads[..cfg.codec_dim]
+        .iter()
+        .flat_map(|g| g.to_le_bytes())
+        .collect();
+    let slot_calls = cfg.codec_keys as u64;
+    let slot_ns = best_ns(cfg.reps, || {
+        for key in 0..slot_calls {
+            black_box(payload_checksum(key, 1, black_box(&slot)));
+        }
+    });
     let mbps = |ns: u64| mb * 1e9 / ns as f64;
     CodecResult {
         frame_bytes,
+        checksum_mbps: mbps(checksum_ns),
+        slot_checksum_ns: slot_ns as f64 / slot_calls as f64,
         encode_owned_mbps: mbps(encode_owned_ns),
         encode_borrowed_mbps: mbps(encode_borrowed_ns),
         decode_owned_mbps: mbps(decode_owned_ns),
@@ -318,6 +342,8 @@ pub fn metrics(r: &KernelsReport) -> Vec<(String, f64)> {
         "codec_view_decode_mbps".to_string(),
         r.codec.decode_view_mbps,
     ));
+    m.push(("codec_checksum_mbps".to_string(), r.codec.checksum_mbps));
+    m.push(("slot_checksum_ns".to_string(), r.codec.slot_checksum_ns));
     m
 }
 
@@ -356,6 +382,10 @@ pub fn print_report(r: &KernelsReport) {
         "codec decode: owned {:.0} MB/s → view+scatter {:.0} MB/s ({:.2}×)",
         c.decode_owned_mbps, c.decode_view_mbps, c.speedup_decode
     );
+    println!(
+        "integrity hash: frame checksum {:.0} MB/s, slot checksum {:.1} ns",
+        c.checksum_mbps, c.slot_checksum_ns
+    );
 }
 
 #[cfg(test)]
@@ -392,6 +422,8 @@ mod tests {
             r.codec.encode_borrowed_mbps,
             r.codec.decode_owned_mbps,
             r.codec.decode_view_mbps,
+            r.codec.checksum_mbps,
+            r.codec.slot_checksum_ns,
         ] {
             assert!(v.is_finite() && v > 0.0);
         }
@@ -401,9 +433,11 @@ mod tests {
     fn metrics_cover_every_row_and_the_codec() {
         let r = run(&tiny());
         let m = metrics(&r);
-        assert_eq!(m.len(), 6 * 3 + 5);
+        assert_eq!(m.len(), 6 * 3 + 7);
         assert!(m.iter().any(|(k, _)| k == "sgd_d8_speedup_vector"));
         assert!(m.iter().any(|(k, _)| k == "geomean_speedup_vector"));
         assert!(m.iter().any(|(k, _)| k == "codec_speedup_decode"));
+        assert!(m.iter().any(|(k, _)| k == "codec_checksum_mbps"));
+        assert!(m.iter().any(|(k, _)| k == "slot_checksum_ns"));
     }
 }

@@ -1,6 +1,6 @@
 //! Binary wire format for parameter-server RPC.
 //!
-//! Packet layout (little-endian), protocol version 2:
+//! Packet layout (little-endian), protocol version 4:
 //!
 //! ```text
 //! ┌───────┬─────────┬──────────┬────────┬─────┬──────────┬──────────┬────────┐
@@ -16,18 +16,25 @@
 //! duplicated or retried pulls and pushes apply exactly once. The
 //! response echoes the pair so a client can match replies to calls.
 //!
-//! The checksum (FNV-1a 64 over the header-minus-checksum plus the
-//! body) turns any in-flight bit flip — even one inside an f32 gradient
-//! payload that would otherwise decode cleanly — into a structured
-//! [`Error`] of kind `Corrupt` instead of silent weight corruption.
+//! The checksum is [`oe_simdevice::integrity_hash`] over
+//! `header[..20] ‖ body` — the header minus the checksum field itself,
+//! then the body, hashed where they lie. It turns any in-flight bit
+//! flip — even one inside an f32 gradient payload that would otherwise
+//! decode cleanly — into a structured [`Error`] of kind `Corrupt`
+//! instead of silent weight corruption: every error confined to one
+//! 64-bit word is caught with certainty, anything wider escapes with
+//! probability 2⁻⁶⁴. It is an integrity check, not a MAC. A frame is
+//! exactly `HEADER_LEN + body len` bytes; bytes after the body are
+//! covered by no checksum and are refused.
 //!
 //! Bodies use length-prefixed vectors (`u32` count) of little-endian
-//! scalars. Virtual-time [`Cost`]s cross the wire as their raw
+//! scalars, written as one bulk copy per vector. Virtual-time [`Cost`]s cross the wire as their raw
 //! (ns, ops) arrays so the client can merge server-side charges into
 //! its own accounting.
 //!
-//! Every decode failure — truncation, bad magic/version, checksum
-//! mismatch, unknown discriminant, short body — is a structured
+//! Every decode failure — truncation, trailing bytes, bad
+//! magic/version, checksum mismatch, unknown discriminant, short body —
+//! is a structured
 //! [`Error`] with kind [`crate::ErrorKind::Corrupt`]; decode never
 //! panics on arbitrary bytes.
 
@@ -35,29 +42,23 @@ use crate::error::{Error, ErrorKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use oe_core::stats::StatsSnapshot;
 use oe_core::{BatchId, Key};
-use oe_simdevice::Cost;
+use oe_simdevice::{integrity_hash, Cost};
 
 /// Frame magic ("OE").
 pub const MAGIC: u16 = 0x4F45;
-/// Wire protocol version (3: v2's `(client, seq)` idempotence token and
-/// FNV-1a 64 frame checksum, plus the placement epoch on pull/push and
-/// the placement/migration message family — `PlacementUpdate`,
-/// `ExportEntry`/`ImportEntry`/`DiscardEntry`).
-pub const VERSION: u8 = 3;
+/// Wire protocol version (4: v3's header, idempotence token, placement
+/// epoch and message family, with the frame checksum redefined as
+/// [`integrity_hash`]; a v3 peer's frames fail the version check, not
+/// the checksum).
+pub const VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 28;
 
-/// FNV-1a 64 over one byte slice continuing from `state`.
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    state
+/// Checksum of a whole frame (`HEADER_LEN` + body): the integrity hash
+/// over the header up to its checksum field, then the body.
+fn frame_checksum(frame: &[u8]) -> u64 {
+    integrity_hash(&[&frame[..HEADER_LEN - 8], &frame[HEADER_LEN..]])
 }
-
-/// FNV-1a 64 offset basis.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// A decoded frame: message type + body.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,18 +259,25 @@ pub struct Packet {
 
 // --- primitive helpers -------------------------------------------------
 
+/// Append `vals` as little-endian scalars in one pass: grow the buffer
+/// once, then fill it in place (a plain copy on little-endian hosts)
+/// instead of one bounds-checked append per element.
+fn put_le<T: Copy, const N: usize>(buf: &mut BytesMut, vals: &[T], to_le: impl Fn(T) -> [u8; N]) {
+    let start = buf.len();
+    buf.resize(start + vals.len() * N, 0);
+    for (dst, &v) in buf[start..].chunks_exact_mut(N).zip(vals) {
+        dst.copy_from_slice(&to_le(v));
+    }
+}
+
 fn put_u64s(buf: &mut BytesMut, vals: &[u64]) {
     buf.put_u32_le(vals.len() as u32);
-    for &v in vals {
-        buf.put_u64_le(v);
-    }
+    put_le(buf, vals, u64::to_le_bytes);
 }
 
 fn put_f32s(buf: &mut BytesMut, vals: &[f32]) {
     buf.put_u32_le(vals.len() as u32);
-    for &v in vals {
-        buf.put_f32_le(v);
-    }
+    put_le(buf, vals, f32::to_le_bytes);
 }
 
 fn truncated() -> Error {
@@ -693,7 +701,7 @@ impl Packet {
     /// is encoded directly into the packet buffer — no staging buffer,
     /// no body copy — and the length/checksum header fields are patched
     /// in afterwards ([`Packet::seal`]): one allocation, one pass over
-    /// the final bytes for the FNV-1a checksum.
+    /// the final bytes for the checksum.
     pub fn encode(&self) -> Bytes {
         let mut pkt = BytesMut::with_capacity(HEADER_LEN + self.frame.body_len());
         Self::put_header(&mut pkt, self.frame.msg_type(), self.client, self.seq);
@@ -718,10 +726,7 @@ impl Packet {
     fn seal(mut pkt: BytesMut) -> Bytes {
         let body_len = (pkt.len() - HEADER_LEN) as u32;
         pkt[16..20].copy_from_slice(&body_len.to_le_bytes());
-        let checksum = fnv1a(
-            fnv1a(FNV_OFFSET, &pkt[..HEADER_LEN - 8]),
-            &pkt[HEADER_LEN..],
-        );
+        let checksum = frame_checksum(&pkt);
         pkt[20..28].copy_from_slice(&checksum.to_le_bytes());
         pkt.freeze()
     }
@@ -771,8 +776,8 @@ impl Packet {
     }
 
     /// Parse a wire packet. Any malformed input — truncated header or
-    /// body, wrong magic/version, checksum mismatch, unknown message
-    /// type — returns a structured [`Error`] of kind `Corrupt`; this
+    /// body, trailing bytes, wrong magic/version, checksum mismatch,
+    /// unknown message type — returns a structured [`Error`] of kind `Corrupt`; this
     /// function never panics on arbitrary bytes.
     pub fn decode(buf: Bytes) -> Result<Packet, Error> {
         let meta = validate_frame(&buf)?;
@@ -810,7 +815,7 @@ pub struct FrameMeta {
 }
 
 /// Validate a frame's fixed header and checksum without materializing
-/// anything: magic, version, body extent, and the FNV-1a 64 over
+/// anything: magic, version, exact length, and the integrity hash over
 /// header-minus-checksum plus body. This is the single integrity pass
 /// shared by the owned decoder ([`Packet::decode`]) and the borrowed
 /// view decoders.
@@ -835,9 +840,11 @@ pub fn validate_frame(buf: &[u8]) -> Result<FrameMeta, Error> {
     if buf.len() - HEADER_LEN < body_len {
         return Err(truncated());
     }
-    let body = &buf[HEADER_LEN..HEADER_LEN + body_len];
-    let computed = fnv1a(fnv1a(FNV_OFFSET, &buf[..HEADER_LEN - 8]), body);
-    if computed != checksum {
+    // Bytes past the body are covered by no checksum.
+    if buf.len() - HEADER_LEN > body_len {
+        return Err(Error::corrupt("trailing bytes"));
+    }
+    if frame_checksum(buf) != checksum {
         return Err(Error::corrupt("checksum mismatch"));
     }
     Ok(FrameMeta {
@@ -1235,10 +1242,31 @@ mod tests {
     #[test]
     fn wrong_version_rejected() {
         let mut enc = BytesMut::from(&Packet::request(1, 1, Request::Hello).encode()[..]);
-        enc[2] = VERSION + 1;
-        let err = Packet::decode(enc.freeze()).unwrap_err();
+        // A newer peer, and protocol 3 (same header, another checksum):
+        // both are refused by the version check before any checksum is
+        // compared, with the version named.
+        for version in [VERSION + 1, 3] {
+            enc[2] = version;
+            let err = Packet::decode(enc.clone().freeze()).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Corrupt);
+            assert!(
+                err.context()
+                    .contains(&format!("protocol version {version}")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        // Bytes after the body are covered by no checksum: the frame
+        // must be exactly header + body.
+        let enc = Packet::request(2, 5, Request::ReadWeights { key: 9 }).encode();
+        let mut long = BytesMut::from(&enc[..]);
+        long.put_u8(0);
+        let err = Packet::decode(long.freeze()).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Corrupt);
-        assert!(err.context().contains("version"), "{err}");
+        assert!(err.context().contains("trailing bytes"), "{err}");
     }
 
     #[test]
@@ -1298,9 +1326,8 @@ mod tests {
         pkt.put_u32_le(1);
         pkt.put_u64_le(1);
         pkt.put_u32_le(0);
-        let checksum = fnv1a(FNV_OFFSET, &pkt[..]);
-        pkt.put_u64_le(checksum);
-        let err = Packet::decode(pkt.freeze()).unwrap_err();
+        pkt.put_u64_le(0);
+        let err = Packet::decode(Packet::seal(pkt)).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Corrupt);
         assert!(err.context().contains("unknown message type"), "{err}");
     }
@@ -1351,6 +1378,33 @@ mod tests {
             )
             .encode()
         );
+    }
+
+    #[test]
+    fn bulk_vector_writes_match_per_element_le_bytes() {
+        // The in-place bulk copy must emit exactly the bytes of one
+        // `to_le_bytes` per element — NaN payload bits included.
+        for n in [0usize, 1, 7, 8, 9, 1023] {
+            let u64s: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 56))
+                .collect();
+            let f32s: Vec<f32> = (0..n as u32)
+                .map(|i| {
+                    f32::from_bits(
+                        i.wrapping_mul(0x9E37_79B9) | ((i % 3 == 0) as u32 * 0x7FC0_0001),
+                    )
+                })
+                .collect();
+            let mut want = (n as u32).to_le_bytes().to_vec();
+            want.extend(u64s.iter().flat_map(|v| v.to_le_bytes()));
+            want.extend((n as u32).to_le_bytes());
+            want.extend(f32s.iter().flat_map(|v| v.to_le_bytes()));
+            let mut got = BytesMut::from(&b"xyz"[..]); // appends, never overwrites
+            put_u64s(&mut got, &u64s);
+            put_f32s(&mut got, &f32s);
+            assert_eq!(&got[..3], b"xyz");
+            assert_eq!(&got[3..], &want[..], "n = {n}");
+        }
     }
 
     #[test]
@@ -1436,12 +1490,7 @@ mod tests {
         let mut raw = BytesMut::from(&enc[..]);
         let count_at = HEADER_LEN + 16; // epoch + batch, then key count
         raw[count_at..count_at + 4].copy_from_slice(&1000u32.to_le_bytes());
-        let checksum = fnv1a(
-            fnv1a(FNV_OFFSET, &raw[..HEADER_LEN - 8]),
-            &raw[HEADER_LEN..],
-        );
-        raw[20..28].copy_from_slice(&checksum.to_le_bytes());
-        let buf = raw.freeze();
+        let buf = Packet::seal(raw);
         let meta = validate_frame(&buf).expect("frame-level checks pass");
         let err = RequestView::decode(meta, &buf).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Corrupt);

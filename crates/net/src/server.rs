@@ -842,8 +842,20 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        // So does a valid request with bytes after its body: the tail
+        // is covered by no checksum, so the request must not execute.
+        let mut long = Packet::request(1, 1, Request::NumKeys).encode().to_vec();
+        long.push(0);
+        let resp = Packet::decode(client.call(long.into(), None).unwrap()).unwrap();
+        match resp.frame {
+            Frame::Response(Response::Error { kind, message }) => {
+                assert_eq!(kind, ErrorKind::Corrupt);
+                assert!(message.contains("trailing bytes"), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
         // The server keeps serving real requests afterwards and has
-        // counted the decode failure.
+        // counted both decode failures.
         let resp = call(&client, Packet::request(1, 1, Request::NumKeys));
         assert_eq!(resp.frame, Frame::Response(Response::Count(0)));
         assert_eq!(
@@ -851,7 +863,7 @@ mod tests {
                 .registry()
                 .snapshot()
                 .counter("rpc_decode_errors_total"),
-            Some(1)
+            Some(2)
         );
         drop(client);
         handle.join();

@@ -65,6 +65,24 @@ proptest! {
         prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
     }
 
+    /// Bytes appended to a valid frame are covered by no checksum: both
+    /// the owned and the view path refuse the frame as corrupt.
+    #[test]
+    fn trailing_bytes_are_corrupt(
+        seq in any::<u64>(),
+        keys in prop::collection::vec(any::<u64>(), 0..16),
+        tail in prop::collection::vec(any::<u8>(), 1..65),
+    ) {
+        let enc = Packet::request(7, seq, Request::Pull { epoch: 0, batch: 3, keys }).encode();
+        let mut long = BytesMut::from(&enc[..]);
+        long.extend_from_slice(&tail);
+        let long = long.freeze();
+        let err = validate_frame(&long).expect_err("view path must refuse trailing bytes");
+        prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
+        let err = Packet::decode(long).expect_err("owned path must refuse trailing bytes");
+        prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
+    }
+
     /// The idempotence token round-trips exactly, and re-encoding a
     /// decoded packet reproduces the original bytes — the byte-identity
     /// the server's replay cache relies on for retried requests.
@@ -225,15 +243,10 @@ proptest! {
     }
 }
 
-/// Recompute and patch the FNV-1a frame checksum after a deliberate
-/// body mutation, so tests can target the *structural* validation
-/// beneath the checksum.
+/// Recompute and patch the frame checksum after a deliberate body
+/// mutation, so tests can target the *structural* validation beneath
+/// the checksum.
 fn reseal(raw: &mut BytesMut) {
-    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = FNV_OFFSET;
-    for &b in raw[..20].iter().chain(raw[28..].iter()) {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    raw[20..28].copy_from_slice(&h.to_le_bytes());
+    let checksum = oe_simdevice::integrity_hash(&[&raw[..20], &raw[28..]]);
+    raw[20..28].copy_from_slice(&checksum.to_le_bytes());
 }

@@ -11,15 +11,27 @@
 //! └───────────────────┴──────────────────┴──────────────────┴─ ─ ─
 //! ```
 //!
-//! Slot header fields are written little-endian; the checksum covers
-//! key ‖ version ‖ payload so torn payloads are detectable even if a buggy
-//! ordering marked the slot `VALID`.
+//! Slot header fields are written little-endian; the checksum is
+//! [`oe_simdevice::integrity_hash`] over key ‖ version ‖ payload (the
+//! little-endian byte stream, so an image reads the same on any host)
+//! folded to 32 bits, so torn payloads are detectable even if a buggy
+//! ordering marked the slot `VALID`. The fold keeps the slot header at
+//! 24 B at the price of the hash's certainty: a damaged slot passes with
+//! probability 2⁻³².
+//!
+//! Format "OEPM" v2. The root magic carries the version because the
+//! checksum definition is part of the format: code that opened a pool
+//! written under another definition would see every slot as torn and
+//! "recover" an empty node, so any other magic — an older "OEPM"
+//! included — is refused at [`crate::PmemPool::open`].
+
+use oe_simdevice::integrity_hash;
 
 /// Size of the persistent root object (one cache line).
 pub const ROOT_BYTES: u64 = 64;
 
 /// Magic value identifying an initialized pool.
-pub const POOL_MAGIC: u64 = 0x4F45_504D_0001_u64; // "OEPM" v1
+pub const POOL_MAGIC: u64 = 0x4F45_504D_0002_u64; // "OEPM" v2
 
 /// Serialized slot header size in bytes.
 pub const HEADER_BYTES: u64 = 24;
@@ -59,7 +71,7 @@ impl SlotState {
 pub struct SlotHeader {
     /// Slot lifecycle state.
     pub state: SlotState,
-    /// FNV-1a checksum of key ‖ version ‖ payload (truncated to 32 bits).
+    /// [`payload_checksum`] of key ‖ version ‖ payload.
     pub checksum: u32,
     /// Embedding entry key.
     pub key: u64,
@@ -90,41 +102,26 @@ impl SlotHeader {
     }
 }
 
-/// FNV-1a over key ‖ version ‖ payload bytes, folded to 32 bits.
+/// Integrity hash of key ‖ version ‖ payload bytes, folded to 32 bits.
 pub fn payload_checksum(key: u64, version: u64, payload: &[u8]) -> u32 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    let mut step = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(PRIME);
-    };
-    for b in key.to_le_bytes() {
-        step(b);
-    }
-    for b in version.to_le_bytes() {
-        step(b);
-    }
-    for &b in payload {
-        step(b);
-    }
+    let h = integrity_hash(&[&key.to_le_bytes(), &version.to_le_bytes(), payload]);
     (h ^ (h >> 32)) as u32
 }
 
-/// Convert a payload of `f32` weights to little-endian bytes (into `out`).
-pub fn f32s_to_bytes(src: &[f32], out: &mut Vec<u8>) {
-    out.clear();
-    out.reserve(src.len() * 4);
-    for &v in src {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Write a payload of `f32` weights as little-endian bytes into `out`
+/// (one bulk pass: a plain copy on little-endian hosts).
+pub fn f32s_to_bytes(src: &[f32], out: &mut [u8]) {
+    assert_eq!(out.len(), src.len() * 4, "payload size mismatch");
+    for (dst, v) in out.chunks_exact_mut(4).zip(src) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
 /// Convert little-endian bytes back to `f32`s (into `out`).
 pub fn bytes_to_f32s(src: &[u8], out: &mut [f32]) {
     assert_eq!(src.len(), out.len() * 4, "payload size mismatch");
-    for (i, chunk) in src.chunks_exact(4).enumerate() {
-        out[i] = f32::from_le_bytes(chunk.try_into().unwrap());
+    for (v, chunk) in out.iter_mut().zip(src.chunks_exact(4)) {
+        *v = f32::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
     }
 }
 
@@ -162,13 +159,40 @@ mod tests {
     }
 
     #[test]
-    fn f32_conversion_roundtrip() {
-        let vals = [1.5f32, -2.25, 0.0, f32::MIN_POSITIVE, 1e30];
-        let mut bytes = Vec::new();
-        f32s_to_bytes(&vals, &mut bytes);
-        assert_eq!(bytes.len(), 20);
-        let mut back = [0f32; 5];
-        bytes_to_f32s(&bytes, &mut back);
-        assert_eq!(vals, back);
+    fn checksum_is_the_shared_hash_of_the_concatenation() {
+        // key ‖ version ‖ payload is hashed in place, part by part; the
+        // value is that of the one contiguous little-endian stream.
+        let payload: Vec<u8> = (0..=255).collect();
+        let (key, version) = (0x0102_0304_0506_0708u64, 77u64);
+        let mut stream = key.to_le_bytes().to_vec();
+        stream.extend(version.to_le_bytes());
+        stream.extend(&payload);
+        let h = integrity_hash(&[&stream]);
+        assert_eq!(
+            payload_checksum(key, version, &payload),
+            (h ^ (h >> 32)) as u32
+        );
+    }
+
+    #[test]
+    fn f32_conversion_is_per_element_le_bytes_and_roundtrips() {
+        for n in [0usize, 1, 7, 8, 9, 1023] {
+            let vals: Vec<f32> = (0..n as u32)
+                .map(|i| match i % 4 {
+                    0 => f32::from_bits(0x7FC0_0001 ^ (i << 3)), // NaN payload bits
+                    1 => -(i as f32) * 0.25,
+                    2 => f32::MIN_POSITIVE,
+                    _ => f32::from_bits(i.wrapping_mul(0x9E37_79B9)),
+                })
+                .collect();
+            let want: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let mut bytes = vec![0xAAu8; n * 4];
+            f32s_to_bytes(&vals, &mut bytes);
+            assert_eq!(bytes, want, "n = {n}");
+            let mut back = vec![0f32; n];
+            bytes_to_f32s(&bytes, &mut back);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&back), bits(&vals), "n = {n}");
+        }
     }
 }

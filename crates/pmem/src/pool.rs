@@ -172,19 +172,20 @@ impl PmemPool {
         );
         let off = self.slot_offset(id);
         SCRATCH.with(|s| {
-            let mut buf = s.borrow_mut();
-            f32s_to_bytes(payload, &mut buf);
-            let checksum = payload_checksum(key, version, &buf);
+            // Header + payload are built in place in the reused scratch
+            // (every byte is overwritten, so it is sized, never cleared)
+            // and go out as a single contiguous write.
+            let mut rec = s.borrow_mut();
+            rec.resize(HEADER_BYTES as usize + self.payload_bytes, 0);
+            let (head, body) = rec.split_at_mut(HEADER_BYTES as usize);
+            f32s_to_bytes(payload, body);
             let header = SlotHeader {
                 state: SlotState::Free, // not yet visible
-                checksum,
+                checksum: payload_checksum(key, version, body),
                 key,
                 version,
             };
-            // Single contiguous write of header + payload.
-            let mut rec = Vec::with_capacity(HEADER_BYTES as usize + buf.len());
-            rec.extend_from_slice(&header.encode());
-            rec.extend_from_slice(&buf);
+            head.copy_from_slice(&header.encode());
             self.media.write(off, &rec, cost);
             self.media.persist(off, rec.len() as u64, cost);
             // Commit: flip the state word.
@@ -194,33 +195,40 @@ impl PmemPool {
         });
     }
 
-    /// Read a slot header.
-    pub fn read_header(&self, id: SlotId, cost: &mut Cost) -> SlotHeader {
-        let mut buf = [0u8; HEADER_BYTES as usize];
-        self.media.read(self.slot_offset(id), &mut buf, cost);
-        SlotHeader::decode(&buf)
-    }
-
     /// Read a slot's payload into `out` (must be `payload_f32s` long),
     /// verifying state and checksum. Returns the header on success.
     pub fn read_slot(&self, id: SlotId, out: &mut [f32], cost: &mut Cost) -> Option<SlotHeader> {
         assert_eq!(out.len(), self.payload_f32s());
+        self.check_slot(id, Some(out), cost).ok()
+    }
+
+    /// One read of a whole slot (header + payload), classified from that
+    /// one buffer: `Ok` with the header of a valid slot whose checksum
+    /// holds (its payload decoded into `out` when given), or `Err` with
+    /// the state that made it unreadable — `Free`, or `Valid` for a
+    /// valid-marked slot whose checksum does not match (torn).
+    pub(crate) fn check_slot(
+        &self,
+        id: SlotId,
+        out: Option<&mut [f32]>,
+        cost: &mut Cost,
+    ) -> Result<SlotHeader, SlotState> {
         let off = self.slot_offset(id);
         SCRATCH.with(|s| {
             let mut buf = s.borrow_mut();
-            buf.clear();
             buf.resize(HEADER_BYTES as usize + self.payload_bytes, 0);
             self.media.read(off, &mut buf, cost);
             let header = SlotHeader::decode(&buf);
-            if header.state != SlotState::Valid {
-                return None;
-            }
             let payload = &buf[HEADER_BYTES as usize..];
-            if payload_checksum(header.key, header.version, payload) != header.checksum {
-                return None;
+            if header.state != SlotState::Valid
+                || payload_checksum(header.key, header.version, payload) != header.checksum
+            {
+                return Err(header.state);
             }
-            bytes_to_f32s(payload, out);
-            Some(header)
+            if let Some(out) = out {
+                bytes_to_f32s(payload, out);
+            }
+            Ok(header)
         })
     }
 
@@ -243,7 +251,9 @@ impl PmemPool {
     /// [`oe_simdevice::Media::crash`] + [`oe_simdevice::Media::from_crash`]).
     /// Reads the root; the caller then runs [`crate::scan::scan`] to
     /// rebuild the free list and index. Returns `None` if the magic is
-    /// absent (media never initialized / root lost).
+    /// not this format's: media never initialized, root lost, or a pool
+    /// of another format version, whose slot checksums this build would
+    /// misread as torn ([`Self::refusal`] says which, in words).
     pub fn open(media: Arc<Media>, cost: &mut Cost) -> Option<Self> {
         let mut root = [0u8; ROOT_BYTES as usize];
         if media.len() < ROOT_BYTES as usize {
@@ -275,6 +285,26 @@ impl PmemPool {
                 persisted_high_water: high_water,
             }),
         })
+    }
+
+    /// Why [`Self::open`] refuses `media`, for an operator: a pool of
+    /// another format version reads differently from no pool at all.
+    pub fn refusal(media: &Media) -> String {
+        let mut magic = [0u8; 8];
+        if media.len() >= ROOT_BYTES as usize {
+            media.read(root_off::MAGIC, &mut magic, &mut Cost::new());
+        }
+        let magic = u64::from_le_bytes(magic);
+        if magic >> 16 == POOL_MAGIC >> 16 && magic != POOL_MAGIC {
+            format!(
+                "pool format \"OEPM\" v{} is not readable by this build (\"OEPM\" v{}): \
+                 its slot checksums are defined differently",
+                magic & 0xFFFF,
+                POOL_MAGIC & 0xFFFF
+            )
+        } else {
+            "no initialized pool in image".to_string()
+        }
     }
 
     /// Install the free list discovered by a recovery scan.
@@ -386,6 +416,28 @@ mod tests {
         let mut cost = Cost::new();
         let media = Arc::new(Media::new(MediaConfig::pmem(1024)));
         assert!(PmemPool::open(media, &mut cost).is_none());
+    }
+
+    #[test]
+    fn open_refuses_a_pool_of_another_format_version() {
+        // An "OEPM" v1 root over otherwise intact slots: opening it
+        // would scan every slot as torn, so it must not open at all.
+        let (p, mut cost) = pool(4);
+        let id = p.alloc(&mut cost);
+        p.write_slot(id, 5, 2, &[3.25f32; 8], &mut cost);
+        p.set_checkpoint_id(2, &mut cost);
+        let v1 = 0x4F45_504D_0001_u64;
+        p.media()
+            .write(root_off::MAGIC, &v1.to_le_bytes(), &mut cost);
+        p.media().persist(root_off::MAGIC, 8, &mut cost);
+        let media = Arc::new(Media::from_crash(p.media().crash(1)));
+        assert!(PmemPool::open(Arc::clone(&media), &mut cost).is_none());
+        assert!(crate::scan::recover(Arc::clone(&media), &mut cost).is_none());
+        let why = PmemPool::refusal(&media);
+        assert!(why.contains("\"OEPM\" v1") && why.contains("v2"), "{why}");
+        // Never-initialized media is told apart from an old pool.
+        let blank = Media::new(MediaConfig::pmem(1024));
+        assert_eq!(PmemPool::refusal(&blank), "no initialized pool in image");
     }
 
     #[test]

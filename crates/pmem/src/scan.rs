@@ -12,7 +12,7 @@
 //! one sequential pass over the used region at PMem bandwidth plus
 //! per-entry CPU work, with *no* payload copy — entries stay in PMem.
 
-use crate::layout::SlotState;
+use crate::layout::{SlotState, ROOT_BYTES};
 use crate::pool::{PmemPool, SlotId};
 use oe_simdevice::{Cost, CostKind, DeviceTiming, Media};
 use std::collections::HashMap;
@@ -77,25 +77,32 @@ pub fn scan(pool: &PmemPool, cost: &mut Cost) -> ScanReport {
     };
     let mut to_free: Vec<SlotId> = Vec::new();
     let mut free_list: Vec<SlotId> = Vec::new();
-    let mut payload = vec![0f32; pool.payload_f32s()];
+    // The high-water mark runs ahead of the media in chunks, and a
+    // write grows the media to cover its whole slot: a slot the media
+    // does not fully back was never written, so it is free unread.
+    let backed = (pool.media().len() as u64).saturating_sub(ROOT_BYTES) / pool.slot_bytes();
 
     for i in 0..hw {
         let id = SlotId(i);
         report.scanned_slots += 1;
-        let header = pool.read_header(id, &mut scratch_cost);
-        if header.state != SlotState::Valid {
+        if i >= backed {
             free_list.push(id);
             continue;
         }
-        // Verify payload integrity (detects torn writes).
-        if pool
-            .read_slot(id, &mut payload, &mut scratch_cost)
-            .is_none()
-        {
-            report.corrupt += 1;
-            to_free.push(id);
-            continue;
-        }
+        // One read per slot: state and payload integrity (torn writes)
+        // are both judged from the same buffer.
+        let header = match pool.check_slot(id, None, &mut scratch_cost) {
+            Ok(header) => header,
+            Err(SlotState::Free) => {
+                free_list.push(id);
+                continue;
+            }
+            Err(SlotState::Valid) => {
+                report.corrupt += 1;
+                to_free.push(id);
+                continue;
+            }
+        };
         if header.version > ckpt {
             report.discarded_future += 1;
             to_free.push(id);
@@ -328,6 +335,25 @@ mod tests {
         for _ in 0..=hw.min(1100) {
             assert!(seen.insert(p2.alloc(&mut c)), "slot handed out twice");
         }
+    }
+
+    #[test]
+    fn half_backed_high_water_slot_scans_as_free() {
+        // 64 B root + 1024 × 128 B slots overshoot a 2^17-byte media by
+        // one line: the last high-water slot's header is backed, its
+        // payload is not. The one-read scan must not read past the end.
+        let mut cost = Cost::new();
+        let p = PmemPool::create(PoolConfig::for_embedding(16, 0, 1 << 17), &mut cost);
+        assert_eq!(p.slot_bytes(), 128, "layout the case depends on");
+        let id = p.alloc(&mut cost);
+        p.write_slot(id, 1, 1, &[1.0; 16], &mut cost);
+        p.set_checkpoint_id(1, &mut cost);
+        let (p2, report) = crash_and_recover(&p, 5);
+        assert_eq!(p2.media().len(), 1 << 17);
+        assert_eq!(report.scanned_slots, 1024);
+        assert_eq!(report.live.len(), 1);
+        assert_eq!(p2.free_slots(), 1023);
+        assert!(p2.free_list_ids().contains(&SlotId(1023)));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! example) — a checkpointed pool's persistence-domain bytes.
 
 use oe_pmem::scan::recover;
+use oe_pmem::{PmemPool, ScanReport};
 use oe_serve::{load_image, AnnConfig, ExactScan, LshRetriever, Retriever, ServingNode, Snapshot};
-use oe_simdevice::{Cost, Media};
+use oe_simdevice::{Cost, CrashImage, Media};
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
@@ -46,11 +47,7 @@ fn main() {
     let mut cost = Cost::new();
     match cmd {
         "info" => {
-            let media = Arc::new(Media::from_crash(image));
-            let Some((pool, report)) = recover(media, &mut cost) else {
-                eprintln!("oectl: no initialized pool in image");
-                exit(1);
-            };
+            let (pool, report) = recover_or_exit(Media::from_crash(image), &mut cost);
             println!("image          : {}", path.display());
             println!("pool           : {}", pool.describe());
             println!("checkpoint     : batch {}", report.checkpoint_id);
@@ -65,11 +62,7 @@ fn main() {
         }
         "scan" => {
             let limit: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(50);
-            let media = Arc::new(Media::from_crash(image));
-            let Some((_pool, report)) = recover(media, &mut cost) else {
-                eprintln!("oectl: no initialized pool in image");
-                exit(1);
-            };
+            let (_pool, report) = recover_or_exit(Media::from_crash(image), &mut cost);
             println!("{:<16} {:<10} {:<10}", "key", "slot", "version");
             for r in report.live.iter().take(limit) {
                 println!("{:<16} {:<10} {:<10}", r.key, r.id.0, r.version);
@@ -82,11 +75,7 @@ fn main() {
             }
         }
         "verify" => {
-            let media = Arc::new(Media::from_crash(image));
-            let Some((pool, report)) = recover(media, &mut cost) else {
-                eprintln!("oectl: no initialized pool in image");
-                exit(1);
-            };
+            let (pool, report) = recover_or_exit(Media::from_crash(image), &mut cost);
             let mut payload = vec![0f32; pool.payload_f32s()];
             let mut ok = 0u64;
             let mut bad = 0u64;
@@ -164,16 +153,13 @@ fn main() {
 /// exposition (server registry + engine registry). This exercises every
 /// recording path end to end: rpc decode/execute spans, pull/push/
 /// maintain/flush/checkpoint histograms, and the engine counters.
-fn metrics(image: oe_simdevice::CrashImage, batches: u64, cost: &mut Cost) {
+fn metrics(image: CrashImage, batches: u64, cost: &mut Cost) {
     use oe_core::recovery::recover_node;
     use oe_core::{NodeConfig, OptimizerKind, PsEngine};
     use oe_net::{loopback, NetConfig, PsServer, RemotePs};
 
     let media = Arc::new(Media::from_crash(image));
-    let Some((pool, report)) = recover(Arc::clone(&media), cost) else {
-        eprintln!("oectl: no initialized pool in image");
-        exit(1);
-    };
+    let (pool, report) = recover_or_exit(Arc::clone(&media), cost);
     // Infer the training layout from the payload width: AdaGrad stores
     // one accumulator per weight (payload = 2 * dim), SGD stores none.
     let payload = pool.payload_f32s();
@@ -220,16 +206,22 @@ fn metrics(image: oe_simdevice::CrashImage, batches: u64, cost: &mut Cost) {
     handle.join();
 }
 
-fn open_serving(image: oe_simdevice::CrashImage, ann: bool) -> ServingNode {
+/// Recover the pool on `media`, or exit saying in words why it cannot
+/// be: no pool at all, or a pool of another format version.
+fn recover_or_exit(media: impl Into<Arc<Media>>, cost: &mut Cost) -> (PmemPool, ScanReport) {
+    let media = media.into();
+    recover(Arc::clone(&media), cost).unwrap_or_else(|| {
+        eprintln!("oectl: {}", PmemPool::refusal(&media));
+        exit(1)
+    })
+}
+
+fn open_serving(image: CrashImage, ann: bool) -> ServingNode {
     let mut cost = Cost::new();
     // The payload layout stores dim + optimizer state; serve the weight
     // prefix. We infer dim = payload/2 for AdaGrad-style layouts and
     // fall back to the full payload; `dump` prints everything anyway.
-    let media = Arc::new(Media::from_crash(image.clone()));
-    let Some((pool, _)) = recover(media, &mut cost) else {
-        eprintln!("oectl: no initialized pool in image");
-        exit(1);
-    };
+    let (pool, _) = recover_or_exit(Media::from_crash(image.clone()), &mut cost);
     let dim = pool.payload_f32s();
     let cfg = AnnConfig::paper_default();
     let snapshot = Snapshot::build(image, dim, ann.then_some(&cfg)).unwrap_or_else(|| {

@@ -27,6 +27,7 @@ pub mod contention;
 pub mod cost;
 pub mod device;
 pub mod hist;
+pub mod integrity;
 pub mod media;
 pub mod overlap;
 
@@ -35,5 +36,6 @@ pub use contention::{amdahl_burst, shared_bandwidth_ns, ContentionModel};
 pub use cost::{Cost, CostKind};
 pub use device::{DeviceKind, DeviceTiming};
 pub use hist::LatencyHistogram;
+pub use integrity::integrity_hash;
 pub use media::{CrashImage, CrashPlan, Media, MediaConfig, CACHE_LINE};
 pub use overlap::PipelineWindow;
