@@ -12,8 +12,19 @@ cargo test -q
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
+
+# ROADMAP aim 2 counts deleted code: print the non-test source lines of
+# every crate (lines above the first #[cfg(test)] of each src/**/*.rs).
+echo "==> non-test source lines per crate"
+for c in crates/*/; do
+  find "$c/src" -name '*.rs' -print0 | xargs -0 awk -v crate="$(basename "$c")" '
+    FNR == 1 { skip = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+    !skip { n++ }
+    END { printf "%-14s %6d\n", crate, n }'
+done
 
 # The benchmark package (own workspace, offline stand-ins for every
 # registry crate) builds the layer crates against e2e/stubs: a layer
@@ -67,7 +78,7 @@ cargo test --release -q -p openembedding --test rebalance_e2e
 echo "==> skew-aware rebalancing bench (smoke, gated)"
 cargo run --release -p oe-bench --bin rebalance -- --smoke --out BENCH_rebalance.json "${GATE_FLAGS[@]}"
 
-echo "==> pipelined-training sync-parity smoke"
+echo "==> training schedules: k = 0 sync-trainer goldens, bounded staleness, migration coherence"
 cargo test --release -q -p openembedding --test pipeline_e2e
 
 echo "==> pipelined-training frontier bench (smoke, gated)"

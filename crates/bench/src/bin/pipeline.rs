@@ -11,12 +11,11 @@
 //!     --gate BENCH_baseline.json --update-baseline   # accept new numbers
 //! ```
 //!
-//! The gate holds the deterministic virtual-time metrics absolutely —
-//! `bit_identical` is baselined at 1.0, so any run whose staleness-0
-//! arm diverges from the sync trainer fails outright — and the noisy
-//! wall-clock ratios only through their geometric mean. Per-arm wall
-//! times and held-out accuracies are recorded for the trajectory but
-//! never gated.
+//! The gate holds the deterministic virtual-time metrics absolutely
+//! (`sync_epochs_per_vsec` is the k = 0 arm, the reference of every
+//! speedup) and the noisy wall-clock ratios only through their
+//! geometric mean. Per-arm wall times and held-out accuracies are
+//! recorded for the trajectory but never gated.
 
 use oe_bench::pipeline::{gated_metrics, metrics, print_report, run, PipelineBenchConfig};
 use oe_bench::trajectory::record_and_gate;

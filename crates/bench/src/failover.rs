@@ -20,10 +20,11 @@
 use oe_core::engine::PsEngine;
 use oe_core::{CheckpointScheduler, NodeConfig, OptimizerKind, PsNode};
 use oe_net::{
-    loopback, CheckpointReplica, FaultInjector, FaultSpec, NetConfig, PsServer, RemotePs, Standby,
+    loopback, CheckpointReplica, Error, FaultInjector, FaultSpec, NetConfig, PsClient, PsServer,
+    RemotePs, Standby,
 };
-use oe_train::{SyncTrainer, TrainReport, TrainerConfig};
-use oe_workload::{SkewModel, WorkloadGen, WorkloadSpec};
+use oe_train::{PipelineConfig, PipelinedTrainer, TrainReport, TrainerConfig};
+use oe_workload::{SkewModel, WorkloadSpec};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -185,15 +186,13 @@ pub struct FailoverReport {
     pub kill: KillRun,
 }
 
-/// Fault-free local run: the bit-identity reference and time baseline.
-fn train_local(cfg: &FailoverConfig) -> (PsNode, TrainReport) {
-    let node = PsNode::new(cfg.node_config());
-    let gen = WorkloadGen::new(cfg.workload());
-    let report = {
-        let mut t = SyncTrainer::new(&node, &gen, cfg.trainer_config());
-        t.run(1, cfg.batches)
-    };
-    (node, report)
+/// The bench's one training run: the synchronous (k = 0) schedule over
+/// whatever client the arm provides.
+fn train(client: &dyn PsClient, cfg: &FailoverConfig) -> Result<TrainReport, Error> {
+    let sync = PipelineConfig::sync();
+    PipelinedTrainer::with_client(client, cfg.workload(), cfg.trainer_config(), sync)
+        .try_run(1, cfg.batches)
+        .map(|r| r.train)
 }
 
 /// Remote PS behind a fault-injected loopback wire. Returns the client;
@@ -205,7 +204,8 @@ fn faulty_remote(cfg: &FailoverConfig, fault: FaultSpec, standby: bool) -> Remot
     let (ct, st) = loopback(64);
     drop(PsServer::spawn(engine, st, 4));
     let injector = Arc::new(FaultInjector::new(Arc::new(ct), fault));
-    let remote = RemotePs::connect(injector, NetConfig::paper_default());
+    let remote = RemotePs::try_connect(injector, NetConfig::paper_default())
+        .expect("the handshake precedes every scheduled fault");
     if standby {
         remote.with_standby(Arc::new(CheckpointReplica::new(
             media,
@@ -220,23 +220,24 @@ fn faulty_remote(cfg: &FailoverConfig, fault: FaultSpec, standby: bool) -> Remot
 }
 
 fn weights_match(local: &PsNode, remote: &RemotePs, num_keys: u64) -> bool {
-    (0..num_keys).all(|k| local.read_weights(k) == remote.read_weights(k))
+    (0..num_keys).all(|k| {
+        remote
+            .weights_of(k)
+            .is_ok_and(|w| w == local.read_weights(k))
+    })
 }
 
 /// Run the full comparison: drop sweep, direct promotion, kill run.
 pub fn run(cfg: &FailoverConfig) -> FailoverReport {
-    let (local, clean) = train_local(cfg);
-    let gen = WorkloadGen::new(cfg.workload());
+    // Fault-free local run: the bit-identity reference and time baseline.
+    let local = PsNode::new(cfg.node_config());
+    let clean = train(&local, cfg).expect("in-process backends are infallible");
 
     let mut drops = Vec::new();
     let mut clean_wire_ns = clean.total_ns;
     for &rate in &cfg.drop_rates {
         let remote = faulty_remote(cfg, FaultSpec::drops(cfg.seed, rate), false);
-        let report = {
-            let mut t = SyncTrainer::with_client(&remote, &gen, cfg.trainer_config());
-            t.try_run(1, cfg.batches)
-                .expect("a lossy wire must be survivable")
-        };
+        let report = train(&remote, cfg).expect("a lossy wire must be survivable");
         let snap = remote.registry().snapshot();
         if rate == 0.0 {
             clean_wire_ns = report.total_ns;
@@ -273,11 +274,7 @@ pub fn run(cfg: &FailoverConfig) -> FailoverReport {
     // Kill mid-epoch, fail over, finish.
     let kill_at = cfg.kill_after_calls();
     let remote = faulty_remote(cfg, FaultSpec::kill_after(cfg.seed, kill_at), true);
-    let report = {
-        let mut t = SyncTrainer::with_client(&remote, &gen, cfg.trainer_config());
-        t.try_run(1, cfg.batches)
-            .expect("failover must absorb the kill")
-    };
+    let report = train(&remote, cfg).expect("failover must absorb the kill");
     let kill = KillRun {
         kill_after_calls: kill_at,
         failovers: report.failovers,

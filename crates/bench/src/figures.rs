@@ -9,7 +9,7 @@ use oe_core::{NodeConfig, PsNode};
 use oe_simdevice::clock::secs;
 use oe_simdevice::{Cost, CostKind, DeviceKind, DeviceTiming, Media, MediaConfig};
 use oe_train::failure::crash_and_recover;
-use oe_train::{SyncTrainer, TrainMode, TrainerConfig};
+use oe_train::{PipelineConfig, PipelinedTrainer, TrainMode, TrainerConfig};
 use oe_workload::analyze::{top_share_empirical, RankFrequency};
 use oe_workload::{SkewModel, WorkloadGen};
 
@@ -84,16 +84,14 @@ pub fn table2(sc: &Scenario) {
 pub fn fig2(sc: &Scenario) {
     hr("Fig. 2 — access pattern in two batches (requests per ms)");
     let engine = EngineKind::Oe.build(sc);
-    let gen = WorkloadGen::new(sc.workload(8));
+    let trainer =
+        |cfg| PipelinedTrainer::with_client(&engine, sc.workload(8), cfg, PipelineConfig::sync());
     let mut cfg = TrainerConfig::paper(8);
     cfg.mode = TrainMode::Synthetic { grad_scale: 0.01 };
-    let mut warm = SyncTrainer::new(engine.as_ref(), &gen, cfg);
-    warm.run(1, 5);
-    drop(warm);
+    trainer(cfg).run(1, 5);
     let mut cfg = TrainerConfig::paper(8);
     cfg.record_trace = true;
-    let mut t = SyncTrainer::new(engine.as_ref(), &gen, cfg);
-    let r = t.run(6, 2);
+    let r = trainer(cfg).run(6, 2).train;
     let trace = r.trace_per_ms.expect("trace");
     let (p, u): (u64, u64) = trace
         .iter()
@@ -412,11 +410,10 @@ pub fn fig14(sc: &Scenario) {
     let build_dram = |device: CkptDevice| -> (DramPs, NodeConfig) {
         let cfg = sc.node_config();
         let engine = DramPs::new(cfg.clone(), device);
-        let gen = WorkloadGen::new(sc.workload(workers));
         let mut tc = TrainerConfig::paper(workers);
         tc.mode = TrainMode::Synthetic { grad_scale: 0.01 };
-        let mut t = SyncTrainer::new(&engine, &gen, tc);
-        t.run(1, sc.warm_batches);
+        PipelinedTrainer::with_client(&engine, sc.workload(workers), tc, PipelineConfig::sync())
+            .run(1, sc.warm_batches);
         engine.request_checkpoint(sc.warm_batches);
         (engine, cfg)
     };
@@ -440,10 +437,14 @@ pub fn fig14(sc: &Scenario) {
     {
         let cfg = sc.node_config();
         let engine = PsNode::new(cfg.clone());
-        let gen = WorkloadGen::new(sc.workload(workers));
         let mut tc = TrainerConfig::paper(workers);
         tc.mode = TrainMode::Synthetic { grad_scale: 0.01 };
-        let mut t = SyncTrainer::new(&engine, &gen, tc);
+        let mut t = PipelinedTrainer::with_client(
+            &engine,
+            sc.workload(workers),
+            tc,
+            PipelineConfig::sync(),
+        );
         t.run(1, sc.warm_batches);
         engine.request_checkpoint(sc.warm_batches);
         t.run(sc.warm_batches + 1, 2); // commit

@@ -26,8 +26,8 @@ use oe_net::{CheckpointReplica, Standby};
 use oe_pmem::PoolConfig;
 use oe_pool::{FabricConfig, RemotePool, SharedPool};
 use oe_simdevice::Cost;
-use oe_train::{GpuModel, SyncTrainer, TrainerConfig};
-use oe_workload::{SkewModel, WorkloadGen, WorkloadSpec};
+use oe_train::{GpuModel, PipelineConfig, PipelinedTrainer, TrainerConfig};
+use oe_workload::{SkewModel, WorkloadSpec};
 use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
@@ -190,13 +190,11 @@ pub struct PoolBenchReport {
 
 /// Train `node` over the standard schedule; returns (virtual ns, wall ns).
 fn train(cfg: &PoolBenchConfig, node: &PsNode) -> (u64, u64) {
-    let gen = WorkloadGen::new(cfg.workload());
     let start = Instant::now();
-    let report = {
-        let mut t = SyncTrainer::new(node, &gen, cfg.trainer_config());
-        t.run(1, cfg.batches)
-    };
-    (report.total_ns, start.elapsed().as_nanos() as u64)
+    let sync = PipelineConfig::sync();
+    let report = PipelinedTrainer::with_client(node, cfg.workload(), cfg.trainer_config(), sync)
+        .run(1, cfg.batches);
+    (report.train.total_ns, start.elapsed().as_nanos() as u64)
 }
 
 /// A PS node over a fresh partition of `shared`.

@@ -9,10 +9,12 @@
 use oe_baselines::{CkptDevice, DramPs, IncrementalCkpt, OriCache, PmemHash, TfPs};
 use oe_core::engine::PsEngine;
 use oe_core::{CheckpointScheduler, NodeConfig, OptimizerKind, PsNode};
+use oe_net::EngineClient;
 use oe_simdevice::clock::Nanos;
 use oe_simdevice::DeviceTiming;
-use oe_train::{SyncTrainer, TrainMode, TrainReport, TrainerConfig};
-use oe_workload::{SkewModel, WorkloadGen, WorkloadSpec};
+use oe_train::{PipelineConfig, PipelinedTrainer, TrainMode, TrainReport, TrainerConfig};
+use oe_workload::{SkewModel, WorkloadSpec};
+use std::sync::Arc;
 
 /// Scaled workload + system parameters.
 #[derive(Debug, Clone)]
@@ -141,24 +143,25 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Instantiate the engine for a scenario.
-    pub fn build(self, sc: &Scenario) -> Box<dyn PsEngine> {
+    /// Instantiate the engine for a scenario, as the client the trainer
+    /// drives.
+    pub fn build(self, sc: &Scenario) -> EngineClient {
         let cfg = sc.node_config();
-        match self {
-            EngineKind::Oe => Box::new(PsNode::new(cfg)),
+        let engine: Arc<dyn PsEngine> = match self {
+            EngineKind::Oe => Arc::new(PsNode::new(cfg)),
             EngineKind::OeAblation { cache, pipeline } => {
                 let mut cfg = cfg;
                 cfg.enable_cache = cache;
                 cfg.enable_pipeline = pipeline;
-                Box::new(PsNode::new(cfg))
+                Arc::new(PsNode::new(cfg))
             }
             EngineKind::OeIncremental => {
-                Box::new(IncrementalCkpt::new(PsNode::new(cfg), CkptDevice::Pmem))
+                Arc::new(IncrementalCkpt::new(PsNode::new(cfg), CkptDevice::Pmem))
             }
-            EngineKind::DramPs => Box::new(DramPs::new(cfg, CkptDevice::Pmem)),
-            EngineKind::OriCache => Box::new(OriCache::new(cfg, CkptDevice::Pmem)),
-            EngineKind::PmemHash => Box::new(PmemHash::new(cfg)),
-            EngineKind::TfPs => Box::new(TfPs::new(cfg, CkptDevice::Ssd)),
+            EngineKind::DramPs => Arc::new(DramPs::new(cfg, CkptDevice::Pmem)),
+            EngineKind::OriCache => Arc::new(OriCache::new(cfg, CkptDevice::Pmem)),
+            EngineKind::PmemHash => Arc::new(PmemHash::new(cfg)),
+            EngineKind::TfPs => Arc::new(TfPs::new(cfg, CkptDevice::Ssd)),
             EngineKind::OeCustom {
                 replacement,
                 admission,
@@ -168,9 +171,10 @@ impl EngineKind {
                 cfg.replacement = replacement;
                 cfg.admission = admission;
                 cfg.shards = shards;
-                Box::new(PsNode::new(cfg))
+                Arc::new(PsNode::new(cfg))
             }
-        }
+        };
+        EngineClient::new(engine)
     }
 
     /// Display name.
@@ -243,22 +247,22 @@ impl CkptSetup {
 /// the cache working set) and measure.
 pub fn run_scenario(kind: EngineKind, sc: &Scenario, workers: u32, ckpt: CkptSetup) -> TrainReport {
     let engine = kind.build(sc);
-    let gen = WorkloadGen::new(sc.workload(workers));
+    let trainer = |cfg| {
+        PipelinedTrainer::with_client(&engine, sc.workload(workers), cfg, PipelineConfig::sync())
+    };
 
     // Warm-up pass: first-touch initialization + cache warming.
     let mut warm_cfg = TrainerConfig::paper(workers);
     warm_cfg.mode = TrainMode::Synthetic { grad_scale: 0.01 };
-    let mut warm = SyncTrainer::new(engine.as_ref(), &gen, warm_cfg);
-    warm.run(1, sc.warm_batches);
-    drop(warm);
+    trainer(warm_cfg).run(1, sc.warm_batches);
 
-    // Measured pass.
+    // Measured pass (a fresh trainer: its clock starts at zero).
     let mut cfg = TrainerConfig::paper(workers);
     cfg.mode = TrainMode::Synthetic { grad_scale: 0.01 };
     cfg.ckpt = ckpt.scheduler();
     cfg.dense_ckpt_pause_ns = ckpt.dense_pause(sc);
-    let mut t = SyncTrainer::new(engine.as_ref(), &gen, cfg);
-    t.run(sc.warm_batches + 1, sc.measure_batches)
+    let mut t = trainer(cfg);
+    t.run(sc.warm_batches + 1, sc.measure_batches).train
 }
 
 /// Format a normalized-comparison row.

@@ -1,7 +1,7 @@
 //! # oe-cluster — the skew-aware placement plane
 //!
-//! `core::Cluster` shards embedding keys across PS nodes by a static
-//! hash: simple, stateless, and exactly wrong under the paper's access
+//! Sharding embedding keys across PS nodes by a static hash (paper
+//! §IV) is simple, stateless, and exactly wrong under the paper's access
 //! skew (Table II: the top 0.05 % of keys absorb 85.7 % of accesses).
 //! When a flash crowd's keys hash onto one node, that shard's DRAM cache
 //! thrashes and its p99 melts while the rest of the cluster idles.

@@ -1,8 +1,8 @@
 //! `PlacedCluster`: a sharded PS cluster routed through the placement
 //! table, with live migration and optional telemetry-driven rebalancing.
 //!
-//! This is `core::Cluster` with the static hash replaced by a
-//! [`PlacementTable`] and three extra moving parts:
+//! The paper's static-hash cluster (§IV) with the hash replaced by a
+//! [`PlacementTable`] — identical at epoch 0 — and three moving parts:
 //!
 //! * **Telemetry** — per-node burst-latency histograms and keys-served
 //!   counters feed the [`RebalanceController`]; a [`FreqTracker`] feeds
@@ -598,6 +598,78 @@ mod tests {
         let keys: Vec<u64> = (0..32).collect();
         let out = pull(&c, &keys, 1);
         assert_eq!(out.len(), 32 * 4);
+    }
+
+    // The next three came from the unit tests of `oe-core`'s static-hash
+    // cluster type when it was deleted (static hash = placement epoch
+    // 0). Its other tests are covered elsewhere: never-empty by `build`'s
+    // assert,
+    // unique-key scatter order and push-routes-to-owner by
+    // `routes_like_static_hash_at_epoch_zero` plus `tests/end_to_end.rs`
+    // (`cluster_of_nodes_trains_identically_to_single_node`), and the
+    // cost merge stayed in `oe_core::cluster` beside the function.
+
+    #[test]
+    fn scatter_gather_preserves_request_order_with_duplicate_keys() {
+        // A hot key repeated across the request comes back at every
+        // occurrence position, identically to the single-node gather.
+        let keys: Vec<u64> = vec![7, 3, 7, 11, 3, 7, 99, 11, 7, 3];
+        let sgd = OptimizerKind::Sgd { lr: 1.0 };
+        let c3 = PlacedCluster::new(nodes(3, sgd));
+        let c1 = PlacedCluster::new(nodes(1, sgd));
+        let out3 = pull(&c3, &keys, 1);
+        assert_eq!(out3, pull(&c1, &keys, 1));
+        assert_eq!(out3.len(), keys.len() * 4);
+        let w7 = c3.read_weights(7).unwrap();
+        for (i, &k) in keys.iter().enumerate() {
+            if k == 7 {
+                assert_eq!(&out3[i * 4..i * 4 + 4], &w7[..]);
+            }
+        }
+        // Dedup happened: nodes count distinct keys, not occurrences.
+        let pulls: u64 = (0..3).map(|i| c3.node(i).stats().pulls).sum();
+        assert_eq!(pulls, 4, "10 occurrences coalesce to 4 uniques");
+
+        // Duplicate pushes apply per occurrence (or coalesce to an
+        // identical sum — SGD is linear) on both cluster shapes.
+        for c in [&c3, &c1] {
+            c.end_pull_phase(1);
+            push(c, &keys, 1);
+        }
+        for &k in &keys {
+            assert_eq!(c3.read_weights(k), c1.read_weights(k), "key {k}");
+        }
+    }
+
+    #[test]
+    fn committed_checkpoint_is_the_min_over_nodes() {
+        let c = PlacedCluster::new(nodes(2, adagrad()));
+        let keys: Vec<u64> = (0..8).collect();
+        pull(&c, &keys, 1);
+        c.end_pull_phase(1);
+        push(&c, &keys, 1);
+        c.request_checkpoint(1);
+        pull(&c, &keys, 2);
+        c.end_pull_phase(2);
+        assert_eq!(c.committed_checkpoint(), 1);
+    }
+
+    #[test]
+    fn committed_checkpoint_is_zero_when_one_node_never_checkpointed() {
+        // Checkpoint node 0 directly; node 1 never commits anything, so
+        // the *cluster* commit point must stay 0 — a recovery to any
+        // batch > 0 would lose node 1's uncommitted state boundary.
+        let c = PlacedCluster::new(nodes(2, adagrad()));
+        let keys: Vec<u64> = (0..64).filter(|&k| c.node_of(k) == 0).collect();
+        assert!(!keys.is_empty());
+        pull(&c, &keys, 1);
+        c.end_pull_phase(1);
+        c.node(0).request_checkpoint(1);
+        pull(&c, &keys, 2);
+        c.end_pull_phase(2);
+        assert!(c.node(0).committed_checkpoint() >= 1, "node 0 committed");
+        assert_eq!(c.node(1).committed_checkpoint(), 0, "node 1 never did");
+        assert_eq!(c.committed_checkpoint(), 0, "cluster min is 0");
     }
 
     #[test]

@@ -1,26 +1,12 @@
-//! Sharded PS cluster: embedding entries are partitioned across a series
-//! of PS nodes by hashing the entry id (paper §IV). The cluster scatters
-//! pull/push bursts to the owning nodes and gathers responses; the burst
-//! completion time is the max over nodes (they serve in parallel).
-//!
-//! Scatter goes through [`crate::plan`] bucketing, so multi-node bursts
-//! get the same duplicate-key coalescing as a node's internal shard
-//! lanes: pulls send each distinct key to its owner once and fan the
-//! payload out to every occurrence client-side; pushes stay
-//! occurrence-preserving on the wire (whether duplicate gradients may
-//! be summed is the *owner's* decision, via
-//! [`crate::OptimizerKind::coalescible`] — the cluster must not pre-sum
-//! for stateful optimizers).
-//!
-//! For skew-aware placement (epoch-versioned routing overrides, live
-//! migration, rebalancing) layer `oe-cluster`'s `PlacedCluster` on top;
-//! it reuses [`hash_node_of`] as its fallback and [`merge_node_parallel`]
-//! for burst pricing.
+//! The two pure functions a sharded PS cluster is built from (paper
+//! §IV: entries are partitioned across PS nodes by hashing the entry
+//! id, and a burst completes when the slowest node does). The cluster
+//! type itself is `oe-cluster`'s `PlacedCluster`, which uses
+//! [`hash_node_of`] as its placement fallback — at placement epoch 0 it
+//! *is* the static-hash cluster — and [`merge_node_parallel`] for burst
+//! pricing.
 
-use crate::engine::{MaintenanceReport, PsEngine};
-use crate::plan::{ShardBuckets, ShardPlan};
-use crate::stats::StatsSnapshot;
-use crate::{BatchId, Key};
+use crate::Key;
 use oe_simdevice::{Cost, CostKind};
 
 /// The static hash placement: which of `nodes` owns `key` when no
@@ -49,302 +35,9 @@ pub fn merge_node_parallel(costs: &[Cost], out: &mut Cost) {
     }
 }
 
-/// A cluster of PS engines of the same type.
-pub struct Cluster<E: PsEngine> {
-    nodes: Vec<E>,
-}
-
-impl<E: PsEngine> Cluster<E> {
-    /// Build a cluster from nodes.
-    pub fn new(nodes: Vec<E>) -> Self {
-        assert!(!nodes.is_empty(), "cluster needs at least one node");
-        Self { nodes }
-    }
-
-    /// Number of PS nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if the cluster has no nodes (never, per the constructor
-    /// assert, but the `len`/`is_empty` contract must hold regardless).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// Access a node (tests / stats).
-    pub fn node(&self, i: usize) -> &E {
-        &self.nodes[i]
-    }
-
-    /// Which node owns `key`.
-    #[inline]
-    pub fn node_of(&self, key: Key) -> usize {
-        hash_node_of(key, self.nodes.len())
-    }
-
-    /// Bucket a burst by owning node and coalesce duplicates per node.
-    fn scatter(&self, keys: &[Key]) -> ShardPlan {
-        ShardBuckets::bucket(keys, self.nodes.len(), |k| self.node_of(k)).coalesce()
-    }
-}
-
-impl<E: PsEngine> PsEngine for Cluster<E> {
-    fn name(&self) -> &'static str {
-        self.nodes[0].name()
-    }
-
-    fn dim(&self) -> usize {
-        self.nodes[0].dim()
-    }
-
-    fn pull(&self, keys: &[Key], batch: BatchId, out: &mut Vec<f32>, cost: &mut Cost) {
-        let dim = self.dim();
-        let start = out.len();
-        out.resize(start + keys.len() * dim, 0.0);
-        let plan = self.scatter(keys);
-        let mut node_costs = Vec::with_capacity(plan.groups.len());
-        for g in &plan.groups {
-            // Pull each distinct key once and fan the payload out to all
-            // of its occurrence positions — duplicates never cross the
-            // node boundary.
-            let mut node_out = Vec::with_capacity(g.uniques.len() * dim);
-            let mut c = Cost::new();
-            self.nodes[g.shard].pull(&g.uniques, batch, &mut node_out, &mut c);
-            for (ui, occ) in g.occs.iter().enumerate() {
-                let src = ui * dim;
-                for &pos in occ {
-                    let dst = start + pos as usize * dim;
-                    out[dst..dst + dim].copy_from_slice(&node_out[src..src + dim]);
-                }
-            }
-            node_costs.push(c);
-        }
-        merge_node_parallel(&node_costs, cost);
-    }
-
-    fn end_pull_phase(&self, batch: BatchId) -> MaintenanceReport {
-        let reports: Vec<MaintenanceReport> =
-            self.nodes.iter().map(|n| n.end_pull_phase(batch)).collect();
-        let mut merged = MaintenanceReport::default();
-        let mut costs = Vec::new();
-        for r in reports {
-            merged.entries_processed += r.entries_processed;
-            merged.ckpt_commits += r.ckpt_commits;
-            costs.push(r.cost);
-        }
-        merge_node_parallel(&costs, &mut merged.cost);
-        merged
-    }
-
-    fn push(&self, keys: &[Key], grads: &[f32], batch: BatchId, cost: &mut Cost) {
-        let dim = self.dim();
-        let plan = self.scatter(keys);
-        let mut node_costs = Vec::with_capacity(plan.groups.len());
-        for g in &plan.groups {
-            // Occurrence-preserving: rebuild this node's slice of the
-            // request in original order. The node's own plan coalesces
-            // duplicate gradients iff its optimizer allows it.
-            let occ = g.occurrences_in_request_order();
-            let mut node_keys = Vec::with_capacity(occ.len());
-            let mut node_grads = Vec::with_capacity(occ.len() * dim);
-            for &(pos, k) in &occ {
-                node_keys.push(k);
-                let p = pos as usize * dim;
-                node_grads.extend_from_slice(&grads[p..p + dim]);
-            }
-            let mut c = Cost::new();
-            self.nodes[g.shard].push(&node_keys, &node_grads, batch, &mut c);
-            node_costs.push(c);
-        }
-        merge_node_parallel(&node_costs, cost);
-    }
-
-    fn request_checkpoint(&self, batch: BatchId) -> Cost {
-        let mut total = Cost::new();
-        let costs: Vec<Cost> = self
-            .nodes
-            .iter()
-            .map(|n| n.request_checkpoint(batch))
-            .collect();
-        merge_node_parallel(&costs, &mut total);
-        total
-    }
-
-    fn committed_checkpoint(&self) -> BatchId {
-        // The cluster checkpoint is the min across nodes: only batches
-        // durably committed everywhere are globally recoverable.
-        self.nodes
-            .iter()
-            .map(|n| n.committed_checkpoint())
-            .min()
-            .unwrap_or(0)
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        let mut total = StatsSnapshot::default();
-        for n in &self.nodes {
-            let s = n.stats();
-            total.pulls += s.pulls;
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.new_entries += s.new_entries;
-            total.pushes += s.pushes;
-            total.evictions += s.evictions;
-            total.flushes += s.flushes;
-            total.loads += s.loads;
-            total.ckpt_commits += s.ckpt_commits;
-            total.ckpt_entries_written += s.ckpt_entries_written;
-            total.slots_recycled += s.slots_recycled;
-        }
-        total
-    }
-
-    fn read_weights(&self, key: Key) -> Option<Vec<f32>> {
-        self.nodes[self.node_of(key)].read_weights(key)
-    }
-
-    fn num_keys(&self) -> usize {
-        self.nodes.iter().map(|n| n.num_keys()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::NodeConfig;
-    use crate::node::PsNode;
-    use crate::optimizer::OptimizerKind;
-
-    fn cluster(n: usize) -> Cluster<PsNode> {
-        let mut cfg = NodeConfig::small(4);
-        cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
-        Cluster::new((0..n).map(|_| PsNode::new(cfg.clone())).collect())
-    }
-
-    #[test]
-    fn cluster_is_never_empty() {
-        let c = cluster(3);
-        assert_eq!(c.len(), 3);
-        assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn scatter_gather_preserves_order() {
-        let c3 = cluster(3);
-        let c1 = cluster(1);
-        let keys: Vec<u64> = (0..40).collect();
-        let mut out3 = Vec::new();
-        let mut out1 = Vec::new();
-        let mut cost = Cost::new();
-        c3.pull(&keys, 1, &mut out3, &mut cost);
-        c1.pull(&keys, 1, &mut out1, &mut cost);
-        // Same deterministic init regardless of cluster size and order.
-        assert_eq!(out3, out1);
-        assert_eq!(out3.len(), 40 * 4);
-    }
-
-    #[test]
-    fn scatter_gather_preserves_order_with_duplicate_keys() {
-        // A hot key repeated across the request must come back at every
-        // occurrence position, identically to the single-node gather.
-        let keys: Vec<u64> = vec![7, 3, 7, 11, 3, 7, 99, 11, 7, 3];
-        let c3 = cluster(3);
-        let c1 = cluster(1);
-        let (mut out3, mut out1, mut cost) = (Vec::new(), Vec::new(), Cost::new());
-        c3.pull(&keys, 1, &mut out3, &mut cost);
-        c1.pull(&keys, 1, &mut out1, &mut cost);
-        assert_eq!(out3, out1);
-        assert_eq!(out3.len(), keys.len() * 4);
-        // Every occurrence of key 7 carries the same payload.
-        let w7 = c3.read_weights(7).unwrap();
-        for (i, &k) in keys.iter().enumerate() {
-            if k == 7 {
-                assert_eq!(&out3[i * 4..i * 4 + 4], &w7[..]);
-            }
-        }
-        // Dedup actually happened: each node's pull counter counts
-        // distinct keys per request, not occurrences.
-        let pulls: u64 = (0..3).map(|i| c3.node(i).stats().pulls).sum();
-        assert_eq!(pulls, 4, "10 occurrences coalesce to 4 uniques");
-    }
-
-    #[test]
-    fn duplicate_push_matches_single_node() {
-        // SGD is linear in the gradient; duplicate pushes must apply
-        // per occurrence (or coalesce to an identical sum) on both
-        // cluster shapes.
-        let keys: Vec<u64> = vec![5, 9, 5, 5, 9, 21];
-        let run = |c: &Cluster<PsNode>| {
-            let (mut out, mut cost) = (Vec::new(), Cost::new());
-            c.pull(&keys, 1, &mut out, &mut cost);
-            c.end_pull_phase(1);
-            let mut grads = vec![0.0f32; keys.len() * 4];
-            for (i, g) in grads.iter_mut().enumerate() {
-                *g = (i % 4) as f32 * 0.5 + 1.0;
-            }
-            c.push(&keys, &grads, 1, &mut cost);
-            keys.iter()
-                .map(|&k| c.read_weights(k).unwrap())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(&cluster(4)), run(&cluster(1)));
-    }
-
-    #[test]
-    fn push_routes_to_owner() {
-        let c = cluster(4);
-        let keys: Vec<u64> = (0..16).collect();
-        let mut out = Vec::new();
-        let mut cost = Cost::new();
-        c.pull(&keys, 1, &mut out, &mut cost);
-        c.end_pull_phase(1);
-        let grads = vec![1.0f32; 16 * 4];
-        c.push(&keys, &grads, 1, &mut cost);
-        for (i, &k) in keys.iter().enumerate() {
-            let w = c.read_weights(k).unwrap();
-            assert!((w[0] - (out[i * 4] - 1.0)).abs() < 1e-6, "key {k}");
-        }
-        // All nodes saw some keys (hash spreads 16 keys over 4 nodes whp).
-        let busy = (0..4).filter(|&i| c.node(i).num_keys() > 0).count();
-        assert!(busy >= 3, "keys spread across nodes: {busy}");
-    }
-
-    #[test]
-    fn cluster_checkpoint_is_min() {
-        let c = cluster(2);
-        let keys: Vec<u64> = (0..8).collect();
-        let mut out = Vec::new();
-        let mut cost = Cost::new();
-        c.pull(&keys, 1, &mut out, &mut cost);
-        c.end_pull_phase(1);
-        c.push(&keys, &[0.1; 8 * 4], 1, &mut cost);
-        c.request_checkpoint(1);
-        let mut out2 = Vec::new();
-        c.pull(&keys, 2, &mut out2, &mut cost);
-        c.end_pull_phase(2);
-        assert_eq!(c.committed_checkpoint(), 1);
-    }
-
-    #[test]
-    fn cluster_checkpoint_zero_when_one_node_never_checkpointed() {
-        // Checkpoint node 0 directly; node 1 never commits anything, so
-        // the *cluster* commit point must stay 0 — a recovery to any
-        // batch > 0 would lose node 1's uncommitted state boundary.
-        let c = cluster(2);
-        let keys: Vec<u64> = (0..64).filter(|&k| c.node_of(k) == 0).collect();
-        assert!(!keys.is_empty());
-        let (mut out, mut cost) = (Vec::new(), Cost::new());
-        c.pull(&keys, 1, &mut out, &mut cost);
-        c.end_pull_phase(1);
-        c.node(0).request_checkpoint(1);
-        let mut out2 = Vec::new();
-        c.pull(&keys, 2, &mut out2, &mut cost);
-        c.end_pull_phase(2);
-        assert!(c.node(0).committed_checkpoint() >= 1, "node 0 committed");
-        assert_eq!(c.node(1).committed_checkpoint(), 0, "node 1 never did");
-        assert_eq!(c.committed_checkpoint(), 0, "cluster min is 0");
-    }
 
     #[test]
     fn parallel_cost_merge_takes_max_of_device_time() {

@@ -16,8 +16,9 @@
 //!   with the weights so checkpoints capture training state exactly;
 //! - **recovery** ([`recovery`]): scan PMem, discard post-checkpoint
 //!   versions, rebuild the DRAM hash index — no data copy;
-//! - a **sharded cluster** ([`cluster::Cluster`]) hashing keys across PS
-//!   nodes;
+//! - the **static-hash placement** and parallel burst-cost merge a
+//!   sharded cluster is built from ([`cluster`]; the cluster type is
+//!   `oe-cluster`'s `PlacedCluster`);
 //! - a **shard-plan hot path** ([`plan`]): batch keys are bucketed by
 //!   shard, duplicates coalesced, and shard groups executed on parallel
 //!   lanes with one lock acquisition per shard per request (the
@@ -40,7 +41,7 @@ pub mod stats;
 pub mod storage;
 
 pub use checkpoint::{BatchCadence, CheckpointScheduler};
-pub use cluster::{hash_node_of, merge_node_parallel, Cluster};
+pub use cluster::{hash_node_of, merge_node_parallel};
 pub use config::{NodeConfig, CACHE_ENTRY_OVERHEAD_BYTES};
 pub use engine::{MaintenanceReport, PsEngine};
 pub use node::PsNode;

@@ -2,24 +2,24 @@
 //!
 //! [`PsClient`] is what `train` and `serve` program against: the same
 //! pull/push/flush/metrics surface whether the parameter server is an
-//! in-process [`PsNode`], a [`crate::RemotePs`] on the far side of a
-//! (possibly fault-injected) wire, or any other [`PsEngine`] behind an
-//! [`EngineClient`] adapter. Every operation returns a structured
-//! [`Error`] instead of panicking, so the fault-injection suite can run
-//! the identical driver against either backend and failures surface as
-//! values.
+//! in-process [`PsEngine`] (every engine is a client through one blanket
+//! impl), a type-erased engine behind [`EngineClient`], or a
+//! [`crate::RemotePs`] on the far side of a (possibly fault-injected)
+//! wire. Every operation returns a structured [`Error`] instead of
+//! panicking, so the fault-injection suite can run the identical driver
+//! against either backend and failures surface as values.
 //!
 //! Method names are deliberately distinct from [`PsEngine`]'s
-//! (`pull_batch` vs `pull`, …): `RemotePs` and `PsNode` implement both
-//! traits, and identical names would make every call ambiguous at use
-//! sites that import both.
+//! (`pull_batch` vs `pull`, …): every engine implements both traits,
+//! and identical names would make every call ambiguous at use sites
+//! that import both.
 
 use crate::error::Error;
 use crate::failover::FailoverEvent;
 use bytes::Bytes;
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::stats::StatsSnapshot;
-use oe_core::{BatchId, Key, PsNode};
+use oe_core::{BatchId, Key};
 use oe_simdevice::Cost;
 use std::sync::Arc;
 
@@ -127,6 +127,20 @@ pub trait PsClient: Send + Sync {
         cost: &mut Cost,
     ) -> Result<(), Error>;
 
+    /// [`PsClient::push_batch`] for a burst the pipelined trainer took
+    /// off the critical path. Same state transition; in-process engines
+    /// forward it to [`PsEngine::push_async`] so they can account it
+    /// separately, everything else inherits the plain push.
+    fn push_batch_async(
+        &self,
+        keys: &[Key],
+        grads: &[f32],
+        batch: BatchId,
+        cost: &mut Cost,
+    ) -> Result<(), Error> {
+        self.push_batch(keys, grads, batch, cost)
+    }
+
     /// Request a checkpoint up to `batch`; returns the inline cost.
     fn checkpoint(&self, batch: BatchId) -> Result<Cost, Error>;
 
@@ -153,9 +167,83 @@ pub trait PsClient: Send + Sync {
     }
 }
 
-/// Adapter: any [`PsEngine`] as an (infallible-in-practice)
-/// [`PsClient`]. In-process engines have no wire to fail on, so every
-/// operation simply succeeds.
+/// Every in-process [`PsEngine`] is a [`PsClient`]: there is no wire to
+/// fail on, so every operation simply succeeds.
+impl<E: PsEngine + ?Sized> PsClient for E {
+    fn backend_name(&self) -> String {
+        self.name().to_string()
+    }
+
+    fn embed_dim(&self) -> usize {
+        self.dim()
+    }
+
+    fn pull_batch(
+        &self,
+        keys: &[Key],
+        batch: BatchId,
+        out: &mut Vec<f32>,
+        cost: &mut Cost,
+    ) -> Result<(), Error> {
+        self.pull(keys, batch, out, cost);
+        Ok(())
+    }
+
+    fn flush_batch(&self, batch: BatchId) -> Result<MaintenanceReport, Error> {
+        Ok(self.end_pull_phase(batch))
+    }
+
+    fn push_batch(
+        &self,
+        keys: &[Key],
+        grads: &[f32],
+        batch: BatchId,
+        cost: &mut Cost,
+    ) -> Result<(), Error> {
+        self.push(keys, grads, batch, cost);
+        Ok(())
+    }
+
+    fn push_batch_async(
+        &self,
+        keys: &[Key],
+        grads: &[f32],
+        batch: BatchId,
+        cost: &mut Cost,
+    ) -> Result<(), Error> {
+        self.push_async(keys, grads, batch, cost);
+        Ok(())
+    }
+
+    fn checkpoint(&self, batch: BatchId) -> Result<Cost, Error> {
+        Ok(self.request_checkpoint(batch))
+    }
+
+    fn committed(&self) -> Result<BatchId, Error> {
+        Ok(self.committed_checkpoint())
+    }
+
+    fn snapshot_stats(&self) -> Result<StatsSnapshot, Error> {
+        Ok(self.stats())
+    }
+
+    fn weights_of(&self, key: Key) -> Result<Option<Vec<f32>>, Error> {
+        Ok(self.read_weights(key))
+    }
+
+    fn key_count(&self) -> Result<usize, Error> {
+        Ok(self.num_keys())
+    }
+
+    fn metrics(&self) -> Result<String, Error> {
+        Ok(self.metrics_text())
+    }
+}
+
+/// Adapter: a type-erased `Arc<dyn PsEngine>` as a [`PsClient`], for
+/// callers that pick the engine at run time. Delegates to the blanket
+/// impl above, except that its async pushes stay plain pushes (a
+/// wrapped client, like a wire client, has no out-of-band lane).
 pub struct EngineClient {
     engine: Arc<dyn PsEngine>,
 }
@@ -174,11 +262,11 @@ impl EngineClient {
 
 impl PsClient for EngineClient {
     fn backend_name(&self) -> String {
-        self.engine.name().to_string()
+        self.engine.backend_name()
     }
 
     fn embed_dim(&self) -> usize {
-        self.engine.dim()
+        self.engine.embed_dim()
     }
 
     fn pull_batch(
@@ -188,12 +276,11 @@ impl PsClient for EngineClient {
         out: &mut Vec<f32>,
         cost: &mut Cost,
     ) -> Result<(), Error> {
-        self.engine.pull(keys, batch, out, cost);
-        Ok(())
+        self.engine.pull_batch(keys, batch, out, cost)
     }
 
     fn flush_batch(&self, batch: BatchId) -> Result<MaintenanceReport, Error> {
-        Ok(self.engine.end_pull_phase(batch))
+        self.engine.flush_batch(batch)
     }
 
     fn push_batch(
@@ -203,102 +290,38 @@ impl PsClient for EngineClient {
         batch: BatchId,
         cost: &mut Cost,
     ) -> Result<(), Error> {
-        self.engine.push(keys, grads, batch, cost);
-        Ok(())
+        self.engine.push_batch(keys, grads, batch, cost)
     }
 
     fn checkpoint(&self, batch: BatchId) -> Result<Cost, Error> {
-        Ok(self.engine.request_checkpoint(batch))
+        self.engine.checkpoint(batch)
     }
 
     fn committed(&self) -> Result<BatchId, Error> {
-        Ok(self.engine.committed_checkpoint())
+        self.engine.committed()
     }
 
     fn snapshot_stats(&self) -> Result<StatsSnapshot, Error> {
-        Ok(self.engine.stats())
+        self.engine.snapshot_stats()
     }
 
     fn weights_of(&self, key: Key) -> Result<Option<Vec<f32>>, Error> {
-        Ok(self.engine.read_weights(key))
+        self.engine.weights_of(key)
     }
 
     fn key_count(&self) -> Result<usize, Error> {
-        Ok(self.engine.num_keys())
+        self.engine.key_count()
     }
 
     fn metrics(&self) -> Result<String, Error> {
-        Ok(self.engine.metrics_text())
-    }
-}
-
-/// The in-process node is a first-class client backend: the trainer
-/// runs against a local `PsNode` and a `RemotePs` through the same
-/// interface.
-impl PsClient for PsNode {
-    fn backend_name(&self) -> String {
-        PsEngine::name(self).to_string()
-    }
-
-    fn embed_dim(&self) -> usize {
-        PsEngine::dim(self)
-    }
-
-    fn pull_batch(
-        &self,
-        keys: &[Key],
-        batch: BatchId,
-        out: &mut Vec<f32>,
-        cost: &mut Cost,
-    ) -> Result<(), Error> {
-        PsEngine::pull(self, keys, batch, out, cost);
-        Ok(())
-    }
-
-    fn flush_batch(&self, batch: BatchId) -> Result<MaintenanceReport, Error> {
-        Ok(PsEngine::end_pull_phase(self, batch))
-    }
-
-    fn push_batch(
-        &self,
-        keys: &[Key],
-        grads: &[f32],
-        batch: BatchId,
-        cost: &mut Cost,
-    ) -> Result<(), Error> {
-        PsEngine::push(self, keys, grads, batch, cost);
-        Ok(())
-    }
-
-    fn checkpoint(&self, batch: BatchId) -> Result<Cost, Error> {
-        Ok(PsEngine::request_checkpoint(self, batch))
-    }
-
-    fn committed(&self) -> Result<BatchId, Error> {
-        Ok(PsEngine::committed_checkpoint(self))
-    }
-
-    fn snapshot_stats(&self) -> Result<StatsSnapshot, Error> {
-        Ok(PsEngine::stats(self))
-    }
-
-    fn weights_of(&self, key: Key) -> Result<Option<Vec<f32>>, Error> {
-        Ok(PsEngine::read_weights(self, key))
-    }
-
-    fn key_count(&self) -> Result<usize, Error> {
-        Ok(PsEngine::num_keys(self))
-    }
-
-    fn metrics(&self) -> Result<String, Error> {
-        Ok(PsEngine::metrics_text(self))
+        self.engine.metrics()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oe_core::{NodeConfig, OptimizerKind};
+    use oe_core::{NodeConfig, OptimizerKind, PsNode};
 
     fn node() -> PsNode {
         let mut cfg = NodeConfig::small(4);
@@ -326,6 +349,24 @@ mod tests {
         assert_eq!(direct.key_count().unwrap(), 3);
         assert!(direct.failover_resume().is_none());
         assert!(direct.metrics().unwrap().contains("oe_pulls_total"));
+    }
+
+    #[test]
+    fn only_a_bare_engine_sees_async_pushes() {
+        let async_keys = |c: &dyn PsClient| {
+            let mut cost = Cost::new();
+            c.pull_batch(&[1, 2], 1, &mut Vec::new(), &mut cost)
+                .unwrap();
+            c.push_batch_async(&[1, 2], &[0.5; 8], 1, &mut cost)
+                .unwrap();
+            assert_eq!(c.snapshot_stats().unwrap().pushes, 2, "applied either way");
+            c.metrics()
+                .unwrap()
+                .contains("oe_async_applied_keys_total 2")
+        };
+        assert!(async_keys(&node()), "PsEngine::push_async reached");
+        let wrapped = EngineClient::new(Arc::new(node()));
+        assert!(!async_keys(&wrapped), "a wrapped client pushes plainly");
     }
 
     #[test]

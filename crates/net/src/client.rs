@@ -1,10 +1,11 @@
-//! The remote PS client: [`RemotePs`] implements
-//! [`oe_core::engine::PsEngine`] (and the backend-agnostic
-//! [`crate::api::PsClient`]) over a [`Transport`], so a trainer (or
+//! The remote PS client: [`RemotePs`] implements the backend-agnostic
+//! [`crate::api::PsClient`] over a [`Transport`], so a trainer (or
 //! example, or test) can swap a local node for a server on the other
 //! side of a wire without any code change — the reproduction of the
 //! paper's TensorFlow operators (`PullWeights`, `PushGradients`, …)
-//! talking RPC to the backend PS (§V-C).
+//! talking RPC to the backend PS (§V-C). Every failure is a value: no
+//! method of `RemotePs` panics on an RPC error, callers decide what an
+//! `Err` means.
 //!
 //! Fault tolerance lives here:
 //!
@@ -28,7 +29,7 @@
 //!   time after the trainer's replay;
 //! - retries, timeouts, corrupt frames, failovers, backoff waits, and
 //!   recovery latency all land in the client's telemetry registry,
-//!   prepended to [`PsEngine::metrics_text`] exposition.
+//!   prepended to the [`PsClient::metrics`] exposition.
 //!
 //! Virtual-time accounting stays exact: server-side storage charges ride
 //! back inside each response and are merged into the caller's sink, and
@@ -42,7 +43,7 @@ use crate::error::{Error, ErrorKind};
 use crate::failover::{FailoverEvent, Standby};
 use crate::transport::Transport;
 use bytes::Bytes;
-use oe_core::engine::{MaintenanceReport, PsEngine};
+use oe_core::engine::MaintenanceReport;
 use oe_core::stats::StatsSnapshot;
 use oe_core::{BatchId, Key};
 use oe_simdevice::{Cost, CostKind};
@@ -99,14 +100,8 @@ impl std::fmt::Debug for RemotePs {
 
 impl RemotePs {
     /// Connect: performs the `Hello` handshake to learn the engine's
-    /// dimension and identity. Panics if the server is unreachable or
-    /// speaks a different protocol — a remote PS you cannot reach is a
-    /// deployment error, not a recoverable condition for training.
-    pub fn connect(transport: Arc<dyn Transport>, cfg: NetConfig) -> Self {
-        Self::try_connect(transport, cfg).expect("PS handshake failed")
-    }
-
-    /// Fallible connect for callers that own failure handling.
+    /// dimension and identity. An unreachable server or a different
+    /// protocol version is an `Err`.
     pub fn try_connect(transport: Arc<dyn Transport>, cfg: NetConfig) -> Result<Self, Error> {
         let registry = Arc::new(Registry::new());
         let retries = registry.counter("client_rpc_retries_total");
@@ -387,10 +382,41 @@ impl RemotePs {
         }
     }
 
-    /// Fallible entry export (migration plane): the structured-error
-    /// twin of [`PsEngine::export_entry`]. A timeout, corrupt frame, or
-    /// failover comes back as an [`Error`] with its [`ErrorKind`]
-    /// intact instead of tearing the process down.
+    /// Issue half of a zero-copy pull: mint the idempotence token and
+    /// borrow-encode the key burst straight from the caller's slice (no
+    /// owned `Request` materialized).
+    fn encode_pull(&self, keys: &[Key], batch: BatchId) -> (u64, Bytes) {
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let epoch = self.placement_epoch.load(Ordering::Relaxed);
+        let frame = Packet::encode_pull(self.client_id, seq, epoch, batch, keys);
+        (seq, frame)
+    }
+
+    /// Completion half: send the frame, view-decode the weights reply
+    /// and append the weights directly into `out`.
+    fn pull_encoded(
+        &self,
+        seq: u64,
+        frame: Bytes,
+        out: &mut Vec<f32>,
+        cost: &mut Cost,
+    ) -> Result<(), Error> {
+        let (meta, reply) = self.call_raw(seq, frame, cost)?;
+        match ResponseView::decode(meta, &reply)? {
+            ResponseView::Weights { weights, cost: c } => {
+                cost.merge(&c);
+                weights.extend_into(out);
+                Ok(())
+            }
+            ResponseView::Other(other) => {
+                Err(Error::rejected(format!("pull: unexpected {other:?}")))
+            }
+        }
+    }
+
+    /// Entry export (migration plane), see
+    /// [`oe_core::PsEngine::export_entry`]. A timeout, corrupt frame, or
+    /// failover comes back as an [`Error`] with its [`ErrorKind`] intact.
     pub fn try_export_entry(
         &self,
         key: Key,
@@ -404,8 +430,8 @@ impl RemotePs {
         }
     }
 
-    /// Fallible entry import (migration plane): the structured-error
-    /// twin of [`PsEngine::import_entry`].
+    /// Entry import (migration plane), see
+    /// [`oe_core::PsEngine::import_entry`].
     pub fn try_import_entry(
         &self,
         key: Key,
@@ -429,8 +455,8 @@ impl RemotePs {
         }
     }
 
-    /// Fallible entry discard (migration plane): the structured-error
-    /// twin of [`PsEngine::discard_entry`].
+    /// Entry discard (migration plane), see
+    /// [`oe_core::PsEngine::discard_entry`].
     pub fn try_discard_entry(&self, key: Key, cost: &mut Cost) -> Result<bool, Error> {
         match self.call_result(Request::DiscardEntry { key }, cost)? {
             Response::Ack { cost: c } => {
@@ -441,129 +467,6 @@ impl RemotePs {
                 "discard_entry: unexpected {other:?}"
             ))),
         }
-    }
-
-    /// Zero-copy pull: borrow-encode the key burst straight from the
-    /// caller's slice (no owned `Request` materialized), view-decode
-    /// the weights reply, and append the weights directly into `out`.
-    fn pull_impl(
-        &self,
-        keys: &[Key],
-        batch: BatchId,
-        out: &mut Vec<f32>,
-        cost: &mut Cost,
-    ) -> Result<(), Error> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.placement_epoch.load(Ordering::Relaxed);
-        let frame = Packet::encode_pull(self.client_id, seq, epoch, batch, keys);
-        let (meta, reply) = self.call_raw(seq, frame, cost)?;
-        match ResponseView::decode(meta, &reply)? {
-            ResponseView::Weights { weights, cost: c } => {
-                cost.merge(&c);
-                weights.extend_into(out);
-                Ok(())
-            }
-            ResponseView::Other(other) => {
-                Err(Error::rejected(format!("pull: unexpected {other:?}")))
-            }
-        }
-    }
-
-    /// Zero-copy push: borrow-encode the key/gradient burst straight
-    /// from the caller's slices.
-    fn push_impl(
-        &self,
-        keys: &[Key],
-        grads: &[f32],
-        batch: BatchId,
-        cost: &mut Cost,
-    ) -> Result<(), Error> {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.placement_epoch.load(Ordering::Relaxed);
-        let frame = Packet::encode_push(self.client_id, seq, epoch, batch, keys, grads);
-        let (meta, reply) = self.call_raw(seq, frame, cost)?;
-        match ResponseView::decode(meta, &reply)? {
-            ResponseView::Other(Response::Ack { cost: c }) => {
-                cost.merge(&c);
-                Ok(())
-            }
-            other => Err(Error::rejected(format!("push: unexpected {other:?}"))),
-        }
-    }
-}
-
-/// Unwrap for the infallible [`PsEngine`] facade: any terminal failure
-/// (including a successful failover, whose rewind contract the
-/// `PsEngine` interface cannot express) is fatal, but the panic names
-/// the RPC and carries the structured [`ErrorKind`] so a crash log
-/// distinguishes a timeout from a rejection. Callers that own failure
-/// handling use the [`PsClient`] / `try_*` surface instead — every
-/// facade method below is a thin wrapper over it.
-fn fatal<T>(what: &str, r: Result<T, Error>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => panic!("PS RPC {what} failed ({:?}): {e}", e.kind()),
-    }
-}
-
-impl PsEngine for RemotePs {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn pull(&self, keys: &[Key], batch: BatchId, out: &mut Vec<f32>, cost: &mut Cost) {
-        fatal("pull", self.pull_impl(keys, batch, out, cost));
-    }
-
-    fn end_pull_phase(&self, batch: BatchId) -> MaintenanceReport {
-        fatal("end_pull_phase", self.flush_batch(batch))
-    }
-
-    fn push(&self, keys: &[Key], grads: &[f32], batch: BatchId, cost: &mut Cost) {
-        fatal("push", self.push_impl(keys, grads, batch, cost));
-    }
-
-    fn request_checkpoint(&self, batch: BatchId) -> Cost {
-        fatal("checkpoint", self.checkpoint(batch))
-    }
-
-    fn committed_checkpoint(&self) -> BatchId {
-        fatal("committed", self.committed())
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        fatal("stats", self.snapshot_stats())
-    }
-
-    fn read_weights(&self, key: Key) -> Option<Vec<f32>> {
-        fatal("read_weights", self.weights_of(key))
-    }
-
-    fn num_keys(&self) -> usize {
-        fatal("num_keys", self.key_count())
-    }
-
-    fn metrics_text(&self) -> String {
-        fatal("metrics", self.metrics())
-    }
-
-    fn export_entry(&self, key: Key, cost: &mut Cost) -> Option<(BatchId, Vec<f32>)> {
-        fatal("export_entry", self.try_export_entry(key, cost))
-    }
-
-    fn import_entry(&self, key: Key, version: BatchId, payload: &[f32], cost: &mut Cost) -> bool {
-        fatal(
-            "import_entry",
-            self.try_import_entry(key, version, payload, cost),
-        )
-    }
-
-    fn discard_entry(&self, key: Key, cost: &mut Cost) -> bool {
-        fatal("discard_entry", self.try_discard_entry(key, cost))
     }
 }
 
@@ -583,17 +486,14 @@ impl PsClient for RemotePs {
         out: &mut Vec<f32>,
         cost: &mut Cost,
     ) -> Result<(), Error> {
-        self.pull_impl(keys, batch, out, cost)
+        let (seq, frame) = self.encode_pull(keys, batch);
+        self.pull_encoded(seq, frame, out, cost)
     }
 
     fn pull_issue(&self, keys: &[Key], batch: BatchId) -> Result<PullTicket, Error> {
-        // Mirror `pull_impl`'s issue half exactly: mint the idempotence
-        // token and borrow-encode the frame *now*, so a retry of the
-        // completion resends the byte-identical frame the synchronous
-        // path would have sent.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.placement_epoch.load(Ordering::Relaxed);
-        let frame = Packet::encode_pull(self.client_id, seq, epoch, batch, keys);
+        // Token and frame exist *now*, so a retry of the completion
+        // resends the byte-identical frame `pull_batch` would have sent.
+        let (seq, frame) = self.encode_pull(keys, batch);
         Ok(PullTicket::encoded(keys.to_vec(), batch, seq, frame))
     }
 
@@ -603,19 +503,9 @@ impl PsClient for RemotePs {
         out: &mut Vec<f32>,
         cost: &mut Cost,
     ) -> Result<(), Error> {
-        let Some((seq, frame)) = ticket.wire() else {
-            return self.pull_impl(ticket.keys(), ticket.batch(), out, cost);
-        };
-        let (meta, reply) = self.call_raw(seq, frame.clone(), cost)?;
-        match ResponseView::decode(meta, &reply)? {
-            ResponseView::Weights { weights, cost: c } => {
-                cost.merge(&c);
-                weights.extend_into(out);
-                Ok(())
-            }
-            ResponseView::Other(other) => {
-                Err(Error::rejected(format!("pull: unexpected {other:?}")))
-            }
+        match ticket.wire() {
+            Some((seq, frame)) => self.pull_encoded(seq, frame.clone(), out, cost),
+            None => self.pull_batch(ticket.keys(), ticket.batch(), out, cost),
         }
     }
 
@@ -647,7 +537,18 @@ impl PsClient for RemotePs {
         batch: BatchId,
         cost: &mut Cost,
     ) -> Result<(), Error> {
-        self.push_impl(keys, grads, batch, cost)
+        // Zero-copy: borrow-encode the burst from the caller's slices.
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let epoch = self.placement_epoch.load(Ordering::Relaxed);
+        let frame = Packet::encode_push(self.client_id, seq, epoch, batch, keys, grads);
+        let (meta, reply) = self.call_raw(seq, frame, cost)?;
+        match ResponseView::decode(meta, &reply)? {
+            ResponseView::Other(Response::Ack { cost: c }) => {
+                cost.merge(&c);
+                Ok(())
+            }
+            other => Err(Error::rejected(format!("push: unexpected {other:?}"))),
+        }
     }
 
     fn checkpoint(&self, batch: BatchId) -> Result<Cost, Error> {
@@ -715,7 +616,7 @@ mod tests {
     use crate::fault::{FaultInjector, FaultSpec};
     use crate::server::PsServer;
     use crate::transport::loopback;
-    use oe_core::{NodeConfig, OptimizerKind, PsNode};
+    use oe_core::{NodeConfig, OptimizerKind, PsEngine, PsNode};
 
     fn remote_node() -> (RemotePs, crate::server::ServerHandle) {
         let mut cfg = NodeConfig::small(4);
@@ -723,15 +624,15 @@ mod tests {
         let engine: Arc<dyn PsEngine> = Arc::new(PsNode::new(cfg));
         let (client_t, server_t) = loopback(32);
         let handle = PsServer::spawn(engine, server_t, 4);
-        let remote = RemotePs::connect(Arc::new(client_t), NetConfig::paper_default());
+        let remote = RemotePs::try_connect(Arc::new(client_t), NetConfig::paper_default()).unwrap();
         (remote, handle)
     }
 
     #[test]
     fn handshake_learns_identity() {
         let (remote, _h) = remote_node();
-        assert_eq!(remote.dim(), 4);
-        assert_eq!(remote.name(), "PMem-OE");
+        assert_eq!(remote.embed_dim(), 4);
+        assert_eq!(remote.backend_name(), "PMem-OE");
         assert!(remote.client_id() > 0);
     }
 
@@ -777,7 +678,7 @@ mod tests {
         let mut lc = Cost::new();
         let mut rc = Cost::new();
         local.pull(&keys, 1, &mut lw, &mut lc);
-        remote.pull(&keys, 1, &mut rw, &mut rc);
+        remote.pull_batch(&keys, 1, &mut rw, &mut rc).unwrap();
         assert_eq!(lw, rw, "identical init over the wire");
         assert!(rc.ns(CostKind::Net) > 0, "network time charged");
         assert!(
@@ -786,12 +687,12 @@ mod tests {
         );
 
         local.end_pull_phase(1);
-        remote.end_pull_phase(1);
+        remote.flush_batch(1).unwrap();
         let grads = vec![0.5f32; 12];
         local.push(&keys, &grads, 1, &mut lc);
-        remote.push(&keys, &grads, 1, &mut rc);
+        remote.push_batch(&keys, &grads, 1, &mut rc).unwrap();
         for &k in &keys {
-            assert_eq!(local.read_weights(k), remote.read_weights(k));
+            assert_eq!(local.read_weights(k), remote.weights_of(k).unwrap());
         }
     }
 
@@ -801,15 +702,15 @@ mod tests {
         let keys = [7u64];
         let mut out = Vec::new();
         let mut cost = Cost::new();
-        remote.pull(&keys, 1, &mut out, &mut cost);
-        remote.end_pull_phase(1);
-        remote.push(&keys, &[0.1; 4], 1, &mut cost);
-        remote.request_checkpoint(1);
-        remote.pull(&keys, 2, &mut out, &mut cost);
-        remote.end_pull_phase(2);
-        assert_eq!(remote.committed_checkpoint(), 1);
-        assert_eq!(remote.num_keys(), 1);
-        assert!(remote.stats().pulls >= 2);
+        remote.pull_batch(&keys, 1, &mut out, &mut cost).unwrap();
+        remote.flush_batch(1).unwrap();
+        remote.push_batch(&keys, &[0.1; 4], 1, &mut cost).unwrap();
+        remote.checkpoint(1).unwrap();
+        remote.pull_batch(&keys, 2, &mut out, &mut cost).unwrap();
+        remote.flush_batch(2).unwrap();
+        assert_eq!(remote.committed().unwrap(), 1);
+        assert_eq!(remote.key_count().unwrap(), 1);
+        assert!(remote.snapshot_stats().unwrap().pulls >= 2);
     }
 
     #[test]
@@ -847,27 +748,30 @@ mod tests {
     }
 
     #[test]
-    fn migration_rpcs_round_trip_through_the_engine_facade() {
+    fn migration_rpcs_round_trip() {
         let (remote, _h) = remote_node();
         let keys = [42u64];
         let mut out = Vec::new();
         let mut cost = Cost::new();
-        remote.pull(&keys, 1, &mut out, &mut cost);
-        remote.end_pull_phase(1);
-        remote.push(&keys, &[0.25; 4], 1, &mut cost);
+        remote.pull_batch(&keys, 1, &mut out, &mut cost).unwrap();
+        remote.flush_batch(1).unwrap();
+        remote.push_batch(&keys, &[0.25; 4], 1, &mut cost).unwrap();
 
         let (version, payload) = remote
-            .export_entry(42, &mut cost)
+            .try_export_entry(42, &mut cost)
+            .unwrap()
             .expect("materialized entry exports");
         assert!(payload.len() >= 4, "weights plus optimizer state");
-        assert_eq!(remote.export_entry(999, &mut cost), None);
+        assert_eq!(remote.try_export_entry(999, &mut cost).unwrap(), None);
 
-        assert!(remote.discard_entry(42, &mut cost));
-        assert_eq!(remote.read_weights(42), None, "source forgot the key");
+        assert!(remote.try_discard_entry(42, &mut cost).unwrap());
+        assert_eq!(remote.weights_of(42).unwrap(), None, "source forgot it");
 
-        assert!(remote.import_entry(42, version, &payload, &mut cost));
+        assert!(remote
+            .try_import_entry(42, version, &payload, &mut cost)
+            .unwrap());
         assert_eq!(
-            remote.read_weights(42).expect("entry restored")[..],
+            remote.weights_of(42).unwrap().expect("entry restored")[..],
             payload[..4]
         );
     }
@@ -877,8 +781,8 @@ mod tests {
         let (remote, _h) = remote_node();
         let mut out = Vec::new();
         let mut cost = Cost::new();
-        remote.pull(&[1, 2], 1, &mut out, &mut cost);
-        let text = remote.metrics_text();
+        remote.pull_batch(&[1, 2], 1, &mut out, &mut cost).unwrap();
+        let text = remote.metrics().unwrap();
         assert!(text.contains("rpc_requests_total"), "server side:\n{text}");
         assert!(text.contains("oe_pulls_total 2"), "engine side:\n{text}");
         // Client-side fault-tolerance counters lead the exposition.
@@ -900,7 +804,7 @@ mod tests {
             Arc::new(client_t),
             FaultSpec::lossy(21, 0.20, 0.05),
         ));
-        let remote = RemotePs::connect(faulty, NetConfig::paper_default());
+        let remote = RemotePs::try_connect(faulty, NetConfig::paper_default()).unwrap();
         let keys: Vec<u64> = (0..8).collect();
         let mut cost = Cost::new();
         for b in 1..=20 {
@@ -923,7 +827,7 @@ mod tests {
         );
         // Exactly-once despite the storm: every batch's push applied
         // exactly once (SGD lr=1, grad 0.1 × 20 batches).
-        let w = remote.read_weights(0).expect("key exists");
+        let w = remote.weights_of(0).unwrap().expect("key exists");
         let expect = oe_core::init::init_weight(42, 0, 0, 0.01) - 0.1 * 20.0;
         assert!(
             (w[0] - expect).abs() < 1e-5,
@@ -989,7 +893,9 @@ mod tests {
             release: Mutex::new(release_rx),
         });
         let replica = Arc::new(CheckpointReplica::new(media, cfg, 2, 4, 5));
-        let remote = RemotePs::connect(eater, NetConfig::paper_default()).with_standby(replica);
+        let remote = RemotePs::try_connect(eater, NetConfig::paper_default())
+            .unwrap()
+            .with_standby(replica);
 
         // Batch 1 trains and checkpoints; batch 2's maintenance commits.
         let keys = [5u64];
@@ -1054,23 +960,22 @@ mod tests {
     }
 
     #[test]
-    fn migration_try_api_returns_structured_errors_instead_of_panicking() {
+    fn migration_rpcs_return_structured_errors() {
         let mut cfg = NodeConfig::small(4);
         cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
         let engine: Arc<dyn PsEngine> = Arc::new(PsNode::new(cfg));
         let (client_t, server_t) = loopback(32);
         let _handle = PsServer::spawn(engine, server_t, 2);
         let inj = Arc::new(FaultInjector::new(Arc::new(client_t), FaultSpec::none(11)));
-        let remote = RemotePs::connect(
+        let remote = RemotePs::try_connect(
             Arc::clone(&inj) as Arc<dyn Transport>,
             NetConfig::paper_default(),
-        );
+        )
+        .unwrap();
         let mut cost = Cost::new();
         assert_eq!(remote.try_export_entry(1, &mut cost).unwrap(), None);
 
-        // Primary dies with no standby configured: the try_* surface
-        // hands back the structured verdict the PsEngine facade can
-        // only turn into a panic.
+        // Primary dies with no standby configured: a structured verdict.
         inj.kill();
         let err = remote.try_discard_entry(1, &mut cost).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Disconnected);

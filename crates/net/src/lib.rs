@@ -32,15 +32,15 @@
 //! - [`failover`] — [`CheckpointReplica`] standbys that restore
 //!   through `core::recovery` from the last committed checkpoint when
 //!   promoted, charging the paper's recovery cost in virtual time;
-//! - [`client`] — [`client::RemotePs`], which implements both
-//!   `PsEngine` and [`PsClient`] *over the wire* with deadlines,
-//!   retry/backoff, and failover. Virtual-time costs charged on the
+//! - [`client`] — [`client::RemotePs`], which implements [`PsClient`]
+//!   *over the wire* with deadlines, retry/backoff, and failover; every
+//!   failure is an [`Error`] value. Virtual-time costs charged on the
 //!   server are carried back in the response and merged into the
 //!   caller's cost sink, keeping the discrete-event accounting exact
 //!   across the network boundary;
 //! - [`api`] — the backend-agnostic [`PsClient`] trait implemented by
-//!   `RemotePs` and the in-process `PsNode`, so `train`/`serve` drive
-//!   either through one interface.
+//!   `RemotePs` and by every in-process `PsEngine`, so `train`/`serve`
+//!   drive either through one interface.
 
 pub mod api;
 pub mod client;

@@ -49,7 +49,7 @@
 //! | [`cluster`] | skew-aware placement plane: epoch-versioned routing, live shard migration, rebalancing |
 //! | [`baselines`] | DRAM-PS, Ori-Cache, PMem-Hash, TF-PS, incremental checkpointing |
 //! | [`workload`] | skew models fitted to the paper's trace, Criteo synth, analysis |
-//! | [`train`] | synchronous-training simulator, DeepFM, failure injection, cost model |
+//! | [`train`] | the training simulator (one trainer; k = 0 is the paper's synchronous batch), DeepFM, failure injection, cost model |
 //! | [`net`] | wire protocol, fault-injecting transports, retry/deadline, checkpoint failover |
 //! | [`pool`] | disaggregated PMem: shared remote pool, fabric cost model, pool-resident failover |
 //! | [`telemetry`] | lock-free latency histograms, metric registry, phase spans, text exposition |
@@ -78,12 +78,12 @@ pub mod prelude {
     };
     pub use oe_core::engine::PsEngine;
     pub use oe_core::{
-        BatchId, CheckpointScheduler, Cluster, DramStore, Key, LocalPmem, NodeConfig, Optimizer,
+        BatchId, CheckpointScheduler, DramStore, Key, LocalPmem, NodeConfig, Optimizer,
         OptimizerKind, PsNode, StorageBackend,
     };
     pub use oe_net::{
-        loopback, CheckpointReplica, FaultInjector, FaultSpec, NetConfig, PsClient, PsServer,
-        RemotePs, RetryPolicy,
+        loopback, CheckpointReplica, EngineClient, FaultInjector, FaultSpec, NetConfig, PsClient,
+        PsServer, RemotePs, RetryPolicy,
     };
     pub use oe_pool::{FabricConfig, PoolStandby, RemotePool, SharedPool};
     pub use oe_serve::{
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use oe_train::model::{DeepFm, DeepFmConfig};
     pub use oe_train::{
         CloudCostModel, CoherenceSource, GpuModel, NetModel, PipelineConfig, PipelineReport,
-        PipelinedTrainer, PsDeployment, SyncTrainer, TrainMode, TrainReport, TrainerConfig,
+        PipelinedTrainer, PsDeployment, TrainMode, TrainReport, TrainerConfig,
     };
     pub use oe_workload::{CriteoSynth, SkewModel, WorkloadGen, WorkloadSpec};
 }

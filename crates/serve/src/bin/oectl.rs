@@ -36,13 +36,8 @@ fn main() {
         (Some(c), Some(p)) => (c.as_str(), Path::new(p)),
         _ => usage(),
     };
-    let image = match load_image(path) {
-        Ok(i) => i,
-        Err(e) => {
-            eprintln!("oectl: cannot load {}: {e}", path.display());
-            exit(1);
-        }
-    };
+    let image =
+        load_image(path).unwrap_or_else(|e| die(format!("cannot load {}: {e}", path.display())));
 
     let mut cost = Cost::new();
     match cmd {
@@ -109,10 +104,7 @@ fn main() {
                         println!("opt state: {:?}", &p[node.dim()..]);
                     }
                 }
-                None => {
-                    eprintln!("oectl: key {key} not found");
-                    exit(1);
-                }
+                None => die(format!("key {key} not found")),
             }
         }
         "top" => {
@@ -126,8 +118,7 @@ fn main() {
             let (query, c) = node.snapshot().lookup(key);
             cost.merge(&c);
             let Some(query) = query else {
-                eprintln!("oectl: key {key} not found");
-                exit(1);
+                die(format!("key {key} not found"))
             };
             let retriever: &dyn Retriever = if ann { &LshRetriever } else { &ExactScan };
             let (top, c) = node.retrieve(query, k, retriever);
@@ -156,7 +147,7 @@ fn main() {
 fn metrics(image: CrashImage, batches: u64, cost: &mut Cost) {
     use oe_core::recovery::recover_node;
     use oe_core::{NodeConfig, OptimizerKind, PsEngine};
-    use oe_net::{loopback, NetConfig, PsServer, RemotePs};
+    use oe_net::{loopback, NetConfig, PsClient, PsServer, RemotePs};
 
     let media = Arc::new(Media::from_crash(image));
     let (pool, report) = recover_or_exit(Arc::clone(&media), cost);
@@ -173,47 +164,55 @@ fn metrics(image: CrashImage, batches: u64, cost: &mut Cost) {
     drop(pool);
     let keys: Vec<u64> = report.live.iter().map(|r| r.key).collect();
     if keys.is_empty() {
-        eprintln!("oectl: image holds no live entries, nothing to replay");
-        exit(1);
+        die("image holds no live entries, nothing to replay");
     }
     let resume = report.checkpoint_id;
     let Some((node, _)) = recover_node(media, cfg.clone(), cost) else {
-        eprintln!("oectl: recovery failed");
-        exit(1);
+        die("recovery failed")
     };
 
     let engine: Arc<dyn PsEngine> = Arc::new(node);
     let (client_t, server_t) = loopback(64);
     let handle = PsServer::spawn(engine, server_t, 2);
-    let remote = RemotePs::connect(Arc::new(client_t), NetConfig::paper_default());
+    let remote = RemotePs::try_connect(Arc::new(client_t), NetConfig::paper_default());
+    let remote = rpc_or_exit("connect", remote);
 
     let grads = vec![0.0f32; keys.len() * cfg.dim];
     let mut out = Vec::new();
-    for b in resume + 1..=resume + batches {
+    let last = resume + batches;
+    for b in resume + 1..=last {
         out.clear();
-        remote.pull(&keys, b, &mut out, cost);
-        remote.end_pull_phase(b);
+        rpc_or_exit("pull", remote.pull_batch(&keys, b, &mut out, cost));
+        rpc_or_exit("flush", remote.flush_batch(b));
         // Zero gradients: the replay must not perturb the model.
-        remote.push(&keys, &grads, b, cost);
+        rpc_or_exit("push", remote.push_batch(&keys, &grads, b, cost));
     }
-    remote.request_checkpoint(resume + batches);
+    rpc_or_exit("checkpoint", remote.checkpoint(last));
     out.clear();
-    remote.pull(&keys, resume + batches + 1, &mut out, cost);
-    remote.end_pull_phase(resume + batches + 1);
+    rpc_or_exit("pull", remote.pull_batch(&keys, last + 1, &mut out, cost));
+    rpc_or_exit("flush", remote.flush_batch(last + 1));
 
-    print!("{}", remote.metrics_text());
+    print!("{}", rpc_or_exit("metrics", remote.metrics()));
     drop(remote);
     handle.join();
+}
+
+/// Print `oectl: <msg>` and exit 1.
+fn die(msg: impl std::fmt::Display) -> ! {
+    eprintln!("oectl: {msg}");
+    exit(1)
+}
+
+/// Unwrap an RPC result, or exit naming the RPC and its `ErrorKind`.
+fn rpc_or_exit<T>(rpc: &str, r: Result<T, oe_net::Error>) -> T {
+    r.unwrap_or_else(|e| die(format!("{rpc}: {:?}: {e}", e.kind())))
 }
 
 /// Recover the pool on `media`, or exit saying in words why it cannot
 /// be: no pool at all, or a pool of another format version.
 fn recover_or_exit(media: impl Into<Arc<Media>>, cost: &mut Cost) -> (PmemPool, ScanReport) {
     let media = media.into();
-    recover(Arc::clone(&media), cost).unwrap_or_else(|| {
-        eprintln!("oectl: {}", PmemPool::refusal(&media));
-        exit(1)
-    })
+    recover(Arc::clone(&media), cost).unwrap_or_else(|| die(PmemPool::refusal(&media)))
 }
 
 fn open_serving(image: CrashImage, ann: bool) -> ServingNode {
@@ -224,9 +223,7 @@ fn open_serving(image: CrashImage, ann: bool) -> ServingNode {
     let (pool, _) = recover_or_exit(Media::from_crash(image.clone()), &mut cost);
     let dim = pool.payload_f32s();
     let cfg = AnnConfig::paper_default();
-    let snapshot = Snapshot::build(image, dim, ann.then_some(&cfg)).unwrap_or_else(|| {
-        eprintln!("oectl: no initialized pool in image");
-        exit(1)
-    });
+    let snapshot = Snapshot::build(image, dim, ann.then_some(&cfg))
+        .unwrap_or_else(|| die("no initialized pool in image"));
     ServingNode::from_snapshot(Arc::new(snapshot))
 }

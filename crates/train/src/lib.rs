@@ -1,6 +1,9 @@
 //! # oe-train
 //!
-//! The synchronous DLRM training simulator.
+//! The DLRM training simulator: one trainer ([`PipelinedTrainer`]) over one
+//! fallible client seam ([`oe_net::PsClient`]). Its staleness-0 schedule
+//! ([`PipelineConfig::sync`]) is the paper's synchronous batch; `k ≥ 1`
+//! overlaps pushes and prefetch with compute (see [`pipeline`]).
 //!
 //! Two layers, matching the reproduction strategy in `DESIGN.md`:
 //!
@@ -12,7 +15,7 @@
 //!   ([`oe_simdevice::Cost`]); the driver composes the charges per phase
 //!   with calibrated GPU ([`gpu::GpuModel`]) and network
 //!   ([`network::NetModel`]) models and a burst-contention model,
-//!   reproducing the paper's batch anatomy:
+//!   reproducing the paper's batch anatomy (shown at `k = 0`):
 //!
 //! ```text
 //! ── pull burst ──┬── GPU compute ────────────┬── push burst ── (ckpt?)
@@ -42,4 +45,4 @@ pub use network::NetModel;
 pub use phases::PhaseBreakdown;
 pub use pipeline::{CoherenceSource, PipelineConfig, PipelineReport, PipelinedTrainer};
 pub use report::TrainReport;
-pub use trainer::{SyncTrainer, TrainMode, TrainerConfig};
+pub use trainer::{TrainMode, TrainerConfig};

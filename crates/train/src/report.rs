@@ -8,7 +8,7 @@ use oe_telemetry::HistogramSnapshot;
 use oe_workload::trace::MsBucket;
 use serde::Serialize;
 
-/// Outcome of a [`crate::SyncTrainer::run`].
+/// Outcome of a training run (see [`crate::PipelineReport::train`]).
 #[derive(Debug, Clone, Serialize)]
 pub struct TrainReport {
     /// Engine name ("PMem-OE", "DRAM-PS", …).

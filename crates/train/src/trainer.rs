@@ -1,34 +1,17 @@
-//! The synchronous-training discrete-event driver.
-//!
-//! Functionally, every batch pulls real weights, computes real (or
-//! synthetic) gradients and pushes them back; in virtual time, the
-//! driver composes the engine's charged costs with the GPU/network
-//! models per the paper's batch anatomy (see crate docs).
-//!
-//! The trainer is backend-agnostic: it drives either an in-process
-//! [`PsEngine`] (the historical path, still the default) or any
-//! [`PsClient`] — including [`oe_net::RemotePs`] on the far side of a
-//! fault-injected wire. Fallible backends surface failures through
-//! [`SyncTrainer::try_run`]; when the client completes a failover
-//! (promoting a checkpoint replica), the trainer charges the recovery
-//! pause on the virtual clock and *rewinds* to the committed
-//! checkpoint's successor batch, replaying deterministically — the
-//! paper's §VI-E recovery story, end to end.
+//! What every training run shares: the trainer configuration, the
+//! gradient modes, and the per-run context/accumulators the window loop
+//! in [`crate::pipeline`] composes virtual time from.
 
 use crate::gpu::GpuModel;
 use crate::model::{DeepFm, DeepFmConfig};
 use crate::network::NetModel;
 use crate::phases::PhaseBreakdown;
-use crate::report::TrainReport;
-use oe_core::engine::PsEngine;
 use oe_core::init::init_weight;
 use oe_core::{BatchId, CheckpointScheduler};
-use oe_net::{Error as NetError, FailoverEvent, PsClient, PullTicket};
 use oe_simdevice::clock::Nanos;
-use oe_simdevice::{ContentionModel, Cost, VirtualClock};
+use oe_simdevice::ContentionModel;
 use oe_telemetry::Histogram;
-use oe_workload::trace::{TraceKind, TraceRecorder};
-use oe_workload::{WorkloadGen, WorkloadSpec};
+use oe_workload::WorkloadSpec;
 
 /// How gradients are produced.
 pub enum TrainMode {
@@ -91,158 +74,7 @@ impl TrainerConfig {
     }
 }
 
-/// The PS the trainer drives: in-process engine or fallible client.
-/// Shared with the pipelined trainer (`crate::pipeline`), which drives
-/// the same two backend kinds through the same dispatch.
-#[derive(Clone, Copy)]
-pub(crate) enum Backend<'a> {
-    Engine(&'a dyn PsEngine),
-    Client(&'a dyn PsClient),
-}
-
-impl<'a> Backend<'a> {
-    pub(crate) fn name(&self) -> String {
-        match self {
-            Backend::Engine(e) => e.name().to_string(),
-            Backend::Client(c) => c.backend_name(),
-        }
-    }
-
-    pub(crate) fn dim(&self) -> usize {
-        match self {
-            Backend::Engine(e) => e.dim(),
-            Backend::Client(c) => c.embed_dim(),
-        }
-    }
-
-    pub(crate) fn pull(
-        &self,
-        keys: &[u64],
-        b: BatchId,
-        out: &mut Vec<f32>,
-        cost: &mut Cost,
-    ) -> Result<(), NetError> {
-        match self {
-            Backend::Engine(e) => {
-                e.pull(keys, b, out, cost);
-                Ok(())
-            }
-            Backend::Client(c) => c.pull_batch(keys, b, out, cost),
-        }
-    }
-
-    /// Issue a pull without completing it — the pipelined prefetch path.
-    /// In-process engines defer everything to completion; wire clients
-    /// mint the idempotence token and encode the frame eagerly.
-    pub(crate) fn pull_issue(&self, keys: &[u64], b: BatchId) -> Result<PullTicket, NetError> {
-        match self {
-            Backend::Engine(_) => Ok(PullTicket::deferred(keys.to_vec(), b)),
-            Backend::Client(c) => c.pull_issue(keys, b),
-        }
-    }
-
-    /// Complete an issued pull; byte-identical weights and cost to
-    /// [`Backend::pull`] over the ticket's keys.
-    pub(crate) fn pull_complete(
-        &self,
-        ticket: PullTicket,
-        out: &mut Vec<f32>,
-        cost: &mut Cost,
-    ) -> Result<(), NetError> {
-        match self {
-            Backend::Engine(e) => {
-                e.pull(ticket.keys(), ticket.batch(), out, cost);
-                Ok(())
-            }
-            Backend::Client(c) => c.pull_complete(ticket, out, cost),
-        }
-    }
-
-    pub(crate) fn end_pull_phase(
-        &self,
-        b: BatchId,
-    ) -> Result<oe_core::engine::MaintenanceReport, NetError> {
-        match self {
-            Backend::Engine(e) => Ok(e.end_pull_phase(b)),
-            Backend::Client(c) => c.flush_batch(b),
-        }
-    }
-
-    pub(crate) fn push(
-        &self,
-        keys: &[u64],
-        grads: &[f32],
-        b: BatchId,
-        cost: &mut Cost,
-    ) -> Result<(), NetError> {
-        match self {
-            Backend::Engine(e) => {
-                e.push(keys, grads, b, cost);
-                Ok(())
-            }
-            Backend::Client(c) => c.push_batch(keys, grads, b, cost),
-        }
-    }
-
-    /// Out-of-band apply for the async push queue: same state
-    /// transition as [`Backend::push`], accounted off the critical
-    /// path by engines that care. Clients fall back to a plain push.
-    pub(crate) fn push_async(
-        &self,
-        keys: &[u64],
-        grads: &[f32],
-        b: BatchId,
-        cost: &mut Cost,
-    ) -> Result<(), NetError> {
-        match self {
-            Backend::Engine(e) => {
-                e.push_async(keys, grads, b, cost);
-                Ok(())
-            }
-            Backend::Client(c) => c.push_batch(keys, grads, b, cost),
-        }
-    }
-
-    pub(crate) fn request_checkpoint(&self, b: BatchId) -> Result<Cost, NetError> {
-        match self {
-            Backend::Engine(e) => Ok(e.request_checkpoint(b)),
-            Backend::Client(c) => c.checkpoint(b),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> Result<oe_core::stats::StatsSnapshot, NetError> {
-        match self {
-            Backend::Engine(e) => Ok(e.stats()),
-            Backend::Client(c) => c.snapshot_stats(),
-        }
-    }
-
-    pub(crate) fn committed_checkpoint(&self) -> Result<BatchId, NetError> {
-        match self {
-            Backend::Engine(e) => Ok(e.committed_checkpoint()),
-            Backend::Client(c) => c.committed(),
-        }
-    }
-
-    /// Costless diagnostic read of one key's weights (eval paths).
-    pub(crate) fn read_weights(&self, key: u64) -> Option<Vec<f32>> {
-        match self {
-            Backend::Engine(e) => e.read_weights(key),
-            Backend::Client(c) => c.weights_of(key).ok().flatten(),
-        }
-    }
-
-    pub(crate) fn failover_resume(&self) -> Option<FailoverEvent> {
-        match self {
-            Backend::Engine(_) => None,
-            Backend::Client(c) => c.failover_resume(),
-        }
-    }
-}
-
-/// Immutable per-run context shared by every batch (and, unchanged, by
-/// every pipelined window — the contention arithmetic must be identical
-/// for the staleness-0 bit-identity guarantee to hold).
+/// Immutable per-run context shared by every window.
 pub(crate) struct BatchCtx {
     pub(crate) dim: usize,
     pub(crate) spec: WorkloadSpec,
@@ -290,273 +122,6 @@ impl RunAcc {
     }
 }
 
-/// The synchronous trainer. Drives one engine over one workload.
-pub struct SyncTrainer<'a> {
-    backend: Backend<'a>,
-    gen: &'a WorkloadGen,
-    cfg: TrainerConfig,
-    clock: VirtualClock,
-    model: Option<DeepFm>,
-    trace: TraceRecorder,
-}
-
-impl<'a> SyncTrainer<'a> {
-    /// Build a trainer over an in-process engine.
-    pub fn new(engine: &'a dyn PsEngine, gen: &'a WorkloadGen, cfg: TrainerConfig) -> Self {
-        Self::build(Backend::Engine(engine), gen, cfg)
-    }
-
-    /// Build a trainer over any [`PsClient`] backend — an in-process
-    /// `PsNode`, an `EngineClient` adapter, or a `RemotePs` with
-    /// retries and failover. Use [`SyncTrainer::try_run`] with remote
-    /// backends so failures surface as values.
-    pub fn with_client(client: &'a dyn PsClient, gen: &'a WorkloadGen, cfg: TrainerConfig) -> Self {
-        Self::build(Backend::Client(client), gen, cfg)
-    }
-
-    fn build(backend: Backend<'a>, gen: &'a WorkloadGen, cfg: TrainerConfig) -> Self {
-        let model = match &cfg.mode {
-            TrainMode::DeepFm(mcfg) => {
-                assert_eq!(mcfg.dim, backend.dim(), "model dim must match PS");
-                assert_eq!(
-                    mcfg.fields,
-                    gen.spec().fields,
-                    "model fields must match workload"
-                );
-                Some(DeepFm::new(mcfg.clone()))
-            }
-            TrainMode::Synthetic { .. } => None,
-        };
-        Self {
-            backend,
-            gen,
-            cfg,
-            clock: VirtualClock::new(),
-            model,
-            trace: TraceRecorder::new(),
-        }
-    }
-
-    /// Virtual clock (exposed for checkpoint-interval experiments).
-    pub fn clock(&self) -> &VirtualClock {
-        &self.clock
-    }
-
-    /// Run `batches` batches starting at `start_batch` (1-based batch
-    /// ids; pass the recovery resume point + 1 after a crash). Panics
-    /// on backend failure — use [`SyncTrainer::try_run`] with remote
-    /// backends.
-    pub fn run(&mut self, start_batch: BatchId, batches: u64) -> TrainReport {
-        self.try_run(start_batch, batches)
-            .unwrap_or_else(|e| panic!("training backend failed: {e}"))
-    }
-
-    /// Fallible run. A backend error that the client resolved by
-    /// failing over (see [`oe_net::FailoverEvent`]) charges the
-    /// recovery time on the clock and rewinds to the committed
-    /// checkpoint's successor; with deterministic (synthetic)
-    /// gradients the replay is bit-identical to a fault-free run.
-    /// Unresolved errors propagate.
-    pub fn try_run(&mut self, start_batch: BatchId, batches: u64) -> Result<TrainReport, NetError> {
-        self.try_run_with_hook(start_batch, batches, |_| {})
-    }
-
-    /// [`SyncTrainer::run`] with a per-batch hook. Panics on backend
-    /// failure.
-    pub fn run_with_hook(
-        &mut self,
-        start_batch: BatchId,
-        batches: u64,
-        hook: impl FnMut(BatchId),
-    ) -> TrainReport {
-        self.try_run_with_hook(start_batch, batches, hook)
-            .unwrap_or_else(|e| panic!("training backend failed: {e}"))
-    }
-
-    /// [`SyncTrainer::try_run`] with a hook fired after every batch
-    /// that completes successfully (receiving that batch's id). This
-    /// is the driver seam for out-of-band control: a rebalancer forcing
-    /// a shard migration mid-epoch, a test asserting invariants at a
-    /// batch boundary, a progress bar. Batches replayed after a
-    /// failover fire the hook again — the hook sees exactly the batches
-    /// that counted.
-    pub fn try_run_with_hook(
-        &mut self,
-        start_batch: BatchId,
-        batches: u64,
-        mut hook: impl FnMut(BatchId),
-    ) -> Result<TrainReport, NetError> {
-        let ctx = BatchCtx::new(self.backend.dim(), self.gen.spec().clone(), &self.cfg);
-
-        let stats0 = self.backend.stats()?;
-        let mut acc = RunAcc::new();
-        let mut failovers = 0u64;
-        let mut rewound_batches = 0u64;
-
-        let end = start_batch + batches;
-        let mut b = start_batch;
-        while b < end {
-            match self.run_batch(b, &ctx, &mut acc) {
-                Ok(()) => {
-                    hook(b);
-                    b += 1;
-                }
-                Err(err) => match self.backend.failover_resume() {
-                    Some(ev) => {
-                        // The promoted standby's state ends at the
-                        // committed checkpoint: everything after it —
-                        // including the batch that died mid-flight —
-                        // must replay. Recovery time is charged on the
-                        // clock like any other pause; batches already
-                        // *counted* stay counted (acc keeps their
-                        // phases) and the replay adds on top, so
-                        // total_ns reflects the true cost of failure.
-                        let resume = ev.resume_batch + 1;
-                        failovers += 1;
-                        rewound_batches += b.saturating_sub(resume);
-                        self.clock.advance(ev.recovery_ns);
-                        b = resume;
-                    }
-                    None => return Err(err),
-                },
-            }
-        }
-
-        Ok(TrainReport {
-            engine: self.backend.name(),
-            workers: self.cfg.workers,
-            batches,
-            total_ns: self.clock.now(),
-            phases: acc.phases,
-            stats: self.backend.stats()?.delta_since(&stats0),
-            avg_loss: if acc.loss_count > 0 {
-                Some(acc.loss_sum / acc.loss_count as f64)
-            } else {
-                None
-            },
-            checkpoints_taken: acc.ckpts_taken,
-            committed_checkpoint: self.backend.committed_checkpoint()?,
-            failovers,
-            rewound_batches,
-            trace_per_ms: if self.cfg.record_trace {
-                Some(self.trace.per_ms())
-            } else {
-                None
-            },
-            pull_hist: acc.pull_hist.snapshot(),
-            maintain_hist: acc.maintain_hist.snapshot(),
-            push_hist: acc.push_hist.snapshot(),
-            batch_hist: acc.batch_hist.snapshot(),
-        })
-    }
-
-    /// One full batch: pull burst, maintenance ∥ compute, gradients,
-    /// push burst, optional checkpoint. Accumulates into `acc` only on
-    /// success paths reached; a mid-batch error leaves the virtual
-    /// clock where the batch started (the failover rewind replays the
-    /// whole batch).
-    fn run_batch(&mut self, b: BatchId, ctx: &BatchCtx, acc: &mut RunAcc) -> Result<(), NetError> {
-        let backend = self.backend;
-        let dim = ctx.dim;
-        let mut batch_phase = PhaseBreakdown::default();
-
-        // ---- pull burst ----
-        // Engines that execute on parallel shard lanes have already
-        // lane-merged their per-request cost (max-over-lanes for
-        // parallelizable kinds, sum for the rest): the aggregate
-        // passes through the ContentionModel unchanged, exactly like
-        // a single-lane engine's.
-        let mut pull_cost = Cost::new();
-        let mut net_pull: Nanos = 0;
-        let mut worker_data = Vec::with_capacity(self.cfg.workers as usize);
-        for w in 0..self.cfg.workers {
-            let wb = self.gen.worker_batch(b, w as usize);
-            let mut weights = Vec::new();
-            backend.pull(&wb.unique_keys, b, &mut weights, &mut pull_cost)?;
-            net_pull = net_pull.max(self.cfg.net.pull_ns(wb.unique_keys.len(), dim));
-            worker_data.push((wb, weights));
-        }
-        batch_phase.pull_ns = ctx.pull_model.burst_ns(&pull_cost) + net_pull;
-        if self.cfg.record_trace {
-            let total: u64 = worker_data
-                .iter()
-                .map(|(wb, _)| wb.unique_keys.len() as u64)
-                .sum();
-            self.trace.record(self.clock.now(), TraceKind::Pull, total);
-        }
-
-        // ---- deferred maintenance ∥ GPU compute ----
-        let m = backend.end_pull_phase(b)?;
-        batch_phase.maintain_ns = ctx.maint_model.burst_ns(&m.cost);
-        batch_phase.compute_ns = self.cfg.gpu.compute_ns(
-            ctx.spec.batch_size / self.cfg.workers.max(1) as usize,
-            ctx.spec.fields,
-            dim,
-        );
-        batch_phase.spill_ns = batch_phase
-            .maintain_ns
-            .saturating_sub(batch_phase.compute_ns);
-
-        // ---- gradient computation (functional) + push burst ----
-        let mut push_cost = Cost::new();
-        let mut net_push: Nanos = 0;
-        for (wb, weights) in &worker_data {
-            let keys = &wb.unique_keys;
-            let grads = worker_grads(
-                &self.cfg.mode,
-                &mut self.model,
-                wb,
-                weights,
-                b,
-                dim,
-                ctx.spec.fields,
-                acc,
-            );
-            backend.push(keys, &grads, b, &mut push_cost)?;
-            net_push = net_push.max(self.cfg.net.push_ns(keys.len(), dim));
-        }
-        if let Some(model) = self.model.as_mut() {
-            model.step_dense(); // synchronous allreduce equivalent
-        }
-        batch_phase.push_ns = ctx.pull_model.burst_ns(&push_cost) + net_push;
-        if self.cfg.record_trace {
-            let total: u64 = worker_data
-                .iter()
-                .map(|(wb, _)| wb.unique_keys.len() as u64)
-                .sum();
-            self.trace.record(
-                self.clock.now() + batch_phase.pull_ns + batch_phase.compute_ns,
-                TraceKind::Update,
-                total,
-            );
-        }
-
-        self.clock.advance(
-            batch_phase.pull_ns
-                + batch_phase.compute_ns
-                + batch_phase.spill_ns
-                + batch_phase.push_ns,
-        );
-
-        // ---- checkpoint (synchronous, at the batch boundary) ----
-        if let Some(cp) = self.cfg.ckpt.due(self.clock.now(), b) {
-            let inline = backend.request_checkpoint(cp)?;
-            let mut pause = ctx.ckpt_model.burst_ns(&inline);
-            pause += self.cfg.dense_ckpt_pause_ns;
-            batch_phase.ckpt_pause_ns = pause;
-            self.clock.advance(pause);
-            acc.ckpts_taken += 1;
-        }
-
-        acc.pull_hist.record(batch_phase.pull_ns);
-        acc.maintain_hist.record(batch_phase.maintain_ns);
-        acc.push_hist.record(batch_phase.push_ns);
-        acc.batch_hist.record(batch_phase.total_ns());
-        acc.phases.accumulate(&batch_phase);
-        Ok(())
-    }
-}
-
 /// Synthetic teacher label: depends on the hottest key of the input
 /// so the DeepFM has learnable signal.
 pub(crate) fn teacher_label(keys: &[u64], batch: u64, input: usize) -> f32 {
@@ -572,9 +137,8 @@ pub(crate) fn teacher_label(keys: &[u64], batch: u64, input: usize) -> f32 {
     }
 }
 
-/// One worker's gradient burst for batch `b` — shared verbatim by the
-/// synchronous and pipelined trainers so both paths produce identical
-/// gradients (and loss accounting) from identical pulled weights.
+/// One worker's gradient burst for batch `b` from its pulled weights
+/// (and the loss accounting that goes with it).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn worker_grads(
     mode: &TrainMode,
@@ -620,160 +184,4 @@ pub(crate) fn worker_grads(
         }
     }
     grads
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use oe_core::{NodeConfig, OptimizerKind, PsNode};
-    use oe_workload::{SkewModel, WorkloadSpec};
-
-    fn small_spec(workers: usize) -> WorkloadSpec {
-        WorkloadSpec {
-            num_keys: 2_000,
-            fields: 4,
-            batch_size: 64,
-            workers,
-            skew: SkewModel::paper_fit(),
-            seed: 5,
-            drift_keys_per_batch: 0,
-        }
-    }
-
-    fn node() -> PsNode {
-        let mut cfg = NodeConfig::small(8);
-        cfg.optimizer = OptimizerKind::Adagrad {
-            lr: 0.05,
-            eps: 1e-8,
-        };
-        cfg.cache_bytes = 400 * cfg.bytes_per_cached_entry();
-        PsNode::new(cfg)
-    }
-
-    #[test]
-    fn synthetic_run_produces_consistent_report() {
-        let n = node();
-        let gen = WorkloadGen::new(small_spec(2));
-        let mut cfg = TrainerConfig::paper(2);
-        cfg.mode = TrainMode::Synthetic { grad_scale: 0.01 };
-        let mut t = SyncTrainer::new(&n, &gen, cfg);
-        let r = t.run(1, 10);
-        assert_eq!(r.batches, 10);
-        assert!(r.total_ns > 0);
-        assert_eq!(
-            r.stats.pulls, r.stats.pushes,
-            "every pulled key is pushed back"
-        );
-        assert!(r.phases.compute_ns > 0);
-        assert!(r.avg_loss.is_none());
-        assert_eq!(r.failovers, 0);
-        assert_eq!(r.rewound_batches, 0);
-        // Every phase histogram carries one sample per batch.
-        for (name, h) in [
-            ("pull", &r.pull_hist),
-            ("maintain", &r.maintain_hist),
-            ("push", &r.push_hist),
-            ("batch", &r.batch_hist),
-        ] {
-            assert_eq!(h.count(), 10, "{name} histogram");
-        }
-        assert!(r.batch_hist.p99() >= r.pull_hist.p50(), "batch ⊇ pull");
-        assert!(r.latency_summary().contains("maintain"));
-    }
-
-    #[test]
-    fn deterministic_virtual_time() {
-        let run = || {
-            let n = node();
-            let gen = WorkloadGen::new(small_spec(2));
-            let mut t = SyncTrainer::new(&n, &gen, TrainerConfig::paper(2));
-            t.run(1, 8).total_ns
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn client_backend_matches_engine_backend() {
-        let report_for = |client: bool| {
-            let n = node();
-            let gen = WorkloadGen::new(small_spec(2));
-            let cfg = TrainerConfig::paper(2);
-            let mut t = if client {
-                SyncTrainer::with_client(&n, &gen, cfg)
-            } else {
-                SyncTrainer::new(&n, &gen, cfg)
-            };
-            let r = t.try_run(1, 8).expect("in-process backends are infallible");
-            (r.total_ns, r.stats.pulls, r.stats.pushes)
-        };
-        assert_eq!(report_for(false), report_for(true));
-    }
-
-    #[test]
-    fn deepfm_training_reduces_loss() {
-        let n = node();
-        let gen = WorkloadGen::new(small_spec(1));
-        let mut cfg = TrainerConfig::paper(1);
-        cfg.mode = TrainMode::DeepFm(DeepFmConfig {
-            dim: 8,
-            fields: 4,
-            dense_features: 0,
-            hidden: vec![16],
-            dense_lr: 0.02,
-            seed: 3,
-        });
-        let mut t = SyncTrainer::new(&n, &gen, cfg);
-        let early = t.run(1, 15).avg_loss.unwrap();
-        let late = t.run(16, 15).avg_loss.unwrap();
-        assert!(
-            late < early,
-            "loss should fall with training: {early} → {late}"
-        );
-        // Better than chance (ln 2 ≈ 0.693) by the second block.
-        assert!(late < 0.67, "late loss {late}");
-    }
-
-    #[test]
-    fn more_workers_less_total_time() {
-        let time_for = |workers: usize| {
-            let n = node();
-            let gen = WorkloadGen::new(small_spec(workers));
-            let mut t = SyncTrainer::new(&n, &gen, TrainerConfig::paper(workers as u32));
-            t.run(1, 10).total_ns
-        };
-        let w1 = time_for(1);
-        let w4 = time_for(4);
-        assert!(w4 < w1, "data parallel speedup: {w1} vs {w4}");
-    }
-
-    #[test]
-    fn checkpointing_engine_commits_during_training() {
-        let n = node();
-        let gen = WorkloadGen::new(small_spec(2));
-        let mut cfg = TrainerConfig::paper(2);
-        cfg.ckpt = CheckpointScheduler::every(1); // due at every boundary
-        let mut t = SyncTrainer::new(&n, &gen, cfg);
-        let r = t.run(1, 6);
-        assert!(r.checkpoints_taken >= 5);
-        assert!(
-            r.committed_checkpoint >= 4,
-            "commits ride maintenance: {}",
-            r.committed_checkpoint
-        );
-    }
-
-    #[test]
-    fn trace_records_pull_update_pairs() {
-        let n = node();
-        let gen = WorkloadGen::new(small_spec(2));
-        let mut cfg = TrainerConfig::paper(2);
-        cfg.record_trace = true;
-        let mut t = SyncTrainer::new(&n, &gen, cfg);
-        let r = t.run(1, 5);
-        let trace = r.trace_per_ms.expect("trace recorded");
-        let pulls: u64 = trace.iter().map(|b| b.pulls).sum();
-        let updates: u64 = trace.iter().map(|b| b.updates).sum();
-        assert_eq!(pulls, updates, "pull/update pairs");
-        assert!(pulls > 0);
-    }
 }

@@ -39,15 +39,15 @@ fn main() {
     node_cfg.cache_bytes = (spec.num_keys as usize * node_cfg.payload_bytes()) / 250;
     node_cfg.pmem_capacity = 1 << 28;
 
-    let run = |engine: &dyn PsEngine| -> f64 {
-        let gen = WorkloadGen::new(spec.clone());
+    // Every engine is a `PsClient`; k = 0 is the paper's synchronous batch.
+    let run = |engine: &dyn PsClient| -> f64 {
         let mut cfg = TrainerConfig::paper(4);
         cfg.ckpt = CheckpointScheduler::disabled();
-        let mut t = SyncTrainer::new(engine, &gen, cfg);
+        let mut t =
+            PipelinedTrainer::with_client(engine, spec.clone(), cfg, PipelineConfig::sync());
         // Warm one pass over the hot set, then measure.
         t.run(1, 10);
-        let r = t.run(11, 30);
-        r.ns_per_batch()
+        t.run(11, 30).train.ns_per_batch()
     };
 
     let oe = PsNode::new(node_cfg.clone());

@@ -23,14 +23,16 @@ fn main() {
     let server = PsServer::spawn(engine, server_transport, 8);
     println!("server: 8 worker threads, loopback transport (queue depth 64)");
 
-    // 2. Connect a remote engine handle: the handshake discovers the
-    //    engine identity; after this the wire is invisible to the
-    //    trainer.
-    let remote = RemotePs::connect(Arc::new(client_transport), NetConfig::paper_default());
+    // 2. Connect a remote client: the handshake discovers the engine
+    //    identity; after this the wire is invisible to the trainer.
+    //    Every `RemotePs` call returns a `Result` — the caller decides
+    //    what a failure means; a demo over a clean loopback unwraps.
+    let remote = RemotePs::try_connect(Arc::new(client_transport), NetConfig::paper_default())
+        .expect("PS handshake");
     println!(
         "client: connected to \"{}\" serving dim-{} embeddings\n",
-        remote.name(),
-        remote.dim()
+        remote.backend_name(),
+        remote.embed_dim()
     );
 
     // 3. Train through the wire, with checkpoints.
@@ -43,11 +45,13 @@ fn main() {
         seed: 3,
         drift_keys_per_batch: 0,
     };
-    let gen = WorkloadGen::new(spec);
     let mut tcfg = TrainerConfig::paper(4);
     tcfg.ckpt = CheckpointScheduler::every(50_000_000);
-    let mut trainer = SyncTrainer::new(&remote, &gen, tcfg);
-    let report = trainer.run(1, 40);
+    let sync = PipelineConfig::sync; // k = 0: the paper's synchronous batch
+    let report = PipelinedTrainer::with_client(&remote, spec.clone(), tcfg, sync())
+        .try_run(1, 40)
+        .expect("clean wire")
+        .train;
     println!("trained 40 batches over RPC: {}", report.summary());
     println!(
         "committed checkpoint: {}  ({} checkpoints requested)",
@@ -59,11 +63,13 @@ fn main() {
     let mut cfg = NodeConfig::small(16);
     cfg.cache_bytes = 256 << 10;
     let local = PsNode::new(cfg);
-    let mut t2 = SyncTrainer::new(&local, &gen, TrainerConfig::paper(4));
-    t2.run(1, 40);
+    PipelinedTrainer::with_client(&local, spec, TrainerConfig::paper(4), sync()).run(1, 40);
     let mut checked = 0;
     for key in 0..20_000u64 {
-        match (remote.read_weights(key), local.read_weights(key)) {
+        match (
+            remote.weights_of(key).expect("clean wire"),
+            local.read_weights(key),
+        ) {
             (Some(a), Some(b)) => {
                 assert_eq!(a, b, "key {key}");
                 checked += 1;

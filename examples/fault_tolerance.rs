@@ -40,11 +40,10 @@ fn spec() -> WorkloadSpec {
 /// Train `node` for batches [from, to] with synthetic gradients,
 /// requesting a checkpoint after every `ckpt_every` batches.
 fn train(node: &PsNode, from: u64, to: u64, ckpt_every: u64) {
-    let gen = WorkloadGen::new(spec());
+    let mut cfg = TrainerConfig::paper(2);
+    cfg.mode = TrainMode::Synthetic { grad_scale: 0.02 };
+    let mut t = PipelinedTrainer::with_client(node, spec(), cfg, PipelineConfig::sync());
     for b in from..=to {
-        let mut cfg = TrainerConfig::paper(2);
-        cfg.mode = TrainMode::Synthetic { grad_scale: 0.02 };
-        let mut t = SyncTrainer::new(node, &gen, cfg);
         t.run(b, 1);
         if ckpt_every > 0 && b % ckpt_every == 0 {
             node.request_checkpoint(b);

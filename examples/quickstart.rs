@@ -31,9 +31,9 @@ fn main() {
         seed: 7,
         drift_keys_per_batch: 0,
     };
-    let gen = WorkloadGen::new(spec);
 
-    // 3. Train a real DeepFM for 30 batches.
+    // 3. Train a real DeepFM for 30 batches on the synchronous (k = 0)
+    //    schedule — the paper's batch: pull → compute ∥ maintenance → push.
     let mut tcfg = TrainerConfig::paper(2);
     tcfg.mode = TrainMode::DeepFm(DeepFmConfig {
         dim: 16,
@@ -43,8 +43,9 @@ fn main() {
         dense_lr: 0.02,
         seed: 1,
     });
-    let mut trainer = SyncTrainer::new(&node, &gen, tcfg);
-    let r1 = trainer.run(1, 30);
+    let mut trainer =
+        PipelinedTrainer::with_client(&node, spec.clone(), tcfg, PipelineConfig::sync());
+    let r1 = trainer.run(1, 30).train;
     println!("\nafter 30 batches : {}", r1.summary());
     println!("  avg logloss    : {:.4}", r1.avg_loss.unwrap());
     println!("  virtual time   : {:.2} s", r1.total_secs());
@@ -52,12 +53,11 @@ fn main() {
     // 4. Lightweight batch-aware checkpoint at batch 30.
     let req_cost = node.request_checkpoint(30);
     println!("\ncheckpoint request cost: {req_cost} (near-zero: just an enqueue)");
-    let r2 = trainer.run(31, 10); // the commit rides the next maintenance
+    trainer.run(31, 10); // the commit rides the next maintenance
     println!(
         "after 10 more    : committed checkpoint = {}",
         node.committed_checkpoint()
     );
-    drop(r2);
 
     // 5. Power failure! The DRAM cache is gone; PMem survives (with
     //    torn unfenced lines).
@@ -85,9 +85,9 @@ fn main() {
     // 6. Resume training from the checkpoint.
     let mut tcfg = TrainerConfig::paper(2);
     tcfg.mode = TrainMode::Synthetic { grad_scale: 0.01 };
-    let mut trainer = SyncTrainer::new(&recovered, &gen, tcfg);
+    let mut trainer = PipelinedTrainer::with_client(&recovered, spec, tcfg, PipelineConfig::sync());
     let resume_from = report.resume_batch + 1;
-    let r3 = trainer.run(resume_from, 10);
+    let r3 = trainer.run(resume_from, 10).train;
     println!("\nresumed at batch {resume_from}: {}", r3.summary());
     println!("\nquickstart complete.");
 }

@@ -5,6 +5,7 @@
 //! cost; the training math is shared, so any divergence is a bug.
 
 use openembedding::prelude::*;
+use std::sync::Arc;
 
 const DIM: usize = 8;
 
@@ -30,18 +31,26 @@ fn spec() -> WorkloadSpec {
     }
 }
 
-fn train(engine: &dyn PsEngine, batches: u64) {
-    let gen = WorkloadGen::new(spec());
+/// The synchronous (k = 0) trainer over any backend.
+fn trainer(ps: &dyn PsClient) -> PipelinedTrainer<'_> {
     let mut cfg = TrainerConfig::paper(2);
     cfg.mode = TrainMode::Synthetic { grad_scale: 0.03 };
-    let mut t = SyncTrainer::new(engine, &gen, cfg);
-    t.run(1, batches);
+    PipelinedTrainer::with_client(ps, spec(), cfg, PipelineConfig::sync())
 }
 
-fn weights_of(engine: &dyn PsEngine) -> Vec<(u64, Vec<f32>)> {
+fn train(ps: &dyn PsClient, batches: u64) {
+    trainer(ps).run(1, batches);
+}
+
+fn weights_of(ps: &dyn PsClient) -> Vec<(u64, Vec<f32>)> {
     (0..spec().num_keys)
-        .filter_map(|k| engine.read_weights(k).map(|w| (k, w)))
+        .filter_map(|k| ps.weights_of(k).unwrap().map(|w| (k, w)))
         .collect()
+}
+
+/// An engine picked at run time, as the client the trainer drives.
+fn client(engine: impl PsEngine + 'static) -> EngineClient {
+    EngineClient::new(Arc::new(engine))
 }
 
 #[test]
@@ -53,14 +62,14 @@ fn all_engines_converge_to_identical_weights() {
 
     // OE at several cache sizes (heavy eviction ↔ no eviction), plus
     // ablation configs, plus every baseline.
-    let mut engines: Vec<Box<dyn PsEngine>> = vec![
-        Box::new(PsNode::new(node_cfg(16))),
-        Box::new(PsNode::new(node_cfg(200))),
-        Box::new(PsNode::new(node_cfg(5_000))),
-        Box::new(OriCache::new(node_cfg(64), CkptDevice::Pmem)),
-        Box::new(PmemHash::new(node_cfg(64))),
-        Box::new(TfPs::new(node_cfg(64), CkptDevice::Ssd)),
-        Box::new(IncrementalCkpt::new(
+    let mut engines: Vec<EngineClient> = vec![
+        client(PsNode::new(node_cfg(16))),
+        client(PsNode::new(node_cfg(200))),
+        client(PsNode::new(node_cfg(5_000))),
+        client(OriCache::new(node_cfg(64), CkptDevice::Pmem)),
+        client(PmemHash::new(node_cfg(64))),
+        client(TfPs::new(node_cfg(64), CkptDevice::Ssd)),
+        client(IncrementalCkpt::new(
             PsNode::new(node_cfg(64)),
             CkptDevice::Pmem,
         )),
@@ -68,38 +77,34 @@ fn all_engines_converge_to_identical_weights() {
     {
         let mut no_cache = node_cfg(64);
         no_cache.enable_cache = false;
-        engines.push(Box::new(PsNode::new(no_cache)));
+        engines.push(client(PsNode::new(no_cache)));
         let mut no_pipe = node_cfg(64);
         no_pipe.enable_pipeline = false;
-        engines.push(Box::new(PsNode::new(no_pipe)));
+        engines.push(client(PsNode::new(no_pipe)));
         let mut sharded = node_cfg(256);
         sharded.shards = 8;
-        engines.push(Box::new(PsNode::new(sharded)));
+        engines.push(client(PsNode::new(sharded)));
         // Alternative cache policies change locality, never weights.
         use openembedding::cache::{AdmissionKind, PolicyKind};
         let mut fifo = node_cfg(64);
         fifo.replacement = PolicyKind::Fifo;
-        engines.push(Box::new(PsNode::new(fifo)));
+        engines.push(client(PsNode::new(fifo)));
         let mut clock = node_cfg(64);
         clock.replacement = PolicyKind::Clock;
-        engines.push(Box::new(PsNode::new(clock)));
+        engines.push(client(PsNode::new(clock)));
         let mut doorkeeper = node_cfg(64);
         doorkeeper.admission = AdmissionKind::SecondTouch;
-        engines.push(Box::new(PsNode::new(doorkeeper)));
+        engines.push(client(PsNode::new(doorkeeper)));
     }
 
     for engine in &engines {
-        train(engine.as_ref(), 12);
-        let got = weights_of(engine.as_ref());
-        assert_eq!(
-            got.len(),
-            expect.len(),
-            "{}: key count mismatch",
-            engine.name()
-        );
+        train(engine, 12);
+        let got = weights_of(engine);
+        let name = engine.backend_name();
+        assert_eq!(got.len(), expect.len(), "{name}: key count mismatch");
         for ((k1, w1), (k2, w2)) in got.iter().zip(&expect) {
-            assert_eq!(k1, k2, "{}", engine.name());
-            assert_eq!(w1, w2, "{}: weights diverge at key {k1}", engine.name());
+            assert_eq!(k1, k2, "{name}");
+            assert_eq!(w1, w2, "{name}: weights diverge at key {k1}");
         }
     }
 }
@@ -109,12 +114,13 @@ fn cluster_parity_with_checkpointing_enabled() {
     let single = PsNode::new(node_cfg(128));
     train(&single, 8);
     single.request_checkpoint(8);
-    train_more(&single, 9, 4);
+    trainer(&single).run(9, 4);
 
-    let cluster = Cluster::new((0..4).map(|_| PsNode::new(node_cfg(32))).collect());
+    // Static hash routing: a placed cluster at placement epoch 0.
+    let cluster = PlacedCluster::new((0..4).map(|_| PsNode::new(node_cfg(32))).collect());
     train(&cluster, 8);
     cluster.request_checkpoint(8);
-    train_more(&cluster, 9, 4);
+    trainer(&cluster).run(9, 4);
 
     assert_eq!(
         single.committed_checkpoint(),
@@ -125,14 +131,6 @@ fn cluster_parity_with_checkpointing_enabled() {
     }
 }
 
-fn train_more(engine: &dyn PsEngine, from: u64, n: u64) {
-    let gen = WorkloadGen::new(spec());
-    let mut cfg = TrainerConfig::paper(2);
-    cfg.mode = TrainMode::Synthetic { grad_scale: 0.03 };
-    let mut t = SyncTrainer::new(engine, &gen, cfg);
-    t.run(from, n);
-}
-
 #[test]
 fn checkpointing_never_perturbs_training_state() {
     // Same run with and without aggressive checkpointing: identical
@@ -141,10 +139,7 @@ fn checkpointing_never_perturbs_training_state() {
     train(&quiet, 12);
 
     let noisy = PsNode::new(node_cfg(64));
-    let gen = WorkloadGen::new(spec());
-    let mut cfg = TrainerConfig::paper(2);
-    cfg.mode = TrainMode::Synthetic { grad_scale: 0.03 };
-    let mut t = SyncTrainer::new(&noisy, &gen, cfg);
+    let mut t = trainer(&noisy);
     for b in 1..=12 {
         t.run(b, 1);
         noisy.request_checkpoint(b);

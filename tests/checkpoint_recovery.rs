@@ -30,12 +30,16 @@ fn spec() -> WorkloadSpec {
     }
 }
 
-/// Train batches [from, to], requesting a checkpoint after `ckpt_at`.
-fn train(node: &PsNode, from: u64, to: u64, ckpt_at: Option<u64>) {
-    let gen = WorkloadGen::new(spec());
+/// The synchronous (k = 0) trainer over any backend.
+fn trainer(ps: &dyn PsClient) -> PipelinedTrainer<'_> {
     let mut cfg = TrainerConfig::paper(2);
     cfg.mode = TrainMode::Synthetic { grad_scale: 0.02 };
-    let mut t = SyncTrainer::new(node, &gen, cfg);
+    PipelinedTrainer::with_client(ps, spec(), cfg, PipelineConfig::sync())
+}
+
+/// Train batches [from, to], requesting a checkpoint after `ckpt_at`.
+fn train(node: &PsNode, from: u64, to: u64, ckpt_at: Option<u64>) {
+    let mut t = trainer(node);
     for b in from..=to {
         t.run(b, 1);
         if ckpt_at == Some(b) {
@@ -130,11 +134,8 @@ fn dram_ps_recovery_loses_post_checkpoint_progress_too() {
     // The incremental-checkpoint baseline recovers to its last dump —
     // engine-parity for the recovery contract.
     use openembedding::baselines::DramPs;
-    let gen = WorkloadGen::new(spec());
     let dram = DramPs::new(node_cfg(100), CkptDevice::Ssd);
-    let mut cfg = TrainerConfig::paper(2);
-    cfg.mode = TrainMode::Synthetic { grad_scale: 0.02 };
-    let mut t = SyncTrainer::new(&dram, &gen, cfg);
+    let mut t = trainer(&dram);
     t.run(1, 6);
     dram.request_checkpoint(6);
     t.run(7, 4); // lost progress
@@ -145,10 +146,7 @@ fn dram_ps_recovery_loses_post_checkpoint_progress_too() {
     assert_eq!(resume, 6);
 
     let reference = DramPs::new(node_cfg(100), CkptDevice::Ssd);
-    let mut cfg = TrainerConfig::paper(2);
-    cfg.mode = TrainMode::Synthetic { grad_scale: 0.02 };
-    let mut t = SyncTrainer::new(&reference, &gen, cfg);
-    t.run(1, 6);
+    trainer(&reference).run(1, 6);
     for key in 0..spec().num_keys {
         assert_eq!(recovered.read_weights(key), reference.read_weights(key));
     }

@@ -15,6 +15,11 @@ fn spec(workers: usize) -> WorkloadSpec {
     }
 }
 
+/// The synchronous (k = 0) trainer over any backend.
+fn sync_trainer(ps: &dyn PsClient, workers: usize, cfg: TrainerConfig) -> PipelinedTrainer<'_> {
+    PipelinedTrainer::with_client(ps, spec(workers), cfg, PipelineConfig::sync())
+}
+
 fn oe_node(dim: usize, cache_entries: usize) -> PsNode {
     let mut cfg = NodeConfig::small(dim);
     cfg.optimizer = OptimizerKind::Adagrad {
@@ -28,7 +33,6 @@ fn oe_node(dim: usize, cache_entries: usize) -> PsNode {
 #[test]
 fn deepfm_on_oe_converges() {
     let node = oe_node(8, 2_000);
-    let gen = WorkloadGen::new(spec(2));
     let mut cfg = TrainerConfig::paper(2);
     cfg.mode = TrainMode::DeepFm(DeepFmConfig {
         dim: 8,
@@ -38,11 +42,11 @@ fn deepfm_on_oe_converges() {
         dense_lr: 0.02,
         seed: 4,
     });
-    let mut t = SyncTrainer::new(&node, &gen, cfg);
+    let mut t = sync_trainer(&node, 2, cfg);
     // The very first batch is untrained (≈ chance); convergence to the
     // teacher's structure happens within a few batches.
-    let first = t.run(1, 1).avg_loss.unwrap();
-    let last = t.run(2, 40).avg_loss.unwrap();
+    let first = t.run(1, 1).train.avg_loss.unwrap();
+    let last = t.run(2, 40).train.avg_loss.unwrap();
     assert!(last < first - 0.05, "loss fell: {first} → {last}");
     assert!(last < 0.62, "beats chance comfortably: {last}");
 }
@@ -61,10 +65,9 @@ fn cache_hit_rate_reflects_skew() {
     // matches ideal LRU; well over zero means the cold tail still
     // churns.
     let node = oe_node(8, 160);
-    let gen = WorkloadGen::new(spec(2));
-    let mut t = SyncTrainer::new(&node, &gen, TrainerConfig::paper(2));
+    let mut t = sync_trainer(&node, 2, TrainerConfig::paper(2));
     t.run(1, 5); // warm up
-    let r = t.run(6, 30);
+    let r = t.run(6, 30).train;
     let miss = r.miss_rate();
     assert!(miss < 0.33, "hot head cached: miss = {miss}");
     assert!(
@@ -76,13 +79,11 @@ fn cache_hit_rate_reflects_skew() {
 #[test]
 fn periodic_checkpoints_commit_and_are_cheap() {
     let node = oe_node(8, 2_000);
-    let gen = WorkloadGen::new(spec(2));
     let mut cfg = TrainerConfig::paper(2);
     // Checkpoint roughly every few batches of virtual time (batches run
     // ~2 ms virtual at this scale).
     cfg.ckpt = CheckpointScheduler::every(6_000_000);
-    let mut t = SyncTrainer::new(&node, &gen, cfg);
-    let r = t.run(1, 30);
+    let r = sync_trainer(&node, 2, cfg).run(1, 30).train;
     assert!(
         r.checkpoints_taken >= 3,
         "{} checkpoints",
@@ -96,7 +97,6 @@ fn periodic_checkpoints_commit_and_are_cheap() {
 
 #[test]
 fn all_engines_run_the_same_pipeline() {
-    let gen = WorkloadGen::new(spec(2));
     let mut node_cfg = NodeConfig::small(8);
     node_cfg.optimizer = OptimizerKind::Sgd { lr: 0.1 };
     node_cfg.cache_bytes = 500 * node_cfg.bytes_per_cached_entry();
@@ -106,23 +106,22 @@ fn all_engines_run_the_same_pipeline() {
     let ori = OriCache::new(node_cfg.clone(), CkptDevice::Pmem);
     let hash = PmemHash::new(node_cfg.clone());
     let tf = TfPs::new(node_cfg.clone(), CkptDevice::Ssd);
-    let engines: Vec<&dyn PsEngine> = vec![&oe, &dram, &ori, &hash, &tf];
+    // Every engine is a client: one trainer drives them all.
+    let engines: Vec<&dyn PsClient> = vec![&oe, &dram, &ori, &hash, &tf];
     let mut times = Vec::new();
     for e in engines {
-        let mut t = SyncTrainer::new(e, &gen, TrainerConfig::paper(2));
-        let r = t.run(1, 10);
-        assert_eq!(r.stats.pulls, r.stats.pushes, "{}", e.name());
-        times.push((e.name(), r.total_ns));
+        let r = sync_trainer(e, 2, TrainerConfig::paper(2)).run(1, 10).train;
+        assert_eq!(r.stats.pulls, r.stats.pushes, "{}", r.engine);
+        times.push((r.engine, r.total_ns));
     }
     // Sanity ordering at low worker count: DRAM fastest, PMem-Hash slowest.
-    let t_of = |n: &str| times.iter().find(|(name, _)| *name == n).unwrap().1;
+    let t_of = |n: &str| times.iter().find(|(name, _)| name == n).unwrap().1;
     assert!(t_of("DRAM-PS") < t_of("PMem-Hash"));
     assert!(t_of("PMem-OE") < t_of("PMem-Hash"));
 }
 
 #[test]
 fn cluster_of_nodes_trains_identically_to_single_node() {
-    let gen = WorkloadGen::new(spec(1));
     let mk_cfg = || {
         let mut c = NodeConfig::small(4);
         c.optimizer = OptimizerKind::Sgd { lr: 0.5 };
@@ -130,12 +129,11 @@ fn cluster_of_nodes_trains_identically_to_single_node() {
         c
     };
     let single = PsNode::new(mk_cfg());
-    let cluster = Cluster::new((0..3).map(|_| PsNode::new(mk_cfg())).collect());
+    // Static hash routing: a placed cluster at placement epoch 0.
+    let cluster = PlacedCluster::new((0..3).map(|_| PsNode::new(mk_cfg())).collect());
 
-    let mut t1 = SyncTrainer::new(&single, &gen, TrainerConfig::paper(1));
-    t1.run(1, 10);
-    let mut t2 = SyncTrainer::new(&cluster, &gen, TrainerConfig::paper(1));
-    t2.run(1, 10);
+    sync_trainer(&single, 1, TrainerConfig::paper(1)).run(1, 10);
+    sync_trainer(&cluster, 1, TrainerConfig::paper(1)).run(1, 10);
 
     for key in 0..200u64 {
         assert_eq!(

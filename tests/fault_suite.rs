@@ -38,27 +38,28 @@ fn faulty_remote(fault: FaultSpec) -> (RemotePs, openembedding::net::ServerHandl
     let (ct, st) = loopback(32);
     let handle = PsServer::spawn(engine, st, 4);
     let injector = Arc::new(FaultInjector::new(Arc::new(ct), fault));
-    (
-        RemotePs::connect(injector, NetConfig::paper_default()),
-        handle,
-    )
+    let remote = RemotePs::try_connect(injector, NetConfig::paper_default());
+    (remote.expect("handshake survives the schedule"), handle)
 }
 
-fn train_remote(remote: &RemotePs, batches: u64) -> TrainReport {
-    let gen = WorkloadGen::new(spec());
-    let mut t = SyncTrainer::with_client(remote, &gen, TrainerConfig::paper(2));
-    t.try_run(1, batches)
+/// One synchronous (k = 0) run over any backend.
+fn train(ps: &dyn PsClient, batches: u64) -> TrainReport {
+    let cfg = TrainerConfig::paper(2);
+    PipelinedTrainer::with_client(ps, spec(), cfg, PipelineConfig::sync())
+        .try_run(1, batches)
         .expect("lossy wire must be survivable")
+        .train
 }
 
 fn train_local(batches: u64) -> (PsNode, TrainReport) {
     let node = PsNode::new(node_cfg());
-    let gen = WorkloadGen::new(spec());
-    let r = {
-        let mut t = SyncTrainer::new(&node, &gen, TrainerConfig::paper(2));
-        t.run(1, batches)
-    };
+    let r = train(&node, batches);
     (node, r)
+}
+
+/// Reads retry like every other RPC; past the budget the test fails.
+fn remote_weights(remote: &RemotePs, key: u64) -> Option<Vec<f32>> {
+    remote.weights_of(key).expect("read survives the schedule")
 }
 
 /// The acceptance schedule: 5% frame loss + 1% bit flips (+ occasional
@@ -68,20 +69,24 @@ fn train_local(batches: u64) -> (PsNode, TrainReport) {
 fn lossy_wire_training_is_bit_identical_to_fault_free() {
     let (local, clean) = train_local(30);
     let (remote, _h) = faulty_remote(FaultSpec::lossy(0xFA17, 0.05, 0.01));
-    let report = train_remote(&remote, 30);
+    let report = train(&remote, 30);
 
     assert_eq!(report.failovers, 0, "lossy ≠ dead: no failover");
     for key in 0..spec().num_keys {
         assert_eq!(
             local.read_weights(key),
-            remote.read_weights(key),
+            remote_weights(&remote, key),
             "key {key}: faults must not perturb training state"
         );
     }
     // Exactly-once all the way down: the server-side counters agree
     // with the fault-free run — replayed/duplicated requests were
     // cache hits, not re-executions.
-    assert_eq!(local.stats(), remote.stats(), "same effective counters");
+    assert_eq!(
+        local.stats(),
+        remote.snapshot_stats().unwrap(),
+        "same effective counters"
+    );
 
     // The faults were real and visible in telemetry.
     let snap = remote.registry().snapshot();
@@ -91,7 +96,7 @@ fn lossy_wire_training_is_bit_identical_to_fault_free() {
     assert!(retries > 0, "a 5% drop schedule must force retries");
     assert!(timeouts > 0, "dropped frames surface as timeouts");
     assert!(corrupt > 0, "bit flips surface as corrupt frames");
-    let text = remote.metrics_text();
+    let text = remote.metrics().unwrap();
     assert!(text.contains("rpc_replay_hits_total"), "{text}");
     assert!(
         text.contains("client_rpc_retries_total"),
@@ -113,9 +118,9 @@ fn lossy_wire_training_is_bit_identical_to_fault_free() {
 fn control_arm_injects_nothing() {
     let (local, _) = train_local(10);
     let (remote, _h) = faulty_remote(FaultSpec::none(1));
-    train_remote(&remote, 10);
+    train(&remote, 10);
     for key in 0..spec().num_keys {
-        assert_eq!(local.read_weights(key), remote.read_weights(key));
+        assert_eq!(local.read_weights(key), remote_weights(&remote, key));
     }
     let snap = remote.registry().snapshot();
     assert_eq!(snap.counter("client_rpc_retries_total").unwrap_or(0), 0);
@@ -129,7 +134,7 @@ fn control_arm_injects_nothing() {
 fn fault_schedule_is_deterministic_end_to_end() {
     let run = || {
         let (remote, _h) = faulty_remote(FaultSpec::lossy(77, 0.10, 0.02));
-        let r = train_remote(&remote, 12);
+        let r = train(&remote, 12);
         let snap = remote.registry().snapshot();
         (r.total_ns, snap.counter("client_rpc_retries_total"))
     };

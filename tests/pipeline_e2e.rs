@@ -1,13 +1,18 @@
-//! End-to-end pipelined training: the staleness-0 pipelined schedule
-//! must be bit-identical to the synchronous trainer — same weights,
-//! same engine counters, same virtual nanoseconds — for every
-//! optimizer; bounded staleness must strictly improve virtual time
-//! while keeping the conflict accounting honest; and placement-plane
-//! cutovers must invalidate prefetched rows for moved keys exactly
-//! once.
+//! End-to-end training schedules: the staleness-0 schedule must
+//! reproduce, to the unit, what the former synchronous trainer produced
+//! — same weights, same engine counters, same virtual nanoseconds, for
+//! every optimizer (pinned below as golden literals); bounded staleness
+//! must strictly improve virtual time while keeping the conflict
+//! accounting honest; and placement-plane cutovers must invalidate
+//! prefetched rows for moved keys exactly once.
 
 use openembedding::cache::PrefetchCache;
+use openembedding::core::stats::StatsSnapshot;
+use openembedding::net::NetConfig;
 use openembedding::prelude::*;
+use openembedding::simdevice::integrity_hash;
+use openembedding::train::PhaseBreakdown;
+use std::sync::Arc;
 
 const DIM: usize = 8;
 
@@ -52,66 +57,167 @@ fn optimizers() -> Vec<(&'static str, OptimizerKind)> {
     ]
 }
 
-/// staleness = 0 reproduces the synchronous trainer bit-for-bit:
-/// weights, logical counters, and the virtual clock all agree, for
-/// every optimizer (optimizer state is the part an out-of-order or
+/// What the separate synchronous trainer produced for one run. The
+/// literals below were printed by its `new(&node, &gen, cfg).run(1,
+/// batches)` at commit 1861765 — the last commit that had it — in
+/// synthetic-gradient mode, where the key stream and the gradients are
+/// pure functions of `(spec, batch, worker)`. `PipelineConfig::sync()`
+/// must reproduce every quantity to the unit.
+struct Golden {
+    total_ns: u64,
+    phases: PhaseBreakdown,
+    stats: StatsSnapshot,
+    checkpoints_taken: u64,
+    committed_checkpoint: u64,
+    /// [`weights_hash`] over every key of the table.
+    weights: u64,
+}
+
+/// One hash over all weights: `(key, f32 bits…)` of every key the PS
+/// knows, ascending, little-endian.
+fn weights_hash(ps: &dyn PsClient, num_keys: u64) -> u64 {
+    let mut bytes = Vec::new();
+    for k in 0..num_keys {
+        if let Some(w) = ps.weights_of(k).unwrap() {
+            bytes.extend_from_slice(&k.to_le_bytes());
+            for v in w {
+                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+    }
+    integrity_hash(&[&bytes])
+}
+
+/// Run the k = 0 schedule in process and over a clean loopback wire and
+/// hold both against the golden: everything for the in-process run, the
+/// engine-side quantities (weights, counters, checkpoints) for the wire
+/// run, whose virtual time additionally carries network charges.
+fn assert_sync_schedule_reproduces(
+    name: &str,
+    opt: OptimizerKind,
+    seed: u64,
+    cfg: fn() -> TrainerConfig,
+    batches: u64,
+    want: &Golden,
+) {
+    let local = node_with(opt);
+    let r = PipelinedTrainer::with_client(&local, spec(seed), cfg(), PipelineConfig::sync())
+        .run(1, batches);
+    assert_eq!(r.train.total_ns, want.total_ns, "{name}: virtual time");
+    assert_eq!(r.train.phases, want.phases, "{name}: phase breakdown");
+    assert_eq!(r.stale_read_occurrences, 0, "{name}: nothing in flight");
+    assert_eq!(r.prefetch_hits + r.prefetch_misses, 0, "{name}: no cache");
+
+    let (ct, st) = loopback(32);
+    let _server = PsServer::spawn(Arc::new(node_with(opt)), st, 4);
+    let remote = RemotePs::try_connect(Arc::new(ct), NetConfig::paper_default()).unwrap();
+    let w = PipelinedTrainer::with_client(&remote, spec(seed), cfg(), PipelineConfig::sync())
+        .try_run(1, batches)
+        .expect("clean loopback");
+    assert!(
+        w.train.total_ns > want.total_ns,
+        "{name}: the wire costs time"
+    );
+
+    let sides = [
+        ("local", &local as &dyn PsClient, &r),
+        ("wire", &remote as &dyn PsClient, &w),
+    ];
+    for (side, ps, r) in sides {
+        assert_eq!(r.train.stats, want.stats, "{name}/{side}: engine counters");
+        assert_eq!(
+            r.train.checkpoints_taken, want.checkpoints_taken,
+            "{name}/{side}"
+        );
+        assert_eq!(
+            r.train.committed_checkpoint, want.committed_checkpoint,
+            "{name}/{side}"
+        );
+        assert_eq!(
+            weights_hash(ps, spec(seed).num_keys),
+            want.weights,
+            "{name}/{side}: weights"
+        );
+    }
+}
+
+/// staleness = 0 reproduces the synchronous trainer to the unit —
+/// weights, logical counters, phases and the virtual clock — for every
+/// optimizer (optimizer state is the part an out-of-order or
 /// double-applied gradient would corrupt first).
 #[test]
 fn staleness_zero_bit_identical_to_sync_across_optimizers() {
-    for (name, opt) in optimizers() {
-        let sync_node = node_with(opt);
-        let gen = WorkloadGen::new(spec(21));
-        let mut sync = SyncTrainer::new(&sync_node, &gen, TrainerConfig::paper(2));
-        let sr = sync.run(1, 20);
-
-        let pipe_node = node_with(opt);
-        let mut pipe = PipelinedTrainer::new(
-            &pipe_node,
-            spec(21),
-            TrainerConfig::paper(2),
-            PipelineConfig::sync(),
-        );
-        let pr = pipe.run(1, 20);
-
-        assert_eq!(sr.total_ns, pr.train.total_ns, "{name}: virtual time");
-        assert_eq!(sr.stats, pr.train.stats, "{name}: engine counters");
-        assert_eq!(sr.phases, pr.train.phases, "{name}: phase breakdown");
-        assert_eq!(
-            pr.stale_read_occurrences, 0,
-            "{name}: sync has no staleness"
-        );
-        assert_eq!(pr.prefetch_hits, 0, "{name}: no cache at staleness 0");
-        for k in 0..spec(21).num_keys {
-            assert_eq!(
-                sync_node.read_weights(k),
-                pipe_node.read_weights(k),
-                "{name}: weights of key {k}"
-            );
-        }
+    // 20 batches of seed 21: SGD's pull burst is one nanosecond cheaper
+    // (no optimizer state crosses the DRAM bus); the access pattern, and
+    // so every counter, is optimizer-independent.
+    let golden = |total_ns, pull_ns, weights| Golden {
+        total_ns,
+        phases: PhaseBreakdown {
+            pull_ns,
+            maintain_ns: 11_008,
+            spill_ns: 0,
+            compute_ns: 29_654_140,
+            push_ns: 319_392,
+            ckpt_pause_ns: 0,
+        },
+        stats: StatsSnapshot {
+            pulls: 1_259,
+            hits: 857,
+            new_entries: 402,
+            pushes: 1_259,
+            evictions: 2,
+            flushes: 2,
+            ..StatsSnapshot::default()
+        },
+        checkpoints_taken: 0,
+        committed_checkpoint: 0,
+        weights,
+    };
+    let pinned = [
+        golden(30_355_012, 381_480, 0x8d86_a05b_37e5_3e84),
+        golden(30_355_013, 381_481, 0x7401_eb26_5805_02a9),
+        golden(30_355_013, 381_481, 0x204c_7836_f0f0_4a6a),
+    ];
+    for ((name, opt), want) in optimizers().into_iter().zip(&pinned) {
+        assert_sync_schedule_reproduces(name, opt, 21, || TrainerConfig::paper(2), 20, want);
     }
 }
 
 /// The checkpointed variant: barriers drain the queue, so a committed
 /// checkpoint never misses a gradient, and at staleness 0 the entire
-/// checkpoint schedule matches the sync trainer batch for batch.
+/// checkpoint schedule is the sync trainer's, batch for batch.
 #[test]
 fn staleness_zero_checkpoint_schedule_matches_sync() {
-    let mk_cfg = || {
+    let cfg = || {
         let mut cfg = TrainerConfig::paper(2);
         cfg.ckpt = CheckpointScheduler::every(2);
         cfg
     };
-    let sync_node = node_with(OptimizerKind::Sgd { lr: 0.1 });
-    let gen = WorkloadGen::new(spec(9));
-    let sr = SyncTrainer::new(&sync_node, &gen, mk_cfg()).run(1, 12);
-
-    let pipe_node = node_with(OptimizerKind::Sgd { lr: 0.1 });
-    let pr =
-        PipelinedTrainer::new(&pipe_node, spec(9), mk_cfg(), PipelineConfig::sync()).run(1, 12);
-
-    assert_eq!(sr.total_ns, pr.train.total_ns);
-    assert_eq!(sr.checkpoints_taken, pr.train.checkpoints_taken);
-    assert_eq!(sr.committed_checkpoint, pr.train.committed_checkpoint);
+    let want = Golden {
+        total_ns: 18_207_893,
+        phases: PhaseBreakdown {
+            pull_ns: 224_105,
+            maintain_ns: 67_230,
+            spill_ns: 0,
+            compute_ns: 17_792_484,
+            push_ns: 191_232,
+            ckpt_pause_ns: 72,
+        },
+        stats: StatsSnapshot {
+            pulls: 735,
+            hits: 522,
+            new_entries: 213,
+            pushes: 735,
+            flushes: 558,
+            ckpt_commits: 11,
+            slots_recycled: 207,
+            ..StatsSnapshot::default()
+        },
+        checkpoints_taken: 12,
+        committed_checkpoint: 11,
+        weights: 0x1cc2_8959_fc62_dc40,
+    };
+    assert_sync_schedule_reproduces("ckpt", OptimizerKind::Sgd { lr: 0.1 }, 9, cfg, 12, &want);
 }
 
 /// Bounded staleness strictly improves virtual time on this
@@ -124,7 +230,7 @@ fn bounded_staleness_improves_virtual_time() {
             lr: 0.05,
             eps: 1e-8,
         });
-        PipelinedTrainer::new(&n, spec(33), TrainerConfig::paper(2), pcfg).run(1, 40)
+        PipelinedTrainer::with_client(&n, spec(33), TrainerConfig::paper(2), pcfg).run(1, 40)
     };
     let sync = run(PipelineConfig::sync());
     for k in [1usize, 2, 4] {
@@ -156,7 +262,7 @@ fn bounded_staleness_improves_virtual_time() {
 fn prefetch_counters_sum_to_total_accesses_across_seeds() {
     for seed in [3u64, 21, 777] {
         let n = node_with(OptimizerKind::Sgd { lr: 0.1 });
-        let mut t = PipelinedTrainer::new(
+        let mut t = PipelinedTrainer::with_client(
             &n,
             spec(seed),
             TrainerConfig::paper(2),
@@ -252,8 +358,8 @@ fn migration_cutover_invalidates_prefetched_keys_exactly_once() {
         cfg
     };
     let report_m = {
-        let mut t =
-            PipelinedTrainer::new(&migrated, spec(77), mk(), PipelineConfig::bounded(2, 2048));
+        let pcfg = PipelineConfig::bounded(2, 2048);
+        let mut t = PipelinedTrainer::with_client(&migrated, spec(77), mk(), pcfg);
         t.set_coherence(&migrated);
         t.try_run_with_hook(1, 24, |b| {
             if b == 8 {
@@ -271,9 +377,8 @@ fn migration_cutover_invalidates_prefetched_keys_exactly_once() {
         .expect("in-process cluster is infallible")
     };
     let report_r = {
-        let mut t =
-            PipelinedTrainer::new(&reference, spec(77), mk(), PipelineConfig::bounded(2, 2048));
-        t.run(1, 24)
+        let pcfg = PipelineConfig::bounded(2, 2048);
+        PipelinedTrainer::with_client(&reference, spec(77), mk(), pcfg).run(1, 24)
     };
 
     assert!(!migrated.migration_active());

@@ -38,10 +38,11 @@ fn node_cfg() -> NodeConfig {
     cfg
 }
 
-fn trainer_cfg() -> TrainerConfig {
+/// The synchronous (k = 0) trainer, checkpointing at every batch.
+fn sync_trainer(ps: &dyn PsClient) -> PipelinedTrainer<'_> {
     let mut cfg = TrainerConfig::paper(2);
     cfg.ckpt = CheckpointScheduler::every(1);
-    cfg
+    PipelinedTrainer::with_client(ps, spec(), cfg, PipelineConfig::sync())
 }
 
 /// A PS node whose slots live in `shared`'s partition `node_id`.
@@ -72,9 +73,15 @@ fn doomed_remote(shared: &Arc<SharedPool>, kill_after_calls: u64) -> RemotePs {
         Arc::new(ct),
         FaultSpec::kill_after(0xE2E, kill_after_calls),
     ));
-    RemotePs::connect(injector, NetConfig::paper_default()).with_standby(Arc::new(
-        PoolStandby::new(Arc::clone(shared), 7, node_cfg(), 4, 0xE2E),
-    ))
+    RemotePs::try_connect(injector, NetConfig::paper_default())
+        .expect("the handshake precedes the kill")
+        .with_standby(Arc::new(PoolStandby::new(
+            Arc::clone(shared),
+            7,
+            node_cfg(),
+            4,
+            0xE2E,
+        )))
 }
 
 #[test]
@@ -85,11 +92,7 @@ fn kill_mid_epoch_promotes_across_the_pool_bit_identical() {
     // also re-proves the RemotePool storage arm is value-identical to
     // the local arm (the fabric charges live purely in virtual time).
     let reference = PsNode::new(node_cfg());
-    let gen = WorkloadGen::new(spec());
-    let clean = {
-        let mut t = SyncTrainer::new(&reference, &gen, trainer_cfg());
-        t.run(1, BATCHES)
-    };
+    let clean = sync_trainer(&reference).run(1, BATCHES).train;
 
     // Same call schedule as the local-media failover e2e: 6 RPCs per
     // batch after the handshake + opening stats, so call 116 is the
@@ -97,10 +100,10 @@ fn kill_mid_epoch_promotes_across_the_pool_bit_identical() {
     // pending checkpoint would commit, forcing a rewind + replay.
     let shared = SharedPool::new(FabricConfig::default());
     let remote = doomed_remote(&shared, 116);
-    let mut t = SyncTrainer::with_client(&remote, &gen, trainer_cfg());
-    let report = t
+    let report = sync_trainer(&remote)
         .try_run(1, BATCHES)
-        .expect("pool failover absorbs the kill");
+        .expect("pool failover absorbs the kill")
+        .train;
 
     assert_eq!(report.failovers, 1, "exactly one promotion");
     assert!(
@@ -117,7 +120,7 @@ fn kill_mid_epoch_promotes_across_the_pool_bit_identical() {
     for key in 0..spec().num_keys {
         assert_eq!(
             reference.read_weights(key),
-            remote.read_weights(key),
+            remote.weights_of(key).unwrap(),
             "key {key}: pool failover must not perturb training state"
         );
     }
@@ -152,12 +155,18 @@ fn standby_for_a_foreign_partition_never_promotes() {
         Arc::new(ct),
         FaultSpec::kill_after(3, 30),
     ));
-    let remote = RemotePs::connect(injector, NetConfig::paper_default()).with_standby(Arc::new(
-        PoolStandby::new(Arc::clone(&shared), 13, node_cfg(), 2, 3),
-    ));
-    let gen = WorkloadGen::new(spec());
-    let mut t = SyncTrainer::with_client(&remote, &gen, trainer_cfg());
-    let err = t.try_run(1, 24).expect_err("foreign partition refuses");
+    let remote = RemotePs::try_connect(injector, NetConfig::paper_default())
+        .unwrap()
+        .with_standby(Arc::new(PoolStandby::new(
+            Arc::clone(&shared),
+            13,
+            node_cfg(),
+            2,
+            3,
+        )));
+    let err = sync_trainer(&remote)
+        .try_run(1, 24)
+        .expect_err("foreign partition refuses");
     assert!(err.context().contains("no standby"), "{err}");
 }
 
@@ -180,10 +189,7 @@ fn crash_points_during_pool_resident_recovery_are_idempotent() {
     // issues is itself a crash point on the pool media.
     let shared = SharedPool::new(FabricConfig::default());
     let primary = pool_node(&shared, 7);
-    let gen = WorkloadGen::new(spec());
-    let mut t = SyncTrainer::new(&primary, &gen, trainer_cfg());
-    t.run(1, 6);
-    drop(t);
+    sync_trainer(&primary).run(1, 6);
     let partition = shared.partition_media(7).expect("partition exists");
     drop(primary); // the node dies; its partition outlives it
 

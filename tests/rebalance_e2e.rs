@@ -1,5 +1,5 @@
 //! End-to-end live migration: a forced mid-epoch shard migration under
-//! the full synchronous trainer must be invisible to training — final
+//! the trainer's synchronous (k = 0) schedule must be invisible to training — final
 //! weights, logical counters and checkpoints bit-identical to a run
 //! that never migrated, with zero double-applied gradients.
 
@@ -45,9 +45,10 @@ fn trainer_config() -> TrainerConfig {
 
 #[test]
 fn forced_mid_epoch_migration_is_bit_identical() {
-    let gen = WorkloadGen::new(spec());
     let migrated = cluster();
     let reference = cluster();
+    let sync_trainer =
+        |c| PipelinedTrainer::with_client(c, spec(), trainer_config(), PipelineConfig::sync());
 
     // Drain every key that hashes onto node 0 — seeded immediately if it
     // exists by MIGRATE_AFTER, late-seeded on first push otherwise.
@@ -57,9 +58,8 @@ fn forced_mid_epoch_migration_is_bit_identical() {
         .collect();
     assert!(moves.len() > 100, "plenty of keys to move: {}", moves.len());
 
-    let report_m = {
-        let mut t = SyncTrainer::new(&migrated, &gen, trainer_config());
-        t.run_with_hook(1, BATCHES, |b| {
+    let report_m = sync_trainer(&migrated)
+        .try_run_with_hook(1, BATCHES, |b| {
             if b == MIGRATE_AFTER {
                 let n = migrated.start_migration(
                     MigrationSpec {
@@ -72,11 +72,9 @@ fn forced_mid_epoch_migration_is_bit_identical() {
                 assert!(n > 0, "migration accepted mid-epoch");
             }
         })
-    };
-    let report_r = {
-        let mut t = SyncTrainer::new(&reference, &gen, trainer_config());
-        t.run(1, BATCHES)
-    };
+        .unwrap()
+        .train;
+    let report_r = sync_trainer(&reference).run(1, BATCHES).train;
 
     // The migration actually happened …
     assert_eq!(migrated.placement_epoch(), 1, "cutover bumped the epoch");

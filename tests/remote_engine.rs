@@ -1,6 +1,7 @@
 //! Integration: the RPC boundary is transparent — a `RemotePs` behaves
 //! exactly like the engine it fronts, including under the full trainer,
-//! checkpointing, and concurrent access.
+//! checkpointing, and concurrent access. Over a clean loopback every
+//! call succeeds, so the `Result`s are unwrapped.
 
 use openembedding::net::NetConfig;
 use openembedding::prelude::*;
@@ -31,43 +32,45 @@ fn node_cfg() -> NodeConfig {
 fn remote_over(engine: Arc<dyn PsEngine>) -> (RemotePs, openembedding::net::ServerHandle) {
     let (ct, st) = loopback(32);
     let handle = PsServer::spawn(engine, st, 4);
-    (
-        RemotePs::connect(Arc::new(ct), NetConfig::paper_default()),
-        handle,
-    )
+    let remote = RemotePs::try_connect(Arc::new(ct), NetConfig::paper_default());
+    (remote.expect("clean loopback"), handle)
+}
+
+/// The synchronous (k = 0) trainer over any backend.
+fn sync_trainer(ps: &dyn PsClient) -> PipelinedTrainer<'_> {
+    let cfg = TrainerConfig::paper(2);
+    PipelinedTrainer::with_client(ps, spec(), cfg, PipelineConfig::sync())
 }
 
 #[test]
 fn trainer_over_rpc_matches_local_bitwise() {
-    let gen = WorkloadGen::new(spec());
     let local = PsNode::new(node_cfg());
     let (remote, _h) = remote_over(Arc::new(PsNode::new(node_cfg())));
 
-    let mut t1 = SyncTrainer::new(&local, &gen, TrainerConfig::paper(2));
-    t1.run(1, 10);
-    let mut t2 = SyncTrainer::new(&remote, &gen, TrainerConfig::paper(2));
-    let r = t2.run(1, 10);
+    sync_trainer(&local).run(1, 10);
+    let r = sync_trainer(&remote).run(1, 10);
 
     for key in 0..spec().num_keys {
         assert_eq!(
             local.read_weights(key),
-            remote.read_weights(key),
+            remote.weights_of(key).unwrap(),
             "key {key}"
         );
     }
-    assert_eq!(local.stats(), remote.stats(), "same counters");
-    assert!(r.total_ns > 0);
+    assert_eq!(
+        local.stats(),
+        remote.snapshot_stats().unwrap(),
+        "same counters"
+    );
+    assert!(r.train.total_ns > 0);
 }
 
 #[test]
 fn rpc_adds_network_time_but_nothing_else() {
-    let gen = WorkloadGen::new(spec());
     let local = PsNode::new(node_cfg());
     let (remote, _h) = remote_over(Arc::new(PsNode::new(node_cfg())));
-    let mut t1 = SyncTrainer::new(&local, &gen, TrainerConfig::paper(2));
-    let rl = t1.run(1, 8);
-    let mut t2 = SyncTrainer::new(&remote, &gen, TrainerConfig::paper(2));
-    let rr = t2.run(1, 8);
+    let rl = sync_trainer(&local).run(1, 8).train;
+    let rr = sync_trainer(&remote).run(1, 8).train;
     // The remote run is strictly slower in virtual time (wire cost)…
     assert!(rr.total_ns > rl.total_ns);
     // …but not unreasonably so at this scale (< 2×).
@@ -88,16 +91,15 @@ fn remote_checkpoint_and_recovery_roundtrip() {
 
     let node = Arc::new(PsNode::new(node_cfg()));
     let (remote, _h) = remote_over(node.clone() as Arc<dyn PsEngine>);
-    let gen = WorkloadGen::new(spec());
-    let mut t = SyncTrainer::new(&remote, &gen, TrainerConfig::paper(2));
+    let mut t = sync_trainer(&remote);
     t.run(1, 6);
-    remote.request_checkpoint(6);
+    remote.checkpoint(6).unwrap();
     // Snapshot the exact end-of-batch-6 state: this IS the checkpoint.
     let reference: Vec<Option<Vec<f32>>> = (0..spec().num_keys)
-        .map(|k| remote.read_weights(k))
+        .map(|k| remote.weights_of(k).unwrap())
         .collect();
     t.run(7, 2); // commit rides maintenance; also trains new batches
-    assert_eq!(remote.committed_checkpoint(), 6);
+    assert_eq!(remote.committed().unwrap(), 6);
 
     let media = Arc::new(Media::from_crash(node.pool().media().crash(3)));
     let mut cost = Cost::new();
@@ -106,13 +108,13 @@ fn remote_checkpoint_and_recovery_roundtrip() {
 
     let (remote2, _h2) = remote_over(Arc::new(recovered));
     for (k, expect) in reference.iter().enumerate() {
-        let got = remote2.read_weights(k as u64);
+        let got = remote2.weights_of(k as u64).unwrap();
         assert_eq!(
             expect, &got,
             "key {k}: recovered state equals the checkpoint snapshot"
         );
     }
-    assert_eq!(remote2.committed_checkpoint(), 6);
+    assert_eq!(remote2.committed().unwrap(), 6);
 }
 
 #[test]
@@ -123,12 +125,12 @@ fn many_clients_share_one_server() {
     let ct = Arc::new(ct);
 
     // Warm via one client.
-    let first = RemotePs::connect(ct.clone(), NetConfig::paper_default());
+    let first = RemotePs::try_connect(ct.clone(), NetConfig::paper_default()).unwrap();
     let keys: Vec<u64> = (0..128).collect();
     let mut out = Vec::new();
     let mut cost = Cost::new();
-    first.pull(&keys, 1, &mut out, &mut cost);
-    first.end_pull_phase(1);
+    first.pull_batch(&keys, 1, &mut out, &mut cost).unwrap();
+    first.flush_batch(1).unwrap();
     let expected = out.clone();
 
     let handles: Vec<_> = (0..6)
@@ -137,12 +139,12 @@ fn many_clients_share_one_server() {
             let keys = keys.clone();
             let expected = expected.clone();
             std::thread::spawn(move || {
-                let client = RemotePs::connect(ct, NetConfig::paper_default());
+                let client = RemotePs::try_connect(ct, NetConfig::paper_default()).unwrap();
                 let mut out = Vec::new();
                 let mut cost = Cost::new();
                 for b in 2..10 {
                     out.clear();
-                    client.pull(&keys, b, &mut out, &mut cost);
+                    client.pull_batch(&keys, b, &mut out, &mut cost).unwrap();
                     assert_eq!(out, expected);
                 }
             })
