@@ -26,6 +26,16 @@ for c in crates/*/; do
     END { printf "%-14s %6d\n", crate, n }'
 done
 
+# PR 15 deleted the per-key node arm, the scalar-kernel switch and the
+# owned burst codec; EXPERIMENTS.md's "Retired A/B arms" table is the one
+# place their names may still appear.
+echo "==> retired hot-path twins stay retired"
+if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key" \
+  crates tests examples README.md DESIGN.md; then
+  echo "a retired name resurfaced (see above)" >&2
+  exit 1
+fi
+
 # The benchmark package (own workspace, offline stand-ins for every
 # registry crate) builds the layer crates against e2e/stubs: a layer
 # change that uses an API the stand-ins lack must fail here, not in the
@@ -63,10 +73,10 @@ if [[ "${UPDATE_BASELINE:-0}" == "1" ]]; then
   GATE_FLAGS+=(--update-baseline)
 fi
 
-echo "==> pull/push hot-path bench (smoke, gated)"
+echo "==> pull/push lane sweep: virtual keys/s at 1, 4 and one-per-shard lanes (smoke, gated)"
 cargo run --release -p oe-bench --bin pullpush -- --smoke --out BENCH_pullpush.json "${GATE_FLAGS[@]}"
 
-echo "==> optimizer-kernel & codec microbench (smoke, gated)"
+echo "==> optimizer kernels vs the scalar reference (geomeans gated) and burst-codec rates (smoke)"
 cargo run --release -p oe-bench --bin kernels -- --smoke --out BENCH_kernels.json "${GATE_FLAGS[@]}"
 
 echo "==> failover/retry-overhead bench (smoke)"

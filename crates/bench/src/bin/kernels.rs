@@ -11,72 +11,22 @@
 //!     --gate BENCH_baseline.json --update-baseline   # accept new numbers
 //! ```
 //!
-//! Only speedup *ratios* (vector/scalar, view/owned) are gated for
-//! this bench — absolute Mf32/s and MB/s rates are machine-dependent
-//! and recorded for the trajectory only.
+//! Only the sweep-wide geomeans of the kernel speedup *ratios*
+//! (vector/reference, batch/reference) are gated for this bench —
+//! absolute Mf32/s and MB/s rates are machine-dependent and recorded
+//! for the trajectory only.
 
-use oe_bench::kernels::{metrics, print_report, run, KernelsConfig};
-use oe_bench::trajectory::record_and_gate;
+use oe_bench::kernels::{gated_metrics, metrics, print_report, run, KernelsConfig};
+use oe_bench::trajectory::gated_main;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut record: Option<String> = None;
-    let mut gate: Option<String> = None;
-    let mut update = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut path_arg = |flag: &str| match it.next() {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("{flag} requires a path");
-                std::process::exit(2);
-            }
-        };
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(path_arg("--out")),
-            "--record" => record = Some(path_arg("--record")),
-            "--gate" => gate = Some(path_arg("--gate")),
-            "--update-baseline" => update = true,
-            other => {
-                eprintln!(
-                    "usage: kernels [--smoke] [--out PATH] [--record TRAJECTORY] \
-                     [--gate BASELINE] [--update-baseline]   (unknown arg: {other})"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let cfg = if smoke {
-        KernelsConfig::smoke()
-    } else {
-        KernelsConfig::paper()
-    };
-    let report = run(&cfg);
-    print_report(&report);
-    if let Some(path) = &out {
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(path, json + "\n").expect("write bench artifact");
-        println!("wrote {path}");
-    }
-    // Record everything; gate only the noise-robust aggregates — the
-    // sweep-wide geomean speedups and the codec decode ratio. Per-cell
-    // wall-clock ratios swing too much run-to-run to hold to a 30%
-    // band, but a vanished fast path still drags every aggregate down.
-    let all = metrics(&report);
-    let gated: Vec<(String, f64)> = all
-        .iter()
-        .filter(|(k, _)| k.starts_with("geomean_") || k.as_str() == "codec_speedup_decode")
-        .cloned()
-        .collect();
-    if let Some(p) = &record {
-        if !record_and_gate("kernels", &all, Some(p), None, false) {
-            std::process::exit(1);
-        }
-    }
-    if !record_and_gate("kernels", &gated, None, gate.as_deref(), update) {
-        std::process::exit(1);
-    }
+    gated_main(
+        "kernels",
+        KernelsConfig::smoke,
+        KernelsConfig::paper,
+        run,
+        print_report,
+        metrics,
+        gated_metrics,
+    );
 }

@@ -16,53 +16,16 @@
 //! noise.
 
 use oe_bench::pullpush::{metrics, print_report, run, PullPushConfig};
-use oe_bench::trajectory::record_and_gate;
+use oe_bench::trajectory::gated_main;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut record: Option<String> = None;
-    let mut gate: Option<String> = None;
-    let mut update = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut path_arg = |flag: &str| match it.next() {
-            Some(p) => p.clone(),
-            None => {
-                eprintln!("{flag} requires a path");
-                std::process::exit(2);
-            }
-        };
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(path_arg("--out")),
-            "--record" => record = Some(path_arg("--record")),
-            "--gate" => gate = Some(path_arg("--gate")),
-            "--update-baseline" => update = true,
-            other => {
-                eprintln!(
-                    "usage: pullpush [--smoke] [--out PATH] [--record TRAJECTORY] \
-                     [--gate BASELINE] [--update-baseline]   (unknown arg: {other})"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let cfg = if smoke {
-        PullPushConfig::smoke()
-    } else {
-        PullPushConfig::paper()
-    };
-    let report = run(&cfg);
-    print_report(&report);
-    if let Some(path) = &out {
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(path, json + "\n").expect("write bench artifact");
-        println!("wrote {path}");
-    }
-    let m = metrics(&report);
-    if !record_and_gate("pullpush", &m, record.as_deref(), gate.as_deref(), update) {
-        std::process::exit(1);
-    }
+    gated_main(
+        "pullpush",
+        PullPushConfig::smoke,
+        PullPushConfig::paper,
+        run,
+        print_report,
+        metrics,
+        metrics,
+    );
 }

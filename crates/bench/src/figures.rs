@@ -718,8 +718,8 @@ pub fn latency(sc: &Scenario) {
     println!("(expect: PMem-OE pull tails within a few % of DRAM-PS; Ori-Cache inflated by inline maintenance)");
 }
 
-/// Shard-plan hot-path throughput: legacy per-key vs planned vs
-/// multi-lane execution on a skewed batch (see [`crate::pullpush`]).
+/// Shard-plan hot-path throughput: the lane sweep on a skewed batch
+/// (see [`crate::pullpush`]).
 pub fn pullpush(sc: &Scenario) {
     hr("pullpush — shard-plan batched pull/push throughput");
     let cfg = if sc.batch_size < 1024 {
@@ -731,8 +731,8 @@ pub fn pullpush(sc: &Scenario) {
     crate::pullpush::print_report(&r);
 }
 
-/// Optimizer-kernel and codec wall-clock microbench: scalar vs
-/// vectorized vs batched applies, owned vs borrowed codec (see
+/// Optimizer-kernel and codec wall-clock microbench: scalar reference
+/// vs vectorized vs batched applies, burst codec rates (see
 /// [`crate::kernels`]).
 pub fn kernels(sc: &Scenario) {
     hr("kernels — optimizer kernel & zero-copy codec wall-clock microbench");

@@ -10,7 +10,7 @@
 //!   each printing the measured series next to the paper's published
 //!   values.
 //! - [`pullpush`] — shard-plan hot-path throughput microbenchmark
-//!   (legacy per-key vs planned vs multi-lane execution), emitted as
+//!   (1 vs 4 vs one-per-shard execution lanes), emitted as
 //!   `BENCH_pullpush.json` by the `pullpush` binary.
 //! - [`failover`] — fault-tolerance bench: retry overhead at 0/1/5%
 //!   frame loss and checkpoint-failover recovery latency, emitted as
@@ -29,8 +29,8 @@
 //!   accuracy-vs-epoch-time convergence curve, emitted as
 //!   `BENCH_pipeline.json` by the `pipeline` binary.
 //! - [`kernels`] — wall-clock microbench of the vectorized optimizer
-//!   kernels (scalar vs SIMD-shaped vs batched) and the zero-copy
-//!   codec (owned vs borrowed encode/decode), emitted as
+//!   kernels (scalar reference vs SIMD-shaped vs batched) and the
+//!   zero-copy burst codec (absolute encode/decode rates), emitted as
 //!   `BENCH_kernels.json` by the `kernels` binary.
 //! - [`pool`] — disaggregated-PMem bench: local vs DRAM vs remote-pool
 //!   storage arms at equal simulated cost, fabric congestion scaling,
@@ -42,7 +42,8 @@
 //! - [`trajectory`] — persistent perf trajectory: appends each gated
 //!   run's metrics to `BENCH_trajectory.json` keyed by git commit and
 //!   fails CI when a metric regresses >30% below
-//!   `BENCH_baseline.json`.
+//!   `BENCH_baseline.json` or silently leaves it; also the one `main`
+//!   the six gated bench binaries share.
 //!
 //! Run `cargo run --release -p oe-bench --bin figures -- all` (or a
 //! single id, or `--quick` for a fast pass).

@@ -1,14 +1,11 @@
 //! Pull/push throughput microbenchmark for the shard-plan hot path.
 //!
 //! Measures simulated (virtual-time) keys/sec of batched pulls and
-//! pushes over a skewed workload, comparing execution modes of the same
+//! pushes over a skewed workload, at several lane counts of the same
 //! [`PsNode`]:
 //!
-//! - `legacy-per-key` (`parallelism = 0`): one lock acquisition and one
-//!   payload access per key *occurrence*;
 //! - `plan-1-lane` (`parallelism = 1`): shard-bucketed, duplicate-
-//!   coalesced, one lock acquisition per shard group — the win here is
-//!   pure deduplication and lock batching;
+//!   coalesced, one lock acquisition per shard group, on one lane;
 //! - `plan-4-lanes` / `plan-N-lanes`: shard groups execute on parallel
 //!   lanes; parallelizable cost kinds (CPU, DRAM, PMem reads) take the
 //!   max over lanes (`oe_simdevice::CostKind::lane_parallel`).
@@ -19,14 +16,14 @@
 //! skew. Every key is first-touched during warm-up and maintenance is
 //! *not* run between measured requests, so measured pulls contain no
 //! `Serialized` first-touch work and cache residency is frozen: the
-//! comparison isolates the hot-path execution model.
+//! comparison isolates the lane count.
 
 use oe_core::engine::PsEngine;
+use oe_core::init::splitmix64 as mix;
 use oe_core::{NodeConfig, OptimizerKind, PsNode};
 use oe_simdevice::{Cost, CostKind};
 use serde::Serialize;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Workload + node shape for one bench run.
 #[derive(Debug, Clone, Serialize)]
@@ -89,23 +86,14 @@ impl PullPushConfig {
 /// One execution mode's measured throughput.
 #[derive(Debug, Clone, Serialize)]
 pub struct ModeResult {
-    /// Human label (`legacy-per-key`, `plan-1-lane`, …).
+    /// Human label (`plan-1-lane`, `plan-4-lanes`, …).
     pub label: String,
     /// The `parallelism` knob value.
     pub parallelism: usize,
-    /// Whether the node was pinned to the scalar optimizer kernels
-    /// (`NodeConfig::scalar_kernels`). Virtual time is kernel-blind, so
-    /// a scalar arm must match its vectorized twin on every virtual
-    /// metric — only the wall clock may differ.
-    pub scalar_kernels: bool,
     /// Total virtual time of all measured pulls (ns).
     pub pull_ns: u64,
     /// Total virtual time of all measured pushes (ns).
     pub push_ns: u64,
-    /// Real wall-clock time of all measured pulls (ns, noisy).
-    pub pull_wall_ns: u64,
-    /// Real wall-clock time of all measured pushes (ns, noisy).
-    pub push_wall_ns: u64,
     /// `Serialized` ns across the measurement — must be identical for
     /// every mode (here: zero, all keys are warmed).
     pub serialized_ns: u64,
@@ -128,30 +116,12 @@ pub struct PullPushReport {
     pub dedup_ratio: f64,
     /// One row per execution mode.
     pub modes: Vec<ModeResult>,
-    /// Pull speedup of `plan-1-lane` over `legacy-per-key`
-    /// (dedup + lock batching only — acceptance floor 1.2×).
-    pub pull_speedup_plan_vs_legacy: f64,
     /// Pull speedup of `plan-4-lanes` over `plan-1-lane`
     /// (lane parallelism only — acceptance floor 2×).
     pub pull_speedup_lanes4_vs_1: f64,
-    /// Push speedup of `plan-1-lane` over `legacy-per-key`.
-    pub push_speedup_plan_vs_legacy: f64,
     /// Push speedup of `plan-4-lanes` over `plan-1-lane` (limited:
     /// PMem writes serialize on the device and never lane-merge).
     pub push_speedup_lanes4_vs_1: f64,
-    /// *Wall-clock* push speedup of the vectorized kernels over the
-    /// scalar-pinned arm at the same parallelism — the only number
-    /// here where the SIMD-shaped optimizer kernels can show up, since
-    /// virtual time charges both identically.
-    pub push_kernel_wall_speedup: f64,
-}
-
-/// SplitMix64 — deterministic workload without an RNG dependency.
-fn mix(z: u64) -> u64 {
-    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Measured request `b`: positions `i % 4 != 3` draw from the hot set,
@@ -179,14 +149,13 @@ fn grads_for(keys: &[u64], dim: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-fn build_node(cfg: &PullPushConfig, parallelism: usize, scalar_kernels: bool) -> PsNode {
+fn build_node(cfg: &PullPushConfig, parallelism: usize) -> PsNode {
     let mut nc = NodeConfig::small(cfg.dim);
     nc.optimizer = OptimizerKind::Sgd { lr: 0.0625 };
     nc.shards = cfg.shards;
     nc.cache_bytes = cfg.cache_entries * nc.bytes_per_cached_entry();
     nc.pmem_capacity = 1 << 26;
     nc.parallelism = parallelism;
-    nc.scalar_kernels = scalar_kernels;
     PsNode::new(nc)
 }
 
@@ -211,41 +180,30 @@ fn warm(node: &PsNode, cfg: &PullPushConfig) -> u64 {
     batch_id + 1
 }
 
-fn run_mode(
-    cfg: &PullPushConfig,
-    label: &str,
-    parallelism: usize,
-    scalar_kernels: bool,
-) -> ModeResult {
-    let node = build_node(cfg, parallelism, scalar_kernels);
+fn run_mode(cfg: &PullPushConfig, parallelism: usize) -> ModeResult {
+    let node = build_node(cfg, parallelism);
     let first_batch = warm(&node, cfg);
     let warm_stats = node.stats();
     let mut pull_cost = Cost::new();
     let mut push_cost = Cost::new();
-    let mut pull_wall_ns = 0u64;
-    let mut push_wall_ns = 0u64;
     for b in 0..cfg.batches {
         let keys = batch_keys(cfg, b);
         let grads = grads_for(&keys, cfg.dim, cfg.seed ^ b as u64);
         let bid = first_batch + b as u64;
         let mut out = Vec::new();
-        let t = Instant::now();
         node.pull(&keys, bid, &mut out, &mut pull_cost);
-        pull_wall_ns += t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
         node.push(&keys, &grads, bid, &mut push_cost);
-        push_wall_ns += t.elapsed().as_nanos() as u64;
     }
     let stats = node.stats();
     let occurrences = (cfg.batch * cfg.batches) as f64;
     ModeResult {
-        label: label.to_string(),
+        label: format!(
+            "plan-{parallelism}-lane{}",
+            if parallelism == 1 { "" } else { "s" }
+        ),
         parallelism,
-        scalar_kernels,
         pull_ns: pull_cost.total_ns(),
         push_ns: push_cost.total_ns(),
-        pull_wall_ns,
-        push_wall_ns,
         serialized_ns: pull_cost.ns(CostKind::Serialized) + push_cost.ns(CostKind::Serialized),
         pull_keys_per_sec: occurrences * 1e9 / pull_cost.total_ns().max(1) as f64,
         push_keys_per_sec: occurrences * 1e9 / push_cost.total_ns().max(1) as f64,
@@ -266,43 +224,25 @@ fn workload_dedup_ratio(cfg: &PullPushConfig) -> f64 {
     occ as f64 / uniq.max(1) as f64
 }
 
-/// Run the full comparison: legacy, single-lane plan, 4 lanes, one
-/// lane per shard, and a scalar-kernel-pinned twin of the 4-lane arm.
-/// The scalar arm comes *last* so `by(parallelism)` (find-first) keeps
-/// resolving to the vectorized arms for the virtual-time speedups.
+/// Run the lane sweep: one lane, 4 lanes, one lane per shard.
 pub fn run(cfg: &PullPushConfig) -> PullPushReport {
-    let modes = vec![
-        run_mode(cfg, "legacy-per-key", 0, false),
-        run_mode(cfg, "plan-1-lane", 1, false),
-        run_mode(cfg, "plan-4-lanes", 4, false),
-        run_mode(
-            cfg,
-            &format!("plan-{}-lanes", cfg.shards),
-            cfg.shards,
-            false,
-        ),
-        run_mode(cfg, "plan-4-lanes-scalar", 4, true),
-    ];
-    let by = |p: usize| modes.iter().find(|m| m.parallelism == p).unwrap();
-    let (legacy, p1, p4) = (by(0), by(1), by(4));
-    let scalar = modes.iter().find(|m| m.scalar_kernels).unwrap();
+    let modes: Vec<ModeResult> = [1, 4, cfg.shards]
+        .into_iter()
+        .map(|lanes| run_mode(cfg, lanes))
+        .collect();
+    let (p1, p4) = (&modes[0], &modes[1]);
     PullPushReport {
         config: cfg.clone(),
         dedup_ratio: workload_dedup_ratio(cfg),
-        pull_speedup_plan_vs_legacy: legacy.pull_ns as f64 / p1.pull_ns.max(1) as f64,
         pull_speedup_lanes4_vs_1: p1.pull_ns as f64 / p4.pull_ns.max(1) as f64,
-        push_speedup_plan_vs_legacy: legacy.push_ns as f64 / p1.push_ns.max(1) as f64,
         push_speedup_lanes4_vs_1: p1.push_ns as f64 / p4.push_ns.max(1) as f64,
-        push_kernel_wall_speedup: scalar.push_wall_ns as f64 / p4.push_wall_ns.max(1) as f64,
         modes,
     }
 }
 
 /// Trajectory/gate metrics. The virtual-time throughputs and speedups
 /// are fully deterministic (cost-model arithmetic), so the gate holds
-/// them to the 30% band with zero measurement noise; wall-clock fields
-/// are deliberately excluded (the `kernels` bench gates those as
-/// ratios).
+/// them to the 30% band with zero measurement noise.
 pub fn metrics(r: &PullPushReport) -> Vec<(String, f64)> {
     let mut m = Vec::new();
     for mode in &r.modes {
@@ -316,16 +256,8 @@ pub fn metrics(r: &PullPushReport) -> Vec<(String, f64)> {
         ));
     }
     m.push((
-        "pull_speedup_plan_vs_legacy".to_string(),
-        r.pull_speedup_plan_vs_legacy,
-    ));
-    m.push((
         "pull_speedup_lanes4_vs_1".to_string(),
         r.pull_speedup_lanes4_vs_1,
-    ));
-    m.push((
-        "push_speedup_plan_vs_legacy".to_string(),
-        r.push_speedup_plan_vs_legacy,
     ));
     m
 }
@@ -353,17 +285,8 @@ pub fn print_report(r: &PullPushReport) {
         );
     }
     println!(
-        "pull speedups: plan/legacy {:.2}× (floor 1.2×), 4-lanes/1-lane {:.2}× (floor 2×)",
-        r.pull_speedup_plan_vs_legacy, r.pull_speedup_lanes4_vs_1
-    );
-    println!(
-        "push speedups: plan/legacy {:.2}×, 4-lanes/1-lane {:.2}× (PMem writes don't lane-merge)",
-        r.push_speedup_plan_vs_legacy, r.push_speedup_lanes4_vs_1
-    );
-    println!(
-        "kernel wall clock: vectorized push {:.2}× faster than scalar-pinned at 4 lanes \
-         (virtual metrics identical by construction)",
-        r.push_kernel_wall_speedup
+        "4-lanes/1-lane speedups: pull {:.2}× (floor 2×), push {:.2}× (PMem writes don't lane-merge)",
+        r.pull_speedup_lanes4_vs_1, r.push_speedup_lanes4_vs_1
     );
 }
 
@@ -375,11 +298,6 @@ mod tests {
     fn smoke_meets_acceptance_floors() {
         let r = run(&PullPushConfig::smoke());
         assert!(r.dedup_ratio > 1.5, "dedup ratio {:.2}", r.dedup_ratio);
-        assert!(
-            r.pull_speedup_plan_vs_legacy >= 1.2,
-            "plan vs legacy pull speedup {:.3}",
-            r.pull_speedup_plan_vs_legacy
-        );
         assert!(
             r.pull_speedup_lanes4_vs_1 >= 2.0,
             "4-lane vs 1-lane pull speedup {:.3}",
@@ -413,38 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn scalar_arm_is_virtually_identical_to_its_vectorized_twin() {
-        // The cost model never looks at which kernel ran, and the
-        // kernels are bit-identical, so the scalar-pinned arm must
-        // reproduce the vectorized 4-lane arm's virtual time, hit/miss
-        // counts, and throughput *exactly* — any drift means either a
-        // kernel divergence or an accidental cost-model dependency on
-        // the kernel choice.
-        let r = run(&PullPushConfig::smoke());
-        let vec4 = r
-            .modes
-            .iter()
-            .find(|m| m.parallelism == 4 && !m.scalar_kernels)
-            .unwrap();
-        let scalar = r.modes.iter().find(|m| m.scalar_kernels).unwrap();
-        assert_eq!(scalar.parallelism, 4);
-        assert_eq!(scalar.pull_ns, vec4.pull_ns);
-        assert_eq!(scalar.push_ns, vec4.push_ns);
-        assert_eq!(scalar.serialized_ns, vec4.serialized_ns);
-        assert_eq!((scalar.hits, scalar.misses), (vec4.hits, vec4.misses));
-        assert_eq!(
-            scalar.pull_keys_per_sec.to_bits(),
-            vec4.pull_keys_per_sec.to_bits()
-        );
-        assert!(r.push_kernel_wall_speedup > 0.0);
-    }
-
-    #[test]
     fn metrics_are_gate_ready() {
         let r = run(&PullPushConfig::smoke());
         let m = metrics(&r);
-        // 2 per mode + 3 speedups, all finite and positive.
-        assert_eq!(m.len(), r.modes.len() * 2 + 3);
+        // 2 per mode + the lane speedup, all finite and positive.
+        assert_eq!(m.len(), r.modes.len() * 2 + 1);
         for (k, v) in &m {
             assert!(v.is_finite() && *v > 0.0, "{k}");
         }

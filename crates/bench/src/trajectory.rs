@@ -3,7 +3,9 @@
 //! checked against `BENCH_baseline.json` — a flat `"bench.metric":
 //! value` object. All recorded metrics are higher-is-better
 //! (throughputs and speedup ratios); the gate fails when a metric
-//! drops more than [`DEFAULT_THRESHOLD`] below its baseline.
+//! drops more than [`DEFAULT_THRESHOLD`] below its baseline, or when
+//! the baseline holds a key of this bench that the run no longer emits.
+//! [`gated_main`] is the whole `main` of every gated bench binary.
 //!
 //! The workspace's vendored `serde_json` stub is serialize-only, so
 //! reading both files is hand-rolled here: the trajectory file is
@@ -86,11 +88,19 @@ fn entry_json(commit: &str, bench: &str, when: u64, metrics: &[(String, f64)]) -
 }
 
 /// Append one run to the trajectory file, creating it as a fresh JSON
-/// array if absent. Entries carry the commit, bench name, unix time,
-/// and a flat metric map. History is capped: only the newest
-/// [`MAX_HISTORY_PER_BENCH`] entries of each bench survive an append.
-pub fn record(path: &Path, bench: &str, metrics: &[(String, f64)]) -> io::Result<()> {
-    let entry = entry_json(&current_commit(), bench, unix_time(), metrics);
+/// array if absent. Entries carry the commit ([`current_commit`]), bench
+/// name, unix time, and a flat metric map. History is capped: only the
+/// newest [`MAX_HISTORY_PER_BENCH`] entries of each bench survive an
+/// append. A commit of `"unknown"` is refused: the row could not be tied
+/// to the code that produced it.
+pub fn record(path: &Path, commit: &str, bench: &str, metrics: &[(String, f64)]) -> io::Result<()> {
+    if commit == "unknown" {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "no git commit to stamp the run with; refusing to record it as \"unknown\"",
+        ));
+    }
+    let entry = entry_json(commit, bench, unix_time(), metrics);
     let existing = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
@@ -257,7 +267,10 @@ pub enum GateOutcome {
 /// Compare `metrics` for `bench` against the flat baseline at `path`.
 /// Baseline keys are `"{bench}.{metric}"`; metrics missing from the
 /// baseline are counted but never fail (new metrics appear before
-/// their baseline does). All metrics are higher-is-better.
+/// their baseline does). The converse fails: a `"{bench}.…"` baseline
+/// key the run did not emit would otherwise be skipped forever, and the
+/// fast path it guarded could vanish unnoticed — a retired metric
+/// leaves the baseline explicitly. All metrics are higher-is-better.
 pub fn gate(
     path: &Path,
     bench: &str,
@@ -270,7 +283,17 @@ pub fn gate(
         Err(e) => return Err(format!("{}: {e}", path.display())),
     };
     let baseline = parse_flat_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut failures = Vec::new();
+    let prefix = format!("{bench}.");
+    let mut failures: Vec<String> = baseline
+        .iter()
+        .filter(|(k, _)| {
+            k.strip_prefix(&prefix)
+                .is_some_and(|name| !metrics.iter().any(|(m, _)| m == name))
+        })
+        .map(|(k, _)| {
+            format!("{k}: in the baseline but not emitted by this run (retired? delete the key)")
+        })
+        .collect();
     let mut checked = 0usize;
     let mut unbaselined = 0usize;
     for (name, current) in metrics {
@@ -317,43 +340,21 @@ pub fn update_baseline(path: &Path, bench: &str, metrics: &[(String, f64)]) -> i
     write_flat_json(path, &entries)
 }
 
-/// Shared CLI handling for gated bench binaries: applies
-/// `--record TRAJ`, `--gate BASE`, and `--update-baseline` to one
-/// bench's metrics. Returns `false` when the gate failed (the caller
-/// should exit nonzero). Prints its own report either way.
-pub fn record_and_gate(
-    bench: &str,
-    metrics: &[(String, f64)],
-    record_path: Option<&str>,
-    gate_path: Option<&str>,
-    do_update: bool,
-) -> bool {
-    if let Some(p) = record_path {
-        match record(Path::new(p), bench, metrics) {
-            Ok(()) => println!(
-                "trajectory: appended {} ({} metrics) to {p}",
-                bench,
-                metrics.len()
-            ),
-            Err(e) => {
-                eprintln!("trajectory: failed to append to {p}: {e}");
-                return false;
-            }
-        }
-    }
-    let Some(gp) = gate_path else { return true };
+/// Apply `--gate BASE` (and `--update-baseline`) to one bench's gated
+/// metrics, printing the verdict. `false` when the gate failed.
+fn hold_to_baseline(bench: &str, metrics: &[(String, f64)], gp: &str, do_update: bool) -> bool {
     let gp_path = Path::new(gp);
     if do_update {
-        match update_baseline(gp_path, bench, metrics) {
+        return match update_baseline(gp_path, bench, metrics) {
             Ok(()) => {
                 println!("baseline: rewrote {bench}.* in {gp}");
-                return true;
+                true
             }
             Err(e) => {
                 eprintln!("baseline: failed to update {gp}: {e}");
-                return false;
+                false
             }
-        }
+        };
     }
     match gate(gp_path, bench, metrics, DEFAULT_THRESHOLD) {
         Ok(GateOutcome::Pass {
@@ -391,6 +392,76 @@ pub fn record_and_gate(
     }
 }
 
+/// The whole `main` of a gated bench binary: parse `[--smoke]
+/// [--out PATH] [--record TRAJECTORY] [--gate BASELINE]
+/// [--update-baseline]`, run the smoke or paper shape, print the report,
+/// write the JSON artifact, append `all_metrics` to the trajectory and
+/// hold `gated_metrics` (the noise-robust subset; the same function when
+/// everything is gated) to the baseline. Exits 2 on a bad argument, 1
+/// on a failed record or gate.
+pub fn gated_main<C, R: serde::Serialize>(
+    bench: &str,
+    smoke_cfg: fn() -> C,
+    paper_cfg: fn() -> C,
+    run: fn(&C) -> R,
+    print_report: fn(&R),
+    all_metrics: fn(&R) -> Vec<(String, f64)>,
+    gated_metrics: fn(&R) -> Vec<(String, f64)>,
+) {
+    let (mut smoke, mut update) = (false, false);
+    let (mut out, mut record_to, mut gate_on) = (None, None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let path = match a.as_str() {
+            "--smoke" => {
+                smoke = true;
+                continue;
+            }
+            "--update-baseline" => {
+                update = true;
+                continue;
+            }
+            "--out" => &mut out,
+            "--record" => &mut record_to,
+            "--gate" => &mut gate_on,
+            other => {
+                eprintln!(
+                    "usage: {bench} [--smoke] [--out PATH] [--record TRAJECTORY] \
+                     [--gate BASELINE] [--update-baseline]   (unknown arg: {other})"
+                );
+                std::process::exit(2);
+            }
+        };
+        *path = Some(args.next().unwrap_or_else(|| {
+            eprintln!("{a} requires a path");
+            std::process::exit(2);
+        }));
+    }
+    let report = run(&if smoke { smoke_cfg() } else { paper_cfg() });
+    print_report(&report);
+    if let Some(path) = &out {
+        let json = serde_json::to_string_pretty(&report).expect("report serializes");
+        fs::write(path, json + "\n").expect("write bench artifact");
+        println!("wrote {path}");
+    }
+    if let Some(p) = &record_to {
+        let all = all_metrics(&report);
+        if let Err(e) = record(Path::new(p), &current_commit(), bench, &all) {
+            eprintln!("trajectory: failed to append to {p}: {e}");
+            std::process::exit(1);
+        }
+        println!(
+            "trajectory: appended {bench} ({} metrics) to {p}",
+            all.len()
+        );
+    }
+    if let Some(gp) = &gate_on {
+        if !hold_to_baseline(bench, &gated_metrics(&report), gp, update) {
+            std::process::exit(1);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,8 +484,8 @@ mod tests {
     #[test]
     fn record_appends_and_stays_an_array() {
         let p = tmp("record.json");
-        record(&p, "alpha", &m(&[("x", 1.5), ("y", 2.0)])).unwrap();
-        record(&p, "beta", &m(&[("z", 3.0)])).unwrap();
+        record(&p, "abc1234", "alpha", &m(&[("x", 1.5), ("y", 2.0)])).unwrap();
+        record(&p, "abc1234", "beta", &m(&[("z", 3.0)])).unwrap();
         let text = fs::read_to_string(&p).unwrap();
         assert!(text.trim_start().starts_with('['), "{text}");
         assert!(text.trim_end().ends_with(']'), "{text}");
@@ -424,7 +495,7 @@ mod tests {
             "{text}"
         );
         // Appending twice more keeps splicing cleanly.
-        record(&p, "alpha", &m(&[("x", 1.6)])).unwrap();
+        record(&p, "abc1235", "alpha", &m(&[("x", 1.6)])).unwrap();
         let text = fs::read_to_string(&p).unwrap();
         assert_eq!(text.matches("\"commit\"").count(), 3, "{text}");
         fs::remove_file(&p).unwrap();
@@ -434,9 +505,9 @@ mod tests {
     fn record_caps_history_per_bench() {
         let p = tmp("cap.json");
         for i in 0..(MAX_HISTORY_PER_BENCH + 5) {
-            record(&p, "hot", &m(&[("x", i as f64)])).unwrap();
+            record(&p, "abc1234", "hot", &m(&[("x", i as f64)])).unwrap();
             if i % 3 == 0 {
-                record(&p, "cold", &m(&[("y", i as f64)])).unwrap();
+                record(&p, "abc1234", "cold", &m(&[("y", i as f64)])).unwrap();
             }
         }
         let text = fs::read_to_string(&p).unwrap();
@@ -448,7 +519,7 @@ mod tests {
         // The under-cap bench kept its full history.
         assert_eq!(text.matches("\"cold\"").count(), 9, "{text}");
         // Still a well-formed array that future appends splice into.
-        record(&p, "hot", &m(&[("x", 999.0)])).unwrap();
+        record(&p, "abc1234", "hot", &m(&[("x", 999.0)])).unwrap();
         let text = fs::read_to_string(&p).unwrap();
         assert!(text.contains("\"x\": 999"));
         assert_eq!(text.matches("\"hot\"").count(), MAX_HISTORY_PER_BENCH);
@@ -477,8 +548,16 @@ mod tests {
     fn record_refuses_non_array_files() {
         let p = tmp("notarray.json");
         fs::write(&p, "{\"oops\": 1}").unwrap();
-        assert!(record(&p, "x", &[]).is_err());
+        assert!(record(&p, "abc1234", "x", &[]).is_err());
         fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn record_refuses_an_unknown_commit() {
+        let p = tmp("unknown.json");
+        let err = record(&p, "unknown", "x", &m(&[("y", 1.0)])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!p.exists(), "nothing written");
     }
 
     #[test]
@@ -558,6 +637,17 @@ mod tests {
                 unbaselined: 1
             }
         );
+        // The converse is a failure: a baselined metric this bench no
+        // longer emits is named, whatever the surviving metrics do;
+        // another bench's keys ("bb.…") are not this bench's business.
+        update_baseline(&p, "bb", &m(&[("other", 5.0)])).unwrap();
+        let stale = gate(&p, "b", &m(&[("brand_new", 9.0)]), 0.30).unwrap();
+        let GateOutcome::Fail(msgs) = stale else {
+            panic!("a stale baseline key must fail the gate: {stale:?}");
+        };
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].starts_with("b.x:"), "names the key: {msgs:?}");
+        assert!(msgs[0].contains("not emitted"), "{msgs:?}");
         fs::remove_file(&p).unwrap();
     }
 }

@@ -29,8 +29,8 @@ pub const DEDUP_KEY_NS: u64 = 6;
 /// response buffer during the merge stage (ns; the row itself was read
 /// once per *unique* key).
 pub const FANOUT_KEY_NS: u64 = 8;
-/// CPU cost of one shard-lock acquisition (ns). The per-key path pays
-/// this for every key; the shard-plan path pays it once per shard group.
+/// CPU cost of one shard-lock acquisition (ns), paid once per shard
+/// group of a request.
 pub const SHARD_LOCK_NS: u64 = 30;
 
 /// Configuration of one [`crate::PsNode`].
@@ -65,25 +65,16 @@ pub struct NodeConfig {
     /// Cache admission policy (the paper admits always; the doorkeeper
     /// filters one-hit wonders).
     pub admission: AdmissionKind,
-    /// Pull/push execution lanes for the shard-plan hot path (the
-    /// paper's "multiple threads pre-allocated" on the PS):
+    /// Pull/push execution lanes (≥ 1) for the shard-plan hot path (the
+    /// paper's "multiple threads pre-allocated" on the PS). Keys are
+    /// bucketed by shard, deduplicated per group, and each shard lock is
+    /// taken exactly once per request:
     ///
-    /// - `0` — legacy per-key execution: one lock acquisition per key,
-    ///   no duplicate coalescing. Kept as the A/B baseline for the
-    ///   `pullpush` bench.
-    /// - `1` — shard-plan execution, single lane: keys are bucketed by
-    ///   shard, deduplicated per group, and each shard lock is taken
-    ///   exactly once per request.
+    /// - `1` — the groups execute on a single lane;
     /// - `n > 1` — shard groups execute on `n` parallel lanes; lane
     ///   costs merge as max-over-lanes for parallelizable cost kinds
     ///   (see `oe_simdevice::CostKind::lane_parallel`).
     pub parallelism: usize,
-    /// Pin optimizer applies to the scalar reference loops instead of
-    /// the vectorized kernels. Wall-clock A/B baseline for the
-    /// `kernels`/`pullpush` benches; virtual-time costs and resulting
-    /// weights are identical either way (the kernels are bit-identical),
-    /// so flipping this never changes simulated results.
-    pub scalar_kernels: bool,
 }
 
 impl NodeConfig {
@@ -106,7 +97,6 @@ impl NodeConfig {
             replacement: PolicyKind::Lru,
             admission: AdmissionKind::Always,
             parallelism: 1,
-            scalar_kernels: false,
         }
     }
 
@@ -143,6 +133,10 @@ impl NodeConfig {
         assert!(self.shards > 0, "need at least one shard");
         assert!(self.cache_bytes > 0, "cache_bytes must be positive");
         assert!(self.init_scale >= 0.0, "init_scale must be non-negative");
+        assert!(
+            self.parallelism >= 1,
+            "parallelism must be ≥ 1 (the per-key path was removed in PR 15)"
+        );
     }
 }
 
@@ -185,6 +179,14 @@ mod tests {
     fn validate_rejects_zero_dim() {
         let mut c = NodeConfig::small(1);
         c.dim = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "parallelism must be ≥ 1")]
+    fn validate_rejects_zero_parallelism() {
+        let mut c = NodeConfig::small(1);
+        c.parallelism = 0;
         c.validate();
     }
 }

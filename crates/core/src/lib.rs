@@ -21,8 +21,9 @@
 //!   `oe-cluster`'s `PlacedCluster`);
 //! - a **shard-plan hot path** ([`plan`]): batch keys are bucketed by
 //!   shard, duplicates coalesced, and shard groups executed on parallel
-//!   lanes with one lock acquisition per shard per request (the
-//!   [`config::NodeConfig::parallelism`] knob).
+//!   lanes with one lock acquisition per shard per request
+//!   ([`config::NodeConfig::parallelism`] ≥ 1 lanes; the only pull/push
+//!   execution there is).
 //!
 //! Engines (this one and the baselines in `oe-baselines`) implement the
 //! [`engine::PsEngine`] trait consumed by the training simulator.

@@ -69,8 +69,7 @@ struct Shard {
 /// How one *unique* key of a planned pull was served. Recorded by the
 /// execute stage and settled into stats by the merge stage, weighted by
 /// the key's occurrence count so the accounting identity
-/// `hits + misses + new_entries == pulls` holds exactly as it does on
-/// the per-key path.
+/// `hits + misses + new_entries == pulls` holds per occurrence.
 #[derive(Debug, Clone, Copy)]
 enum PullOutcome {
     /// Served from the DRAM cache.
@@ -197,11 +196,7 @@ impl PsNode {
                 })
             })
             .collect();
-        let opt = if cfg.scalar_kernels {
-            cfg.optimizer.build_scalar()
-        } else {
-            cfg.optimizer.build()
-        };
+        let opt = cfg.optimizer.build();
         let registry = Arc::new(Registry::new());
         let stats = EngineStats::registered(&registry);
         let phases = PhaseTimes::new(
@@ -660,149 +655,6 @@ impl PsNode {
         );
     }
 
-    /// Algorithm 1 (pull weights) over the DRAM cache, per-key execution:
-    /// one lock acquisition and one payload access per occurrence. Kept
-    /// as the `parallelism = 0` A/B baseline for the shard-plan path.
-    fn pull_cached_legacy(
-        &self,
-        keys: &[Key],
-        batch: BatchId,
-        out: &mut Vec<f32>,
-        cost: &mut Cost,
-    ) {
-        let dim = self.cfg.dim;
-        let mut arena = self.scratch.acquire(Shape::lane(self.cfg.payload_f32s()));
-        arena.payload.resize(self.cfg.payload_f32s(), 0.0);
-        let scratch = &mut arena.payload;
-        for &key in keys {
-            cost.charge(
-                CostKind::Cpu,
-                HASH_PROBE_NS + ACCESS_QUEUE_NS + SHARD_LOCK_NS,
-            );
-            let sid = self.shard_of(key);
-            let guard = self.shards[sid].upgradable_read();
-            let known = guard.index.get(key).map(|e| (e.loc, e.version));
-            match known {
-                Some((loc, _)) => {
-                    if let Some(slot) = loc.as_dram() {
-                        out.extend_from_slice(&guard.arena.payload(slot)[..dim]);
-                        cost.charge(CostKind::DramTransfer, self.dram.read_ns((dim * 4) as u64));
-                        EngineStats::add(&self.stats.hits, 1);
-                    } else {
-                        let slot = loc.as_pmem().unwrap();
-                        self.store
-                            .read_slot(slot, scratch, cost)
-                            .expect("indexed slot valid");
-                        out.extend_from_slice(&scratch[..dim]);
-                        EngineStats::add(&self.stats.misses, 1);
-                    }
-                }
-                None => {
-                    // Algorithm 1 lines 6-12: first touch, write lock.
-                    let mut g = parking_lot::RwLockUpgradableReadGuard::upgrade(guard);
-                    cost.charge(CostKind::Serialized, INIT_ENTRY_NS);
-                    if g.admission.admit(key) {
-                        if g.arena.is_full() {
-                            let (boundaries, _, _) = self.boundaries();
-                            self.evict_one(&mut g, &boundaries, cost);
-                        }
-                        let slot = g.arena.insert(key, batch).expect("slot available");
-                        init_payload(
-                            self.cfg.seed,
-                            key,
-                            self.cfg.init_scale,
-                            dim,
-                            g.arena.payload_mut(slot),
-                        );
-                        g.index.insert_new_dram(key, slot, batch);
-                        g.policy.on_insert(slot);
-                        out.extend_from_slice(&g.arena.payload(slot)[..dim]);
-                    } else {
-                        // Doorkeeper declined: initialize straight to
-                        // PMem; the cache stays clean of singletons.
-                        // (`init_payload` fills the whole payload —
-                        // weights and zeroed state — so reusing the
-                        // read scratch here is safe.)
-                        init_payload(self.cfg.seed, key, self.cfg.init_scale, dim, scratch);
-                        let slot = self.store.alloc(cost);
-                        self.store.write_slot(slot, key, batch, scratch, cost);
-                        g.index.insert_recovered(key, slot, batch);
-                        out.extend_from_slice(&scratch[..dim]);
-                    }
-                    EngineStats::add(&self.stats.new_entries, 1);
-                    self.access_queue.push(key);
-                    EngineStats::add(&self.stats.pulls, 1);
-                    continue;
-                }
-            }
-            drop(guard);
-            self.access_queue.push(key);
-            EngineStats::add(&self.stats.pulls, 1);
-        }
-        if !self.cfg.enable_pipeline {
-            self.maintain_inline(batch, cost);
-        }
-    }
-
-    /// Gradient application over the DRAM cache, per-key execution
-    /// (`parallelism = 0` A/B baseline). Boundaries are stable within a
-    /// request and the scratch payload is key-independent, so both are
-    /// hoisted out of the per-key loop.
-    fn push_cached_legacy(&self, keys: &[Key], grads: &[f32], batch: BatchId, cost: &mut Cost) {
-        let dim = self.cfg.dim;
-        let (boundaries, _, protect_max) = self.boundaries();
-        let mut arena = self.scratch.acquire(Shape::lane(self.cfg.payload_f32s()));
-        arena.payload.resize(self.cfg.payload_f32s(), 0.0);
-        let scratch = &mut arena.payload;
-        for (i, &key) in keys.iter().enumerate() {
-            cost.charge(
-                CostKind::Cpu,
-                HASH_PROBE_NS + SHARD_LOCK_NS + dim as u64 * OPT_FLOP_NS_PER_F32,
-            );
-            cost.charge(CostKind::DramTransfer, self.dram.write_ns((dim * 4) as u64));
-            let sid = self.shard_of(key);
-            let mut g = self.shards[sid].write();
-            let grad = &grads[i * dim..(i + 1) * dim];
-            // The entry may not be cached — evicted between maintenance
-            // and push when the cache is smaller than the batch working
-            // set, or never admitted by the doorkeeper. Apply the update
-            // in PMem directly (out-of-place RMW) in that case.
-            let loc = g.index.get(key).expect("pushed key must exist").loc;
-            let slot = match loc.as_dram() {
-                Some(s) => s,
-                None => {
-                    let pm_slot = loc.as_pmem().expect("tagged loc");
-                    self.store
-                        .read_slot(pm_slot, scratch, cost)
-                        .expect("indexed slot valid");
-                    self.opt.apply(dim, scratch, grad);
-                    let Shard { index, .. } = &mut *g;
-                    let e = index.get_mut(key).expect("indexed");
-                    self.flush_payload(key, batch, scratch, &mut e.chain, &boundaries, cost);
-                    let (newest, _) = e.chain.newest().expect("just flushed");
-                    e.loc = TaggedLoc::pmem(newest);
-                    e.version = batch;
-                    EngineStats::add(&self.stats.pushes, 1);
-                    continue;
-                }
-            };
-            // Flush-before-update guard: if this entry's pre-update state
-            // may be needed by a pending checkpoint and is not yet
-            // persisted, flush first (normally maintenance already did).
-            let v = g.arena.version(slot);
-            let Shard { index, arena, .. } = &mut *g;
-            let e = index.get_mut(key).expect("indexed");
-            if v <= protect_max && v < batch && arena.is_dirty(slot) {
-                self.flush_payload(key, v, arena.payload(slot), &mut e.chain, &boundaries, cost);
-            }
-            arena.set_version(slot, batch);
-            e.version = batch;
-            self.opt.apply(dim, arena.payload_mut(slot), grad);
-            arena.set_dirty(slot, true);
-            EngineStats::add(&self.stats.pushes, 1);
-        }
-    }
-
     /// Build the request's [`ShardPlan`], charging the plan and dedup
     /// stages (pure CPU bookkeeping, proportional to occurrences).
     fn build_plan(&self, keys: &[Key], cost: &mut Cost) -> ShardPlan {
@@ -890,8 +742,10 @@ impl PsNode {
     }
 
     /// Shard-plan pull: bucket → dedup → parallel lane execute → merge.
-    /// Weights are bit-identical to the per-key path (same reads, same
-    /// init); stats are occurrence-weighted so snapshots match too.
+    /// Every unique key is read once and fanned out to its occurrences;
+    /// stats are occurrence-weighted. `tests/parallel_equiv.rs` pins the
+    /// weights, stats and `Serialized` ns the retired per-key execution
+    /// produced on duplicate-free batches.
     fn pull_planned(&self, keys: &[Key], batch: BatchId, out: &mut Vec<f32>, cost: &mut Cost) {
         let dim = self.cfg.dim;
         let plan = self.build_plan(keys, cost);
@@ -1159,9 +1013,9 @@ impl PsNode {
     }
 
     /// Shard-plan push: bucket → dedup → parallel lane execute. Final
-    /// weights match the per-key path (coalescing is gated on gradient
-    /// linearity; stateful optimizers apply sequentially in request
-    /// order within each key).
+    /// weights equal one apply per occurrence in request order
+    /// (coalescing is gated on gradient linearity; stateful optimizers
+    /// apply sequentially within each key).
     fn push_planned(&self, keys: &[Key], grads: &[f32], batch: BatchId, cost: &mut Cost) {
         let dim = self.cfg.dim;
         let plan = self.build_plan(keys, cost);
@@ -1214,11 +1068,7 @@ impl PsEngine for PsNode {
         let t0 = cost.total_ns();
         out.reserve(keys.len() * self.cfg.dim);
         if self.cfg.enable_cache {
-            if self.cfg.parallelism == 0 {
-                self.pull_cached_legacy(keys, batch, out, cost);
-            } else {
-                self.pull_planned(keys, batch, out, cost);
-            }
+            self.pull_planned(keys, batch, out, cost);
         } else {
             self.pull_uncached(keys, batch, out, cost);
         }
@@ -1244,11 +1094,7 @@ impl PsEngine for PsNode {
         assert_eq!(grads.len(), keys.len() * self.cfg.dim, "grad shape");
         let t0 = cost.total_ns();
         if self.cfg.enable_cache {
-            if self.cfg.parallelism == 0 {
-                self.push_cached_legacy(keys, grads, batch, cost);
-            } else {
-                self.push_planned(keys, grads, batch, cost);
-            }
+            self.push_planned(keys, grads, batch, cost);
         } else {
             self.push_uncached(keys, grads, batch, cost);
         }
@@ -1612,33 +1458,6 @@ mod tests {
         assert_eq!(&out[0..4], &out[8..12]);
         // Exactly one Serialized init despite three occurrences.
         assert_eq!(cost.ops(CostKind::Serialized), 1);
-    }
-
-    #[test]
-    fn planned_matches_legacy_on_distinct_keys() {
-        let mk = |parallelism: usize| {
-            let mut cfg = NodeConfig::small(4);
-            cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
-            cfg.cache_bytes = 8 * cfg.bytes_per_cached_entry();
-            cfg.shards = 4;
-            cfg.parallelism = parallelism;
-            PsNode::new(cfg)
-        };
-        let legacy = mk(0);
-        let planned = mk(1);
-        let keys: Vec<u64> = (0..32).collect();
-        let grads: Vec<f32> = (0..32 * 4).map(|i| (i % 7) as f32 * 0.125).collect();
-        for n in [&legacy, &planned] {
-            let mut out = Vec::new();
-            let mut cost = Cost::new();
-            n.pull(&keys, 1, &mut out, &mut cost);
-            n.end_pull_phase(1);
-            n.push(&keys, &grads, 1, &mut cost);
-        }
-        for &k in &keys {
-            assert_eq!(legacy.read_weights(k), planned.read_weights(k), "key {k}");
-        }
-        assert_eq!(legacy.stats(), planned.stats());
     }
 
     #[test]

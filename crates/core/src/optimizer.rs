@@ -71,20 +71,7 @@ impl OptimizerKind {
 
     /// Build the stateless applier (vectorized kernels).
     pub fn build(self) -> Optimizer {
-        Optimizer {
-            kind: self,
-            scalar: false,
-        }
-    }
-
-    /// Build an applier pinned to the scalar reference loops. Kept as
-    /// the A/B baseline for the `kernels` bench and the bit-identity
-    /// sweep; produces exactly the same bits as [`Self::build`].
-    pub fn build_scalar(self) -> Optimizer {
-        Optimizer {
-            kind: self,
-            scalar: true,
-        }
+        Optimizer { kind: self }
     }
 
     /// True if the update is *linear in the gradient*, so duplicate
@@ -130,7 +117,6 @@ impl std::error::Error for ShapeError {}
 #[derive(Debug, Clone, Copy)]
 pub struct Optimizer {
     kind: OptimizerKind,
-    scalar: bool,
 }
 
 impl Optimizer {
@@ -176,11 +162,7 @@ impl Optimizer {
         grad: &[f32],
     ) -> Result<(), ShapeError> {
         self.check(dim, payload.len(), grad.len())?;
-        if self.scalar {
-            self.row_scalar(dim, payload, grad);
-        } else {
-            self.row_vectorized(dim, payload, grad);
-        }
+        self.row_vectorized(dim, payload, grad);
         Ok(())
     }
 
@@ -206,7 +188,7 @@ impl Optimizer {
                 payload_expected: rows * stride,
             });
         }
-        if let (OptimizerKind::Sgd { lr }, false) = (self.kind, self.scalar) {
+        if let OptimizerKind::Sgd { lr } = self.kind {
             // stride == dim: the run is one contiguous weight/grad pair.
             sgd_kernel(lr, payloads, grads);
             return Ok(());
@@ -215,19 +197,16 @@ impl Optimizer {
             .chunks_exact_mut(stride)
             .zip(grads.chunks_exact(dim))
         {
-            if self.scalar {
-                self.row_scalar(dim, p, g);
-            } else {
-                self.row_vectorized(dim, p, g);
-            }
+            self.row_vectorized(dim, p, g);
         }
         Ok(())
     }
 
     /// The scalar reference implementation: one element at a time,
     /// exactly the ops of the vectorized kernels in the same order.
-    /// Kept public as the ground truth for the bit-identity sweep and
-    /// the scalar arm of the `kernels`/`pullpush` benches.
+    /// Public as the ground truth of the `kernel_equiv` bit-identity
+    /// sweep and the denominator of the `kernels` microbench; no apply
+    /// on the pull/push path reaches it.
     pub fn apply_reference(&self, dim: usize, payload: &mut [f32], grad: &[f32]) {
         if let Err(e) = self.check(dim, payload.len(), grad.len()) {
             panic!("{e}");
@@ -235,6 +214,10 @@ impl Optimizer {
         self.row_scalar(dim, payload, grad);
     }
 
+    /// Never inlined: next to the length check in `apply_reference` LLVM
+    /// drops the bounds checks and vectorizes these loops, and the
+    /// reference would stop being one element at a time.
+    #[inline(never)]
     fn row_scalar(&self, dim: usize, payload: &mut [f32], grad: &[f32]) {
         match self.kind {
             OptimizerKind::Sgd { lr } => {

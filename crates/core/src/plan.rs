@@ -2,10 +2,10 @@
 //!
 //! DLRM batches are heavily skewed (paper Table II: the top 0.1 % of
 //! keys take ~90 % of accesses), so a request's key list contains the
-//! same hot keys many times and scatters the rest across shards. The
-//! per-key execution model pays one lock acquisition and one payload
-//! access per *occurrence*. A [`ShardPlan`] restructures the request
-//! once up front:
+//! same hot keys many times and scatters the rest across shards.
+//! Executing it key by key would pay one lock acquisition and one
+//! payload access per *occurrence*. A [`ShardPlan`] restructures the
+//! request once up front:
 //!
 //! 1. **bucket** — group the keys by shard, preserving request order
 //!    within each group;

@@ -91,8 +91,7 @@ fn bits(v: &[f32]) -> Vec<u32> {
 #[test]
 fn vectorized_matches_scalar_reference_bit_for_bit() {
     for kind in kinds() {
-        let vec_opt = kind.build();
-        let ref_opt = kind.build_scalar();
+        let opt = kind.build();
         for &dim in DIMS {
             for &seed in SEEDS {
                 let mut rng = SplitMix(seed ^ (dim as u64) << 32);
@@ -102,8 +101,8 @@ fn vectorized_matches_scalar_reference_bit_for_bit() {
                 // into the next step, so drift would compound and show.
                 for step in 0..8 {
                     let grad: Vec<f32> = (0..dim).map(|_| rng.next_f32()).collect();
-                    vec_opt.apply(dim, &mut a, &grad);
-                    ref_opt.apply_reference(dim, &mut b, &grad);
+                    opt.apply(dim, &mut a, &grad);
+                    opt.apply_reference(dim, &mut b, &grad);
                     assert_eq!(
                         bits(&a),
                         bits(&b),
@@ -112,26 +111,6 @@ fn vectorized_matches_scalar_reference_bit_for_bit() {
                     );
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn build_scalar_and_build_agree() {
-    // The scalar-pinned applier (the bench baseline and the
-    // `scalar_kernels` config escape hatch) is the same math, so the
-    // two builders must be interchangeable bit for bit.
-    for kind in kinds() {
-        let fast = kind.build();
-        let slow = kind.build_scalar();
-        for &dim in &[7usize, 8, 33] {
-            let mut rng = SplitMix(99 + dim as u64);
-            let mut a = random_payload(kind, dim, &mut rng);
-            let mut b = a.clone();
-            let grad: Vec<f32> = (0..dim).map(|_| rng.next_f32()).collect();
-            fast.apply(dim, &mut a, &grad);
-            slow.apply(dim, &mut b, &grad);
-            assert_eq!(bits(&a), bits(&b), "{kind:?} dim={dim}");
         }
     }
 }

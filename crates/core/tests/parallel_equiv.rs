@@ -16,8 +16,8 @@
 //! AdaGrad (stateful) must fall back to per-occurrence applies and match
 //! separate pushes bit-exactly on *arbitrary* values.
 
-use oe_core::{NodeConfig, OptimizerKind, PsEngine, PsNode};
-use oe_simdevice::{Cost, CostKind};
+use oe_core::{NodeConfig, OptimizerKind, PsEngine, PsNode, StatsSnapshot};
+use oe_simdevice::{integrity_hash, Cost, CostKind};
 
 /// SplitMix64, the same mixer the node uses for sharding — reused here
 /// as a tiny deterministic RNG so the sweep needs no external crate.
@@ -126,31 +126,144 @@ fn parallelism_levels_are_bit_identical_for_adagrad() {
     }
 }
 
+/// What the per-key execution (`parallelism = 0`: one lock acquisition
+/// and one payload access per key occurrence, deleted in PR 15) produced
+/// for one duplicate-free workload: the weights digest, the full stats
+/// snapshot and the summed `Serialized` ns. Measured at commit 6a68af9,
+/// the last one that carried that arm; with no duplicates to coalesce
+/// the plan path must reproduce every literal at any lane count.
+struct PerKeyGolden {
+    weights: u64,
+    stats: StatsSnapshot,
+    serialized_ns: u64,
+}
+
+/// [`integrity_hash`] over `key ‖ weights` (little-endian) of every
+/// known key in `0..76`, in key order.
+fn weights_digest(node: &PsNode) -> u64 {
+    let mut bytes = Vec::new();
+    for k in 0..76u64 {
+        if let Some(w) = node.read_weights(k) {
+            bytes.extend_from_slice(&k.to_le_bytes());
+            for v in w {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+    integrity_hash(&[&bytes])
+}
+
+fn assert_matches_per_key(node: &PsNode, serialized_ns: u64, want: &PerKeyGolden, what: &str) {
+    assert_eq!(weights_digest(node), want.weights, "{what}: weights");
+    assert_eq!(node.stats(), want.stats, "{what}: stats");
+    assert_eq!(serialized_ns, want.serialized_ns, "{what}: Serialized ns");
+}
+
 #[test]
-fn plan_path_matches_legacy_on_duplicate_free_batches() {
-    // With no duplicates, the plan path must reproduce the per-key
-    // path's weights AND stats exactly (same reads, same accounting).
-    for seed in [3u64, 77] {
-        let legacy = node_with(OptimizerKind::Sgd { lr: 0.25 }, 0, 24);
-        let planned = node_with(OptimizerKind::Sgd { lr: 0.25 }, 1, 24);
-        let dim = 8;
-        for e in 0..5u64 {
-            let mut keys = skewed_batch(seed.wrapping_add(e), 96, 12, 64);
-            keys.sort_unstable();
-            keys.dedup();
-            let grads = grads_for(&keys, dim, seed ^ e);
-            for n in [&legacy, &planned] {
+fn plan_path_reproduces_the_per_key_arm_on_duplicate_free_batches() {
+    // Five epochs of sorted, deduplicated skewed batches: SGD lr 0.25,
+    // dim 8, 8 shards, 24 cache entries.
+    let goldens = [
+        (
+            3u64,
+            PerKeyGolden {
+                weights: 0xee80_7355_59ce_7069,
+                stats: StatsSnapshot {
+                    pulls: 203,
+                    hits: 48,
+                    misses: 85,
+                    new_entries: 70,
+                    pushes: 203,
+                    evictions: 232,
+                    flushes: 238,
+                    loads: 186,
+                    ckpt_commits: 0,
+                    ckpt_entries_written: 0,
+                    slots_recycled: 168,
+                },
+                serialized_ns: 10_500,
+            },
+        ),
+        (
+            77,
+            PerKeyGolden {
+                weights: 0xa628_ab61_8d62_ecb9,
+                stats: StatsSnapshot {
+                    pulls: 203,
+                    hits: 51,
+                    misses: 85,
+                    new_entries: 67,
+                    pushes: 203,
+                    evictions: 215,
+                    flushes: 220,
+                    loads: 172,
+                    ckpt_commits: 0,
+                    ckpt_entries_written: 0,
+                    slots_recycled: 154,
+                },
+                serialized_ns: 10_050,
+            },
+        ),
+    ];
+    for (seed, want) in &goldens {
+        for parallelism in [1usize, 4, 8] {
+            let n = node_with(OptimizerKind::Sgd { lr: 0.25 }, parallelism, 24);
+            let mut serialized = 0;
+            for e in 0..5u64 {
+                let mut keys = skewed_batch(seed.wrapping_add(e), 96, 12, 64);
+                keys.sort_unstable();
+                keys.dedup();
+                let grads = grads_for(&keys, 8, seed ^ e);
                 let mut out = Vec::new();
                 let mut cost = Cost::new();
                 n.pull(&keys, e + 1, &mut out, &mut cost);
                 n.end_pull_phase(e + 1);
                 n.push(&keys, &grads, e + 1, &mut cost);
+                serialized += cost.ns(CostKind::Serialized);
             }
+            let what = format!("seed {seed} parallelism {parallelism}");
+            assert_matches_per_key(&n, serialized, want, &what);
         }
-        for k in 0..76u64 {
-            assert_eq!(legacy.read_weights(k), planned.read_weights(k), "key {k}");
-        }
-        assert_eq!(legacy.stats(), planned.stats(), "seed {seed}");
+    }
+}
+
+#[test]
+fn plan_path_reproduces_the_per_key_arm_on_distinct_keys() {
+    // One pull → maintain → push of keys 0..32 that overflow an 8-entry
+    // cache: SGD lr 1.0, dim 4, 4 shards (8 lanes clamp to 4 groups).
+    let want = PerKeyGolden {
+        weights: 0xa4a6_b5c7_1063_5860,
+        stats: StatsSnapshot {
+            pulls: 32,
+            hits: 0,
+            misses: 0,
+            new_entries: 32,
+            pushes: 32,
+            evictions: 56,
+            flushes: 56,
+            loads: 32,
+            ckpt_commits: 0,
+            ckpt_entries_written: 0,
+            slots_recycled: 24,
+        },
+        serialized_ns: 4_800,
+    };
+    let keys: Vec<u64> = (0..32).collect();
+    let grads: Vec<f32> = (0..32 * 4).map(|i| (i % 7) as f32 * 0.125).collect();
+    for parallelism in [1usize, 4, 8] {
+        let mut cfg = NodeConfig::small(4);
+        cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
+        cfg.cache_bytes = 8 * cfg.bytes_per_cached_entry();
+        cfg.shards = 4;
+        cfg.parallelism = parallelism;
+        let n = PsNode::new(cfg);
+        let mut out = Vec::new();
+        let mut cost = Cost::new();
+        n.pull(&keys, 1, &mut out, &mut cost);
+        n.end_pull_phase(1);
+        n.push(&keys, &grads, 1, &mut cost);
+        let what = format!("parallelism {parallelism}");
+        assert_matches_per_key(&n, cost.ns(CostKind::Serialized), &want, &what);
     }
 }
 

@@ -237,8 +237,9 @@ impl RemotePs {
 
     /// One logical RPC: fresh idempotence token, deadline per attempt,
     /// retry with backoff on retryable failures (same token each time),
-    /// failover on a dead primary. The owned-decode path for every
-    /// request outside the pull/push hot loop.
+    /// failover on a dead primary. The control path: every request
+    /// outside the pull/push bursts; a burst-typed reply to one of these
+    /// is `Corrupt` ([`Packet::decode`] has no owned form for it).
     fn call_result(&self, req: Request, cost: &mut Cost) -> Result<Response, Error> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let frame = Packet::request(self.client_id, seq, req).encode();
@@ -612,6 +613,7 @@ impl PsClient for RemotePs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::RequestView;
     use crate::config::RetryPolicy;
     use crate::fault::{FaultInjector, FaultSpec};
     use crate::server::PsServer;
@@ -853,25 +855,24 @@ mod tests {
         }
         impl Transport for AckEater {
             fn call(&self, frame: Bytes, deadline: Option<Duration>) -> Result<Bytes, Error> {
-                if let Ok(pkt) = Packet::decode(frame.clone()) {
-                    match pkt.frame {
-                        Frame::Request(Request::Push { batch: 2, .. })
-                            if self.doomed.swap(false, Ordering::SeqCst) =>
-                        {
-                            // The primary applies the push…
-                            let _ = self.inner.call(frame, deadline);
-                            // …then dies before the ack gets out. Hold
-                            // the caller until the failover elsewhere
-                            // completes, then report the lost ack.
-                            self.applied.lock().send(()).unwrap();
-                            self.release.lock().recv().unwrap();
-                            return Err(Error::timeout("ack lost in the crash"));
-                        }
-                        Frame::Request(Request::Committed) => {
-                            return Err(Error::disconnected("primary dead"));
-                        }
-                        _ => {}
+                let view = validate_frame(&frame).and_then(|m| RequestView::decode(m, &frame));
+                match view {
+                    Ok(RequestView::Push { batch: 2, .. })
+                        if self.doomed.swap(false, Ordering::SeqCst) =>
+                    {
+                        // The primary applies the push…
+                        let _ = self.inner.call(frame.clone(), deadline);
+                        // …then dies before the ack gets out. Hold
+                        // the caller until the failover elsewhere
+                        // completes, then report the lost ack.
+                        self.applied.lock().send(()).unwrap();
+                        self.release.lock().recv().unwrap();
+                        return Err(Error::timeout("ack lost in the crash"));
                     }
+                    Ok(RequestView::Other(Request::Committed)) => {
+                        return Err(Error::disconnected("primary dead"));
+                    }
+                    _ => {}
                 }
                 self.inner.call(frame, deadline)
             }
@@ -957,6 +958,48 @@ mod tests {
                 w_committed[d] - 1.0
             );
         }
+    }
+
+    #[test]
+    fn a_weights_burst_in_reply_to_a_control_rpc_is_corrupt() {
+        // A confused peer answers `Committed` (type 0x05) with a sealed,
+        // correctly tokened weights burst: a structured error, no panic.
+        use std::time::Duration;
+        struct Confused(Arc<dyn Transport>);
+        impl Transport for Confused {
+            fn call(&self, frame: Bytes, deadline: Option<Duration>) -> Result<Bytes, Error> {
+                let meta = validate_frame(&frame)?;
+                if meta.msg_type == 0x05 {
+                    let cost = Cost::new();
+                    return Ok(Packet::encode_weights_response(
+                        meta.client,
+                        meta.seq,
+                        &[1.0; 4],
+                        &cost,
+                    ));
+                }
+                self.0.call(frame, deadline)
+            }
+        }
+        let mut cfg = NodeConfig::small(4);
+        cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
+        let engine: Arc<dyn PsEngine> = Arc::new(PsNode::new(cfg));
+        let (client_t, server_t) = loopback(32);
+        let _handle = PsServer::spawn(engine, server_t, 2);
+        let remote = RemotePs::try_connect(
+            Arc::new(Confused(Arc::new(client_t))),
+            NetConfig::paper_default(),
+        )
+        .unwrap();
+        let err = remote.committed().unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Corrupt, "{err}");
+        assert!(err.to_string().contains("burst message type"), "{err}");
+        // Bursts and other control RPCs are unaffected.
+        let mut out = Vec::new();
+        remote
+            .pull_batch(&[1], 1, &mut out, &mut Cost::new())
+            .unwrap();
+        assert_eq!(remote.key_count().unwrap(), 1);
     }
 
     #[test]

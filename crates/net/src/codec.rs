@@ -32,6 +32,15 @@
 //! (ns, ops) arrays so the client can merge server-side charges into
 //! its own accounting.
 //!
+//! The three bursts that dominate traffic — pull (`0x01`), push (`0x02`)
+//! and the weights reply (`0x81`) — have no owned form: they are written
+//! from borrowed slices by [`Packet::encode_pull`],
+//! [`Packet::encode_push`] and [`Packet::encode_weights_response`], and
+//! read in place by [`RequestView`] / [`ResponseView`]. [`Request`] and
+//! [`Response`] hold the small control messages only, and
+//! [`Packet::decode`] — the control decoder — refuses a burst type as
+//! `Corrupt`.
+//!
 //! Every decode failure — truncation, trailing bytes, bad
 //! magic/version, checksum mismatch, unknown discriminant, short body —
 //! is a structured
@@ -69,31 +78,10 @@ pub enum Frame {
     Response(Response),
 }
 
-/// Client-to-server messages.
+/// Client-to-server control messages (the pull and push bursts exist
+/// only as [`RequestView`]s).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Embedding lookup burst.
-    Pull {
-        /// Placement epoch the client routed this burst under. The
-        /// server rejects epochs older than its own (the burst may be
-        /// aimed at keys that migrated away); 0 = static placement.
-        epoch: u64,
-        /// Batch about to train.
-        batch: BatchId,
-        /// Keys to fetch.
-        keys: Vec<Key>,
-    },
-    /// Gradient burst (pre-aggregated per key).
-    Push {
-        /// Placement epoch the client routed this burst under.
-        epoch: u64,
-        /// Batch that produced the gradients.
-        batch: BatchId,
-        /// Updated keys.
-        keys: Vec<Key>,
-        /// `keys.len() × dim` gradient values.
-        grads: Vec<f32>,
-    },
     /// All pulls for `batch` done: run deferred maintenance.
     EndPullPhase {
         /// Completed pull batch.
@@ -168,16 +156,15 @@ pub enum Request {
 
 impl Request {
     /// Whether executing this request mutates server state — only
-    /// mutating requests enter the replay cache; reads are naturally
-    /// idempotent. `SeqFence` and `PlacementUpdate` mutate only fencing
+    /// mutating requests (and the bursts, see
+    /// [`RequestView::is_mutating`]) enter the replay cache; reads are
+    /// naturally idempotent. `SeqFence` and `PlacementUpdate` mutate only fencing
     /// bookkeeping and are idempotent by construction (both only
     /// ratchet up), so they bypass the cache too.
     pub fn is_mutating(&self) -> bool {
         matches!(
             self,
-            Request::Pull { .. }
-                | Request::Push { .. }
-                | Request::EndPullPhase { .. }
+            Request::EndPullPhase { .. }
                 | Request::Checkpoint { .. }
                 | Request::ImportEntry { .. }
                 | Request::DiscardEntry { .. }
@@ -185,16 +172,10 @@ impl Request {
     }
 }
 
-/// Server-to-client messages.
+/// Server-to-client control messages (the weights burst exists only as
+/// a [`ResponseView`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
-    /// Pull result.
-    Weights {
-        /// `keys × dim` weights in request order.
-        weights: Vec<f32>,
-        /// Server-side virtual-time charges.
-        cost: Cost,
-    },
     /// Push/checkpoint acknowledgement.
     Ack {
         /// Server-side virtual-time charges.
@@ -284,17 +265,6 @@ fn truncated() -> Error {
     Error::corrupt("truncated frame")
 }
 
-fn get_u64s(buf: &mut Bytes) -> Result<Vec<u64>, Error> {
-    if buf.remaining() < 4 {
-        return Err(truncated());
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n.saturating_mul(8) {
-        return Err(truncated());
-    }
-    Ok((0..n).map(|_| buf.get_u64_le()).collect())
-}
-
 fn get_f32s(buf: &mut Bytes) -> Result<Vec<f32>, Error> {
     if buf.remaining() < 4 {
         return Err(truncated());
@@ -363,8 +333,6 @@ impl Frame {
     fn msg_type(&self) -> u8 {
         match self {
             Frame::Request(r) => match r {
-                Request::Pull { .. } => 0x01,
-                Request::Push { .. } => 0x02,
                 Request::EndPullPhase { .. } => 0x03,
                 Request::Checkpoint { .. } => 0x04,
                 Request::Committed => 0x05,
@@ -380,7 +348,6 @@ impl Frame {
                 Request::DiscardEntry { .. } => 0x0F,
             },
             Frame::Response(r) => match r {
-                Response::Weights { .. } => 0x81,
                 Response::Ack { .. } => 0x82,
                 Response::Maintenance { .. } => 0x83,
                 Response::Committed { .. } => 0x84,
@@ -401,10 +368,6 @@ impl Frame {
     fn body_len(&self) -> usize {
         match self {
             Frame::Request(r) => match r {
-                Request::Pull { keys, .. } => 8 + 8 + 4 + keys.len() * 8,
-                Request::Push { keys, grads, .. } => {
-                    8 + 8 + 4 + keys.len() * 8 + 4 + grads.len() * 4
-                }
                 Request::EndPullPhase { .. }
                 | Request::Checkpoint { .. }
                 | Request::ReadWeights { .. }
@@ -420,7 +383,6 @@ impl Frame {
                 | Request::Metrics => 0,
             },
             Frame::Response(r) => match r {
-                Response::Weights { weights, .. } => 4 + weights.len() * 4 + COST_WIRE_LEN,
                 Response::Ack { .. } => COST_WIRE_LEN,
                 Response::Maintenance { .. } => 8 + 8 + COST_WIRE_LEN,
                 Response::Committed { .. } | Response::Count(_) => 8,
@@ -443,22 +405,6 @@ impl Frame {
     fn encode_body(&self, body: &mut BytesMut) {
         match self {
             Frame::Request(r) => match r {
-                Request::Pull { epoch, batch, keys } => {
-                    body.put_u64_le(*epoch);
-                    body.put_u64_le(*batch);
-                    put_u64s(body, keys);
-                }
-                Request::Push {
-                    epoch,
-                    batch,
-                    keys,
-                    grads,
-                } => {
-                    body.put_u64_le(*epoch);
-                    body.put_u64_le(*batch);
-                    put_u64s(body, keys);
-                    put_f32s(body, grads);
-                }
                 Request::EndPullPhase { batch } | Request::Checkpoint { batch } => {
                     body.put_u64_le(*batch);
                 }
@@ -484,10 +430,6 @@ impl Frame {
                 | Request::Metrics => {}
             },
             Frame::Response(r) => match r {
-                Response::Weights { weights, cost } => {
-                    put_f32s(body, weights);
-                    put_cost(body, cost);
-                }
                 Response::Ack { cost } => put_cost(body, cost),
                 Response::Maintenance {
                     entries,
@@ -548,17 +490,6 @@ impl Frame {
 
     fn decode_body(msg_type: u8, body: &mut Bytes) -> Result<Frame, Error> {
         let frame = match msg_type {
-            0x01 => Frame::Request(Request::Pull {
-                epoch: get_u64(body)?,
-                batch: get_u64(body)?,
-                keys: get_u64s(body)?,
-            }),
-            0x02 => Frame::Request(Request::Push {
-                epoch: get_u64(body)?,
-                batch: get_u64(body)?,
-                keys: get_u64s(body)?,
-                grads: get_f32s(body)?,
-            }),
             0x03 => Frame::Request(Request::EndPullPhase {
                 batch: get_u64(body)?,
             }),
@@ -589,10 +520,6 @@ impl Frame {
             }),
             0x0F => Frame::Request(Request::DiscardEntry {
                 key: get_u64(body)?,
-            }),
-            0x81 => Frame::Response(Response::Weights {
-                weights: get_f32s(body)?,
-                cost: get_cost(body)?,
             }),
             0x82 => Frame::Response(Response::Ack {
                 cost: get_cost(body)?,
@@ -670,6 +597,13 @@ impl Frame {
                     message: get_str(body)?,
                 })
             }
+            // Bursts have no owned form (see the module docs): only
+            // the views read them.
+            0x01 | 0x02 | 0x81 => {
+                return Err(Error::corrupt(format!(
+                    "burst message type {msg_type:#04x} on the control decoder"
+                )))
+            }
             other => return Err(Error::corrupt(format!("unknown message type {other:#04x}"))),
         };
         Ok(frame)
@@ -731,10 +665,10 @@ impl Packet {
         pkt.freeze()
     }
 
-    /// Encode a pull request straight from a borrowed key slice —
-    /// byte-identical to wrapping the keys in [`Request::Pull`] and
-    /// calling [`Packet::encode`], without materializing the owned
-    /// vector.
+    /// Encode a pull burst (type `0x01`: epoch, batch, keys) straight
+    /// from a borrowed key slice. `epoch` is the placement epoch the
+    /// client routed under — the server rejects epochs older than its
+    /// own (the keys may have migrated away); 0 = static placement.
     pub fn encode_pull(client: u32, seq: u64, epoch: u64, batch: BatchId, keys: &[Key]) -> Bytes {
         let mut pkt = BytesMut::with_capacity(HEADER_LEN + 20 + keys.len() * 8);
         Self::put_header(&mut pkt, 0x01, client, seq);
@@ -744,8 +678,9 @@ impl Packet {
         Self::seal(pkt)
     }
 
-    /// Encode a push request straight from borrowed key/gradient slices
-    /// — byte-identical to the owned [`Request::Push`] encoding.
+    /// Encode a push burst (type `0x02`: epoch, batch, keys, then
+    /// `keys.len() × dim` gradients pre-aggregated per key) straight
+    /// from borrowed slices.
     pub fn encode_push(
         client: u32,
         seq: u64,
@@ -763,10 +698,10 @@ impl Packet {
         Self::seal(pkt)
     }
 
-    /// Encode a weights response straight from a borrowed weight slice —
-    /// byte-identical to the owned [`Response::Weights`] encoding. The
-    /// server's pull hot path answers from its reusable output buffer
-    /// without ever constructing an owned response.
+    /// Encode a weights reply (type `0x81`: `keys × dim` weights in
+    /// request order, then the server-side charges) straight from a
+    /// borrowed weight slice — the server's pull path answers from its
+    /// reusable output buffer.
     pub fn encode_weights_response(client: u32, seq: u64, weights: &[f32], cost: &Cost) -> Bytes {
         let mut pkt = BytesMut::with_capacity(HEADER_LEN + 4 + weights.len() * 4 + COST_WIRE_LEN);
         Self::put_header(&mut pkt, 0x81, client, seq);
@@ -775,9 +710,10 @@ impl Packet {
         Self::seal(pkt)
     }
 
-    /// Parse a wire packet. Any malformed input — truncated header or
+    /// Parse a control packet. Any malformed input — truncated header or
     /// body, trailing bytes, wrong magic/version, checksum mismatch,
-    /// unknown message type — returns a structured [`Error`] of kind `Corrupt`; this
+    /// unknown message type, or a burst type (bursts are read by the
+    /// views) — returns a structured [`Error`] of kind `Corrupt`; this
     /// function never panics on arbitrary bytes.
     pub fn decode(buf: Bytes) -> Result<Packet, Error> {
         let meta = validate_frame(&buf)?;
@@ -817,7 +753,7 @@ pub struct FrameMeta {
 /// Validate a frame's fixed header and checksum without materializing
 /// anything: magic, version, exact length, and the integrity hash over
 /// header-minus-checksum plus body. This is the single integrity pass
-/// shared by the owned decoder ([`Packet::decode`]) and the borrowed
+/// shared by the control decoder ([`Packet::decode`]) and the borrowed
 /// view decoders.
 pub fn validate_frame(buf: &[u8]) -> Result<FrameMeta, Error> {
     if buf.len() < HEADER_LEN {
@@ -972,10 +908,10 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, Error> {
     Ok(v)
 }
 
-/// A request decoded in place over a validated frame: the hot-path
-/// bursts (`Pull`, `Push`) keep their key and gradient vectors as
-/// borrowed views over the frame bytes; every other request falls back
-/// to the owned decoder (they are small and rare).
+/// A request decoded in place over a validated frame: the bursts
+/// (`Pull`, `Push`) keep their key and gradient vectors as borrowed
+/// views over the frame bytes; `Other` carries an owned control message
+/// (they are small and rare).
 #[derive(Debug)]
 pub enum RequestView<'a> {
     /// Pull burst; `keys` borrows the frame.
@@ -998,7 +934,7 @@ pub enum RequestView<'a> {
         /// Gradient values, viewed over the frame bytes.
         grads: F32sView<'a>,
     },
-    /// Any other request, decoded as owned data.
+    /// A control request, decoded as owned data.
     Other(Request),
 }
 
@@ -1031,8 +967,8 @@ impl<'a> RequestView<'a> {
         }
     }
 
-    /// Whether executing this request mutates server state (mirrors
-    /// [`Request::is_mutating`]).
+    /// Whether executing this request mutates server state (both bursts
+    /// do; control messages answer [`Request::is_mutating`]).
     pub fn is_mutating(&self) -> bool {
         match self {
             RequestView::Pull { .. } | RequestView::Push { .. } => true,
@@ -1050,9 +986,9 @@ impl<'a> RequestView<'a> {
     }
 }
 
-/// A response decoded in place over a validated frame: the hot-path
-/// `Weights` burst keeps its weight vector as a borrowed view; every
-/// other response falls back to the owned decoder.
+/// A response decoded in place over a validated frame: the `Weights`
+/// burst keeps its weight vector as a borrowed view; `Other` carries an
+/// owned control message.
 #[derive(Debug)]
 pub enum ResponseView<'a> {
     /// Pull result; `weights` borrows the frame.
@@ -1062,7 +998,7 @@ pub enum ResponseView<'a> {
         /// Server-side virtual-time charges.
         cost: Cost,
     },
-    /// Any other response, decoded as owned data.
+    /// A control response, decoded as owned data.
     Other(Response),
 }
 
@@ -1096,9 +1032,22 @@ impl<'a> ResponseView<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use oe_simdevice::CostKind;
+
+    /// Owned copy of a pull reply — echoed token, weights, server
+    /// charges — for the tests of this crate that drive a server with
+    /// raw frames. Panics on anything but a valid weights frame.
+    pub(crate) fn weights_reply(reply: &Bytes) -> ((u32, u64), Vec<f32>, Cost) {
+        let meta = validate_frame(reply).expect("valid reply frame");
+        match ResponseView::decode(meta, reply).expect("reply decodes") {
+            ResponseView::Weights { weights, cost } => {
+                ((meta.client, meta.seq), weights.iter().collect(), cost)
+            }
+            other => panic!("expected a weights reply, got {other:?}"),
+        }
+    }
 
     fn roundtrip(f: Frame) {
         let p = Packet {
@@ -1114,17 +1063,6 @@ mod tests {
 
     #[test]
     fn request_roundtrips() {
-        roundtrip(Frame::Request(Request::Pull {
-            epoch: 4,
-            batch: 7,
-            keys: vec![1, 2, u64::MAX],
-        }));
-        roundtrip(Frame::Request(Request::Push {
-            epoch: u64::MAX,
-            batch: 9,
-            keys: vec![3],
-            grads: vec![0.5, -1.25, f32::MIN_POSITIVE, 0.0],
-        }));
         roundtrip(Frame::Request(Request::EndPullPhase { batch: 1 }));
         roundtrip(Frame::Request(Request::Checkpoint { batch: 4 }));
         roundtrip(Frame::Request(Request::Committed));
@@ -1171,10 +1109,6 @@ mod tests {
         let mut cost = Cost::new();
         cost.charge(CostKind::PmemRead, 305);
         cost.charge(CostKind::Cpu, 45);
-        roundtrip(Frame::Response(Response::Weights {
-            weights: vec![1.0, 2.5],
-            cost: cost.clone(),
-        }));
         roundtrip(Frame::Response(Response::Ack { cost: cost.clone() }));
         roundtrip(Frame::Response(Response::Maintenance {
             entries: 100,
@@ -1271,18 +1205,11 @@ mod tests {
 
     #[test]
     fn truncated_rejected() {
-        let enc = Packet::request(
-            2,
-            5,
-            Request::Pull {
-                epoch: 0,
-                batch: 1,
-                keys: vec![1, 2, 3],
-            },
-        )
-        .encode();
+        let enc = Packet::encode_pull(2, 5, 0, 1, &[1, 2, 3]);
         for cut in [0, 4, HEADER_LEN - 1, HEADER_LEN, enc.len() - 1] {
             let t = enc.slice(0..cut);
+            let err = validate_frame(&t).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Corrupt, "cut at {cut}");
             let err = Packet::decode(t).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Corrupt, "cut at {cut}");
         }
@@ -1293,23 +1220,14 @@ mod tests {
         // The checksum catches single bit flips anywhere in the packet —
         // including inside the f32 gradient body, where a flip would
         // otherwise decode cleanly and silently corrupt training.
-        let enc = Packet::request(
-            1,
-            7,
-            Request::Push {
-                epoch: 0,
-                batch: 2,
-                keys: vec![10, 11],
-                grads: vec![0.25, -0.5, 1.0, 2.0],
-            },
-        )
-        .encode();
+        let enc = Packet::encode_push(1, 7, 0, 2, &[10, 11], &[0.25, -0.5, 1.0, 2.0]);
+        validate_frame(&enc).expect("the unflipped frame is intact");
         for byte in 0..enc.len() {
             for bit in 0..8 {
                 let mut flipped = BytesMut::from(&enc[..]);
                 flipped[byte] ^= 1 << bit;
-                let err = Packet::decode(flipped.freeze())
-                    .expect_err(&format!("flip {byte}:{bit} must not decode"));
+                let err = validate_frame(&flipped)
+                    .expect_err(&format!("flip {byte}:{bit} must not validate"));
                 assert_eq!(err.kind(), ErrorKind::Corrupt, "flip {byte}:{bit}");
             }
         }
@@ -1333,50 +1251,82 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_encoders_match_owned() {
-        let keys: Vec<u64> = vec![1, 99, u64::MAX, 7];
-        let grads: Vec<f32> = vec![0.5, -1.25, 3.5e-9, 0.0, 1.0, -2.0, 3.25, f32::MAX];
+    fn burst_types_are_corrupt_on_the_control_decoder() {
+        // Well-formed, correctly sealed burst frames: the control decoder
+        // has no owned form to give them and must say so, not panic.
+        let mut cost = Cost::new();
+        cost.charge(CostKind::Net, 77);
+        for (frame, msg_type) in [
+            (Packet::encode_pull(1, 1, 0, 1, &[4, 5]), 0x01u8),
+            (Packet::encode_push(1, 2, 0, 1, &[4], &[0.5; 4]), 0x02),
+            (
+                Packet::encode_weights_response(1, 3, &[0.5; 4], &cost),
+                0x81,
+            ),
+        ] {
+            assert_eq!(validate_frame(&frame).expect("sealed").msg_type, msg_type);
+            let err = Packet::decode(frame).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Corrupt, "type {msg_type:#04x}");
+            assert!(err.context().contains("burst message type"), "{err}");
+        }
+        // A hand-built frame with a burst type and no body at all.
+        for msg_type in [0x01u8, 0x02, 0x81] {
+            let mut pkt = BytesMut::new();
+            Packet::put_header(&mut pkt, msg_type, 1, 1);
+            let err = Packet::decode(Packet::seal(pkt)).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::Corrupt, "type {msg_type:#04x}");
+        }
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        digits
+            .chunks_exact(2)
+            .map(|d| u8::from_str_radix(std::str::from_utf8(d).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn borrowed_encoders_emit_protocol_v4_bytes() {
+        // Golden frames — magic, version, type, client, seq | body length
+        // | checksum | body — produced at commit 6a68af9 by the owned
+        // `Packet::request(..).encode()` / `Packet::response(..).encode()`
+        // this crate had until PR 15. The borrow-encoders are the only
+        // writers of these message types now; they must keep emitting
+        // protocol v4 byte for byte.
+        let pull = Packet::encode_pull(3, 41, 5, 9, &[1, u64::MAX]);
         assert_eq!(
-            Packet::encode_pull(3, 41, 5, 9, &keys),
-            Packet::request(
-                3,
-                41,
-                Request::Pull {
-                    epoch: 5,
-                    batch: 9,
-                    keys: keys.clone()
-                }
-            )
-            .encode()
+            &pull[..],
+            &unhex(
+                "454f 04 01 03000000 2900000000000000  24000000  9674742759052229
+                 0500000000000000 0900000000000000
+                 02000000 0100000000000000 ffffffffffffffff"
+            )[..]
         );
+        let push = Packet::encode_push(3, 42, 5, 9, &[7], &[0.5, -1.25, 3.5e-9, f32::MAX]);
         assert_eq!(
-            Packet::encode_push(3, 42, 5, 9, &keys, &grads),
-            Packet::request(
-                3,
-                42,
-                Request::Push {
-                    epoch: 5,
-                    batch: 9,
-                    keys: keys.clone(),
-                    grads: grads.clone()
-                }
-            )
-            .encode()
+            &push[..],
+            &unhex(
+                "454f 04 02 03000000 2a00000000000000  30000000  dd17692838603452
+                 0500000000000000 0900000000000000
+                 01000000 0700000000000000
+                 04000000 0000003f 0000a0bf a7847031 ffff7f7f"
+            )[..]
         );
         let mut cost = Cost::new();
         cost.charge(CostKind::Net, 77);
         cost.charge(CostKind::PmemRead, 305);
+        let weights = Packet::encode_weights_response(3, 43, &[0.25, -9.5, 3.0], &cost);
         assert_eq!(
-            Packet::encode_weights_response(3, 43, &grads, &cost),
-            Packet::response(
-                3,
-                43,
-                Response::Weights {
-                    weights: grads.clone(),
-                    cost
-                }
-            )
-            .encode()
+            &weights[..],
+            &unhex(
+                "454f 04 81 03000000 2b00000000000000  90000000  0a24e1951cda4aa4
+                 03000000 0000803e 000018c1 00004040
+                 0000000000000000 3101000000000000 0000000000000000 0000000000000000
+                 0000000000000000 0000000000000000 4d00000000000000 0000000000000000
+                 0000000000000000 0100000000000000 0000000000000000 0000000000000000
+                 0000000000000000 0000000000000000 0100000000000000 0000000000000000"
+            )[..]
         );
     }
 
@@ -1408,7 +1358,7 @@ mod tests {
     }
 
     #[test]
-    fn request_views_agree_with_owned_decode() {
+    fn request_views_read_back_the_encoded_burst() {
         let keys = [4u64, 5, 4, u64::MAX];
         let grads = [1.0f32, 2.0, -3.0, 0.5];
         let enc = Packet::encode_push(9, 11, 2, 3, &keys, &grads);
@@ -1431,19 +1381,7 @@ mod tests {
         let mut out = Vec::new();
         kv.extend_into(&mut out);
         assert_eq!(out, keys);
-        // Owned decode of the same bytes agrees field for field.
-        let dec = Packet::decode(enc.clone()).unwrap();
-        let Frame::Request(Request::Push {
-            keys: ok,
-            grads: og,
-            ..
-        }) = dec.frame
-        else {
-            panic!("wrong frame");
-        };
-        assert_eq!(ok, keys);
-        assert_eq!(og, grads);
-        // Non-hot-path requests fall back to the owned decoder.
+        // Control requests come back as owned data.
         let enc = Packet::request(9, 12, Request::SeqFence { floor: 6 }).encode();
         let meta = validate_frame(&enc).unwrap();
         let view = RequestView::decode(meta, &enc).unwrap();
@@ -1471,7 +1409,7 @@ mod tests {
         };
         assert_eq!(wv.iter().collect::<Vec<_>>(), weights);
         assert_eq!(back, cost);
-        // Non-weights responses fall back to the owned decoder.
+        // Control responses come back as owned data.
         let enc = Packet::response(1, 3, Response::Count(7)).encode();
         let meta = validate_frame(&enc).unwrap();
         assert!(matches!(
@@ -1494,7 +1432,10 @@ mod tests {
         let meta = validate_frame(&buf).expect("frame-level checks pass");
         let err = RequestView::decode(meta, &buf).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Corrupt);
-        assert!(Packet::decode(buf).is_err(), "owned decode agrees");
+        assert!(
+            Packet::decode(buf).is_err(),
+            "control decoder refuses it too"
+        );
     }
 
     #[test]

@@ -357,8 +357,8 @@ impl PsServer {
     /// bytes: the length-validated views are copied once into a pooled
     /// [`Scratch`](oe_core::PooledScratch) arena (zero allocations once
     /// the shape has been seen), and the pull reply is borrow-encoded
-    /// straight from the scratch weights. Everything else falls through
-    /// to the owned-decode [`Self::execute`] path.
+    /// straight from the scratch weights. Control messages go through
+    /// [`Self::execute`].
     fn execute_view(
         engine: &dyn PsEngine,
         token: (u32, u64),
@@ -423,26 +423,6 @@ impl PsServer {
 
     fn execute(engine: &dyn PsEngine, req: Request) -> Response {
         match req {
-            Request::Pull {
-                epoch: _,
-                batch,
-                keys,
-            } => {
-                let mut weights = Vec::with_capacity(keys.len() * engine.dim());
-                let mut cost = Cost::new();
-                engine.pull(&keys, batch, &mut weights, &mut cost);
-                Response::Weights { weights, cost }
-            }
-            Request::Push {
-                epoch: _,
-                batch,
-                keys,
-                grads,
-            } => {
-                let mut cost = Cost::new();
-                engine.push(&keys, &grads, batch, &mut cost);
-                Response::Ack { cost }
-            }
             Request::EndPullPhase { batch } => {
                 let report = engine.end_pull_phase(batch);
                 Response::Maintenance {
@@ -499,11 +479,12 @@ impl PsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::weights_reply;
     use crate::codec::Frame;
-    use crate::transport::{loopback, Transport};
+    use crate::transport::{loopback, ClientTransport, Transport};
     use oe_core::{NodeConfig, OptimizerKind, PsNode};
 
-    fn spawn_node() -> (crate::transport::ClientTransport, ServerHandle) {
+    fn spawn_node() -> (ClientTransport, ServerHandle) {
         let mut cfg = NodeConfig::small(4);
         cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
         let engine: Arc<dyn PsEngine> = Arc::new(PsNode::new(cfg));
@@ -512,33 +493,60 @@ mod tests {
         (client, handle)
     }
 
-    fn call(client: &crate::transport::ClientTransport, pkt: Packet) -> Packet {
+    /// Send a control packet, decode the control reply.
+    fn call(client: &ClientTransport, pkt: Packet) -> Packet {
         Packet::decode(client.call(pkt.encode(), None).unwrap()).unwrap()
+    }
+
+    /// Pull burst under placement epoch 0; the raw weights reply.
+    fn pull(client: &ClientTransport, token: (u32, u64), batch: u64, keys: &[u64]) -> Bytes {
+        let frame = Packet::encode_pull(token.0, token.1, 0, batch, keys);
+        client.call(frame, None).unwrap()
+    }
+
+    /// Dim-4 push burst of one key with every gradient `g`; the reply
+    /// (an `Ack` or an `Error`, both control messages).
+    fn push(
+        client: &ClientTransport,
+        token: (u32, u64),
+        epoch: u64,
+        batch: u64,
+        key: u64,
+        g: f32,
+    ) -> Packet {
+        let frame = Packet::encode_push(token.0, token.1, epoch, batch, &[key], &[g; 4]);
+        Packet::decode(client.call(frame, None).unwrap()).unwrap()
+    }
+
+    fn read_weights(client: &ClientTransport, token: (u32, u64), key: u64) -> Vec<f32> {
+        match call(
+            client,
+            Packet::request(token.0, token.1, Request::ReadWeights { key }),
+        )
+        .frame
+        {
+            Frame::Response(Response::MaybeWeights(Some(w))) => w,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn assert_rejected(resp: &Packet, needle: &str) {
+        match &resp.frame {
+            Frame::Response(Response::Error { kind, message }) => {
+                assert_eq!(*kind, ErrorKind::Rejected, "{message}");
+                assert!(message.contains(needle), "{message}");
+            }
+            other => panic!("burst executed: {other:?}"),
+        }
     }
 
     #[test]
     fn serves_pull_over_the_wire() {
         let (client, handle) = spawn_node();
-        let resp = call(
-            &client,
-            Packet::request(
-                1,
-                1,
-                Request::Pull {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![10, 20],
-                },
-            ),
-        );
-        assert_eq!((resp.client, resp.seq), (1, 1), "token echoed");
-        match resp.frame {
-            Frame::Response(Response::Weights { weights, cost }) => {
-                assert_eq!(weights.len(), 8);
-                assert!(cost.total_ns() > 0, "server charges travel back");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let (token, weights, cost) = weights_reply(&pull(&client, (1, 1), 1, &[10, 20]));
+        assert_eq!(token, (1, 1), "token echoed");
+        assert_eq!(weights.len(), 8);
+        assert!(cost.total_ns() > 0, "server charges travel back");
         drop(client);
         assert!(handle.join() >= 1);
     }
@@ -562,54 +570,20 @@ mod tests {
     fn duplicate_push_applies_exactly_once() {
         let (client, handle) = spawn_node();
         // Establish the key.
-        let pull = Packet::request(
-            7,
-            1,
-            Request::Pull {
-                epoch: 0,
-                batch: 1,
-                keys: vec![5],
-            },
-        );
-        call(&client, pull);
+        pull(&client, (7, 1), 1, &[5]);
         call(
             &client,
             Packet::request(7, 2, Request::EndPullPhase { batch: 1 }),
         );
-        let w0 = match call(
-            &client,
-            Packet::request(7, 3, Request::ReadWeights { key: 5 }),
-        )
-        .frame
-        {
-            Frame::Response(Response::MaybeWeights(Some(w))) => w,
-            other => panic!("unexpected {other:?}"),
-        };
+        let w0 = read_weights(&client, (7, 3), 5);
         // The same push token delivered three times (retry storm).
-        let push = Packet::request(
-            7,
-            4,
-            Request::Push {
-                epoch: 0,
-                batch: 1,
-                keys: vec![5],
-                grads: vec![1.0; 4],
-            },
-        );
-        let r1 = call(&client, push.clone());
-        let r2 = call(&client, push.clone());
-        let r3 = call(&client, push);
+        let r1 = push(&client, (7, 4), 0, 1, 5, 1.0);
+        let r2 = push(&client, (7, 4), 0, 1, 5, 1.0);
+        let r3 = push(&client, (7, 4), 0, 1, 5, 1.0);
+        assert!(matches!(r1.frame, Frame::Response(Response::Ack { .. })));
         assert_eq!(r1, r2, "replayed response is byte-identical");
         assert_eq!(r1, r3);
-        let w1 = match call(
-            &client,
-            Packet::request(7, 5, Request::ReadWeights { key: 5 }),
-        )
-        .frame
-        {
-            Frame::Response(Response::MaybeWeights(Some(w))) => w,
-            other => panic!("unexpected {other:?}"),
-        };
+        let w1 = read_weights(&client, (7, 5), 5);
         // SGD lr=1: one application subtracts exactly the gradient.
         for d in 0..4 {
             assert!(
@@ -634,31 +608,12 @@ mod tests {
     fn seq_fence_rejects_stale_mutations_per_client() {
         let (client, handle) = spawn_node();
         // Establish key 3 for client 7.
-        call(
-            &client,
-            Packet::request(
-                7,
-                1,
-                Request::Pull {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![3],
-                },
-            ),
-        );
+        pull(&client, (7, 1), 1, &[3]);
         call(
             &client,
             Packet::request(7, 2, Request::EndPullPhase { batch: 1 }),
         );
-        let w0 = match call(
-            &client,
-            Packet::request(7, 3, Request::ReadWeights { key: 3 }),
-        )
-        .frame
-        {
-            Frame::Response(Response::MaybeWeights(Some(w))) => w,
-            other => panic!("unexpected {other:?}"),
-        };
+        let w0 = read_weights(&client, (7, 3), 3);
         // Client 7 fences its first 10 seqs (as it would after failover).
         let resp = call(
             &client,
@@ -668,73 +623,15 @@ mod tests {
         // A straggling pre-failover push (seq 4 <= floor) must NOT
         // execute on this server — with an empty replay cache it would
         // double-apply after the trainer's replay.
-        let stale = call(
-            &client,
-            Packet::request(
-                7,
-                4,
-                Request::Push {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![3],
-                    grads: vec![1.0; 4],
-                },
-            ),
-        );
-        match stale.frame {
-            Frame::Response(Response::Error { kind, message }) => {
-                assert_eq!(kind, ErrorKind::Rejected, "stale seq must not retry");
-                assert!(message.contains("fence"), "{message}");
-            }
-            other => panic!("stale push executed: {other:?}"),
-        }
-        let w1 = match call(
-            &client,
-            Packet::request(7, 12, Request::ReadWeights { key: 3 }),
-        )
-        .frame
-        {
-            Frame::Response(Response::MaybeWeights(Some(w))) => w,
-            other => panic!("unexpected {other:?}"),
-        };
+        let stale = push(&client, (7, 4), 0, 1, 3, 1.0);
+        assert_rejected(&stale, "fence");
+        let w1 = read_weights(&client, (7, 12), 3);
         assert_eq!(w0, w1, "fenced push left weights untouched");
         // Floors are per client: client 8's seq 4 is not fenced.
-        call(
-            &client,
-            Packet::request(
-                8,
-                4,
-                Request::Push {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![3],
-                    grads: vec![1.0; 4],
-                },
-            ),
-        );
+        push(&client, (8, 4), 0, 1, 3, 1.0);
         // Post-fence seqs from client 7 execute normally.
-        call(
-            &client,
-            Packet::request(
-                7,
-                13,
-                Request::Push {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![3],
-                    grads: vec![1.0; 4],
-                },
-            ),
-        );
-        let w2 = match call(
-            &client,
-            Packet::request(7, 14, Request::ReadWeights { key: 3 }),
-        )
-        .frame
-        {
-            Frame::Response(Response::MaybeWeights(Some(w))) => w,
-            other => panic!("unexpected {other:?}"),
-        };
+        push(&client, (7, 13), 0, 1, 3, 1.0);
+        let w2 = read_weights(&client, (7, 14), 3);
         for d in 0..4 {
             assert!(
                 (w2[d] - (w0[d] - 2.0)).abs() < 1e-6,
@@ -746,29 +643,8 @@ mod tests {
             &client,
             Packet::request(7, 15, Request::SeqFence { floor: 2 }),
         );
-        let still = call(
-            &client,
-            Packet::request(
-                7,
-                9,
-                Request::Push {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![3],
-                    grads: vec![1.0; 4],
-                },
-            ),
-        );
-        assert!(
-            matches!(
-                still.frame,
-                Frame::Response(Response::Error {
-                    kind: ErrorKind::Rejected,
-                    ..
-                })
-            ),
-            "floor ratchets up only"
-        );
+        let still = push(&client, (7, 9), 0, 1, 3, 1.0);
+        assert_rejected(&still, "fence");
         assert_eq!(
             handle
                 .registry()
@@ -783,43 +659,39 @@ mod tests {
     #[test]
     fn distinct_clients_do_not_share_tokens() {
         let (client, handle) = spawn_node();
-        call(
-            &client,
-            Packet::request(
-                1,
-                1,
-                Request::Pull {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![9],
-                },
-            ),
-        );
+        pull(&client, (1, 1), 1, &[9]);
         call(
             &client,
             Packet::request(1, 2, Request::EndPullPhase { batch: 1 }),
         );
         // Same seq, different client ids: both pushes must execute.
         for cid in [10u32, 11] {
-            call(
-                &client,
-                Packet::request(
-                    cid,
-                    100,
-                    Request::Push {
-                        epoch: 0,
-                        batch: 1,
-                        keys: vec![9],
-                        grads: vec![0.5; 4],
-                    },
-                ),
-            );
+            push(&client, (cid, 100), 0, 1, 9, 0.5);
         }
         let resp = call(&client, Packet::request(1, 3, Request::Stats));
         let Frame::Response(Response::Stats(s)) = resp.frame else {
             panic!("unexpected {resp:?}");
         };
         assert_eq!(s.pushes, 2, "different clients both applied");
+        drop(client);
+        handle.join();
+    }
+
+    #[test]
+    fn push_shape_mismatch_is_rejected_not_executed() {
+        let (client, handle) = spawn_node();
+        pull(&client, (1, 1), 1, &[9]);
+        call(
+            &client,
+            Packet::request(1, 2, Request::EndPullPhase { batch: 1 }),
+        );
+        let w0 = read_weights(&client, (1, 3), 9);
+        // One key at dim 4 needs 4 gradients; 3 is a malformed request,
+        // answered structurally instead of tripping the engine's assert.
+        let short = Packet::encode_push(1, 4, 0, 1, &[9], &[1.0; 3]);
+        let resp = Packet::decode(client.call(short, None).unwrap()).unwrap();
+        assert_rejected(&resp, "push shape mismatch");
+        assert_eq!(read_weights(&client, (1, 5), 9), w0, "nothing applied");
         drop(client);
         handle.join();
     }
@@ -873,18 +745,7 @@ mod tests {
     fn metrics_rpc_renders_server_and_engine_registries() {
         let (client, handle) = spawn_node();
         // Generate some traffic first.
-        call(
-            &client,
-            Packet::request(
-                1,
-                1,
-                Request::Pull {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![1, 2, 3],
-                },
-            ),
-        );
+        pull(&client, (1, 1), 1, &[1, 2, 3]);
         let resp = call(&client, Packet::request(1, 2, Request::Metrics));
         let Frame::Response(Response::Metrics(text)) = resp.frame else {
             panic!("unexpected {resp:?}");
@@ -904,33 +765,12 @@ mod tests {
     fn epoch_fence_rejects_fresh_but_replays_cached_across_a_bump() {
         let (client, handle) = spawn_node();
         // A push executes under epoch 0 and lands in the replay cache.
-        call(
-            &client,
-            Packet::request(
-                3,
-                1,
-                Request::Pull {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![5],
-                },
-            ),
-        );
+        pull(&client, (3, 1), 1, &[5]);
         call(
             &client,
             Packet::request(3, 2, Request::EndPullPhase { batch: 1 }),
         );
-        let push = Packet::request(
-            3,
-            3,
-            Request::Push {
-                epoch: 0,
-                batch: 1,
-                keys: vec![5],
-                grads: vec![1.0; 4],
-            },
-        );
-        let first = call(&client, push.clone());
+        let first = push(&client, (3, 3), 0, 1, 5, 1.0);
         assert!(matches!(first.frame, Frame::Response(Response::Ack { .. })));
         // Migration cutover: the rebalancer announces epoch 2.
         let resp = call(
@@ -941,91 +781,24 @@ mod tests {
         // A retry of the already-executed token crosses the bump: it
         // must get the cached response, not a reject — and not apply
         // the gradient a second time.
-        let retry = call(&client, push);
+        let retry = push(&client, (3, 3), 0, 1, 5, 1.0);
         assert_eq!(retry, first, "cached bytes answer the retry");
-        let w = match call(
-            &client,
-            Packet::request(3, 5, Request::ReadWeights { key: 5 }),
-        )
-        .frame
-        {
-            Frame::Response(Response::MaybeWeights(Some(w))) => w,
-            other => panic!("unexpected {other:?}"),
-        };
+        let w = read_weights(&client, (3, 5), 5);
         // A FRESH burst still routed under the old table is refused.
-        let stale = call(
-            &client,
-            Packet::request(
-                3,
-                6,
-                Request::Push {
-                    epoch: 0,
-                    batch: 2,
-                    keys: vec![5],
-                    grads: vec![1.0; 4],
-                },
-            ),
-        );
-        match stale.frame {
-            Frame::Response(Response::Error { kind, message }) => {
-                assert_eq!(kind, ErrorKind::Rejected);
-                assert!(message.contains("placement epoch"), "{message}");
-            }
-            other => panic!("stale-epoch push executed: {other:?}"),
-        }
-        let w_after = match call(
-            &client,
-            Packet::request(3, 7, Request::ReadWeights { key: 5 }),
-        )
-        .frame
-        {
-            Frame::Response(Response::MaybeWeights(Some(w))) => w,
-            other => panic!("unexpected {other:?}"),
-        };
+        let stale = push(&client, (3, 6), 0, 2, 5, 1.0);
+        assert_rejected(&stale, "placement epoch");
+        let w_after = read_weights(&client, (3, 7), 5);
         assert_eq!(w, w_after, "rejected burst left weights untouched");
         // Re-routed under the current epoch it executes fine.
-        let ok = call(
-            &client,
-            Packet::request(
-                3,
-                8,
-                Request::Push {
-                    epoch: 2,
-                    batch: 2,
-                    keys: vec![5],
-                    grads: vec![1.0; 4],
-                },
-            ),
-        );
+        let ok = push(&client, (3, 8), 2, 2, 5, 1.0);
         assert!(matches!(ok.frame, Frame::Response(Response::Ack { .. })));
         // A delayed duplicate of an older update must not lower the epoch.
         call(
             &client,
             Packet::request(3, 9, Request::PlacementUpdate { epoch: 1 }),
         );
-        let still_stale = call(
-            &client,
-            Packet::request(
-                3,
-                10,
-                Request::Push {
-                    epoch: 1,
-                    batch: 3,
-                    keys: vec![5],
-                    grads: vec![1.0; 4],
-                },
-            ),
-        );
-        assert!(
-            matches!(
-                still_stale.frame,
-                Frame::Response(Response::Error {
-                    kind: ErrorKind::Rejected,
-                    ..
-                })
-            ),
-            "epoch ratchets up only"
-        );
+        let still_stale = push(&client, (3, 10), 1, 3, 5, 1.0);
+        assert_rejected(&still_stale, "placement epoch");
         let snap = handle.registry().snapshot();
         assert_eq!(snap.counter("rpc_stale_epoch_rejections_total"), Some(2));
         assert_eq!(snap.counter("rpc_placement_updates_total"), Some(2));
@@ -1038,35 +811,12 @@ mod tests {
     fn migration_rpcs_move_a_full_entry_over_the_wire() {
         let (client, handle) = spawn_node();
         // Create an entry and train it a little so it has real state.
-        call(
-            &client,
-            Packet::request(
-                9,
-                1,
-                Request::Pull {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![77],
-                },
-            ),
-        );
+        pull(&client, (9, 1), 1, &[77]);
         call(
             &client,
             Packet::request(9, 2, Request::EndPullPhase { batch: 1 }),
         );
-        call(
-            &client,
-            Packet::request(
-                9,
-                3,
-                Request::Push {
-                    epoch: 0,
-                    batch: 1,
-                    keys: vec![77],
-                    grads: vec![0.25; 4],
-                },
-            ),
-        );
+        push(&client, (9, 3), 0, 1, 77, 0.25);
         // Export the full entry (weights + optimizer state + version).
         let (version, payload) = match call(
             &client,
@@ -1107,15 +857,7 @@ mod tests {
                 },
             ),
         );
-        let back = match call(
-            &client,
-            Packet::request(9, 9, Request::ReadWeights { key: 77 }),
-        )
-        .frame
-        {
-            Frame::Response(Response::MaybeWeights(Some(w))) => w,
-            other => panic!("unexpected {other:?}"),
-        };
+        let back = read_weights(&client, (9, 9), 77);
         assert_eq!(&back[..], &payload[..4], "weights survive the round trip");
         drop(client);
         handle.join();

@@ -2,7 +2,7 @@
 //! every malformed input as a structured `Corrupt` error — truncations,
 //! bit flips, and arbitrary garbage alike. The zero-copy view decoders
 //! (`RequestView`, `ResponseView`) are held to the same bar *and* must
-//! agree exactly with the owned decoder on every valid frame. Seeded
+//! read back exactly the values a burst was encoded from. Seeded
 //! proptest keeps the exploration reproducible.
 
 use bytes::{Bytes, BytesMut};
@@ -10,6 +10,12 @@ use oe_net::{
     validate_frame, Error, ErrorKind, Frame, Packet, Request, RequestView, Response, ResponseView,
 };
 use proptest::prelude::*;
+
+/// The path a burst takes on the server: frame validation, then the
+/// request view.
+fn view_decode(buf: &Bytes) -> Result<RequestView<'_>, Error> {
+    RequestView::decode(validate_frame(buf)?, buf)
+}
 
 fn assert_corrupt(res: Result<Packet, Error>, what: &str) {
     match res {
@@ -39,10 +45,13 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 0..32),
         cut_frac in 0.0f64..1.0,
     ) {
-        let enc = Packet::request(client, seq, Request::Pull { epoch: 0, batch: 1, keys }).encode();
+        let enc = Packet::encode_pull(client, seq, 0, 1, &keys);
         let cut = ((enc.len() as f64) * cut_frac) as usize;
         prop_assume!(cut < enc.len());
-        let err = Packet::decode(enc.slice(0..cut)).expect_err("truncated must not decode");
+        let cut = enc.slice(0..cut);
+        let err = view_decode(&cut).expect_err("truncated must not decode");
+        prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
+        let err = Packet::decode(cut).expect_err("truncated must not decode");
         prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
     }
 
@@ -56,31 +65,39 @@ proptest! {
         flip_byte in any::<prop::sample::Index>(),
         flip_bit in 0u8..8,
     ) {
-        let enc = Packet::request(7, seq, Request::Push { epoch: 0, batch: 3, keys, grads }).encode();
+        let enc = Packet::encode_push(7, seq, 0, 3, &keys, &grads);
         let byte = flip_byte.index(enc.len());
         let mut mutated = BytesMut::from(&enc[..]);
         mutated[byte] ^= 1 << flip_bit;
-        let err = Packet::decode(mutated.freeze())
-            .expect_err("a flipped bit must not decode cleanly");
+        let mutated = mutated.freeze();
+        let err = view_decode(&mutated).expect_err("a flipped bit must not decode cleanly");
+        prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
+        let err = Packet::decode(mutated).expect_err("a flipped bit must not decode cleanly");
         prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
     }
 
     /// Bytes appended to a valid frame are covered by no checksum: both
-    /// the owned and the view path refuse the frame as corrupt.
+    /// the control decoder and the view path refuse the frame as corrupt.
     #[test]
     fn trailing_bytes_are_corrupt(
         seq in any::<u64>(),
         keys in prop::collection::vec(any::<u64>(), 0..16),
         tail in prop::collection::vec(any::<u8>(), 1..65),
     ) {
-        let enc = Packet::request(7, seq, Request::Pull { epoch: 0, batch: 3, keys }).encode();
-        let mut long = BytesMut::from(&enc[..]);
-        long.extend_from_slice(&tail);
-        let long = long.freeze();
-        let err = validate_frame(&long).expect_err("view path must refuse trailing bytes");
-        prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
-        let err = Packet::decode(long).expect_err("owned path must refuse trailing bytes");
-        prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
+        for enc in [
+            Packet::encode_pull(7, seq, 0, 3, &keys),
+            Packet::request(7, seq, Request::ReadWeights { key: seq }).encode(),
+        ] {
+            let mut long = BytesMut::from(&enc[..]);
+            long.extend_from_slice(&tail);
+            let long = long.freeze();
+            let err = validate_frame(&long).expect_err("view path must refuse trailing bytes");
+            prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
+            prop_assert!(err.context().contains("trailing bytes"), "{}", err);
+            let err = Packet::decode(long).expect_err("control path must refuse trailing bytes");
+            prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
+            prop_assert!(err.context().contains("trailing bytes"), "{}", err);
+        }
     }
 
     /// The idempotence token round-trips exactly, and re-encoding a
@@ -90,10 +107,12 @@ proptest! {
     fn token_and_bytes_roundtrip(
         client in 1u32..,
         seq in any::<u64>(),
-        batch in any::<u64>(),
-        keys in prop::collection::vec(any::<u64>(), 0..64),
+        version in any::<u64>(),
+        eighths in prop::collection::vec(0u32..2000, 0..64),
     ) {
-        let p = Packet::request(client, seq, Request::Pull { epoch: 0, batch, keys });
+        // Finite payload values, so `==` on the decoded packet is exact.
+        let payload = eighths.iter().map(|&v| (v as f32 - 1000.0) * 0.125).collect();
+        let p = Packet::request(client, seq, Request::ImportEntry { key: seq, version, payload });
         let enc = p.encode();
         let dec = Packet::decode(enc.clone()).expect("valid frame decodes");
         prop_assert_eq!(dec.client, client);
@@ -140,12 +159,13 @@ proptest! {
         }
     }
 
-    /// The borrowed pull/push view and the borrowed encoders agree
-    /// exactly with the owned codec: `Packet::encode_pull/encode_push`
-    /// emit byte-identical frames, and `RequestView` reads back exactly
-    /// the keys and gradients the owned decoder materializes.
+    /// Bursts survive the wire exactly: for arbitrary inputs the
+    /// borrow-encoded pull / push frame view-decodes to the token, epoch,
+    /// batch, keys and gradient bits it was built from, and the control
+    /// decoder refuses the same bytes as corrupt (a burst has no owned
+    /// form).
     #[test]
-    fn views_agree_with_owned_decode(
+    fn request_views_read_back_their_inputs(
         client in 1u32..,
         seq in any::<u64>(),
         epoch in any::<u64>(),
@@ -153,15 +173,10 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 0..48),
         grads in prop::collection::vec(any::<f32>(), 0..96),
     ) {
-        let owned_pull = Packet::request(client, seq, Request::Pull {
-            epoch, batch, keys: keys.clone(),
-        }).encode();
-        let borrowed_pull = Packet::encode_pull(client, seq, epoch, batch, &keys);
-        prop_assert_eq!(&owned_pull, &borrowed_pull, "pull encoders must be byte-identical");
-
-        let meta = validate_frame(&owned_pull).expect("valid frame");
-        prop_assert_eq!((meta.client, meta.seq), (client, seq));
-        match RequestView::decode(meta, &owned_pull).expect("view decodes") {
+        let pull = Packet::encode_pull(client, seq, epoch, batch, &keys);
+        let meta = validate_frame(&pull).expect("valid frame");
+        prop_assert_eq!((meta.client, meta.seq, meta.msg_type), (client, seq, 0x01));
+        match RequestView::decode(meta, &pull).expect("view decodes") {
             RequestView::Pull { epoch: e, batch: b, keys: kv } => {
                 prop_assert_eq!(e, epoch);
                 prop_assert_eq!(b, batch);
@@ -172,15 +187,15 @@ proptest! {
             }
             other => prop_assert!(false, "wrong view: {other:?}"),
         }
+        let err = Packet::decode(pull).expect_err("a burst has no owned form");
+        prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
 
-        let owned_push = Packet::request(client, seq, Request::Push {
-            epoch, batch, keys: keys.clone(), grads: grads.clone(),
-        }).encode();
-        let borrowed_push = Packet::encode_push(client, seq, epoch, batch, &keys, &grads);
-        prop_assert_eq!(&owned_push, &borrowed_push, "push encoders must be byte-identical");
-        let meta = validate_frame(&owned_push).expect("valid frame");
-        match RequestView::decode(meta, &owned_push).expect("view decodes") {
-            RequestView::Push { keys: kv, grads: gv, .. } => {
+        let push = Packet::encode_push(client, seq, epoch, batch, &keys, &grads);
+        let meta = validate_frame(&push).expect("valid frame");
+        prop_assert_eq!((meta.client, meta.seq, meta.msg_type), (client, seq, 0x02));
+        match RequestView::decode(meta, &push).expect("view decodes") {
+            RequestView::Push { epoch: e, batch: b, keys: kv, grads: gv } => {
+                prop_assert_eq!((e, b), (epoch, batch));
                 let collected: Vec<u64> = kv.iter().collect();
                 prop_assert_eq!(&collected, &keys);
                 let gbits: Vec<u32> = gv.iter().map(f32::to_bits).collect();
@@ -189,24 +204,27 @@ proptest! {
             }
             other => prop_assert!(false, "wrong view: {other:?}"),
         }
+        let err = Packet::decode(push).expect_err("a burst has no owned form");
+        prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
     }
 
-    /// The borrowed weights-response encoder and view agree with the
-    /// owned codec, cost charges included.
+    /// The weights reply reads back its inputs too, cost charges
+    /// included, and is corrupt on the control decoder.
     #[test]
     fn weights_response_view_roundtrips(
         client in 1u32..,
         seq in any::<u64>(),
         weights in prop::collection::vec(any::<f32>(), 0..128),
+        net_ns in 0u64..1_000_000,
+        pmem_ns in 0u64..1_000_000,
     ) {
-        let cost = oe_simdevice::Cost::new();
-        let owned = Packet::response(client, seq, Response::Weights {
-            weights: weights.clone(), cost: cost.clone(),
-        }).encode();
-        let borrowed = Packet::encode_weights_response(client, seq, &weights, &cost);
-        prop_assert_eq!(&owned, &borrowed, "weights encoders must be byte-identical");
-        let meta = validate_frame(&owned).expect("valid frame");
-        match ResponseView::decode(meta, &owned).expect("view decodes") {
+        let mut cost = oe_simdevice::Cost::new();
+        cost.charge(oe_simdevice::CostKind::Net, net_ns);
+        cost.charge(oe_simdevice::CostKind::PmemRead, pmem_ns);
+        let enc = Packet::encode_weights_response(client, seq, &weights, &cost);
+        let meta = validate_frame(&enc).expect("valid frame");
+        prop_assert_eq!((meta.client, meta.seq, meta.msg_type), (client, seq, 0x81));
+        match ResponseView::decode(meta, &enc).expect("view decodes") {
             ResponseView::Weights { weights: wv, cost: c } => {
                 let wbits: Vec<u32> = wv.iter().map(f32::to_bits).collect();
                 let want: Vec<u32> = weights.iter().map(|w| w.to_bits()).collect();
@@ -215,6 +233,8 @@ proptest! {
             }
             other => prop_assert!(false, "wrong view: {other:?}"),
         }
+        let err = Packet::decode(enc).expect_err("a burst has no owned form");
+        prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
     }
 
     /// A corrupted element-count prefix (pointing past the body) is a
@@ -225,9 +245,7 @@ proptest! {
         keys in prop::collection::vec(any::<u64>(), 1..16),
         lie in 64u32..u32::MAX,
     ) {
-        let enc = Packet::request(9, 9, Request::Pull {
-            epoch: 0, batch: 1, keys,
-        }).encode();
+        let enc = Packet::encode_pull(9, 9, 0, 1, &keys);
         let mut raw = BytesMut::from(&enc[..]);
         // Body layout: epoch u64 | batch u64 | count u32 | keys…;
         // the count sits 16 bytes into the body (header is 28 bytes).
@@ -238,7 +256,7 @@ proptest! {
         let meta = validate_frame(&buf).expect("checksum was re-sealed");
         let err = RequestView::decode(meta, &buf).expect_err("lying count must not decode");
         prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
-        let err = Packet::decode(buf).expect_err("owned decoder agrees");
+        let err = Packet::decode(buf).expect_err("control decoder refuses it too");
         prop_assert_eq!(err.kind(), ErrorKind::Corrupt);
     }
 }
