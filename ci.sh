@@ -36,6 +36,14 @@ if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|
   exit 1
 fi
 
+# PR 18 replaced the serving index's per-table hash maps and per-query
+# `seen` vector with flat arrays; the old index lives on only as the
+# oracle in crates/serve/tests/ann_equiv.rs.
+if grep -rnF -e 'HashMap<u32, Vec<u32>>' -e 'vec![false;' crates/serve/src; then
+  echo "the retired LSH index resurfaced in crates/serve/src (see above)" >&2
+  exit 1
+fi
+
 # The benchmark package (own workspace, offline stand-ins for every
 # registry crate) builds the layer crates against e2e/stubs: a layer
 # change that uses an API the stand-ins lack must fail here, not in the
@@ -94,7 +102,7 @@ cargo test --release -q -p openembedding --test pipeline_e2e
 echo "==> pipelined-training frontier bench (smoke, gated)"
 cargo run --release -p oe-bench --bin pipeline -- --smoke --out BENCH_pipeline.json "${GATE_FLAGS[@]}"
 
-echo "==> serving-plane suite (snapshot-flip torture, ANN recall floor)"
+echo "==> serving-plane suite (snapshot-flip torture, ANN recall floors, flat index = retired index, decode = recovery scan)"
 cargo test --release -q -p oe-serve
 
 echo "==> SLO-driven serving bench (smoke, gated)"

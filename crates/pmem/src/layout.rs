@@ -44,6 +44,34 @@ pub(crate) mod root_off {
     pub const HIGH_WATER: u64 = 24;
 }
 
+/// The root line, decoded.
+pub(crate) struct Root {
+    pub payload_bytes: usize,
+    pub checkpoint_id: u64,
+    pub high_water: u64,
+}
+
+impl Root {
+    /// Decode the first [`ROOT_BYTES`] of a pool. `None` if `bytes` is
+    /// shorter than a root line or its magic is not this format's.
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        let line = bytes.get(..ROOT_BYTES as usize)?;
+        let field = |off: u64| {
+            u64::from_le_bytes(line[off as usize..][..8].try_into().expect("8-byte field"))
+        };
+        (field(root_off::MAGIC) == POOL_MAGIC).then(|| Self {
+            payload_bytes: field(root_off::PAYLOAD_BYTES) as usize,
+            checkpoint_id: field(root_off::CKPT_ID),
+            high_water: field(root_off::HIGH_WATER),
+        })
+    }
+}
+
+/// On-media footprint of one slot: header + payload, padded to a line.
+pub(crate) fn slot_bytes(payload_bytes: usize) -> u64 {
+    (HEADER_BYTES + payload_bytes as u64).div_ceil(64) * 64
+}
+
 /// Lifecycle state of a slot, stored durably in its header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
@@ -99,6 +127,21 @@ impl SlotHeader {
             key: u64::from_le_bytes(b[8..16].try_into().unwrap()),
             version: u64::from_le_bytes(b[16..24].try_into().unwrap()),
         }
+    }
+
+    /// Classify one whole slot (header + payload) from its bytes: `Ok`
+    /// with the header of a valid slot whose checksum holds, or `Err`
+    /// with the state that made it unreadable — `Free`, or `Valid` for a
+    /// valid-marked slot whose checksum does not match (torn).
+    pub(crate) fn verified(slot: &[u8]) -> Result<Self, SlotState> {
+        let header = Self::decode(slot);
+        let payload = &slot[HEADER_BYTES as usize..];
+        if header.state != SlotState::Valid
+            || payload_checksum(header.key, header.version, payload) != header.checksum
+        {
+            return Err(header.state);
+        }
+        Ok(header)
     }
 }
 

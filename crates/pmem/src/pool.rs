@@ -1,8 +1,8 @@
 //! The persistent pool: space manager + crash-safe slot I/O + root updates.
 
 use crate::layout::{
-    bytes_to_f32s, f32s_to_bytes, payload_checksum, root_off, SlotHeader, SlotState, HEADER_BYTES,
-    POOL_MAGIC, ROOT_BYTES,
+    bytes_to_f32s, f32s_to_bytes, payload_checksum, root_off, slot_bytes, Root, SlotHeader,
+    SlotState, HEADER_BYTES, POOL_MAGIC, ROOT_BYTES,
 };
 use oe_simdevice::{Cost, Media, MediaConfig};
 use parking_lot::Mutex;
@@ -67,7 +67,7 @@ impl PmemPool {
 
     /// Create a pool on existing (empty) media.
     pub fn create_on(media: Arc<Media>, payload_bytes: usize, cost: &mut Cost) -> Self {
-        let slot_bytes = (HEADER_BYTES + payload_bytes as u64).div_ceil(64) * 64;
+        let slot_bytes = slot_bytes(payload_bytes);
         let mut root = [0u8; ROOT_BYTES as usize];
         root[root_off::MAGIC as usize..][..8].copy_from_slice(&POOL_MAGIC.to_le_bytes());
         root[root_off::PAYLOAD_BYTES as usize..][..8]
@@ -203,10 +203,8 @@ impl PmemPool {
     }
 
     /// One read of a whole slot (header + payload), classified from that
-    /// one buffer: `Ok` with the header of a valid slot whose checksum
-    /// holds (its payload decoded into `out` when given), or `Err` with
-    /// the state that made it unreadable — `Free`, or `Valid` for a
-    /// valid-marked slot whose checksum does not match (torn).
+    /// one buffer by [`SlotHeader::verified`]; the payload of a sound
+    /// slot is decoded into `out` when given.
     pub(crate) fn check_slot(
         &self,
         id: SlotId,
@@ -218,15 +216,9 @@ impl PmemPool {
             let mut buf = s.borrow_mut();
             buf.resize(HEADER_BYTES as usize + self.payload_bytes, 0);
             self.media.read(off, &mut buf, cost);
-            let header = SlotHeader::decode(&buf);
-            let payload = &buf[HEADER_BYTES as usize..];
-            if header.state != SlotState::Valid
-                || payload_checksum(header.key, header.version, payload) != header.checksum
-            {
-                return Err(header.state);
-            }
+            let header = SlotHeader::verified(&buf)?;
             if let Some(out) = out {
-                bytes_to_f32s(payload, out);
+                bytes_to_f32s(&buf[HEADER_BYTES as usize..], out);
             }
             Ok(header)
         })
@@ -255,34 +247,20 @@ impl PmemPool {
     /// of another format version, whose slot checksums this build would
     /// misread as torn ([`Self::refusal`] says which, in words).
     pub fn open(media: Arc<Media>, cost: &mut Cost) -> Option<Self> {
-        let mut root = [0u8; ROOT_BYTES as usize];
+        let mut line = [0u8; ROOT_BYTES as usize];
         if media.len() < ROOT_BYTES as usize {
             return None;
         }
-        media.read(0, &mut root, cost);
-        let magic = u64::from_le_bytes(root[root_off::MAGIC as usize..][..8].try_into().unwrap());
-        if magic != POOL_MAGIC {
-            return None;
-        }
-        let payload_bytes = u64::from_le_bytes(
-            root[root_off::PAYLOAD_BYTES as usize..][..8]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        let high_water = u64::from_le_bytes(
-            root[root_off::HIGH_WATER as usize..][..8]
-                .try_into()
-                .unwrap(),
-        );
-        let slot_bytes = (HEADER_BYTES + payload_bytes as u64).div_ceil(64) * 64;
+        media.read(0, &mut line, cost);
+        let root = Root::decode(&line)?;
         Some(Self {
             media,
-            payload_bytes,
-            slot_bytes,
+            payload_bytes: root.payload_bytes,
+            slot_bytes: slot_bytes(root.payload_bytes),
             alloc: Mutex::new(AllocState {
                 free: Vec::new(),
-                next: high_water,
-                persisted_high_water: high_water,
+                next: root.high_water,
+                persisted_high_water: root.high_water,
             }),
         })
     }
@@ -322,11 +300,6 @@ impl PmemPool {
     /// Scan bound for recovery: persisted high water mark.
     pub(crate) fn persisted_high_water(&self) -> u64 {
         self.alloc.lock().persisted_high_water
-    }
-
-    /// Bytes of media the recovery scan must stream through.
-    pub fn scan_bytes(&self) -> u64 {
-        ROOT_BYTES + self.persisted_high_water() * self.slot_bytes
     }
 
     /// A layout-derived description of this pool, used in reports.

@@ -12,9 +12,11 @@
 //! one sequential pass over the used region at PMem bandwidth plus
 //! per-entry CPU work, with *no* payload copy — entries stay in PMem.
 
-use crate::layout::{SlotState, ROOT_BYTES};
+use crate::layout::{
+    bytes_to_f32s, slot_bytes, Root, SlotHeader, SlotState, HEADER_BYTES, ROOT_BYTES,
+};
 use crate::pool::{PmemPool, SlotId};
-use oe_simdevice::{Cost, CostKind, DeviceTiming, Media};
+use oe_simdevice::{Cost, CostKind, CrashImage, DeviceTiming, Media};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -55,46 +57,44 @@ const INDEX_REBUILD_NS_PER_ENTRY: u64 = 120;
 /// Per-slot CPU cost of header decode + checksum verify during the scan.
 const SCAN_CPU_NS_PER_SLOT: u64 = 40;
 
-/// Scan the pool, prune per-key to the newest checkpointed version, free
-/// everything else, and charge the recovery cost. The pool's free list is
-/// installed as a side effect.
-pub fn scan(pool: &PmemPool, cost: &mut Cost) -> ScanReport {
-    // Functional reads use a throwaway sink: we charge one aggregate
-    // *sequential* streaming cost instead of per-slot random-read costs.
-    let mut scratch_cost = Cost::new();
-    let ckpt = pool.checkpoint_id(&mut scratch_cost);
-    // The persisted high-water mark bounds the scan after a crash.
-    // Deriving it as `scan_bytes() / slot_bytes` counted the 64 B root
-    // line as a slot whenever `slot_bytes == 64`, conjuring a phantom
-    // `SlotId(high_water)` into the recovered free list; see the
-    // `recovered_free_list_has_no_phantom_slot` regression below.
-    let hw = pool.persisted_high_water();
+/// The one classifier behind [`scan`] and [`scan_image`]: judge slots
+/// `0..high_water` through `check` (one read of the whole slot), drop
+/// versions past the checkpoint, keep the newest survivor per key and
+/// charge the aggregate recovery cost. Reads only. Returns the report,
+/// the slots found free (slot order) and the slots to free — torn,
+/// uncommitted, superseded — in the order the free list receives them.
+fn survey(
+    root: &Root,
+    media_len: usize,
+    mut check: impl FnMut(SlotId) -> Result<SlotHeader, SlotState>,
+    cost: &mut Cost,
+) -> (ScanReport, Vec<SlotId>, Vec<SlotId>) {
+    let ckpt = root.checkpoint_id;
+    let slot_bytes = slot_bytes(root.payload_bytes);
+    // The high-water mark runs ahead of the media in chunks, and a
+    // write grows the media to cover its whole slot: a slot the media
+    // does not fully back was never written, so it is free unread.
+    let backed = (media_len as u64).saturating_sub(ROOT_BYTES) / slot_bytes;
 
     let mut best: HashMap<u64, (SlotId, u64)> = HashMap::new();
     let mut report = ScanReport {
         checkpoint_id: ckpt,
+        scanned_slots: root.high_water,
+        scan_bytes: ROOT_BYTES + root.high_water * slot_bytes,
         ..Default::default()
     };
     let mut to_free: Vec<SlotId> = Vec::new();
-    let mut free_list: Vec<SlotId> = Vec::new();
-    // The high-water mark runs ahead of the media in chunks, and a
-    // write grows the media to cover its whole slot: a slot the media
-    // does not fully back was never written, so it is free unread.
-    let backed = (pool.media().len() as u64).saturating_sub(ROOT_BYTES) / pool.slot_bytes();
+    let mut free: Vec<SlotId> = Vec::new();
 
-    for i in 0..hw {
-        let id = SlotId(i);
-        report.scanned_slots += 1;
-        if i >= backed {
-            free_list.push(id);
+    for id in (0..root.high_water).map(SlotId) {
+        if id.0 >= backed {
+            free.push(id);
             continue;
         }
-        // One read per slot: state and payload integrity (torn writes)
-        // are both judged from the same buffer.
-        let header = match pool.check_slot(id, None, &mut scratch_cost) {
+        let header = match check(id) {
             Ok(header) => header,
             Err(SlotState::Free) => {
-                free_list.push(id);
+                free.push(id);
                 continue;
             }
             Err(SlotState::Valid) => {
@@ -114,31 +114,22 @@ pub fn scan(pool: &PmemPool, cost: &mut Cost) -> ScanReport {
             }
             std::collections::hash_map::Entry::Occupied(mut o) => {
                 let (old_id, old_ver) = *o.get();
+                report.discarded_stale += 1;
                 if header.version > old_ver {
                     o.insert((id, header.version));
-                    report.discarded_stale += 1;
                     to_free.push(old_id);
                 } else {
-                    report.discarded_stale += 1;
                     to_free.push(id);
                 }
             }
         }
     }
 
-    for id in to_free {
-        pool.free_no_list(id, &mut scratch_cost);
-        free_list.push(id);
-    }
-
     report.live = best
         .into_iter()
         .map(|(key, (id, version))| RecoveredSlot { id, key, version })
         .collect();
-    report.live.sort_by_key(|r| r.id);
-    report.scan_bytes = pool.scan_bytes();
-
-    pool.install_free_list(free_list);
+    report.live.sort_unstable_by_key(|r| r.id);
 
     // Aggregate recovery cost: sequential stream + rebuild CPU.
     let pmem = DeviceTiming::pmem();
@@ -149,7 +140,81 @@ pub fn scan(pool: &PmemPool, cost: &mut Cost) -> ScanReport {
         report.scanned_slots * SCAN_CPU_NS_PER_SLOT
             + report.live.len() as u64 * INDEX_REBUILD_NS_PER_ENTRY,
     );
+    (report, free, to_free)
+}
+
+/// Scan the pool, prune per-key to the newest checkpointed version, free
+/// everything else, and charge the recovery cost. The pool's free list is
+/// installed as a side effect.
+pub fn scan(pool: &PmemPool, cost: &mut Cost) -> ScanReport {
+    // Functional reads use a throwaway sink: we charge one aggregate
+    // *sequential* streaming cost instead of per-slot random-read costs.
+    let mut scratch_cost = Cost::new();
+    let root = Root {
+        payload_bytes: pool.payload_bytes(),
+        checkpoint_id: pool.checkpoint_id(&mut scratch_cost),
+        // The persisted high-water mark bounds the scan after a crash.
+        // Deriving it as scanned bytes / `slot_bytes` counted the 64 B
+        // root line as a slot whenever `slot_bytes == 64`, conjuring a
+        // phantom `SlotId(high_water)` into the recovered free list; see
+        // the `recovered_free_list_has_no_phantom_slot` regression below.
+        high_water: pool.persisted_high_water(),
+    };
+    let check = |id| pool.check_slot(id, None, &mut scratch_cost);
+    let (report, mut free, to_free) = survey(&root, pool.media().len(), check, cost);
+    for id in to_free {
+        pool.free_no_list(id, &mut scratch_cost);
+        free.push(id);
+    }
+    pool.install_free_list(free);
     report
+}
+
+/// A pool image scanned where it lies: what [`recover`] would keep and
+/// charge, without a pool, a media, a copy or a write.
+pub struct ImageScan<'a> {
+    image: &'a CrashImage,
+    root: Root,
+    /// What [`scan`] reports for the same bytes.
+    pub report: ScanReport,
+}
+
+/// Scan `image` read-only, charging `cost` what [`recover`] charges on
+/// the same bytes (root read + scan). `None` where [`PmemPool::open`]
+/// refuses.
+pub fn scan_image<'a>(image: &'a CrashImage, cost: &mut Cost) -> Option<ImageScan<'a>> {
+    let bytes = image.bytes();
+    let root = Root::decode(bytes)?;
+    DeviceTiming::of(image.device()).charge_read(ROOT_BYTES, cost);
+    let slot_bytes = slot_bytes(root.payload_bytes);
+    let slot_len = HEADER_BYTES as usize + root.payload_bytes;
+    let check = |id: SlotId| {
+        let off = (ROOT_BYTES + id.0 * slot_bytes) as usize;
+        SlotHeader::verified(&bytes[off..off + slot_len])
+    };
+    let (report, ..) = survey(&root, bytes.len(), check, cost);
+    Some(ImageScan {
+        image,
+        root,
+        report,
+    })
+}
+
+impl ImageScan<'_> {
+    /// Payload size per slot in `f32`s.
+    pub fn payload_f32s(&self) -> usize {
+        self.root.payload_bytes / 4
+    }
+
+    /// Decode the payload of a slot the scan kept into `out`, charging
+    /// one slot read as [`PmemPool::read_slot`] does. The scan verified
+    /// the slot and the bytes cannot change: no second checksum.
+    pub fn read_slot(&self, id: SlotId, out: &mut [f32], cost: &mut Cost) {
+        let len = self.root.payload_bytes;
+        let at = (ROOT_BYTES + id.0 * slot_bytes(len) + HEADER_BYTES) as usize;
+        bytes_to_f32s(&self.image.bytes()[at..at + len], out);
+        DeviceTiming::of(self.image.device()).charge_read(HEADER_BYTES + len as u64, cost);
+    }
 }
 
 /// Open crashed media and scan it: the full recovery entry point.
@@ -289,7 +354,7 @@ mod tests {
     #[test]
     fn recovered_free_list_has_no_phantom_slot() {
         // Regression (crashmc sweep): the scan bound used to be computed
-        // as `scan_bytes() / slot_bytes`, which counts the 64 B root line
+        // as scanned bytes / `slot_bytes`, which counts the 64 B root line
         // as a slot whenever `slot_bytes == 64`, so the never-allocated
         // `SlotId(high_water)` entered the recovered free list. A
         // free-list pop and the bump allocator (`next == high_water`)

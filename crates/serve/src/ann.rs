@@ -21,7 +21,7 @@
 use crate::snapshot_handle::Snapshot;
 use oe_core::config::{HASH_PROBE_NS, OPT_FLOP_NS_PER_F32};
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 /// A scored recommendation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,10 +42,26 @@ pub trait Retriever: Send + Sync {
     fn top_k(&self, snap: &Snapshot, query: &[f32], k: usize) -> (Vec<TopK>, Cost);
 }
 
-/// Deterministic tie-break: score descending, then key ascending.
-fn sort_scored(scored: &mut Vec<TopK>, k: usize) {
-    scored.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.key.cmp(&b.key)));
-    scored.truncate(k);
+/// Score `row` and keep it if it is among the best `k` seen, `top`
+/// staying sorted best first. The order — score descending, then key
+/// ascending — is total and keys are distinct, so the outcome does not
+/// depend on the order rows arrive in.
+fn keep_best(top: &mut Vec<TopK>, k: usize, snap: &Snapshot, query: &[f32], row: u32) {
+    let before = |a: &TopK, b: &TopK| {
+        let by_score = b.score.total_cmp(&a.score);
+        by_score.then_with(|| a.key.cmp(&b.key)).is_lt()
+    };
+    let cand = TopK {
+        key: snap.key_of_row(row),
+        score: dot(query, snap.row(row)),
+    };
+    if top.len() == k {
+        if !top.last().is_some_and(|worst| before(&cand, worst)) {
+            return;
+        }
+        top.pop();
+    }
+    top.insert(top.partition_point(|t| before(t, &cand)), cand);
 }
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -77,15 +93,12 @@ impl Retriever for ExactScan {
         let mut cost = Cost::new();
         let n = snap.num_keys();
         charge_scan(&mut cost, n, snap.dim());
-        let mut scored = Vec::with_capacity(n);
+        let k = k.min(n);
+        let mut top = Vec::with_capacity(k);
         for row in 0..n as u32 {
-            scored.push(TopK {
-                key: snap.key_of_row(row),
-                score: dot(query, snap.row(row)),
-            });
+            keep_best(&mut top, k, snap, query, row);
         }
-        sort_scored(&mut scored, k);
-        (scored, cost)
+        (top, cost)
     }
 }
 
@@ -96,7 +109,8 @@ impl Retriever for ExactScan {
 pub struct AnnConfig {
     /// Independent hash tables (more tables → higher recall).
     pub tables: usize,
-    /// Signature bits per table (more bits → smaller buckets).
+    /// Signature bits per table (more bits → smaller buckets; at most
+    /// 16 — every table stores `2^bits + 1` bucket offsets).
     pub bits: usize,
     /// Extra buckets probed per table (lowest-|margin| bit flips).
     pub probes: usize,
@@ -134,8 +148,8 @@ impl AnnConfig {
 }
 
 /// splitmix64 — deterministic hyperplane components without an RNG
-/// dependency.
-fn splitmix64(mut x: u64) -> u64 {
+/// dependency (and the snapshot's key hash).
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -148,16 +162,34 @@ fn unit(x: u64) -> f32 {
     (splitmix64(x) >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0
 }
 
+/// Planes projected onto together: one block's running dots stay in
+/// registers for the whole pass over a vector.
+const PLANE_BLOCK: usize = 16;
+
+thread_local! {
+    /// Query scratch, reused across queries: the candidate bitmap (one
+    /// bit per row) and the query's plane dots.
+    static SCRATCH: RefCell<(Vec<u64>, Vec<f32>)> = RefCell::default();
+}
+
 /// Per-snapshot LSH index: immutable, built at flip time, owned by the
-/// snapshot it indexes.
+/// snapshot it indexes. Flat arrays only: the hyperplanes in kernel
+/// order and one CSR of buckets.
 pub struct LshIndex {
     config: AnnConfig,
     dim: usize,
     rows: usize,
-    /// `tables × bits × dim` hyperplane components.
+    /// Plane `p = t × bits + b`, padded with zero planes to whole
+    /// blocks of [`PLANE_BLOCK`]; block-major, then dim-major: component
+    /// `d` of the block's `l`-th plane is at `(block × dim + d) ×
+    /// PLANE_BLOCK + l`.
     planes: Vec<f32>,
-    /// Per table: signature → row ids.
-    buckets: Vec<HashMap<u32, Vec<u32>>>,
+    /// `tables × (2^bits + 1)` offsets into `bucket_rows`: the bucket
+    /// of signature `s` in table `t` is
+    /// `offsets[t × (2^bits + 1) + s] .. offsets[t × (2^bits + 1) + s + 1]`.
+    offsets: Vec<u32>,
+    /// `tables × rows` row ids, ascending within a bucket.
+    bucket_rows: Vec<u32>,
 }
 
 impl LshIndex {
@@ -172,35 +204,67 @@ impl LshIndex {
         payload_f32s: usize,
         config: &AnnConfig,
     ) -> (Self, Cost) {
-        assert!(config.tables >= 1 && config.bits >= 1 && config.bits <= 32);
-        assert!(config.probes <= config.bits);
-        let mut cost = Cost::new();
+        let (tables, bits) = (config.tables, config.bits);
+        assert!(tables >= 1 && (1..=16).contains(&bits) && dim >= 1);
+        assert!(config.probes <= bits);
         let n = keys.len();
-        let planes: Vec<f32> = (0..config.tables * config.bits * dim)
-            .map(|i| unit(config.seed.wrapping_add(i as u64)))
-            .collect();
-        let mut buckets = vec![HashMap::new(); config.tables];
+        assert!(n.saturating_mul(tables) < u32::MAX as usize);
+        let per_table = (1 << bits) + 1;
+        let blocks = (tables * bits).div_ceil(PLANE_BLOCK);
+        let mut planes = vec![0f32; blocks * dim * PLANE_BLOCK];
+        for p in 0..tables * bits {
+            for d in 0..dim {
+                planes[(p / PLANE_BLOCK * dim + d) * PLANE_BLOCK + p % PLANE_BLOCK] =
+                    unit(config.seed.wrapping_add((p * dim + d) as u64));
+            }
+        }
         let mut index = Self {
             config: config.clone(),
             dim,
             rows: n,
             planes,
-            buckets: Vec::new(),
+            offsets: vec![0; tables * per_table],
+            bucket_rows: vec![0; tables * n],
         };
-        for row in 0..n {
-            let v = &rows[row * payload_f32s..row * payload_f32s + dim];
-            for (t, bucket) in buckets.iter_mut().enumerate() {
-                let (sig, _) = index.signature(t, v);
-                bucket.entry(sig).or_insert_with(Vec::new).push(row as u32);
+
+        // Counting sort of rows by (table, signature). A bucket's count
+        // sits one past its signature, so the running sum over the whole
+        // array leaves every bucket's start in place (each table's first
+        // offset counts nothing and lands on `t × n`).
+        let mut dots = vec![0f32; blocks * PLANE_BLOCK];
+        let mut sigs = vec![0u16; n * tables];
+        for (v, sigs) in rows
+            .chunks_exact(payload_f32s)
+            .zip(sigs.chunks_exact_mut(tables))
+        {
+            index.project(&v[..dim], &mut dots);
+            for (t, sig) in sigs.iter_mut().enumerate() {
+                *sig = signature(&dots[t * bits..][..bits]) as u16;
+                index.offsets[t * per_table + *sig as usize + 1] += 1;
             }
         }
+        let mut total = 0;
+        for offset in &mut index.offsets {
+            total += *offset;
+            *offset = total;
+        }
+        // Rows are placed in ascending order, so every bucket ascends.
+        let mut next = index.offsets.clone();
+        for (row, sigs) in sigs.chunks_exact(tables).enumerate() {
+            for (t, &sig) in sigs.iter().enumerate() {
+                let at = &mut next[t * per_table + sig as usize];
+                index.bucket_rows[*at as usize] = row as u32;
+                *at += 1;
+            }
+        }
+
         // Hashing every row through every table is the build bill.
+        let mut cost = Cost::new();
         cost.charge(
             CostKind::Cpu,
-            (n * config.tables * config.bits * dim) as u64 * OPT_FLOP_NS_PER_F32,
+            (n * tables * bits * dim) as u64 * OPT_FLOP_NS_PER_F32,
         );
         DeviceTiming::dram().charge_read((n * dim * 4) as u64, &mut cost);
-        index.buckets = buckets;
         (index, cost)
     }
 
@@ -214,50 +278,73 @@ impl LshIndex {
         self.rows
     }
 
-    /// Sign signature of `v` in table `t`, plus per-bit margins
-    /// (|dot| per bit, for multiprobe ordering).
-    fn signature(&self, t: usize, v: &[f32]) -> (u32, Vec<f32>) {
-        let bits = self.config.bits;
-        let mut sig = 0u32;
-        let mut margins = Vec::with_capacity(bits);
-        for b in 0..bits {
-            let start = (t * bits + b) * self.dim;
-            let d = dot(v, &self.planes[start..start + self.dim]);
-            if d >= 0.0 {
-                sig |= 1 << b;
-            }
-            margins.push(d.abs());
-        }
-        (sig, margins)
-    }
-
-    /// Candidate row ids for `query`: home bucket plus the `probes`
-    /// lowest-margin single-bit flips, per table, deduplicated.
-    /// Deterministic for a given `(index, query)`.
-    pub fn candidates(&self, query: &[f32]) -> Vec<u32> {
-        assert_eq!(query.len(), self.dim, "query dim mismatch");
-        let mut seen = vec![false; self.rows];
-        let mut out = Vec::new();
-        let visit = |sig: u32, t: usize, seen: &mut Vec<bool>, out: &mut Vec<u32>| {
-            if let Some(rows) = self.buckets[t].get(&sig) {
-                for &row in rows {
-                    if !seen[row as usize] {
-                        seen[row as usize] = true;
-                        out.push(row);
-                    }
+    /// Dot of `v` with every plane, into `dots` (plane `p` at `dots[p]`).
+    /// Each plane's sum runs over `d = 0, 1, …` from `-0.0`, exactly as
+    /// [`dot`] sums it; the planes of a block advance side by side, which
+    /// is what lets the inner loop vectorise without reassociating.
+    fn project(&self, v: &[f32], dots: &mut [f32]) {
+        let blocks = self.planes.chunks_exact(self.dim * PLANE_BLOCK);
+        for (block, out) in blocks.zip(dots.chunks_exact_mut(PLANE_BLOCK)) {
+            let mut acc = [-0.0f32; PLANE_BLOCK];
+            for (x, w) in v.iter().zip(block.chunks_exact(PLANE_BLOCK)) {
+                for (a, w) in acc.iter_mut().zip(w) {
+                    *a += x * w;
                 }
             }
-        };
-        for t in 0..self.config.tables {
-            let (sig, margins) = self.signature(t, query);
-            visit(sig, t, &mut seen, &mut out);
-            // Multiprobe: flip the bits the query was least sure about.
-            let mut order: Vec<usize> = (0..self.config.bits).collect();
-            order.sort_unstable_by(|&a, &b| margins[a].total_cmp(&margins[b]));
-            for &bit in order.iter().take(self.config.probes) {
-                visit(sig ^ (1 << bit), t, &mut seen, &mut out);
-            }
+            out.copy_from_slice(&acc);
         }
+    }
+
+    /// Call `visit` with every candidate row of `query`, ascending and
+    /// once each: per table, the home bucket plus the `probes`
+    /// single-bit flips of lowest `(margin, bit)`, merged in a bitmap.
+    fn for_each_candidate(&self, query: &[f32], mut visit: impl FnMut(u32)) {
+        assert_eq!(query.len(), self.dim, "query dim mismatch");
+        let (tables, bits) = (self.config.tables, self.config.bits);
+        let per_table = (1 << bits) + 1;
+        SCRATCH.with_borrow_mut(|(bitmap, dots)| {
+            bitmap.clear();
+            bitmap.resize(self.rows.div_ceil(64), 0);
+            dots.resize(self.planes.len() / self.dim, 0.0);
+            self.project(query, dots);
+            for t in 0..tables {
+                let dots = &dots[t * bits..][..bits];
+                let home = signature(dots);
+                let mut mark = |sig: u32| {
+                    let at = t * per_table + sig as usize;
+                    let bucket = self.offsets[at] as usize..self.offsets[at + 1] as usize;
+                    for &row in &self.bucket_rows[bucket] {
+                        bitmap[row as usize / 64] |= 1 << (row % 64);
+                    }
+                };
+                mark(home);
+                // Multiprobe: flip the bits the query was least sure about.
+                let mut flipped = 0u32;
+                for _ in 0..self.config.probes {
+                    let bit = (0..bits)
+                        .filter(|b| flipped >> b & 1 == 0)
+                        .min_by(|&a, &b| dots[a].abs().total_cmp(&dots[b].abs()))
+                        .expect("probes ≤ bits");
+                    flipped |= 1 << bit;
+                    mark(home ^ (1 << bit));
+                }
+            }
+            for (w, &word) in bitmap.iter().enumerate() {
+                let mut rest = word;
+                while rest != 0 {
+                    visit(w as u32 * 64 + rest.trailing_zeros());
+                    rest &= rest - 1;
+                }
+            }
+        })
+    }
+
+    /// Candidate row ids for `query`, ascending: home bucket plus the
+    /// `probes` lowest-margin single-bit flips, per table, deduplicated.
+    /// Deterministic for a given `(index, query)`.
+    pub fn candidates(&self, query: &[f32]) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.for_each_candidate(query, |row| out.push(row));
         out
     }
 
@@ -271,6 +358,14 @@ impl LshIndex {
         );
         cost
     }
+}
+
+/// Sign signature of one table's plane dots: bit `b` is set when
+/// `dots[b] ≥ 0`.
+fn signature(dots: &[f32]) -> u32 {
+    dots.iter()
+        .enumerate()
+        .fold(0, |sig, (b, &d)| sig | u32::from(d >= 0.0) << b)
 }
 
 impl std::fmt::Debug for LshIndex {
@@ -298,19 +393,16 @@ impl Retriever for LshRetriever {
         let Some(index) = snap.ann_index() else {
             return ExactScan.top_k(snap, query, k);
         };
-        assert_eq!(query.len(), snap.dim(), "query dim mismatch");
         let mut cost = index.probe_cost();
-        let candidates = index.candidates(query);
-        charge_scan(&mut cost, candidates.len(), snap.dim());
-        let mut scored: Vec<TopK> = candidates
-            .into_iter()
-            .map(|row| TopK {
-                key: snap.key_of_row(row),
-                score: dot(query, snap.row(row)),
-            })
-            .collect();
-        sort_scored(&mut scored, k);
-        (scored, cost)
+        let k = k.min(snap.num_keys());
+        let mut top = Vec::with_capacity(k);
+        let mut scored = 0;
+        index.for_each_candidate(query, |row| {
+            scored += 1;
+            keep_best(&mut top, k, snap, query, row);
+        });
+        charge_scan(&mut cost, scored, snap.dim());
+        (top, cost)
     }
 }
 

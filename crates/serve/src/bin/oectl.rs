@@ -14,7 +14,7 @@
 //! example) — a checkpointed pool's persistence-domain bytes.
 
 use oe_pmem::scan::recover;
-use oe_pmem::{PmemPool, ScanReport};
+use oe_pmem::{PmemPool, ScanReport, ROOT_BYTES};
 use oe_serve::{load_image, AnnConfig, ExactScan, LshRetriever, Retriever, ServingNode, Snapshot};
 use oe_simdevice::{Cost, CrashImage, Media};
 use std::path::Path;
@@ -216,14 +216,17 @@ fn recover_or_exit(media: impl Into<Arc<Media>>, cost: &mut Cost) -> (PmemPool, 
 }
 
 fn open_serving(image: CrashImage, ann: bool) -> ServingNode {
-    let mut cost = Cost::new();
-    // The payload layout stores dim + optimizer state; serve the weight
-    // prefix. We infer dim = payload/2 for AdaGrad-style layouts and
-    // fall back to the full payload; `dump` prints everything anyway.
-    let (pool, _) = recover_or_exit(Media::from_crash(image.clone()), &mut cost);
-    let dim = pool.payload_f32s();
+    // The image does not say where the weights end and optimizer state
+    // begins, so the whole payload is served as the embedding (`dump`
+    // prints it all). Its width is in the root line, the only part of
+    // the image read before the snapshot decode.
+    let root = &image.bytes()[..image.bytes().len().min(ROOT_BYTES as usize)];
+    let root = CrashImage::from_parts(root.to_vec(), image.device());
+    let media = Arc::new(Media::from_crash(root));
+    let pool = PmemPool::open(Arc::clone(&media), &mut Cost::new())
+        .unwrap_or_else(|| die(PmemPool::refusal(&media)));
     let cfg = AnnConfig::paper_default();
-    let snapshot = Snapshot::build(image, dim, ann.then_some(&cfg))
+    let snapshot = Snapshot::build(image, pool.payload_f32s(), ann.then_some(&cfg))
         .unwrap_or_else(|| die("no initialized pool in image"));
     ServingNode::from_snapshot(Arc::new(snapshot))
 }

@@ -6,9 +6,7 @@
 //! borrow-returning `(value, Cost)` pairs ([`ServingNode::get`],
 //! [`ServingNode::retrieve`]). Use
 //! [`crate::snapshot_handle::SnapshotHandle`] for concurrent,
-//! flip-on-checkpoint serving. The pre-snapshot out-param shims
-//! (`lookup`/`lookup_many`/`top_k`/`read_payload`) lived out their one
-//! deprecation release and are gone.
+//! flip-on-checkpoint serving.
 
 use crate::ann::Retriever;
 use crate::snapshot_handle::Snapshot;
@@ -34,16 +32,7 @@ impl ServingNode {
     /// row arena up front (cost charged to `cost` once); reads are
     /// then pure borrows. Returns `None` if the image holds no
     /// initialized pool.
-    ///
-    /// `_cache_entries` is vestigial: the decoded arena made the
-    /// miss-path hot cache redundant. Kept so existing callers compile
-    /// unchanged for one release.
-    pub fn open(
-        image: CrashImage,
-        dim: usize,
-        _cache_entries: usize,
-        cost: &mut Cost,
-    ) -> Option<Self> {
+    pub fn open(image: CrashImage, dim: usize, cost: &mut Cost) -> Option<Self> {
         let snapshot = Arc::new(Snapshot::build(image, dim, None)?);
         cost.merge(snapshot.build_cost());
         Some(Self::from_snapshot(snapshot))
@@ -171,7 +160,7 @@ mod tests {
     fn serves_checkpointed_weights() {
         let (image, expected) = trained_image();
         let mut cost = Cost::new();
-        let node = ServingNode::open(image, DIM, 16, &mut cost).expect("open");
+        let node = ServingNode::open(image, DIM, &mut cost).expect("open");
         assert!(cost.total_ns() > 0, "open charges the decode scan");
         assert_eq!(node.checkpoint(), 3);
         assert_eq!(node.num_keys(), 50);
@@ -188,7 +177,7 @@ mod tests {
     fn unknown_keys_are_none_not_zeros() {
         let (image, _) = trained_image();
         let mut cost = Cost::new();
-        let node = ServingNode::open(image, DIM, 4, &mut cost).unwrap();
+        let node = ServingNode::open(image, DIM, &mut cost).unwrap();
         let (missing, miss_cost) = node.get(999_999);
         assert!(missing.is_none());
         assert!(miss_cost.total_ns() > 0, "probes still cost");
@@ -202,7 +191,7 @@ mod tests {
     fn retrieve_ranks_by_dot_product() {
         let (image, expected) = trained_image();
         let mut cost = Cost::new();
-        let node = ServingNode::open(image, DIM, 64, &mut cost).unwrap();
+        let node = ServingNode::open(image, DIM, &mut cost).unwrap();
         // Query = the embedding of key 7: its own score must rank top
         // among all candidates.
         let query = expected[7].clone();
@@ -224,7 +213,7 @@ mod tests {
     fn telemetry_counts_hits_and_unknowns() {
         let (image, _) = trained_image();
         let mut cost = Cost::new();
-        let node = ServingNode::open(image, DIM, 16, &mut cost).unwrap();
+        let node = ServingNode::open(image, DIM, &mut cost).unwrap();
         node.get(1);
         node.get(1);
         node.get(2);
@@ -249,7 +238,7 @@ mod tests {
     fn keys_iterate_ascending() {
         let (image, _) = trained_image();
         let mut cost = Cost::new();
-        let node = ServingNode::open(image, DIM, 2, &mut cost).unwrap();
+        let node = ServingNode::open(image, DIM, &mut cost).unwrap();
         let keys: Vec<u64> = node.keys().collect();
         assert_eq!(keys.len(), 50);
         assert!(keys.windows(2).all(|w| w[0] < w[1]));

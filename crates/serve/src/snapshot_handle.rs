@@ -28,18 +28,30 @@
 //! optionally archives it with [`crate::snapshot::save_image`], builds
 //! the next snapshot (ANN index included), and flips.
 
-use crate::ann::{AnnConfig, LshIndex};
+use crate::ann::{splitmix64, AnnConfig, LshIndex};
 use crate::snapshot::save_image;
 use oe_core::config::HASH_PROBE_NS;
 use oe_core::{BatchId, PsEngine, PsNode};
-use oe_pmem::scan::recover;
-use oe_simdevice::{Cost, CostKind, CrashImage, DeviceTiming, Media};
+use oe_pmem::scan::scan_image;
+use oe_simdevice::{Cost, CostKind, CrashImage, DeviceTiming};
 use oe_telemetry::{Counter, Phase, PhaseTimes, Registry};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// An unused slot of [`Snapshot::index`].
+const NO_ROW: u32 = u32::MAX;
+
+/// Where `key`'s row is, or would go, in the open-addressed `index`.
+fn probe(index: &[u32], keys: &[u64], key: u64) -> usize {
+    let mask = index.len() - 1;
+    let mut at = splitmix64(key) as usize & mask;
+    while index[at] != NO_ROW && keys[index[at] as usize] != key {
+        at = (at + 1) & mask;
+    }
+    at
+}
 
 /// An immutable, fully-decoded checkpoint image: the serving plane's
 /// unit of atomicity. All read methods take `&self` and return borrows
@@ -52,8 +64,10 @@ pub struct Snapshot {
     rows: Vec<f32>,
     /// Row → key (ascending; rows are key-sorted for determinism).
     keys: Vec<u64>,
-    /// Key → row.
-    index: HashMap<u64, u32>,
+    /// Key → row: an open-addressed table of rows (or [`NO_ROW`]), a
+    /// power of two long and at most half full, probed linearly from
+    /// the key's hash; the key itself is read back from `keys`.
+    index: Vec<u32>,
     /// Virtual cost of building this snapshot (image scan + decode +
     /// ANN construction) — paid once per flip, not per read.
     build_cost: Cost,
@@ -66,33 +80,47 @@ impl Snapshot {
     /// prefix of each payload); `ann` requests a per-snapshot retrieval
     /// index. Returns `None` if the image holds no initialized pool.
     pub fn build(image: CrashImage, dim: usize, ann: Option<&AnnConfig>) -> Option<Self> {
+        Self::build_recording(image, dim, ann, None)
+    }
+
+    /// [`Self::build`], with [`LshIndex::build`] alone timed into
+    /// `phases` as [`Phase::AnnBuild`].
+    fn build_recording(
+        image: CrashImage,
+        dim: usize,
+        ann: Option<&AnnConfig>,
+        phases: Option<&PhaseTimes>,
+    ) -> Option<Self> {
+        // One read-only pass judges every slot where it lies; survivors
+        // are then decoded straight into their key-sorted rows. Charged
+        // as the pool path was: root read, scan, one slot read per row.
         let mut cost = Cost::new();
-        let media = Arc::new(Media::from_crash(image));
-        let (pool, report) = recover(media, &mut cost)?;
-        let payload_f32s = pool.payload_f32s();
+        let mut scan = scan_image(&image, &mut cost)?;
+        let payload_f32s = scan.payload_f32s();
         assert!(
             payload_f32s >= dim,
             "image payload ({payload_f32s} f32s) smaller than requested dim ({dim})"
         );
-        let mut live = report.live;
+        let mut live = std::mem::take(&mut scan.report.live);
         live.sort_unstable_by_key(|r| r.key);
+        assert!(live.len() < NO_ROW as usize, "row ids are u32");
+        let keys: Vec<u64> = live.iter().map(|r| r.key).collect();
         let mut rows = vec![0f32; live.len() * payload_f32s];
-        let mut keys = Vec::with_capacity(live.len());
-        let mut index = HashMap::with_capacity(live.len());
+        let mut index = vec![NO_ROW; (2 * live.len()).next_power_of_two()];
         for (row, rec) in live.iter().enumerate() {
-            let out = &mut rows[row * payload_f32s..(row + 1) * payload_f32s];
-            pool.read_slot(rec.id, out, &mut cost)
-                .expect("recovered slot valid");
-            keys.push(rec.key);
-            index.insert(rec.key, row as u32);
+            let out = &mut rows[row * payload_f32s..][..payload_f32s];
+            scan.read_slot(rec.id, out, &mut cost);
+            let at = probe(&index, &keys, rec.key);
+            index[at] = row as u32;
         }
         let ann = ann.map(|cfg| {
+            let _span = phases.map(|p| p.span(Phase::AnnBuild));
             let (idx, ann_cost) = LshIndex::build(&rows, &keys, dim, payload_f32s, cfg);
             cost.merge(&ann_cost);
             idx
         });
         Some(Self {
-            checkpoint: report.checkpoint_id,
+            checkpoint: scan.report.checkpoint_id,
             dim,
             payload_f32s,
             rows,
@@ -156,18 +184,16 @@ impl Snapshot {
     /// only) for unknown keys — the caller picks its missing-feature
     /// convention.
     pub fn lookup(&self, key: u64) -> (Option<&[f32]>, Cost) {
-        match self.index.get(&key) {
-            Some(&row) => (Some(self.row(row)), self.read_cost(self.dim)),
+        match self.row_of(key) {
+            Some(row) => (Some(self.row(row)), self.read_cost(self.dim)),
             None => (None, self.read_cost(0)),
         }
     }
 
     /// Full payload of `key` (weights + optimizer state), borrowed.
-    /// Replaces the old `read_payload` which allocated a fresh
-    /// `Vec<f32>` per call.
     pub fn payload(&self, key: u64) -> (Option<&[f32]>, Cost) {
-        match self.index.get(&key) {
-            Some(&row) => {
+        match self.row_of(key) {
+            Some(row) => {
                 let start = row as usize * self.payload_f32s;
                 (
                     Some(&self.rows[start..start + self.payload_f32s]),
@@ -191,7 +217,8 @@ impl Snapshot {
 
     /// Row index of `key`, if present.
     pub fn row_of(&self, key: u64) -> Option<u32> {
-        self.index.get(&key).copied()
+        let row = self.index[probe(&self.index, &self.keys, key)];
+        (row != NO_ROW).then_some(row)
     }
 }
 
@@ -228,8 +255,8 @@ impl SnapshotHandle {
     }
 
     /// Publish `initial` at epoch 1, recording into `registry`
-    /// (`serve_lookup`/`serve_topk`/`snapshot_flip`/`ann_build`
-    /// latency histograms plus hit/unknown/flip counters).
+    /// (`serve_lookup`/`serve_topk`/`snapshot_flip`/`snapshot_build`/
+    /// `ann_build` latency histograms plus hit/unknown/flip counters).
     pub fn with_registry(initial: Arc<Snapshot>, registry: Arc<Registry>) -> Self {
         let phases = PhaseTimes::new(
             &registry,
@@ -238,6 +265,7 @@ impl SnapshotHandle {
                 Phase::ServeLookup,
                 Phase::ServeTopk,
                 Phase::SnapshotFlip,
+                Phase::SnapshotBuild,
                 Phase::AnnBuild,
             ],
         );
@@ -281,9 +309,11 @@ impl SnapshotHandle {
         epoch
     }
 
-    /// Build a snapshot from `image` and flip it in (records the ANN
-    /// build under `ann_build_latency_ns`). `None` if the image holds
-    /// no initialized pool — the previous snapshot keeps serving.
+    /// Build a snapshot from `image` and flip it in: the whole build
+    /// is recorded under `snapshot_build_latency_ns`, the index
+    /// construction inside it under `ann_build_latency_ns` (no sample
+    /// without an index). `None` if the image holds no initialized
+    /// pool — the previous snapshot keeps serving.
     pub fn publish_image(
         &self,
         image: CrashImage,
@@ -291,8 +321,9 @@ impl SnapshotHandle {
         ann: Option<&AnnConfig>,
     ) -> Option<(u64, Arc<Snapshot>)> {
         let built = {
-            let _span = self.phases.span(Phase::AnnBuild);
-            Arc::new(Snapshot::build(image, dim, ann)?)
+            let _span = self.phases.span(Phase::SnapshotBuild);
+            let phases = Some(&self.phases);
+            Arc::new(Snapshot::build_recording(image, dim, ann, phases)?)
         };
         let epoch = self.flip(Arc::clone(&built));
         Some((epoch, built))
@@ -450,13 +481,14 @@ impl CheckpointPublisher {
 mod tests {
     use super::*;
     use oe_core::{NodeConfig, OptimizerKind, PsEngine};
+    use oe_simdevice::{Media, MediaConfig};
 
     const DIM: usize = 4;
 
     fn image_at(gen: u64) -> CrashImage {
         // A tiny pool written directly: every key's payload encodes the
         // generation so snapshots are distinguishable.
-        let media = Arc::new(Media::new(oe_simdevice::MediaConfig::pmem(1 << 20)));
+        let media = Arc::new(Media::new(MediaConfig::pmem(1 << 20)));
         let mut cost = Cost::new();
         let pool = oe_pmem::PmemPool::create_on(Arc::clone(&media), DIM * 4, &mut cost);
         for key in 0..20u64 {
@@ -511,6 +543,25 @@ mod tests {
             snap.histogram("snapshot_flip_latency_ns").unwrap().count(),
             1
         );
+    }
+
+    #[test]
+    fn ann_build_histogram_times_the_index_build_only() {
+        let handle =
+            SnapshotHandle::new(Arc::new(Snapshot::build(image_at(1), DIM, None).unwrap()));
+        let samples = |name: &str| {
+            let snap = handle.registry().snapshot();
+            snap.histogram(name).map_or(0, |h| h.count())
+        };
+        // No index requested: the build is timed, the index build is not.
+        handle.publish_image(image_at(2), DIM, None).expect("pool");
+        assert_eq!(samples("snapshot_build_latency_ns"), 1);
+        assert_eq!(samples("ann_build_latency_ns"), 0);
+        let ann = AnnConfig::paper_default();
+        let (_, snap) = handle.publish_image(image_at(3), DIM, Some(&ann)).unwrap();
+        assert!(snap.ann_index().is_some());
+        assert_eq!(samples("snapshot_build_latency_ns"), 2);
+        assert_eq!(samples("ann_build_latency_ns"), 1);
     }
 
     #[test]

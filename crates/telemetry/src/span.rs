@@ -52,11 +52,14 @@ pub enum Phase {
     SnapshotFlip,
     /// Per-snapshot ANN index construction (LSH signatures + buckets).
     AnnBuild,
+    /// Serving-plane snapshot build: image scan + row decode + key
+    /// index, and the ANN index when one is requested.
+    SnapshotBuild,
 }
 
 impl Phase {
     /// Every phase, in display order.
-    pub const ALL: [Phase; 17] = [
+    pub const ALL: [Phase; 18] = [
         Phase::Pull,
         Phase::Maintain,
         Phase::Flush,
@@ -74,6 +77,7 @@ impl Phase {
         Phase::FailoverRecovery,
         Phase::SnapshotFlip,
         Phase::AnnBuild,
+        Phase::SnapshotBuild,
     ];
 
     /// Stable metric-name fragment.
@@ -96,6 +100,7 @@ impl Phase {
             Phase::FailoverRecovery => "failover_recovery",
             Phase::SnapshotFlip => "snapshot_flip",
             Phase::AnnBuild => "ann_build",
+            Phase::SnapshotBuild => "snapshot_build",
         }
     }
 
@@ -111,7 +116,7 @@ impl Phase {
 /// so each component's exposition shows only histograms it can fill.
 #[derive(Debug)]
 pub struct PhaseTimes {
-    hists: [Option<HistogramHandle>; 17],
+    hists: [Option<HistogramHandle>; 18],
 }
 
 impl PhaseTimes {
@@ -120,7 +125,7 @@ impl PhaseTimes {
     /// registers `{phase}_latency_ns` — for phases whose names already
     /// carry their component, like `serve_lookup`).
     pub fn new(registry: &Registry, prefix: &str, phases: &[Phase]) -> Self {
-        let mut hists: [Option<HistogramHandle>; 17] = Default::default();
+        let mut hists: [Option<HistogramHandle>; 18] = Default::default();
         for &p in phases {
             let name = if prefix.is_empty() {
                 format!("{}_latency_ns", p.name())
