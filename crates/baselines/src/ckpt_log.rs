@@ -12,8 +12,8 @@
 //! ≤ the committed id, which is how `DRAM-PS` recovers in Fig. 14.
 
 use oe_core::Key;
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, Media, MediaConfig};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 

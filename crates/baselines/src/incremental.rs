@@ -11,8 +11,8 @@ use crate::ckpt_log::{CkptDevice, CkptLog};
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::stats::{EngineStats, StatsSnapshot};
 use oe_core::{BatchId, Key};
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::Cost;
-use parking_lot::Mutex;
 use std::collections::HashSet;
 
 /// Wraps an engine, replacing its checkpoint path with incremental

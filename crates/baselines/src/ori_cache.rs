@@ -20,8 +20,8 @@ use oe_core::optimizer::Optimizer;
 use oe_core::stats::{EngineStats, StatsSnapshot};
 use oe_core::{BatchId, Key, NodeConfig};
 use oe_pmem::{PmemPool, PoolConfig, SlotId};
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 
 /// Cost of acquiring and releasing the global list lock (uncontended

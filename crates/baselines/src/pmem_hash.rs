@@ -15,8 +15,8 @@ use oe_core::optimizer::Optimizer;
 use oe_core::stats::{EngineStats, StatsSnapshot};
 use oe_core::{BatchId, Key, NodeConfig};
 use oe_pmem::{PmemPool, PoolConfig, SlotId};
+use oe_simdevice::sync::RwLock;
 use oe_simdevice::{Cost, CostKind};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 

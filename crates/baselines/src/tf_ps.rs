@@ -17,8 +17,8 @@ use oe_core::init::init_payload;
 use oe_core::optimizer::Optimizer;
 use oe_core::stats::{EngineStats, StatsSnapshot};
 use oe_core::{BatchId, Key, NodeConfig};
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Framework op-dispatch overhead per embedding lookup/update (ns):

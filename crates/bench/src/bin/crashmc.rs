@@ -6,41 +6,19 @@
 //! cargo run --release -p oe-bench --bin crashmc -- --smoke --out BENCH_crashmc.json
 //! ```
 
-use oe_bench::crashmc::{print_report, run, CrashMcBenchConfig};
+use oe_bench::crashmc::{metrics, print_report, run, CrashMcBenchConfig};
+use oe_bench::trajectory::gated_main;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out = Some(p.clone()),
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("usage: crashmc [--smoke] [--out PATH]   (unknown arg: {other})");
-                std::process::exit(2);
-            }
-        }
-    }
-    let cfg = if smoke {
-        CrashMcBenchConfig::smoke()
-    } else {
-        CrashMcBenchConfig::paper()
-    };
-    let report = run(&cfg);
-    print_report(&report);
-    if let Some(path) = out {
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&path, json + "\n").expect("write bench artifact");
-        println!("wrote {path}");
-    }
+    let report = gated_main(
+        "crashmc",
+        CrashMcBenchConfig::smoke,
+        CrashMcBenchConfig::paper,
+        run,
+        print_report,
+        metrics,
+        |_| Vec::new(), // counts and wall time: recorded, never gated
+    );
     if report.violations_found > 0 {
         eprintln!(
             "FAIL: {} durability violations at enumerated crash points",

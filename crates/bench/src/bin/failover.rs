@@ -7,39 +7,17 @@
 //! cargo run --release -p oe-bench --bin failover -- --smoke --out BENCH_failover.json
 //! ```
 
-use oe_bench::failover::{print_report, run, FailoverConfig};
+use oe_bench::failover::{metrics, print_report, run, FailoverConfig};
+use oe_bench::trajectory::gated_main;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => match it.next() {
-                Some(p) => out = Some(p.clone()),
-                None => {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("usage: failover [--smoke] [--out PATH]   (unknown arg: {other})");
-                std::process::exit(2);
-            }
-        }
-    }
-    let cfg = if smoke {
-        FailoverConfig::smoke()
-    } else {
-        FailoverConfig::paper()
-    };
-    let report = run(&cfg);
-    print_report(&report);
-    if let Some(path) = out {
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        std::fs::write(&path, json + "\n").expect("write bench artifact");
-        println!("wrote {path}");
-    }
+    gated_main(
+        "failover",
+        FailoverConfig::smoke,
+        FailoverConfig::paper,
+        run,
+        print_report,
+        metrics,
+        |_| Vec::new(), // overheads are lower-is-better: recorded, never gated
+    );
 }

@@ -1,15 +1,14 @@
 //! Crash-point enumeration bench: sweep every (or every `stride`-th)
 //! persistence event of the reference training schedule per optimizer,
-//! count invariant checks, and report violations. JSON artifact
-//! `BENCH_crashmc.json` — the repo's machine-checkable durability
-//! coverage statement.
+//! count invariant checks, and report violations. `--out` writes the
+//! counts as flat JSON (`BENCH_crashmc.json` in `ci.sh`) — the repo's
+//! machine-checkable durability coverage statement.
 
 use oe_core::OptimizerKind;
 use oe_train::crashmc::{recovery_crash_sweep, reference, sweep, CrashMcConfig};
-use serde::Serialize;
 
 /// Sweep shape for one bench run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CrashMcBenchConfig {
     /// Event-index stride (1 = exhaustive).
     pub stride: u64,
@@ -70,7 +69,7 @@ impl CrashMcBenchConfig {
 }
 
 /// One optimizer's sweep outcome.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct CrashMcArm {
     /// Optimizer under test.
     pub optimizer: OptimizerKind,
@@ -90,8 +89,8 @@ pub struct CrashMcArm {
     pub wall_ms: u64,
 }
 
-/// Full bench artifact (serialized to `BENCH_crashmc.json` by ci.sh).
-#[derive(Debug, Serialize)]
+/// Full bench report ([`metrics`] is what `--out` writes).
+#[derive(Debug)]
 pub struct CrashMcReport {
     /// The configuration swept.
     pub config: CrashMcBenchConfig,
@@ -183,6 +182,22 @@ pub fn print_report(r: &CrashMcReport) {
         "total: {} crash points enumerated, {} invariant checks, {} violations",
         r.events_enumerated, r.invariant_checks, r.violations_found
     );
+}
+
+/// Flat metrics for `--out` and the trajectory: the coverage counts per
+/// optimizer arm and in total.
+pub fn metrics(r: &CrashMcReport) -> Vec<(String, f64)> {
+    let mut m = Vec::new();
+    for a in &r.arms {
+        let o = optimizer_name(&a.optimizer);
+        m.push((format!("{o}.total_events"), a.total_events as f64));
+        m.push((format!("{o}.indices_checked"), a.indices_checked as f64));
+        m.push((format!("{o}.wall_ms"), a.wall_ms as f64));
+    }
+    m.push(("events_enumerated".into(), r.events_enumerated as f64));
+    m.push(("invariant_checks".into(), r.invariant_checks as f64));
+    m.push(("violations_found".into(), r.violations_found as f64));
+    m
 }
 
 #[cfg(test)]

@@ -25,11 +25,10 @@ use oe_net::{
 };
 use oe_train::{PipelineConfig, PipelinedTrainer, TrainReport, TrainerConfig};
 use oe_workload::{SkewModel, WorkloadSpec};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Workload + fault shape for one bench run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FailoverConfig {
     /// Embedding table size (distinct keys).
     pub num_keys: u64,
@@ -125,7 +124,7 @@ impl FailoverConfig {
 }
 
 /// One arm of the drop-rate sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DropArm {
     /// Injected frame-drop probability (each direction).
     pub drop_rate: f64,
@@ -142,7 +141,7 @@ pub struct DropArm {
 }
 
 /// Replica promotion cost, measured directly.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RecoveryResult {
     /// Batch the committed checkpoint ends at (training resumes at +1).
     pub resume_batch: u64,
@@ -155,7 +154,7 @@ pub struct RecoveryResult {
 }
 
 /// Kill-mid-epoch failover run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KillRun {
     /// Call index the primary died at.
     pub kill_after_calls: u64,
@@ -171,8 +170,8 @@ pub struct KillRun {
     pub bit_identical: bool,
 }
 
-/// Full bench artifact (serialized to `BENCH_failover.json` by ci.sh).
-#[derive(Debug, Clone, Serialize)]
+/// Full bench report ([`metrics`] is what `--out` writes).
+#[derive(Debug, Clone)]
 pub struct FailoverReport {
     /// The configuration measured.
     pub config: FailoverConfig,
@@ -329,6 +328,22 @@ pub fn print_report(r: &FailoverReport) {
         r.kill.overhead_vs_clean * 100.0,
         r.kill.bit_identical
     );
+}
+
+/// Flat metrics for `--out` and the trajectory.
+pub fn metrics(r: &FailoverReport) -> Vec<(String, f64)> {
+    let mut m = vec![("clean_total_ns".to_string(), r.clean_total_ns as f64)];
+    let mut identical = r.kill.bit_identical;
+    for d in &r.drops {
+        let arm = format!("drop_{:.0}pct", d.drop_rate * 100.0);
+        m.push((format!("{arm}.retries"), d.retries as f64));
+        m.push((format!("{arm}.overhead_vs_clean"), d.overhead_vs_clean));
+        identical &= d.bit_identical;
+    }
+    m.push(("recovery_ns".into(), r.recovery.recovery_ns as f64));
+    m.push(("kill.overhead_vs_clean".into(), r.kill.overhead_vs_clean));
+    m.push(("bit_identical".into(), f64::from(u8::from(identical))));
+    m
 }
 
 #[cfg(test)]

@@ -699,22 +699,19 @@ pub fn latency(sc: &Scenario) {
     for kind in [EngineKind::Oe, EngineKind::DramPs, EngineKind::OriCache] {
         let r = run_scenario(kind, sc, 8, CkptSetup::None);
         println!("{:<12} pull {}", kind.label(), r.pull_hist.summary_ms());
-        rows.push(serde_json::json!({
-            "engine": kind.label(),
-            "batches": r.batches,
-            "miss_rate": r.miss_rate(),
-            "pull_p50_ns": r.pull_hist.p50(),
-            "pull_p95_ns": r.pull_hist.p95(),
-            "pull_p99_ns": r.pull_hist.p99(),
-            "pull_max_ns": r.pull_hist.max(),
-            "batch_p99_ns": r.batch_hist.p99(),
-        }));
+        for (name, v) in [
+            ("batches", r.batches as f64),
+            ("miss_rate", r.miss_rate()),
+            ("pull_p50_ns", r.pull_hist.p50() as f64),
+            ("pull_p95_ns", r.pull_hist.p95() as f64),
+            ("pull_p99_ns", r.pull_hist.p99() as f64),
+            ("pull_max_ns", r.pull_hist.max() as f64),
+            ("batch_p99_ns", r.batch_hist.p99() as f64),
+        ] {
+            rows.push((format!("latency.{}.{name}", kind.label()), v));
+        }
     }
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&serde_json::json!({ "latency": rows }))
-            .expect("latency rows serialize")
-    );
+    crate::trajectory::write_flat_json(std::io::stdout(), &rows).expect("stdout is writable");
     println!("(expect: PMem-OE pull tails within a few % of DRAM-PS; Ori-Cache inflated by inline maintenance)");
 }
 

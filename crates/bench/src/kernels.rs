@@ -25,12 +25,11 @@ use oe_core::init::splitmix64 as mix;
 use oe_core::OptimizerKind;
 use oe_net::{validate_frame, Packet, RequestView};
 use oe_pmem::layout::payload_checksum;
-use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Work sizes for one kernels run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KernelsConfig {
     /// Payload rows per timed repetition.
     pub rows: usize,
@@ -69,7 +68,7 @@ impl KernelsConfig {
 }
 
 /// One optimizer × dimension row of the sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KernelResult {
     /// Optimizer short name (`sgd`, `adagrad`, `adam`).
     pub kind: String,
@@ -89,7 +88,7 @@ pub struct KernelResult {
 }
 
 /// Codec throughput over one large push frame.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CodecResult {
     /// Frame size in bytes.
     pub frame_bytes: usize,
@@ -106,7 +105,7 @@ pub struct CodecResult {
 }
 
 /// Full artifact, serialized to `BENCH_kernels.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KernelsReport {
     /// The configuration measured.
     pub config: KernelsConfig,

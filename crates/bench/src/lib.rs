@@ -43,7 +43,7 @@
 //!   run's metrics to `BENCH_trajectory.json` keyed by git commit and
 //!   fails CI when a metric regresses >30% below
 //!   `BENCH_baseline.json` or silently leaves it; also the one `main`
-//!   the six gated bench binaries share.
+//!   the eight scenario binaries share.
 //!
 //! Run `cargo run --release -p oe-bench --bin figures -- all` (or a
 //! single id, or `--quick` for a fast pass).

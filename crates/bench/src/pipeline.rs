@@ -26,11 +26,10 @@ use oe_train::{
     GpuModel, PipelineConfig, PipelineReport, PipelinedTrainer, TrainMode, TrainerConfig,
 };
 use oe_workload::{SkewModel, WorkloadSpec};
-use serde::Serialize;
 use std::time::Instant;
 
 /// Workload + model + pipeline shape for one bench run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineBenchConfig {
     /// Embedding table size (distinct keys).
     pub num_keys: u64,
@@ -163,7 +162,7 @@ impl PipelineBenchConfig {
 }
 
 /// One point on an arm's convergence curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EpochPoint {
     /// Epoch index (1-based).
     pub epoch: u64,
@@ -179,7 +178,7 @@ pub struct EpochPoint {
 }
 
 /// One staleness arm of the frontier.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StalenessArm {
     /// Staleness bound `k`.
     pub staleness: usize,
@@ -214,7 +213,7 @@ pub struct StalenessArm {
 }
 
 /// Full bench artifact (serialized to `BENCH_pipeline.json` by ci.sh).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineBenchReport {
     /// The configuration measured.
     pub config: PipelineBenchConfig,

@@ -28,12 +28,11 @@ use oe_pool::{FabricConfig, RemotePool, SharedPool};
 use oe_simdevice::Cost;
 use oe_train::{GpuModel, PipelineConfig, PipelinedTrainer, TrainerConfig};
 use oe_workload::{SkewModel, WorkloadSpec};
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Workload shape for one bench run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PoolBenchConfig {
     /// Embedding table size (distinct keys).
     pub num_keys: u64,
@@ -134,7 +133,7 @@ impl PoolBenchConfig {
 }
 
 /// One storage-backend arm of the epoch sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BackendArm {
     /// Backend label ("pmem", "dram", "pool").
     pub label: &'static str,
@@ -149,7 +148,7 @@ pub struct BackendArm {
 }
 
 /// One attached-count arm of the fabric congestion sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CongestionArm {
     /// Nodes attached to the shared pool during the run.
     pub attached: u32,
@@ -161,7 +160,7 @@ pub struct CongestionArm {
 
 /// The recovery comparison at equal simulated cost: same trained state,
 /// same scan parallelism, two topologies.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RecoveryComparison {
     /// Crash-image promotion latency (local PMem, `CheckpointReplica`).
     pub local_recovery_ns: u64,
@@ -176,7 +175,7 @@ pub struct RecoveryComparison {
 }
 
 /// Full bench artifact (serialized to `BENCH_pool.json` by ci.sh).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PoolBenchReport {
     /// The configuration measured.
     pub config: PoolBenchConfig,

@@ -22,11 +22,10 @@ use oe_core::engine::PsEngine;
 use oe_core::init::splitmix64 as mix;
 use oe_core::{NodeConfig, OptimizerKind, PsNode};
 use oe_simdevice::{Cost, CostKind};
-use serde::Serialize;
 use std::collections::HashSet;
 
 /// Workload + node shape for one bench run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PullPushConfig {
     /// Embedding dimension.
     pub dim: usize,
@@ -84,7 +83,7 @@ impl PullPushConfig {
 }
 
 /// One execution mode's measured throughput.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ModeResult {
     /// Human label (`plan-1-lane`, `plan-4-lanes`, …).
     pub label: String,
@@ -108,7 +107,7 @@ pub struct ModeResult {
 }
 
 /// Full bench artifact (serialized to `BENCH_pullpush.json` by ci.sh).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PullPushReport {
     /// The configuration measured.
     pub config: PullPushConfig,

@@ -23,10 +23,9 @@ use oe_cluster::{MigrationStats, PlacedCluster, PlacerConfig, RebalanceConfig};
 use oe_core::{hash_node_of, NodeConfig, OptimizerKind, PsEngine, PsNode};
 use oe_simdevice::Cost;
 use oe_workload::{SkewModel, StormGen, StormSpec};
-use serde::Serialize;
 
 /// Workload + storm + controller shape for one bench run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RebalanceBenchConfig {
     /// PS nodes in the cluster.
     pub num_nodes: usize,
@@ -169,7 +168,7 @@ impl RebalanceBenchConfig {
 }
 
 /// Per-batch virtual-time profile of one arm.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ArmResult {
     /// Mean batch time before the storm hits.
     pub pre_storm_mean_ns: u64,
@@ -187,7 +186,7 @@ pub struct ArmResult {
 }
 
 /// Full bench artifact (serialized to `BENCH_rebalance.json` by ci.sh).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RebalanceReport {
     /// The configuration measured.
     pub config: RebalanceBenchConfig,

@@ -31,12 +31,11 @@ use oe_serve::{
 };
 use oe_simdevice::{Cost, CrashImage};
 use oe_workload::{SkewModel, StormGen, StormSpec};
-use serde::Serialize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Workload, model, and driver shape for one serving-bench run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServeBenchConfig {
     /// Embedding table size (distinct keys).
     pub num_keys: u64,
@@ -68,7 +67,7 @@ pub struct ServeBenchConfig {
 }
 
 /// One swept LSH shape (serializable mirror of [`AnnConfig`]).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AnnShape {
     /// Hash tables.
     pub tables: usize,
@@ -187,7 +186,7 @@ impl ServeBenchConfig {
 }
 
 /// One arm of the recall/latency tradeoff sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SweepRow {
     /// Arm label (`exact` or `lsh-TxBpP`).
     pub label: String,
@@ -204,7 +203,7 @@ pub struct SweepRow {
 }
 
 /// Open-loop QPS phase results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct QpsResult {
     /// Reader threads.
     pub readers: usize,
@@ -238,7 +237,7 @@ pub struct QpsResult {
 }
 
 /// Full bench artifact (serialized to `BENCH_serve.json` by ci.sh).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ServeReport {
     /// The configuration measured.
     pub config: ServeBenchConfig,

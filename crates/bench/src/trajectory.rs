@@ -1,17 +1,18 @@
 //! Persistent perf trajectory: every gated bench run appends its
 //! metrics to `BENCH_trajectory.json`, keyed by git commit, and is
 //! checked against `BENCH_baseline.json` — a flat `"bench.metric":
-//! value` object. All recorded metrics are higher-is-better
+//! value` object. All gated metrics are higher-is-better
 //! (throughputs and speedup ratios); the gate fails when a metric
 //! drops more than [`DEFAULT_THRESHOLD`] below its baseline, or when
 //! the baseline holds a key of this bench that the run no longer emits.
-//! [`gated_main`] is the whole `main` of every gated bench binary.
+//! [`gated_main`] is the whole `main` of every scenario bench binary.
 //!
-//! The workspace's vendored `serde_json` stub is serialize-only, so
-//! reading both files is hand-rolled here: the trajectory file is
-//! appended to by text-splicing its trailing `]`, and the baseline is
-//! parsed with a tiny flat-object scanner. Both writers emit plain
-//! pretty JSON that real tooling can consume.
+//! The workspace is std-only, so JSON is hand-rolled here: the
+//! trajectory file is appended to by text-splicing its trailing `]`, the
+//! baseline is parsed with a tiny flat-object scanner, and every other
+//! artifact (`--out`, `figures latency`, the baseline itself) is a flat
+//! object written by [`write_flat_json`]. All of it is plain pretty JSON
+//! that real tooling can consume.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -127,8 +128,8 @@ pub fn record(path: &Path, commit: &str, bench: &str, metrics: &[(String, f64)])
 }
 
 /// Split the text of a JSON array into its top-level object entries
-/// (string-aware brace matching; the vendored `serde_json` stub cannot
-/// parse). `None` when the text is not a well-formed array of objects.
+/// (string-aware brace matching). `None` when the text is not a
+/// well-formed array of objects.
 fn top_level_entries(text: &str) -> Option<Vec<&str>> {
     let body = text.trim().strip_prefix('[')?.strip_suffix(']')?;
     let mut entries = Vec::new();
@@ -237,14 +238,15 @@ pub fn parse_flat_json(text: &str) -> Result<Vec<(String, f64)>, String> {
     Ok(out)
 }
 
-fn write_flat_json(path: &Path, entries: &[(String, f64)]) -> io::Result<()> {
+/// Write a flat `"name": number` JSON object, one pair per line.
+pub fn write_flat_json(mut out: impl io::Write, entries: &[(String, f64)]) -> io::Result<()> {
     let mut s = String::from("{");
     for (i, (k, v)) in entries.iter().enumerate() {
         let sep = if i == 0 { "" } else { "," };
         let _ = write!(s, "{sep}\n  \"{}\": {v}", escape(k));
     }
     s.push_str(if entries.is_empty() { "}\n" } else { "\n}\n" });
-    fs::write(path, s)
+    out.write_all(s.as_bytes())
 }
 
 /// Gate outcome for one run.
@@ -337,7 +339,7 @@ pub fn update_baseline(path: &Path, bench: &str, metrics: &[(String, f64)]) -> i
     entries.retain(|(k, _)| !k.starts_with(&prefix));
     entries.extend(metrics.iter().map(|(k, v)| (format!("{bench}.{k}"), *v)));
     entries.sort_by(|a, b| a.0.cmp(&b.0));
-    write_flat_json(path, &entries)
+    write_flat_json(fs::File::create(path)?, &entries)
 }
 
 /// Apply `--gate BASE` (and `--update-baseline`) to one bench's gated
@@ -395,11 +397,12 @@ fn hold_to_baseline(bench: &str, metrics: &[(String, f64)], gp: &str, do_update:
 /// The whole `main` of a gated bench binary: parse `[--smoke]
 /// [--out PATH] [--record TRAJECTORY] [--gate BASELINE]
 /// [--update-baseline]`, run the smoke or paper shape, print the report,
-/// write the JSON artifact, append `all_metrics` to the trajectory and
-/// hold `gated_metrics` (the noise-robust subset; the same function when
-/// everything is gated) to the baseline. Exits 2 on a bad argument, 1
-/// on a failed record or gate.
-pub fn gated_main<C, R: serde::Serialize>(
+/// write `all_metrics` as the flat JSON artifact, append them to the
+/// trajectory and hold `gated_metrics` (the noise-robust subset; the same
+/// function when everything is gated) to the baseline. Exits 2 on a bad
+/// argument, 1 on a failed write, record or gate; otherwise hands the
+/// report back for a verdict the gate cannot express.
+pub fn gated_main<C, R>(
     bench: &str,
     smoke_cfg: fn() -> C,
     paper_cfg: fn() -> C,
@@ -407,7 +410,7 @@ pub fn gated_main<C, R: serde::Serialize>(
     print_report: fn(&R),
     all_metrics: fn(&R) -> Vec<(String, f64)>,
     gated_metrics: fn(&R) -> Vec<(String, f64)>,
-) {
+) -> R {
     let (mut smoke, mut update) = (false, false);
     let (mut out, mut record_to, mut gate_on) = (None, None, None);
     let mut args = std::env::args().skip(1);
@@ -439,13 +442,15 @@ pub fn gated_main<C, R: serde::Serialize>(
     }
     let report = run(&if smoke { smoke_cfg() } else { paper_cfg() });
     print_report(&report);
+    let all = all_metrics(&report);
     if let Some(path) = &out {
-        let json = serde_json::to_string_pretty(&report).expect("report serializes");
-        fs::write(path, json + "\n").expect("write bench artifact");
+        if let Err(e) = fs::File::create(path).and_then(|f| write_flat_json(f, &all)) {
+            eprintln!("failed to write {path}: {e}");
+            std::process::exit(1);
+        }
         println!("wrote {path}");
     }
     if let Some(p) = &record_to {
-        let all = all_metrics(&report);
         if let Err(e) = record(Path::new(p), &current_commit(), bench, &all) {
             eprintln!("trajectory: failed to append to {p}: {e}");
             std::process::exit(1);
@@ -460,6 +465,7 @@ pub fn gated_main<C, R: serde::Serialize>(
             std::process::exit(1);
         }
     }
+    report
 }
 
 #[cfg(test)]

@@ -6,12 +6,15 @@
 //! GPUs compute. The queue is the hand-off point of the pipeline.
 
 use crate::Key;
-use crossbeam::queue::SegQueue;
+use oe_simdevice::sync::Mutex;
+use std::collections::VecDeque;
 
-/// Lock-free MPMC queue of keys accessed by the current batch's pulls.
+/// Mutex-guarded MPMC FIFO of keys accessed by the current batch's
+/// pulls. Producers and the maintainer exchange whole batches, so the
+/// lock is taken once per call, not once per key.
 #[derive(Default)]
 pub struct AccessQueue {
-    q: SegQueue<Key>,
+    q: Mutex<VecDeque<Key>>,
 }
 
 impl AccessQueue {
@@ -20,48 +23,40 @@ impl AccessQueue {
         Self::default()
     }
 
-    /// Record an access (called from pull handlers, lock-free).
+    /// Record an access (called from pull handlers).
     #[inline]
     pub fn push(&self, key: Key) {
-        self.q.push(key);
+        self.q.lock().push_back(key);
     }
 
-    /// Record many accesses.
+    /// Record many accesses under one lock acquisition.
     pub fn push_all(&self, keys: &[Key]) {
-        for &k in keys {
-            self.q.push(k);
-        }
+        self.q.lock().extend(keys);
     }
 
     /// Pop one access (called from maintainer threads).
     #[inline]
     pub fn pop(&self) -> Option<Key> {
-        self.q.pop()
+        self.q.lock().pop_front()
     }
 
-    /// Drain up to `max` accesses into `out`; returns the count.
+    /// Drain up to `max` accesses into `out` under one lock
+    /// acquisition; returns the count.
     pub fn drain_into(&self, out: &mut Vec<Key>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.q.pop() {
-                Some(k) => {
-                    out.push(k);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let mut q = self.q.lock();
+        let n = max.min(q.len());
+        out.extend(q.drain(..n));
         n
     }
 
     /// Pending accesses.
     pub fn len(&self) -> usize {
-        self.q.len()
+        self.q.lock().len()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
+        self.q.lock().is_empty()
     }
 }
 

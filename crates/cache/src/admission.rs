@@ -8,10 +8,9 @@
 //! the paper (which admits always); the ablation harness quantifies it.
 
 use crate::Key;
-use serde::Serialize;
 
 /// Admission strategy for cache misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AdmissionKind {
     /// Admit every missed key (the paper's behaviour).
     Always,

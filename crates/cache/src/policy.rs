@@ -14,11 +14,10 @@
 //!   chance); near-LRU hit rates at lower bookkeeping cost.
 
 use crate::lru::LruList;
-use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Which replacement policy a cache shard runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// Least-recently-used (the paper's configuration).
     Lru,

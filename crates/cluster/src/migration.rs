@@ -18,7 +18,6 @@
 //! the protocol.
 
 use oe_core::{BatchId, Key};
-use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 
 /// A requested migration: which keys go where, and how long the
@@ -50,7 +49,7 @@ pub(crate) struct ActiveMigration {
 }
 
 /// Cumulative migration counters, serialized into bench reports.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MigrationStats {
     /// Completed migrations (cutovers performed).
     pub migrations: u64,

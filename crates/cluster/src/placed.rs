@@ -31,9 +31,9 @@ use crate::placer::{NodeClass, SkewAwarePlacer};
 use crate::rebalance::{NodeWindow, RebalanceConfig, RebalanceController};
 use oe_core::plan::{ShardBuckets, ShardPlan};
 use oe_core::{merge_node_parallel, BatchId, Key, MaintenanceReport, PsEngine, StatsSnapshot};
+use oe_simdevice::sync::{Mutex, RwLock};
 use oe_simdevice::Cost;
 use oe_telemetry::{Counter, Gauge, HistogramHandle, HistogramSnapshot, Registry};
-use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 
 /// A cluster of PS engines routed by an epoch-versioned placement table.

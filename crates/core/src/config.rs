@@ -2,7 +2,6 @@
 
 use crate::optimizer::OptimizerKind;
 use oe_cache::{AdmissionKind, PolicyKind};
-use serde::Serialize;
 
 /// DRAM bookkeeping overhead per cached entry beyond the payload:
 /// key + version columns (16 B) plus LRU links (8 B) plus an amortized
@@ -34,7 +33,7 @@ pub const FANOUT_KEY_NS: u64 = 8;
 pub const SHARD_LOCK_NS: u64 = 30;
 
 /// Configuration of one [`crate::PsNode`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NodeConfig {
     /// Embedding dimension (f32 weights per entry).
     pub dim: usize,

@@ -6,14 +6,7 @@
 //! *identical* weights, which lets integration tests assert bit-equal
 //! convergence across engines.
 
-/// SplitMix64: a tiny, high-quality mixing function.
-#[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use oe_simdevice::rng::splitmix64;
 
 /// Uniform value in `(-scale, +scale)` for weight `i` of `key`.
 #[inline]

@@ -41,9 +41,9 @@ use oe_cache::chain::CHAIN_CAP;
 use oe_cache::policy::EvictionPolicy;
 use oe_cache::{AccessQueue, Admission, DramArena, HashIndex, TaggedLoc, VersionChain};
 use oe_pmem::{PmemPool, PoolConfig};
+use oe_simdevice::sync::{Mutex, RwLock};
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
 use oe_telemetry::{Gauge, Phase, PhaseTimes, Registry};
-use parking_lot::{Mutex, RwLock, RwLockUpgradableReadGuard, RwLockWriteGuard};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -669,9 +669,10 @@ impl PsNode {
         plan
     }
 
-    /// Execute one shard group of a planned pull: the shard lock is
-    /// taken exactly once (upgraded transiently for first-touch
-    /// inserts), every unique key's payload is read exactly once.
+    /// Execute one shard group of a planned pull: the shard's write
+    /// lock is taken exactly once (a first touch inserts, and pulls of
+    /// one shard never overlapped), every unique key's payload is read
+    /// exactly once.
     /// Deduped weight rows land in `s.rows`, one outcome code per
     /// unique in `s.tags`; `s.payload` is the PMem read scratch.
     fn pull_group(
@@ -684,14 +685,14 @@ impl PsNode {
     ) {
         let dim = self.cfg.dim;
         cost.charge(CostKind::Cpu, SHARD_LOCK_NS);
-        let mut guard = self.shards[group.shard].upgradable_read();
+        let mut g = self.shards[group.shard].write();
         for &key in &group.uniques {
             cost.charge(CostKind::Cpu, HASH_PROBE_NS + ACCESS_QUEUE_NS);
-            let known = guard.index.get(key).map(|e| e.loc);
+            let known = g.index.get(key).map(|e| e.loc);
             match known {
                 Some(loc) => {
                     if let Some(slot) = loc.as_dram() {
-                        s.rows.extend_from_slice(&guard.arena.payload(slot)[..dim]);
+                        s.rows.extend_from_slice(&g.arena.payload(slot)[..dim]);
                         cost.charge(CostKind::DramTransfer, self.dram.read_ns((dim * 4) as u64));
                         s.tags.push(PullOutcome::Hit.code());
                     } else {
@@ -704,10 +705,7 @@ impl PsNode {
                     }
                 }
                 None => {
-                    // First touch (Alg. 1 lines 6-12): upgrade to a write
-                    // lock for the insert, then downgrade and continue
-                    // with the rest of the group.
-                    let mut g = RwLockUpgradableReadGuard::upgrade(guard);
+                    // First touch (Alg. 1 lines 6-12).
                     cost.charge(CostKind::Serialized, INIT_ENTRY_NS);
                     if g.admission.admit(key) {
                         if g.arena.is_full() {
@@ -735,7 +733,6 @@ impl PsNode {
                         s.rows.extend_from_slice(&s.payload[..dim]);
                         s.tags.push(PullOutcome::NewDeclined.code());
                     }
-                    guard = RwLockWriteGuard::downgrade_to_upgradable(g);
                 }
             }
         }
@@ -798,10 +795,10 @@ impl PsNode {
         for (lane, range) in lane_results.iter().zip(&lanes) {
             let mut ul = 0; // unique cursor within the lane
             for group in &plan.groups[range.clone()] {
-                for (ui, &key) in group.uniques.iter().enumerate() {
+                for occs in &group.occs {
                     let w = &lane.scratch.rows[ul * dim..(ul + 1) * dim];
-                    let cnt = group.occs[ui].len() as u64;
-                    for &pos in &group.occs[ui] {
+                    let cnt = occs.len() as u64;
+                    for &pos in occs {
                         let dst = base + pos as usize * dim;
                         out[dst..dst + dim].copy_from_slice(w);
                     }
@@ -820,9 +817,9 @@ impl PsNode {
                             EngineStats::add(&self.stats.misses, cnt - 1);
                         }
                     }
-                    self.access_queue.push(key);
                     ul += 1;
                 }
+                self.access_queue.push_all(&group.uniques);
             }
         }
         EngineStats::add(&self.stats.pulls, plan.total_keys as u64);

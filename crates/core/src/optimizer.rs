@@ -25,13 +25,11 @@
 //! (and, for stateless SGD, collapses to a single flat kernel over the
 //! whole run).
 
-use serde::Serialize;
-
 /// SIMD-friendly inner-loop width (f32 lanes per unrolled step).
 pub const KERNEL_LANES: usize = 8;
 
 /// Optimizer selection + hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OptimizerKind {
     /// Plain SGD: `w -= lr * g`.
     Sgd {

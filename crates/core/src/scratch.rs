@@ -16,7 +16,7 @@
 //! Bounded shelves keep a pathological shape churn from hoarding memory.
 
 use crate::Key;
-use parking_lot::Mutex;
+use oe_simdevice::sync::Mutex;
 use std::ops::{Deref, DerefMut};
 
 /// Most-distinct request shapes the pool remembers.

@@ -11,7 +11,6 @@
 //! [`StatsSnapshot`] stays the stable point-in-time view.
 
 use oe_telemetry::{Counter, Registry};
-use serde::Serialize;
 
 /// Lock-free counters updated by the hot paths.
 #[derive(Debug, Default)]
@@ -41,7 +40,7 @@ pub struct EngineStats {
 }
 
 /// Point-in-time copy of [`EngineStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Keys served by pulls.
     pub pulls: u64,

@@ -6,10 +6,11 @@
 use oe_cache::{AdmissionKind, PolicyKind};
 use oe_core::engine::PsEngine;
 use oe_core::{NodeConfig, OptimizerKind, PsNode};
+use oe_simdevice::rng::Rng;
 use oe_simdevice::Cost;
-use proptest::prelude::*;
 
 const DIM: usize = 4;
+const CASES: u64 = 24;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -19,14 +20,18 @@ enum Op {
     Checkpoint,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let keys = prop::collection::vec(0u64..40, 1..12);
-    prop_oneof![
-        4 => (keys.clone(), prop::bool::ANY).prop_map(|(keys, advance)| Op::Pull { keys, advance }),
-        3 => keys.prop_map(|keys| Op::Push { keys }),
-        2 => Just(Op::Maintain),
-        1 => Just(Op::Checkpoint),
-    ]
+/// Pulls, pushes, maintenance and checkpoints at weights 4 : 3 : 2 : 1.
+fn gen_op(rng: &mut Rng) -> Op {
+    let keys = |rng: &mut Rng| (0..1 + rng.below(11)).map(|_| rng.below(40)).collect();
+    match rng.below(10) {
+        0..=3 => Op::Pull {
+            keys: keys(rng),
+            advance: rng.chance(0.5),
+        },
+        4..=6 => Op::Push { keys: keys(rng) },
+        7..=8 => Op::Maintain,
+        _ => Op::Checkpoint,
+    }
 }
 
 fn node_cfg(
@@ -44,29 +49,30 @@ fn node_cfg(
     cfg
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Invariants under arbitrary op interleavings:
-    /// - every pulled key becomes readable and stays finite,
-    /// - num_keys only grows and equals the distinct pulled set,
-    /// - the committed checkpoint never exceeds the latest batch,
-    /// - stats counters are internally consistent.
-    #[test]
-    fn node_invariants_hold(
-        ops in prop::collection::vec(op_strategy(), 1..50),
-        cache_entries in 2usize..32,
-        shards in 1usize..4,
-        policy_pick in 0u8..3,
-        doorkeeper in prop::bool::ANY,
-    ) {
-        let policy = [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Clock][policy_pick as usize];
-        let adm = if doorkeeper { AdmissionKind::SecondTouch } else { AdmissionKind::Always };
+/// Invariants under arbitrary op interleavings:
+/// - every pulled key becomes readable and stays finite,
+/// - num_keys only grows and equals the distinct pulled set,
+/// - the committed checkpoint never exceeds the latest batch,
+/// - stats counters are internally consistent.
+///
+/// A failure names the case seed, which replays it alone.
+#[test]
+fn node_invariants_hold() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0x40DE_0000 + case);
+        let ops: Vec<Op> = (0..1 + rng.below(49)).map(|_| gen_op(&mut rng)).collect();
+        let cache_entries = 2 + rng.below(30) as usize;
+        let shards = 1 + rng.below(3) as usize;
+        let policy = [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Clock][rng.below(3) as usize];
+        let adm = if rng.chance(0.5) {
+            AdmissionKind::SecondTouch
+        } else {
+            AdmissionKind::Always
+        };
         let node = PsNode::new(node_cfg(cache_entries, shards, policy, adm));
 
         let mut batch = 1u64;
         let mut known = std::collections::BTreeSet::new();
-        let mut pulled_this_batch: std::collections::BTreeSet<u64> = Default::default();
         let mut cost = Cost::new();
         let mut out = Vec::new();
 
@@ -77,14 +83,12 @@ proptest! {
                     keys.dedup();
                     out.clear();
                     node.pull(&keys, batch, &mut out, &mut cost);
-                    prop_assert_eq!(out.len(), keys.len() * DIM);
-                    prop_assert!(out.iter().all(|v| v.is_finite()));
+                    assert_eq!(out.len(), keys.len() * DIM, "case {case}");
+                    assert!(out.iter().all(|v| v.is_finite()), "case {case}");
                     known.extend(keys.iter().copied());
-                    pulled_this_batch.extend(keys.iter().copied());
                     if advance {
                         node.end_pull_phase(batch);
                         batch += 1;
-                        pulled_this_batch.clear();
                     }
                 }
                 Op::Push { mut keys } => {
@@ -107,20 +111,25 @@ proptest! {
                     node.end_pull_phase(batch);
                     node.request_checkpoint(batch);
                     batch += 1;
-                    pulled_this_batch.clear();
                 }
             }
-            prop_assert_eq!(node.num_keys(), known.len());
-            prop_assert!(node.committed_checkpoint() <= batch);
+            assert_eq!(node.num_keys(), known.len(), "case {case}");
+            assert!(node.committed_checkpoint() <= batch, "case {case}");
         }
         // Final consistency: every known key is readable and finite.
         for &k in &known {
             let w = node.read_weights(k);
-            prop_assert!(w.is_some(), "key {} readable", k);
-            prop_assert!(w.unwrap().iter().all(|v| v.is_finite()));
+            assert!(w.is_some(), "case {case}: key {k} readable");
+            assert!(w.unwrap().iter().all(|v| v.is_finite()), "case {case}");
         }
         let s = node.stats();
-        prop_assert!(s.hits + s.misses + s.new_entries == s.pulls,
-            "pull accounting: {} + {} + {} vs {}", s.hits, s.misses, s.new_entries, s.pulls);
+        assert!(
+            s.hits + s.misses + s.new_entries == s.pulls,
+            "case {case}: pull accounting: {} + {} + {} vs {}",
+            s.hits,
+            s.misses,
+            s.new_entries,
+            s.pulls
+        );
     }
 }

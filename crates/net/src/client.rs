@@ -46,9 +46,9 @@ use bytes::Bytes;
 use oe_core::engine::MaintenanceReport;
 use oe_core::stats::StatsSnapshot;
 use oe_core::{BatchId, Key};
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, CostKind};
 use oe_telemetry::{Counter, Phase, PhaseTimes, Registry};
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -27,8 +27,8 @@ use crate::transport::{loopback, Transport};
 use oe_core::engine::PsEngine;
 use oe_core::recovery::recover_node;
 use oe_core::{BatchId, NodeConfig};
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::{ContentionModel, Cost, Media, Nanos};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// What a completed failover means for the caller's timeline: recorded

@@ -31,7 +31,7 @@ use crate::error::Error;
 use crate::transport::Transport;
 use bytes::{Bytes, BytesMut};
 use oe_core::init::splitmix64;
-use parking_lot::Mutex;
+use oe_simdevice::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

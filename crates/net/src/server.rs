@@ -50,9 +50,9 @@ use crate::transport::ServerTransport;
 use bytes::Bytes;
 use oe_core::engine::PsEngine;
 use oe_core::{ScratchPool, Shape};
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::Cost;
 use oe_telemetry::{Phase, PhaseTimes, Registry};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -145,7 +145,7 @@ impl PsServer {
         let workers = (0..threads.max(1))
             .map(|_| {
                 let engine = Arc::clone(&engine);
-                let rx = transport.clone_receiver();
+                let rx = transport.clone();
                 let registry = Arc::clone(&registry);
                 let requests = requests.clone();
                 let decode_errors = decode_errors.clone();
@@ -163,7 +163,7 @@ impl PsServer {
                     // are copied once, wire bytes → recycled scratch,
                     // and the steady state allocates nothing per call.
                     let scratch = ScratchPool::new();
-                    while let Ok((req, reply)) = rx.recv() {
+                    while let Some((req, reply)) = rx.recv() {
                         served += 1;
                         requests.inc();
                         // Validate the frame (magic/version/checksum)

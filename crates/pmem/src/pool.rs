@@ -4,8 +4,8 @@ use crate::layout::{
     bytes_to_f32s, f32s_to_bytes, payload_checksum, root_off, slot_bytes, Root, SlotHeader,
     SlotState, HEADER_BYTES, POOL_MAGIC, ROOT_BYTES,
 };
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, Media, MediaConfig};
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::Arc;
 

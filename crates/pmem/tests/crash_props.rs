@@ -1,12 +1,17 @@
 //! Property tests: the pool's crash-safety protocol guarantees that after
 //! an arbitrary crash, recovery reconstructs exactly the newest
 //! checkpoint-consistent version of every key.
+//!
+//! Each property runs [`CASES`] generated cases from a fixed seed; a
+//! failure names the case seed, which replays it alone.
 
 use oe_pmem::{pool::PoolConfig, scan::recover, PmemPool};
+use oe_simdevice::rng::Rng;
 use oe_simdevice::{Cost, Media};
-use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+const CASES: u64 = 64;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -16,11 +21,18 @@ enum Op {
     Checkpoint { id: u64 },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0u64..16, 1u64..32).prop_map(|(key, version)| Op::Write { key, version }),
-        1 => (1u64..32).prop_map(|id| Op::Checkpoint { id }),
-    ]
+/// Four writes to every checkpoint.
+fn gen_op(rng: &mut Rng) -> Op {
+    if rng.below(5) < 4 {
+        Op::Write {
+            key: rng.below(16),
+            version: 1 + rng.below(31),
+        }
+    } else {
+        Op::Checkpoint {
+            id: 1 + rng.below(31),
+        }
+    }
 }
 
 fn payload_for(key: u64, version: u64) -> Vec<f32> {
@@ -29,17 +41,19 @@ fn payload_for(key: u64, version: u64) -> Vec<f32> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// After any op sequence and any crash seed:
+/// - the recovered checkpoint id equals the last fenced checkpoint,
+/// - every key's recovered version is the maximum written version that
+///   is ≤ the recovered checkpoint id,
+/// - recovered payloads are bit-exact,
+/// - no corrupt slots are reported (the protocol always fences).
+#[test]
+fn recovery_is_checkpoint_consistent() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xC4A5_0000 + case);
+        let ops: Vec<Op> = (0..1 + rng.below(59)).map(|_| gen_op(&mut rng)).collect();
+        let crash_seed = rng.below(1000);
 
-    /// After any op sequence and any crash seed:
-    /// - the recovered checkpoint id equals the last fenced checkpoint,
-    /// - every key's recovered version is the maximum written version that
-    ///   is ≤ the recovered checkpoint id,
-    /// - recovered payloads are bit-exact,
-    /// - no corrupt slots are reported (the protocol always fences).
-    #[test]
-    fn recovery_is_checkpoint_consistent(ops in prop::collection::vec(op_strategy(), 1..60), seed in 0u64..1000) {
         let mut cost = Cost::new();
         let pool = PmemPool::create(PoolConfig::for_embedding(4, 0, 1 << 20), &mut cost);
 
@@ -53,10 +67,14 @@ proptest! {
         for op in &ops {
             match *op {
                 Op::Write { key, version } => {
-                    let id = *slot_of.entry((key, version)).or_insert_with(|| pool.alloc(&mut cost));
+                    let id = *slot_of
+                        .entry((key, version))
+                        .or_insert_with(|| pool.alloc(&mut cost));
                     pool.write_slot(id, key, version, &payload_for(key, version), &mut cost);
                     let vs = writes.entry(key).or_default();
-                    if !vs.contains(&version) { vs.push(version); }
+                    if !vs.contains(&version) {
+                        vs.push(version);
+                    }
                 }
                 Op::Checkpoint { id } => {
                     // Checkpoints only move forward in real use.
@@ -68,12 +86,15 @@ proptest! {
             }
         }
 
-        let media = Arc::new(Media::from_crash(pool.media().crash(seed)));
+        let media = Arc::new(Media::from_crash(pool.media().crash(crash_seed)));
         let mut rcost = Cost::new();
         let (rpool, report) = recover(media, &mut rcost).expect("pool always recoverable");
 
-        prop_assert_eq!(report.corrupt, 0, "fenced protocol never tears");
-        prop_assert_eq!(report.checkpoint_id, model_ckpt);
+        assert_eq!(
+            report.corrupt, 0,
+            "case {case}: fenced protocol never tears ({ops:?})"
+        );
+        assert_eq!(report.checkpoint_id, model_ckpt, "case {case}: {ops:?}");
 
         // Expected survivors.
         let mut expect: HashMap<u64, u64> = HashMap::new();
@@ -83,28 +104,36 @@ proptest! {
             }
         }
         let recovered: HashMap<u64, u64> = report.live.iter().map(|r| (r.key, r.version)).collect();
-        prop_assert_eq!(&recovered, &expect);
+        assert_eq!(recovered, expect, "case {case}: {ops:?}");
 
         // Payload integrity.
         let mut out = vec![0f32; 4];
         for r in &report.live {
-            let h = rpool.read_slot(r.id, &mut out, &mut rcost).expect("live slot readable");
-            prop_assert_eq!(h.key, r.key);
-            prop_assert_eq!(out.clone(), payload_for(r.key, r.version));
+            let h = rpool
+                .read_slot(r.id, &mut out, &mut rcost)
+                .expect("live slot readable");
+            assert_eq!(h.key, r.key, "case {case}");
+            assert_eq!(out, payload_for(r.key, r.version), "case {case}");
         }
     }
+}
 
-    /// Allocator safety under arbitrary alloc/free interleavings: no
-    /// double allocation of a live slot.
-    #[test]
-    fn allocator_never_double_allocates(script in prop::collection::vec(prop::bool::ANY, 1..200)) {
+/// Allocator safety under arbitrary alloc/free interleavings: no
+/// double allocation of a live slot.
+#[test]
+fn allocator_never_double_allocates() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xA110_0000 + case);
         let mut cost = Cost::new();
         let pool = PmemPool::create(PoolConfig::for_embedding(2, 0, 1 << 16), &mut cost);
         let mut live = Vec::new();
-        for do_alloc in script {
-            if do_alloc || live.is_empty() {
+        for _ in 0..1 + rng.below(199) {
+            if rng.chance(0.5) || live.is_empty() {
                 let id = pool.alloc(&mut cost);
-                prop_assert!(!live.contains(&id), "slot {:?} double-allocated", id);
+                assert!(
+                    !live.contains(&id),
+                    "case {case}: slot {id:?} double-allocated"
+                );
                 live.push(id);
             } else {
                 let id = live.swap_remove(live.len() / 2);

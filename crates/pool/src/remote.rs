@@ -13,8 +13,8 @@
 
 use oe_core::StorageBackend;
 use oe_pmem::{PmemPool, PoolConfig, SlotHeader, SlotId, HEADER_BYTES, ROOT_BYTES};
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, CostKind, DeviceTiming, Media, MediaConfig};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;

@@ -26,8 +26,8 @@ use oe_core::{NodeConfig, PsNode};
 use oe_net::failover::{recovery_burst_ns, spawn_promoted, Promotion, Standby};
 use oe_net::{Error, ServerHandle};
 use oe_pmem::scan::recover as pmem_recover;
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, CostKind, Media};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Bytes shipped per recovered entry when the near-pool scan hands the

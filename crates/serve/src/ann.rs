@@ -20,6 +20,7 @@
 
 use crate::snapshot_handle::Snapshot;
 use oe_core::config::{HASH_PROBE_NS, OPT_FLOP_NS_PER_F32};
+use oe_simdevice::rng::splitmix64;
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
 use std::cell::RefCell;
 
@@ -147,17 +148,8 @@ impl AnnConfig {
     }
 }
 
-/// splitmix64 — deterministic hyperplane components without an RNG
-/// dependency (and the snapshot's key hash).
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform in [-1, 1) from a seed word.
+/// Uniform in [-1, 1) from a seed word: hyperplane components are a
+/// pure function of `(seed, table, bit, dim)`, no generator state.
 fn unit(x: u64) -> f32 {
     (splitmix64(x) >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0
 }

@@ -28,14 +28,15 @@
 //! optionally archives it with [`crate::snapshot::save_image`], builds
 //! the next snapshot (ANN index included), and flips.
 
-use crate::ann::{splitmix64, AnnConfig, LshIndex};
+use crate::ann::{AnnConfig, LshIndex};
 use crate::snapshot::save_image;
 use oe_core::config::HASH_PROBE_NS;
 use oe_core::{BatchId, PsEngine, PsNode};
 use oe_pmem::scan::scan_image;
+use oe_simdevice::rng::splitmix64;
+use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, CostKind, CrashImage, DeviceTiming};
 use oe_telemetry::{Counter, Phase, PhaseTimes, Registry};
-use parking_lot::Mutex;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -17,7 +17,6 @@
 use crate::clock::Nanos;
 use crate::cost::{Cost, CostKind};
 use crate::device::DeviceTiming;
-use serde::Serialize;
 
 /// Amdahl composition: `serial` nanoseconds cannot parallelize, `parallel`
 /// nanoseconds divide evenly across `threads`.
@@ -35,7 +34,7 @@ pub fn shared_bandwidth_ns(bytes: u64, bw_bytes_per_ns: f64, efficiency: f64) ->
 
 /// Parameters describing how a parameter-server node turns a burst of
 /// charged costs into wall(-virtual)-clock time.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ContentionModel {
     /// Number of service threads handling requests on the PS node.
     pub service_threads: u32,

@@ -7,14 +7,13 @@
 //! while hash/lock work is CPU-bound (Amdahl-parallelizable).
 
 use crate::clock::Nanos;
-use serde::Serialize;
 
 /// Cost categories. The split matters because the contention model treats
 /// them differently when composing a burst served by many threads:
 /// bandwidth-bound categories do not speed up with more service threads,
 /// CPU-bound ones do, and serialized ones (global-lock critical sections)
 /// never parallelize at all.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum CostKind {
     /// DRAM byte transfer (bandwidth-bound, but DRAM bw is rarely the
@@ -85,7 +84,7 @@ impl CostKind {
 const N_KINDS: usize = 8;
 
 /// Accumulated virtual-time charges, by category, plus operation counters.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cost {
     ns: [Nanos; N_KINDS],
     ops: [u64; N_KINDS],

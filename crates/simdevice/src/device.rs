@@ -15,10 +15,9 @@
 
 use crate::clock::Nanos;
 use crate::cost::{Cost, CostKind};
-use serde::Serialize;
 
 /// Identifies one of the three device classes from Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// DDR4 DRAM.
     Dram,
@@ -33,7 +32,7 @@ pub enum DeviceKind {
 }
 
 /// A calibrated timing model for one device.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DeviceTiming {
     /// Which device class this models.
     pub kind: DeviceKind,

@@ -6,7 +6,6 @@
 //! reports p50/p95/p99 alongside totals.
 
 use crate::clock::Nanos;
-use serde::Serialize;
 
 /// Sub-buckets per power of two (higher = finer resolution; 8 gives
 /// ≤ 12.5 % relative error, plenty for tail reporting).
@@ -15,7 +14,7 @@ const SUBBUCKETS: usize = 8;
 const BUCKETS: usize = 60;
 
 /// A fixed-size log-bucketed histogram of nanosecond values.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,

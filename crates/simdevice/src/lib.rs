@@ -30,6 +30,8 @@ pub mod hist;
 pub mod integrity;
 pub mod media;
 pub mod overlap;
+pub mod rng;
+pub mod sync;
 
 pub use clock::{Nanos, VirtualClock};
 pub use contention::{amdahl_burst, shared_bandwidth_ns, ContentionModel};

@@ -23,9 +23,8 @@
 
 use crate::cost::{Cost, CostKind};
 use crate::device::{DeviceKind, DeviceTiming};
-use parking_lot::RwLock;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::rng::Rng;
+use crate::sync::RwLock;
 use std::collections::HashMap;
 
 /// Cache line size in bytes — the persistence granularity of PMem.
@@ -396,10 +395,10 @@ impl Media {
     /// flushed-but-unfenced line (superseded pending snapshots first, in
     /// write order) landing independently with probability ½.
     fn pmem_image(g: &MediaInner, seed: u64) -> CrashImage {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut bytes = g.durable.clone();
         for (line, data) in &g.pending {
-            if rng.gen_bool(0.5) {
+            if rng.chance(0.5) {
                 let mut b = std::mem::take(&mut bytes);
                 Self::apply_line(&mut b, *line, data);
                 bytes = b;
@@ -410,7 +409,7 @@ impl Media {
             g.lines.iter().filter(|(_, dl)| dl.flushed).collect();
         flushed.sort_by_key(|(l, _)| **l);
         for (line, dl) in flushed {
-            if rng.gen_bool(0.5) {
+            if rng.chance(0.5) {
                 let mut b = std::mem::take(&mut bytes);
                 Self::apply_line(&mut b, *line, &dl.data);
                 bytes = b;
@@ -479,6 +478,38 @@ mod tests {
 
     fn pmem() -> Media {
         Media::new(MediaConfig::pmem(4096))
+    }
+
+    /// The torn-write draw is the crash suites' shared randomness: which
+    /// flushed-but-unfenced lines land is pinned to the image the parent
+    /// commit (`ac0ac0c`, the benchmark's stand-in generator) produced for
+    /// this seed.
+    #[test]
+    fn torn_write_image_is_pinned() {
+        let m = pmem();
+        let mut cost = Cost::new();
+        for i in 0..32u64 {
+            m.write(i * 64, &[i as u8 + 1; 64], &mut cost);
+        }
+        m.flush(0, 1024, &mut cost);
+        // Overwriting flushed lines before the fence leaves pending
+        // snapshots, which draw before the flushed lines do.
+        for i in 0..8u64 {
+            m.write(i * 64, &[0xA0 + i as u8; 64], &mut cost);
+        }
+        m.flush(0, 256, &mut cost);
+        m.flush(1024, 1024, &mut cost);
+        let img = m.crash(0x7041);
+        assert_eq!(img.bytes().len(), 4096);
+        let first_byte_per_line: Vec<u8> = (0..32).map(|l| img.bytes()[l * 64]).collect();
+        assert_eq!(
+            first_byte_per_line,
+            [
+                0, 0, 162, 163, 0, 6, 7, 8, 0, 0, 0, 0, 13, 0, 15, 0, 17, 18, 19, 0, 21, 0, 0, 0,
+                0, 0, 0, 28, 0, 30, 31, 32
+            ]
+        );
+        assert_eq!(crate::integrity_hash(&[img.bytes()]), 0x9909_D508_E87A_0D5C);
     }
 
     #[test]

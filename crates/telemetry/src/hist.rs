@@ -13,7 +13,6 @@
 //! (`Instant::elapsed().as_nanos()`) and the discrete-event simulator's
 //! virtual [`Cost`](../../oe_simdevice/struct.Cost.html) deltas.
 
-use serde::ser::{Serialize, SerializeStruct, Serializer};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-buckets per power of two (8 ⇒ ≤ 12.5 % relative error).
@@ -258,24 +257,6 @@ impl HistogramSnapshot {
             self.max as f64 / 1e6,
             self.total
         )
-    }
-}
-
-/// Serializes as a compact quantile summary, not the raw buckets —
-/// train reports and figure JSON want tail columns, not 480 cells.
-impl Serialize for HistogramSnapshot {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("HistogramSnapshot", 9)?;
-        s.serialize_field("count", &self.count())?;
-        s.serialize_field("sum_ns", &self.sum())?;
-        s.serialize_field("mean_ns", &self.mean())?;
-        s.serialize_field("min_ns", &self.min())?;
-        s.serialize_field("p50_ns", &self.p50())?;
-        s.serialize_field("p95_ns", &self.p95())?;
-        s.serialize_field("p99_ns", &self.p99())?;
-        s.serialize_field("p999_ns", &self.p999())?;
-        s.serialize_field("max_ns", &self.max())?;
-        s.end()
     }
 }
 

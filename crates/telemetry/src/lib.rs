@@ -19,7 +19,7 @@
 //! - [`text`] — Prometheus-style text exposition, served over the
 //!   wire by `Request::Metrics` and printed by `oectl metrics`.
 //!
-//! The crate depends only on `std` and `serde`, so every layer of the
+//! The crate depends only on `std`, so every layer of the
 //! stack (core node, net server, serving node, trainer, benches) can
 //! link it without weight.
 

@@ -10,7 +10,6 @@
 
 use crate::hist::{Histogram, HistogramSnapshot};
 use crate::text;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -217,8 +216,7 @@ impl Registry {
 }
 
 /// Value of one metric inside a [`RegistrySnapshot`].
-#[derive(Debug, Clone, Serialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone)]
 pub enum MetricValue {
     /// Counter value.
     Counter(u64),
@@ -229,7 +227,7 @@ pub enum MetricValue {
 }
 
 /// Point-in-time copy of a [`Registry`].
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RegistrySnapshot {
     /// Metric name → value, sorted by name.
     pub entries: BTreeMap<String, MetricValue>,

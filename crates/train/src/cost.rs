@@ -1,10 +1,8 @@
 //! Cloud cost model reproducing the paper's Table V ("Price of
 //! parameter servers"), Alibaba Cloud pay-as-you-go prices.
 
-use serde::Serialize;
-
 /// A parameter-server deployment option from Table V.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PsDeployment {
     /// `count` large DRAM servers (ecs.r6e.13xlarge: 52 cores, 384 GB).
     DramServers {
@@ -20,7 +18,7 @@ pub enum PsDeployment {
 }
 
 /// Table V price constants ($/hour, pay-as-you-go).
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CloudCostModel {
     /// ecs.r6e.13xlarge hourly price (2 machines = $6.07/h in Table V).
     pub dram_server_per_hour: f64,

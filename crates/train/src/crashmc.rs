@@ -44,11 +44,10 @@ use oe_core::optimizer::OptimizerKind;
 use oe_core::recovery::{recover_node, RecoveryReport};
 use oe_core::{BatchId, Key, PsNode};
 use oe_simdevice::{Cost, CrashPlan, Media, MediaConfig};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Configuration of one enumeration sweep.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CrashMcConfig {
     /// Base keys pulled every batch (`0..keys`).
     pub keys: u64,
@@ -144,7 +143,7 @@ fn step(cfg: &CrashMcConfig, node: &PsNode, batch: BatchId) {
 /// State observed at one step boundary of the reference run: the event
 /// counter brackets every crash index `k` between two boundaries whose
 /// committed ids bound the legal recovery outcome.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StepRecord {
     /// Completed batches (0 = right after node creation).
     pub batch: BatchId,
@@ -225,7 +224,7 @@ pub fn reference(cfg: &CrashMcConfig) -> Reference {
 }
 
 /// Verdict for one (event index, seed) crash point.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct CrashPointReport {
     /// Persistence-event index the crash struck at.
     pub event: u64,
@@ -408,7 +407,7 @@ pub fn check_crash_point(
 }
 
 /// Aggregate outcome of a sweep (also the `BENCH_crashmc.json` shape).
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct SweepReport {
     /// Persistence events in the reference run (coverage denominator).
     pub total_events: u64,
@@ -487,7 +486,7 @@ pub fn committed_bounds(reference: &Reference, at_event: u64) -> (BatchId, Batch
 }
 
 /// Outcome of crashing *inside* the recovery scan itself.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct RecoverySweepReport {
     /// Persistence events an uninterrupted recovery executes.
     pub recovery_events: u64,

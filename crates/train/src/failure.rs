@@ -8,11 +8,10 @@ use oe_core::config::NodeConfig;
 use oe_core::recovery::{recover_node, RecoveryReport};
 use oe_core::{BatchId, PsNode};
 use oe_simdevice::{ContentionModel, Cost, Media, Nanos};
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Outcome of a crash + recovery cycle.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct FailureOutcome {
     /// Batch id training resumes after.
     pub resume_batch: BatchId,

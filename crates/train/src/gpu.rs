@@ -12,10 +12,9 @@
 //! that ratio against the simulator's default workload scale.
 
 use oe_simdevice::Nanos;
-use serde::Serialize;
 
 /// Per-worker GPU compute time model.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GpuModel {
     /// Fixed per-batch kernel-launch / synchronization overhead (ns).
     pub batch_overhead_ns: u64,

@@ -9,10 +9,9 @@
 
 use super::mlp::Mlp;
 use super::{bce_loss, sigmoid};
-use serde::Serialize;
 
 /// DeepFM hyper-parameters.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DeepFmConfig {
     /// Embedding dimension (must match the PS).
     pub dim: usize,

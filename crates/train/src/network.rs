@@ -2,10 +2,9 @@
 //! paper's testbed (§VI-A).
 
 use oe_simdevice::Nanos;
-use serde::Serialize;
 
 /// Per-worker network model.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NetModel {
     /// Per-request RPC overhead (ns) — serialization + kernel bypass.
     pub rpc_overhead_ns: u64,

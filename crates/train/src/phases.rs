@@ -1,10 +1,9 @@
 //! Per-batch phase timing breakdown.
 
 use oe_simdevice::Nanos;
-use serde::Serialize;
 
 /// Virtual-time breakdown of one synchronous training batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Pull burst on the critical path (PS service + network).
     pub pull_ns: Nanos,

@@ -6,10 +6,9 @@ use oe_core::BatchId;
 use oe_simdevice::Nanos;
 use oe_telemetry::HistogramSnapshot;
 use oe_workload::trace::MsBucket;
-use serde::Serialize;
 
 /// Outcome of a training run (see [`crate::PipelineReport::train`]).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Engine name ("PMem-OE", "DRAM-PS", …).
     pub engine: String,

@@ -1,8 +1,6 @@
 //! Trace analysis: Table II statistics, Fig. 10 rank-frequency curves,
 //! and Che's approximation for LRU miss rates.
 
-use serde::Serialize;
-
 /// Fraction of total accesses landing on the hottest `frac` of keys,
 /// measured from empirical per-key counts (Table II methodology).
 pub fn top_share_empirical(counts: &[u64], frac: f64) -> f64 {
@@ -19,7 +17,7 @@ pub fn top_share_empirical(counts: &[u64], frac: f64) -> f64 {
 
 /// Rank-frequency series for Fig. 10: (rank, accesses) sorted descending,
 /// downsampled to at most `points` rows for plotting.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RankFrequency {
     /// (rank, access count) pairs, rank ascending.
     pub points: Vec<(u64, u64)>,

@@ -8,9 +8,7 @@
 //! has real signal to learn — integration tests assert logloss drops
 //! well below the chance baseline.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use oe_simdevice::rng::Rng;
 
 /// Number of dense features (as in Criteo).
 pub const DENSE_FEATURES: usize = 13;
@@ -25,7 +23,7 @@ pub const FIELD_CARDINALITIES: [u64; CAT_FIELDS] = [
 ];
 
 /// One training sample.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CriteoSample {
     /// Dense features, already log-normalized to ≈ [0, 1].
     pub dense: Vec<f32>,
@@ -80,9 +78,9 @@ impl CriteoSynth {
         ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 1.2
     }
 
-    fn sample_field_key<R: Rng + ?Sized>(&self, f: usize, rng: &mut R) -> u64 {
+    fn sample_field_key(&self, f: usize, rng: &mut Rng) -> u64 {
         let card = FIELD_CARDINALITIES[f];
-        let u: f64 = rng.gen();
+        let u = rng.f64();
         let l = self.skew_lambda;
         let x = -(1.0 - u * (1.0 - (-l).exp())).ln() / l;
         let rank = ((x * card as f64) as u64).min(card - 1);
@@ -92,11 +90,11 @@ impl CriteoSynth {
 
     /// Draw sample `idx` (pure function of (seed, idx)).
     pub fn sample(&self, idx: u64) -> CriteoSample {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ idx.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let mut rng = Rng::seed_from_u64(self.seed ^ idx.wrapping_mul(0x2545_F491_4F6C_DD1D));
         let dense: Vec<f32> = (0..DENSE_FEATURES)
             .map(|_| {
                 // Log-normal-ish counts squashed to ~[0,1].
-                let raw: f32 = rng.gen::<f32>() * rng.gen::<f32>() * 100.0;
+                let raw = rng.f32() * rng.f32() * 100.0;
                 (1.0 + raw).ln() / 5.0
             })
             .collect();
@@ -109,9 +107,9 @@ impl CriteoSynth {
             logit += self.key_effect(k);
         }
         logit += dense.iter().sum::<f32>() * 0.15;
-        logit += (rng.gen::<f32>() - 0.5) * 0.4;
+        logit += (rng.f32() - 0.5) * 0.4;
         let p = 1.0 / (1.0 + (-logit).exp());
-        let label = if rng.gen::<f32>() < p { 1.0 } else { 0.0 };
+        let label = if rng.f32() < p { 1.0 } else { 0.0 };
         CriteoSample {
             dense,
             cat_keys,
@@ -161,6 +159,30 @@ fn gcd(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// Pinned to what the parent commit (`ac0ac0c`, the benchmark's
+    /// stand-in generator) drew for this (seed, index).
+    #[test]
+    fn sample_is_pinned() {
+        let s = CriteoSynth::new(42).sample(7);
+        let dense: Vec<u32> = s.dense.iter().map(|d| d.to_bits()).collect();
+        assert_eq!(
+            dense,
+            [
+                0x3e1f4286, 0x3f0b4f5b, 0x3f0d37d6, 0x3f2bb379, 0x3ef8a75d, 0x3f4625a6, 0x3ecf1162,
+                0x3edc1cbb, 0x3f18530e, 0x3dda2a90, 0x3f4d359d, 0x3f159096, 0x3f4a00b1
+            ]
+        );
+        assert_eq!(
+            s.cat_keys,
+            [
+                946, 1508, 84573, 208810, 231985, 232069, 233019, 243231, 243670, 279682, 285756,
+                377280, 410744, 411683, 412784, 437293, 480707, 480867, 485384, 486711, 530362,
+                586727, 586732, 599313, 621805, 659989
+            ]
+        );
+        assert_eq!(s.label, 0.0);
+    }
 
     #[test]
     fn deterministic_samples() {

@@ -8,16 +8,15 @@
 //! pattern of Fig. 2).
 
 use crate::skew::SkewModel;
-use serde::Serialize;
+use oe_simdevice::rng::splitmix64_next;
 
 /// Embedding key.
 pub type Key = u64;
 
 /// A seeded uniform-f64 stream (splitmix64). The batch generator owns
 /// its randomness outright so a workload is a pure function of
-/// `(spec, batch, worker)` — identical across `rand` versions, stub
-/// implementations, and platforms. Tests that assert on hit rates or
-/// key overlap can therefore pin tight bounds.
+/// `(spec, batch, worker)`; tests that assert on hit rates or key
+/// overlap can therefore pin tight bounds.
 #[derive(Debug, Clone)]
 pub struct UniformStream {
     state: u64,
@@ -31,11 +30,7 @@ impl UniformStream {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64_next(&mut self.state)
     }
 
     /// Next uniform f64 in [0, 1) (53 mantissa bits).
@@ -45,7 +40,7 @@ impl UniformStream {
 }
 
 /// Workload description.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Total distinct embedding keys in the model.
     pub num_keys: u64,
@@ -56,7 +51,6 @@ pub struct WorkloadSpec {
     /// Number of GPU workers sharing the batch.
     pub workers: usize,
     /// Access-skew model.
-    #[serde(skip)]
     pub skew: SkewModel,
     /// RNG seed: the whole workload is a pure function of (spec, batch).
     pub seed: u64,
@@ -201,7 +195,7 @@ mod tests {
     #[test]
     fn uniform_stream_matches_splitmix64_reference() {
         // Published splitmix64 test vectors for seed 0 — the key stream
-        // is pinned to these forever, independent of any rand crate.
+        // is pinned to these forever.
         let mut s = UniformStream::new(0);
         assert_eq!(s.next_u64(), 0xE220_A839_7B1D_CDAF);
         assert_eq!(s.next_u64(), 0x6E78_9E6A_A1B9_65F4);

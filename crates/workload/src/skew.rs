@@ -12,12 +12,11 @@
 //! simultaneously (real traces have a heavier tail), so the fitted model
 //! uses two exponential components plus a uniform tail.
 
-use rand::Rng;
-use serde::Serialize;
+use oe_simdevice::rng::Rng;
 
 /// A mixture skew model. Components are (weight, lambda) pairs over
 /// normalized rank; remaining probability mass is uniform.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SkewModel {
     components: Vec<(f64, f64)>,
     uniform: f64,
@@ -92,8 +91,7 @@ impl SkewModel {
     /// inverse CDF (or passes through for the uniform tail). Always
     /// consumes exactly two uniforms, so callers that own their own
     /// uniform stream (e.g. the batch generator's seeded stream) get a
-    /// key sequence that is a pure function of the seed — independent
-    /// of any `rand` implementation.
+    /// key sequence that is a pure function of the seed.
     pub fn x_from_uniforms(&self, pick: f64, u: f64) -> f64 {
         let mut pick = pick;
         for &(w, l) in &self.components {
@@ -108,9 +106,9 @@ impl SkewModel {
     }
 
     /// Sample a normalized rank in [0,1).
-    pub fn sample_x<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let pick: f64 = rng.gen();
-        let u: f64 = rng.gen();
+    pub fn sample_x(&self, rng: &mut Rng) -> f64 {
+        let pick = rng.f64();
+        let u = rng.f64();
         self.x_from_uniforms(pick, u)
     }
 
@@ -121,7 +119,7 @@ impl SkewModel {
     }
 
     /// Sample a key rank in `[0, num_keys)`.
-    pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R, num_keys: u64) -> u64 {
+    pub fn sample_rank(&self, rng: &mut Rng, num_keys: u64) -> u64 {
         ((self.sample_x(rng) * num_keys as f64) as u64).min(num_keys - 1)
     }
 
@@ -139,8 +137,24 @@ impl SkewModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    /// 1 000 rank draws pinned to what the parent commit (`ac0ac0c`,
+    /// the benchmark's stand-in generator) produced for this seed.
+    #[test]
+    fn sample_rank_stream_is_pinned() {
+        let skew = SkewModel::paper_fit();
+        let mut rng = Rng::seed_from_u64(9);
+        let ranks: Vec<u64> = (0..1000)
+            .map(|_| skew.sample_rank(&mut rng, 1_000_000))
+            .collect();
+        assert_eq!(ranks[..8], [14, 64, 1419, 34, 29, 220, 69, 3072]);
+        assert_eq!(ranks.iter().sum::<u64>(), 12_988_148);
+        let bytes: Vec<u8> = ranks.iter().flat_map(|r| r.to_le_bytes()).collect();
+        assert_eq!(
+            oe_simdevice::integrity_hash(&[&bytes]),
+            0xDE3C_00FA_E06A_038D
+        );
+    }
 
     #[test]
     fn paper_fit_reproduces_table2() {
@@ -158,7 +172,7 @@ mod tests {
     #[test]
     fn sampling_matches_analytic_share() {
         let m = SkewModel::paper_fit();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let n = 1_000_000u64;
         let samples = 200_000;
         let cut = (0.001 * n as f64) as u64;
@@ -210,7 +224,7 @@ mod tests {
     #[test]
     fn ranks_within_bounds() {
         let m = SkewModel::paper_fit();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         for _ in 0..10_000 {
             let r = m.sample_rank(&mut rng, 1000);
             assert!(r < 1000);

@@ -9,8 +9,7 @@
 //! replay the identical storm.
 
 use crate::skew::SkewModel;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use oe_simdevice::rng::Rng;
 
 /// Embedding key.
 pub type Key = u64;
@@ -84,12 +83,12 @@ impl StormGen {
     pub fn batch_keys(&self, batch: u64) -> Vec<Key> {
         let s = &self.spec;
         let mut rng =
-            StdRng::seed_from_u64(s.seed ^ batch.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5702);
+            Rng::seed_from_u64(s.seed ^ batch.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5702);
         let storming = s.in_storm(batch);
         let mut keys = Vec::with_capacity(s.keys_per_batch);
         for _ in 0..s.keys_per_batch {
-            if storming && rng.gen::<f64>() < s.hot_share {
-                let rank = Self::zipf_rank(rng.gen::<f64>(), s.hot_keys.len() as u64);
+            if storming && rng.chance(s.hot_share) {
+                let rank = Self::zipf_rank(rng.f64(), s.hot_keys.len() as u64);
                 keys.push(s.hot_keys[rank as usize]);
             } else {
                 keys.push(s.base.sample_rank(&mut rng, s.num_keys));
@@ -110,11 +109,10 @@ impl StormGen {
     /// the same flash crowd the trainer saw.
     pub fn request_key(&self, req: u64) -> Key {
         let s = &self.spec;
-        let mut rng =
-            StdRng::seed_from_u64(s.seed ^ req.wrapping_mul(0xD134_2543_DE82_EF95) ^ 0x0E5E);
+        let mut rng = Rng::seed_from_u64(s.seed ^ req.wrapping_mul(0xD134_2543_DE82_EF95) ^ 0x0E5E);
         let batch = req / s.keys_per_batch as u64;
-        if s.in_storm(batch) && rng.gen::<f64>() < s.hot_share {
-            let rank = Self::zipf_rank(rng.gen::<f64>(), s.hot_keys.len() as u64);
+        if s.in_storm(batch) && rng.chance(s.hot_share) {
+            let rank = Self::zipf_rank(rng.f64(), s.hot_keys.len() as u64);
             s.hot_keys[rank as usize]
         } else {
             s.base.sample_rank(&mut rng, s.num_keys)
@@ -126,6 +124,42 @@ impl StormGen {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    /// The storm stream feeds the serving stages of the benchmark and
+    /// the rebalance bench: pinned to what the parent commit (`ac0ac0c`,
+    /// the benchmark's stand-in generator) produced for this spec.
+    #[test]
+    fn batch_and_request_streams_are_pinned() {
+        let gen = StormGen::new(StormSpec {
+            num_keys: 100_000,
+            keys_per_batch: 16,
+            hot_keys: (0..32u64).map(|i| i * 3_001 % 100_000).collect(),
+            hot_share: 0.7,
+            storm_start: 2,
+            storm_end: 5,
+            base: SkewModel::paper_fit(),
+            seed: 0x5EED,
+        });
+        assert_eq!(
+            gen.batch_keys(3),
+            [
+                13, 1, 6002, 1, 5, 9003, 33011, 8, 3001, 12004, 11, 3001, 42014, 30010, 12004,
+                60020
+            ]
+        );
+        assert_eq!(
+            gen.batch_keys(0),
+            [8, 4, 0, 22, 11, 3, 57, 15, 4, 4, 0, 5, 0, 132, 1, 8]
+        );
+        let requests: Vec<Key> = (40..56).map(|r| gen.request_key(r)).collect();
+        assert_eq!(
+            requests,
+            [
+                12004, 45015, 78026, 0, 3001, 15005, 12004, 0, 3001, 3, 24008, 48016, 3001, 11, 0,
+                77823
+            ]
+        );
+    }
 
     fn spec() -> StormSpec {
         StormSpec {

@@ -5,10 +5,9 @@
 //! between them.
 
 use oe_simdevice::Nanos;
-use serde::Serialize;
 
 /// Request category.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// Embedding lookup at batch start.
     Pull,
@@ -17,7 +16,7 @@ pub enum TraceKind {
 }
 
 /// One recorded event: `count` requests of `kind` at virtual time `at`.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceEvent {
     /// Virtual timestamp.
     pub at: Nanos,
@@ -34,7 +33,7 @@ pub struct TraceRecorder {
 }
 
 /// One row of the Fig. 2 histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MsBucket {
     /// Millisecond index from trace start.
     pub ms: u64,

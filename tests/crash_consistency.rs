@@ -1,15 +1,18 @@
-//! Property-based crash consistency at the PS-node level: whatever the
+//! Seeded-case crash consistency at the PS-node level: whatever the
 //! training history, cache pressure, checkpoint cadence, and crash seed,
 //! recovery always reconstructs exactly the committed checkpoint's
 //! state.
 
 use openembedding::core::recovery::recover_node;
 use openembedding::prelude::*;
+use openembedding::simdevice::rng::Rng;
 use openembedding::simdevice::Media;
-use proptest::prelude::*;
 use std::sync::Arc;
 
 const DIM: usize = 4;
+/// Generated cases per property; a failure names the case seed, which
+/// replays it alone.
+const CASES: u64 = 24;
 
 fn node_cfg(cache_entries: usize) -> NodeConfig {
     let mut cfg = NodeConfig::small(DIM);
@@ -38,20 +41,19 @@ fn train_batch(node: &PsNode, b: u64, width: u64) {
     node.push(&keys, &grads, b, &mut cost);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// For any cache size, checkpoint cadence, history length, and crash
+/// seed: recovery lands on the last committed checkpoint and its
+/// state equals a reference run stopped there.
+#[test]
+fn recovered_state_equals_reference() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xC0A5_0000 + case);
+        let cache_entries = 4 + rng.below(60) as usize;
+        let ckpt_every = 1 + rng.below(5);
+        let batches = 4 + rng.below(16);
+        let width = 4 + rng.below(16);
+        let crash_seed = rng.below(500);
 
-    /// For any cache size, checkpoint cadence, history length, and crash
-    /// seed: recovery lands on the last committed checkpoint and its
-    /// state equals a reference run stopped there.
-    #[test]
-    fn recovered_state_equals_reference(
-        cache_entries in 4usize..64,
-        ckpt_every in 1u64..6,
-        batches in 4u64..20,
-        width in 4u64..20,
-        seed in 0u64..500,
-    ) {
         let node = PsNode::new(node_cfg(cache_entries));
         for b in 1..=batches {
             train_batch(&node, b, width);
@@ -63,12 +65,12 @@ proptest! {
         train_batch(&node, batches + 1, width);
         let committed = node.committed_checkpoint();
 
-        let media = Arc::new(Media::from_crash(node.pool().media().crash(seed)));
+        let media = Arc::new(Media::from_crash(node.pool().media().crash(crash_seed)));
         let mut cost = Cost::new();
         let (recovered, report) =
             recover_node(media, node_cfg(cache_entries), &mut cost).expect("recoverable");
-        prop_assert_eq!(report.resume_batch, committed);
-        prop_assert_eq!(report.scan.corrupt, 0, "protocol never tears");
+        assert_eq!(report.resume_batch, committed, "case {case}");
+        assert_eq!(report.scan.corrupt, 0, "case {case}: protocol never tears");
 
         // Reference run stopped at the committed batch.
         let reference = PsNode::new(node_cfg(cache_entries));
@@ -76,26 +78,37 @@ proptest! {
             train_batch(&reference, b, width);
         }
         for key in 0..60u64 {
-            prop_assert_eq!(
+            assert_eq!(
                 recovered.read_weights(key),
                 reference.read_weights(key),
-                "key {}", key
+                "case {case}: key {key}"
             );
         }
     }
+}
 
-    /// Crashing *before any checkpoint* recovers an empty model — no
-    /// partial training state ever leaks.
-    #[test]
-    fn no_checkpoint_recovers_empty(batches in 1u64..8, seed in 0u64..100) {
+/// Crashing *before any checkpoint* recovers an empty model — no
+/// partial training state ever leaks.
+#[test]
+fn no_checkpoint_recovers_empty() {
+    for case in 0..CASES {
+        let mut rng = Rng::seed_from_u64(0xE3B7_0000 + case);
+        let batches = 1 + rng.below(7);
+        let crash_seed = rng.below(100);
+
         let node = PsNode::new(node_cfg(16));
         for b in 1..=batches {
             train_batch(&node, b, 8);
         }
-        let media = Arc::new(Media::from_crash(node.pool().media().crash(seed)));
+        let media = Arc::new(Media::from_crash(node.pool().media().crash(crash_seed)));
         let mut cost = Cost::new();
-        let (recovered, report) = recover_node(media, node_cfg(16), &mut cost).expect("recoverable");
-        prop_assert_eq!(report.resume_batch, 0);
-        prop_assert_eq!(recovered.num_keys(), 0, "nothing committed, nothing recovered");
+        let (recovered, report) =
+            recover_node(media, node_cfg(16), &mut cost).expect("recoverable");
+        assert_eq!(report.resume_batch, 0, "case {case}");
+        assert_eq!(
+            recovered.num_keys(),
+            0,
+            "case {case}: nothing committed, nothing recovered"
+        );
     }
 }

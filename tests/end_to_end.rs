@@ -56,9 +56,7 @@ fn cache_hit_rate_reflects_skew() {
     // A cache holding ~2% of keys catches the hot head. The key stream
     // is a pure function of the spec seed (splitmix64 inside
     // `WorkloadGen`), so the miss rate is an exact replayable number
-    // (0.3225 here) rather than a draw from whichever `rand` backs the
-    // build — the old one-sided `< 0.35` slack for alternative RNGs is
-    // gone. An ideal LRU of the same capacity on this exact stream
+    // (0.3225 here). An ideal LRU of the same capacity on this exact stream
     // gives 0.3245 (misses are per *deduped* key per worker batch, so
     // the cold tail weighs far more than its per-access share), which
     // pins both sides: well under it means the PS cache at least
