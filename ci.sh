@@ -76,6 +76,14 @@ if grep -rnF -e 'HashMap<u32, Vec<u32>>' -e 'vec![false;' crates/serve/src; then
   exit 1
 fi
 
+# The prefetch cache finds its coldest entry through an ordered victim
+# index; the full scan it replaced lives on only as the oracle in
+# crates/cache/tests/prefetch_equiv.rs.
+if grep -nF 'entries.keys()' crates/cache/src/prefetch.rs; then
+  echo "the retired victim scan resurfaced in crates/cache/src/prefetch.rs (see above)" >&2
+  exit 1
+fi
+
 # The benchmark package is its own workspace over the same layer crates;
 # a layer change that breaks a seam it decorates must fail here, not in
 # the benchmark pipeline. Its seven "patch … was not used in the crate
@@ -128,8 +136,11 @@ cargo test --release --offline -q -p openembedding --test rebalance_e2e
 echo "==> skew-aware rebalancing bench (smoke, gated)"
 cargo run --release --offline -p oe-bench --bin rebalance -- --smoke --out BENCH_rebalance.json "${GATE_FLAGS[@]}"
 
-echo "==> training schedules: k = 0 sync-trainer goldens, bounded staleness, migration coherence"
+echo "==> training schedules: k = 0 sync-trainer goldens, bounded staleness, pinned evictions, migration coherence"
 cargo test --release --offline -q -p openembedding --test pipeline_e2e
+
+echo "==> prefetch victim index = retired full scan"
+cargo test --release --offline -q -p oe-cache --test prefetch_equiv
 
 echo "==> pipelined-training frontier bench (smoke, gated)"
 cargo run --release --offline -p oe-bench --bin pipeline -- --smoke --out BENCH_pipeline.json "${GATE_FLAGS[@]}"

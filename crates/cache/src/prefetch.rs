@@ -14,17 +14,21 @@
 //! that the zipf head is worth pinning. Ties break on ascending key, so
 //! every decision is deterministic.
 //!
+//! The coldest resident `(heat, key)` comes from an ordered index of
+//! recorded heats, repaired lazily at its front; it is exact while no
+//! heat falls between two [`PrefetchCache::rerank`] calls.
+//!
 //! Accounting invariant (checked by tests and the e2e suite): every
 //! serve-time lookup is classified as exactly one of hit or miss, so
 //! `hits + misses == lookups` always; `evictions` and `invalidations`
 //! count capacity and coherence drops separately.
 
 use crate::Key;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// A heat oracle for admission/eviction ranking. Implemented by
-/// `oe-cluster`'s decaying `FreqTracker`; any monotone popularity
-/// estimate works.
+/// `oe-cluster`'s decaying `FreqTracker`; any popularity estimate works
+/// whose heats only rise between two [`PrefetchCache::rerank`] calls.
 pub trait HeatSketch {
     /// Current heat of `key` (0 = never seen or fully decayed).
     fn heat(&self, key: Key) -> u64;
@@ -76,7 +80,10 @@ impl PrefetchStats {
 pub struct PrefetchCache {
     capacity: usize,
     dim: usize,
-    entries: HashMap<Key, Vec<f32>>,
+    /// Resident rows, each with the heat it is filed under in `by_heat`.
+    entries: HashMap<Key, (u64, Vec<f32>)>,
+    /// `(recorded heat, key)` of every resident entry, coldest first.
+    by_heat: BTreeSet<(u64, Key)>,
     stats: PrefetchStats,
 }
 
@@ -87,6 +94,7 @@ impl PrefetchCache {
             capacity,
             dim,
             entries: HashMap::new(),
+            by_heat: BTreeSet::new(),
             stats: PrefetchStats::default(),
         }
     }
@@ -122,7 +130,7 @@ impl PrefetchCache {
     /// counter moves per call, preserving `hits + misses == lookups`.
     pub fn lookup(&mut self, key: Key, out: &mut Vec<f32>) -> bool {
         match self.entries.get(&key) {
-            Some(row) => {
+            Some((_, row)) => {
                 out.extend_from_slice(row);
                 self.stats.hits += 1;
                 true
@@ -134,25 +142,20 @@ impl PrefetchCache {
         }
     }
 
-    /// Side-effect-free preview of [`PrefetchCache::insert`]'s
-    /// admission decision: would this key be retained right now? The
-    /// prefetcher uses it to avoid spending pull bandwidth on rows the
-    /// cache would immediately refuse — refused (cold) keys stream
-    /// through the demand path instead.
-    pub fn admissible(&self, key: Key, sketch: &dyn HeatSketch) -> bool {
+    /// Preview of [`PrefetchCache::insert`]'s admission decision, with
+    /// no observable side effect (it may repair the victim index): would
+    /// this key be retained right now? The prefetcher uses it to avoid
+    /// spending pull bandwidth on rows the cache would immediately
+    /// refuse — refused (cold) keys stream through the demand path
+    /// instead.
+    pub fn admissible(&mut self, key: Key, sketch: &dyn HeatSketch) -> bool {
         if self.capacity == 0 {
             return false;
         }
         if self.entries.contains_key(&key) || self.entries.len() < self.capacity {
             return true;
         }
-        let victim = self
-            .entries
-            .keys()
-            .map(|&k| (sketch.heat(k), k))
-            .min()
-            .expect("cache is non-empty when full");
-        (sketch.heat(key), key) > victim
+        (sketch.heat(key), key) > self.coldest(sketch)
     }
 
     /// Prefetch insert: admit `key`'s freshly pulled row, evicting the
@@ -166,30 +169,59 @@ impl PrefetchCache {
             self.stats.admission_rejects += 1;
             return false;
         }
-        if let Some(existing) = self.entries.get_mut(&key) {
+        if let Some((_, existing)) = self.entries.get_mut(&key) {
             existing.clear();
             existing.extend_from_slice(row);
             self.stats.inserts += 1;
             return true;
         }
+        let heat = sketch.heat(key);
         if self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .keys()
-                .map(|&k| (sketch.heat(k), k))
-                .min()
-                .expect("cache is non-empty when full");
-            let candidate = (sketch.heat(key), key);
-            if candidate <= victim {
+            let victim = self.coldest(sketch);
+            if (heat, key) <= victim {
                 self.stats.admission_rejects += 1;
                 return false;
             }
+            self.by_heat.remove(&victim);
             self.entries.remove(&victim.1);
             self.stats.evictions += 1;
         }
-        self.entries.insert(key, row.to_vec());
+        self.entries.insert(key, (heat, row.to_vec()));
+        self.by_heat.insert((heat, key));
         self.stats.inserts += 1;
         true
+    }
+
+    /// Re-file every resident entry under its current heat. Call after
+    /// every sketch update that can lower a heat (a decay); between two
+    /// calls the victim index relies on heats only rising.
+    pub fn rerank(&mut self, sketch: &dyn HeatSketch) {
+        self.by_heat.clear();
+        for (&k, (heat, _)) in &mut self.entries {
+            *heat = sketch.heat(k);
+            self.by_heat.insert((*heat, k));
+        }
+    }
+
+    /// The coldest resident `(heat, key)` at the sketch's current
+    /// heats. A recorded heat never exceeds the current one, so once
+    /// the front entry's is current no other entry can be colder; until
+    /// then the front is re-filed under its current heat.
+    fn coldest(&mut self, sketch: &dyn HeatSketch) -> (u64, Key) {
+        loop {
+            let (recorded, k) = *self.by_heat.first().expect("cache is non-empty when full");
+            let heat = sketch.heat(k);
+            if heat == recorded {
+                return (heat, k);
+            }
+            debug_assert!(heat > recorded, "heat of key {k} fell without a rerank");
+            self.by_heat.pop_first();
+            self.by_heat.insert((heat, k));
+            self.entries
+                .get_mut(&k)
+                .expect("indexed keys are resident")
+                .0 = heat;
+        }
     }
 
     /// Coherence fence: drop every resident entry in `keys` (an applied
@@ -200,7 +232,8 @@ impl PrefetchCache {
     pub fn invalidate(&mut self, keys: &[Key]) -> u64 {
         let mut dropped = 0;
         for &k in keys {
-            if self.entries.remove(&k).is_some() {
+            if let Some((heat, _)) = self.entries.remove(&k) {
+                self.by_heat.remove(&(heat, k));
                 dropped += 1;
             }
         }
@@ -213,6 +246,7 @@ impl PrefetchCache {
         let n = self.entries.len() as u64;
         self.stats.invalidations += n;
         self.entries.clear();
+        self.by_heat.clear();
     }
 }
 

@@ -7,6 +7,13 @@
 //! tracker is a plain count map with exponential decay: `decay()` halves
 //! every count, so a storm that ended a few rebalance windows ago stops
 //! dominating `top_hot` without any timestamp bookkeeping.
+//!
+//! The pipelined trainer keeps a second tracker as the heat sketch of
+//! its prefetch cache and decays it on its own cadence — every
+//! `PipelineConfig::heat_decay_every` training windows, not per
+//! rebalance window. Between two decays a count only rises, which is
+//! what lets the cache keep its victim index lazily (`rerank` after each
+//! decay).
 
 use oe_core::Key;
 use std::collections::HashMap;
@@ -56,7 +63,8 @@ impl FreqTracker {
     }
 
     /// Halve every count, dropping keys that reach zero. Call once per
-    /// rebalance window to age out finished storms.
+    /// rebalance window (or trainer decay period) to age out finished
+    /// storms; it is the only call that lowers a count.
     pub fn decay(&mut self) {
         self.total = 0;
         self.counts.retain(|_, c| {

@@ -285,6 +285,73 @@ fn prefetch_counters_sum_to_total_accesses_across_seeds() {
     }
 }
 
+/// Which rows the prefetch cache admits, refuses and evicts, pinned: a
+/// 64-entry cache runs full, so the victim is searched for on every
+/// admission check and eviction, and a decay every 4 windows halves the
+/// sketch nine times in 40 windows, so the cache reranks nine times.
+/// The literals were printed at commit 297c9ca, whose cache found every
+/// victim by scanning all resident entries.
+#[test]
+fn prefetch_eviction_decisions_are_pinned() {
+    const BATCHES: u64 = 40;
+    let pcfg = PipelineConfig {
+        staleness: 2,
+        prefetch_capacity: 64,
+        heat_decay_every: 4,
+    };
+    // Window i (0-based) decays first when i is a positive multiple of
+    // the cadence.
+    assert!((BATCHES - 1) / pcfg.heat_decay_every >= 9, "nine decays");
+    // [hits, misses, inserts, evictions, invalidations,
+    //  admission_rejects, total_ns, weights_hash]
+    let pinned: [(u64, [u64; 8]); 2] = [
+        (
+            3,
+            [
+                1_702,
+                729,
+                1_838,
+                665,
+                1_173,
+                40,
+                59_944_914,
+                0x8bed_6a1c_b299_7469,
+            ],
+        ),
+        (
+            21,
+            [
+                1_827,
+                703,
+                1_813,
+                613,
+                1_200,
+                57,
+                59_899_146,
+                0x0939_fdb5_b8f1_f8d3,
+            ],
+        ),
+    ];
+    for (seed, want) in pinned {
+        let n = node_with(OptimizerKind::Sgd { lr: 0.1 });
+        let r =
+            PipelinedTrainer::with_client(&n, spec(seed), TrainerConfig::paper(2), pcfg.clone())
+                .run(1, BATCHES);
+        let got = [
+            r.prefetch_hits,
+            r.prefetch_misses,
+            r.prefetch_inserts,
+            r.prefetch_evictions,
+            r.prefetch_invalidations,
+            r.prefetch_admission_rejects,
+            r.train.total_ns,
+            weights_hash(&n, spec(seed).num_keys),
+        ];
+        assert_eq!(got, want, "seed {seed}");
+        assert!(r.prefetch_evictions > 0, "seed {seed}: the cache ran full");
+    }
+}
+
 /// A mid-epoch shard-migration cutover invalidates prefetched rows for
 /// moved keys exactly once — the drain is destructive, a second fence
 /// drops nothing — and the pipelined run over the migrated cluster
