@@ -52,9 +52,11 @@ done
 
 # PR 15 deleted the per-key node arm, the scalar-kernel switch and the
 # owned burst codec; EXPERIMENTS.md's "Retired A/B arms" table is the one
-# place their names may still appear.
-echo "==> retired hot-path twins stay retired"
-if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key" \
+# place their names may still appear. The two standbys and the
+# in-process crash drill are one `Standby` over `core::recovery`; their
+# old names stay out as well.
+echo "==> retired twins stay retired"
+if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure" \
   crates tests examples README.md DESIGN.md; then
   echo "a retired name resurfaced (see above)" >&2
   exit 1

@@ -8,20 +8,20 @@
 //!   and the retry/timeout counters that paid for it. Every arm must
 //!   end bit-identical to a fault-free local run (exactly-once
 //!   delivery via idempotence tokens + the server replay cache).
-//! - **recovery** — promote a [`CheckpointReplica`] from a trained,
-//!   checkpointed primary's media and report the virtual recovery
+//! - **recovery** — promote a [`Standby`] over a trained,
+//!   checkpointed primary's local media and report the virtual recovery
 //!   latency (crash image + slot scan + index rebuild under the
 //!   recovery contention model) — the RPC-layer analogue of Fig. 14.
 //! - **kill run** — kill the primary mid-epoch through the fault
-//!   injector, fail over to the replica, rewind to the committed
+//!   injector, fail over to the standby, rewind to the committed
 //!   checkpoint, and finish; report the end-to-end overhead of the
 //!   absorbed failure.
 
 use oe_core::engine::PsEngine;
+use oe_core::recovery::LocalMedia;
 use oe_core::{CheckpointScheduler, NodeConfig, OptimizerKind, PsNode};
 use oe_net::{
-    loopback, CheckpointReplica, Error, FaultInjector, FaultSpec, NetConfig, PsClient, PsServer,
-    RemotePs, Standby,
+    loopback, Error, FaultInjector, FaultSpec, NetConfig, PsClient, PsServer, RemotePs, Standby,
 };
 use oe_train::{PipelineConfig, PipelinedTrainer, TrainReport, TrainerConfig};
 use oe_workload::{SkewModel, WorkloadSpec};
@@ -140,7 +140,7 @@ pub struct DropArm {
     pub bit_identical: bool,
 }
 
-/// Replica promotion cost, measured directly.
+/// Standby promotion cost, measured directly.
 #[derive(Debug, Clone)]
 pub struct RecoveryResult {
     /// Batch the committed checkpoint ends at (training resumes at +1).
@@ -206,13 +206,12 @@ fn faulty_remote(cfg: &FailoverConfig, fault: FaultSpec, standby: bool) -> Remot
     let remote = RemotePs::try_connect(injector, NetConfig::paper_default())
         .expect("the handshake precedes every scheduled fault");
     if standby {
-        remote.with_standby(Arc::new(CheckpointReplica::new(
-            media,
+        remote.with_standby(Standby::new(
+            Arc::new(LocalMedia::new(media, 4)),
             cfg.node_config(),
             4,
-            4,
             cfg.seed,
-        )))
+        ))
     } else {
         remote
     }
@@ -254,15 +253,11 @@ pub fn run(cfg: &FailoverConfig) -> FailoverReport {
     // Direct promotion from the trained reference's media: the pure
     // recovery latency, isolated from the wire.
     let recovery_threads = 4u32;
-    let promo = CheckpointReplica::new(
-        Arc::clone(local.pool().media()),
-        cfg.node_config(),
-        1,
-        recovery_threads,
-        cfg.seed,
-    )
-    .promote()
-    .expect("trained media promotes");
+    let home = LocalMedia::new(Arc::clone(local.pool().media()), recovery_threads);
+    let promo = Standby::new(Arc::new(home), cfg.node_config(), 1, cfg.seed)
+        .promote()
+        .expect("trained media promotes")
+        .event;
     let recovery = RecoveryResult {
         resume_batch: promo.resume_batch,
         recovery_ns: promo.recovery_ns,

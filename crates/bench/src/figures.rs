@@ -5,10 +5,10 @@
 use crate::scenario::{run_scenario, CkptSetup, EngineKind, Scenario};
 use oe_baselines::{CkptDevice, DramPs};
 use oe_core::engine::PsEngine;
+use oe_core::recovery::{restore, LocalMedia};
 use oe_core::{NodeConfig, PsNode};
 use oe_simdevice::clock::secs;
 use oe_simdevice::{Cost, CostKind, DeviceKind, DeviceTiming, Media, MediaConfig};
-use oe_train::failure::crash_and_recover;
 use oe_train::{PipelineConfig, PipelinedTrainer, TrainMode, TrainerConfig};
 use oe_workload::analyze::{top_share_empirical, RankFrequency};
 use oe_workload::{SkewModel, WorkloadGen};
@@ -449,11 +449,12 @@ pub fn fig14(sc: &Scenario) {
         engine.request_checkpoint(sc.warm_batches);
         t.run(sc.warm_batches + 1, 2); // commit
         drop(t);
-        let (node, outcome) = crash_and_recover(&engine, cfg, 7, 1);
+        let home = LocalMedia::new(std::sync::Arc::clone(engine.pool().media()), 1);
+        let r = restore(&home, cfg, 7).expect("checkpointed media restores");
         results.push((
             "PMem-OE (in-place scan)".to_string(),
-            outcome.recovery_ns as f64 / 1e9,
-            node.num_keys(),
+            r.recovery_ns as f64 / 1e9,
+            r.node.num_keys(),
         ));
     }
     let oe_time = results.last().unwrap().1;

@@ -12,19 +12,21 @@
 //! - **congestion sweep** — re-run the pool arm with extra nodes
 //!   attached to the shared fabric link; the contention model inflates
 //!   every transfer, quantifying what "shared" costs.
-//! - **recovery** — promote the same trained, checkpointed state two
-//!   ways: a [`CheckpointReplica`] over the local crash image vs a
-//!   [`PoolStandby`] recovering near the pool and shipping only the
-//!   index summary. The local/pool latency ratio is the gated headline:
-//!   pool-resident recovery must not regress toward image shipping.
+//! - **recovery** — promote the same trained, checkpointed state from
+//!   its two homes with one [`Standby`]: [`LocalMedia`] (crash image,
+//!   scanned on the standby) vs a [`PoolPartition`] (scanned near the
+//!   pool, only the index summary shipped), at equal scan parallelism.
+//!   The local/pool latency ratio is the gated headline: pool-resident
+//!   recovery must not regress toward image shipping.
 //!
 //! [`StorageBackend`]: oe_core::StorageBackend
 
 use oe_core::engine::PsEngine;
+use oe_core::recovery::{DurableHome, LocalMedia};
 use oe_core::{CheckpointScheduler, DramStore, NodeConfig, OptimizerKind, PsNode};
-use oe_net::{CheckpointReplica, Standby};
+use oe_net::Standby;
 use oe_pmem::PoolConfig;
-use oe_pool::{FabricConfig, RemotePool, SharedPool};
+use oe_pool::{FabricConfig, PoolPartition, RemotePool, SharedPool};
 use oe_simdevice::Cost;
 use oe_train::{GpuModel, PipelineConfig, PipelinedTrainer, TrainerConfig};
 use oe_workload::{SkewModel, WorkloadSpec};
@@ -162,7 +164,7 @@ pub struct CongestionArm {
 /// same scan parallelism, two topologies.
 #[derive(Debug, Clone)]
 pub struct RecoveryComparison {
-    /// Crash-image promotion latency (local PMem, `CheckpointReplica`).
+    /// Crash-image promotion latency (local PMem, `LocalMedia`).
     pub local_recovery_ns: u64,
     /// Pool-resident promotion latency (near-pool scan + summary ship).
     pub pool_recovery_ns: u64,
@@ -266,24 +268,22 @@ pub fn run(cfg: &PoolBenchConfig) -> PoolBenchReport {
         });
     }
 
-    // Recovery at equal simulated cost: the local arm promotes from its
-    // crash image with 4 scan threads; the pool arm recovers near the
-    // pool (FabricConfig::default() also runs 4 near-pool threads) and
-    // ships only the index summary.
-    let local_promo = CheckpointReplica::new(
-        Arc::clone(local.pool().media()),
-        cfg.node_config(),
-        1,
-        4,
-        cfg.seed,
-    )
-    .promote()
-    .expect("trained media promotes");
+    // Recovery at equal simulated cost: the local arm scans its crash
+    // image on as many threads as the pool runs near-pool scanners; the
+    // pool arm also ships the index summary.
     drop(pooled); // the pool node dies; its partition outlives it
-    let pool_promo =
-        oe_pool::PoolStandby::new(Arc::clone(&shared), 0, cfg.node_config(), 1, cfg.seed)
-            .promote()
-            .expect("pool partition promotes");
+    let scan_threads = shared.fabric().near_pool_threads;
+    let homes: [Arc<dyn DurableHome>; 2] = [
+        Arc::new(LocalMedia::new(
+            Arc::clone(local.pool().media()),
+            scan_threads,
+        )),
+        Arc::new(PoolPartition::new(Arc::clone(&shared), 0)),
+    ];
+    let [local_promo, pool_promo] = homes.map(|home| {
+        let standby = Standby::new(home, cfg.node_config(), 1, cfg.seed);
+        standby.promote().expect("trained bytes promote").event
+    });
     assert_eq!(
         local_promo.resume_batch, pool_promo.resume_batch,
         "both arms promote the same committed checkpoint"

@@ -232,22 +232,10 @@ impl PsNode {
         }
     }
 
-    /// Rebuild a node from a recovered pool + scan report: every live
-    /// entry is indexed at its PMem slot; the cache starts cold; the
-    /// committed checkpoint id is restored from the pool root.
-    pub(crate) fn from_recovery(
-        cfg: NodeConfig,
-        pool: PmemPool,
-        scan: &oe_pmem::scan::ScanReport,
-    ) -> Self {
-        Self::from_recovered_storage(cfg, Arc::new(LocalPmem::new(pool)), scan)
-    }
-
-    /// Rebuild a node from a recovered storage backend + scan report —
-    /// the public entry the disaggregated-pool arm uses after a
-    /// near-pool recovery scan. Same semantics as local recovery: live
-    /// entries indexed at their slots, cold cache, committed CBI
-    /// restored from the pool root.
+    /// Rebuild a node from a recovered storage backend + scan report,
+    /// wherever the bytes live (`core::recovery` is the one caller):
+    /// every live entry is indexed at its slot, the cache starts cold,
+    /// and the committed CBI is restored from the pool root.
     pub fn from_recovered_storage(
         cfg: NodeConfig,
         store: Arc<dyn StorageBackend>,

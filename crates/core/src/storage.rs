@@ -19,7 +19,17 @@
 //!   fabric-attached PMem shared by many nodes, with every operation
 //!   paying a fabric surcharge and recovery running *near the pool*.
 //!
+//! Recovery follows the same axis. A dead node's durable bytes have a
+//! [`DurableHome`] — [`LocalMedia`] for the local arm, the pool partition
+//! for the remote one — and one routine, [`restore`], settles, scans and
+//! rebuilds from either; the home decides only where the scan runs and
+//! which backend the recovered node writes through. DRAM has no home:
+//! its bytes die with the node.
+//!
 //! [`PsNode`]: crate::node::PsNode
+//! [`DurableHome`]: crate::recovery::DurableHome
+//! [`LocalMedia`]: crate::recovery::LocalMedia
+//! [`restore`]: crate::recovery::restore
 
 use oe_pmem::{PmemPool, PoolConfig, SlotHeader, SlotId};
 use oe_simdevice::{Cost, Media, MediaConfig};

@@ -17,8 +17,9 @@
 //!   charged to the caller's virtual-time sink;
 //! - a dead primary (`Disconnected`) triggers failover: the next
 //!   [`Standby`] in the ordered endpoint list is promoted through
-//!   `core::recovery`, and the failing call returns a structured
-//!   `Busy` error carrying the rewind point — see
+//!   `core::recovery` (a standby that refuses is skipped, and the last
+//!   refusal is named if none is left), and the failing call returns a
+//!   structured `Busy` error carrying the rewind point — see
 //!   [`crate::failover`] for why failover is not transparent;
 //! - a failover *fences* the dead primary's tokens: the swap bumps a
 //!   transport generation, so a concurrent call whose token was minted
@@ -67,7 +68,7 @@ pub struct RemotePs {
     /// (re)sent — the promoted node was rolled back, the trainer will
     /// replay, and a straggling retry would double-apply.
     transport_gen: AtomicU64,
-    standbys: Mutex<VecDeque<Arc<dyn Standby>>>,
+    standbys: Mutex<VecDeque<Standby>>,
     cfg: NetConfig,
     client_id: u32,
     seq: AtomicU64,
@@ -148,7 +149,7 @@ impl RemotePs {
     }
 
     /// Append a standby to the ordered failover endpoint list.
-    pub fn with_standby(self, standby: Arc<dyn Standby>) -> Self {
+    pub fn with_standby(self, standby: Standby) -> Self {
         self.standbys.lock().push_back(standby);
         self
     }
@@ -190,12 +191,18 @@ impl RemotePs {
     /// swapped and a [`FailoverEvent`] is left for the trainer to
     /// collect via [`PsClient::failover_resume`].
     fn failover(&self) -> Result<FailoverEvent, Error> {
+        let mut refused = None;
         loop {
-            let standby = self
-                .standbys
-                .lock()
-                .pop_front()
-                .ok_or_else(|| Error::disconnected("primary dead and no standby left"))?;
+            let Some(standby) = self.standbys.lock().pop_front() else {
+                // The caller chains the dead primary's error as the
+                // source, so the last refusal travels in the context.
+                let reason = refused
+                    .map(|e: Error| format!("; last standby refused: {e}"))
+                    .unwrap_or_default();
+                return Err(Error::disconnected(format!(
+                    "primary dead and no standby left{reason}"
+                )));
+            };
             match standby.promote() {
                 Ok(promo) => {
                     // Fence this client's entire pre-failover sequence
@@ -219,18 +226,14 @@ impl RemotePs {
                     }
                     self.failovers.inc();
                     self.phases
-                        .record_ns(Phase::FailoverRecovery, promo.recovery_ns);
-                    let event = FailoverEvent {
-                        resume_batch: promo.resume_batch,
-                        recovery_ns: promo.recovery_ns,
-                        recovered_keys: promo.recovered_keys,
-                    };
-                    *self.pending_failover.lock() = Some(event);
-                    return Ok(event);
+                        .record_ns(Phase::FailoverRecovery, promo.event.recovery_ns);
+                    *self.pending_failover.lock() = Some(promo.event);
+                    return Ok(promo.event);
                 }
-                // A standby that cannot promote (e.g. media never
-                // initialized) is skipped; try the next one.
-                Err(_) => continue,
+                // A standby that cannot promote (nothing to restore, a
+                // config that does not fit the bytes) is skipped; try
+                // the next one, remembering why.
+                Err(e) => refused = Some(e),
             }
         }
     }
@@ -840,7 +843,7 @@ mod tests {
 
     #[test]
     fn kill_between_send_and_ack_never_double_applies() {
-        use crate::failover::CheckpointReplica;
+        use oe_core::recovery::LocalMedia;
         use std::sync::atomic::AtomicBool;
         use std::sync::mpsc;
         use std::time::Duration;
@@ -893,7 +896,7 @@ mod tests {
             applied: Mutex::new(applied_tx),
             release: Mutex::new(release_rx),
         });
-        let replica = Arc::new(CheckpointReplica::new(media, cfg, 2, 4, 5));
+        let replica = Standby::new(Arc::new(LocalMedia::new(media, 4)), cfg, 2, 5);
         let remote = RemotePs::try_connect(eater, NetConfig::paper_default())
             .unwrap()
             .with_standby(replica);

@@ -29,9 +29,11 @@
 //! - [`server`] — a multi-threaded PS server event loop serving any
 //!   [`oe_core::engine::PsEngine`], with a replay cache that applies
 //!   retried/duplicated requests exactly once;
-//! - [`failover`] — [`CheckpointReplica`] standbys that restore
-//!   through `core::recovery` from the last committed checkpoint when
-//!   promoted, charging the paper's recovery cost in virtual time;
+//! - [`failover`] — the one [`Standby`]: on promotion it restores the
+//!   last committed checkpoint through `core::recovery` from wherever
+//!   the primary's durable bytes live (its own media, or a `SharedPool`
+//!   partition in `oe-pool`), charging the paper's recovery cost in
+//!   virtual time;
 //! - [`client`] — [`client::RemotePs`], which implements [`PsClient`]
 //!   *over the wire* with deadlines, retry/backoff, and failover; every
 //!   failure is an [`Error`] value. Virtual-time costs charged on the
@@ -60,9 +62,7 @@ pub use codec::{
 };
 pub use config::{NetCharge, NetConfig, RetryPolicy};
 pub use error::{Error, ErrorKind};
-pub use failover::{
-    recovery_burst_ns, spawn_promoted, CheckpointReplica, FailoverEvent, Promotion, Standby,
-};
+pub use failover::{FailoverEvent, Promotion, Standby};
 pub use fault::{FaultInjector, FaultSpec};
 pub use server::{PsServer, ServerHandle};
 pub use transport::{loopback, ClientTransport, Transport};

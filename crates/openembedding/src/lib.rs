@@ -50,8 +50,8 @@
 //! | [`baselines`] | DRAM-PS, Ori-Cache, PMem-Hash, TF-PS, incremental checkpointing |
 //! | [`workload`] | skew models fitted to the paper's trace, Criteo synth, analysis |
 //! | [`train`] | the training simulator (one trainer; k = 0 is the paper's synchronous batch), DeepFM, failure injection, cost model |
-//! | [`net`] | wire protocol, fault-injecting transports, retry/deadline, checkpoint failover |
-//! | [`pool`] | disaggregated PMem: shared remote pool, fabric cost model, pool-resident failover |
+//! | [`net`] | wire protocol, fault-injecting transports, retry/deadline, checkpoint failover (one `Standby`) |
+//! | [`pool`] | disaggregated PMem: shared remote pool, fabric cost model, the pool partition as a recovery home |
 //! | [`telemetry`] | lock-free latency histograms, metric registry, phase spans, text exposition |
 
 pub mod layer;
@@ -77,15 +77,16 @@ pub mod prelude {
         MigrationSpec, NodeClass, PlacedCluster, PlacementTable, RebalanceConfig,
     };
     pub use oe_core::engine::PsEngine;
+    pub use oe_core::recovery::{DurableHome, LocalMedia};
     pub use oe_core::{
         BatchId, CheckpointScheduler, DramStore, Key, LocalPmem, NodeConfig, Optimizer,
         OptimizerKind, PsNode, StorageBackend,
     };
     pub use oe_net::{
-        loopback, CheckpointReplica, EngineClient, FaultInjector, FaultSpec, NetConfig, PsClient,
-        PsServer, RemotePs, RetryPolicy,
+        loopback, EngineClient, FaultInjector, FaultSpec, NetConfig, PsClient, PsServer, RemotePs,
+        RetryPolicy, Standby,
     };
-    pub use oe_pool::{FabricConfig, PoolStandby, RemotePool, SharedPool};
+    pub use oe_pool::{FabricConfig, PoolPartition, RemotePool, SharedPool};
     pub use oe_serve::{
         load_image, recall_at_k, save_image, AnnConfig, CheckpointPublisher, ExactScan,
         LshRetriever, Retriever, ServingNode, Snapshot, SnapshotHandle, SnapshotReader,

@@ -18,22 +18,21 @@
 //!    every slot across the fabric: the scan + index rebuild execute on
 //!    compute adjacent to the pool ([`FabricConfig::near_pool_threads`])
 //!    and only the rebuilt index summary ships to the promoted node.
-//! 3. **A dead PS's state survives in the pool.** [`PoolStandby`]
-//!    implements `oe_net`'s `Standby`: on node death it resolves the
-//!    partition's in-flight fabric writes exactly like a power cut
-//!    (torn-line semantics), recovers near the pool, re-attaches the
-//!    partition, and spawns the promoted server — no crash image is
-//!    ever shipped, which is the disaggregated recovery win the bench
-//!    (`oe-bench --bin pool`) quantifies against [`CheckpointReplica`].
+//! 3. **A dead PS's state survives in the pool.** [`PoolPartition`] is
+//!    the pool's home for `oe_core::recovery`: an `oe_net::Standby` over
+//!    it resolves the partition's in-flight fabric writes exactly like a
+//!    power cut (torn-line semantics), recovers near the pool, ships the
+//!    index summary, re-attaches the partition and spawns the promoted
+//!    server — no crash image is ever shipped. The same standby over the
+//!    local home (`LocalMedia`) differs only in those steps, which is the
+//!    disaggregated recovery win the bench (`oe-bench --bin pool`)
+//!    quantifies.
 //!
 //! [`StorageBackend`]: oe_core::StorageBackend
 //! [`PmemPool`]: oe_pmem::PmemPool
 //! [`CostKind::FabricTransfer`]: oe_simdevice::CostKind
 //! [`DeviceTiming::cxl_fabric`]: oe_simdevice::DeviceTiming::cxl_fabric
-//! [`CheckpointReplica`]: oe_net::CheckpointReplica
 
 pub mod remote;
-pub mod standby;
 
-pub use remote::{FabricConfig, RemotePool, SharedPool};
-pub use standby::PoolStandby;
+pub use remote::{FabricConfig, PoolPartition, RemotePool, SharedPool};

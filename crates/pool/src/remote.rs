@@ -10,7 +10,11 @@
 //! congestion factor that grows with the number of attached nodes
 //! (they share one link into the pool; see
 //! [`DeviceTiming::concurrency_efficiency`]).
+//!
+//! A [`PoolPartition`] is the partition seen as the home of a dead
+//! node's durable bytes, for `core::recovery::restore`.
 
+use oe_core::recovery::{scan_media, DurableHome, Settled};
 use oe_core::StorageBackend;
 use oe_pmem::{PmemPool, PoolConfig, SlotHeader, SlotId, HEADER_BYTES, ROOT_BYTES};
 use oe_simdevice::sync::Mutex;
@@ -81,13 +85,13 @@ impl SharedPool {
     }
 
     /// Charge a fabric read of `bytes` (one round trip).
-    pub(crate) fn charge_read(&self, bytes: u64, cost: &mut Cost) {
+    fn charge_read(&self, bytes: u64, cost: &mut Cost) {
         let ns = (self.fabric.link.read_ns(bytes) as f64 * self.congestion()) as u64;
         cost.charge(CostKind::FabricTransfer, ns);
     }
 
     /// Charge a fabric write of `bytes` (posted write + completion).
-    pub(crate) fn charge_write(&self, bytes: u64, cost: &mut Cost) {
+    fn charge_write(&self, bytes: u64, cost: &mut Cost) {
         let ns = (self.fabric.link.write_ns(bytes) as f64 * self.congestion()) as u64;
         cost.charge(CostKind::FabricTransfer, ns);
     }
@@ -126,23 +130,66 @@ impl SharedPool {
     pub fn partition_media(&self, node_id: u64) -> Option<Arc<Media>> {
         self.partitions.lock().get(&node_id).cloned()
     }
+}
 
-    /// Swap `node_id`'s partition for `media` (promotion installs the
-    /// post-crash-resolution bytes here before re-attaching).
-    pub(crate) fn replace_partition(&self, node_id: u64, media: Arc<Media>) {
-        self.partitions.lock().insert(node_id, media);
+/// Bytes shipped per recovered entry when the near-pool scan hands the
+/// rebuilt index to the promoted node: key (8) + slot id (8).
+const INDEX_SUMMARY_BYTES_PER_ENTRY: u64 = 16;
+
+/// One node's partition of a [`SharedPool`] as the home of its durable
+/// bytes. With local PMem a standby must hold the dead primary's media —
+/// operationally, a crash image crosses the network before recovery
+/// begins. Here the partition is *already* durable on the far side of
+/// the fabric, so settling it:
+///
+/// 1. resolves the partition's in-flight fabric writes exactly like a
+///    power cut (flushed-but-unfenced lines land torn, seeded);
+/// 2. runs the scan + index rebuild **near the pool** on
+///    [`FabricConfig::near_pool_threads`] — no per-slot fabric traffic
+///    (the checkpoint-decode offload);
+/// 3. ships only the rebuilt index summary (16 bytes per live entry) to
+///    the promoted node over the fabric;
+/// 4. installs the settled bytes as the partition and attaches the
+///    promoted node to it as a [`RemotePool`].
+///
+/// A refusal — no such partition, no pool on it, a layout that does not
+/// fit the config — happens before step 4 and leaves the pool as it was.
+pub struct PoolPartition {
+    shared: Arc<SharedPool>,
+    node_id: u64,
+}
+
+impl PoolPartition {
+    /// `node_id`'s partition of `shared`.
+    pub fn new(shared: Arc<SharedPool>, node_id: u64) -> Self {
+        Self { shared, node_id }
     }
+}
 
-    /// Rewrap a recovered pool for `node_id` as a fresh attachment
-    /// (promotion re-attaches; the dead node's handle releases its own
-    /// attachment whenever it is finally dropped).
-    pub(crate) fn adopt(self: &Arc<Self>, node_id: u64, inner: PmemPool) -> RemotePool {
-        self.attached.fetch_add(1, Ordering::Relaxed);
-        RemotePool {
-            shared: Arc::clone(self),
+impl DurableHome for PoolPartition {
+    fn settle(&self, crash_seed: u64, payload_bytes: usize) -> Result<Settled, String> {
+        let (shared, node_id) = (&self.shared, self.node_id);
+        let partition = shared
+            .partition_media(node_id)
+            .ok_or_else(|| format!("the pool holds no partition {node_id}"))?;
+        let media = Arc::new(Media::from_crash(partition.crash(crash_seed)));
+        let mut cost = Cost::new();
+        let (inner, scan) = scan_media(Arc::clone(&media), payload_bytes, &mut cost)?
+            .ok_or_else(|| format!("pool partition {node_id} holds no initialized pool"))?;
+        let summary_bytes = (INDEX_SUMMARY_BYTES_PER_ENTRY * scan.live.len() as u64).max(64);
+        let mut ship = Cost::new();
+        shared.charge_read(summary_bytes, &mut ship);
+
+        shared.partitions.lock().insert(node_id, media);
+        shared.attached.fetch_add(1, Ordering::Relaxed);
+        let store = Arc::new(RemotePool {
+            shared: Arc::clone(shared),
             node_id,
             inner,
-        }
+        });
+        let mut settled = Settled::new(store, scan, &cost, shared.fabric.near_pool_threads);
+        settled.recovery_ns += ship.ns(CostKind::FabricTransfer);
+        Ok(settled)
     }
 }
 
@@ -238,6 +285,8 @@ impl StorageBackend for RemotePool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oe_core::recovery::restore;
+    use oe_core::{NodeConfig, OptimizerKind, PsEngine, PsNode};
 
     fn pool_cfg() -> PoolConfig {
         PoolConfig {
@@ -329,5 +378,103 @@ mod tests {
         assert!(shared.partition_media(2).is_some());
         drop(a);
         assert_eq!(shared.attached(), 0);
+    }
+
+    fn node_cfg() -> NodeConfig {
+        let mut c = NodeConfig::small(4);
+        c.optimizer = OptimizerKind::Sgd { lr: 1.0 };
+        c
+    }
+
+    fn pool_node(shared: &Arc<SharedPool>, node_id: u64) -> PsNode {
+        let mut cost = Cost::new();
+        let c = node_cfg();
+        let store = shared.create_partition(
+            node_id,
+            PoolConfig {
+                payload_bytes: c.payload_bytes(),
+                capacity: c.pmem_capacity,
+            },
+            &mut cost,
+        );
+        PsNode::with_storage(c, Arc::new(store))
+    }
+
+    fn step(n: &PsNode, keys: &[u64], b: u64) {
+        let mut out = Vec::new();
+        let mut cost = Cost::new();
+        n.pull(keys, b, &mut out, &mut cost);
+        n.end_pull_phase(b);
+        n.push(keys, &vec![0.5; keys.len() * 4], b, &mut cost);
+    }
+
+    /// A partition trained over `keys` past committed checkpoint 1,
+    /// whose node has died.
+    fn orphaned_partition(shared: &Arc<SharedPool>, node_id: u64, keys: &[u64]) {
+        let primary = pool_node(shared, node_id);
+        step(&primary, keys, 1);
+        primary.request_checkpoint(1);
+        step(&primary, keys, 2); // commits 1 during maintenance
+        step(&primary, keys, 3); // uncommitted, lost with the node
+    }
+
+    #[test]
+    fn promotes_from_pool_resident_bytes_to_committed_checkpoint() {
+        let shared = SharedPool::new(FabricConfig::default());
+        orphaned_partition(&shared, 7, &(0..16).collect::<Vec<_>>());
+        let home = PoolPartition::new(Arc::clone(&shared), 7);
+        let r = restore(&home, node_cfg(), 99).expect("restores from the pool");
+        // Pinned at the commit before the two standbys became one.
+        assert_eq!(r.recovery_ns, 11_701);
+        assert_eq!(r.report.resume_batch, 1);
+        assert_eq!(r.report.scan.live.len(), 16);
+        // The pool carries exactly one attachment: the restored node's.
+        assert_eq!(shared.attached(), 1);
+    }
+
+    #[test]
+    fn unknown_partition_refuses_promotion() {
+        let shared = SharedPool::new(FabricConfig::default());
+        let err = restore(&PoolPartition::new(shared, 42), node_cfg(), 0)
+            .err()
+            .expect("refused");
+        assert!(err.contains("partition 42"), "{err}");
+    }
+
+    #[test]
+    fn a_refused_layout_leaves_the_pool_untouched() {
+        let shared = SharedPool::new(FabricConfig::default());
+        orphaned_partition(&shared, 3, &[1, 2, 3]);
+        let before = shared.partition_media(3).unwrap();
+        let mut wrong = node_cfg();
+        wrong.dim = 8;
+        let err = restore(&PoolPartition::new(Arc::clone(&shared), 3), wrong, 5)
+            .err()
+            .expect("refused");
+        assert!(err.contains("16-byte") && err.contains("32-byte"), "{err}");
+        assert_eq!(shared.attached(), 0, "nothing attached");
+        assert!(Arc::ptr_eq(&before, &shared.partition_media(3).unwrap()));
+    }
+
+    #[test]
+    fn near_pool_recovery_beats_shipping_every_slot() {
+        // The recovery charge must not scale with fabric-per-slot
+        // traffic: it is a near-pool scan plus one summary ship.
+        let shared = SharedPool::new(FabricConfig::default());
+        orphaned_partition(&shared, 1, &(0..200).collect::<Vec<_>>());
+        let r = restore(&PoolPartition::new(Arc::clone(&shared), 1), node_cfg(), 3).unwrap();
+        // Upper bound: what shipping every live slot would charge on
+        // the fabric alone (exclusive link), ignoring the scan.
+        let link = shared.fabric().link;
+        let slot_bytes = 64u64; // ≥ header+payload rounded for dim 4
+        let ship_all: u64 = (0..r.report.scan.live.len())
+            .map(|_| link.read_ns(slot_bytes))
+            .sum();
+        assert!(
+            r.recovery_ns < ship_all * 4,
+            "near-pool recovery {} should not look like per-slot shipping {}",
+            r.recovery_ns,
+            ship_all
+        );
     }
 }

@@ -28,7 +28,6 @@
 
 pub mod cost;
 pub mod crashmc;
-pub mod failure;
 pub mod gpu;
 pub mod model;
 pub mod network;
@@ -39,10 +38,12 @@ pub mod trainer;
 
 pub use cost::{CloudCostModel, PsDeployment};
 pub use crashmc::{CrashMcConfig, RecoverySweepReport, SweepReport};
-pub use failure::FailureOutcome;
 pub use gpu::GpuModel;
 pub use network::NetModel;
 pub use phases::PhaseBreakdown;
 pub use pipeline::{CoherenceSource, PipelineConfig, PipelineReport, PipelinedTrainer};
 pub use report::TrainReport;
 pub use trainer::{TrainMode, TrainerConfig};
+
+#[cfg(test)]
+mod failure;

@@ -10,8 +10,9 @@
 //! cargo run --release --example fault_tolerance
 //! ```
 
+use openembedding::core::recovery::restore;
 use openembedding::prelude::*;
-use openembedding::train::failure::crash_and_recover;
+use std::sync::Arc;
 
 const DIM: usize = 8;
 
@@ -60,19 +61,23 @@ fn main() {
     let committed = node.committed_checkpoint();
     println!("trained 25 batches; committed checkpoint = {committed}");
 
-    // CRASH at an arbitrary instant (torn unfenced lines, seeded).
-    let (recovered, outcome) = crash_and_recover(&node, node_cfg(), 0xBADC0FFE, 4);
+    // CRASH at an arbitrary instant (torn unfenced lines, seeded) and
+    // restore from the node's media, scanned on 4 threads — the routine
+    // a standby runs when it is promoted.
+    let home = LocalMedia::new(Arc::clone(node.pool().media()), 4);
+    let restored = restore(&home, node_cfg(), 0xBADC0FFE).expect("checkpointed media restores");
+    let (recovered, scan) = (restored.node, &restored.report.scan);
+    let resume_batch = restored.report.resume_batch;
     println!(
-        "crash! recovered {} keys to batch {} in {:.1} ms (virtual), discarded {} uncommitted slots",
-        outcome.recovered_keys,
-        outcome.resume_batch,
-        outcome.recovery_ns as f64 / 1e6,
-        outcome.discarded_future
+        "crash! recovered {} keys to batch {resume_batch} in {:.1} ms (virtual), discarded {} uncommitted slots",
+        scan.live.len(),
+        restored.recovery_ns as f64 / 1e6,
+        scan.discarded_future
     );
 
     // Reference: an independent run stopped exactly at the checkpoint.
     let reference = PsNode::new(node_cfg());
-    train(&reference, 1, outcome.resume_batch, 0);
+    train(&reference, 1, resume_batch, 0);
 
     // Verify bit-identical weights for every recovered key.
     let mut checked = 0u64;
@@ -97,7 +102,7 @@ fn main() {
     assert_eq!(max_dev, 0.0, "batch-level consistency is bit-exact");
 
     // Resume and finish the epoch on the recovered node.
-    train(&recovered, outcome.resume_batch + 1, 30, 5);
+    train(&recovered, resume_batch + 1, 30, 5);
     println!(
         "resumed and trained to batch 30; committed checkpoint = {}",
         recovered.committed_checkpoint()

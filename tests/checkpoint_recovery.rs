@@ -3,8 +3,9 @@
 //! committed checkpoint — the batch-level consistency guarantee of
 //! §V-B/C, end to end through the trainer.
 
+use openembedding::core::recovery::{restore, Restored};
 use openembedding::prelude::*;
-use openembedding::train::failure::crash_and_recover;
+use std::sync::Arc;
 
 const DIM: usize = 8;
 
@@ -48,6 +49,13 @@ fn train(node: &PsNode, from: u64, to: u64, ckpt_at: Option<u64>) {
     }
 }
 
+/// Crash `node` at this instant (torn unfenced lines under `seed`) and
+/// restore it from its media on two scan threads.
+fn crash_and_restore(node: &PsNode, cache_entries: usize, seed: u64) -> Restored {
+    let home = LocalMedia::new(Arc::clone(node.pool().media()), 2);
+    restore(&home, node_cfg(cache_entries), seed).expect("checkpointed media restores")
+}
+
 fn assert_state_equals_reference(recovered: &PsNode, upto_batch: u64, cache_entries: usize) {
     let reference = PsNode::new(node_cfg(cache_entries));
     train(&reference, 1, upto_batch, None);
@@ -71,8 +79,12 @@ fn recovery_is_bit_exact_with_large_cache() {
     train(&node, 13, 20, None); // progress past the checkpoint
     assert_eq!(node.committed_checkpoint(), 8);
     for seed in [1, 2, 3] {
-        let (recovered, outcome) = crash_and_recover(&node, node_cfg(cache), seed, 2);
-        assert_eq!(outcome.resume_batch, 8);
+        let Restored {
+            node: recovered,
+            report,
+            ..
+        } = crash_and_restore(&node, cache, seed);
+        assert_eq!(report.resume_batch, 8);
         assert_state_equals_reference(&recovered, 8, cache);
     }
 }
@@ -86,8 +98,12 @@ fn recovery_is_bit_exact_with_tiny_cache() {
     train(&node, 1, 10, Some(7));
     train(&node, 11, 15, None);
     assert_eq!(node.committed_checkpoint(), 7);
-    let (recovered, outcome) = crash_and_recover(&node, node_cfg(cache), 9, 2);
-    assert_eq!(outcome.resume_batch, 7);
+    let Restored {
+        node: recovered,
+        report,
+        ..
+    } = crash_and_restore(&node, cache, 9);
+    assert_eq!(report.resume_batch, 7);
     assert_state_equals_reference(&recovered, 7, cache);
 }
 
@@ -100,8 +116,12 @@ fn multiple_sequential_checkpoints_recover_to_the_last() {
     }
     train(&node, 16, 18, None); // commits cp=15 during maintenance
     assert_eq!(node.committed_checkpoint(), 15);
-    let (recovered, outcome) = crash_and_recover(&node, node_cfg(cache), 4, 2);
-    assert_eq!(outcome.resume_batch, 15);
+    let Restored {
+        node: recovered,
+        report,
+        ..
+    } = crash_and_restore(&node, cache, 4);
+    assert_eq!(report.resume_batch, 15);
     assert_state_equals_reference(&recovered, 15, cache);
 }
 
@@ -113,8 +133,12 @@ fn resume_after_recovery_matches_uninterrupted_run() {
     let node = PsNode::new(node_cfg(cache));
     train(&node, 1, 10, Some(10));
     train(&node, 11, 11, None); // commit 10
-    let (recovered, outcome) = crash_and_recover(&node, node_cfg(cache), 31, 2);
-    assert_eq!(outcome.resume_batch, 10);
+    let Restored {
+        node: recovered,
+        report,
+        ..
+    } = crash_and_restore(&node, cache, 31);
+    assert_eq!(report.resume_batch, 10);
     // Redo batch 11 and continue to 16 on the recovered node.
     train(&recovered, 11, 16, None);
 

@@ -8,7 +8,7 @@
 //! recovery idempotence, bit-identical lossless rewind). See
 //! `train::crashmc` for the invariant definitions.
 
-use openembedding::net::{Frame, Packet, Request, Response, Standby};
+use openembedding::net::{Frame, Packet, Request, Response};
 use openembedding::prelude::*;
 use openembedding::simdevice::Media;
 use openembedding::train::crashmc::{
@@ -110,7 +110,7 @@ fn standby_promotes_consistently_from_enumerated_crash_points() {
         eps: 1e-8,
     });
     let r = reference(&cfg);
-    // Drive `net::failover` promotion from images captured at chosen
+    // Drive `net::Standby` promotion from images captured at chosen
     // crash indices: mid-run, late-run, and the final fence.
     for (i, at_event) in [
         r.total_events / 3,
@@ -123,13 +123,18 @@ fn standby_promotes_consistently_from_enumerated_crash_points() {
         let seed = 7 + i as u64;
         let image = capture_image(&cfg, at_event, seed);
         let media = Arc::new(Media::from_crash(image));
-        let replica = CheckpointReplica::new(media, cfg.node_config(), 2, 2, seed);
-        let promo = replica.promote().expect("captured image is recoverable");
+        let standby = Standby::new(
+            Arc::new(LocalMedia::new(media, 2)),
+            cfg.node_config(),
+            2,
+            seed,
+        );
+        let promo = standby.promote().expect("captured image is recoverable");
         let (lo, hi) = committed_bounds(&r, at_event);
+        let resume_batch = promo.event.resume_batch;
         assert!(
-            promo.resume_batch >= lo && promo.resume_batch <= hi,
-            "promotion at event {at_event} resumed at {} outside [{lo}, {hi}]",
-            promo.resume_batch
+            resume_batch >= lo && resume_batch <= hi,
+            "promotion at event {at_event} resumed at {resume_batch} outside [{lo}, {hi}]",
         );
         // The promoted server must answer for exactly that checkpoint.
         let reply = promo
@@ -140,7 +145,7 @@ fn standby_promotes_consistently_from_enumerated_crash_points() {
         assert_eq!(
             resp.frame,
             Frame::Response(Response::Committed {
-                batch: promo.resume_batch
+                batch: resume_batch
             })
         );
     }

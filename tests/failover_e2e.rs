@@ -1,9 +1,13 @@
 //! End-to-end failover: kill the parameter server mid-epoch, promote a
-//! checkpoint replica through `core::recovery`, rewind to the committed
+//! standby through `core::recovery`, rewind to the committed
 //! checkpoint, and finish training — with final weights bit-identical
 //! to a run that never saw a failure (the paper's §VI-E recovery story).
+//! The standby restores from the primary's local media here; the
+//! pool-partition home has its own suite in `pool_failover_e2e.rs`, and
+//! the refusal test below runs on both.
 
 use openembedding::net::{ErrorKind, FaultInjector, FaultSpec, NetConfig};
+use openembedding::pmem::PoolConfig;
 use openembedding::prelude::*;
 use std::sync::Arc;
 
@@ -38,11 +42,29 @@ fn trainer_cfg(interval_ns: u64) -> TrainerConfig {
     cfg
 }
 
-/// A primary behind a kill-scheduled wire, with a checkpoint replica
-/// standing by on the primary's persistent media.
-fn doomed_remote(kill_after_calls: u64) -> RemotePs {
+/// A primary on local PMem and the home of its durable bytes.
+fn local_primary() -> (PsNode, Arc<dyn DurableHome>) {
     let primary = PsNode::new(node_cfg());
-    let media = Arc::clone(primary.pool().media());
+    let home = Arc::new(LocalMedia::new(Arc::clone(primary.pool().media()), 4));
+    (primary, home)
+}
+
+/// A primary on partition 7 of a fresh shared pool and that partition.
+fn pool_primary() -> (PsNode, Arc<dyn DurableHome>) {
+    let shared = SharedPool::new(FabricConfig::default());
+    let cfg = node_cfg();
+    let pool_cfg = PoolConfig {
+        payload_bytes: cfg.payload_bytes(),
+        capacity: cfg.pmem_capacity,
+    };
+    let store = shared.create_partition(7, pool_cfg, &mut Cost::new());
+    let primary = PsNode::with_storage(cfg, Arc::new(store));
+    (primary, Arc::new(PoolPartition::new(shared, 7)))
+}
+
+/// `primary` behind a wire that dies at call `kill_after_calls`, with
+/// `standbys` promoted in order.
+fn doomed_remote(primary: PsNode, kill_after_calls: u64, standbys: Vec<Standby>) -> RemotePs {
     let engine: Arc<dyn PsEngine> = Arc::new(primary);
     let (ct, st) = loopback(64);
     // Workers detach; they drain and exit when the killed transport's
@@ -52,21 +74,23 @@ fn doomed_remote(kill_after_calls: u64) -> RemotePs {
         Arc::new(ct),
         FaultSpec::kill_after(0xE2E, kill_after_calls),
     ));
-    RemotePs::try_connect(injector, NetConfig::paper_default())
-        .expect("the handshake precedes the kill")
-        .with_standby(Arc::new(CheckpointReplica::new(
-            media,
-            node_cfg(),
-            4,
-            4,
-            0xE2E,
-        )))
+    let remote = RemotePs::try_connect(injector, NetConfig::paper_default())
+        .expect("the handshake precedes the kill");
+    standbys.into_iter().fold(remote, RemotePs::with_standby)
 }
 
-/// Kill the primary at RPC `kill_after_calls`, mid-epoch and mid-batch,
+/// A local-media primary dying at call `kill_after_calls`, with one
+/// standby on its media.
+fn doomed_local_remote(kill_after_calls: u64) -> RemotePs {
+    let (primary, home) = local_primary();
+    let standby = Standby::new(home, node_cfg(), 4, 0xE2E);
+    doomed_remote(primary, kill_after_calls, vec![standby])
+}
+
+/// Train through `remote`'s scheduled kill, mid-epoch and mid-batch,
 /// under the given schedule; the run must absorb it by the trainer's
 /// one rewind rule and end bit-identical to a fault-free run.
-fn kill_mid_epoch(pcfg: PipelineConfig, ckpt_interval_ns: u64, kill_after_calls: u64) {
+fn kill_mid_epoch(pcfg: PipelineConfig, ckpt_interval_ns: u64, remote: RemotePs) {
     const BATCHES: u64 = 24;
 
     // Fault-free reference run (same schedule, in process).
@@ -79,7 +103,6 @@ fn kill_mid_epoch(pcfg: PipelineConfig, ckpt_interval_ns: u64, kill_after_calls:
     )
     .run(1, BATCHES);
 
-    let remote = doomed_remote(kill_after_calls);
     let mut t =
         PipelinedTrainer::with_client(&remote, spec(), trainer_cfg(ckpt_interval_ns), pcfg.clone());
     let report = t.try_run(1, BATCHES).expect("failover absorbs the kill");
@@ -138,7 +161,7 @@ fn kill_mid_epoch_fails_over_and_stays_bit_identical() {
     // checkpoint would have committed: the replica promotes to
     // checkpoint 18, so the trainer must rewind and replay batch 19 on
     // top of re-running batch 20.
-    kill_mid_epoch(PipelineConfig::sync(), 1, 116);
+    kill_mid_epoch(PipelineConfig::sync(), 1, doomed_local_remote(116));
 }
 
 /// The composed fault: failover with k = 2 batches of pushes in flight.
@@ -152,7 +175,8 @@ fn kill_mid_epoch_fails_over_and_stays_bit_identical() {
 #[test]
 fn kill_with_two_batches_of_pushes_in_flight_stays_bit_identical() {
     for kill_after_calls in [95, 81, 83] {
-        kill_mid_epoch(PipelineConfig::bounded(2, 256), 4_000_000, kill_after_calls);
+        let remote = doomed_local_remote(kill_after_calls);
+        kill_mid_epoch(PipelineConfig::bounded(2, 256), 4_000_000, remote);
     }
 }
 
@@ -178,7 +202,7 @@ fn kill_without_standby_is_a_structured_disconnect() {
 
 #[test]
 fn double_failure_consumes_standbys_in_order() {
-    // Two replicas; the first promotion's server is immediately killed
+    // Two standbys; the first promotion's server is immediately killed
     // too, so the client must walk the ordered standby list twice.
     let primary = PsNode::new(node_cfg());
     let media = Arc::clone(primary.pool().media());
@@ -189,16 +213,11 @@ fn double_failure_consumes_standbys_in_order() {
         Arc::new(ct),
         FaultSpec::kill_after(1, 40),
     ));
+    let home: Arc<dyn DurableHome> = Arc::new(LocalMedia::new(media, 4));
     let remote = RemotePs::try_connect(injector, NetConfig::paper_default())
         .unwrap()
-        .with_standby(Arc::new(CheckpointReplica::new(
-            Arc::clone(&media),
-            node_cfg(),
-            4,
-            4,
-            1,
-        )))
-        .with_standby(Arc::new(CheckpointReplica::new(media, node_cfg(), 4, 4, 2)));
+        .with_standby(Standby::new(Arc::clone(&home), node_cfg(), 4, 1))
+        .with_standby(Standby::new(home, node_cfg(), 4, 2));
 
     // First death: batch ~7 (call 40). Train past it, then the test
     // cannot kill the promoted server from outside (it owns a clean
@@ -217,5 +236,24 @@ fn double_failure_consumes_standbys_in_order() {
     PipelinedTrainer::with_client(&reference, spec(), trainer_cfg(1), sync()).run(1, 12);
     for key in 0..spec().num_keys {
         assert_eq!(reference.read_weights(key), remote.weights_of(key).unwrap());
+    }
+}
+
+/// A standby whose config does not fit the bytes (another dim) is
+/// refused with both payload widths named — never a panic on the
+/// trainer's RPC thread, never a promoted node that panics at its first
+/// read — and the next standby absorbs the kill bit-identically. The
+/// refusal is not a failover: the run counts exactly one.
+#[test]
+fn a_misfit_standby_is_refused_and_the_next_absorbs_the_kill_on_both_homes() {
+    let mut misfit = node_cfg();
+    misfit.dim = 16;
+    for (primary, home) in [local_primary(), pool_primary()] {
+        let standbys = vec![
+            Standby::new(Arc::clone(&home), misfit.clone(), 4, 0xE2E),
+            Standby::new(home, node_cfg(), 4, 0xE2E),
+        ];
+        let remote = doomed_remote(primary, 116, standbys);
+        kill_mid_epoch(PipelineConfig::sync(), 1, remote);
     }
 }

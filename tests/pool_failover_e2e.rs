@@ -1,14 +1,16 @@
 //! End-to-end failover over the disaggregated pool: kill a pool-backed
-//! parameter server mid-epoch, promote a [`PoolStandby`] that recovers
-//! from the pool-resident durable bytes (no crash image crosses the
-//! network), rewind to the committed checkpoint, and finish training —
-//! with final weights bit-identical to a local fault-free run. The
+//! parameter server mid-epoch, promote a [`Standby`] whose home is the
+//! dead node's [`PoolPartition`] (it recovers from the pool-resident
+//! durable bytes; no crash image crosses the network), rewind to the
+//! committed checkpoint, and finish training — with final weights
+//! bit-identical to a local fault-free run. The
 //! second half sweeps crash points *during* pool-resident recovery
 //! itself, crashmc-style: the recovery scan's durable frees are
 //! enumerable persistence events, and interrupting any of them must
 //! leave the partition recoverable to the identical state.
 
-use openembedding::net::{FaultInjector, FaultSpec, NetConfig, PsServer, Standby};
+use openembedding::core::recovery::restore;
+use openembedding::net::{FaultInjector, FaultSpec, NetConfig, PsServer};
 use openembedding::pmem::scan::recover as pmem_recover;
 use openembedding::pmem::PoolConfig;
 use openembedding::prelude::*;
@@ -60,8 +62,14 @@ fn pool_node(shared: &Arc<SharedPool>, node_id: u64) -> PsNode {
     PsNode::with_storage(cfg, Arc::new(store))
 }
 
-/// A pool-backed primary behind a kill-scheduled wire, with a
-/// [`PoolStandby`] ready to promote across the pool.
+/// A standby for `shared`'s partition `node_id`.
+fn partition_standby(shared: &Arc<SharedPool>, node_id: u64, crash_seed: u64) -> Standby {
+    let home = Arc::new(PoolPartition::new(Arc::clone(shared), node_id));
+    Standby::new(home, node_cfg(), 4, crash_seed)
+}
+
+/// A pool-backed primary behind a kill-scheduled wire, with a standby
+/// on its partition ready to promote across the pool.
 fn doomed_remote(shared: &Arc<SharedPool>, kill_after_calls: u64) -> RemotePs {
     let primary = pool_node(shared, 7);
     let engine: Arc<dyn PsEngine> = Arc::new(primary);
@@ -75,13 +83,7 @@ fn doomed_remote(shared: &Arc<SharedPool>, kill_after_calls: u64) -> RemotePs {
     ));
     RemotePs::try_connect(injector, NetConfig::paper_default())
         .expect("the handshake precedes the kill")
-        .with_standby(Arc::new(PoolStandby::new(
-            Arc::clone(shared),
-            7,
-            node_cfg(),
-            4,
-            0xE2E,
-        )))
+        .with_standby(partition_standby(shared, 7, 0xE2E))
 }
 
 #[test]
@@ -157,17 +159,13 @@ fn standby_for_a_foreign_partition_never_promotes() {
     ));
     let remote = RemotePs::try_connect(injector, NetConfig::paper_default())
         .unwrap()
-        .with_standby(Arc::new(PoolStandby::new(
-            Arc::clone(&shared),
-            13,
-            node_cfg(),
-            2,
-            3,
-        )));
+        .with_standby(partition_standby(&shared, 13, 3));
     let err = sync_trainer(&remote)
         .try_run(1, 24)
         .expect_err("foreign partition refuses");
     assert!(err.context().contains("no standby"), "{err}");
+    // The refusal's reason survives the exhausted standby list.
+    assert!(err.context().contains("no partition 13"), "{err}");
 }
 
 /// The recovered durable state, as comparable facts: committed id plus
@@ -230,8 +228,40 @@ fn crash_points_during_pool_resident_recovery_are_idempotent() {
 
     // And the real promotion path still works on the original bytes:
     // the sweep above never touched the pool's authoritative partition.
-    let standby = PoolStandby::new(Arc::clone(&shared), 7, node_cfg(), 2, 0xDEAD);
-    let promo = standby.promote().expect("partition promotes");
+    let promo = partition_standby(&shared, 7, 0xDEAD)
+        .promote()
+        .expect("partition promotes")
+        .event;
     assert_eq!(promo.resume_batch, base_ckpt);
     assert_eq!(promo.recovered_keys, base_live.len());
+}
+
+/// The same schedule trained on local PMem and on a pool partition, then
+/// restored from each home: one routine, so the two agree on where
+/// training resumes, how many keys survive and every key's weights.
+#[test]
+fn both_homes_restore_the_same_checkpoint() {
+    let local = PsNode::new(node_cfg());
+    sync_trainer(&local).run(1, 9);
+    let shared = SharedPool::new(FabricConfig::default());
+    let pooled = pool_node(&shared, 7);
+    sync_trainer(&pooled).run(1, 9);
+    let local_home = LocalMedia::new(Arc::clone(local.pool().media()), 4);
+    drop(pooled); // the pool node dies; its partition outlives it
+
+    let restored = [
+        restore(&local_home, node_cfg(), 5).expect("local media restores"),
+        restore(&PoolPartition::new(shared, 7), node_cfg(), 5).expect("partition restores"),
+    ];
+    let [a, b] = &restored;
+    assert!(a.report.resume_batch > 0, "a checkpoint committed");
+    assert_eq!(a.report.resume_batch, b.report.resume_batch);
+    assert_eq!(a.report.scan.live.len(), b.report.scan.live.len());
+    for key in 0..spec().num_keys {
+        assert_eq!(
+            a.node.read_weights(key),
+            b.node.read_weights(key),
+            "key {key}: the homes disagree"
+        );
+    }
 }
