@@ -2,11 +2,11 @@
 //!
 //! ```sh
 //! cargo run --release -p oe-bench --bin crashmc            # exhaustive
-//! cargo run --release -p oe-bench --bin crashmc -- --smoke # CI shape
-//! cargo run --release -p oe-bench --bin crashmc -- --smoke --out BENCH_crashmc.json
+//! cargo run --release -p oe-bench --bin crashmc -- --smoke \
+//!     --out BENCH_crashmc.json --gate BENCH_baseline.json
 //! ```
 
-use oe_bench::crashmc::{metrics, print_report, run, CrashMcBenchConfig};
+use oe_bench::crashmc::{exact_metrics, print_report, run, wall_metrics, CrashMcBenchConfig};
 use oe_bench::trajectory::gated_main;
 
 fn main() {
@@ -16,8 +16,8 @@ fn main() {
         CrashMcBenchConfig::paper,
         run,
         print_report,
-        metrics,
-        |_| Vec::new(), // counts and wall time: recorded, never gated
+        exact_metrics,
+        wall_metrics,
     );
     if report.violations_found > 0 {
         eprintln!(

@@ -3,11 +3,11 @@
 //!
 //! ```sh
 //! cargo run --release -p oe-bench --bin failover            # paper shape
-//! cargo run --release -p oe-bench --bin failover -- --smoke # CI shape
-//! cargo run --release -p oe-bench --bin failover -- --smoke --out BENCH_failover.json
+//! cargo run --release -p oe-bench --bin failover -- --smoke \
+//!     --out BENCH_failover.json --gate BENCH_baseline.json
 //! ```
 
-use oe_bench::failover::{metrics, print_report, run, FailoverConfig};
+use oe_bench::failover::{exact_metrics, print_report, run, FailoverConfig};
 use oe_bench::trajectory::gated_main;
 
 fn main() {
@@ -17,7 +17,7 @@ fn main() {
         FailoverConfig::paper,
         run,
         print_report,
-        metrics,
-        |_| Vec::new(), // overheads are lower-is-better: recorded, never gated
+        exact_metrics,
+        |_| Vec::new(),
     );
 }

@@ -19,7 +19,7 @@ fn main() {
         .collect();
     if ids.is_empty() {
         eprintln!(
-            "usage: figures [--quick] <id>...\n  ids: all table1 table2 table5 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 latency ablations pullpush kernels failover crashmc rebalance pipeline serve"
+            "usage: figures [--quick] <id>...\n  ids: all table1 table2 table5 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig15 latency ablations"
         );
         std::process::exit(2);
     }
@@ -63,13 +63,6 @@ fn main() {
             "ablations" => figures::ablations(&sc),
             "fig15" => figures::fig15(&sc),
             "latency" => figures::latency(&sc),
-            "pullpush" => figures::pullpush(&sc),
-            "kernels" => figures::kernels(&sc),
-            "failover" => figures::failover(&sc),
-            "crashmc" => figures::crashmc(&sc),
-            "rebalance" => figures::rebalance(&sc),
-            "pipeline" => figures::pipeline(&sc),
-            "serve" => figures::serve(&sc),
             other => {
                 eprintln!("unknown figure id: {other}");
                 std::process::exit(2);

@@ -1,21 +1,16 @@
 //! Skew-aware rebalancing bench: hot-key storm vs live shard drain,
-//! JSON artifact emitter, trajectory recorder, and perf-regression
-//! gate.
+//! JSON artifact emitter and exact-metric gate.
 //!
 //! ```sh
 //! cargo run --release -p oe-bench --bin rebalance            # paper shape
-//! cargo run --release -p oe-bench --bin rebalance -- --smoke # CI shape
 //! cargo run --release -p oe-bench --bin rebalance -- --smoke \
-//!     --out BENCH_rebalance.json \
-//!     --record BENCH_trajectory.json \
-//!     --gate BENCH_baseline.json          # CI: fail on >30% regression
+//!     --out BENCH_rebalance.json --gate BENCH_baseline.json
 //! ```
 //!
-//! All gated metrics are virtual-time (deterministic); the baseline
-//! also pins `bit_identical` at 1.0, so a run whose arms diverge
-//! fails the gate outright.
+//! Every metric is virtual time (deterministic); the baseline pins
+//! `bit_identical` at 1, so a run whose arms diverge fails the gate.
 
-use oe_bench::rebalance::{metrics, print_report, run, RebalanceBenchConfig};
+use oe_bench::rebalance::{exact_metrics, print_report, run, RebalanceBenchConfig};
 use oe_bench::trajectory::gated_main;
 
 fn main() {
@@ -25,7 +20,7 @@ fn main() {
         RebalanceBenchConfig::paper,
         run,
         print_report,
-        metrics,
-        metrics,
+        exact_metrics,
+        |_| Vec::new(),
     );
 }

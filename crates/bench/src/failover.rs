@@ -170,7 +170,7 @@ pub struct KillRun {
     pub bit_identical: bool,
 }
 
-/// Full bench report ([`metrics`] is what `--out` writes).
+/// Full bench report ([`exact_metrics`] is what `--out` writes).
 #[derive(Debug, Clone)]
 pub struct FailoverReport {
     /// The configuration measured.
@@ -287,7 +287,7 @@ pub fn run(cfg: &FailoverConfig) -> FailoverReport {
     }
 }
 
-/// Human-readable table, printed by `figures -- failover`.
+/// Human-readable table, printed by the `failover` binary.
 pub fn print_report(r: &FailoverReport) {
     println!(
         "workload: {} batches × {} examples, {} keys dim {}, {} workers",
@@ -325,8 +325,10 @@ pub fn print_report(r: &FailoverReport) {
     );
 }
 
-/// Flat metrics for `--out` and the trajectory.
-pub fn metrics(r: &FailoverReport) -> Vec<(String, f64)> {
+/// The exact metrics, held to the baseline at equality: virtual times
+/// and their ratios, retry counts and the bit-identity bit. The bench
+/// has no wall metric.
+pub fn exact_metrics(r: &FailoverReport) -> Vec<(String, f64)> {
     let mut m = vec![("clean_total_ns".to_string(), r.clean_total_ns as f64)];
     let mut identical = r.kill.bit_identical;
     for d in &r.drops {

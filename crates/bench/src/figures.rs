@@ -712,99 +712,9 @@ pub fn latency(sc: &Scenario) {
             rows.push((format!("latency.{}.{name}", kind.label()), v));
         }
     }
-    crate::trajectory::write_flat_json(std::io::stdout(), &rows).expect("stdout is writable");
+    crate::trajectory::write_flat_json(std::io::stdout(), &rows)
+        .expect("finite quantiles, writable stdout");
     println!("(expect: PMem-OE pull tails within a few % of DRAM-PS; Ori-Cache inflated by inline maintenance)");
-}
-
-/// Shard-plan hot-path throughput: the lane sweep on a skewed batch
-/// (see [`crate::pullpush`]).
-pub fn pullpush(sc: &Scenario) {
-    hr("pullpush — shard-plan batched pull/push throughput");
-    let cfg = if sc.batch_size < 1024 {
-        crate::pullpush::PullPushConfig::smoke()
-    } else {
-        crate::pullpush::PullPushConfig::paper()
-    };
-    let r = crate::pullpush::run(&cfg);
-    crate::pullpush::print_report(&r);
-}
-
-/// Optimizer-kernel and codec wall-clock microbench: scalar reference
-/// vs vectorized vs batched applies, burst codec rates (see
-/// [`crate::kernels`]).
-pub fn kernels(sc: &Scenario) {
-    hr("kernels — optimizer kernel & zero-copy codec wall-clock microbench");
-    let cfg = if sc.batch_size < 1024 {
-        crate::kernels::KernelsConfig::smoke()
-    } else {
-        crate::kernels::KernelsConfig::paper()
-    };
-    let r = crate::kernels::run(&cfg);
-    crate::kernels::print_report(&r);
-}
-
-/// Fault tolerance: retry overhead on a lossy wire and checkpoint-
-/// failover recovery latency (see [`crate::failover`]).
-pub fn failover(sc: &Scenario) {
-    hr("failover — retry overhead and checkpoint-failover recovery");
-    let cfg = if sc.batch_size < 1024 {
-        crate::failover::FailoverConfig::smoke()
-    } else {
-        crate::failover::FailoverConfig::paper()
-    };
-    let r = crate::failover::run(&cfg);
-    crate::failover::print_report(&r);
-}
-
-/// crashmc — exhaustive crash-point enumeration coverage.
-pub fn crashmc(sc: &Scenario) {
-    hr("crashmc — crash-point enumeration of the persistence protocol");
-    let cfg = if sc.batch_size < 1024 {
-        crate::crashmc::CrashMcBenchConfig::smoke()
-    } else {
-        crate::crashmc::CrashMcBenchConfig::paper()
-    };
-    let r = crate::crashmc::run(&cfg);
-    crate::crashmc::print_report(&r);
-}
-
-/// rebalance — hot-key storm vs telemetry-driven live shard drain
-/// (see [`crate::rebalance`]).
-pub fn rebalance(sc: &Scenario) {
-    hr("rebalance — skew-aware placement under a hot-key storm");
-    let cfg = if sc.batch_size < 1024 {
-        crate::rebalance::RebalanceBenchConfig::smoke()
-    } else {
-        crate::rebalance::RebalanceBenchConfig::paper()
-    };
-    let r = crate::rebalance::run(&cfg);
-    crate::rebalance::print_report(&r);
-}
-
-/// pipeline — sync-vs-bounded-async pipelining frontier on DeepFM-lite
-/// (see [`crate::pipeline`]).
-pub fn pipeline(sc: &Scenario) {
-    hr("pipeline — overlapped training vs staleness bound");
-    let cfg = if sc.batch_size < 1024 {
-        crate::pipeline::PipelineBenchConfig::smoke()
-    } else {
-        crate::pipeline::PipelineBenchConfig::paper()
-    };
-    let r = crate::pipeline::run(&cfg);
-    crate::pipeline::print_report(&r);
-}
-
-/// serve — exact-vs-LSH recall/latency tradeoff and the open-loop QPS
-/// replay with a mid-traffic snapshot flip (see [`crate::serve`]).
-pub fn serve(sc: &Scenario) {
-    hr("serve — snapshot-flip serving and ANN retrieval under load");
-    let cfg = if sc.batch_size < 1024 {
-        crate::serve::ServeBenchConfig::smoke()
-    } else {
-        crate::serve::ServeBenchConfig::paper()
-    };
-    let r = crate::serve::run(&cfg);
-    crate::serve::print_report(&r);
 }
 
 /// Run everything.
@@ -826,11 +736,4 @@ pub fn all(sc: &Scenario, ckpt_interval_ns: u64) {
     fig15(sc);
     latency(sc);
     ablations(sc);
-    pullpush(sc);
-    kernels(sc);
-    failover(sc);
-    crashmc(sc);
-    rebalance(sc);
-    pipeline(sc);
-    serve(sc);
 }

@@ -25,8 +25,8 @@
 //!    index summary, re-attaches the partition and spawns the promoted
 //!    server — no crash image is ever shipped. The same standby over the
 //!    local home (`LocalMedia`) differs only in those steps, which is the
-//!    disaggregated recovery win the bench (`oe-bench --bin pool`)
-//!    quantifies.
+//!    disaggregated recovery win (`tests/pool_failover_e2e.rs` restores
+//!    one checkpoint from both homes).
 //!
 //! [`StorageBackend`]: oe_core::StorageBackend
 //! [`PmemPool`]: oe_pmem::PmemPool
