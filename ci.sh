@@ -56,9 +56,13 @@ done
 # in-process crash drill are one `Standby` over `core::recovery`; their
 # old names stay out as well. So do the bench scenarios the end-to-end
 # benchmark measures, their `figures` twins and the trajectory log
-# (EXPERIMENTS.md, "Retired bench scenarios").
+# (EXPERIMENTS.md, "Retired bench scenarios"). The node cache is the
+# paper's LRU with admit-always: the FIFO and CLOCK policies, the
+# admission filter, the `figures ablations` arms that swept them and the
+# unused simulator histogram are gone (EXPERIMENTS.md, "Retired
+# ablations").
 echo "==> retired twins stay retired"
-if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)" \
+if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom" \
   crates tests examples README.md DESIGN.md; then
   echo "a retired name resurfaced (see above)" >&2
   exit 1

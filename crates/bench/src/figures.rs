@@ -578,87 +578,15 @@ pub fn table5(sc: &Scenario) {
     println!("(paper headline: PMem-OE saves 42% storage cost vs DRAM-PS, 24% vs Ori-Cache)");
 }
 
-/// Ablations beyond the paper: cache replacement policy, admission
-/// control, and shard count — the design axes the paper fixes (LRU,
-/// admit-always, one lock) or defers to future work.
+/// Ablations beyond the paper: shard count and popularity drift — a
+/// design axis the paper fixes (one lock) and a workload property its
+/// trace has (147 days of item churn).
 pub fn ablations(sc: &Scenario) {
-    use oe_cache::{AdmissionKind, PolicyKind};
-
-    hr("Ablation A — replacement policy @ 16 GPUs (cache = paper default)");
-    println!("{:<10} {:>10} {:>10}", "policy", "miss%", "norm time");
-    let mut base = None;
-    for (kind, name) in [
-        (PolicyKind::Lru, "LRU"),
-        (PolicyKind::Clock, "CLOCK"),
-        (PolicyKind::Fifo, "FIFO"),
-    ] {
-        let r = run_scenario(
-            EngineKind::OeCustom {
-                replacement: kind,
-                admission: AdmissionKind::Always,
-                shards: 1,
-            },
-            sc,
-            16,
-            CkptSetup::None,
-        );
-        let b = *base.get_or_insert(r.total_ns as f64);
-        println!(
-            "{:<10} {:>9.2}% {:>10.3}",
-            name,
-            r.miss_rate() * 100.0,
-            r.total_ns as f64 / b
-        );
-    }
-    println!("(expected: CLOCK ≈ LRU, FIFO worse — and all three gaps are small next to the pipeline's effect, supporting the paper's choice to not chase policies)");
-
-    hr("Ablation B — admission control @ 16 GPUs, small cache (¼ of default)");
-    println!(
-        "{:<14} {:>10} {:>12} {:>10}",
-        "admission", "miss%", "evictions", "norm time"
-    );
-    let mut small = sc.clone();
-    small.cache_frac = sc.cache_frac / 4.0;
-    let mut base = None;
-    for (kind, name) in [
-        (AdmissionKind::Always, "always"),
-        (AdmissionKind::SecondTouch, "doorkeeper"),
-    ] {
-        let r = run_scenario(
-            EngineKind::OeCustom {
-                replacement: PolicyKind::Lru,
-                admission: kind,
-                shards: 1,
-            },
-            &small,
-            16,
-            CkptSetup::None,
-        );
-        let b = *base.get_or_insert(r.total_ns as f64);
-        println!(
-            "{:<14} {:>9.2}% {:>12} {:>10.3}",
-            name,
-            r.miss_rate() * 100.0,
-            r.stats.evictions,
-            r.total_ns as f64 / b
-        );
-    }
-    println!("(the doorkeeper keeps one-hit wonders out of a pressured cache: fewer evictions, lower churn)");
-
     hr("Ablation C — shard count @ 16 GPUs (the paper uses one RW lock)");
     println!("{:<10} {:>10} {:>12}", "shards", "norm time", "maintain ms");
     let mut base = None;
     for shards in [1usize, 4, 16] {
-        let r = run_scenario(
-            EngineKind::OeCustom {
-                replacement: PolicyKind::Lru,
-                admission: AdmissionKind::Always,
-                shards,
-            },
-            sc,
-            16,
-            CkptSetup::None,
-        );
+        let r = run_scenario(EngineKind::OeSharded { shards }, sc, 16, CkptSetup::None);
         let b = *base.get_or_insert(r.total_ns as f64);
         println!(
             "{:<10} {:>10.3} {:>12.3}",

@@ -131,12 +131,8 @@ pub enum EngineKind {
     PmemHash,
     /// Framework-default PS (Fig. 15).
     TfPs,
-    /// PMem-OE with custom cache policies (ablations beyond the paper).
-    OeCustom {
-        /// Replacement policy.
-        replacement: oe_cache::PolicyKind,
-        /// Admission policy.
-        admission: oe_cache::AdmissionKind,
+    /// PMem-OE with `shards` cache shards (the paper uses one lock).
+    OeSharded {
         /// Shard count.
         shards: usize,
     },
@@ -162,14 +158,8 @@ impl EngineKind {
             EngineKind::OriCache => Arc::new(OriCache::new(cfg, CkptDevice::Pmem)),
             EngineKind::PmemHash => Arc::new(PmemHash::new(cfg)),
             EngineKind::TfPs => Arc::new(TfPs::new(cfg, CkptDevice::Ssd)),
-            EngineKind::OeCustom {
-                replacement,
-                admission,
-                shards,
-            } => {
+            EngineKind::OeSharded { shards } => {
                 let mut cfg = cfg;
-                cfg.replacement = replacement;
-                cfg.admission = admission;
                 cfg.shards = shards;
                 Arc::new(PsNode::new(cfg))
             }
@@ -192,7 +182,7 @@ impl EngineKind {
             EngineKind::OriCache => "Ori-Cache",
             EngineKind::PmemHash => "PMem-Hash",
             EngineKind::TfPs => "Tensorflow",
-            EngineKind::OeCustom { .. } => "PMem-OE(custom)",
+            EngineKind::OeSharded { .. } => "PMem-OE(sharded)",
         }
     }
 }

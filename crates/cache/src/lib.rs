@@ -8,8 +8,10 @@
 //! - [`tagged::TaggedLoc`] — the hash-index pointer whose *lowest bit*
 //!   says whether the entry currently lives in DRAM or PMem, exactly as
 //!   the paper's smart pointers (§V-A, following ref. 21).
-//! - [`lru::LruList`] — an intrusive doubly-linked LRU over arena slots;
-//!   reordering is *deferred* to the maintainer threads (the pipeline).
+//! - [`lru::LruList`] — an intrusive doubly-linked LRU over arena slots,
+//!   the node cache's one replacement policy (the paper's; every missed
+//!   key is admitted); reordering is *deferred* to the maintainer threads
+//!   (the pipeline).
 //! - [`chain::VersionChain`] — the per-key list of PMem slots still
 //!   retained for checkpoint protection, with the pruning rule that
 //!   implements the paper's "space manager recycles superseded versions
@@ -20,15 +22,14 @@
 //!   of next-batch rows for the pipelined training path, coherent with
 //!   the applied-push watermark.
 //!
-//! The crate is policy-free: Algorithm 1/2 logic lives in `oe-core`.
+//! The crate holds data structures only: Algorithm 1/2 logic lives in
+//! `oe-core`.
 
 pub mod access_queue;
-pub mod admission;
 pub mod arena;
 pub mod chain;
 pub mod index;
 pub mod lru;
-pub mod policy;
 pub mod prefetch;
 pub mod tagged;
 
@@ -39,11 +40,9 @@ pub type Key = u64;
 pub type BatchId = u64;
 
 pub use access_queue::AccessQueue;
-pub use admission::{Admission, AdmissionKind, Doorkeeper};
 pub use arena::DramArena;
 pub use chain::VersionChain;
 pub use index::{HashIndex, IndexEntry};
 pub use lru::LruList;
-pub use policy::{EvictionPolicy, PolicyKind};
 pub use prefetch::{HeatSketch, PrefetchCache, PrefetchStats};
 pub use tagged::TaggedLoc;

@@ -1,7 +1,6 @@
 //! Parameter-server node configuration.
 
 use crate::optimizer::OptimizerKind;
-use oe_cache::{AdmissionKind, PolicyKind};
 
 /// DRAM bookkeeping overhead per cached entry beyond the payload:
 /// key + version columns (16 B) plus LRU links (8 B) plus an amortized
@@ -39,7 +38,8 @@ pub struct NodeConfig {
     pub dim: usize,
     /// Optimizer applied to pushed gradients.
     pub optimizer: OptimizerKind,
-    /// DRAM cache budget in bytes (translated to entries).
+    /// DRAM cache budget in bytes (translated to entries). The cache is
+    /// the paper's: LRU replacement, every missed key admitted.
     pub cache_bytes: usize,
     /// Number of index/arena/LRU shards. 1 reproduces the paper's single
     /// reader-writer lock exactly; more shards is the scalability
@@ -58,12 +58,6 @@ pub struct NodeConfig {
     pub pmem_capacity: usize,
     /// Deterministic seed folded into weight initialization.
     pub seed: u64,
-    /// Cache replacement policy (the paper uses LRU; FIFO/CLOCK are
-    /// ablation options).
-    pub replacement: PolicyKind,
-    /// Cache admission policy (the paper admits always; the doorkeeper
-    /// filters one-hit wonders).
-    pub admission: AdmissionKind,
     /// Pull/push execution lanes (≥ 1) for the shard-plan hot path (the
     /// paper's "multiple threads pre-allocated" on the PS). Keys are
     /// bucketed by shard, deduplicated per group, and each shard lock is
@@ -93,8 +87,6 @@ impl NodeConfig {
             init_scale: 0.01,
             pmem_capacity: 1 << 24,
             seed: 42,
-            replacement: PolicyKind::Lru,
-            admission: AdmissionKind::Always,
             parallelism: 1,
         }
     }

@@ -1,5 +1,7 @@
 //! The OpenEmbedding PS node: Algorithm 1 (pull weights) and Algorithm 2
-//! (cache replacement & checkpoint), plus gradient application.
+//! (cache replacement & checkpoint), plus gradient application. The
+//! cache is the paper's: one LRU list per shard, every missed key
+//! admitted.
 //!
 //! ## Checkpoint-correctness invariant
 //!
@@ -15,8 +17,9 @@
 //! - **out-of-place flushes with version-chain pruning** keep exactly the
 //!   slots the boundaries require (see [`oe_cache::VersionChain`]);
 //! - **commit-on-eviction** (Alg. 2 lines 24–27): when every shard's LRU
-//!   victim is newer than the head checkpoint, all ≤-cp states have been
-//!   flushed, so the Checkpointed Batch ID is atomically advanced;
+//!   victim (its list's tail) is newer than the head checkpoint, all
+//!   ≤-cp states have been flushed, so the Checkpointed Batch ID is
+//!   atomically advanced;
 //! - a **drain pass** at the end of each maintenance run flushes the
 //!   stragglers (cached entries still at version ≤ cp) so checkpoints
 //!   commit within one batch even when the cache is not evicting.
@@ -38,8 +41,7 @@ use crate::stats::{EngineStats, StatsSnapshot};
 use crate::storage::{LocalPmem, StorageBackend};
 use crate::{BatchId, Key};
 use oe_cache::chain::CHAIN_CAP;
-use oe_cache::policy::EvictionPolicy;
-use oe_cache::{AccessQueue, Admission, DramArena, HashIndex, TaggedLoc, VersionChain};
+use oe_cache::{AccessQueue, DramArena, HashIndex, LruList, TaggedLoc, VersionChain};
 use oe_pmem::{PmemPool, PoolConfig};
 use oe_simdevice::sync::{Mutex, RwLock};
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
@@ -60,10 +62,9 @@ const MAX_PENDING_CKPTS: usize = 3;
 struct Shard {
     index: HashIndex,
     arena: DramArena,
-    /// Replacement policy (LRU by default; Algorithm 2's "LRU List").
-    policy: Box<dyn EvictionPolicy>,
-    /// Admission filter consulted before loading a missed key.
-    admission: Admission,
+    /// Algorithm 2's "LRU List": the tail is the eviction victim, and
+    /// the entry the checkpoint commit rule reads.
+    lru: LruList,
 }
 
 /// How one *unique* key of a planned pull was served. Recorded by the
@@ -76,10 +77,8 @@ enum PullOutcome {
     Hit,
     /// Served from PMem.
     Miss,
-    /// First touch, admitted into the cache.
-    NewAdmitted,
-    /// First touch, declined by the doorkeeper (initialized in PMem).
-    NewDeclined,
+    /// First touch, inserted into the cache.
+    New,
 }
 
 impl PullOutcome {
@@ -89,8 +88,7 @@ impl PullOutcome {
         match self {
             PullOutcome::Hit => 0,
             PullOutcome::Miss => 1,
-            PullOutcome::NewAdmitted => 2,
-            PullOutcome::NewDeclined => 3,
+            PullOutcome::New => 2,
         }
     }
 
@@ -98,8 +96,7 @@ impl PullOutcome {
         match code {
             0 => PullOutcome::Hit,
             1 => PullOutcome::Miss,
-            2 => PullOutcome::NewAdmitted,
-            _ => PullOutcome::NewDeclined,
+            _ => PullOutcome::New,
         }
     }
 }
@@ -191,8 +188,7 @@ impl PsNode {
                 RwLock::new(Shard {
                     index: HashIndex::with_capacity(per_shard * 2),
                     arena: DramArena::new(per_shard, cfg.payload_f32s()),
-                    policy: cfg.replacement.build(per_shard),
-                    admission: cfg.admission.build(per_shard * 16),
+                    lru: LruList::new(per_shard),
                 })
             })
             .collect();
@@ -337,7 +333,7 @@ impl PsNode {
         boundaries: &[BatchId],
         cost: &mut Cost,
     ) -> Option<BatchId> {
-        let victim = shard.policy.evict()?;
+        let victim = shard.lru.pop_back()?;
         let vkey = shard.arena.key(victim);
         let vver = shard.arena.version(victim);
         let Shard { index, arena, .. } = shard;
@@ -392,16 +388,11 @@ impl PsNode {
                 shard.arena.set_version(slot, batch);
                 e.version = batch;
             }
-            shard.policy.on_access(slot);
+            shard.lru.move_to_front(slot);
         } else {
-            // PMem-resident entry (Alg. 2 lines 18-31): consult the
-            // admission filter, then make room and load.
+            // PMem-resident entry (Alg. 2 lines 18-31): make room and
+            // load.
             let pm_slot = e.loc.as_pmem().expect("tagged loc");
-            let version = e.version;
-            if !shard.admission.admit(key) {
-                // One-hit wonder (so far): leave it in PMem.
-                return false;
-            }
             if shard.arena.is_full() {
                 self.evict_one(shard, boundaries, cost);
                 evicted = true;
@@ -426,12 +417,11 @@ impl PsNode {
             shard.arena.set_dirty(dram_slot, false);
             let e = shard.index.get_mut(key).expect("still indexed");
             e.loc = TaggedLoc::dram(dram_slot);
-            // Note: the chain's newest *version label* may lag `version`
-            // when the entry was evicted clean (bumped but never pushed);
-            // the payload contents are identical in that case.
-            let _ = version;
+            // The chain's newest *version label* may lag the entry's
+            // version when it was evicted clean (bumped but never
+            // pushed); the payload contents are identical in that case.
             e.version = batch;
-            shard.policy.on_insert(dram_slot);
+            shard.lru.push_front(dram_slot);
         }
         evicted
     }
@@ -447,12 +437,7 @@ impl PsNode {
             };
             let all_newer = self.shards.iter().all(|s| {
                 let g = s.read();
-                // Only LRU guarantees the victim is oldest-versioned;
-                // other policies rely on the drain pass instead.
-                if !g.policy.victim_is_oldest_version() {
-                    return false;
-                }
-                match g.policy.peek_victim() {
+                match g.lru.tail() {
                     Some(t) => g.arena.version(t) > cp,
                     None => g.arena.is_empty(),
                 }
@@ -540,12 +525,10 @@ impl PsNode {
                 }
                 None => {
                     init_payload(self.cfg.seed, key, self.cfg.init_scale, dim, payload);
-                    let (boundaries, _, _) = self.boundaries();
                     let slot = self.store.alloc(cost);
                     self.store.write_slot(slot, key, batch, payload, cost);
                     let mut chain = VersionChain::new();
                     chain.push(slot, batch);
-                    let _ = boundaries;
                     g.index.insert_recovered(key, slot, batch);
                     g.index.get_mut(key).unwrap().chain = chain;
                     out.extend_from_slice(&payload[..dim]);
@@ -624,11 +607,7 @@ impl PsNode {
     /// charged to the pull path as serialized time (global-lock model).
     fn maintain_inline(&self, batch: BatchId, cost: &mut Cost) {
         let mut mcost = Cost::new();
-        let (processed, _) = {
-            let (p, c) = self.run_maintenance(batch, &mut mcost);
-            (p, c)
-        };
-        let _ = processed;
+        self.run_maintenance(batch, &mut mcost);
         // Device work stays in its buckets; CPU work becomes serialized.
         for kind in [
             CostKind::PmemRead,
@@ -695,32 +674,21 @@ impl PsNode {
                 None => {
                     // First touch (Alg. 1 lines 6-12).
                     cost.charge(CostKind::Serialized, INIT_ENTRY_NS);
-                    if g.admission.admit(key) {
-                        if g.arena.is_full() {
-                            self.evict_one(&mut g, boundaries, cost);
-                        }
-                        let slot = g.arena.insert(key, batch).expect("slot available");
-                        init_payload(
-                            self.cfg.seed,
-                            key,
-                            self.cfg.init_scale,
-                            dim,
-                            g.arena.payload_mut(slot),
-                        );
-                        g.index.insert_new_dram(key, slot, batch);
-                        g.policy.on_insert(slot);
-                        s.rows.extend_from_slice(&g.arena.payload(slot)[..dim]);
-                        s.tags.push(PullOutcome::NewAdmitted.code());
-                    } else {
-                        // Doorkeeper declined: initialize straight to
-                        // PMem; the cache stays clean of singletons.
-                        init_payload(self.cfg.seed, key, self.cfg.init_scale, dim, &mut s.payload);
-                        let slot = self.store.alloc(cost);
-                        self.store.write_slot(slot, key, batch, &s.payload, cost);
-                        g.index.insert_recovered(key, slot, batch);
-                        s.rows.extend_from_slice(&s.payload[..dim]);
-                        s.tags.push(PullOutcome::NewDeclined.code());
+                    if g.arena.is_full() {
+                        self.evict_one(&mut g, boundaries, cost);
                     }
+                    let slot = g.arena.insert(key, batch).expect("slot available");
+                    init_payload(
+                        self.cfg.seed,
+                        key,
+                        self.cfg.init_scale,
+                        dim,
+                        g.arena.payload_mut(slot),
+                    );
+                    g.index.insert_new_dram(key, slot, batch);
+                    g.lru.push_front(slot);
+                    s.rows.extend_from_slice(&g.arena.payload(slot)[..dim]);
+                    s.tags.push(PullOutcome::New.code());
                 }
             }
         }
@@ -793,16 +761,11 @@ impl PsNode {
                     match PullOutcome::from_code(lane.scratch.tags[ul]) {
                         PullOutcome::Hit => EngineStats::add(&self.stats.hits, cnt),
                         PullOutcome::Miss => EngineStats::add(&self.stats.misses, cnt),
-                        PullOutcome::NewAdmitted => {
+                        PullOutcome::New => {
                             EngineStats::add(&self.stats.new_entries, 1);
                             // Repeat occurrences read the just-inserted
                             // DRAM entry: cache hits.
                             EngineStats::add(&self.stats.hits, cnt - 1);
-                        }
-                        PullOutcome::NewDeclined => {
-                            EngineStats::add(&self.stats.new_entries, 1);
-                            // Repeat occurrences read the PMem copy.
-                            EngineStats::add(&self.stats.misses, cnt - 1);
                         }
                     }
                     ul += 1;
@@ -1200,7 +1163,7 @@ impl PsEngine for PsNode {
             return false;
         };
         if let Some(slot) = e.loc.as_dram() {
-            g.policy.remove(slot);
+            g.lru.remove(slot);
             g.arena.remove(slot);
         }
         let mut freed = Vec::new();

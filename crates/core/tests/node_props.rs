@@ -1,9 +1,8 @@
 //! Property tests over the PS node's operational envelope: arbitrary
 //! interleavings of pulls, pushes, maintenance, and checkpoint requests
 //! must preserve the node's structural invariants regardless of cache
-//! size, shard count, or policy.
+//! size or shard count.
 
-use oe_cache::{AdmissionKind, PolicyKind};
 use oe_core::engine::PsEngine;
 use oe_core::{NodeConfig, OptimizerKind, PsNode};
 use oe_simdevice::rng::Rng;
@@ -34,18 +33,11 @@ fn gen_op(rng: &mut Rng) -> Op {
     }
 }
 
-fn node_cfg(
-    cache_entries: usize,
-    shards: usize,
-    policy: PolicyKind,
-    adm: AdmissionKind,
-) -> NodeConfig {
+fn node_cfg(cache_entries: usize, shards: usize) -> NodeConfig {
     let mut cfg = NodeConfig::small(DIM);
     cfg.optimizer = OptimizerKind::Sgd { lr: 0.1 };
     cfg.cache_bytes = cache_entries * cfg.bytes_per_cached_entry();
     cfg.shards = shards;
-    cfg.replacement = policy;
-    cfg.admission = adm;
     cfg
 }
 
@@ -63,13 +55,7 @@ fn node_invariants_hold() {
         let ops: Vec<Op> = (0..1 + rng.below(49)).map(|_| gen_op(&mut rng)).collect();
         let cache_entries = 2 + rng.below(30) as usize;
         let shards = 1 + rng.below(3) as usize;
-        let policy = [PolicyKind::Lru, PolicyKind::Fifo, PolicyKind::Clock][rng.below(3) as usize];
-        let adm = if rng.chance(0.5) {
-            AdmissionKind::SecondTouch
-        } else {
-            AdmissionKind::Always
-        };
-        let node = PsNode::new(node_cfg(cache_entries, shards, policy, adm));
+        let node = PsNode::new(node_cfg(cache_entries, shards));
 
         let mut batch = 1u64;
         let mut known = std::collections::BTreeSet::new();

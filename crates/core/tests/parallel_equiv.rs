@@ -159,10 +159,10 @@ struct PerKeyGolden {
 }
 
 /// [`integrity_hash`] over `key ‖ weights` (little-endian) of every
-/// known key in `0..76`, in key order.
-fn weights_digest(node: &PsNode) -> u64 {
+/// known key in `0..keys`, in key order.
+fn weights_digest(node: &PsNode, keys: u64) -> u64 {
     let mut bytes = Vec::new();
-    for k in 0..76u64 {
+    for k in 0..keys {
         if let Some(w) = node.read_weights(k) {
             bytes.extend_from_slice(&k.to_le_bytes());
             for v in w {
@@ -174,7 +174,7 @@ fn weights_digest(node: &PsNode) -> u64 {
 }
 
 fn assert_matches_per_key(node: &PsNode, serialized_ns: u64, want: &PerKeyGolden, what: &str) {
-    assert_eq!(weights_digest(node), want.weights, "{what}: weights");
+    assert_eq!(weights_digest(node, 76), want.weights, "{what}: weights");
     assert_eq!(node.stats(), want.stats, "{what}: stats");
     assert_eq!(serialized_ns, want.serialized_ns, "{what}: Serialized ns");
 }
@@ -284,6 +284,64 @@ fn plan_path_reproduces_the_per_key_arm_on_distinct_keys() {
         n.push(&keys, &grads, 1, &mut cost);
         let what = format!("parallelism {parallelism}");
         assert_matches_per_key(&n, cost.ns(CostKind::Serialized), &want, &what);
+    }
+}
+
+/// Algorithm 2's commit on eviction (lines 24–27): a checkpoint commits
+/// as soon as every shard's LRU victim is newer than it, mid-maintenance,
+/// rather than in the drain pass at the end. The two are only told apart
+/// when the commit lands between two access-queue chunks (more than
+/// 1 024 uniques a batch) and a later chunk then evicts a dirty entry
+/// whose version chain the commit lets it prune: here each batch's push
+/// lands before its maintenance, as when the maintainer threads are still
+/// draining the access queue when the gradients arrive. Deferring every
+/// commit to the drain pass keeps the weights and recycles 124 fewer
+/// slots. Literals printed at commit c7f9dd5; `total_ns` is pinned at one
+/// lane only (see `parallelism_levels_are_bit_identical_for_sgd`).
+#[test]
+fn commit_on_eviction_is_pinned() {
+    const ONE_LANE_TOTAL_NS: u64 = 11_886_099;
+    let want = StatsSnapshot {
+        pulls: 8_977,
+        hits: 2_133,
+        misses: 3_863,
+        new_entries: 2_981,
+        pushes: 8_977,
+        evictions: 10_251,
+        flushes: 9_428,
+        loads: 8_294,
+        ckpt_commits: 5,
+        ckpt_entries_written: 0,
+        slots_recycled: 2_774,
+    };
+    for parallelism in [1usize, 4, 8] {
+        let n = node_with(OptimizerKind::Sgd { lr: 0.25 }, parallelism, 1024);
+        let mut total_ns = 0;
+        for b in 1..=6u64 {
+            let mut keys = skewed_batch(b, 4000, 64, 3000);
+            keys.sort_unstable();
+            keys.dedup();
+            assert!(keys.len() > 1024, "batch {b}: two access-queue chunks");
+            let grads = grads_for(&keys, 8, b);
+            let mut out = Vec::new();
+            let mut cost = Cost::new();
+            n.pull(&keys, b, &mut out, &mut cost);
+            n.push(&keys, &grads, b, &mut cost);
+            cost.merge(&n.end_pull_phase(b).cost);
+            cost.merge(&n.request_checkpoint(b));
+            total_ns += cost.total_ns();
+        }
+        let what = format!("parallelism {parallelism}");
+        assert_eq!(n.stats(), want, "{what}: stats");
+        assert_eq!(n.committed_checkpoint(), 5, "{what}");
+        assert_eq!(
+            weights_digest(&n, 64 + 3000),
+            0xe75b_2ad5_505e_6fea,
+            "{what}: weights"
+        );
+        if parallelism == 1 {
+            assert_eq!(total_ns, ONE_LANE_TOTAL_NS, "virtual ns on one lane");
+        }
     }
 }
 

@@ -26,7 +26,6 @@ pub mod clock;
 pub mod contention;
 pub mod cost;
 pub mod device;
-pub mod hist;
 pub mod integrity;
 pub mod media;
 pub mod overlap;
@@ -37,7 +36,6 @@ pub use clock::{Nanos, VirtualClock};
 pub use contention::{amdahl_burst, shared_bandwidth_ns, ContentionModel};
 pub use cost::{Cost, CostKind};
 pub use device::{DeviceKind, DeviceTiming};
-pub use hist::LatencyHistogram;
 pub use integrity::integrity_hash;
 pub use media::{CrashImage, CrashPlan, Media, MediaConfig, CACHE_LINE};
 pub use overlap::PipelineWindow;

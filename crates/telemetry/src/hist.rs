@@ -2,12 +2,10 @@
 //!
 //! The paper evaluates OpenEmbedding almost entirely through latency
 //! distributions (Table I, Fig. 11): a p99 pull stall delays the whole
-//! synchronous batch because every worker waits at the barrier. This
-//! histogram is the shared-memory counterpart of
-//! `oe_simdevice::LatencyHistogram` — same bucket geometry (8
-//! sub-buckets per power of two, ≤ 12.5 % relative error), but every
-//! cell is an [`AtomicU64`] so hot paths record through a shared
-//! reference with no lock and no `&mut`.
+//! synchronous batch because every worker waits at the barrier. This is
+//! the workspace's one latency histogram: 8 sub-buckets per power of
+//! two (≤ 12.5 % relative error), every cell an [`AtomicU64`] so hot
+//! paths record through a shared reference with no lock and no `&mut`.
 //!
 //! Values are nanoseconds. Both time bases work: wall-clock
 //! (`Instant::elapsed().as_nanos()`) and the discrete-event simulator's

@@ -84,17 +84,6 @@ fn all_engines_converge_to_identical_weights() {
         let mut sharded = node_cfg(256);
         sharded.shards = 8;
         engines.push(client(PsNode::new(sharded)));
-        // Alternative cache policies change locality, never weights.
-        use openembedding::cache::{AdmissionKind, PolicyKind};
-        let mut fifo = node_cfg(64);
-        fifo.replacement = PolicyKind::Fifo;
-        engines.push(client(PsNode::new(fifo)));
-        let mut clock = node_cfg(64);
-        clock.replacement = PolicyKind::Clock;
-        engines.push(client(PsNode::new(clock)));
-        let mut doorkeeper = node_cfg(64);
-        doorkeeper.admission = AdmissionKind::SecondTouch;
-        engines.push(client(PsNode::new(doorkeeper)));
     }
 
     for engine in &engines {
