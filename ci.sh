@@ -92,6 +92,20 @@ if grep -nF 'entries.keys()' crates/cache/src/prefetch.rs; then
   exit 1
 fi
 
+# The media's line shadow is a sorted Vec; the hash-map shadow lives on
+# only as the oracle in crates/simdevice/tests/media_equiv.rs. A node
+# flush recycles its pruned slots from VersionChain::prune's inline
+# return, with no Vec of its own.
+if grep -nF 'HashMap' crates/simdevice/src/media.rs; then
+  echo "the retired hash-map line shadow resurfaced in crates/simdevice/src/media.rs (see above)" >&2
+  exit 1
+fi
+if awk '/fn flush_payload\(/ { f = 1 } f && /Vec::new\(\)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        f && /^    }$/ { f = 0 } END { exit !hit }' crates/core/src/node.rs; then
+  echo "flush_payload allocates again (see above)" >&2
+  exit 1
+fi
+
 # The benchmark package is its own workspace over the same layer crates;
 # a layer change that breaks a seam it decorates must fail here, not in
 # the benchmark pipeline. Its seven "patch … was not used in the crate
@@ -146,6 +160,9 @@ cargo run --release --offline -p oe-bench --bin rebalance -- --smoke --out BENCH
 
 echo "==> training schedules: k = 0 sync-trainer goldens, bounded staleness, pinned evictions, migration coherence"
 cargo test --release --offline -q -p openembedding --test pipeline_e2e
+
+echo "==> sorted line shadow = retired hash-map shadow (media ops, costs, events, crash images)"
+cargo test --release --offline -q -p oe-simdevice --test media_equiv
 
 echo "==> prefetch victim index = retired full scan"
 cargo test --release --offline -q -p oe-cache --test prefetch_equiv

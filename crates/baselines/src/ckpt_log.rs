@@ -83,8 +83,7 @@ impl CkptLog {
         h[8..16].copy_from_slice(&committed.to_le_bytes());
         h[16..24].copy_from_slice(&records.to_le_bytes());
         h[24..32].copy_from_slice(&(self.payload_f32s as u64).to_le_bytes());
-        self.media.write(0, &h, cost);
-        self.media.persist(0, HEADER_BYTES, cost);
+        self.media.write_persist(0, &h, cost);
     }
 
     /// The device media (crash/restore in tests).
@@ -121,15 +120,13 @@ impl CkptLog {
             }
             written += 1;
             if buf.len() >= CHUNK_BYTES {
-                self.media.write(g.next_off, &buf, cost);
-                self.media.persist(g.next_off, buf.len() as u64, cost);
+                self.media.write_persist(g.next_off, &buf, cost);
                 g.next_off += buf.len() as u64;
                 buf.clear();
             }
         }
         if !buf.is_empty() {
-            self.media.write(g.next_off, &buf, cost);
-            self.media.persist(g.next_off, buf.len() as u64, cost);
+            self.media.write_persist(g.next_off, &buf, cost);
             g.next_off += buf.len() as u64;
         }
         g.records += written;

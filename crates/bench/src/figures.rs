@@ -35,8 +35,7 @@ pub fn table1(_sc: &Scenario) {
         });
         let mut c = Cost::new();
         let buf = vec![0u8; 1 << 20];
-        media.write(0, &buf, &mut c);
-        media.persist(0, 1 << 20, &mut c);
+        media.write_persist(0, &buf, &mut c);
         let w_ns = c
             .ns(t.write_cost_kind())
             .max(c.ns(CostKind::DramTransfer))

@@ -13,6 +13,7 @@
 
 use crate::BatchId;
 use oe_pmem::SlotId;
+use std::ops::Deref;
 
 /// Maximum simultaneously retained versions per key. With one committed
 /// checkpoint and a couple of in-flight checkpoint requests this never
@@ -84,10 +85,14 @@ impl VersionChain {
 
     /// Apply the retention rule for the given protection `boundaries`
     /// (committed checkpoint id + pending checkpoint ids, any order).
-    /// Recyclable slots are appended to `freed`. Returns the number freed.
-    pub fn prune(&mut self, boundaries: &[BatchId], freed: &mut Vec<SlotId>) -> usize {
+    /// Returns the recyclable slots, oldest first.
+    pub fn prune(&mut self, boundaries: &[BatchId]) -> Freed {
+        let mut freed = Freed {
+            slots: [SlotId(0); CHAIN_CAP - 1],
+            len: 0,
+        };
         if self.len <= 1 {
-            return 0;
+            return freed;
         }
         let n = self.len as usize;
         let mut keep = [false; CHAIN_CAP];
@@ -98,18 +103,18 @@ impl VersionChain {
                 keep[i] = true;
             }
         }
-        let before = n;
         let mut w = 0;
         for (i, &kept) in keep.iter().enumerate().take(n) {
             if kept {
                 self.slots[w] = self.slots[i];
                 w += 1;
             } else {
-                freed.push(self.slots[i].0);
+                freed.slots[freed.len as usize] = self.slots[i].0;
+                freed.len += 1;
             }
         }
         self.len = w as u8;
-        before - w
+        freed
     }
 
     /// Drop every slot (e.g. when the key's entry is fully rewritten at
@@ -119,6 +124,22 @@ impl VersionChain {
             freed.push(s);
         }
         self.len = 0;
+    }
+}
+
+/// The slots one [`VersionChain::prune`] released, inline: the newest
+/// version always stays, so at most `CHAIN_CAP − 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Freed {
+    slots: [SlotId; CHAIN_CAP - 1],
+    len: u8,
+}
+
+impl Deref for Freed {
+    type Target = [SlotId];
+
+    fn deref(&self) -> &[SlotId] {
+        &self.slots[..self.len as usize]
     }
 }
 
@@ -148,11 +169,9 @@ mod tests {
     fn prune_keeps_newest_and_boundary_versions() {
         // Versions 1,3,7,9; boundaries {CBI=3, pending cp=8}.
         let mut c = chain(&[1, 3, 7, 9]);
-        let mut freed = Vec::new();
-        let n = c.prune(&[3, 8], &mut freed);
+        let freed = c.prune(&[3, 8]);
         // keep: newest overall (9), newest ≤3 (3), newest ≤8 (7). Free: 1.
-        assert_eq!(n, 1);
-        assert_eq!(freed, vec![SlotId(0)]);
+        assert_eq!(*freed, [SlotId(0)]);
         let kept: Vec<_> = c.iter().map(|(_, v)| v).collect();
         assert_eq!(kept, vec![3, 7, 9]);
     }
@@ -160,37 +179,48 @@ mod tests {
     #[test]
     fn prune_with_no_boundaries_keeps_only_newest() {
         let mut c = chain(&[2, 4, 6]);
-        let mut freed = Vec::new();
-        c.prune(&[], &mut freed);
+        let freed = c.prune(&[]);
         assert_eq!(c.len(), 1);
         assert_eq!(c.newest(), Some((SlotId(2), 6)));
-        assert_eq!(freed.len(), 2);
+        assert_eq!(*freed, [SlotId(0), SlotId(1)]);
+    }
+
+    #[test]
+    fn pruning_a_full_chain_frees_all_but_the_newest_inline() {
+        let versions: Vec<BatchId> = (1..=CHAIN_CAP as u64).collect();
+        let mut c = chain(&versions);
+        let freed = c.prune(&[]);
+        assert_eq!(freed.len(), CHAIN_CAP - 1);
+        assert_eq!(
+            *freed,
+            (0..CHAIN_CAP as u64 - 1).map(SlotId).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            c.newest(),
+            Some((SlotId(CHAIN_CAP as u64 - 1), CHAIN_CAP as u64))
+        );
     }
 
     #[test]
     fn prune_single_element_is_noop() {
         let mut c = chain(&[5]);
-        let mut freed = Vec::new();
-        assert_eq!(c.prune(&[1], &mut freed), 0);
-        assert!(freed.is_empty());
+        assert!(c.prune(&[1]).is_empty());
     }
 
     #[test]
     fn boundary_below_all_versions_protects_nothing_extra() {
         let mut c = chain(&[10, 20]);
-        let mut freed = Vec::new();
-        c.prune(&[5], &mut freed);
+        let freed = c.prune(&[5]);
         // newest ≤ 5 doesn't exist; keep newest only.
         assert_eq!(c.len(), 1);
-        assert_eq!(freed, vec![SlotId(0)]);
+        assert_eq!(*freed, [SlotId(0)]);
     }
 
     #[test]
     fn same_slot_protected_by_multiple_boundaries_counted_once() {
         let mut c = chain(&[4, 9]);
-        let mut freed = Vec::new();
         // Both boundaries 5 and 7 protect version 4.
-        c.prune(&[5, 7], &mut freed);
+        let freed = c.prune(&[5, 7]);
         assert_eq!(c.len(), 2);
         assert!(freed.is_empty());
     }
@@ -216,12 +246,9 @@ mod tests {
     #[test]
     fn prune_is_idempotent() {
         let mut c = chain(&[1, 3, 7, 9]);
-        let mut freed = Vec::new();
-        c.prune(&[3, 8], &mut freed);
+        c.prune(&[3, 8]);
         let snapshot: Vec<_> = c.iter().collect();
-        let mut freed2 = Vec::new();
-        c.prune(&[3, 8], &mut freed2);
-        assert!(freed2.is_empty());
+        assert!(c.prune(&[3, 8]).is_empty());
         assert_eq!(snapshot, c.iter().collect::<Vec<_>>());
     }
 }

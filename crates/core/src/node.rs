@@ -42,7 +42,7 @@ use crate::storage::{LocalPmem, StorageBackend};
 use crate::{BatchId, Key};
 use oe_cache::chain::CHAIN_CAP;
 use oe_cache::{AccessQueue, DramArena, HashIndex, LruList, TaggedLoc, VersionChain};
-use oe_pmem::{PmemPool, PoolConfig};
+use oe_pmem::{PmemPool, PoolConfig, SlotId};
 use oe_simdevice::sync::{Mutex, RwLock};
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
 use oe_telemetry::{Gauge, Phase, PhaseTimes, Registry};
@@ -300,12 +300,7 @@ impl PsNode {
         let t0 = cost.total_ns();
         if chain.len() == CHAIN_CAP {
             // Emergency prune so push never overflows.
-            let mut freed = Vec::new();
-            chain.prune(boundaries, &mut freed);
-            for s in freed {
-                self.store.free(s, cost);
-                EngineStats::add(&self.stats.slots_recycled, 1);
-            }
+            self.recycle(&chain.prune(boundaries), cost);
             assert!(
                 chain.len() < CHAIN_CAP,
                 "version chain irreducible: too many pending checkpoints"
@@ -314,15 +309,18 @@ impl PsNode {
         let slot = self.store.alloc(cost);
         self.store.write_slot(slot, key, version, payload, cost);
         chain.push(slot, version);
-        let mut freed = Vec::new();
-        chain.prune(boundaries, &mut freed);
-        for s in freed {
-            self.store.free(s, cost);
-            EngineStats::add(&self.stats.slots_recycled, 1);
-        }
+        self.recycle(&chain.prune(boundaries), cost);
         EngineStats::add(&self.stats.flushes, 1);
         self.phases
             .record_ns(Phase::Flush, cost.total_ns().saturating_sub(t0));
+    }
+
+    /// Durably free `slots` and count them recycled.
+    fn recycle(&self, slots: &[SlotId], cost: &mut Cost) {
+        for &s in slots {
+            self.store.free(s, cost);
+        }
+        EngineStats::add(&self.stats.slots_recycled, slots.len() as u64);
     }
 
     /// Evict the shard's LRU victim to PMem, freeing one arena slot.
@@ -1168,10 +1166,7 @@ impl PsEngine for PsNode {
         }
         let mut freed = Vec::new();
         e.chain.clear_into(&mut freed);
-        for s in freed {
-            self.store.free(s, cost);
-            EngineStats::add(&self.stats.slots_recycled, 1);
-        }
+        self.recycle(&freed, cost);
         true
     }
 }

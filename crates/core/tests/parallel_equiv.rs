@@ -345,6 +345,61 @@ fn commit_on_eviction_is_pinned() {
     }
 }
 
+/// The node's persistence stream on a cold cache. With 16 cache entries
+/// against ~200 uniques a batch, almost every access evicts: each
+/// eviction is an out-of-place slot write (two store-and-persist phases),
+/// each prune a durable free, each checkpoint commit a root update, all
+/// through the simulated PMem's store → CLWB → SFENCE path. The event
+/// count, the stats, the virtual time and a crash image of the media pin
+/// that path's exact behaviour. Literals printed at commit 8ed1b9a.
+#[test]
+fn cold_cache_persistence_stream_is_pinned() {
+    let want = StatsSnapshot {
+        pulls: 2_304,
+        hits: 192,
+        misses: 1_656,
+        new_entries: 456,
+        pushes: 2_304,
+        evictions: 1_610,
+        flushes: 1_611,
+        loads: 1_170,
+        ckpt_commits: 2,
+        ckpt_entries_written: 0,
+        slots_recycled: 869,
+    };
+    let n = node_with(OptimizerKind::Adagrad { lr: 0.1, eps: 1e-8 }, 1, 16);
+    let mut total_ns = 0;
+    for b in 1..=9u64 {
+        let keys = skewed_batch(b ^ 0x5EED, 256, 32, 480);
+        let grads = grads_for(&keys, 8, b);
+        let mut out = Vec::new();
+        let mut cost = Cost::new();
+        n.pull(&keys, b, &mut out, &mut cost);
+        cost.merge(&n.end_pull_phase(b).cost);
+        n.push(&keys, &grads, b, &mut cost);
+        if b % 3 == 0 {
+            cost.merge(&n.request_checkpoint(b));
+        }
+        total_ns += cost.total_ns();
+    }
+    let media = n.pool().media();
+    let stats = n.stats();
+    assert_eq!(media.persistence_events(), 8_190, "persistence events");
+    assert_eq!(stats.slots_recycled, want.slots_recycled, "slots recycled");
+    assert_eq!(stats, want, "stats");
+    assert_eq!(total_ns, 2_083_647, "virtual ns");
+    assert_eq!(
+        integrity_hash(&[media.crash(0xC4A5).bytes()]),
+        0xa405_f469_3ab8_5902,
+        "crash image"
+    );
+    assert_eq!(
+        weights_digest(&n, 32 + 480),
+        0x7f44_7534_5c53_7884,
+        "weights"
+    );
+}
+
 #[test]
 fn sgd_coalescing_matches_sequential_applies() {
     // Power-of-two gradient values make f32 summation exact, so the

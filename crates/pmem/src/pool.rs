@@ -74,8 +74,7 @@ impl PmemPool {
             .copy_from_slice(&(payload_bytes as u64).to_le_bytes());
         root[root_off::CKPT_ID as usize..][..8].copy_from_slice(&0u64.to_le_bytes());
         root[root_off::HIGH_WATER as usize..][..8].copy_from_slice(&0u64.to_le_bytes());
-        media.write(0, &root, cost);
-        media.persist(0, ROOT_BYTES, cost);
+        media.write_persist(0, &root, cost);
         Self {
             media,
             payload_bytes,
@@ -142,8 +141,7 @@ impl PmemPool {
             let hw = g.persisted_high_water;
             drop(g);
             self.media
-                .write(root_off::HIGH_WATER, &hw.to_le_bytes(), cost);
-            self.media.persist(root_off::HIGH_WATER, 8, cost);
+                .write_persist(root_off::HIGH_WATER, &hw.to_le_bytes(), cost);
         }
         id
     }
@@ -153,8 +151,7 @@ impl PmemPool {
     pub fn free(&self, id: SlotId, cost: &mut Cost) {
         let off = self.slot_offset(id);
         self.media
-            .write(off, &(SlotState::Free as u32).to_le_bytes(), cost);
-        self.media.persist(off, 4, cost);
+            .write_persist(off, &(SlotState::Free as u32).to_le_bytes(), cost);
         self.alloc.lock().free.push(id);
     }
 
@@ -186,12 +183,10 @@ impl PmemPool {
                 version,
             };
             head.copy_from_slice(&header.encode());
-            self.media.write(off, &rec, cost);
-            self.media.persist(off, rec.len() as u64, cost);
+            self.media.write_persist(off, &rec, cost);
             // Commit: flip the state word.
             self.media
-                .write(off, &(SlotState::Valid as u32).to_le_bytes(), cost);
-            self.media.persist(off, 4, cost);
+                .write_persist(off, &(SlotState::Valid as u32).to_le_bytes(), cost);
         });
     }
 
@@ -235,8 +230,8 @@ impl PmemPool {
     /// ID — the commit point of a batch-aware checkpoint (Algorithm 2,
     /// line 25).
     pub fn set_checkpoint_id(&self, id: u64, cost: &mut Cost) {
-        self.media.write(root_off::CKPT_ID, &id.to_le_bytes(), cost);
-        self.media.persist(root_off::CKPT_ID, 8, cost);
+        self.media
+            .write_persist(root_off::CKPT_ID, &id.to_le_bytes(), cost);
     }
 
     /// Reconstruct pool handles over recovered media (after
@@ -401,8 +396,7 @@ mod tests {
         p.set_checkpoint_id(2, &mut cost);
         let v1 = 0x4F45_504D_0001_u64;
         p.media()
-            .write(root_off::MAGIC, &v1.to_le_bytes(), &mut cost);
-        p.media().persist(root_off::MAGIC, 8, &mut cost);
+            .write_persist(root_off::MAGIC, &v1.to_le_bytes(), &mut cost);
         let media = Arc::new(Media::from_crash(p.media().crash(1)));
         assert!(PmemPool::open(Arc::clone(&media), &mut cost).is_none());
         assert!(crate::scan::recover(Arc::clone(&media), &mut cost).is_none());

@@ -230,8 +230,7 @@ impl PmemPool {
     pub(crate) fn free_no_list(&self, id: SlotId, cost: &mut Cost) {
         let off = self.slot_offset(id);
         self.media()
-            .write(off, &(SlotState::Free as u32).to_le_bytes(), cost);
-        self.media().persist(off, 4, cost);
+            .write_persist(off, &(SlotState::Free as u32).to_le_bytes(), cost);
     }
 }
 

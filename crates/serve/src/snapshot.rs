@@ -106,8 +106,7 @@ mod tests {
     fn image_roundtrips_through_disk() {
         let media = Media::new(MediaConfig::pmem(4096));
         let mut cost = Cost::new();
-        media.write(100, b"persisted payload", &mut cost);
-        media.persist(100, 17, &mut cost);
+        media.write_persist(100, b"persisted payload", &mut cost);
         let image = media.crash(1);
 
         let path = tmp("roundtrip");

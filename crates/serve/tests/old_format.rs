@@ -29,8 +29,7 @@ fn image(magic: Option<u64>) -> CrashImage {
     }
     pool.set_checkpoint_id(1, &mut cost);
     if let Some(magic) = magic {
-        media.write(0, &magic.to_le_bytes(), &mut cost);
-        media.persist(0, 8, &mut cost);
+        media.write_persist(0, &magic.to_le_bytes(), &mut cost);
     }
     media.crash(3)
 }

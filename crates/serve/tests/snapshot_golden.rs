@@ -62,13 +62,11 @@ fn image() -> CrashImage {
         version: 1,
     };
     let off = ROOT_BYTES + torn.0 * pool.slot_bytes();
-    media.write(off, &header.encode(), &mut cost);
-    media.persist(off, 24, &mut cost);
+    media.write_persist(off, &header.encode(), &mut cost);
     // One flipped payload byte under a committed header.
     let flipped = write(201, 1, &mut cost);
     let off = ROOT_BYTES + flipped.0 * pool.slot_bytes() + 24 + 5;
-    media.write(off, &[0xFF], &mut cost);
-    media.persist(off, 1, &mut cost);
+    media.write_persist(off, &[0xFF], &mut cost);
     // Freed slots (keys 38 and 39 leave the table), freed last so that
     // no later write takes them back.
     for (k, id) in &first {

@@ -20,12 +20,17 @@
 //!
 //! All operations charge virtual time to a [`Cost`] sink using the
 //! device's [`DeviceTiming`].
+//!
+//! Most stores are persisted right away ([`Media::write_persist`]), so
+//! the volatile shadow holds a handful of lines at a time: it is a `Vec`
+//! sorted by line number, and one store-and-persist takes the media lock
+//! once.
 
 use crate::cost::{Cost, CostKind};
 use crate::device::{DeviceKind, DeviceTiming};
 use crate::rng::Rng;
 use crate::sync::RwLock;
-use std::collections::HashMap;
+use std::ops::Range;
 
 /// Cache line size in bytes — the persistence granularity of PMem.
 pub const CACHE_LINE: usize = 64;
@@ -93,8 +98,9 @@ pub struct CrashPlan {
 struct MediaInner {
     /// Bytes guaranteed to survive a crash (the persistence domain).
     durable: Vec<u8>,
-    /// Volatile CPU-cache shadow, keyed by line number.
-    lines: HashMap<u64, DirtyLine>,
+    /// Volatile CPU-cache shadow: (line number, line), sorted by line
+    /// number, one entry per line.
+    lines: Vec<(u64, DirtyLine)>,
     /// Snapshots of flushed lines that were overwritten before a fence:
     /// their flushed content may still land on media. Applied in order.
     pending: Vec<(u64, [u8; CACHE_LINE])>,
@@ -145,7 +151,7 @@ impl Media {
             timing: DeviceTiming::of(cfg.device),
             inner: RwLock::new(MediaInner {
                 durable: vec![0u8; cfg.capacity],
-                lines: HashMap::new(),
+                lines: Vec::new(),
                 pending: Vec::new(),
                 events: 0,
                 plan: None,
@@ -161,7 +167,7 @@ impl Media {
             timing: DeviceTiming::of(image.device),
             inner: RwLock::new(MediaInner {
                 durable: image.bytes,
-                lines: HashMap::new(),
+                lines: Vec::new(),
                 pending: Vec::new(),
                 events: 0,
                 plan: None,
@@ -195,70 +201,91 @@ impl Media {
         off / CACHE_LINE as u64
     }
 
+    fn is_pmem(&self) -> bool {
+        self.timing.kind == DeviceKind::Pmem
+    }
+
     /// Write `data` at `off`. For PMem this lands in the volatile cache
     /// shadow (cheap CPU store); durability requires [`Self::flush`] +
     /// [`Self::fence`]. For DRAM/SSD the write is applied directly
     /// (volatile resp. write-through) and charged at device write cost.
     pub fn write(&self, off: u64, data: &[u8], cost: &mut Cost) {
+        self.write_in(&mut self.inner.write(), off, data, cost);
+    }
+
+    /// Store, CLWB and SFENCE under one lock: the same bytes, costs and
+    /// persistence events (a flush, then a fence) as [`Self::write`]
+    /// followed by [`Self::persist`] of the written range.
+    pub fn write_persist(&self, off: u64, data: &[u8], cost: &mut Cost) {
+        let mut g = self.inner.write();
+        self.write_in(&mut g, off, data, cost);
+        if self.is_pmem() {
+            self.flush_in(&mut g, off, data.len() as u64, cost);
+            self.fence_in(&mut g, cost);
+        }
+    }
+
+    fn write_in(&self, g: &mut MediaInner, off: u64, data: &[u8], cost: &mut Cost) {
         if data.is_empty() {
             return;
         }
-        let mut g = self.inner.write();
         let end = off as usize + data.len();
         if g.durable.len() < end {
             g.durable.resize(end.next_power_of_two(), 0);
         }
-        match self.timing.kind {
-            DeviceKind::Dram | DeviceKind::FlashSsd | DeviceKind::CxlFabric => {
-                g.durable[off as usize..end].copy_from_slice(data);
-                cost.charge(
-                    self.timing.write_cost_kind(),
-                    self.timing.write_ns(data.len() as u64),
-                );
-            }
-            DeviceKind::Pmem => {
-                // Store goes through the CPU cache: charge only the store
-                // issue cost; persistence is charged at flush time.
-                cost.charge(CostKind::Cpu, 1 + data.len() as u64 / 64);
-                let first = Self::line_of(off);
-                let last = Self::line_of(off + data.len() as u64 - 1);
-                for line in first..=last {
-                    let line_start = line * CACHE_LINE as u64;
-                    // Base content: existing shadow, else durable bytes.
-                    let existing = g.lines.get(&line).map(|dl| (dl.data, dl.flushed));
-                    let mut entry = match existing {
-                        Some((data, flushed)) => {
-                            if flushed {
-                                // The flushed version may still persist:
-                                // snapshot it before overwriting.
-                                g.pending.push((line, data));
-                            }
-                            DirtyLine {
-                                data,
-                                flushed: false,
-                            }
-                        }
-                        None => {
-                            let mut buf = [0u8; CACHE_LINE];
-                            let s = line_start as usize;
-                            let e = (s + CACHE_LINE).min(g.durable.len());
-                            buf[..e - s].copy_from_slice(&g.durable[s..e]);
-                            DirtyLine {
-                                data: buf,
-                                flushed: false,
-                            }
-                        }
-                    };
-                    // Copy the overlapping part of `data` into the line.
-                    let copy_start = off.max(line_start);
-                    let copy_end = (off + data.len() as u64).min(line_start + CACHE_LINE as u64);
-                    let src = (copy_start - off) as usize..(copy_end - off) as usize;
-                    let dst = (copy_start - line_start) as usize..(copy_end - line_start) as usize;
-                    entry.data[dst].copy_from_slice(&data[src]);
-                    g.lines.insert(line, entry);
-                }
-            }
+        if !self.is_pmem() {
+            g.durable[off as usize..end].copy_from_slice(data);
+            cost.charge(
+                self.timing.write_cost_kind(),
+                self.timing.write_ns(data.len() as u64),
+            );
+            return;
         }
+        // Store goes through the CPU cache: charge only the store issue
+        // cost; persistence is charged at flush time.
+        cost.charge(CostKind::Cpu, 1 + data.len() as u64 / 64);
+        let first = Self::line_of(off);
+        let last = Self::line_of(off + data.len() as u64 - 1);
+        for line in first..=last {
+            let line_start = line * CACHE_LINE as u64;
+            let i = match g.lines.binary_search_by_key(&line, |&(l, _)| l) {
+                Ok(i) => {
+                    let dl = &mut g.lines[i].1;
+                    if dl.flushed {
+                        // The flushed version may still persist:
+                        // snapshot it before overwriting.
+                        g.pending.push((line, dl.data));
+                        dl.flushed = false;
+                    }
+                    i
+                }
+                Err(i) => {
+                    // Base content: the durable bytes.
+                    let mut base = [0u8; CACHE_LINE];
+                    let s = line_start as usize;
+                    let e = (s + CACHE_LINE).min(g.durable.len());
+                    base[..e - s].copy_from_slice(&g.durable[s..e]);
+                    let dl = DirtyLine {
+                        data: base,
+                        flushed: false,
+                    };
+                    g.lines.insert(i, (line, dl));
+                    i
+                }
+            };
+            // Copy the overlapping part of `data` into the line.
+            let copy_start = off.max(line_start);
+            let copy_end = (off + data.len() as u64).min(line_start + CACHE_LINE as u64);
+            let src = (copy_start - off) as usize..(copy_end - off) as usize;
+            let dst = (copy_start - line_start) as usize..(copy_end - line_start) as usize;
+            g.lines[i].1.data[dst].copy_from_slice(&data[src]);
+        }
+    }
+
+    /// Index range of the shadow lines numbered `first..=last`.
+    fn span(lines: &[(u64, DirtyLine)], first: u64, last: u64) -> Range<usize> {
+        let lo = lines.partition_point(|&(l, _)| l < first);
+        lo..lo + lines[lo..].partition_point(|&(l, _)| l <= last)
     }
 
     /// Read `buf.len()` bytes from `off`, observing the volatile shadow
@@ -277,18 +304,15 @@ impl Media {
             g.durable.len()
         );
         buf.copy_from_slice(&g.durable[off as usize..end]);
-        if self.timing.kind == DeviceKind::Pmem && !g.lines.is_empty() {
-            let first = Self::line_of(off);
+        if self.is_pmem() && !g.lines.is_empty() {
             let last = Self::line_of(off + buf.len() as u64 - 1);
-            for line in first..=last {
-                if let Some(dl) = g.lines.get(&line) {
-                    let line_start = line * CACHE_LINE as u64;
-                    let copy_start = off.max(line_start);
-                    let copy_end = (off + buf.len() as u64).min(line_start + CACHE_LINE as u64);
-                    let dst = (copy_start - off) as usize..(copy_end - off) as usize;
-                    let src = (copy_start - line_start) as usize..(copy_end - line_start) as usize;
-                    buf[dst].copy_from_slice(&dl.data[src]);
-                }
+            for (line, dl) in &g.lines[Self::span(&g.lines, Self::line_of(off), last)] {
+                let line_start = line * CACHE_LINE as u64;
+                let copy_start = off.max(line_start);
+                let copy_end = (off + buf.len() as u64).min(line_start + CACHE_LINE as u64);
+                let dst = (copy_start - off) as usize..(copy_end - off) as usize;
+                let src = (copy_start - line_start) as usize..(copy_end - line_start) as usize;
+                buf[dst].copy_from_slice(&dl.data[src]);
             }
         }
         cost.charge(
@@ -301,20 +325,23 @@ impl Media {
     /// Charges the PMem write cost for the flushed bytes. A no-op on
     /// DRAM/SSD media.
     pub fn flush(&self, off: u64, len: u64, cost: &mut Cost) {
-        if self.timing.kind != DeviceKind::Pmem || len == 0 {
+        if self.is_pmem() {
+            self.flush_in(&mut self.inner.write(), off, len, cost);
+        }
+    }
+
+    fn flush_in(&self, g: &mut MediaInner, off: u64, len: u64, cost: &mut Cost) {
+        if len == 0 {
             return;
         }
-        let mut g = self.inner.write();
-        Self::note_event(&mut g);
-        let first = Self::line_of(off);
+        g.note_event();
         let last = Self::line_of(off + len - 1);
         let mut flushed_lines = 0u64;
-        for line in first..=last {
-            if let Some(dl) = g.lines.get_mut(&line) {
-                if !dl.flushed {
-                    dl.flushed = true;
-                    flushed_lines += 1;
-                }
+        let span = Self::span(&g.lines, Self::line_of(off), last);
+        for (_, dl) in &mut g.lines[span] {
+            if !dl.flushed {
+                dl.flushed = true;
+                flushed_lines += 1;
             }
         }
         if flushed_lines > 0 {
@@ -327,40 +354,38 @@ impl Media {
 
     /// SFENCE: every line flushed before this call becomes durable.
     pub fn fence(&self, cost: &mut Cost) {
-        if self.timing.kind != DeviceKind::Pmem {
-            return;
+        if self.is_pmem() {
+            self.fence_in(&mut self.inner.write(), cost);
         }
-        let mut g = self.inner.write();
-        Self::note_event(&mut g);
+    }
+
+    fn fence_in(&self, g: &mut MediaInner, cost: &mut Cost) {
+        g.note_event();
         cost.charge(CostKind::Cpu, FENCE_NS);
-        let pending = std::mem::take(&mut g.pending);
-        for (line, data) in pending {
-            Self::apply_line(&mut g.durable, line, &data);
+        let MediaInner {
+            durable,
+            lines,
+            pending,
+            ..
+        } = g;
+        for (line, data) in pending.drain(..) {
+            apply_line(durable, line, &data);
         }
-        let fenced: Vec<u64> = g
-            .lines
-            .iter()
-            .filter(|(_, dl)| dl.flushed)
-            .map(|(&l, _)| l)
-            .collect();
-        for line in fenced {
-            let dl = g.lines.remove(&line).expect("line present");
-            Self::apply_line(&mut g.durable, line, &dl.data);
-        }
+        lines.retain(|(line, dl)| {
+            if dl.flushed {
+                apply_line(durable, *line, &dl.data);
+            }
+            !dl.flushed
+        });
     }
 
-    /// Convenience: flush + fence for a range.
+    /// Convenience: flush + fence for a range, under one lock.
     pub fn persist(&self, off: u64, len: u64, cost: &mut Cost) {
-        self.flush(off, len, cost);
-        self.fence(cost);
-    }
-
-    fn apply_line(durable: &mut Vec<u8>, line: u64, data: &[u8; CACHE_LINE]) {
-        let s = line as usize * CACHE_LINE;
-        if durable.len() < s + CACHE_LINE {
-            durable.resize((s + CACHE_LINE).next_power_of_two(), 0);
+        if self.is_pmem() {
+            let mut g = self.inner.write();
+            self.flush_in(&mut g, off, len, cost);
+            self.fence_in(&mut g, cost);
         }
-        durable[s..s + CACHE_LINE].copy_from_slice(data);
     }
 
     /// Simulate a power failure at this instant. Deterministic given
@@ -387,56 +412,15 @@ impl Media {
                 bytes: g.durable.clone(),
                 device: DeviceKind::CxlFabric,
             },
-            DeviceKind::Pmem => Self::pmem_image(&g, seed),
+            DeviceKind::Pmem => g.pmem_image(seed),
         }
-    }
-
-    /// Torn-write crash image of PMem state `g`: durable bytes plus each
-    /// flushed-but-unfenced line (superseded pending snapshots first, in
-    /// write order) landing independently with probability ½.
-    fn pmem_image(g: &MediaInner, seed: u64) -> CrashImage {
-        let mut rng = Rng::seed_from_u64(seed);
-        let mut bytes = g.durable.clone();
-        for (line, data) in &g.pending {
-            if rng.chance(0.5) {
-                let mut b = std::mem::take(&mut bytes);
-                Self::apply_line(&mut b, *line, data);
-                bytes = b;
-            }
-        }
-        // Deterministic iteration order: sort lines.
-        let mut flushed: Vec<(&u64, &DirtyLine)> =
-            g.lines.iter().filter(|(_, dl)| dl.flushed).collect();
-        flushed.sort_by_key(|(l, _)| **l);
-        for (line, dl) in flushed {
-            if rng.chance(0.5) {
-                let mut b = std::mem::take(&mut bytes);
-                Self::apply_line(&mut b, *line, &dl.data);
-                bytes = b;
-            }
-        }
-        CrashImage {
-            bytes,
-            device: DeviceKind::Pmem,
-        }
-    }
-
-    /// Count one persistence event; if an armed [`CrashPlan`] names this
-    /// index, capture the crash image *before* the event applies.
-    fn note_event(g: &mut MediaInner) {
-        if let Some(plan) = g.plan {
-            if g.events == plan.at_event && g.capture.is_none() {
-                g.capture = Some(Self::pmem_image(g, plan.seed));
-            }
-        }
-        g.events += 1;
     }
 
     /// Persistence events executed so far: every PMem [`Self::flush`] and
     /// [`Self::fence`] call gets one monotonically increasing index
-    /// ([`Self::persist`] counts as two). The stream is deterministic for
-    /// a deterministic workload, which is what makes exhaustive
-    /// crash-point enumeration possible.
+    /// ([`Self::persist`] and [`Self::write_persist`] count as two). The
+    /// stream is deterministic for a deterministic workload, which is what
+    /// makes exhaustive crash-point enumeration possible.
     pub fn persistence_events(&self) -> u64 {
         self.inner.read().events
     }
@@ -470,6 +454,50 @@ impl Media {
         assert!(end <= g.durable.len());
         buf.copy_from_slice(&g.durable[off as usize..end]);
     }
+}
+
+impl MediaInner {
+    /// Torn-write crash image of this PMem state: durable bytes plus each
+    /// flushed-but-unfenced line (superseded pending snapshots first, in
+    /// write order, then the shadow's flushed lines in ascending line
+    /// order) landing independently with probability ½.
+    fn pmem_image(&self, seed: u64) -> CrashImage {
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut bytes = self.durable.clone();
+        for (line, data) in &self.pending {
+            if rng.chance(0.5) {
+                apply_line(&mut bytes, *line, data);
+            }
+        }
+        for (line, dl) in self.lines.iter().filter(|(_, dl)| dl.flushed) {
+            if rng.chance(0.5) {
+                apply_line(&mut bytes, *line, &dl.data);
+            }
+        }
+        CrashImage {
+            bytes,
+            device: DeviceKind::Pmem,
+        }
+    }
+
+    /// Count one persistence event; if an armed [`CrashPlan`] names this
+    /// index, capture the crash image *before* the event applies.
+    fn note_event(&mut self) {
+        if let Some(plan) = self.plan {
+            if self.events == plan.at_event && self.capture.is_none() {
+                self.capture = Some(self.pmem_image(plan.seed));
+            }
+        }
+        self.events += 1;
+    }
+}
+
+fn apply_line(durable: &mut Vec<u8>, line: u64, data: &[u8; CACHE_LINE]) {
+    let s = line as usize * CACHE_LINE;
+    if durable.len() < s + CACHE_LINE {
+        durable.resize((s + CACHE_LINE).next_power_of_two(), 0);
+    }
+    durable[s..s + CACHE_LINE].copy_from_slice(data);
 }
 
 #[cfg(test)]
@@ -678,6 +706,11 @@ mod tests {
         assert_eq!(m.persistence_events(), 2);
         m.persist(64, 8, &mut cost);
         assert_eq!(m.persistence_events(), 4, "persist = flush + fence");
+        m.write_persist(128, b"y", &mut cost);
+        assert_eq!(m.persistence_events(), 6, "write_persist = flush + fence");
+        m.write_persist(128, b"", &mut cost);
+        assert_eq!(m.persistence_events(), 7, "an empty range still fences");
+        assert_eq!(m.volatile_lines(), 0);
         // Non-PMem media never count events.
         let d = Media::new(MediaConfig::dram(128));
         d.write(0, b"x", &mut cost);

@@ -44,6 +44,25 @@ fn assert_clean_exhaustive(optimizer: OptimizerKind) {
     );
 }
 
+/// The persistence-event count of the reference schedule at the
+/// `crashmc --smoke` shape (stride 7, one torn-write seed per index),
+/// per optimizer. Every enumerated crash point is an index into this
+/// stream, so a media or pool change that adds, drops or reorders a
+/// flush or fence moves it.
+#[test]
+fn smoke_shape_event_stream_is_pinned() {
+    let adagrad = OptimizerKind::Adagrad {
+        lr: 0.05,
+        eps: 1e-8,
+    };
+    for optimizer in [OptimizerKind::Sgd { lr: 0.5 }, adagrad] {
+        let mut cfg = CrashMcConfig::exhaustive(optimizer);
+        cfg.stride = 7;
+        cfg.seeds_per_index = 1;
+        assert_eq!(reference(&cfg).total_events, 238, "{optimizer:?}");
+    }
+}
+
 #[test]
 fn exhaustive_sweep_sgd_holds_every_invariant() {
     assert_clean_exhaustive(OptimizerKind::Sgd { lr: 0.5 });

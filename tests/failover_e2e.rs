@@ -180,6 +180,35 @@ fn kill_with_two_batches_of_pushes_in_flight_stays_bit_identical() {
     }
 }
 
+/// The `failover --smoke` shape's two virtual times: the fault-free
+/// run's total and a standby's promotion from the trained media (crash
+/// image, slot scan, index rebuild). Both run through the simulated
+/// PMem's persist path, the second through its crash image as well.
+#[test]
+fn smoke_shape_clean_time_and_recovery_are_pinned() {
+    let spec = WorkloadSpec {
+        num_keys: 3_000,
+        fields: 5,
+        batch_size: 64,
+        workers: 2,
+        skew: SkewModel::paper_fit(),
+        seed: 0xFA17,
+        drift_keys_per_batch: 0,
+    };
+    let mut cfg = node_cfg();
+    cfg.cache_bytes = 300 * cfg.bytes_per_cached_entry();
+    cfg.pmem_capacity = 1 << 26;
+    let local = PsNode::new(cfg.clone());
+    let clean = PipelinedTrainer::with_client(&local, spec, trainer_cfg(1), PipelineConfig::sync())
+        .run(1, 16);
+    assert_eq!(clean.train.total_ns, 23_482_390, "clean total ns");
+    let home = LocalMedia::new(Arc::clone(local.pool().media()), 4);
+    let promo = Standby::new(Arc::new(home), cfg, 1, 0xFA17)
+        .promote()
+        .expect("trained media promotes");
+    assert_eq!(promo.event.recovery_ns, 17_623, "recovery ns");
+}
+
 #[test]
 fn kill_without_standby_is_a_structured_disconnect() {
     let engine: Arc<dyn PsEngine> = Arc::new(PsNode::new(node_cfg()));
