@@ -100,6 +100,13 @@ if grep -nF 'HashMap' crates/simdevice/src/media.rs; then
   echo "the retired hash-map line shadow resurfaced in crates/simdevice/src/media.rs (see above)" >&2
   exit 1
 fi
+# The recovery scan keeps each key's newest version in a flat table;
+# the hash-map survey lives on only as the oracle in
+# crates/pmem/tests/survey_equiv.rs.
+if grep -nF 'HashMap' crates/pmem/src/scan.rs; then
+  echo "the retired hash-map survey resurfaced in crates/pmem/src/scan.rs (see above)" >&2
+  exit 1
+fi
 if awk '/fn flush_payload\(/ { f = 1 } f && /Vec::new\(\)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         f && /^    }$/ { f = 0 } END { exit !hit }' crates/core/src/node.rs; then
   echo "flush_payload allocates again (see above)" >&2
@@ -163,6 +170,10 @@ cargo test --release --offline -q -p openembedding --test pipeline_e2e
 
 echo "==> sorted line shadow = retired hash-map shadow (media ops, costs, events, crash images)"
 cargo test --release --offline -q -p oe-simdevice --test media_equiv
+
+# A debug build: the table's half-load check is a debug assertion.
+echo "==> flat newest-version table = retired hash-map survey (scan reports, free lists, image scans)"
+cargo test --offline -q -p oe-pmem --test survey_equiv
 
 echo "==> prefetch victim index = retired full scan"
 cargo test --release --offline -q -p oe-cache --test prefetch_equiv

@@ -36,6 +36,12 @@ pub const POOL_MAGIC: u64 = 0x4F45_504D_0002_u64; // "OEPM" v2
 /// Serialized slot header size in bytes.
 pub const HEADER_BYTES: u64 = 24;
 
+/// Widest slot payload the format holds: 64 KiB, 16 Ki `f32`s (a
+/// 4 096-wide embedding with three optimizer state vectors). Readers
+/// size buffers and index planes by the width in the root, so a root
+/// naming a wider one is refused, not trusted with an allocation.
+pub const MAX_PAYLOAD_BYTES: u64 = 1 << 16;
+
 /// Offsets within the root line.
 pub(crate) mod root_off {
     pub const MAGIC: u64 = 0;
@@ -53,18 +59,36 @@ pub(crate) struct Root {
 
 impl Root {
     /// Decode the first [`ROOT_BYTES`] of a pool. `None` if `bytes` is
-    /// shorter than a root line or its magic is not this format's.
+    /// shorter than a root line, its magic is not this format's, or its
+    /// fields describe no pool this format holds: a payload width that
+    /// is not one to [`MAX_PAYLOAD_BYTES`] whole `f32`s (a torn tail
+    /// would panic the payload decode, a width near `u64::MAX` would wrap
+    /// the slot size), or a scanned region whose size overflows 64 bits.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         let line = bytes.get(..ROOT_BYTES as usize)?;
         let field = |off: u64| {
             u64::from_le_bytes(line[off as usize..][..8].try_into().expect("8-byte field"))
         };
-        (field(root_off::MAGIC) == POOL_MAGIC).then(|| Self {
-            payload_bytes: field(root_off::PAYLOAD_BYTES) as usize,
+        let payload_bytes = field(root_off::PAYLOAD_BYTES);
+        let high_water = field(root_off::HIGH_WATER);
+        let sound = field(root_off::MAGIC) == POOL_MAGIC
+            && holds_payload(payload_bytes)
+            && high_water
+                .checked_mul(slot_bytes(payload_bytes as usize))
+                .and_then(|b| b.checked_add(ROOT_BYTES))
+                .is_some();
+        sound.then(|| Self {
+            payload_bytes: payload_bytes as usize,
             checkpoint_id: field(root_off::CKPT_ID),
-            high_water: field(root_off::HIGH_WATER),
+            high_water,
         })
     }
+}
+
+/// Whether the format holds slots of `payload_bytes`: one to
+/// [`MAX_PAYLOAD_BYTES`] whole `f32`s.
+pub(crate) fn holds_payload(payload_bytes: u64) -> bool {
+    (4..=MAX_PAYLOAD_BYTES).contains(&payload_bytes) && payload_bytes.is_multiple_of(4)
 }
 
 /// On-media footprint of one slot: header + payload, padded to a line.
@@ -182,6 +206,34 @@ mod tests {
         };
         let enc = h.encode();
         assert_eq!(SlotHeader::decode(&enc), h);
+    }
+
+    fn root_line(payload_bytes: u64, high_water: u64) -> [u8; ROOT_BYTES as usize] {
+        let mut line = [0u8; ROOT_BYTES as usize];
+        line[..8].copy_from_slice(&POOL_MAGIC.to_le_bytes());
+        line[root_off::PAYLOAD_BYTES as usize..][..8].copy_from_slice(&payload_bytes.to_le_bytes());
+        line[root_off::HIGH_WATER as usize..][..8].copy_from_slice(&high_water.to_le_bytes());
+        line
+    }
+
+    #[test]
+    fn root_refuses_widths_the_format_does_not_hold() {
+        let decodes = |p, hw| Root::decode(&root_line(p, hw)).is_some();
+        assert!(decodes(4, 0));
+        assert!(decodes(64, 1 << 20));
+        assert!(decodes(MAX_PAYLOAD_BYTES, 1 << 20));
+        // No f32, or not whole ones: the payload decode would panic.
+        assert!(!decodes(0, 0));
+        assert!(!decodes(6, 1));
+        assert!(!decodes(65, 0));
+        // Too wide: near u64::MAX the slot size would wrap (to 0 at
+        // u64::MAX - 3).
+        assert!(!decodes(MAX_PAYLOAD_BYTES + 4, 0));
+        assert!(!decodes(u64::MAX - 3, 0));
+        assert!(!decodes(u64::MAX - 87, 0));
+        // The scanned region wraps.
+        assert!(!decodes(40, u64::MAX / 64));
+        assert!(decodes(40, u64::MAX / 64 - 1));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The persistent pool: space manager + crash-safe slot I/O + root updates.
 
 use crate::layout::{
-    bytes_to_f32s, f32s_to_bytes, payload_checksum, root_off, slot_bytes, Root, SlotHeader,
-    SlotState, HEADER_BYTES, POOL_MAGIC, ROOT_BYTES,
+    bytes_to_f32s, f32s_to_bytes, holds_payload, payload_checksum, root_off, slot_bytes, Root,
+    SlotHeader, SlotState, HEADER_BYTES, MAX_PAYLOAD_BYTES, POOL_MAGIC, ROOT_BYTES,
 };
 use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, Media, MediaConfig};
@@ -65,8 +65,14 @@ impl PmemPool {
         Self::create_on(media, cfg.payload_bytes, cost)
     }
 
-    /// Create a pool on existing (empty) media.
+    /// Create a pool on existing (empty) media. Panics unless the
+    /// payload is one to [`MAX_PAYLOAD_BYTES`] whole `f32`s: no other
+    /// width opens again.
     pub fn create_on(media: Arc<Media>, payload_bytes: usize, cost: &mut Cost) -> Self {
+        assert!(
+            holds_payload(payload_bytes as u64),
+            "payload of {payload_bytes} B is not 1 to {MAX_PAYLOAD_BYTES} B of whole f32s"
+        );
         let slot_bytes = slot_bytes(payload_bytes);
         let mut root = [0u8; ROOT_BYTES as usize];
         root[root_off::MAGIC as usize..][..8].copy_from_slice(&POOL_MAGIC.to_le_bytes());

@@ -16,8 +16,8 @@ use crate::layout::{
     bytes_to_f32s, slot_bytes, Root, SlotHeader, SlotState, HEADER_BYTES, ROOT_BYTES,
 };
 use crate::pool::{PmemPool, SlotId};
+use oe_simdevice::rng::splitmix64;
 use oe_simdevice::{Cost, CostKind, CrashImage, DeviceTiming, Media};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One live entry discovered by the scan.
@@ -57,6 +57,63 @@ const INDEX_REBUILD_NS_PER_ENTRY: u64 = 120;
 /// Per-slot CPU cost of header decode + checksum verify during the scan.
 const SCAN_CPU_NS_PER_SLOT: u64 = 40;
 
+/// An unused cell of [`Newest::index`].
+const NO_ENTRY: u32 = u32::MAX;
+
+/// The newest surviving version of each key seen so far: one dense entry
+/// per key, found through an open-addressed table of entry numbers (or
+/// [`NO_ENTRY`]), a power of two long, probed linearly from the key's
+/// hash and doubled before it is more than half full.
+struct Newest {
+    entries: Vec<RecoveredSlot>,
+    index: Vec<u32>,
+}
+
+impl Newest {
+    fn new() -> Self {
+        Self {
+            entries: Vec::new(),
+            index: vec![NO_ENTRY; 16],
+        }
+    }
+
+    /// Where `key`'s entry number is, or would go, in `index`.
+    fn probe(&self, key: u64) -> usize {
+        debug_assert!(
+            2 * self.entries.len() <= self.index.len(),
+            "table over half full"
+        );
+        let mask = self.index.len() - 1;
+        let mut at = splitmix64(key) as usize & mask;
+        while self.index[at] != NO_ENTRY && self.entries[self.index[at] as usize].key != key {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// The entry of `slot.key`, or `None` after recording `slot` as it.
+    fn get_or_insert(&mut self, slot: RecoveredSlot) -> Option<&mut RecoveredSlot> {
+        let at = self.probe(slot.key);
+        if self.index[at] != NO_ENTRY {
+            return Some(&mut self.entries[self.index[at] as usize]);
+        }
+        assert!(
+            self.entries.len() < NO_ENTRY as usize,
+            "entry numbers are u32"
+        );
+        self.index[at] = self.entries.len() as u32;
+        self.entries.push(slot);
+        if 2 * self.entries.len() > self.index.len() {
+            self.index = vec![NO_ENTRY; 2 * self.index.len()];
+            for (n, e) in self.entries.iter().enumerate() {
+                let at = self.probe(e.key);
+                self.index[at] = n as u32;
+            }
+        }
+        None
+    }
+}
+
 /// The one classifier behind [`scan`] and [`scan_image`]: judge slots
 /// `0..high_water` through `check` (one read of the whole slot), drop
 /// versions past the checkpoint, keep the newest survivor per key and
@@ -76,7 +133,7 @@ fn survey(
     // does not fully back was never written, so it is free unread.
     let backed = (media_len as u64).saturating_sub(ROOT_BYTES) / slot_bytes;
 
-    let mut best: HashMap<u64, (SlotId, u64)> = HashMap::new();
+    let mut newest = Newest::new();
     let mut report = ScanReport {
         checkpoint_id: ckpt,
         scanned_slots: root.high_water,
@@ -108,27 +165,23 @@ fn survey(
             to_free.push(id);
             continue;
         }
-        match best.entry(header.key) {
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert((id, header.version));
-            }
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                let (old_id, old_ver) = *o.get();
-                report.discarded_stale += 1;
-                if header.version > old_ver {
-                    o.insert((id, header.version));
-                    to_free.push(old_id);
-                } else {
-                    to_free.push(id);
-                }
+        let slot = RecoveredSlot {
+            id,
+            key: header.key,
+            version: header.version,
+        };
+        if let Some(kept) = newest.get_or_insert(slot) {
+            report.discarded_stale += 1;
+            if slot.version > kept.version {
+                to_free.push(kept.id);
+                *kept = slot;
+            } else {
+                to_free.push(id);
             }
         }
     }
 
-    report.live = best
-        .into_iter()
-        .map(|(key, (id, version))| RecoveredSlot { id, key, version })
-        .collect();
+    report.live = newest.entries;
     report.live.sort_unstable_by_key(|r| r.id);
 
     // Aggregate recovery cost: sequential stream + rebuild CPU.

@@ -18,6 +18,8 @@ use std::io::{Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 6] = b"OEIMG1";
+/// Magic, device tag, reserved byte and length field.
+const HEADER_BYTES: u64 = 16;
 
 /// Snapshot I/O errors.
 #[derive(Debug)]
@@ -76,17 +78,23 @@ pub fn save_image(image: &CrashImage, path: &Path) -> Result<(), SnapshotError> 
     Ok(())
 }
 
-/// Read an image from `path`.
+/// Read an image from `path`. The header's length field must equal the
+/// number of bytes that follow it: nothing is allocated on its word.
 pub fn load_image(path: &Path) -> Result<CrashImage, SnapshotError> {
     let mut f = std::fs::File::open(path)?;
-    let mut header = [0u8; 16];
+    let mut header = [0u8; HEADER_BYTES as usize];
     f.read_exact(&mut header)?;
     if &header[0..6] != MAGIC {
         return Err(SnapshotError::BadFormat("magic mismatch"));
     }
     let device = device_from_tag(header[6])?;
-    let len = u64::from_le_bytes(header[8..16].try_into().unwrap()) as usize;
-    let mut bytes = vec![0u8; len];
+    let len = u64::from_le_bytes(header[8..16].try_into().unwrap());
+    if f.metadata()?.len().checked_sub(HEADER_BYTES) != Some(len) {
+        return Err(SnapshotError::BadFormat(
+            "length field disagrees with file size",
+        ));
+    }
+    let mut bytes = vec![0u8; len as usize];
     f.read_exact(&mut bytes)?;
     Ok(CrashImage::from_parts(bytes, device))
 }
@@ -131,6 +139,43 @@ mod tests {
             load_image(&path),
             Err(SnapshotError::BadFormat(_))
         ));
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn length_field_must_match_the_file() {
+        // A 16-byte header claiming 2^45 bytes must be refused before
+        // anything that size is allocated; so must a field one byte short
+        // of, or one byte past, what the file holds.
+        let image = Media::new(MediaConfig::pmem(256)).crash(1);
+        let path = tmp("length");
+        save_image(&image, &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        for claim in [1u64 << 45, 255, 257, u64::MAX] {
+            let mut bytes = good.clone();
+            bytes[8..16].copy_from_slice(&claim.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(load_image(&path), Err(SnapshotError::BadFormat(_))),
+                "claim {claim}"
+            );
+        }
+        let mut header_only = good[..16].to_vec();
+        header_only[8..16].copy_from_slice(&(1u64 << 45).to_le_bytes());
+        std::fs::write(&path, &header_only).unwrap();
+        assert!(matches!(
+            load_image(&path),
+            Err(SnapshotError::BadFormat(_))
+        ));
+        let mut trailing = good.clone();
+        trailing.push(0);
+        std::fs::write(&path, &trailing).unwrap();
+        assert!(matches!(
+            load_image(&path),
+            Err(SnapshotError::BadFormat(_))
+        ));
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(load_image(&path).unwrap().bytes(), image.bytes());
         std::fs::remove_file(path).unwrap();
     }
 

@@ -25,6 +25,11 @@
 //! the volatile shadow holds a handful of lines at a time: it is a `Vec`
 //! sorted by line number, and one store-and-persist takes the media lock
 //! once.
+//!
+//! The media remembers how far its durable bytes were ever stored to;
+//! past that bound they are the zeros it was created or grown with, so
+//! a crash image copies only the stored prefix and leaves the rest of
+//! its zeroed allocation untouched.
 
 use crate::cost::{Cost, CostKind};
 use crate::device::{DeviceKind, DeviceTiming};
@@ -98,6 +103,9 @@ pub struct CrashPlan {
 struct MediaInner {
     /// Bytes guaranteed to survive a crash (the persistence domain).
     durable: Vec<u8>,
+    /// End of the highest byte range ever stored into `durable`; every
+    /// byte past it is zero.
+    written: usize,
     /// Volatile CPU-cache shadow: (line number, line), sorted by line
     /// number, one entry per line.
     lines: Vec<(u64, DirtyLine)>,
@@ -151,6 +159,7 @@ impl Media {
             timing: DeviceTiming::of(cfg.device),
             inner: RwLock::new(MediaInner {
                 durable: vec![0u8; cfg.capacity],
+                written: 0,
                 lines: Vec::new(),
                 pending: Vec::new(),
                 events: 0,
@@ -166,6 +175,7 @@ impl Media {
         Self {
             timing: DeviceTiming::of(image.device),
             inner: RwLock::new(MediaInner {
+                written: image.bytes.len(),
                 durable: image.bytes,
                 lines: Vec::new(),
                 pending: Vec::new(),
@@ -235,6 +245,7 @@ impl Media {
         }
         if !self.is_pmem() {
             g.durable[off as usize..end].copy_from_slice(data);
+            g.written = g.written.max(end);
             cost.charge(
                 self.timing.write_cost_kind(),
                 self.timing.write_ns(data.len() as u64),
@@ -364,16 +375,17 @@ impl Media {
         cost.charge(CostKind::Cpu, FENCE_NS);
         let MediaInner {
             durable,
+            written,
             lines,
             pending,
             ..
         } = g;
         for (line, data) in pending.drain(..) {
-            apply_line(durable, line, &data);
+            *written = (*written).max(apply_line(durable, line, &data));
         }
         lines.retain(|(line, dl)| {
             if dl.flushed {
-                apply_line(durable, *line, &dl.data);
+                *written = (*written).max(apply_line(durable, *line, &dl.data));
             }
             !dl.flushed
         });
@@ -395,22 +407,23 @@ impl Media {
     /// - PMem media: durable bytes survive; each flushed-but-unfenced line
     ///   (including superseded pending snapshots, in write order) lands on
     ///   media independently with probability ½; dirty lines are lost.
+    ///
+    /// The image is as long as the media; only its stored prefix is
+    /// copied.
     pub fn crash(&self, seed: u64) -> CrashImage {
         let g = self.inner.read();
-        match self.timing.kind {
+        let device = self.timing.kind;
+        match device {
             DeviceKind::Dram => CrashImage {
                 bytes: vec![0u8; g.durable.len()],
-                device: DeviceKind::Dram,
+                device,
             },
-            DeviceKind::FlashSsd => CrashImage {
-                bytes: g.durable.clone(),
-                device: DeviceKind::FlashSsd,
-            },
-            // Fabric-attached pool media outlives the node: the write
-            // path applies stores directly, so everything survives.
-            DeviceKind::CxlFabric => CrashImage {
-                bytes: g.durable.clone(),
-                device: DeviceKind::CxlFabric,
+            // SSD is write-through, and fabric-attached pool media
+            // outlives the node (its write path applies stores
+            // directly): everything survives.
+            DeviceKind::FlashSsd | DeviceKind::CxlFabric => CrashImage {
+                bytes: g.durable_copy(),
+                device,
             },
             DeviceKind::Pmem => g.pmem_image(seed),
         }
@@ -463,7 +476,7 @@ impl MediaInner {
     /// order) landing independently with probability ½.
     fn pmem_image(&self, seed: u64) -> CrashImage {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut bytes = self.durable.clone();
+        let mut bytes = self.durable_copy();
         for (line, data) in &self.pending {
             if rng.chance(0.5) {
                 apply_line(&mut bytes, *line, data);
@@ -480,6 +493,15 @@ impl MediaInner {
         }
     }
 
+    /// The durable bytes, copied up to the stored bound into a zeroed
+    /// buffer of the same length: the zero tail is never read, and its
+    /// pages are never touched.
+    fn durable_copy(&self) -> Vec<u8> {
+        let mut bytes = vec![0u8; self.durable.len()];
+        bytes[..self.written].copy_from_slice(&self.durable[..self.written]);
+        bytes
+    }
+
     /// Count one persistence event; if an armed [`CrashPlan`] names this
     /// index, capture the crash image *before* the event applies.
     fn note_event(&mut self) {
@@ -492,12 +514,15 @@ impl MediaInner {
     }
 }
 
-fn apply_line(durable: &mut Vec<u8>, line: u64, data: &[u8; CACHE_LINE]) {
+/// Store one line into `durable`, growing it to cover the line; returns
+/// the end of the stored range.
+fn apply_line(durable: &mut Vec<u8>, line: u64, data: &[u8; CACHE_LINE]) -> usize {
     let s = line as usize * CACHE_LINE;
     if durable.len() < s + CACHE_LINE {
         durable.resize((s + CACHE_LINE).next_power_of_two(), 0);
     }
     durable[s..s + CACHE_LINE].copy_from_slice(data);
+    s + CACHE_LINE
 }
 
 #[cfg(test)]

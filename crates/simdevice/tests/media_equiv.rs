@@ -13,6 +13,12 @@
 //! sorted them first, and the torn-write draws follow that order), and a
 //! `write_persist` that skips one `note_event` (every later event index
 //! and crash plan shifts by one).
+//!
+//! A crash image copies only the prefix of the media ever stored to; the
+//! oracle clones all of it. Sparsely written media of every device class,
+//! media rehydrated from a crash image, torn lines past the stored bound
+//! and growth past the capacity must still give the oracle's image, byte
+//! for byte and as long.
 
 use oe_simdevice::rng::Rng;
 use oe_simdevice::sync::RwLock;
@@ -50,6 +56,20 @@ impl Oracle {
             timing: DeviceTiming::of(cfg.device),
             inner: RwLock::new(OracleInner {
                 durable: vec![0u8; cfg.capacity],
+                lines: HashMap::new(),
+                pending: Vec::new(),
+                events: 0,
+                plan: None,
+                capture: None,
+            }),
+        }
+    }
+
+    fn from_crash(image: CrashImage) -> Self {
+        Self {
+            timing: DeviceTiming::of(image.device()),
+            inner: RwLock::new(OracleInner {
+                durable: image.bytes().to_vec(),
                 lines: HashMap::new(),
                 pending: Vec::new(),
                 events: 0,
@@ -418,6 +438,102 @@ fn sorted_shadow_matches_the_retired_shadow() {
             bytes_of(m.take_crash_capture()) == bytes_of(o.take_crash_capture()),
             "case {case}: final plan capture"
         );
+    }
+}
+
+/// Media far larger than what is stored to, of every device class:
+/// stores cluster in the first lines, one in eight lands anywhere up to
+/// half again past the capacity (growth), flushed-but-unfenced and
+/// superseded lines sit past the stored bound, and both sides restart
+/// from their crash images now and then. After every op a fresh crash
+/// image must equal the oracle's, length included.
+#[test]
+fn sparse_media_crash_images_match() {
+    let devices = [
+        DeviceKind::Pmem,
+        DeviceKind::Pmem,
+        DeviceKind::Pmem,
+        DeviceKind::FlashSsd,
+        DeviceKind::CxlFabric,
+        DeviceKind::Dram,
+    ];
+    for case in 0..288u64 {
+        let mut rng = Rng::seed_from_u64(0xB0DE_0000 + case);
+        let cfg = MediaConfig {
+            device: devices[case as usize % devices.len()],
+            capacity: 4096 << rng.below(4),
+        };
+        let (mut m, mut o) = (Media::new(cfg), Oracle::new(cfg));
+        let (mut cm, mut co) = (Cost::new(), Cost::new());
+        for step in 0..64 {
+            let what = format!("case {case} step {step}");
+            let len = m.len() as u64;
+            let off = match rng.below(8) {
+                0 => rng.below(len * 3 / 2),
+                _ => rng.below(8 * CACHE_LINE as u64),
+            };
+            let data: Vec<u8> = (0..length(&mut rng))
+                .map(|_| rng.below(256) as u8)
+                .collect();
+            match rng.below(10) {
+                0..=2 => {
+                    m.write(off, &data, &mut cm);
+                    o.write(off, &data, &mut co);
+                }
+                3 => {
+                    m.write_persist(off, &data, &mut cm);
+                    o.write_persist(off, &data, &mut co);
+                }
+                4 => {
+                    m.persist(off, data.len() as u64, &mut cm);
+                    o.persist(off, data.len() as u64, &mut co);
+                }
+                5 => {
+                    // A torn line in the never-stored half, sometimes
+                    // overwritten before any fence (a pending snapshot).
+                    let off = len / 2 + rng.below(len / 2);
+                    for _ in 0..1 + rng.below(2) {
+                        m.write(off, &data, &mut cm);
+                        o.write(off, &data, &mut co);
+                        m.flush(off, data.len() as u64, &mut cm);
+                        o.flush(off, data.len() as u64, &mut co);
+                    }
+                }
+                6 => {
+                    let seed = rng.next_u64();
+                    let (a, b) = (m.crash(seed), o.crash(seed));
+                    assert!(
+                        bytes_of(Some(a.clone())) == bytes_of(Some(b.clone())),
+                        "{what}"
+                    );
+                    (m, o) = (Media::from_crash(a), Oracle::from_crash(b));
+                }
+                7 => {
+                    let plan = CrashPlan {
+                        at_event: m.persistence_events() + rng.below(8),
+                        seed: rng.next_u64(),
+                    };
+                    m.arm_crash_plan(plan);
+                    o.arm_crash_plan(plan);
+                }
+                8 => assert!(
+                    bytes_of(m.take_crash_capture()) == bytes_of(o.take_crash_capture()),
+                    "{what}: plan capture"
+                ),
+                _ => {
+                    m.fence(&mut cm);
+                    o.fence(&mut co);
+                }
+            }
+            assert_same(&m, &o, &cm, &co, &what);
+            let seed = rng.next_u64();
+            let (a, b) = (m.crash(seed), o.crash(seed));
+            assert_eq!(a.bytes().len(), b.bytes().len(), "{what}: image length");
+            assert!(
+                bytes_of(Some(a)) == bytes_of(Some(b)),
+                "{what}: crash image, seed {seed:#x}"
+            );
+        }
     }
 }
 

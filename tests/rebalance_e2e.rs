@@ -120,3 +120,14 @@ fn forced_mid_epoch_migration_is_bit_identical() {
     );
     assert!(migrated.committed_checkpoint() > 0);
 }
+
+/// The `rebalance --smoke` shape's gate key: the late-storm p99 of the
+/// static arm over the rebalanced arm's, all virtual time. The same
+/// value is the `rebalance.p99_improvement` line of
+/// `BENCH_baseline.json`.
+#[test]
+fn smoke_shape_p99_improvement_is_pinned() {
+    let r = oe_bench::rebalance::run(&oe_bench::rebalance::RebalanceBenchConfig::smoke());
+    assert!(r.bit_identical);
+    assert_eq!(r.p99_improvement, 2.300161398789509, "p99 improvement");
+}
