@@ -12,6 +12,8 @@ use oe_simdevice::{Cost, CostKind, DeviceKind, DeviceTiming, Media, MediaConfig}
 use oe_train::{PipelineConfig, PipelinedTrainer, TrainMode, TrainerConfig};
 use oe_workload::analyze::{top_share_empirical, RankFrequency};
 use oe_workload::{SkewModel, WorkloadGen};
+use std::fmt::Write as _;
+use std::io;
 
 fn hr(title: &str) {
     println!("\n==== {title} ====");
@@ -639,9 +641,27 @@ pub fn latency(sc: &Scenario) {
             rows.push((format!("latency.{}.{name}", kind.label()), v));
         }
     }
-    crate::trajectory::write_flat_json(std::io::stdout(), &rows)
-        .expect("finite quantiles, writable stdout");
+    write_flat_json(io::stdout(), &rows).expect("finite quantiles, writable stdout");
     println!("(expect: PMem-OE pull tails within a few % of DRAM-PS; Ori-Cache inflated by inline maintenance)");
+}
+
+/// Write a flat `"name": number` JSON object, one pair per line. A
+/// non-finite value is refused with `InvalidData` naming its key, and
+/// nothing is written: JSON has no literal for it.
+fn write_flat_json(mut out: impl io::Write, entries: &[(String, f64)]) -> io::Result<()> {
+    let mut s = String::from("{");
+    for (i, (k, v)) in entries.iter().enumerate() {
+        if !v.is_finite() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{k}: {v} is not a JSON number"),
+            ));
+        }
+        let sep = if i == 0 { "" } else { "," };
+        let _ = write!(s, "{sep}\n  {k:?}: {v}");
+    }
+    s.push_str(if entries.is_empty() { "}\n" } else { "\n}\n" });
+    out.write_all(s.as_bytes())
 }
 
 /// Run everything.
@@ -663,4 +683,35 @@ pub fn all(sc: &Scenario, ckpt_interval_ns: u64) {
     fig15(sc);
     latency(sc);
     ablations(sc);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn m(pairs: &[(&str, f64)]) -> Vec<(String, f64)> {
+        pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    }
+
+    #[test]
+    fn flat_json_is_one_pair_a_line_and_round_trips_f64() {
+        let mut sink = Vec::new();
+        write_flat_json(&mut sink, &m(&[("a.b", 1.5), ("c", 2.300161398789509)])).unwrap();
+        let text = String::from_utf8(sink).unwrap();
+        assert_eq!(text, "{\n  \"a.b\": 1.5,\n  \"c\": 2.300161398789509\n}\n");
+        let mut sink = Vec::new();
+        write_flat_json(&mut sink, &[]).unwrap();
+        assert_eq!(sink, b"{}\n");
+    }
+
+    #[test]
+    fn a_non_finite_value_is_refused_and_nothing_is_written() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut sink = Vec::new();
+            let err = write_flat_json(&mut sink, &m(&[("x", 2.0), ("y", v)])).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().starts_with("y:"), "names the key: {err}");
+            assert!(sink.is_empty(), "{v}: nothing written");
+        }
+    }
 }

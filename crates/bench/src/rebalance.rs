@@ -1,5 +1,5 @@
-//! Skew-aware rebalancing bench: a zipf hot-key storm melts one shard,
-//! the controller drains it live, JSON artifact `BENCH_rebalance.json`.
+//! Skew-aware rebalancing storm: a zipf hot-key storm melts one shard
+//! and the controller drains it live.
 //!
 //! Two arms replay the identical deterministic storm ([`StormGen`]):
 //!
@@ -17,14 +17,15 @@
 //! controller has had time to act) for both arms, the improvement
 //! ratio, and the migration bill (keys moved, seed copies, double-write
 //! pushes). The arms must end **bit-identical** — live migration is
-//! pure mechanism, invisible to training.
+//! pure mechanism, invisible to training. `tests/rebalance_e2e.rs` pins
+//! the [`RebalanceBenchConfig::smoke`] shape's numbers.
 
 use oe_cluster::{MigrationStats, PlacedCluster, PlacerConfig, RebalanceConfig};
 use oe_core::{hash_node_of, NodeConfig, OptimizerKind, PsEngine, PsNode};
 use oe_simdevice::Cost;
 use oe_workload::{SkewModel, StormGen, StormSpec};
 
-/// Workload + storm + controller shape for one bench run.
+/// Workload + storm + controller shape for one run.
 #[derive(Debug, Clone)]
 pub struct RebalanceBenchConfig {
     /// PS nodes in the cluster.
@@ -64,29 +65,8 @@ pub struct RebalanceBenchConfig {
 }
 
 impl RebalanceBenchConfig {
-    /// Paper-shaped run.
-    pub fn paper() -> Self {
-        Self {
-            num_nodes: 4,
-            num_keys: 20_000,
-            dim: 16,
-            keys_per_batch: 4_096,
-            crowd_size: 192,
-            hot_share: 0.85,
-            batches: 72,
-            storm_start: 12,
-            storm_end: 64,
-            cache_entries_per_node: 144,
-            check_every_batches: 4,
-            double_write_batches: 2,
-            min_window_keys: 384,
-            hot_fraction: 0.3,
-            max_moves: 512,
-            seed: 0x5702,
-        }
-    }
-
-    /// Smoke-test run for CI: same shape, a fraction of the work.
+    /// The pinned shape: four nodes, a 64-key crowd storming batches
+    /// `[8, 32)` of 36.
     pub fn smoke() -> Self {
         Self {
             num_nodes: 4,
@@ -167,25 +147,17 @@ impl RebalanceBenchConfig {
     }
 }
 
-/// Per-batch virtual-time profile of one arm.
+/// Virtual-time outcome of one arm.
 #[derive(Debug, Clone)]
 pub struct ArmResult {
-    /// Mean batch time before the storm hits.
-    pub pre_storm_mean_ns: u64,
-    /// p99 batch time in the storm's first half (both arms melted).
-    pub storm_early_p99_ns: u64,
     /// p99 batch time in the storm's second half (rebalanced arm has
     /// cut over by now).
     pub storm_late_p99_ns: u64,
-    /// Mean batch time in the storm's second half.
-    pub storm_late_mean_ns: u64,
-    /// End-to-end virtual time of the arm.
-    pub total_ns: u64,
     /// Final placement epoch (0 == never migrated).
     pub placement_epoch: u64,
 }
 
-/// Full bench artifact (serialized to `BENCH_rebalance.json` by ci.sh).
+/// Outcome of both arms.
 #[derive(Debug, Clone)]
 pub struct RebalanceReport {
     /// The configuration measured.
@@ -204,23 +176,11 @@ pub struct RebalanceReport {
     pub bit_identical: bool,
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-fn window_stats(samples: &[u64]) -> (u64, u64) {
-    let mut s = samples.to_vec();
-    s.sort_unstable();
-    let mean = if s.is_empty() {
-        0
-    } else {
-        s.iter().sum::<u64>() / s.len() as u64
-    };
-    (percentile(&s, 0.99), mean)
+/// Nearest-rank p99 of `samples` (0 for an empty window).
+fn p99(samples: &mut [u64]) -> u64 {
+    samples.sort_unstable();
+    let idx = ((samples.len() as f64 - 1.0) * 0.99).round() as usize;
+    samples.get(idx).copied().unwrap_or(0)
 }
 
 /// Deterministic synthetic gradients: a pure function of `(batch, i)`,
@@ -235,11 +195,7 @@ fn grads_for(keys: &[u64], batch: u64, dim: usize) -> Vec<f32> {
 
 fn run_arm(cfg: &RebalanceBenchConfig, cluster: &PlacedCluster<PsNode>) -> ArmResult {
     let gen = StormGen::new(cfg.storm());
-    let late_start = cfg.late_start();
-    let mut pre = Vec::new();
-    let mut early = Vec::new();
     let mut late = Vec::new();
-    let mut total_ns = 0u64;
     for batch in 1..=cfg.batches {
         let keys = gen.batch_keys(batch);
         let mut cost = Cost::new();
@@ -248,25 +204,12 @@ fn run_arm(cfg: &RebalanceBenchConfig, cluster: &PlacedCluster<PsNode>) -> ArmRe
         cost.merge(&cluster.end_pull_phase(batch).cost);
         let grads = grads_for(&keys, batch, cfg.dim);
         cluster.push(&keys, &grads, batch, &mut cost);
-        let ns = cost.total_ns();
-        total_ns += ns;
-        if batch < cfg.storm_start {
-            pre.push(ns);
-        } else if batch < late_start {
-            early.push(ns);
-        } else if batch < cfg.storm_end {
-            late.push(ns);
+        if (cfg.late_start()..cfg.storm_end).contains(&batch) {
+            late.push(cost.total_ns());
         }
     }
-    let (_, pre_mean) = window_stats(&pre);
-    let (early_p99, _) = window_stats(&early);
-    let (late_p99, late_mean) = window_stats(&late);
     ArmResult {
-        pre_storm_mean_ns: pre_mean,
-        storm_early_p99_ns: early_p99,
-        storm_late_p99_ns: late_p99,
-        storm_late_mean_ns: late_mean,
-        total_ns,
+        storm_late_p99_ns: p99(&mut late),
         placement_epoch: cluster.placement_epoch(),
     }
 }
@@ -299,61 +242,6 @@ pub fn run(cfg: &RebalanceBenchConfig) -> RebalanceReport {
         migration: auto_cluster.migration_stats(),
         bit_identical,
     }
-}
-
-/// The exact metrics, held to the baseline at equality (all virtual
-/// time; the bench has no wall metric): the headline p99 improvement,
-/// the inverted late-storm p99s, and bit-identity as 1.0/0.0.
-pub fn exact_metrics(r: &RebalanceReport) -> Vec<(String, f64)> {
-    vec![
-        ("p99_improvement".to_string(), r.p99_improvement),
-        (
-            "rebalanced_late_p99_inv_per_sec".to_string(),
-            1e9 / r.rebalanced_arm.storm_late_p99_ns.max(1) as f64,
-        ),
-        (
-            "static_late_p99_inv_per_sec".to_string(),
-            1e9 / r.static_arm.storm_late_p99_ns.max(1) as f64,
-        ),
-        (
-            "bit_identical".to_string(),
-            if r.bit_identical { 1.0 } else { 0.0 },
-        ),
-    ]
-}
-
-/// Human-readable table, printed by the `rebalance` binary.
-pub fn print_report(r: &RebalanceReport) {
-    let c = &r.config;
-    println!(
-        "storm: {} crowd keys on node 0/{} at {:.0}% share, batches [{}, {}) of {}, cache {} entries/node",
-        c.crowd_size, c.num_nodes, c.hot_share * 100.0, c.storm_start, c.storm_end, c.batches,
-        c.cache_entries_per_node
-    );
-    println!(
-        "{:<12} {:>14} {:>16} {:>16} {:>8}",
-        "arm", "pre mean ms", "early p99 ms", "late p99 ms", "epoch"
-    );
-    for (name, a) in [("static", &r.static_arm), ("rebalanced", &r.rebalanced_arm)] {
-        println!(
-            "{:<12} {:>14.3} {:>16.3} {:>16.3} {:>8}",
-            name,
-            a.pre_storm_mean_ns as f64 / 1e6,
-            a.storm_early_p99_ns as f64 / 1e6,
-            a.storm_late_p99_ns as f64 / 1e6,
-            a.placement_epoch
-        );
-    }
-    println!(
-        "late-storm p99 improvement: {:.2}×  (crowd left on melted node: {}/{})",
-        r.p99_improvement, r.crowd_left_on_melted, c.crowd_size
-    );
-    let m = &r.migration;
-    println!(
-        "migration bill: {} migration(s), {} keys moved, {} seed copies, {} double-write pushes over {} window batch(es)",
-        m.migrations, m.keys_moved, m.seed_copies, m.double_write_pushes, m.double_write_batches
-    );
-    println!("bit-identical across arms: {}", r.bit_identical);
 }
 
 #[cfg(test)]

@@ -203,8 +203,7 @@ impl Optimizer {
     /// The scalar reference implementation: one element at a time,
     /// exactly the ops of the vectorized kernels in the same order.
     /// Public as the ground truth of the `kernel_equiv` bit-identity
-    /// sweep and the denominator of the `kernels` microbench; no apply
-    /// on the pull/push path reaches it.
+    /// sweep; no apply on the pull/push path reaches it.
     pub fn apply_reference(&self, dim: usize, payload: &mut [f32], grad: &[f32]) {
         if let Err(e) = self.check(dim, payload.len(), grad.len()) {
             panic!("{e}");

@@ -326,4 +326,33 @@ mod tests {
         let err = restore(&blank, cfg(), 1).err().expect("refused");
         assert!(err.contains("no initialized pool"), "{err}");
     }
+
+    /// A crash drill (paper §VI-E): more scan threads restore the same
+    /// checkpoint in less virtual time.
+    #[test]
+    fn parallel_recovery_is_faster() {
+        let sgd = || NodeConfig {
+            optimizer: OptimizerKind::Sgd { lr: 0.5 },
+            ..cfg()
+        };
+        let n = PsNode::new(sgd());
+        let keys: Vec<u64> = (0..500).collect();
+        train_step(&n, &keys, 1, 0.1);
+        n.request_checkpoint(1);
+        train_step(&n, &keys, 2, 0.1);
+        let recover_with = |threads: u32| {
+            let home = LocalMedia::new(Arc::clone(n.pool().media()), threads);
+            restore(&home, sgd(), 4).expect("restores")
+        };
+        let serial = recover_with(1);
+        let parallel = recover_with(8);
+        assert_eq!(serial.report.resume_batch, 1);
+        assert_eq!(parallel.report.scan.live.len(), 500);
+        assert!(
+            parallel.recovery_ns < serial.recovery_ns,
+            "{} vs {}",
+            parallel.recovery_ns,
+            serial.recovery_ns
+        );
+    }
 }

@@ -406,7 +406,7 @@ pub fn check_crash_point(
     rep
 }
 
-/// Aggregate outcome of a sweep (also the `BENCH_crashmc.json` shape).
+/// Aggregate outcome of a sweep.
 #[derive(Debug)]
 pub struct SweepReport {
     /// Persistence events in the reference run (coverage denominator).

@@ -44,6 +44,3 @@ pub use phases::PhaseBreakdown;
 pub use pipeline::{CoherenceSource, PipelineConfig, PipelineReport, PipelinedTrainer};
 pub use report::TrainReport;
 pub use trainer::{TrainMode, TrainerConfig};
-
-#[cfg(test)]
-mod failure;

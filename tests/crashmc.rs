@@ -44,23 +44,47 @@ fn assert_clean_exhaustive(optimizer: OptimizerKind) {
     );
 }
 
-/// The persistence-event count of the reference schedule at the
-/// `crashmc --smoke` shape (stride 7, one torn-write seed per index),
-/// per optimizer. Every enumerated crash point is an index into this
-/// stream, so a media or pool change that adds, drops or reorders a
-/// flush or fence moves it.
-#[test]
-fn smoke_shape_event_stream_is_pinned() {
-    let adagrad = OptimizerKind::Adagrad {
+fn adagrad() -> OptimizerKind {
+    OptimizerKind::Adagrad {
         lr: 0.05,
         eps: 1e-8,
-    };
-    for optimizer in [OptimizerKind::Sgd { lr: 0.5 }, adagrad] {
+    }
+}
+
+fn adam() -> OptimizerKind {
+    OptimizerKind::Adam {
+        lr: 0.01,
+        beta1: 0.9,
+        beta2: 0.999,
+        eps: 1e-8,
+    }
+}
+
+/// The stride-sampled sweep's coverage, per optimizer: every 7th event
+/// index with one torn-write seed, then a crash inside the recovery of
+/// the image taken at 99 % of the event stream. Every enumerated crash
+/// point is an index into the persistence-event stream, so a media or
+/// pool change that adds, drops or reorders a flush or fence moves
+/// these counts.
+#[test]
+fn smoke_shape_event_stream_is_pinned() {
+    let (mut events_enumerated, mut invariant_checks) = (0, 0);
+    for optimizer in [OptimizerKind::Sgd { lr: 0.5 }, adagrad()] {
         let mut cfg = CrashMcConfig::exhaustive(optimizer);
         cfg.stride = 7;
         cfg.seeds_per_index = 1;
-        assert_eq!(reference(&cfg).total_events, 238, "{optimizer:?}");
+        let s = sweep(&cfg);
+        assert!(s.violations.is_empty(), "{:#?}", s.violations);
+        assert_eq!(s.total_events, 238, "{optimizer:?} total events");
+        assert_eq!(s.indices_checked, 35, "{optimizer:?} indices checked");
+        let rs = recovery_crash_sweep(&cfg, (s.total_events - 1) * 99 / 100, 0xC4A5);
+        assert!(rs.violations.is_empty(), "{:#?}", rs.violations);
+        assert_eq!(rs.indices_checked, 10, "{optimizer:?} recovery indices");
+        events_enumerated += s.indices_checked;
+        invariant_checks += s.invariant_checks + rs.invariant_checks;
     }
+    assert_eq!(events_enumerated, 70, "events enumerated");
+    assert_eq!(invariant_checks, 830, "invariant checks");
 }
 
 #[test]
@@ -70,10 +94,7 @@ fn exhaustive_sweep_sgd_holds_every_invariant() {
 
 #[test]
 fn exhaustive_sweep_adagrad_holds_every_invariant() {
-    assert_clean_exhaustive(OptimizerKind::Adagrad {
-        lr: 0.05,
-        eps: 1e-8,
-    });
+    assert_clean_exhaustive(adagrad());
 }
 
 #[test]
@@ -81,12 +102,7 @@ fn exhaustive_sweep_adam_holds_every_invariant() {
     // Adam's payload carries two moments plus the step counter — the
     // widest persisted state, and the one where a lossy recovery shows
     // up as a rewind divergence even when the weights look plausible.
-    assert_clean_exhaustive(OptimizerKind::Adam {
-        lr: 0.01,
-        beta1: 0.9,
-        beta2: 0.999,
-        eps: 1e-8,
-    });
+    assert_clean_exhaustive(adam());
 }
 
 #[test]
@@ -120,14 +136,26 @@ fn crash_during_recovery_is_exhaustively_idempotent() {
         recovery_events_seen > 0,
         "at least one source crash point must make recovery issue durable frees"
     );
+
+    // The stateful optimizers at 50 / 75 / 99 % of their event streams:
+    // 30 crash points inside recovery each.
+    for optimizer in [adagrad(), adam()] {
+        let cfg = CrashMcConfig::exhaustive(optimizer);
+        let last = reference(&cfg).total_events - 1;
+        let mut indices = 0;
+        for (i, pct) in [50, 75, 99].into_iter().enumerate() {
+            let rep = recovery_crash_sweep(&cfg, last * pct / 100, 0xC4A5 + i as u64);
+            assert!(rep.violations.is_empty(), "{:#?}", rep.violations);
+            assert_eq!(rep.indices_checked, rep.recovery_events);
+            indices += rep.indices_checked;
+        }
+        assert_eq!(indices, 30, "{optimizer:?} recovery indices");
+    }
 }
 
 #[test]
 fn standby_promotes_consistently_from_enumerated_crash_points() {
-    let cfg = CrashMcConfig::exhaustive(OptimizerKind::Adagrad {
-        lr: 0.05,
-        eps: 1e-8,
-    });
+    let cfg = CrashMcConfig::exhaustive(adagrad());
     let r = reference(&cfg);
     // Drive `net::Standby` promotion from images captured at chosen
     // crash indices: mid-run, late-run, and the final fence.

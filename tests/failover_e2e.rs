@@ -62,21 +62,25 @@ fn pool_primary() -> (PsNode, Arc<dyn DurableHome>) {
     (primary, Arc::new(PoolPartition::new(shared, 7)))
 }
 
-/// `primary` behind a wire that dies at call `kill_after_calls`, with
+/// `primary` behind a wire that fails as `fault` schedules, with
 /// `standbys` promoted in order.
-fn doomed_remote(primary: PsNode, kill_after_calls: u64, standbys: Vec<Standby>) -> RemotePs {
+fn faulty_remote(primary: PsNode, fault: FaultSpec, standbys: Vec<Standby>) -> RemotePs {
     let engine: Arc<dyn PsEngine> = Arc::new(primary);
     let (ct, st) = loopback(64);
     // Workers detach; they drain and exit when the killed transport's
     // channel closes.
     drop(PsServer::spawn(engine, st, 4));
-    let injector = Arc::new(FaultInjector::new(
-        Arc::new(ct),
-        FaultSpec::kill_after(0xE2E, kill_after_calls),
-    ));
+    let injector = Arc::new(FaultInjector::new(Arc::new(ct), fault));
     let remote = RemotePs::try_connect(injector, NetConfig::paper_default())
-        .expect("the handshake precedes the kill");
+        .expect("the handshake precedes every scheduled fault");
     standbys.into_iter().fold(remote, RemotePs::with_standby)
+}
+
+/// `primary` behind a wire that dies at call `kill_after_calls`, with
+/// `standbys` promoted in order.
+fn doomed_remote(primary: PsNode, kill_after_calls: u64, standbys: Vec<Standby>) -> RemotePs {
+    let kill = FaultSpec::kill_after(0xE2E, kill_after_calls);
+    faulty_remote(primary, kill, standbys)
 }
 
 /// A local-media primary dying at call `kill_after_calls`, with one
@@ -180,33 +184,73 @@ fn kill_with_two_batches_of_pushes_in_flight_stays_bit_identical() {
     }
 }
 
-/// The `failover --smoke` shape's two virtual times: the fault-free
-/// run's total and a standby's promotion from the trained media (crash
-/// image, slot scan, index rebuild). Both run through the simulated
-/// PMem's persist path, the second through its crash image as well.
+/// A 16-batch run over 3 000 keys, checkpointing every batch: the
+/// fault-free run's total, a standby's promotion from the trained media
+/// (crash image, slot scan, index rebuild), the retries and virtual-time
+/// overhead a seeded lossy wire costs at 0 / 1 / 5 % frame loss, and a
+/// primary killed at call 63 — a pull two thirds through the run, before
+/// that batch's flush commits the pending checkpoint, so the standby's
+/// promotion pays a rewind. Every arm ends bit-identical to the
+/// fault-free run. All of it runs through the simulated PMem's persist
+/// path, the promotion through its crash image as well.
 #[test]
 fn smoke_shape_clean_time_and_recovery_are_pinned() {
+    const SEED: u64 = 0xFA17;
     let spec = WorkloadSpec {
-        num_keys: 3_000,
-        fields: 5,
-        batch_size: 64,
-        workers: 2,
-        skew: SkewModel::paper_fit(),
-        seed: 0xFA17,
-        drift_keys_per_batch: 0,
+        seed: SEED,
+        ..spec()
     };
     let mut cfg = node_cfg();
     cfg.cache_bytes = 300 * cfg.bytes_per_cached_entry();
     cfg.pmem_capacity = 1 << 26;
+    let train = |ps: &dyn PsClient| {
+        let sync = PipelineConfig::sync();
+        PipelinedTrainer::with_client(ps, spec.clone(), trainer_cfg(1), sync)
+            .try_run(1, 16)
+            .expect("every arm survives its faults")
+            .train
+    };
     let local = PsNode::new(cfg.clone());
-    let clean = PipelinedTrainer::with_client(&local, spec, trainer_cfg(1), PipelineConfig::sync())
-        .run(1, 16);
-    assert_eq!(clean.train.total_ns, 23_482_390, "clean total ns");
+    assert_eq!(train(&local).total_ns, 23_482_390, "clean total ns");
+    let identical = |remote: &RemotePs| {
+        (0..spec.num_keys).all(|k| remote.weights_of(k).unwrap() == local.read_weights(k))
+    };
     let home = LocalMedia::new(Arc::clone(local.pool().media()), 4);
-    let promo = Standby::new(Arc::new(home), cfg, 1, 0xFA17)
+    let promo = Standby::new(Arc::new(home), cfg.clone(), 1, SEED)
         .promote()
         .expect("trained media promotes");
     assert_eq!(promo.event.recovery_ns, 17_623, "recovery ns");
+
+    // Overheads are against the loss-free wire arm.
+    let mut clean_wire_ns = 0;
+    for (rate, retries, overhead) in [
+        (0.0, 0, 0.0),
+        (0.01, 1, 0.0),
+        (0.05, 3, 0.00037439035814945676),
+    ] {
+        let node = PsNode::new(cfg.clone());
+        let remote = faulty_remote(node, FaultSpec::drops(SEED, rate), vec![]);
+        let total_ns = train(&remote).total_ns;
+        if rate == 0.0 {
+            clean_wire_ns = total_ns;
+        }
+        let snap = remote.registry().snapshot();
+        let got = snap.counter("client_rpc_retries_total");
+        assert_eq!(got, Some(retries), "retries at drop rate {rate}");
+        let got = total_ns as f64 / clean_wire_ns as f64 - 1.0;
+        assert_eq!(got, overhead, "overhead at drop rate {rate}");
+        assert!(identical(&remote), "drop rate {rate}");
+    }
+
+    let primary = PsNode::new(cfg.clone());
+    let home = Arc::new(LocalMedia::new(Arc::clone(primary.pool().media()), 4));
+    let standby = Standby::new(home, cfg, 4, SEED);
+    let remote = faulty_remote(primary, FaultSpec::kill_after(SEED, 63), vec![standby]);
+    let kill = train(&remote);
+    assert_eq!((kill.failovers, kill.rewound_batches), (1, 1));
+    let overhead = kill.total_ns as f64 / clean_wire_ns as f64 - 1.0;
+    assert_eq!(overhead, 0.0631705625266068, "kill overhead");
+    assert!(identical(&remote), "failover perturbed training state");
 }
 
 #[test]

@@ -121,13 +121,17 @@ fn forced_mid_epoch_migration_is_bit_identical() {
     assert!(migrated.committed_checkpoint() > 0);
 }
 
-/// The `rebalance --smoke` shape's gate key: the late-storm p99 of the
-/// static arm over the rebalanced arm's, all virtual time. The same
-/// value is the `rebalance.p99_improvement` line of
-/// `BENCH_baseline.json`.
+/// The rebalancing storm's smoke shape: the late-storm p99 batch time
+/// of the static arm and of the rebalanced arm, and their ratio, all
+/// virtual time; the two arms end bit-identical.
 #[test]
 fn smoke_shape_p99_improvement_is_pinned() {
-    let r = oe_bench::rebalance::run(&oe_bench::rebalance::RebalanceBenchConfig::smoke());
-    assert!(r.bit_identical);
+    let r = oe_bench::rebalance::run(&oe_bench::RebalanceBenchConfig::smoke());
+    assert!(r.bit_identical, "migration must be invisible to training");
+    assert_eq!(r.static_arm.storm_late_p99_ns, 171_017, "static late p99");
+    assert_eq!(
+        r.rebalanced_arm.storm_late_p99_ns, 74_350,
+        "rebalanced late p99"
+    );
     assert_eq!(r.p99_improvement, 2.300161398789509, "p99 improvement");
 }
