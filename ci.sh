@@ -63,8 +63,12 @@ done
 # ablations"). Exact numbers are tier-1 test literals: the scenario
 # gate, its baseline file, its environment switches and the four
 # scenario binaries are gone (EXPERIMENTS.md, "Retired bench gate").
+# The wire carries only what a PsClient sends: the placement-epoch
+# fence, the entry-migration RPCs and the static-hash shell in oe-core
+# are gone (EXPERIMENTS.md, "Retired wire placement plane"); PlacedCluster
+# and PsEngine keep `placement_epoch` and `export_entry`.
 echo "==> retired twins stay retired"
-if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)" \
+if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster" \
   crates tests examples README.md DESIGN.md; then
   echo "a retired name resurfaced (see above)" >&2
   exit 1

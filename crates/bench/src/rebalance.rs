@@ -20,8 +20,8 @@
 //! pure mechanism, invisible to training. `tests/rebalance_e2e.rs` pins
 //! the [`RebalanceBenchConfig::smoke`] shape's numbers.
 
-use oe_cluster::{MigrationStats, PlacedCluster, PlacerConfig, RebalanceConfig};
-use oe_core::{hash_node_of, NodeConfig, OptimizerKind, PsEngine, PsNode};
+use oe_cluster::{hash_node_of, MigrationStats, PlacedCluster, PlacerConfig, RebalanceConfig};
+use oe_core::{NodeConfig, OptimizerKind, PsEngine, PsNode};
 use oe_simdevice::Cost;
 use oe_workload::{SkewModel, StormGen, StormSpec};
 

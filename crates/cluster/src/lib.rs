@@ -9,7 +9,8 @@
 //! This crate layers a placement plane over any [`oe_core::PsEngine`]:
 //!
 //! * [`PlacementTable`] — epoch-versioned key→node overrides for the hot
-//!   head, hash fallback for the cold tail. Same epoch ⇒ same routing.
+//!   head, the static hash ([`hash_node_of`]) for the cold tail. Same
+//!   epoch ⇒ same routing.
 //! * [`FreqTracker`] + [`SkewAwarePlacer`] — recent access counts turned
 //!   into minimal hot-key move lists onto the coolest DRAM-rich nodes.
 //! * [`PlacedCluster`] — routes pull/push bursts through the table and
@@ -23,11 +24,11 @@
 //!   burst-latency histograms (`oe-telemetry` deltas) and triggers a
 //!   drain when one node runs away from its peers.
 //!
-//! Retry safety across a migration epoch is inherited from the RPC
-//! layer: `oe-net` servers fence stale placement epochs the same way
-//! they fence stale sequence numbers, and the replay cache still
-//! answers retries of already-applied mutations, so a push retried
-//! across a cutover is never applied twice.
+//! Placement is in-process: a `PlacedCluster` holds its nodes as
+//! `PsEngine`s and routes every burst through its own table, so no
+//! router can hold a stale copy and nothing needs fencing on a wire.
+//! (`oe-net`'s `RemotePs` is a `PsClient`, not a `PsEngine`; a cluster
+//! of remote nodes is not built.)
 
 #![warn(missing_docs)]
 
@@ -41,6 +42,6 @@ pub mod rebalance;
 pub use freq::FreqTracker;
 pub use migration::{MigrationSpec, MigrationStats};
 pub use placed::PlacedCluster;
-pub use placement::PlacementTable;
+pub use placement::{hash_node_of, PlacementTable};
 pub use placer::{NodeClass, PlacerConfig, SkewAwarePlacer};
 pub use rebalance::{NodeWindow, RebalanceConfig, RebalanceController};

@@ -30,9 +30,9 @@ use crate::placement::PlacementTable;
 use crate::placer::{NodeClass, SkewAwarePlacer};
 use crate::rebalance::{NodeWindow, RebalanceConfig, RebalanceController};
 use oe_core::plan::{ShardBuckets, ShardPlan};
-use oe_core::{merge_node_parallel, BatchId, Key, MaintenanceReport, PsEngine, StatsSnapshot};
+use oe_core::{BatchId, Key, MaintenanceReport, PsEngine, StatsSnapshot};
 use oe_simdevice::sync::{Mutex, RwLock};
-use oe_simdevice::Cost;
+use oe_simdevice::{Cost, CostKind};
 use oe_telemetry::{Counter, Gauge, HistogramHandle, HistogramSnapshot, Registry};
 use std::collections::{HashMap, HashSet};
 
@@ -555,6 +555,25 @@ impl<E: PsEngine> PsEngine for PlacedCluster<E> {
     }
 }
 
+/// Merge per-node burst costs for nodes serving in parallel: the
+/// elementwise max of device/serialized charges (each node's hardware
+/// works concurrently) and the sum of CPU/NET/fabric (the client still
+/// pays per-request work, and pool-backed nodes share one fabric link,
+/// so their transfers queue rather than overlap). A simple,
+/// conservative merge for multi-node bursts (paper §IV: a burst
+/// completes when the slowest node does).
+fn merge_node_parallel(costs: &[Cost], out: &mut Cost) {
+    for kind in CostKind::ALL {
+        let ns = match kind {
+            CostKind::Cpu | CostKind::Net | CostKind::FabricTransfer => {
+                costs.iter().map(|c| c.ns(kind)).sum()
+            }
+            _ => costs.iter().map(|c| c.ns(kind)).max().unwrap_or(0),
+        };
+        out.charge_ns_only(kind, ns);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,21 +612,33 @@ mod tests {
         let c = PlacedCluster::new(nodes(3, adagrad()));
         assert_eq!(c.placement_epoch(), 0);
         for k in 0..64u64 {
-            assert_eq!(c.node_of(k), oe_core::hash_node_of(k, 3));
+            assert_eq!(c.node_of(k), crate::hash_node_of(k, 3));
         }
         let keys: Vec<u64> = (0..32).collect();
         let out = pull(&c, &keys, 1);
         assert_eq!(out.len(), 32 * 4);
     }
 
+    #[test]
+    fn parallel_cost_merge_takes_max_of_device_time() {
+        let mut costs = vec![Cost::new(), Cost::new()];
+        costs[0].charge(CostKind::PmemWrite, 100);
+        costs[1].charge(CostKind::PmemWrite, 300);
+        costs[0].charge(CostKind::Cpu, 10);
+        costs[1].charge(CostKind::Cpu, 20);
+        let mut out = Cost::new();
+        merge_node_parallel(&costs, &mut out);
+        assert_eq!(out.ns(CostKind::PmemWrite), 300);
+        assert_eq!(out.ns(CostKind::Cpu), 30);
+    }
+
     // The next three came from the unit tests of `oe-core`'s static-hash
     // cluster type when it was deleted (static hash = placement epoch
     // 0). Its other tests are covered elsewhere: never-empty by `build`'s
-    // assert,
-    // unique-key scatter order and push-routes-to-owner by
+    // assert, unique-key scatter order and push-routes-to-owner by
     // `routes_like_static_hash_at_epoch_zero` plus `tests/end_to_end.rs`
     // (`cluster_of_nodes_trains_identically_to_single_node`), and the
-    // cost merge stayed in `oe_core::cluster` beside the function.
+    // cost merge by `parallel_cost_merge_takes_max_of_device_time`.
 
     #[test]
     fn scatter_gather_preserves_request_order_with_duplicate_keys() {

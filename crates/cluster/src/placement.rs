@@ -2,16 +2,24 @@
 //!
 //! Routing is a two-level lookup: an explicit key→node override map for
 //! the (tiny) set of relocated keys, and the static hash placement
-//! ([`oe_core::hash_node_of`]) as the fallback for everything else —
+//! ([`hash_node_of`], paper §IV) as the fallback for everything else —
 //! RecShard's observation that only the hot head needs individual
 //! placement, the cold tail can stay hashed. Every change to the
 //! overrides bumps the **epoch**; a `(table, epoch)` pair therefore
-//! fully determines routing, which is what lets servers fence stale
-//! clients (`oe-net`'s placement-epoch check) and lets tests assert
-//! *same epoch ⇒ same routing* as a property.
+//! fully determines routing, which is what lets tests assert *same
+//! epoch ⇒ same routing* as a property.
 
-use oe_core::{hash_node_of, Key};
+use oe_core::Key;
+use oe_simdevice::rng::splitmix64;
 use std::collections::HashMap;
+
+/// The static hash placement: which of `nodes` owns `key` when no
+/// placement override applies. Salted so node routing decorrelates from
+/// the in-node shard hash (`splitmix64(key)`).
+#[inline]
+pub fn hash_node_of(key: Key, nodes: usize) -> usize {
+    (splitmix64(key ^ 0xC1u64) % nodes as u64) as usize
+}
 
 /// Epoch-numbered key→node indirection with hash fallback.
 #[derive(Debug, Clone)]

@@ -16,9 +16,6 @@
 //!   with the weights so checkpoints capture training state exactly;
 //! - **recovery** ([`recovery`]): scan PMem, discard post-checkpoint
 //!   versions, rebuild the DRAM hash index — no data copy;
-//! - the **static-hash placement** and parallel burst-cost merge a
-//!   sharded cluster is built from ([`cluster`]; the cluster type is
-//!   `oe-cluster`'s `PlacedCluster`);
 //! - a **shard-plan hot path** ([`plan`]): batch keys are bucketed by
 //!   shard, duplicates coalesced, and shard groups executed on parallel
 //!   lanes with one lock acquisition per shard per request
@@ -29,7 +26,6 @@
 //! [`engine::PsEngine`] trait consumed by the training simulator.
 
 pub mod checkpoint;
-pub mod cluster;
 pub mod config;
 pub mod engine;
 pub mod init;
@@ -42,7 +38,6 @@ pub mod stats;
 pub mod storage;
 
 pub use checkpoint::{BatchCadence, CheckpointScheduler};
-pub use cluster::{hash_node_of, merge_node_parallel};
 pub use config::{NodeConfig, CACHE_ENTRY_OVERHEAD_BYTES};
 pub use engine::{MaintenanceReport, PsEngine};
 pub use node::PsNode;

@@ -72,11 +72,6 @@ pub struct RemotePs {
     cfg: NetConfig,
     client_id: u32,
     seq: AtomicU64,
-    /// Placement epoch this client routes under; stamped on every
-    /// pull/push so the server can fence bursts routed by a
-    /// pre-migration table. Ratchets up via
-    /// [`RemotePs::set_placement_epoch`].
-    placement_epoch: AtomicU64,
     dim: usize,
     name: &'static str,
     pending_failover: Mutex<Option<FailoverEvent>>,
@@ -121,7 +116,6 @@ impl RemotePs {
             cfg,
             client_id: NEXT_CLIENT_ID.fetch_add(1, Ordering::Relaxed),
             seq: AtomicU64::new(1),
-            placement_epoch: AtomicU64::new(0),
             dim: 0,
             name: "",
             pending_failover: Mutex::new(None),
@@ -163,28 +157,6 @@ impl RemotePs {
     /// This client's id in request idempotence tokens.
     pub fn client_id(&self) -> u32 {
         self.client_id
-    }
-
-    /// The placement epoch stamped on this client's pull/push bursts.
-    pub fn placement_epoch(&self) -> u64 {
-        self.placement_epoch.load(Ordering::Relaxed)
-    }
-
-    /// Announce a placement cutover: ratchet the local epoch and push a
-    /// [`Request::PlacementUpdate`] to the server so it starts fencing
-    /// bursts still routed under the pre-migration table. Both sides
-    /// ratchet upward (`fetch_max`), so a delayed or replayed update for
-    /// an older epoch can never roll the fence back. The rebalancer
-    /// calls this once per client after the cutover batch completes.
-    pub fn set_placement_epoch(&self, epoch: u64) -> Result<(), Error> {
-        self.placement_epoch.fetch_max(epoch, Ordering::Relaxed);
-        let mut scratch = Cost::new();
-        match self.call_result(Request::PlacementUpdate { epoch }, &mut scratch)? {
-            Response::Ack { .. } => Ok(()),
-            other => Err(Error::rejected(format!(
-                "placement update: unexpected response {other:?}"
-            ))),
-        }
     }
 
     /// Promote the next standby. On success the current transport is
@@ -391,8 +363,7 @@ impl RemotePs {
     /// owned `Request` materialized).
     fn encode_pull(&self, keys: &[Key], batch: BatchId) -> (u64, Bytes) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.placement_epoch.load(Ordering::Relaxed);
-        let frame = Packet::encode_pull(self.client_id, seq, epoch, batch, keys);
+        let frame = Packet::encode_pull(self.client_id, seq, batch, keys);
         (seq, frame)
     }
 
@@ -415,61 +386,6 @@ impl RemotePs {
             ResponseView::Other(other) => {
                 Err(Error::rejected(format!("pull: unexpected {other:?}")))
             }
-        }
-    }
-
-    /// Entry export (migration plane), see
-    /// [`oe_core::PsEngine::export_entry`]. A timeout, corrupt frame, or
-    /// failover comes back as an [`Error`] with its [`ErrorKind`] intact.
-    pub fn try_export_entry(
-        &self,
-        key: Key,
-        cost: &mut Cost,
-    ) -> Result<Option<(BatchId, Vec<f32>)>, Error> {
-        match self.call_result(Request::ExportEntry { key }, cost)? {
-            Response::Entry(e) => Ok(e),
-            other => Err(Error::rejected(format!(
-                "export_entry: unexpected {other:?}"
-            ))),
-        }
-    }
-
-    /// Entry import (migration plane), see
-    /// [`oe_core::PsEngine::import_entry`].
-    pub fn try_import_entry(
-        &self,
-        key: Key,
-        version: BatchId,
-        payload: &[f32],
-        cost: &mut Cost,
-    ) -> Result<bool, Error> {
-        let req = Request::ImportEntry {
-            key,
-            version,
-            payload: payload.to_vec(),
-        };
-        match self.call_result(req, cost)? {
-            Response::Ack { cost: c } => {
-                cost.merge(&c);
-                Ok(true)
-            }
-            other => Err(Error::rejected(format!(
-                "import_entry: unexpected {other:?}"
-            ))),
-        }
-    }
-
-    /// Entry discard (migration plane), see
-    /// [`oe_core::PsEngine::discard_entry`].
-    pub fn try_discard_entry(&self, key: Key, cost: &mut Cost) -> Result<bool, Error> {
-        match self.call_result(Request::DiscardEntry { key }, cost)? {
-            Response::Ack { cost: c } => {
-                cost.merge(&c);
-                Ok(true)
-            }
-            other => Err(Error::rejected(format!(
-                "discard_entry: unexpected {other:?}"
-            ))),
         }
     }
 }
@@ -543,8 +459,7 @@ impl PsClient for RemotePs {
     ) -> Result<(), Error> {
         // Zero-copy: borrow-encode the burst from the caller's slices.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.placement_epoch.load(Ordering::Relaxed);
-        let frame = Packet::encode_push(self.client_id, seq, epoch, batch, keys, grads);
+        let frame = Packet::encode_push(self.client_id, seq, batch, keys, grads);
         let (meta, reply) = self.call_raw(seq, frame, cost)?;
         match ResponseView::decode(meta, &reply)? {
             ResponseView::Other(Response::Ack { cost: c }) => {
@@ -716,69 +631,6 @@ mod tests {
         assert_eq!(remote.committed().unwrap(), 1);
         assert_eq!(remote.key_count().unwrap(), 1);
         assert!(remote.snapshot_stats().unwrap().pulls >= 2);
-    }
-
-    #[test]
-    fn stale_placement_epoch_fences_bursts_until_the_client_catches_up() {
-        let (remote, _h) = remote_node();
-        let mut out = Vec::new();
-        let mut cost = Cost::new();
-        remote.pull_batch(&[1], 1, &mut out, &mut cost).unwrap();
-        remote.flush_batch(1).unwrap();
-        remote.push_batch(&[1], &[0.1; 4], 1, &mut cost).unwrap();
-
-        // The server learns of a cutover this client has not seen yet:
-        // its epoch-0 bursts must bounce instead of mutating shards the
-        // placement table no longer routes to it.
-        let mut scratch = Cost::new();
-        remote
-            .call_result(Request::PlacementUpdate { epoch: 3 }, &mut scratch)
-            .unwrap();
-        let err = remote.pull_batch(&[1], 2, &mut out, &mut cost).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Rejected);
-        assert!(err.to_string().contains("placement epoch"), "{err}");
-
-        // set_placement_epoch ratchets both sides and bursts flow again.
-        remote.set_placement_epoch(3).unwrap();
-        assert_eq!(remote.placement_epoch(), 3);
-        out.clear();
-        remote.pull_batch(&[1], 2, &mut out, &mut cost).unwrap();
-        remote.flush_batch(2).unwrap();
-
-        // A delayed update for an older epoch never rolls the fence back.
-        remote.set_placement_epoch(1).unwrap();
-        assert_eq!(remote.placement_epoch(), 3);
-        out.clear();
-        remote.pull_batch(&[1], 3, &mut out, &mut cost).unwrap();
-    }
-
-    #[test]
-    fn migration_rpcs_round_trip() {
-        let (remote, _h) = remote_node();
-        let keys = [42u64];
-        let mut out = Vec::new();
-        let mut cost = Cost::new();
-        remote.pull_batch(&keys, 1, &mut out, &mut cost).unwrap();
-        remote.flush_batch(1).unwrap();
-        remote.push_batch(&keys, &[0.25; 4], 1, &mut cost).unwrap();
-
-        let (version, payload) = remote
-            .try_export_entry(42, &mut cost)
-            .unwrap()
-            .expect("materialized entry exports");
-        assert!(payload.len() >= 4, "weights plus optimizer state");
-        assert_eq!(remote.try_export_entry(999, &mut cost).unwrap(), None);
-
-        assert!(remote.try_discard_entry(42, &mut cost).unwrap());
-        assert_eq!(remote.weights_of(42).unwrap(), None, "source forgot it");
-
-        assert!(remote
-            .try_import_entry(42, version, &payload, &mut cost)
-            .unwrap());
-        assert_eq!(
-            remote.weights_of(42).unwrap().expect("entry restored")[..],
-            payload[..4]
-        );
     }
 
     #[test]
@@ -1006,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn migration_rpcs_return_structured_errors() {
+    fn control_rpcs_without_a_standby_return_structured_errors() {
         let mut cfg = NodeConfig::small(4);
         cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
         let engine: Arc<dyn PsEngine> = Arc::new(PsNode::new(cfg));
@@ -1018,17 +870,15 @@ mod tests {
             NetConfig::paper_default(),
         )
         .unwrap();
-        let mut cost = Cost::new();
-        assert_eq!(remote.try_export_entry(1, &mut cost).unwrap(), None);
+        assert_eq!(remote.committed().unwrap(), 0);
 
-        // Primary dies with no standby configured: a structured verdict.
+        // Primary dies with no standby configured: a structured verdict
+        // on the control path, and again on the next call.
         inj.kill();
-        let err = remote.try_discard_entry(1, &mut cost).unwrap_err();
+        let err = remote.committed().unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Disconnected);
         assert!(err.to_string().contains("no standby"), "{err}");
-        let err = remote
-            .try_import_entry(1, 1, &[0.0; 4], &mut cost)
-            .unwrap_err();
+        let err = remote.checkpoint(1).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Disconnected);
     }
 

@@ -41,6 +41,12 @@
 //! [`Packet::decode`] — the control decoder — refuses a burst type as
 //! `Corrupt`.
 //!
+//! A pull or push body opens with one reserved `u64` word: written as
+//! 0, skipped on decode, never validated. It held a placement epoch
+//! while the wire carried one; placement is in-process now
+//! (`oe-cluster`), and the word stays so that no frame changes length —
+//! the network cost model charges by frame bytes.
+//!
 //! Every decode failure — truncation, trailing bytes, bad
 //! magic/version, checksum mismatch, unknown discriminant, short body —
 //! is a structured
@@ -55,10 +61,9 @@ use oe_simdevice::{integrity_hash, Cost};
 
 /// Frame magic ("OE").
 pub const MAGIC: u16 = 0x4F45;
-/// Wire protocol version (4: v3's header, idempotence token, placement
-/// epoch and message family, with the frame checksum redefined as
-/// [`integrity_hash`]; a v3 peer's frames fail the version check, not
-/// the checksum).
+/// Wire protocol version (4: v3's header, idempotence token and burst
+/// layout, with the frame checksum redefined as [`integrity_hash`]; a
+/// v3 peer's frames fail the version check, not the checksum).
 pub const VERSION: u8 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 28;
@@ -120,54 +125,19 @@ pub enum Request {
         /// Highest fenced-off sequence number (inclusive).
         floor: u64,
     },
-    /// Placement-epoch fence: the rebalancer announces that routing
-    /// epoch `epoch` is now current. The server ratchets its epoch up
-    /// (never down — a replayed stale update is a no-op) and from then
-    /// on rejects pull/push bursts routed under an older epoch, so a
-    /// client that missed a migration cutover cannot read or write keys
-    /// that have moved away.
-    PlacementUpdate {
-        /// New placement epoch.
-        epoch: u64,
-    },
-    /// Read one key's *full* entry — version plus weights-and-optimizer
-    /// payload — for migration seeding (`PsEngine::export_entry`).
-    ExportEntry {
-        /// Key to export.
-        key: Key,
-    },
-    /// Install a full entry exported from another node
-    /// (`PsEngine::import_entry`), replacing any existing entry.
-    ImportEntry {
-        /// Key to install.
-        key: Key,
-        /// Entry version (batch id) captured at export.
-        version: BatchId,
-        /// Full payload: weights + optimizer state.
-        payload: Vec<f32>,
-    },
-    /// Forget a key entirely — migration cutover on the source side
-    /// (`PsEngine::discard_entry`).
-    DiscardEntry {
-        /// Key to discard.
-        key: Key,
-    },
 }
 
 impl Request {
     /// Whether executing this request mutates server state — only
     /// mutating requests (and the bursts, see
     /// [`RequestView::is_mutating`]) enter the replay cache; reads are
-    /// naturally idempotent. `SeqFence` and `PlacementUpdate` mutate only fencing
-    /// bookkeeping and are idempotent by construction (both only
-    /// ratchet up), so they bypass the cache too.
+    /// naturally idempotent. `SeqFence` mutates only fencing
+    /// bookkeeping and is idempotent by construction (it only ratchets
+    /// up), so it bypasses the cache too.
     pub fn is_mutating(&self) -> bool {
         matches!(
             self,
-            Request::EndPullPhase { .. }
-                | Request::Checkpoint { .. }
-                | Request::ImportEntry { .. }
-                | Request::DiscardEntry { .. }
+            Request::EndPullPhase { .. } | Request::Checkpoint { .. }
         )
     }
 }
@@ -210,9 +180,6 @@ pub enum Response {
     },
     /// Rendered telemetry text.
     Metrics(String),
-    /// A full entry (version + weights-and-optimizer payload), or
-    /// `None` if the key has no entry. Reply to `ExportEntry`.
-    Entry(Option<(BatchId, Vec<f32>)>),
     /// The server could not serve the request (e.g. an undecodable
     /// frame). Carrying the structured reason back keeps the client
     /// from blocking forever on a dropped frame and lets it classify
@@ -342,10 +309,6 @@ impl Frame {
                 Request::Hello => 0x09,
                 Request::Metrics => 0x0A,
                 Request::SeqFence { .. } => 0x0B,
-                Request::PlacementUpdate { .. } => 0x0C,
-                Request::ExportEntry { .. } => 0x0D,
-                Request::ImportEntry { .. } => 0x0E,
-                Request::DiscardEntry { .. } => 0x0F,
             },
             Frame::Response(r) => match r {
                 Response::Ack { .. } => 0x82,
@@ -356,26 +319,21 @@ impl Frame {
                 Response::Count(_) => 0x87,
                 Response::HelloOk { .. } => 0x88,
                 Response::Metrics(_) => 0x89,
-                Response::Entry(_) => 0x8A,
                 Response::Error { .. } => 0x8F,
             },
         }
     }
 
     /// Exact encoded body size in bytes. Kept in lockstep with
-    /// [`Frame::encode_body`] (asserted by the codec tests) so
-    /// [`Packet::encoded_len`] and encode pre-sizing never re-encode.
+    /// [`Frame::encode_body`] (asserted by the codec tests) so encode
+    /// pre-sizes its buffer once.
     fn body_len(&self) -> usize {
         match self {
             Frame::Request(r) => match r {
                 Request::EndPullPhase { .. }
                 | Request::Checkpoint { .. }
                 | Request::ReadWeights { .. }
-                | Request::SeqFence { .. }
-                | Request::PlacementUpdate { .. }
-                | Request::ExportEntry { .. }
-                | Request::DiscardEntry { .. } => 8,
-                Request::ImportEntry { payload, .. } => 8 + 8 + 4 + payload.len() * 4,
+                | Request::SeqFence { .. } => 8,
                 Request::Committed
                 | Request::Stats
                 | Request::NumKeys
@@ -393,10 +351,6 @@ impl Frame {
                 },
                 Response::HelloOk { name, .. } => 4 + 4 + name.len(),
                 Response::Metrics(text) => 4 + text.len(),
-                Response::Entry(e) => match e {
-                    Some((_, payload)) => 1 + 8 + 4 + payload.len() * 4,
-                    None => 1,
-                },
                 Response::Error { message, .. } => 1 + 4 + message.len(),
             },
         }
@@ -410,19 +364,6 @@ impl Frame {
                 }
                 Request::ReadWeights { key } => body.put_u64_le(*key),
                 Request::SeqFence { floor } => body.put_u64_le(*floor),
-                Request::PlacementUpdate { epoch } => body.put_u64_le(*epoch),
-                Request::ExportEntry { key } | Request::DiscardEntry { key } => {
-                    body.put_u64_le(*key)
-                }
-                Request::ImportEntry {
-                    key,
-                    version,
-                    payload,
-                } => {
-                    body.put_u64_le(*key);
-                    body.put_u64_le(*version);
-                    put_f32s(body, payload);
-                }
                 Request::Committed
                 | Request::Stats
                 | Request::NumKeys
@@ -472,14 +413,6 @@ impl Frame {
                     body.put_slice(name.as_bytes());
                 }
                 Response::Metrics(text) => put_str(body, text),
-                Response::Entry(e) => match e {
-                    Some((version, payload)) => {
-                        body.put_u8(1);
-                        body.put_u64_le(*version);
-                        put_f32s(body, payload);
-                    }
-                    None => body.put_u8(0),
-                },
                 Response::Error { kind, message } => {
                     body.put_u8(kind.code());
                     put_str(body, message);
@@ -506,20 +439,6 @@ impl Frame {
             0x0A => Frame::Request(Request::Metrics),
             0x0B => Frame::Request(Request::SeqFence {
                 floor: get_u64(body)?,
-            }),
-            0x0C => Frame::Request(Request::PlacementUpdate {
-                epoch: get_u64(body)?,
-            }),
-            0x0D => Frame::Request(Request::ExportEntry {
-                key: get_u64(body)?,
-            }),
-            0x0E => Frame::Request(Request::ImportEntry {
-                key: get_u64(body)?,
-                version: get_u64(body)?,
-                payload: get_f32s(body)?,
-            }),
-            0x0F => Frame::Request(Request::DiscardEntry {
-                key: get_u64(body)?,
             }),
             0x82 => Frame::Response(Response::Ack {
                 cost: get_cost(body)?,
@@ -576,17 +495,6 @@ impl Frame {
                 Frame::Response(Response::HelloOk { dim, name })
             }
             0x89 => Frame::Response(Response::Metrics(get_str(body)?)),
-            0x8A => {
-                if body.remaining() < 1 {
-                    return Err(truncated());
-                }
-                let present = body.get_u8() == 1;
-                Frame::Response(Response::Entry(if present {
-                    Some((get_u64(body)?, get_f32s(body)?))
-                } else {
-                    None
-                }))
-            }
             0x8F => {
                 if body.remaining() < 1 {
                     return Err(truncated());
@@ -665,33 +573,30 @@ impl Packet {
         pkt.freeze()
     }
 
-    /// Encode a pull burst (type `0x01`: epoch, batch, keys) straight
-    /// from a borrowed key slice. `epoch` is the placement epoch the
-    /// client routed under — the server rejects epochs older than its
-    /// own (the keys may have migrated away); 0 = static placement.
-    pub fn encode_pull(client: u32, seq: u64, epoch: u64, batch: BatchId, keys: &[Key]) -> Bytes {
+    /// Encode a pull burst (type `0x01`: reserved word, batch, keys)
+    /// straight from a borrowed key slice.
+    pub fn encode_pull(client: u32, seq: u64, batch: BatchId, keys: &[Key]) -> Bytes {
         let mut pkt = BytesMut::with_capacity(HEADER_LEN + 20 + keys.len() * 8);
         Self::put_header(&mut pkt, 0x01, client, seq);
-        pkt.put_u64_le(epoch);
+        pkt.put_u64_le(0); // reserved
         pkt.put_u64_le(batch);
         put_u64s(&mut pkt, keys);
         Self::seal(pkt)
     }
 
-    /// Encode a push burst (type `0x02`: epoch, batch, keys, then
-    /// `keys.len() × dim` gradients pre-aggregated per key) straight
-    /// from borrowed slices.
+    /// Encode a push burst (type `0x02`: reserved word, batch, keys,
+    /// then `keys.len() × dim` gradients pre-aggregated per key)
+    /// straight from borrowed slices.
     pub fn encode_push(
         client: u32,
         seq: u64,
-        epoch: u64,
         batch: BatchId,
         keys: &[Key],
         grads: &[f32],
     ) -> Bytes {
         let mut pkt = BytesMut::with_capacity(HEADER_LEN + 24 + keys.len() * 8 + grads.len() * 4);
         Self::put_header(&mut pkt, 0x02, client, seq);
-        pkt.put_u64_le(epoch);
+        pkt.put_u64_le(0); // reserved
         pkt.put_u64_le(batch);
         put_u64s(&mut pkt, keys);
         put_f32s(&mut pkt, grads);
@@ -724,12 +629,6 @@ impl Packet {
             seq: meta.seq,
             frame,
         })
-    }
-
-    /// Wire size of the encoded packet (for network-cost charging),
-    /// computed without encoding.
-    pub fn encoded_len(&self) -> usize {
-        HEADER_LEN + self.frame.body_len()
     }
 }
 
@@ -908,6 +807,13 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, Error> {
     Ok(v)
 }
 
+/// The batch id of a burst body: skip the reserved word (whatever it
+/// holds), then read the batch.
+fn burst_batch(buf: &mut &[u8]) -> Result<BatchId, Error> {
+    take_u64(buf)?;
+    take_u64(buf)
+}
+
 /// A request decoded in place over a validated frame: the bursts
 /// (`Pull`, `Push`) keep their key and gradient vectors as borrowed
 /// views over the frame bytes; `Other` carries an owned control message
@@ -916,8 +822,6 @@ fn take_u64(buf: &mut &[u8]) -> Result<u64, Error> {
 pub enum RequestView<'a> {
     /// Pull burst; `keys` borrows the frame.
     Pull {
-        /// Placement epoch the client routed under.
-        epoch: u64,
         /// Batch about to train.
         batch: BatchId,
         /// Keys to fetch, viewed over the frame bytes.
@@ -925,8 +829,6 @@ pub enum RequestView<'a> {
     },
     /// Push burst; `keys` and `grads` borrow the frame.
     Push {
-        /// Placement epoch the client routed under.
-        epoch: u64,
         /// Batch that produced the gradients.
         batch: BatchId,
         /// Updated keys, viewed over the frame bytes.
@@ -945,13 +847,11 @@ impl<'a> RequestView<'a> {
         let mut body: &[u8] = &buf[HEADER_LEN..HEADER_LEN + meta.body_len];
         match meta.msg_type {
             0x01 => Ok(RequestView::Pull {
-                epoch: take_u64(&mut body)?,
-                batch: take_u64(&mut body)?,
+                batch: burst_batch(&mut body)?,
                 keys: U64sView::split(&mut body)?,
             }),
             0x02 => Ok(RequestView::Push {
-                epoch: take_u64(&mut body)?,
-                batch: take_u64(&mut body)?,
+                batch: burst_batch(&mut body)?,
                 keys: U64sView::split(&mut body)?,
                 grads: F32sView::split(&mut body)?,
             }),
@@ -973,15 +873,6 @@ impl<'a> RequestView<'a> {
         match self {
             RequestView::Pull { .. } | RequestView::Push { .. } => true,
             RequestView::Other(r) => r.is_mutating(),
-        }
-    }
-
-    /// The placement epoch this burst was routed under, if it carries
-    /// one.
-    pub fn epoch(&self) -> Option<u64> {
-        match self {
-            RequestView::Pull { epoch, .. } | RequestView::Push { epoch, .. } => Some(*epoch),
-            RequestView::Other(_) => None,
         }
     }
 }
@@ -1056,7 +947,11 @@ pub(crate) mod tests {
             frame: f,
         };
         let enc = p.encode();
-        assert_eq!(p.encoded_len(), enc.len(), "analytic length is exact");
+        assert_eq!(
+            HEADER_LEN + p.frame.body_len(),
+            enc.len(),
+            "analytic length is exact"
+        );
         let dec = Packet::decode(enc).expect("decodes");
         assert_eq!(dec, p);
     }
@@ -1072,29 +967,6 @@ pub(crate) mod tests {
         roundtrip(Frame::Request(Request::Hello));
         roundtrip(Frame::Request(Request::Metrics));
         roundtrip(Frame::Request(Request::SeqFence { floor: u64::MAX }));
-        roundtrip(Frame::Request(Request::PlacementUpdate { epoch: 3 }));
-        roundtrip(Frame::Request(Request::ExportEntry { key: 12 }));
-        roundtrip(Frame::Request(Request::ImportEntry {
-            key: 12,
-            version: 40,
-            payload: vec![1.5, -0.25, 0.0, 9.75],
-        }));
-        roundtrip(Frame::Request(Request::DiscardEntry { key: 12 }));
-    }
-
-    #[test]
-    fn migration_family_cacheability() {
-        // Import/discard mutate entry state → replay-cached; export is a
-        // read and the epoch fence ratchets idempotently → neither cached.
-        assert!(Request::ImportEntry {
-            key: 1,
-            version: 0,
-            payload: vec![]
-        }
-        .is_mutating());
-        assert!(Request::DiscardEntry { key: 1 }.is_mutating());
-        assert!(!Request::ExportEntry { key: 1 }.is_mutating());
-        assert!(!Request::PlacementUpdate { epoch: 9 }.is_mutating());
     }
 
     #[test]
@@ -1140,11 +1012,6 @@ pub(crate) mod tests {
             "# TYPE oe_pulls_total counter\noe_pulls_total 7\n".into(),
         )));
         roundtrip(Frame::Response(Response::Metrics(String::new())));
-        roundtrip(Frame::Response(Response::Entry(Some((
-            17,
-            vec![0.5, -2.0, f32::MAX],
-        )))));
-        roundtrip(Frame::Response(Response::Entry(None)));
         roundtrip(Frame::Response(Response::Error {
             kind: ErrorKind::Corrupt,
             message: "bad magic".into(),
@@ -1205,7 +1072,7 @@ pub(crate) mod tests {
 
     #[test]
     fn truncated_rejected() {
-        let enc = Packet::encode_pull(2, 5, 0, 1, &[1, 2, 3]);
+        let enc = Packet::encode_pull(2, 5, 1, &[1, 2, 3]);
         for cut in [0, 4, HEADER_LEN - 1, HEADER_LEN, enc.len() - 1] {
             let t = enc.slice(0..cut);
             let err = validate_frame(&t).unwrap_err();
@@ -1220,7 +1087,7 @@ pub(crate) mod tests {
         // The checksum catches single bit flips anywhere in the packet —
         // including inside the f32 gradient body, where a flip would
         // otherwise decode cleanly and silently corrupt training.
-        let enc = Packet::encode_push(1, 7, 0, 2, &[10, 11], &[0.25, -0.5, 1.0, 2.0]);
+        let enc = Packet::encode_push(1, 7, 2, &[10, 11], &[0.25, -0.5, 1.0, 2.0]);
         validate_frame(&enc).expect("the unflipped frame is intact");
         for byte in 0..enc.len() {
             for bit in 0..8 {
@@ -1236,18 +1103,27 @@ pub(crate) mod tests {
     #[test]
     fn unknown_type_rejected() {
         // Rebuild a packet with an unknown msg type and a valid
-        // checksum: the type check must still reject it.
-        let mut pkt = BytesMut::new();
-        pkt.put_u16_le(MAGIC);
-        pkt.put_u8(VERSION);
-        pkt.put_u8(0x7F);
-        pkt.put_u32_le(1);
-        pkt.put_u64_le(1);
-        pkt.put_u32_le(0);
-        pkt.put_u64_le(0);
-        let err = Packet::decode(Packet::seal(pkt)).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Corrupt);
-        assert!(err.context().contains("unknown message type"), "{err}");
+        // checksum: the type check must still reject it. The retired
+        // placement-plane codes (placement update, entry export /
+        // import / discard, and the entry reply) are unknown like any
+        // other, body or no body.
+        for msg_type in [0x7Fu8, 0x0C, 0x0D, 0x0E, 0x0F, 0x8A] {
+            for body in [&[][..], &[1, 0, 0, 0, 0, 0, 0, 0][..]] {
+                let mut pkt = BytesMut::new();
+                Packet::put_header(&mut pkt, msg_type, 1, 1);
+                pkt.put_slice(body);
+                let buf = Packet::seal(pkt);
+                let meta = validate_frame(&buf).expect("sealed");
+                for err in [
+                    Packet::decode(buf.clone()).unwrap_err(),
+                    RequestView::decode(meta, &buf).unwrap_err(),
+                    ResponseView::decode(meta, &buf).unwrap_err(),
+                ] {
+                    assert_eq!(err.kind(), ErrorKind::Corrupt, "type {msg_type:#04x}");
+                    assert!(err.context().contains("unknown message type"), "{err}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1257,8 +1133,8 @@ pub(crate) mod tests {
         let mut cost = Cost::new();
         cost.charge(CostKind::Net, 77);
         for (frame, msg_type) in [
-            (Packet::encode_pull(1, 1, 0, 1, &[4, 5]), 0x01u8),
-            (Packet::encode_push(1, 2, 0, 1, &[4], &[0.5; 4]), 0x02),
+            (Packet::encode_pull(1, 1, 1, &[4, 5]), 0x01u8),
+            (Packet::encode_push(1, 2, 1, &[4], &[0.5; 4]), 0x02),
             (
                 Packet::encode_weights_response(1, 3, &[0.5; 4], &cost),
                 0x81,
@@ -1286,33 +1162,52 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// The pull and push goldens as a client that stamped placement
+    /// epoch 5 into the reserved word wrote them (captured at 6a68af9).
+    const PULL_EPOCH_5: &str = "454f 04 01 03000000 2900000000000000  24000000  9674742759052229
+                                0500000000000000 0900000000000000
+                                02000000 0100000000000000 ffffffffffffffff";
+    const PUSH_EPOCH_5: &str = "454f 04 02 03000000 2a00000000000000  30000000  dd17692838603452
+                                0500000000000000 0900000000000000
+                                01000000 0700000000000000
+                                04000000 0000003f 0000a0bf a7847031 ffff7f7f";
+
     #[test]
     fn borrowed_encoders_emit_protocol_v4_bytes() {
         // Golden frames — magic, version, type, client, seq | body length
-        // | checksum | body — produced at commit 6a68af9 by the owned
-        // `Packet::request(..).encode()` / `Packet::response(..).encode()`
-        // this crate had until PR 15. The borrow-encoders are the only
-        // writers of these message types now; they must keep emitting
-        // protocol v4 byte for byte.
-        let pull = Packet::encode_pull(3, 41, 5, 9, &[1, u64::MAX]);
+        // | checksum | body. The weights reply was produced at commit
+        // 6a68af9 by the owned encoder this crate had then; the bursts
+        // are those frames with the reserved word zeroed and re-sealed.
+        // The borrow-encoders are the only writers of these message
+        // types; they must keep emitting protocol v4 byte for byte.
+        let pull = Packet::encode_pull(3, 41, 9, &[1, u64::MAX]);
         assert_eq!(
             &pull[..],
             &unhex(
-                "454f 04 01 03000000 2900000000000000  24000000  9674742759052229
-                 0500000000000000 0900000000000000
+                "454f 04 01 03000000 2900000000000000  24000000  31aece4ef6b8b766
+                 0000000000000000 0900000000000000
                  02000000 0100000000000000 ffffffffffffffff"
             )[..]
         );
-        let push = Packet::encode_push(3, 42, 5, 9, &[7], &[0.5, -1.25, 3.5e-9, f32::MAX]);
+        let push = Packet::encode_push(3, 42, 9, &[7], &[0.5, -1.25, 3.5e-9, f32::MAX]);
         assert_eq!(
             &push[..],
             &unhex(
-                "454f 04 02 03000000 2a00000000000000  30000000  dd17692838603452
-                 0500000000000000 0900000000000000
+                "454f 04 02 03000000 2a00000000000000  30000000  c23d6218c5d5a04d
+                 0000000000000000 0900000000000000
                  01000000 0700000000000000
                  04000000 0000003f 0000a0bf a7847031 ffff7f7f"
             )[..]
         );
+        // Against the epoch-stamped frames only the checksum and the
+        // reserved word differ: no burst changed length or layout.
+        for (now, stamped) in [(&pull, PULL_EPOCH_5), (&push, PUSH_EPOCH_5)] {
+            let stamped = unhex(stamped);
+            assert_eq!(now.len(), stamped.len());
+            for (i, (a, b)) in now.iter().zip(&stamped).enumerate() {
+                assert!(a == b || (20..HEADER_LEN + 8).contains(&i), "byte {i}");
+            }
+        }
         let mut cost = Cost::new();
         cost.charge(CostKind::Net, 77);
         cost.charge(CostKind::PmemRead, 305);
@@ -1328,6 +1223,30 @@ pub(crate) mod tests {
                  0000000000000000 0000000000000000 0100000000000000 0000000000000000"
             )[..]
         );
+    }
+
+    #[test]
+    fn epoch_stamped_bursts_still_view_decode() {
+        // A peer that still writes a placement epoch into the reserved
+        // word is read exactly as before: the word is skipped.
+        let pull = Bytes::from(unhex(PULL_EPOCH_5));
+        let meta = validate_frame(&pull).expect("sealed");
+        let RequestView::Pull { batch, keys } = RequestView::decode(meta, &pull).unwrap() else {
+            panic!("wrong view");
+        };
+        assert_eq!(
+            (batch, keys.iter().collect::<Vec<_>>()),
+            (9, vec![1, u64::MAX])
+        );
+        let push = Bytes::from(unhex(PUSH_EPOCH_5));
+        let meta = validate_frame(&push).expect("sealed");
+        let RequestView::Push { batch, keys, grads } = RequestView::decode(meta, &push).unwrap()
+        else {
+            panic!("wrong view");
+        };
+        assert_eq!((batch, keys.iter().collect::<Vec<_>>()), (9, vec![7]));
+        let want = [0.5f32, -1.25, 3.5e-9, f32::MAX].map(f32::to_bits);
+        assert_eq!(grads.iter().map(f32::to_bits).collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -1361,11 +1280,10 @@ pub(crate) mod tests {
     fn request_views_read_back_the_encoded_burst() {
         let keys = [4u64, 5, 4, u64::MAX];
         let grads = [1.0f32, 2.0, -3.0, 0.5];
-        let enc = Packet::encode_push(9, 11, 2, 3, &keys, &grads);
+        let enc = Packet::encode_push(9, 11, 3, &keys, &grads);
         let meta = validate_frame(&enc).expect("valid frame");
         assert_eq!((meta.client, meta.seq, meta.msg_type), (9, 11, 0x02));
         let RequestView::Push {
-            epoch,
             batch,
             keys: kv,
             grads: gv,
@@ -1373,7 +1291,7 @@ pub(crate) mod tests {
         else {
             panic!("wrong view");
         };
-        assert_eq!((epoch, batch), (2, 3));
+        assert_eq!(batch, 3);
         assert_eq!(kv.iter().collect::<Vec<_>>(), keys);
         assert_eq!(gv.iter().collect::<Vec<_>>(), grads);
         assert_eq!(kv.get(3), u64::MAX);
@@ -1390,7 +1308,6 @@ pub(crate) mod tests {
             RequestView::Other(Request::SeqFence { floor: 6 })
         ));
         assert!(!view.is_mutating());
-        assert_eq!(view.epoch(), None);
     }
 
     #[test]
@@ -1424,9 +1341,9 @@ pub(crate) mod tests {
         // frame carries must fail validation or view decode, never
         // panic. Build a push, then corrupt the key-count prefix upward
         // and re-seal so only the view parser can catch it.
-        let enc = Packet::encode_push(1, 1, 0, 1, &[1, 2], &[0.5, 1.5]);
+        let enc = Packet::encode_push(1, 1, 1, &[1, 2], &[0.5, 1.5]);
         let mut raw = BytesMut::from(&enc[..]);
-        let count_at = HEADER_LEN + 16; // epoch + batch, then key count
+        let count_at = HEADER_LEN + 16; // reserved word + batch, then key count
         raw[count_at..count_at + 4].copy_from_slice(&1000u32.to_le_bytes());
         let buf = Packet::seal(raw);
         let meta = validate_frame(&buf).expect("frame-level checks pass");

@@ -142,12 +142,6 @@ impl NetConfig {
         }
     }
 
-    /// Builder: replace the cost model.
-    pub fn with_charge(mut self, charge: NetCharge) -> Self {
-        self.charge = charge;
-        self
-    }
-
     /// Builder: replace the per-attempt deadline.
     pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.deadline = deadline;

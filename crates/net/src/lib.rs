@@ -11,11 +11,13 @@
 //!   wrong between client and server (timeout, disconnect, corruption,
 //!   busy, rejection), with a source chain and a retryability
 //!   classification;
-//! - [`codec`] — a compact binary wire format for every PS message
-//!   (pull, push, checkpoint, stats, weight reads), with explicit
+//! - [`codec`] — a compact binary wire format for exactly what a
+//!   [`PsClient`] sends (pull, push, end-pull, checkpoint, stats,
+//!   weight reads, …) plus the failover sequence fence, with explicit
 //!   framing, versioning, a per-request `(client, seq)` idempotence
 //!   token, and a whole-frame checksum that turns in-flight bit flips
-//!   into structured errors;
+//!   into structured errors. Placement is in-process (`oe-cluster`):
+//!   the wire carries no placement epoch and no migration message;
 //! - [`transport`] — a deadline-aware [`transport::Transport`]
 //!   abstraction with an in-process loopback implementation (bounded
 //!   channels carrying frames), standing in for the testbed's 30 Gb

@@ -29,32 +29,17 @@
 //! answers any mutating request at or below the recorded floor with a
 //! `Rejected` error instead of executing it. Floors only ratchet
 //! upward and are tracked per client id.
-//!
-//! ## Placement epochs
-//!
-//! Live migration (`oe-cluster`) changes which node owns a key; a
-//! client routing under a pre-cutover table would read or write keys
-//! that have already moved away. Every pull/push carries the placement
-//! epoch it was routed under; the server tracks the cluster epoch
-//! ([`Request::PlacementUpdate`], an upward ratchet like the seq fence)
-//! and rejects *fresh* bursts from older epochs. The order of checks is
-//! load-bearing: the replay cache is consulted **before** the epoch
-//! check, so a retry of a mutation that already executed pre-cutover
-//! still gets its original cached response — exactly-once survives the
-//! epoch bump — while an unexecuted stale burst is refused and the
-//! client must re-route under the new table.
 
 use crate::codec::{validate_frame, Packet, Request, RequestView, Response};
-use crate::error::ErrorKind;
+use crate::error::{Error, ErrorKind};
 use crate::transport::ServerTransport;
 use bytes::Bytes;
 use oe_core::engine::PsEngine;
 use oe_core::{ScratchPool, Shape};
 use oe_simdevice::sync::Mutex;
 use oe_simdevice::Cost;
-use oe_telemetry::{Phase, PhaseTimes, Registry};
+use oe_telemetry::{Counter, Phase, PhaseTimes, Registry};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -128,35 +113,21 @@ impl PsServer {
         threads: usize,
     ) -> ServerHandle {
         let registry = Arc::new(Registry::new());
-        let requests = registry.counter("rpc_requests_total");
-        let decode_errors = registry.counter("rpc_decode_errors_total");
-        let replay_hits = registry.counter("rpc_replay_hits_total");
-        let stale_rejects = registry.counter("rpc_stale_seq_rejections_total");
-        let placement_updates = registry.counter("rpc_placement_updates_total");
-        let epoch_rejects = registry.counter("rpc_stale_epoch_rejections_total");
-        let placement_epoch = Arc::new(AtomicU64::new(0));
-        let phases = Arc::new(PhaseTimes::new(
-            &registry,
-            "rpc",
-            &[Phase::RpcDecode, Phase::RpcExecute],
-        ));
-        let replay = Arc::new(Mutex::new(ReplayCache::new()));
-        let seq_floors: Arc<Mutex<HashMap<u32, u64>>> = Arc::new(Mutex::new(HashMap::new()));
+        let shared = Arc::new(Shared {
+            engine,
+            requests: registry.counter("rpc_requests_total"),
+            decode_errors: registry.counter("rpc_decode_errors_total"),
+            replay_hits: registry.counter("rpc_replay_hits_total"),
+            stale_rejects: registry.counter("rpc_stale_seq_rejections_total"),
+            phases: PhaseTimes::new(&registry, "rpc", &[Phase::RpcDecode, Phase::RpcExecute]),
+            registry: Arc::clone(&registry),
+            replay: Mutex::new(ReplayCache::new()),
+            seq_floors: Mutex::new(HashMap::new()),
+        });
         let workers = (0..threads.max(1))
             .map(|_| {
-                let engine = Arc::clone(&engine);
+                let shared = Arc::clone(&shared);
                 let rx = transport.clone();
-                let registry = Arc::clone(&registry);
-                let requests = requests.clone();
-                let decode_errors = decode_errors.clone();
-                let replay_hits = replay_hits.clone();
-                let stale_rejects = stale_rejects.clone();
-                let placement_updates = placement_updates.clone();
-                let epoch_rejects = epoch_rejects.clone();
-                let placement_epoch = Arc::clone(&placement_epoch);
-                let phases = Arc::clone(&phases);
-                let replay = Arc::clone(&replay);
-                let seq_floors = Arc::clone(&seq_floors);
                 std::thread::spawn(move || {
                     let mut served = 0u64;
                     // Per-worker arena pool: a request's keys and grads
@@ -165,189 +136,109 @@ impl PsServer {
                     let scratch = ScratchPool::new();
                     while let Some((req, reply)) = rx.recv() {
                         served += 1;
-                        requests.inc();
-                        // Validate the frame (magic/version/checksum)
-                        // and decode the hot-path bursts as borrowed
-                        // views over the request bytes; only non-burst
-                        // requests materialize owned bodies.
-                        let decoded = {
-                            let _span = phases.span(Phase::RpcDecode);
-                            validate_frame(&req).map(|meta| (meta, RequestView::decode(meta, &req)))
-                        };
-                        // An undecodable frame still gets a reply: the
-                        // client is blocked waiting on this call, and
-                        // silence would cost it a full deadline. A
-                        // corrupted packet's token is untrustworthy, so
-                        // the error reply carries token (0, 0) and is
-                        // never cached.
-                        let encoded = match decoded {
-                            Ok((meta, view)) => {
-                                let token = (meta.client, meta.seq);
-                                match view {
-                                    Ok(RequestView::Other(Request::Metrics)) => {
-                                        let mut text = registry.render_text();
-                                        text.push_str(&engine.metrics_text());
-                                        Packet::response(token.0, token.1, Response::Metrics(text))
-                                            .encode()
-                                    }
-                                    Ok(RequestView::Other(Request::SeqFence { floor })) => {
-                                        // Ratchet only upward: a delayed
-                                        // duplicate of an older fence must
-                                        // not reopen already-fenced seqs.
-                                        let mut floors = seq_floors.lock();
-                                        let f = floors.entry(token.0).or_insert(0);
-                                        *f = (*f).max(floor);
-                                        Packet::response(
-                                            token.0,
-                                            token.1,
-                                            Response::Ack { cost: Cost::new() },
-                                        )
-                                        .encode()
-                                    }
-                                    Ok(RequestView::Other(Request::PlacementUpdate { epoch })) => {
-                                        // Upward ratchet, like the seq
-                                        // fence: a replayed stale update
-                                        // is a harmless no-op.
-                                        placement_epoch.fetch_max(epoch, Ordering::SeqCst);
-                                        placement_updates.inc();
-                                        Packet::response(
-                                            token.0,
-                                            token.1,
-                                            Response::Ack { cost: Cost::new() },
-                                        )
-                                        .encode()
-                                    }
-                                    Ok(view) => {
-                                        let fenced = view.is_mutating()
-                                            && seq_floors
-                                                .lock()
-                                                .get(&token.0)
-                                                .is_some_and(|&floor| token.1 <= floor);
-                                        if fenced {
-                                            // Never cached: the reject is
-                                            // stateless and the token's
-                                            // owner has already moved on.
-                                            stale_rejects.inc();
-                                            Packet::response(
-                                                token.0,
-                                                token.1,
-                                                Response::Error {
-                                                    kind: ErrorKind::Rejected,
-                                                    message: format!(
-                                                        "seq {} at or below fence floor: \
-                                                         token predates a failover",
-                                                        token.1
-                                                    ),
-                                                },
-                                            )
-                                            .encode()
-                                        } else {
-                                            let cached = if view.is_mutating() {
-                                                replay.lock().get(token)
-                                            } else {
-                                                None
-                                            };
-                                            let server_epoch =
-                                                placement_epoch.load(Ordering::SeqCst);
-                                            match cached {
-                                                Some(bytes) => {
-                                                    // Cached ⇒ already
-                                                    // executed; answer the
-                                                    // retry even if the
-                                                    // placement epoch has
-                                                    // moved on since.
-                                                    replay_hits.inc();
-                                                    bytes
-                                                }
-                                                None if view
-                                                    .epoch()
-                                                    .is_some_and(|e| e < server_epoch) =>
-                                                {
-                                                    // Never cached: the
-                                                    // client re-routes and
-                                                    // re-sends under the
-                                                    // current table.
-                                                    epoch_rejects.inc();
-                                                    Packet::response(
-                                                        token.0,
-                                                        token.1,
-                                                        Response::Error {
-                                                            kind: ErrorKind::Rejected,
-                                                            message:
-                                                                "stale placement epoch: burst \
-                                                                 routed under a pre-migration \
-                                                                 table"
-                                                                    .to_string(),
-                                                        },
-                                                    )
-                                                    .encode()
-                                                }
-                                                None => {
-                                                    let mutating = view.is_mutating();
-                                                    let bytes = {
-                                                        let _span = phases.span(Phase::RpcExecute);
-                                                        Self::execute_view(
-                                                            engine.as_ref(),
-                                                            token,
-                                                            view,
-                                                            &scratch,
-                                                        )
-                                                    };
-                                                    if mutating {
-                                                        replay.lock().insert(token, bytes.clone());
-                                                    }
-                                                    bytes
-                                                }
-                                            }
-                                        }
-                                    }
-                                    Err(_) if meta.msg_type >= 0x80 => {
-                                        decode_errors.inc();
-                                        Packet::response(
-                                            token.0,
-                                            token.1,
-                                            Response::Error {
-                                                kind: ErrorKind::Rejected,
-                                                message: "unexpected response frame".to_string(),
-                                            },
-                                        )
-                                        .encode()
-                                    }
-                                    Err(e) => {
-                                        decode_errors.inc();
-                                        Packet::response(
-                                            0,
-                                            0,
-                                            Response::Error {
-                                                kind: e.kind(),
-                                                message: e.to_string(),
-                                            },
-                                        )
-                                        .encode()
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                decode_errors.inc();
-                                Packet::response(
-                                    0,
-                                    0,
-                                    Response::Error {
-                                        kind: e.kind(),
-                                        message: e.to_string(),
-                                    },
-                                )
-                                .encode()
-                            }
-                        };
                         // A vanished client is not a server error.
-                        let _ = reply.send(encoded);
+                        let _ = reply.send(shared.reply(&req, &scratch));
                     }
                     served
                 })
             })
             .collect();
         ServerHandle { workers, registry }
+    }
+}
+
+/// What every worker of one server shares: the engine, the telemetry,
+/// the replay cache and the per-client sequence floors.
+struct Shared {
+    engine: Arc<dyn PsEngine>,
+    registry: Arc<Registry>,
+    requests: Counter,
+    decode_errors: Counter,
+    replay_hits: Counter,
+    stale_rejects: Counter,
+    phases: PhaseTimes,
+    replay: Mutex<ReplayCache>,
+    seq_floors: Mutex<HashMap<u32, u64>>,
+}
+
+impl Shared {
+    /// Answer one request frame. Every frame gets a reply — the client
+    /// is blocked waiting on this call, and silence would cost it a full
+    /// deadline.
+    fn reply(&self, frame: &Bytes, scratch: &ScratchPool) -> Bytes {
+        self.requests.inc();
+        // Validate the frame (magic/version/checksum) and decode the
+        // bursts as borrowed views over the request bytes; only control
+        // requests materialize owned bodies.
+        let decoded = {
+            let _span = self.phases.span(Phase::RpcDecode);
+            validate_frame(frame).map(|meta| (meta, RequestView::decode(meta, frame)))
+        };
+        let (meta, view) = match decoded {
+            Ok(decoded) => decoded,
+            Err(e) => return self.undecodable(e),
+        };
+        let token = (meta.client, meta.seq);
+        let view = match view {
+            Ok(view) => view,
+            // A sealed response frame sent as a request: its token is
+            // trustworthy, so the reject carries it.
+            Err(_) if meta.msg_type >= 0x80 => {
+                self.decode_errors.inc();
+                return error_reply(
+                    token,
+                    ErrorKind::Rejected,
+                    "unexpected response frame".into(),
+                );
+            }
+            Err(e) => return self.undecodable(e),
+        };
+        // The exposition and the sequence fence touch no engine state:
+        // answered untimed, never fenced, never cached.
+        if let RequestView::Other(req @ (Request::Metrics | Request::SeqFence { .. })) = view {
+            return Packet::response(token.0, token.1, self.execute(token.0, req)).encode();
+        }
+        let mutating = view.is_mutating();
+        if mutating {
+            if self
+                .seq_floors
+                .lock()
+                .get(&token.0)
+                .is_some_and(|&floor| token.1 <= floor)
+            {
+                // Never cached: the reject is stateless and the token's
+                // owner has already moved on.
+                self.stale_rejects.inc();
+                return error_reply(
+                    token,
+                    ErrorKind::Rejected,
+                    format!(
+                        "seq {} at or below fence floor: token predates a failover",
+                        token.1
+                    ),
+                );
+            }
+            if let Some(bytes) = self.replay.lock().get(token) {
+                self.replay_hits.inc();
+                return bytes;
+            }
+        }
+        let bytes = {
+            let _span = self.phases.span(Phase::RpcExecute);
+            self.execute_view(token, view, scratch)
+        };
+        if mutating {
+            self.replay.lock().insert(token, bytes.clone());
+        }
+        bytes
+    }
+
+    /// The reply to a frame that does not decode. A corrupted packet's
+    /// token is untrustworthy, so the reply carries token (0, 0); it is
+    /// never cached.
+    fn undecodable(&self, e: Error) -> Bytes {
+        self.decode_errors.inc();
+        error_reply((0, 0), e.kind(), e.to_string())
     }
 
     /// Execute a borrowed request view and encode the reply.
@@ -360,17 +251,14 @@ impl PsServer {
     /// straight from the scratch weights. Control messages go through
     /// [`Self::execute`].
     fn execute_view(
-        engine: &dyn PsEngine,
+        &self,
         token: (u32, u64),
         view: RequestView<'_>,
         scratch: &ScratchPool,
     ) -> Bytes {
+        let engine = self.engine.as_ref();
         match view {
-            RequestView::Pull {
-                epoch: _,
-                batch,
-                keys,
-            } => {
+            RequestView::Pull { batch, keys } => {
                 let dim = engine.dim();
                 let mut arena = scratch.acquire(Shape::request(keys.len(), keys.len() * dim));
                 let s = &mut *arena;
@@ -380,32 +268,23 @@ impl PsServer {
                 engine.pull(&s.keys, batch, &mut s.rows, &mut cost);
                 Packet::encode_weights_response(token.0, token.1, &s.rows, &cost)
             }
-            RequestView::Push {
-                epoch: _,
-                batch,
-                keys,
-                grads,
-            } => {
+            RequestView::Push { batch, keys, grads } => {
                 let dim = engine.dim();
                 // A shape mismatch is a malformed request, not a server
                 // bug: reject it with a structured error instead of
                 // letting the engine's internal invariants trip.
                 if grads.len() != keys.len() * dim {
-                    return Packet::response(
-                        token.0,
-                        token.1,
-                        Response::Error {
-                            kind: ErrorKind::Rejected,
-                            message: format!(
-                                "push shape mismatch: {} keys at dim {} require {} grads, got {}",
-                                keys.len(),
-                                dim,
-                                keys.len() * dim,
-                                grads.len()
-                            ),
-                        },
-                    )
-                    .encode();
+                    return error_reply(
+                        token,
+                        ErrorKind::Rejected,
+                        format!(
+                            "push shape mismatch: {} keys at dim {} require {} grads, got {}",
+                            keys.len(),
+                            dim,
+                            keys.len() * dim,
+                            grads.len()
+                        ),
+                    );
                 }
                 let mut arena = scratch.acquire(Shape::request(keys.len(), grads.len()));
                 let s = &mut *arena;
@@ -416,12 +295,14 @@ impl PsServer {
                 Packet::response(token.0, token.1, Response::Ack { cost }).encode()
             }
             RequestView::Other(r) => {
-                Packet::response(token.0, token.1, Self::execute(engine, r)).encode()
+                Packet::response(token.0, token.1, self.execute(token.0, r)).encode()
             }
         }
     }
 
-    fn execute(engine: &dyn PsEngine, req: Request) -> Response {
+    /// Execute a control request from `client`.
+    fn execute(&self, client: u32, req: Request) -> Response {
+        let engine = self.engine.as_ref();
         match req {
             Request::EndPullPhase { batch } => {
                 let report = engine.end_pull_phase(batch);
@@ -444,36 +325,27 @@ impl PsServer {
                 dim: engine.dim() as u32,
                 name: engine.name().to_string(),
             },
-            // Normally intercepted in the worker loop (the server
-            // prepends its own registry); kept here so `execute` stays
-            // total over `Request`.
-            Request::Metrics => Response::Metrics(engine.metrics_text()),
-            // Also intercepted in the worker loop (floors live beside
-            // the replay cache, not in the engine).
-            Request::SeqFence { .. } => Response::Ack { cost: Cost::new() },
-            // Intercepted in the worker loop too (the epoch lives beside
-            // the seq floors, not in the engine).
-            Request::PlacementUpdate { .. } => Response::Ack { cost: Cost::new() },
-            Request::ExportEntry { key } => {
-                let mut cost = Cost::new();
-                Response::Entry(engine.export_entry(key, &mut cost))
+            // The server's own registry leads the engine's.
+            Request::Metrics => {
+                let mut text = self.registry.render_text();
+                text.push_str(&engine.metrics_text());
+                Response::Metrics(text)
             }
-            Request::ImportEntry {
-                key,
-                version,
-                payload,
-            } => {
-                let mut cost = Cost::new();
-                engine.import_entry(key, version, &payload, &mut cost);
-                Response::Ack { cost }
-            }
-            Request::DiscardEntry { key } => {
-                let mut cost = Cost::new();
-                engine.discard_entry(key, &mut cost);
-                Response::Ack { cost }
+            Request::SeqFence { floor } => {
+                // Ratchet only upward: a delayed duplicate of an older
+                // fence must not reopen already-fenced seqs.
+                let mut floors = self.seq_floors.lock();
+                let f = floors.entry(client).or_insert(0);
+                *f = (*f).max(floor);
+                Response::Ack { cost: Cost::new() }
             }
         }
     }
+}
+
+/// An encoded error reply carrying `token`.
+fn error_reply(token: (u32, u64), kind: ErrorKind, message: String) -> Bytes {
+    Packet::response(token.0, token.1, Response::Error { kind, message }).encode()
 }
 
 #[cfg(test)]
@@ -498,23 +370,16 @@ mod tests {
         Packet::decode(client.call(pkt.encode(), None).unwrap()).unwrap()
     }
 
-    /// Pull burst under placement epoch 0; the raw weights reply.
+    /// Pull burst; the raw weights reply.
     fn pull(client: &ClientTransport, token: (u32, u64), batch: u64, keys: &[u64]) -> Bytes {
-        let frame = Packet::encode_pull(token.0, token.1, 0, batch, keys);
+        let frame = Packet::encode_pull(token.0, token.1, batch, keys);
         client.call(frame, None).unwrap()
     }
 
     /// Dim-4 push burst of one key with every gradient `g`; the reply
     /// (an `Ack` or an `Error`, both control messages).
-    fn push(
-        client: &ClientTransport,
-        token: (u32, u64),
-        epoch: u64,
-        batch: u64,
-        key: u64,
-        g: f32,
-    ) -> Packet {
-        let frame = Packet::encode_push(token.0, token.1, epoch, batch, &[key], &[g; 4]);
+    fn push(client: &ClientTransport, token: (u32, u64), batch: u64, key: u64, g: f32) -> Packet {
+        let frame = Packet::encode_push(token.0, token.1, batch, &[key], &[g; 4]);
         Packet::decode(client.call(frame, None).unwrap()).unwrap()
     }
 
@@ -577,9 +442,9 @@ mod tests {
         );
         let w0 = read_weights(&client, (7, 3), 5);
         // The same push token delivered three times (retry storm).
-        let r1 = push(&client, (7, 4), 0, 1, 5, 1.0);
-        let r2 = push(&client, (7, 4), 0, 1, 5, 1.0);
-        let r3 = push(&client, (7, 4), 0, 1, 5, 1.0);
+        let r1 = push(&client, (7, 4), 1, 5, 1.0);
+        let r2 = push(&client, (7, 4), 1, 5, 1.0);
+        let r3 = push(&client, (7, 4), 1, 5, 1.0);
         assert!(matches!(r1.frame, Frame::Response(Response::Ack { .. })));
         assert_eq!(r1, r2, "replayed response is byte-identical");
         assert_eq!(r1, r3);
@@ -623,14 +488,14 @@ mod tests {
         // A straggling pre-failover push (seq 4 <= floor) must NOT
         // execute on this server — with an empty replay cache it would
         // double-apply after the trainer's replay.
-        let stale = push(&client, (7, 4), 0, 1, 3, 1.0);
+        let stale = push(&client, (7, 4), 1, 3, 1.0);
         assert_rejected(&stale, "fence");
         let w1 = read_weights(&client, (7, 12), 3);
         assert_eq!(w0, w1, "fenced push left weights untouched");
         // Floors are per client: client 8's seq 4 is not fenced.
-        push(&client, (8, 4), 0, 1, 3, 1.0);
+        push(&client, (8, 4), 1, 3, 1.0);
         // Post-fence seqs from client 7 execute normally.
-        push(&client, (7, 13), 0, 1, 3, 1.0);
+        push(&client, (7, 13), 1, 3, 1.0);
         let w2 = read_weights(&client, (7, 14), 3);
         for d in 0..4 {
             assert!(
@@ -643,7 +508,7 @@ mod tests {
             &client,
             Packet::request(7, 15, Request::SeqFence { floor: 2 }),
         );
-        let still = push(&client, (7, 9), 0, 1, 3, 1.0);
+        let still = push(&client, (7, 9), 1, 3, 1.0);
         assert_rejected(&still, "fence");
         assert_eq!(
             handle
@@ -666,7 +531,7 @@ mod tests {
         );
         // Same seq, different client ids: both pushes must execute.
         for cid in [10u32, 11] {
-            push(&client, (cid, 100), 0, 1, 9, 0.5);
+            push(&client, (cid, 100), 1, 9, 0.5);
         }
         let resp = call(&client, Packet::request(1, 3, Request::Stats));
         let Frame::Response(Response::Stats(s)) = resp.frame else {
@@ -688,7 +553,7 @@ mod tests {
         let w0 = read_weights(&client, (1, 3), 9);
         // One key at dim 4 needs 4 gradients; 3 is a malformed request,
         // answered structurally instead of tripping the engine's assert.
-        let short = Packet::encode_push(1, 4, 0, 1, &[9], &[1.0; 3]);
+        let short = Packet::encode_push(1, 4, 1, &[9], &[1.0; 3]);
         let resp = Packet::decode(client.call(short, None).unwrap()).unwrap();
         assert_rejected(&resp, "push shape mismatch");
         assert_eq!(read_weights(&client, (1, 5), 9), w0, "nothing applied");
@@ -762,103 +627,49 @@ mod tests {
     }
 
     #[test]
-    fn epoch_fence_rejects_fresh_but_replays_cached_across_a_bump() {
+    fn each_frame_class_gets_its_reply_and_only_executions_are_timed() {
+        // One frame of each class the reply function tells apart, in its
+        // order: undecodable, response-typed, the exposition, the
+        // sequence fence, a fenced mutation, a replay hit, executions —
+        // and a fence over an executed token wins over its cached reply.
+        // Every frame is decode-timed; only executions are execute-timed.
         let (client, handle) = spawn_node();
-        // A push executes under epoch 0 and lands in the replay cache.
-        pull(&client, (3, 1), 1, &[5]);
+        let garbage = Packet::decode(client.call(Bytes::from_static(b"\x00"), None).unwrap());
+        let garbage = garbage.unwrap();
+        assert_eq!((garbage.client, garbage.seq), (0, 0), "untrusted token");
+        let stray = call(&client, Packet::response(5, 1, Response::Count(1)));
+        assert_eq!((stray.client, stray.seq), (5, 1), "token echoed");
+        assert_rejected(&stray, "unexpected response frame");
+        call(&client, Packet::request(5, 2, Request::Metrics));
         call(
             &client,
-            Packet::request(3, 2, Request::EndPullPhase { batch: 1 }),
+            Packet::request(5, 3, Request::SeqFence { floor: 3 }),
         );
-        let first = push(&client, (3, 3), 0, 1, 5, 1.0);
-        assert!(matches!(first.frame, Frame::Response(Response::Ack { .. })));
-        // Migration cutover: the rebalancer announces epoch 2.
-        let resp = call(
-            &client,
-            Packet::request(3, 4, Request::PlacementUpdate { epoch: 2 }),
-        );
-        assert!(matches!(resp.frame, Frame::Response(Response::Ack { .. })));
-        // A retry of the already-executed token crosses the bump: it
-        // must get the cached response, not a reject — and not apply
-        // the gradient a second time.
-        let retry = push(&client, (3, 3), 0, 1, 5, 1.0);
-        assert_eq!(retry, first, "cached bytes answer the retry");
-        let w = read_weights(&client, (3, 5), 5);
-        // A FRESH burst still routed under the old table is refused.
-        let stale = push(&client, (3, 6), 0, 2, 5, 1.0);
-        assert_rejected(&stale, "placement epoch");
-        let w_after = read_weights(&client, (3, 7), 5);
-        assert_eq!(w, w_after, "rejected burst left weights untouched");
-        // Re-routed under the current epoch it executes fine.
-        let ok = push(&client, (3, 8), 2, 2, 5, 1.0);
-        assert!(matches!(ok.frame, Frame::Response(Response::Ack { .. })));
-        // A delayed duplicate of an older update must not lower the epoch.
+        assert_rejected(&push(&client, (5, 1), 1, 9, 1.0), "fence");
+        pull(&client, (5, 4), 1, &[9]);
         call(
             &client,
-            Packet::request(3, 9, Request::PlacementUpdate { epoch: 1 }),
+            Packet::request(5, 5, Request::EndPullPhase { batch: 1 }),
         );
-        let still_stale = push(&client, (3, 10), 1, 3, 5, 1.0);
-        assert_rejected(&still_stale, "placement epoch");
+        let first = push(&client, (5, 6), 1, 9, 1.0);
+        assert_eq!(push(&client, (5, 6), 1, 9, 1.0), first, "replayed");
+        call(
+            &client,
+            Packet::request(5, 7, Request::SeqFence { floor: 6 }),
+        );
+        assert_rejected(&push(&client, (5, 6), 1, 9, 1.0), "fence");
         let snap = handle.registry().snapshot();
-        assert_eq!(snap.counter("rpc_stale_epoch_rejections_total"), Some(2));
-        assert_eq!(snap.counter("rpc_placement_updates_total"), Some(2));
+        assert_eq!(snap.counter("rpc_requests_total"), Some(11));
+        assert_eq!(snap.counter("rpc_decode_errors_total"), Some(2));
+        assert_eq!(snap.counter("rpc_stale_seq_rejections_total"), Some(2));
         assert_eq!(snap.counter("rpc_replay_hits_total"), Some(1));
-        drop(client);
-        handle.join();
-    }
-
-    #[test]
-    fn migration_rpcs_move_a_full_entry_over_the_wire() {
-        let (client, handle) = spawn_node();
-        // Create an entry and train it a little so it has real state.
-        pull(&client, (9, 1), 1, &[77]);
-        call(
-            &client,
-            Packet::request(9, 2, Request::EndPullPhase { batch: 1 }),
+        let samples = |name: &str| snap.histogram(name).map(|h| h.count());
+        assert_eq!(samples("rpc_rpc_decode_latency_ns"), Some(11));
+        assert_eq!(
+            samples("rpc_rpc_execute_latency_ns"),
+            Some(3),
+            "pull, end-pull, push"
         );
-        push(&client, (9, 3), 0, 1, 77, 0.25);
-        // Export the full entry (weights + optimizer state + version).
-        let (version, payload) = match call(
-            &client,
-            Packet::request(9, 4, Request::ExportEntry { key: 77 }),
-        )
-        .frame
-        {
-            Frame::Response(Response::Entry(Some(e))) => e,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert!(payload.len() >= 4, "payload carries at least the weights");
-        // Exporting a key that was never touched yields None.
-        let missing = call(
-            &client,
-            Packet::request(9, 5, Request::ExportEntry { key: 123_456 }),
-        );
-        assert_eq!(missing.frame, Frame::Response(Response::Entry(None)));
-        // Cutover source side: discard forgets the key…
-        call(
-            &client,
-            Packet::request(9, 6, Request::DiscardEntry { key: 77 }),
-        );
-        let gone = call(
-            &client,
-            Packet::request(9, 7, Request::ReadWeights { key: 77 }),
-        );
-        assert_eq!(gone.frame, Frame::Response(Response::MaybeWeights(None)));
-        // …and import (as the destination would) restores it exactly.
-        call(
-            &client,
-            Packet::request(
-                9,
-                8,
-                Request::ImportEntry {
-                    key: 77,
-                    version,
-                    payload: payload.clone(),
-                },
-            ),
-        );
-        let back = read_weights(&client, (9, 9), 77);
-        assert_eq!(&back[..], &payload[..4], "weights survive the round trip");
         drop(client);
         handle.join();
     }

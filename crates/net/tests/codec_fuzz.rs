@@ -83,7 +83,7 @@ fn garbage_never_panics() {
 fn truncation_is_structured() {
     cases(0x7C07_0000, |case, rng| {
         let (client, seq) = (rng.next_u64() as u32, rng.next_u64());
-        let enc = Packet::encode_pull(client, seq, 0, 1, &u64s(rng, 0..32));
+        let enc = Packet::encode_pull(client, seq, 1, &u64s(rng, 0..32));
         let cut = rng.below(enc.len() as u64) as usize;
         assert_refused(
             enc.slice(0..cut),
@@ -98,7 +98,7 @@ fn truncation_is_structured() {
 fn bit_flip_is_corrupt() {
     cases(0xF11B_0000, |case, rng| {
         let seq = rng.next_u64();
-        let enc = Packet::encode_push(7, seq, 0, 3, &u64s(rng, 1..16), &f32s(rng, 1..64));
+        let enc = Packet::encode_push(7, seq, 3, &u64s(rng, 1..16), &f32s(rng, 1..64));
         let (byte, bit) = (rng.below(enc.len() as u64) as usize, rng.below(8));
         let mut mutated = BytesMut::from(&enc[..]);
         mutated[byte] ^= 1 << bit;
@@ -118,7 +118,7 @@ fn trailing_bytes_are_corrupt() {
         let keys = u64s(rng, 0..16);
         let tail = bytes(rng, 1..65);
         for enc in [
-            Packet::encode_pull(7, seq, 0, 3, &keys),
+            Packet::encode_pull(7, seq, 3, &keys),
             Packet::request(7, seq, Request::ReadWeights { key: seq }).encode(),
         ] {
             let mut long = BytesMut::from(&enc[..]);
@@ -142,22 +142,16 @@ fn trailing_bytes_are_corrupt() {
 
 /// The idempotence token round-trips exactly, and re-encoding a
 /// decoded packet reproduces the original bytes — the byte-identity
-/// the server's replay cache relies on for retried requests.
+/// the server's replay cache relies on for retried requests. The frame
+/// carries a length-prefixed f32 vector, the owned codec's one
+/// variable-length numeric body.
 #[test]
 fn token_and_bytes_roundtrip() {
     cases(0x70CE_0000, |case, rng| {
-        let (client, seq, version) = (client_id(rng), rng.next_u64(), rng.next_u64());
-        // Finite payload values, so `==` on the decoded packet is exact.
-        let payload = vec_of(rng, 0..64, |r| (r.below(2000) as f32 - 1000.0) * 0.125);
-        let p = Packet::request(
-            client,
-            seq,
-            Request::ImportEntry {
-                key: seq,
-                version,
-                payload,
-            },
-        );
+        let (client, seq) = (client_id(rng), rng.next_u64());
+        // Finite weight values, so `==` on the decoded packet is exact.
+        let weights = vec_of(rng, 0..64, |r| (r.below(2000) as f32 - 1000.0) * 0.125);
+        let p = Packet::response(client, seq, Response::MaybeWeights(Some(weights)));
         let enc = p.encode();
         let dec = Packet::decode(enc.clone()).expect("valid frame decodes");
         assert_eq!((dec.client, dec.seq), (client, seq), "case {case}");
@@ -212,19 +206,18 @@ fn garbage_never_panics_views() {
 }
 
 /// Bursts survive the wire exactly: for arbitrary inputs the
-/// borrow-encoded pull / push frame view-decodes to the token, epoch,
-/// batch, keys and gradient bits it was built from, and the control
-/// decoder refuses the same bytes as corrupt (a burst has no owned
-/// form).
+/// borrow-encoded pull / push frame view-decodes to the token, batch,
+/// keys and gradient bits it was built from, and the control decoder
+/// refuses the same bytes as corrupt (a burst has no owned form).
 #[test]
 fn request_views_read_back_their_inputs() {
     cases(0x4EAD_0000, |case, rng| {
         let (client, seq) = (client_id(rng), rng.next_u64());
-        let (epoch, batch) = (rng.next_u64(), rng.next_u64());
+        let batch = rng.next_u64();
         let keys = u64s(rng, 0..48);
         let grads = f32s(rng, 0..96);
 
-        let pull = Packet::encode_pull(client, seq, epoch, batch, &keys);
+        let pull = Packet::encode_pull(client, seq, batch, &keys);
         let meta = validate_frame(&pull).expect("valid frame");
         assert_eq!(
             (meta.client, meta.seq, meta.msg_type),
@@ -232,22 +225,30 @@ fn request_views_read_back_their_inputs() {
             "case {case}"
         );
         match RequestView::decode(meta, &pull).expect("view decodes") {
-            RequestView::Pull {
-                epoch: e,
-                batch: b,
-                keys: kv,
-            } => {
-                assert_eq!((e, b, kv.len()), (epoch, batch, keys.len()), "case {case}");
+            RequestView::Pull { batch: b, keys: kv } => {
+                assert_eq!((b, kv.len()), (batch, keys.len()), "case {case}");
                 let mut out = Vec::new();
                 kv.extend_into(&mut out);
                 assert_eq!(out, keys, "case {case}");
             }
             other => panic!("case {case}: wrong view: {other:?}"),
         }
+        // The reserved word is skipped, whatever a peer stamped there.
+        let stamped = with_reserved(&pull, rng.next_u64());
+        match view_decode(&stamped).expect("a stamped pull decodes") {
+            RequestView::Pull { batch: b, keys: kv } => {
+                assert_eq!(
+                    (b, kv.iter().collect::<Vec<u64>>()),
+                    (batch, keys.clone()),
+                    "case {case}"
+                );
+            }
+            other => panic!("case {case}: wrong view: {other:?}"),
+        }
         let err = Packet::decode(pull).expect_err("a burst has no owned form");
         assert_eq!(err.kind(), ErrorKind::Corrupt, "case {case}");
 
-        let push = Packet::encode_push(client, seq, epoch, batch, &keys, &grads);
+        let push = Packet::encode_push(client, seq, batch, &keys, &grads);
         let meta = validate_frame(&push).expect("valid frame");
         assert_eq!(
             (meta.client, meta.seq, meta.msg_type),
@@ -256,18 +257,30 @@ fn request_views_read_back_their_inputs() {
         );
         match RequestView::decode(meta, &push).expect("view decodes") {
             RequestView::Push {
-                epoch: e,
                 batch: b,
                 keys: kv,
                 grads: gv,
             } => {
-                assert_eq!((e, b), (epoch, batch), "case {case}");
+                assert_eq!(b, batch, "case {case}");
                 assert_eq!(kv.iter().collect::<Vec<u64>>(), keys, "case {case}");
                 assert_eq!(
                     bits(gv.iter()),
                     bits(grads.iter().copied()),
                     "case {case}: gradients must survive bit-exactly"
                 );
+            }
+            other => panic!("case {case}: wrong view: {other:?}"),
+        }
+        let stamped = with_reserved(&push, rng.next_u64());
+        match view_decode(&stamped).expect("a stamped push decodes") {
+            RequestView::Push {
+                batch: b,
+                keys: kv,
+                grads: gv,
+            } => {
+                assert_eq!(b, batch, "case {case}");
+                assert_eq!(kv.iter().collect::<Vec<u64>>(), keys, "case {case}");
+                assert_eq!(bits(gv.iter()), bits(grads.iter().copied()), "case {case}");
             }
             other => panic!("case {case}: wrong view: {other:?}"),
         }
@@ -318,10 +331,10 @@ fn weights_response_view_roundtrips() {
 #[test]
 fn view_rejects_lying_length_prefixes() {
     cases(0x11E5_0000, |case, rng| {
-        let enc = Packet::encode_pull(9, 9, 0, 1, &u64s(rng, 1..16));
+        let enc = Packet::encode_pull(9, 9, 1, &u64s(rng, 1..16));
         let lie = 64 + rng.below((u32::MAX - 64) as u64) as u32;
         let mut raw = BytesMut::from(&enc[..]);
-        // Body layout: epoch u64 | batch u64 | count u32 | keys…;
+        // Body layout: reserved u64 | batch u64 | count u32 | keys…;
         // the count sits 16 bytes into the body (header is 28 bytes).
         let count_at = 28 + 16;
         raw[count_at..count_at + 4].copy_from_slice(&lie.to_le_bytes());
@@ -333,6 +346,15 @@ fn view_rejects_lying_length_prefixes() {
             &format!("case {case}: a count of {lie} must not decode"),
         );
     });
+}
+
+/// `frame` with `word` in the burst body's reserved first word,
+/// re-sealed: what a peer that still stamps that word sends.
+fn with_reserved(frame: &Bytes, word: u64) -> Bytes {
+    let mut raw = BytesMut::from(&frame[..]);
+    raw[28..36].copy_from_slice(&word.to_le_bytes());
+    reseal(&mut raw);
+    raw.freeze()
 }
 
 /// Recompute and patch the frame checksum after a deliberate body
