@@ -90,6 +90,13 @@ if grep -rnF -e 'HashMap<u32, Vec<u32>>' -e 'vec![false;' crates/serve/src; then
   exit 1
 fi
 
+# The serving plane is safe Rust with no per-target code: the scoring
+# sketch's integer dot vectorises from plain loops.
+if grep -rnE 'unsafe|core::arch|std::arch' crates/serve/src; then
+  echo "unsafe code or an intrinsic in crates/serve/src (see above)" >&2
+  exit 1
+fi
+
 # The prefetch cache finds its coldest entry through an ordered victim
 # index; the full scan it replaced lives on only as the oracle in
 # crates/cache/tests/prefetch_equiv.rs.
@@ -158,10 +165,24 @@ cargo test --offline -q -p oe-pmem --test survey_equiv
 echo "==> prefetch victim index = retired full scan"
 cargo test --release --offline -q -p oe-cache --test prefetch_equiv
 
-echo "==> serving-plane suite (snapshot-flip torture, ANN recall floors, flat index = retired index, decode = recovery scan)"
+echo "==> serving-plane suite (snapshot-flip torture, ANN recall floors, flat index + sketch-filtered top-k = retired index, decode = recovery scan)"
 cargo test --release --offline -q -p oe-serve
 
 echo "==> disaggregated-pool failover smoke"
 cargo test --release --offline -q -p openembedding --test pool_failover_e2e
+
+# The paper artifacts on the simulator are a pure function of the
+# source: two runs must exit 0 and print the same bytes. This asserts
+# no verdict about the numbers themselves, only that they reproduce.
+echo "==> figures --quick all runs twice to identical output"
+figures_a="$(mktemp)"
+figures_b="$(mktemp)"
+trap 'rm -f "$figures_a" "$figures_b"' EXIT
+cargo run --release --offline -q -p oe-bench --bin figures -- --quick all >"$figures_a"
+cargo run --release --offline -q -p oe-bench --bin figures -- --quick all >"$figures_b"
+if ! cmp "$figures_a" "$figures_b"; then
+  echo "figures --quick all printed different bytes on a second run" >&2
+  exit 1
+fi
 
 echo "CI OK"

@@ -255,14 +255,6 @@ pub fn run_scenario(kind: EngineKind, sc: &Scenario, workers: u32, ckpt: CkptSet
     t.run(sc.warm_batches + 1, sc.measure_batches).train
 }
 
-/// Format a normalized-comparison row.
-pub fn norm_row(label: &str, value: f64, paper: Option<f64>) -> String {
-    match paper {
-        Some(p) => format!("{label:<22} measured {value:>7.3}   (paper ≈ {p:.3})"),
-        None => format!("{label:<22} measured {value:>7.3}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -123,12 +123,6 @@ impl PmemPool {
         self.alloc.lock().free.len()
     }
 
-    /// Number of live (allocated, not freed) slots.
-    pub fn live_slots(&self) -> u64 {
-        let g = self.alloc.lock();
-        g.next - g.free.len() as u64
-    }
-
     pub(crate) fn slot_offset(&self, id: SlotId) -> u64 {
         ROOT_BYTES + id.0 * self.slot_bytes
     }

@@ -12,7 +12,10 @@
 //!   tables; a query probes its own bucket plus the lowest-margin
 //!   single-bit flips (multiprobe), then scores only the candidates
 //!   exactly. Sub-linear candidate fractions buy the latency win; the
-//!   recall floor is pinned by `crates/serve/tests/ann_recall.rs`.
+//!   recall floor is pinned by `crates/serve/tests/ann_recall.rs`. An
+//!   `i8` scoring sketch built with the index bounds every candidate's
+//!   score from 1 byte per weight, so only the rows that can still
+//!   enter the top `k` are read and scored exactly.
 //!
 //! Both arms return `(Vec<TopK>, Cost)` — the unified serve-path cost
 //! convention — and order ties deterministically by `(score desc, key
@@ -23,6 +26,7 @@ use oe_core::config::{HASH_PROBE_NS, OPT_FLOP_NS_PER_F32};
 use oe_simdevice::rng::splitmix64;
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
 use std::cell::RefCell;
+use std::cmp::Ordering;
 
 /// A scored recommendation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,7 +94,9 @@ impl Retriever for ExactScan {
     }
 
     fn top_k(&self, snap: &Snapshot, query: &[f32], k: usize) -> (Vec<TopK>, Cost) {
-        assert_eq!(query.len(), snap.dim(), "query dim mismatch");
+        if query.len() != snap.dim() {
+            return (Vec::new(), Cost::new());
+        }
         let mut cost = Cost::new();
         let n = snap.num_keys();
         charge_scan(&mut cost, n, snap.dim());
@@ -158,6 +164,121 @@ fn unit(x: u64) -> f32 {
 /// registers for the whole pass over a vector.
 const PLANE_BLOCK: usize = 16;
 
+/// Codes per sketch lane block: a row's codes are zero-padded to whole
+/// blocks, so the code dot runs without a tail and vectorises.
+const LANES: usize = 16;
+
+/// `1.5 · 2^23`: adding it to an `|x| ≤ 2^22` leaves `x` rounded to the
+/// nearest integer (ties to even) in the low mantissa bits of the sum.
+const ROUND: f32 = 12_582_912.0;
+
+/// The smallest max-abs the sketch codes (`2^-120`, as `f32` bits): at
+/// or above it `127 / max_abs` is finite.
+const MIN_SCALE_BITS: u32 = 7 << 23;
+
+/// Code `v` into `codes` as `round(x · 127 / m)`, `m` its max-abs, and
+/// return `m`; `None` when `v` holds a NaN or an infinity or `m` is
+/// below `2^-120` (zero included), where no code is written. The max
+/// is an integer max of the sign-cleared bit patterns, which orders
+/// finite values by magnitude and puts infinities and NaNs above them.
+fn quantize(v: &[f32], codes: &mut [i8]) -> Option<f32> {
+    let max = v.iter().map(|x| x.to_bits() & 0x7FFF_FFFF).max()?;
+    if !(MIN_SCALE_BITS..f32::INFINITY.to_bits()).contains(&max) {
+        return None;
+    }
+    let m = f32::from_bits(max);
+    let inv = 127.0 / m;
+    for (c, x) in codes.iter_mut().zip(v) {
+        *c = ((x * inv + ROUND).to_bits() as i32 - ROUND.to_bits() as i32) as i8;
+    }
+    Some(m)
+}
+
+/// A query coded for the scoring sketch, with the per-query terms of
+/// the upper bound [`Probe::may_reach`] puts on `dot(query, row)`
+/// (DESIGN.md §12, "Scoring sketch").
+struct Probe {
+    codes: Vec<i8>,
+    /// `m_q / 127²`.
+    scale: f64,
+    /// `(1/2 + 2^-14) · (Σ|a| + 127·dim)`: the code residuals, in
+    /// units of the two steps.
+    slack: f64,
+    /// The f32 summation error of `dot` per unit of row scale, plus a
+    /// `2^-45` relative margin for the f64 evaluation.
+    error: f64,
+    /// `dim · 2^-148`: the products' underflow, doubled for the margin.
+    underflow: f64,
+    /// The largest row scale whose `dot` with the query cannot overflow.
+    max_scale: f64,
+}
+
+impl Probe {
+    /// `None` — every candidate scored exactly — for a query holding a
+    /// NaN or an infinity, an all-zero one, or one too wide for an
+    /// `i32` code dot.
+    fn new(query: &[f32]) -> Option<Self> {
+        let dim = query.len();
+        if dim >= (i32::MAX / (127 * 127)) as usize {
+            return None;
+        }
+        let mut codes = vec![0; dim.next_multiple_of(LANES)];
+        let m = f64::from(quantize(query, &mut codes)?);
+        let n = dim as f64;
+        let l1: i32 = codes.iter().map(|&a| i32::from(a).abs()).sum();
+        let scale = m / (127.0 * 127.0);
+        let slack = (0.5 + 2f64.powi(-14)) * (f64::from(l1) + 127.0 * n);
+        let gamma = n * n * 2f64.powi(-23) * m;
+        let magnitude = scale * (127.0 * 127.0 * n + slack) + gamma;
+        Some(Self {
+            codes,
+            scale,
+            slack,
+            error: gamma + 2f64.powi(-45) * magnitude,
+            underflow: n * 2f64.powi(-148),
+            max_scale: 2f64.powi(126) / (n * m),
+        })
+    }
+
+    /// False only when `dot(query, row)` is certainly below `worst`: an
+    /// upper bound on it from the row's codes is. A row the sketch
+    /// refused (NaN scale), one whose `dot` could overflow, a tie and a
+    /// NaN `worst` always reach.
+    fn may_reach(&self, sketch: &Sketch, row: u32, worst: f32) -> bool {
+        let m = f64::from(sketch.scales[row as usize]);
+        if m.is_nan() || m > self.max_scale {
+            return true;
+        }
+        let stride = self.codes.len();
+        let codes = &sketch.codes[row as usize * stride..][..stride];
+        let mut lanes = [0i32; LANES];
+        for (a, c) in self
+            .codes
+            .chunks_exact(LANES)
+            .zip(codes.chunks_exact(LANES))
+        {
+            for ((s, &a), &c) in lanes.iter_mut().zip(a).zip(c) {
+                *s += i32::from(a) * i32::from(c);
+            }
+        }
+        let dot: i32 = lanes.iter().sum();
+        let bound = m * (self.scale * (f64::from(dot) + self.slack) + self.error) + self.underflow;
+        bound.partial_cmp(&f64::from(worst)) != Some(Ordering::Less)
+    }
+}
+
+/// The scoring sketch: every served weight as one `i8` code of its
+/// row's max-abs, and that max-abs per row.
+#[derive(Default)]
+struct Sketch {
+    /// `rows × dim` codes, row-major, each row zero-padded to whole
+    /// [`LANES`] blocks.
+    codes: Vec<i8>,
+    /// Per row its max-abs, or NaN where [`quantize`] refused the row:
+    /// such a row is always scored exactly.
+    scales: Vec<f32>,
+}
+
 thread_local! {
     /// Query scratch, reused across queries: the candidate bitmap (one
     /// bit per row) and the query's plane dots.
@@ -166,7 +287,7 @@ thread_local! {
 
 /// Per-snapshot LSH index: immutable, built at flip time, owned by the
 /// snapshot it indexes. Flat arrays only: the hyperplanes in kernel
-/// order and one CSR of buckets.
+/// order, one CSR of buckets and the scoring sketch of the rows.
 pub struct LshIndex {
     config: AnnConfig,
     dim: usize,
@@ -182,13 +303,17 @@ pub struct LshIndex {
     offsets: Vec<u32>,
     /// `tables × rows` row ids, ascending within a bucket.
     bucket_rows: Vec<u32>,
+    /// Every row's weights in `i8` codes, read instead of the row to
+    /// decide whether it needs an exact score.
+    sketch: Sketch,
 }
 
 impl LshIndex {
     /// Build over a row arena (`rows.len() == keys.len() ×
     /// payload_f32s`; only the `dim` weight prefix of each row is
-    /// hashed). Returns the index and its build cost — charged to the
-    /// snapshot build, not to queries.
+    /// hashed and sketched). Returns the index and its build cost —
+    /// charged to the snapshot build, not to queries; the sketch, like
+    /// the scoring it filters, is host time only.
     pub fn build(
         rows: &[f32],
         keys: &[u64],
@@ -217,6 +342,7 @@ impl LshIndex {
             planes,
             offsets: vec![0; tables * per_table],
             bucket_rows: vec![0; tables * n],
+            sketch: Sketch::default(),
         };
 
         // Counting sort of rows by (table, signature). A bucket's count
@@ -225,16 +351,21 @@ impl LshIndex {
         // offset counts nothing and lands on `t × n`).
         let mut dots = vec![0f32; blocks * PLANE_BLOCK];
         let mut sigs = vec![0u16; n * tables];
-        for (v, sigs) in rows
+        let stride = dim.next_multiple_of(LANES);
+        let (mut codes, mut scales) = (vec![0; n * stride], Vec::with_capacity(n));
+        for ((v, sigs), codes) in rows
             .chunks_exact(payload_f32s)
             .zip(sigs.chunks_exact_mut(tables))
+            .zip(codes.chunks_exact_mut(stride))
         {
+            scales.push(quantize(&v[..dim], codes).unwrap_or(f32::NAN));
             index.project(&v[..dim], &mut dots);
             for (t, sig) in sigs.iter_mut().enumerate() {
                 *sig = signature(&dots[t * bits..][..bits]) as u16;
                 index.offsets[t * per_table + *sig as usize + 1] += 1;
             }
         }
+        index.sketch = Sketch { codes, scales };
         let mut total = 0;
         for offset in &mut index.offsets {
             total += *offset;
@@ -265,11 +396,6 @@ impl LshIndex {
         &self.config
     }
 
-    /// Rows indexed.
-    pub fn num_rows(&self) -> usize {
-        self.rows
-    }
-
     /// Dot of `v` with every plane, into `dots` (plane `p` at `dots[p]`).
     /// Each plane's sum runs over `d = 0, 1, …` from `-0.0`, exactly as
     /// [`dot`] sums it; the planes of a block advance side by side, which
@@ -291,7 +417,9 @@ impl LshIndex {
     /// once each: per table, the home bucket plus the `probes`
     /// single-bit flips of lowest `(margin, bit)`, merged in a bitmap.
     fn for_each_candidate(&self, query: &[f32], mut visit: impl FnMut(u32)) {
-        assert_eq!(query.len(), self.dim, "query dim mismatch");
+        if query.len() != self.dim {
+            return;
+        }
         let (tables, bits) = (self.config.tables, self.config.bits);
         let per_table = (1 << bits) + 1;
         SCRATCH.with_borrow_mut(|(bitmap, dots)| {
@@ -333,11 +461,34 @@ impl LshIndex {
 
     /// Candidate row ids for `query`, ascending: home bucket plus the
     /// `probes` lowest-margin single-bit flips, per table, deduplicated.
-    /// Deterministic for a given `(index, query)`.
+    /// Deterministic for a given `(index, query)`; empty for a query
+    /// that is not `dim` wide.
     pub fn candidates(&self, query: &[f32]) -> Vec<u32> {
         let mut out = Vec::new();
         self.for_each_candidate(query, |row| out.push(row));
         out
+    }
+
+    /// The best `k` candidates of `query`, the candidate count and the
+    /// number of them scored exactly. Once `k` are held, a candidate is
+    /// scored only if its sketch bound can reach the worst of them;
+    /// the rest would be rejected by [`keep_best`] anyway, so the
+    /// answer is the one scoring every candidate gives.
+    fn scan(&self, snap: &Snapshot, query: &[f32], k: usize) -> (Vec<TopK>, usize, usize) {
+        let probe = Probe::new(query);
+        let mut top: Vec<TopK> = Vec::with_capacity(k);
+        let (mut candidates, mut exact) = (0, 0);
+        self.for_each_candidate(query, |row| {
+            candidates += 1;
+            if let (Some(probe), Some(worst)) = (&probe, top.last().filter(|_| top.len() == k)) {
+                if !probe.may_reach(&self.sketch, row, worst.score) {
+                    return;
+                }
+            }
+            exact += 1;
+            keep_best(&mut top, k, snap, query, row);
+        });
+        (top, candidates, exact)
     }
 
     /// Virtual cost of hashing one query through every table.
@@ -385,15 +536,14 @@ impl Retriever for LshRetriever {
         let Some(index) = snap.ann_index() else {
             return ExactScan.top_k(snap, query, k);
         };
+        if query.len() != snap.dim() {
+            return (Vec::new(), Cost::new());
+        }
         let mut cost = index.probe_cost();
-        let k = k.min(snap.num_keys());
-        let mut top = Vec::with_capacity(k);
-        let mut scored = 0;
-        index.for_each_candidate(query, |row| {
-            scored += 1;
-            keep_best(&mut top, k, snap, query, row);
-        });
-        charge_scan(&mut cost, scored, snap.dim());
+        let (top, candidates, _) = index.scan(snap, query, k.min(snap.num_keys()));
+        // Every candidate is charged as scored: the sketch moves host
+        // time, not the modelled scan.
+        charge_scan(&mut cost, candidates, snap.dim());
         (top, cost)
     }
 }
@@ -458,7 +608,6 @@ mod tests {
         let cfg = AnnConfig::paper_default();
         let snap = snapshot(1_000, Some(&cfg));
         let index = snap.ann_index().expect("index built at flip time");
-        assert_eq!(index.num_rows(), 1_000);
         let (query, _) = snap.lookup(17);
         let query = query.unwrap().to_vec();
         let c1 = index.candidates(&query);
@@ -502,6 +651,52 @@ mod tests {
         let (exact, _) = ExactScan.top_k(&snap, &query, 7);
         let (fallback, _) = LshRetriever.top_k(&snap, &query, 7);
         assert_eq!(exact, fallback);
+    }
+
+    /// `tests/ann_recall.rs`'s dim-32 corpus: 20 k unit rows, uniformly
+    /// drawn rows as queries. The sketch must spare the exact score of
+    /// all but a few candidates, and not change an answer.
+    #[test]
+    fn the_sketch_scores_few_candidates_exactly() {
+        const DIM: usize = 32;
+        const ROWS: u64 = 20_000;
+        let media = Arc::new(Media::new(MediaConfig::pmem(16 << 20)));
+        let mut cost = Cost::new();
+        let pool = PmemPool::create_on(Arc::clone(&media), DIM * 4, &mut cost);
+        for key in 0..ROWS {
+            let mut v: Vec<f32> = (0..DIM as u64)
+                .map(|d| {
+                    let bits = splitmix64(key.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(d));
+                    (bits >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0
+                })
+                .collect();
+            let norm = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+            v.iter_mut().for_each(|x| *x /= norm);
+            let id = pool.alloc(&mut cost);
+            pool.write_slot(id, key, 1, &v, &mut cost);
+        }
+        pool.set_checkpoint_id(1, &mut cost);
+        let cfg = AnnConfig::paper_default();
+        let snap = Snapshot::build(media.crash(11), DIM, Some(&cfg)).expect("snapshot");
+        let index = snap.ann_index().expect("index");
+        let (mut candidates, mut exact) = (0, 0);
+        for i in 0..50 {
+            let query = snap
+                .row(splitmix64(i ^ 0xABCD) as u32 % ROWS as u32)
+                .to_vec();
+            let (top, c, e) = index.scan(&snap, &query, 10);
+            let mut every = Vec::new();
+            for row in index.candidates(&query) {
+                keep_best(&mut every, 10, &snap, &query, row);
+            }
+            assert_eq!(top, every, "query {i}");
+            candidates += c;
+            exact += e;
+        }
+        assert!(
+            exact * 20 < candidates,
+            "{exact} of {candidates} candidates scored exactly"
+        );
     }
 
     #[test]

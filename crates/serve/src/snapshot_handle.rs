@@ -79,7 +79,8 @@ impl Snapshot {
     /// Decode `image` at its committed checkpoint into an immutable
     /// snapshot. `dim` is the embedding dimension served (the weight
     /// prefix of each payload); `ann` requests a per-snapshot retrieval
-    /// index. Returns `None` if the image holds no initialized pool.
+    /// index. Returns `None` if the image holds no initialized pool or
+    /// `dim` is zero or wider than its payload.
     pub fn build(image: CrashImage, dim: usize, ann: Option<&AnnConfig>) -> Option<Self> {
         Self::build_recording(image, dim, ann, None)
     }
@@ -98,10 +99,9 @@ impl Snapshot {
         let mut cost = Cost::new();
         let mut scan = scan_image(&image, &mut cost)?;
         let payload_f32s = scan.payload_f32s();
-        assert!(
-            payload_f32s >= dim,
-            "image payload ({payload_f32s} f32s) smaller than requested dim ({dim})"
-        );
+        if !(1..=payload_f32s).contains(&dim) {
+            return None;
+        }
         let mut live = std::mem::take(&mut scan.report.live);
         live.sort_unstable_by_key(|r| r.key);
         assert!(live.len() < NO_ROW as usize, "row ids are u32");

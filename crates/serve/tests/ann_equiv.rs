@@ -6,7 +6,9 @@
 //! in `src/ann.rs` must return the same candidate sets, the same
 //! `Vec<TopK>` to the bit, and the same `Cost`, on every shape the
 //! kernel, the CSR, the bitmap and the bounded selection have an edge
-//! at.
+//! at — and on the inputs the scoring sketch's bound has an edge at:
+//! magnitudes near overflow and underflow, subnormal and non-finite
+//! values, zeros and exact ties.
 
 use oe_core::config::{HASH_PROBE_NS, OPT_FLOP_NS_PER_F32};
 use oe_pmem::PmemPool;
@@ -167,11 +169,17 @@ fn bits(top: &[TopK]) -> Vec<(u64, u32)> {
 }
 
 fn check(image: &CrashImage, dim: usize, cfg: &AnnConfig) {
+    check_with("", image, dim, cfg, &[]);
+}
+
+/// [`check`] on the table called `name`, with `extra` queries after
+/// the standard ones.
+fn check_with(name: &str, image: &CrashImage, dim: usize, cfg: &AnnConfig, extra: &[Vec<f32>]) {
     let snap = Snapshot::build(image.clone(), dim, Some(cfg)).expect("snapshot");
     let index = snap.ann_index().expect("index");
     let oracle = Oracle::build(&snap, cfg);
     let n = snap.num_keys();
-    let what = format!("{} dim {dim} rows {n}", cfg.label());
+    let what = format!("{name} {} dim {dim} rows {n}", cfg.label());
 
     let mut queries: Vec<Vec<f32>> = vec![
         vec![0.0; dim],
@@ -184,6 +192,7 @@ fn check(image: &CrashImage, dim: usize, cfg: &AnnConfig) {
             queries.push(snap.row(row as u32).to_vec());
         }
     }
+    queries.extend_from_slice(extra);
     for (qi, query) in queries.iter().enumerate() {
         let mut want = oracle.candidates(query);
         want.sort_unstable();
@@ -238,4 +247,145 @@ fn a_snapshot_without_an_index_scans_exactly() {
     let (got, got_cost) = LshRetriever.top_k(&snap, &query, 10);
     assert_eq!(bits(&got), bits(&want));
     assert_eq!(got_cost, want_cost);
+}
+
+/// An image of exactly `rows`, under keys that do not ascend with the
+/// slot order.
+fn image_of(rows: &[Vec<f32>], dim: usize) -> CrashImage {
+    let media = Arc::new(Media::new(MediaConfig::pmem(
+        rows.len() * (dim * 4 + 64) + 4096,
+    )));
+    let mut cost = Cost::new();
+    let pool = PmemPool::create_on(Arc::clone(&media), dim * 4, &mut cost);
+    for (i, row) in rows.iter().enumerate() {
+        let id = pool.alloc(&mut cost);
+        pool.write_slot(id, splitmix64(i as u64) >> 8, 1, row, &mut cost);
+    }
+    pool.set_checkpoint_id(1, &mut cost);
+    media.crash(1)
+}
+
+/// Row `i` of a `dim`-wide table drawn from `seed`, each component
+/// scaled by `scale(i, d)`.
+fn rows(count: usize, dim: usize, seed: u64, scale: impl Fn(u64, usize) -> f32) -> Vec<Vec<f32>> {
+    (0..count as u64)
+        .map(|i| {
+            (0..dim)
+                .map(|d| unit(seed ^ (i * 1_009 + d as u64)) * scale(i, d))
+                .collect()
+        })
+        .collect()
+}
+
+/// Tables whose rows sit where the sketch's bound has an edge.
+fn adversarial_tables(dim: usize) -> Vec<(&'static str, Vec<Vec<f32>>)> {
+    let pick = |x: u64| splitmix64(x) % 8;
+    // Components of 1e30 and 1e-30 side by side, and whole rows of each.
+    let mixed = rows(160, dim, 1, |i, d| match pick(i << 20 | d as u64) {
+        0..=2 => 1e30,
+        3..=5 => 1e-30,
+        _ if i % 3 == 0 => 1e30,
+        _ => 1e-30,
+    });
+    // Products that underflow into and below the subnormals, and rows
+    // of subnormals only.
+    let tiny = rows(160, dim, 2, |i, _| match i % 4 {
+        0 => 1e-20,
+        1 => 1e-24,
+        2 => 1e-41,
+        _ => 1.0,
+    });
+    let subnormal = rows(120, dim, 3, |_, _| 1e-39);
+    // Products near and past f32::MAX.
+    let huge = rows(160, dim, 4, |i, _| [1e15, 1e18, 1e19, 1e20][i as usize % 4]);
+    // Non-finite components, all-zero rows of both signs.
+    let mut specials = rows(200, dim, 5, |_, _| 1.0);
+    for (i, row) in specials.iter_mut().enumerate() {
+        match i % 10 {
+            0 => row[i % dim] = f32::INFINITY,
+            1 => row[i % dim] = f32::NEG_INFINITY,
+            2 => row[i % dim] = f32::NAN,
+            3 => row.fill(0.0),
+            4 => row.fill(-0.0),
+            _ => {}
+        }
+    }
+    // Many duplicates, so the k-th score is tied many ways.
+    let mut ties = rows(200, dim, 6, |_, _| 1.0);
+    for i in (0..ties.len()).filter(|i| i % 3 != 0) {
+        ties[i] = ties[[0, 3][i % 2]].clone();
+    }
+    // The bound's tightest case: a row equal to the query with every
+    // component but the largest just under a half step (code 126,
+    // residual +0.4999 on both sides), and rows scoring between the
+    // codes' estimate of it plus half the residual allowance and its
+    // true score. A bound that allowed less would drop it from the top.
+    let near = |x: f32| {
+        let mut row = vec![x / 127.0; dim];
+        row[0] = 1.0;
+        row
+    };
+    let mut tight: Vec<Vec<f32>> = (0..40).map(|i| near(126.15 + 0.0085 * i as f32)).collect();
+    tight.extend((0..10).map(|_| near(126.4999)));
+    // Products of 0.55 and 0.2 smallest subnormals, which round to one
+    // and to none: a row in the last row's direction scores one
+    // subnormal per weight in f32, almost twice its real value, above
+    // rows that lose one weight to the rounding.
+    let q = 2f32.powi(-75);
+    let mut underflow: Vec<Vec<f32>> = (0..40)
+        .map(|i| {
+            let mut row = vec![1.1 * q; dim];
+            row[i % dim] = 0.4 * q;
+            row
+        })
+        .collect();
+    underflow.extend([vec![1.1 * q; dim], vec![1.1 * q; dim], vec![q; dim]]);
+    vec![
+        ("tight", tight),
+        ("underflow", underflow),
+        ("mixed", mixed),
+        ("tiny", tiny),
+        ("subnormal", subnormal),
+        ("huge", huge),
+        ("specials", specials),
+        ("ties", ties),
+    ]
+}
+
+/// Queries at the same edges: rescaled rows, subnormal and huge ones,
+/// non-finite components and whole non-finite queries.
+fn adversarial_queries(table: &[Vec<f32>], dim: usize) -> Vec<Vec<f32>> {
+    let row = &table[1];
+    let scaled = |s: f32| row.iter().map(|x| x * s).collect::<Vec<f32>>();
+    let with = |at: usize, x: f32| {
+        let mut q = table[2].clone();
+        q[at % dim] = x;
+        q
+    };
+    let mut queries = vec![
+        scaled(1e30),
+        scaled(1e-20),
+        scaled(1e-38),
+        with(0, f32::INFINITY),
+        with(dim / 2, f32::NEG_INFINITY),
+        with(dim - 1, f32::NAN),
+        vec![f32::INFINITY; dim],
+        vec![f32::NAN; dim],
+        (0..dim).map(|d| unit(0xBAD + d as u64) * 1e-41).collect(),
+    ];
+    queries.extend(table.iter().step_by(37).chain(table.last()).cloned());
+    queries
+}
+
+#[test]
+fn the_scoring_sketch_changes_no_answer_at_the_edges_of_its_bound() {
+    for dim in [1, 7, 33, 64, 300] {
+        for (name, table) in adversarial_tables(dim) {
+            let image = image_of(&table, dim);
+            let queries = adversarial_queries(&table, dim);
+            for (t, b, p) in [(4, 8, 2), (8, 8, 6)] {
+                check_with(name, &image, dim, &AnnConfig::shaped(t, b, p), &queries);
+            }
+        }
+    }
 }

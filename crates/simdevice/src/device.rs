@@ -157,13 +157,6 @@ impl DeviceTiming {
         (streams as f64).powf(self.concurrency_exponent - 1.0)
     }
 
-    /// Aggregate time to move `total_bytes` (reads) when `streams`
-    /// concurrent requesters share the device.
-    pub fn shared_read_ns(&self, total_bytes: u64, streams: u32) -> Nanos {
-        let eff_bw = self.read_bw_bytes_per_ns * self.concurrency_efficiency(streams);
-        self.read_lat_ns + (self.rounded(total_bytes) as f64 / eff_bw) as Nanos
-    }
-
     /// Aggregate time to move `total_bytes` (writes) when `streams`
     /// concurrent requesters share the device.
     pub fn shared_write_ns(&self, total_bytes: u64, streams: u32) -> Nanos {

@@ -73,11 +73,6 @@ impl DeepFm {
         &self.cfg
     }
 
-    /// Dense parameter bytes (for the dense-checkpoint cost model).
-    pub fn dense_param_bytes(&self) -> usize {
-        self.mlp.param_bytes() + 4
-    }
-
     /// FM second-order term via the sum-square trick:
     /// `0.5 · Σ_d [ (Σ_f v_fd)² − Σ_f v_fd² ]`.
     fn fm_forward(&mut self, emb: &[f32]) -> f32 {

@@ -74,11 +74,6 @@ impl WorkloadSpec {
             drift_keys_per_batch: 0,
         }
     }
-
-    /// Keys referenced per worker per batch (before dedup).
-    pub fn keys_per_worker(&self) -> usize {
-        (self.batch_size / self.workers.max(1)) * self.fields
-    }
 }
 
 /// One worker's share of a global batch.

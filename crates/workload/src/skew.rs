@@ -122,16 +122,6 @@ impl SkewModel {
     pub fn sample_rank(&self, rng: &mut Rng, num_keys: u64) -> u64 {
         ((self.sample_x(rng) * num_keys as f64) as u64).min(num_keys - 1)
     }
-
-    /// Density ratio descriptor for reports: expected accesses of rank 0
-    /// relative to the mean (how "peaky" the head is).
-    pub fn head_intensity(&self) -> f64 {
-        let mut d = self.uniform;
-        for &(w, l) in &self.components {
-            d += w * l / (1.0 - (-l).exp());
-        }
-        d
-    }
 }
 
 #[cfg(test)]
