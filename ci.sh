@@ -97,6 +97,16 @@ if grep -rnE 'unsafe|core::arch|std::arch' crates/serve/src; then
   exit 1
 fi
 
+# A point lookup costs ~45 ns and a wall-clock span ~100 ns more: both
+# read paths time one lookup in 256 through one sampling helper
+# (`sampled_lookup`), so its span is the only serve-lookup span.
+lookup_spans="$(grep -rnF 'span(Phase::ServeLookup)' crates/serve/src || true)"
+if [[ "$(grep -c . <<<"$lookup_spans")" != 1 ]] || ! grep -q 'snapshot_handle.rs' <<<"$lookup_spans"; then
+  echo "${lookup_spans:-no span(Phase::ServeLookup) in crates/serve/src}"
+  echo "span(Phase::ServeLookup) must occur once in crates/serve/src, in sampled_lookup (see above)" >&2
+  exit 1
+fi
+
 # The prefetch cache finds its coldest entry through an ordered victim
 # index; the full scan it replaced lives on only as the oracle in
 # crates/cache/tests/prefetch_equiv.rs.

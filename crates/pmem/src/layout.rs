@@ -42,6 +42,11 @@ pub const HEADER_BYTES: u64 = 24;
 /// naming a wider one is refused, not trusted with an allocation.
 pub const MAX_PAYLOAD_BYTES: u64 = 1 << 16;
 
+/// How many slots of high-water headroom [`crate::PmemPool::alloc`]
+/// persists at a time; amortizes the root update that bounds the
+/// recovery scan.
+pub(crate) const HIGH_WATER_CHUNK: u64 = 1024;
+
 /// Offsets within the root line.
 pub(crate) mod root_off {
     pub const MAGIC: u64 = 0;
@@ -58,13 +63,15 @@ pub(crate) struct Root {
 }
 
 impl Root {
-    /// Decode the first [`ROOT_BYTES`] of a pool. `None` if `bytes` is
-    /// shorter than a root line, its magic is not this format's, or its
-    /// fields describe no pool this format holds: a payload width that
-    /// is not one to [`MAX_PAYLOAD_BYTES`] whole `f32`s (a torn tail
-    /// would panic the payload decode, a width near `u64::MAX` would wrap
-    /// the slot size), or a scanned region whose size overflows 64 bits.
-    pub fn decode(bytes: &[u8]) -> Option<Self> {
+    /// Decode the first [`ROOT_BYTES`] of a pool whose media is
+    /// `media_len` bytes long. `None` if `bytes` is shorter than a root
+    /// line, its magic is not this format's, or its fields describe no
+    /// pool this format holds on that media: a payload width that is not
+    /// one to [`MAX_PAYLOAD_BYTES`] whole `f32`s (a torn tail would panic
+    /// the payload decode, a width near `u64::MAX` would wrap the slot
+    /// size), or a high-water mark past [`max_high_water`] (the scan
+    /// would walk, and free-list, slots no allocator handed out).
+    pub fn decode(bytes: &[u8], media_len: usize) -> Option<Self> {
         let line = bytes.get(..ROOT_BYTES as usize)?;
         let field = |off: u64| {
             u64::from_le_bytes(line[off as usize..][..8].try_into().expect("8-byte field"))
@@ -74,9 +81,7 @@ impl Root {
         let sound = field(root_off::MAGIC) == POOL_MAGIC
             && holds_payload(payload_bytes)
             && high_water
-                .checked_mul(slot_bytes(payload_bytes as usize))
-                .and_then(|b| b.checked_add(ROOT_BYTES))
-                .is_some();
+                <= max_high_water(backed_slots(media_len, slot_bytes(payload_bytes as usize)));
         sound.then(|| Self {
             payload_bytes: payload_bytes as usize,
             checkpoint_id: field(root_off::CKPT_ID),
@@ -89,6 +94,24 @@ impl Root {
 /// [`MAX_PAYLOAD_BYTES`] whole `f32`s.
 pub(crate) fn holds_payload(payload_bytes: u64) -> bool {
     (4..=MAX_PAYLOAD_BYTES).contains(&payload_bytes) && payload_bytes.is_multiple_of(4)
+}
+
+/// Slots a media of `media_len` bytes backs whole.
+pub(crate) fn backed_slots(media_len: usize, slot_bytes: u64) -> u64 {
+    (media_len as u64).saturating_sub(ROOT_BYTES) / slot_bytes
+}
+
+/// The highest mark [`crate::PmemPool::alloc`] can persist over a media
+/// that backs `backed` slots whole. A write grows the media to cover its
+/// slot, so the bump allocator's `next` runs past the backed slots only
+/// by slots handed out and not yet written, allowed here one chunk's
+/// worth (a crash lands between a slot's allocation and its write, one
+/// such slot per writer); `alloc` persists `next` rounded up to a
+/// chunk. A root claiming more names slots no allocator handed out, and
+/// a scan would walk and free-list every one: 2⁴⁰ of them from a
+/// 64-byte root.
+pub(crate) fn max_high_water(backed: u64) -> u64 {
+    (backed + HIGH_WATER_CHUNK).div_ceil(HIGH_WATER_CHUNK) * HIGH_WATER_CHUNK
 }
 
 /// On-media footprint of one slot: header + payload, padded to a line.
@@ -218,10 +241,10 @@ mod tests {
 
     #[test]
     fn root_refuses_widths_the_format_does_not_hold() {
-        let decodes = |p, hw| Root::decode(&root_line(p, hw)).is_some();
+        let decodes = |p, hw| Root::decode(&root_line(p, hw), 1 << 30).is_some();
         assert!(decodes(4, 0));
         assert!(decodes(64, 1 << 20));
-        assert!(decodes(MAX_PAYLOAD_BYTES, 1 << 20));
+        assert!(decodes(MAX_PAYLOAD_BYTES, 1 << 10));
         // No f32, or not whole ones: the payload decode would panic.
         assert!(!decodes(0, 0));
         assert!(!decodes(6, 1));
@@ -231,9 +254,26 @@ mod tests {
         assert!(!decodes(MAX_PAYLOAD_BYTES + 4, 0));
         assert!(!decodes(u64::MAX - 3, 0));
         assert!(!decodes(u64::MAX - 87, 0));
-        // The scanned region wraps.
-        assert!(!decodes(40, u64::MAX / 64));
-        assert!(decodes(40, u64::MAX / 64 - 1));
+    }
+
+    #[test]
+    fn root_refuses_a_high_water_its_media_cannot_back() {
+        // 64 B slots; the media holds the root and 3 000 slots.
+        let media_len = (ROOT_BYTES + 3_000 * 64) as usize;
+        let decodes = |hw, len| Root::decode(&root_line(4, hw), len).is_some();
+        assert_eq!(backed_slots(media_len, 64), 3_000);
+        assert_eq!(max_high_water(3_000), 4_096);
+        assert!(decodes(0, media_len));
+        assert!(decodes(4_096, media_len));
+        assert!(!decodes(4_097, media_len));
+        // Marks whose scan would once have allocated terabytes, or whose
+        // scanned region overflows 64 bits.
+        for hw in [1 << 17, 1 << 40, 1 << 56, u64::MAX / 64, u64::MAX] {
+            assert!(!decodes(hw, media_len), "high water {hw}");
+        }
+        // A bare root line backs no slot: one chunk may be in flight.
+        assert!(decodes(HIGH_WATER_CHUNK, ROOT_BYTES as usize));
+        assert!(!decodes(HIGH_WATER_CHUNK + 1, ROOT_BYTES as usize));
     }
 
     #[test]

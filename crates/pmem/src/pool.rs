@@ -2,7 +2,8 @@
 
 use crate::layout::{
     bytes_to_f32s, f32s_to_bytes, holds_payload, payload_checksum, root_off, slot_bytes, Root,
-    SlotHeader, SlotState, HEADER_BYTES, MAX_PAYLOAD_BYTES, POOL_MAGIC, ROOT_BYTES,
+    SlotHeader, SlotState, HEADER_BYTES, HIGH_WATER_CHUNK, MAX_PAYLOAD_BYTES, POOL_MAGIC,
+    ROOT_BYTES,
 };
 use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, Media, MediaConfig};
@@ -33,10 +34,6 @@ impl PoolConfig {
         }
     }
 }
-
-/// How many slots of high-water headroom to persist at a time; amortizes
-/// the root update that bounds the recovery scan.
-const HIGH_WATER_CHUNK: u64 = 1024;
 
 struct AllocState {
     free: Vec<SlotId>,
@@ -247,7 +244,7 @@ impl PmemPool {
             return None;
         }
         media.read(0, &mut line, cost);
-        let root = Root::decode(&line)?;
+        let root = Root::decode(&line, media.len())?;
         Some(Self {
             media,
             payload_bytes: root.payload_bytes,
@@ -434,6 +431,32 @@ mod tests {
         // Recovered high water is the chunk bound, covering all allocations.
         assert!(p2.high_water() >= 3);
         assert_eq!(p2.high_water() % HIGH_WATER_CHUNK, 0);
+    }
+
+    #[test]
+    fn open_accepts_the_furthest_mark_alloc_persists_with_a_chunk_in_flight() {
+        // 64 B slots; 3 000 written ones fill the media, then a chunk of
+        // slots is handed out and never written (writes in flight).
+        let mut cost = Cost::new();
+        let len = (ROOT_BYTES + 3_000 * 64) as usize;
+        let media = Arc::new(Media::new(MediaConfig::pmem(len)));
+        let p = PmemPool::create_on(Arc::clone(&media), 16, &mut cost);
+        for key in 0..3_000 {
+            let id = p.alloc(&mut cost);
+            p.write_slot(id, key, 1, &[0.5; 4], &mut cost);
+        }
+        for _ in 0..HIGH_WATER_CHUNK {
+            p.alloc(&mut cost);
+        }
+        assert_eq!(media.len(), len, "allocations do not grow the media");
+        let opened = PmemPool::open(Arc::clone(&media), &mut cost).expect("a real mark opens");
+        assert_eq!(opened.high_water(), 4_096);
+        // Past a chunk of unwritten slots the next mark is refused: no
+        // writer holds that many.
+        while p.high_water() <= 4_096 {
+            p.alloc(&mut cost);
+        }
+        assert!(PmemPool::open(media, &mut cost).is_none());
     }
 
     #[test]

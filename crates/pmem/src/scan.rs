@@ -13,7 +13,7 @@
 //! per-entry CPU work, with *no* payload copy — entries stay in PMem.
 
 use crate::layout::{
-    bytes_to_f32s, slot_bytes, Root, SlotHeader, SlotState, HEADER_BYTES, ROOT_BYTES,
+    backed_slots, bytes_to_f32s, slot_bytes, Root, SlotHeader, SlotState, HEADER_BYTES, ROOT_BYTES,
 };
 use crate::pool::{PmemPool, SlotId};
 use oe_simdevice::rng::splitmix64;
@@ -131,7 +131,7 @@ fn survey(
     // The high-water mark runs ahead of the media in chunks, and a
     // write grows the media to cover its whole slot: a slot the media
     // does not fully back was never written, so it is free unread.
-    let backed = (media_len as u64).saturating_sub(ROOT_BYTES) / slot_bytes;
+    let backed = backed_slots(media_len, slot_bytes);
 
     let mut newest = Newest::new();
     let mut report = ScanReport {
@@ -237,7 +237,7 @@ pub struct ImageScan<'a> {
 /// refuses.
 pub fn scan_image<'a>(image: &'a CrashImage, cost: &mut Cost) -> Option<ImageScan<'a>> {
     let bytes = image.bytes();
-    let root = Root::decode(bytes)?;
+    let root = Root::decode(bytes, bytes.len())?;
     DeviceTiming::of(image.device()).charge_read(ROOT_BYTES, cost);
     let slot_bytes = slot_bytes(root.payload_bytes);
     let slot_len = HEADER_BYTES as usize + root.payload_bytes;

@@ -9,7 +9,7 @@
 //! flip-on-checkpoint serving.
 
 use crate::ann::Retriever;
-use crate::snapshot_handle::Snapshot;
+use crate::snapshot_handle::{sampled_lookup, Snapshot};
 use oe_core::BatchId;
 use oe_simdevice::{Cost, CrashImage};
 use oe_telemetry::{Counter, Phase, PhaseTimes, Registry};
@@ -88,10 +88,13 @@ impl ServingNode {
     }
 
     /// Look up one embedding: a borrow into the snapshot arena plus
-    /// the read's virtual cost, with serve telemetry recorded.
+    /// the read's virtual cost, with serve telemetry recorded (the hit
+    /// or unknown counter always, the latency one lookup in 256).
     pub fn get(&self, key: u64) -> (Option<&[f32]>, Cost) {
-        let _span = self.phases.span(Phase::ServeLookup);
-        let (value, cost) = self.snapshot.lookup(key);
+        // The node's lookups so far are its two counters: the sampling
+        // tick needs no RMW of its own.
+        let n = self.hits.get() + self.unknown.get();
+        let (value, cost) = sampled_lookup(&self.phases, n, || self.snapshot.lookup(key));
         match value {
             Some(_) => self.hits.inc(),
             None => self.unknown.inc(),
@@ -222,7 +225,11 @@ mod tests {
         assert_eq!(snap.counter("serve_hits_total"), Some(3));
         assert_eq!(snap.counter("serve_unknown_keys_total"), Some(1));
         let lookups = snap.histogram("serve_lookup_latency_ns").expect("hist");
-        assert_eq!(lookups.count(), 4, "every lookup path records a span");
+        assert_eq!(
+            lookups.count(),
+            1,
+            "one lookup in 256 is timed: of four, only lookup 0"
+        );
         let _ = node.retrieve(&[1.0; DIM], 2, &ExactScan);
         let snap = node.registry().snapshot();
         assert_eq!(snap.histogram("serve_topk_latency_ns").unwrap().count(), 1);

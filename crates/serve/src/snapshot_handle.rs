@@ -25,11 +25,9 @@
 //! checkpoint flow ([`oe_core::CheckpointScheduler`] →
 //! `request_checkpoint` → commit): at every batch boundary it notices a
 //! newly committed checkpoint id, captures the persistence domain,
-//! optionally archives it with [`crate::snapshot::save_image`], builds
-//! the next snapshot (ANN index included), and flips.
+//! builds the next snapshot (ANN index included), and flips.
 
 use crate::ann::{AnnConfig, LshIndex};
-use crate::snapshot::save_image;
 use oe_core::config::HASH_PROBE_NS;
 use oe_core::{BatchId, PsEngine, PsNode};
 use oe_pmem::scan::scan_image;
@@ -37,12 +35,32 @@ use oe_simdevice::rng::splitmix64;
 use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, CostKind, CrashImage, DeviceTiming};
 use oe_telemetry::{Counter, Phase, PhaseTimes, Registry};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An unused slot of [`Snapshot::index`].
 const NO_ROW: u32 = u32::MAX;
+
+/// One point lookup in this many is timed into
+/// `serve_lookup_latency_ns`. A timed lookup pays two clock reads and a
+/// histogram record, about twice what the lookup itself costs; one in
+/// 256 keeps that under 1 % of a lookup (DESIGN.md §12, "Lookup
+/// telemetry").
+const LOOKUP_TIMING_STRIDE: u64 = 256;
+
+/// The one sampling rule of both point-lookup paths
+/// ([`SnapshotReader::lookup`], [`crate::ServingNode::get`]): lookup
+/// number `n` (0-based, counted per reader or per node) runs `lookup`
+/// inside a [`Phase::ServeLookup`] span iff `n % 256 == 0`. Callers keep
+/// their hit and unknown counters exact; only the latency is sampled.
+pub(crate) fn sampled_lookup<T>(phases: &PhaseTimes, n: u64, lookup: impl FnOnce() -> T) -> T {
+    if n.is_multiple_of(LOOKUP_TIMING_STRIDE) {
+        let _span = phases.span(Phase::ServeLookup);
+        lookup()
+    } else {
+        lookup()
+    }
+}
 
 /// Where `key`'s row is, or would go, in the open-addressed `index`.
 fn probe(index: &[u32], keys: &[u64], key: u64) -> usize {
@@ -250,15 +268,11 @@ pub struct SnapshotHandle {
 }
 
 impl SnapshotHandle {
-    /// Publish `initial` at epoch 1 with a fresh telemetry registry.
-    pub fn new(initial: Arc<Snapshot>) -> Self {
-        Self::with_registry(initial, Arc::new(Registry::new()))
-    }
-
-    /// Publish `initial` at epoch 1, recording into `registry`
+    /// Publish `initial` at epoch 1 with a fresh telemetry registry
     /// (`serve_lookup`/`serve_topk`/`snapshot_flip`/`snapshot_build`/
     /// `ann_build` latency histograms plus hit/unknown/flip counters).
-    pub fn with_registry(initial: Arc<Snapshot>, registry: Arc<Registry>) -> Self {
+    pub fn new(initial: Arc<Snapshot>) -> Self {
+        let registry = Arc::new(Registry::new());
         let phases = PhaseTimes::new(
             &registry,
             "",
@@ -342,6 +356,7 @@ impl SnapshotHandle {
             handle: self,
             seen_epoch: self.epoch(),
             cached: self.load(),
+            lookups: 0,
         }
     }
 }
@@ -357,13 +372,17 @@ impl std::fmt::Debug for SnapshotHandle {
 /// A per-thread view into a [`SnapshotHandle`]. The fast path —
 /// [`SnapshotReader::acquire`] — is one `Acquire` epoch load; the
 /// handle mutex is taken only when a flip happened since the last
-/// request. Read methods record wall-clock serve latency and
-/// hit/unknown counters into the handle's registry and return the
-/// virtual read cost alongside the value.
+/// request. Read methods record hit/unknown counters (every lookup)
+/// and wall-clock serve latency (every top-k, one lookup in 256) into
+/// the handle's registry and return the virtual read cost alongside the
+/// value.
 pub struct SnapshotReader<'h> {
     handle: &'h SnapshotHandle,
     seen_epoch: u64,
     cached: Arc<Snapshot>,
+    /// Point lookups served so far: the tick of [`sampled_lookup`]. A
+    /// flip does not reset it.
+    lookups: u64,
 }
 
 impl SnapshotReader<'_> {
@@ -384,12 +403,13 @@ impl SnapshotReader<'_> {
         self.seen_epoch
     }
 
-    /// Look up one embedding: refresh, borrow, record telemetry.
+    /// Look up one embedding: refresh, borrow, record telemetry (the
+    /// hit or unknown counter always, the latency one lookup in 256).
     pub fn lookup(&mut self, key: u64) -> (Option<&[f32]>, Cost) {
         let handle = self.handle;
-        let _span = handle.phases.span(Phase::ServeLookup);
-        let snap = self.acquire();
-        let (value, cost) = snap.lookup(key);
+        let n = self.lookups;
+        self.lookups += 1;
+        let (value, cost) = sampled_lookup(&handle.phases, n, move || self.acquire().lookup(key));
         match value {
             Some(_) => handle.hits.inc(),
             None => handle.unknown.inc(),
@@ -416,15 +436,13 @@ impl SnapshotReader<'_> {
 /// [`CheckpointPublisher::maybe_publish`] at every batch boundary
 /// (right where [`oe_core::CheckpointScheduler::due`] drives
 /// `request_checkpoint`). When the node's committed checkpoint
-/// advances, the persistence domain is captured, optionally archived
-/// as an image file, built into a snapshot, and flipped into the
-/// handle — mid-traffic, without pausing readers.
+/// advances, the persistence domain is captured, built into a
+/// snapshot, and flipped into the handle — mid-traffic, without pausing
+/// readers.
 pub struct CheckpointPublisher {
     handle: Arc<SnapshotHandle>,
     dim: usize,
     ann: Option<AnnConfig>,
-    /// Archive directory for [`save_image`] artifacts (`ckpt_<id>.img`).
-    image_dir: Option<PathBuf>,
     last_published: BatchId,
 }
 
@@ -437,15 +455,8 @@ impl CheckpointPublisher {
             handle,
             dim,
             ann,
-            image_dir: None,
             last_published,
         }
-    }
-
-    /// Also archive every published checkpoint as `<dir>/ckpt_<id>.img`.
-    pub fn with_image_dir(mut self, dir: PathBuf) -> Self {
-        self.image_dir = Some(dir);
-        self
     }
 
     /// Checkpoint id most recently flipped into the handle.
@@ -461,15 +472,6 @@ impl CheckpointPublisher {
             return None;
         }
         let image = node.pool().media().crash(ckpt);
-        if let Some(dir) = &self.image_dir {
-            let path = dir.join(format!("ckpt_{ckpt}.img"));
-            if let Err(e) = save_image(&image, &path) {
-                eprintln!(
-                    "checkpoint publisher: archiving {} failed: {e}",
-                    path.display()
-                );
-            }
-        }
         let (epoch, _snap) = self
             .handle
             .publish_image(image, self.dim, self.ann.as_ref())?;
@@ -537,6 +539,7 @@ mod tests {
         let (v, _) = reader.lookup(5);
         assert_eq!(v.unwrap()[0], 2_050.0, "reader picked up the flip");
         assert_eq!(reader.seen_epoch(), 2);
+        // The counters are the handle's, current while the reader lives.
         let snap = handle.registry().snapshot();
         assert_eq!(snap.counter("serve_snapshot_flips_total"), Some(1));
         assert_eq!(snap.counter("serve_hits_total"), Some(2));
@@ -544,6 +547,7 @@ mod tests {
             snap.histogram("snapshot_flip_latency_ns").unwrap().count(),
             1
         );
+        drop(reader);
     }
 
     #[test]
@@ -599,10 +603,7 @@ mod tests {
 
         let initial = Arc::new(Snapshot::build(image_at(0), DIM, None).unwrap());
         let handle = Arc::new(SnapshotHandle::new(initial));
-        let dir = std::env::temp_dir().join(format!("oe_pub_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut publisher =
-            CheckpointPublisher::new(Arc::clone(&handle), DIM, None).with_image_dir(dir.clone());
+        let mut publisher = CheckpointPublisher::new(Arc::clone(&handle), DIM, None);
 
         let epoch = publisher.maybe_publish(&node).expect("checkpoint 1 flips");
         assert_eq!(epoch, 2);
@@ -611,10 +612,5 @@ mod tests {
         // Same committed checkpoint again: no flip.
         assert_eq!(publisher.maybe_publish(&node), None);
         assert_eq!(handle.epoch(), 2);
-        // The archive artifact exists and reloads.
-        let img = crate::snapshot::load_image(&dir.join("ckpt_1.img")).expect("archived image");
-        let snap = Snapshot::build(img, DIM, None).unwrap();
-        assert_eq!(snap.checkpoint(), 1);
-        std::fs::remove_dir_all(dir).unwrap();
     }
 }

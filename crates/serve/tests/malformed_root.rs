@@ -3,9 +3,11 @@
 //! The root line of a pool image names the payload width every slot
 //! offset, payload decode and buffer is sized from. A width that is not
 //! whole `f32`s used to panic the payload decode, and one near `u64::MAX`
-//! wrapped the slot size to zero and panicked the scan; a root is now
-//! refused unless its width is one to `MAX_PAYLOAD_BYTES` whole `f32`s
-//! and its scanned region fits in 64 bits. Seeded mutations
+//! wrapped the slot size to zero and panicked the scan; a high-water mark
+//! of 2⁴⁰ slots on a 64-byte root had the scan free-list every one. A
+//! root is now refused unless its width is one to `MAX_PAYLOAD_BYTES`
+//! whole `f32`s and its high-water mark is one the allocator could have
+//! persisted over the slots the image backs. Seeded mutations
 //! of a valid image's root fields go through every entry point that
 //! decodes an image — [`PmemPool::open`], [`recover`], [`scan_image`],
 //! [`Snapshot::build`] (with and without a retrieval index) and `oectl` —
@@ -45,8 +47,9 @@ fn field(bytes: &[u8], at: usize) -> u64 {
 }
 
 /// A value for root field `at`: widths around the real one, odd and
-/// enormous ones; high-water marks up to 64 Ki slots and ones whose
-/// scanned region overflows; any checkpoint id; a near-miss magic.
+/// enormous ones; high-water marks up to 64 Ki slots, from 2¹⁷ to 2⁵⁶
+/// slots and ones whose scanned region overflows; any checkpoint id; a
+/// near-miss magic.
 fn mutation(rng: &mut Rng, at: usize, old: u64) -> u64 {
     match at {
         0 => old ^ 1 << rng.below(64),
@@ -59,9 +62,10 @@ fn mutation(rng: &mut Rng, at: usize, old: u64) -> u64 {
             _ => old + 1 + rng.below(3),
         },
         16 => rng.next_u64() >> rng.below(64),
-        _ => match rng.below(4) {
+        _ => match rng.below(5) {
             0 => u64::MAX - rng.below(4),
             1 => u64::MAX / 64 + rng.below(4),
+            2 => 1 << (17 + rng.below(40)),
             _ => rng.below(1 << 16),
         },
     }
@@ -121,29 +125,45 @@ fn mutated_root_fields_never_panic() {
     assert!(refused >= 64, "only {refused} mutated roots refused");
 }
 
+/// `oectl verify` and `oectl dump` exit 1 saying "no initialized pool"
+/// on the image with root field `at` set to `value`.
+fn assert_oectl_refuses(at: usize, value: u64) {
+    let mut bytes = image().bytes().to_vec();
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let img = CrashImage::from_parts(bytes, DeviceKind::Pmem);
+    let path = std::env::temp_dir().join(format!(
+        "oe_malformed_root_{at}_{value}_{}",
+        std::process::id()
+    ));
+    save_image(&img, &path).expect("image written");
+    for cmd in ["verify", "dump"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_oectl"))
+            .args([cmd, path.to_str().unwrap(), "1"])
+            .output()
+            .expect("oectl runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {at}={value}: {stderr}");
+        assert!(
+            stderr.contains("no initialized pool"),
+            "{cmd} {at}={value}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// The operator tool says "no pool" for a width no pool can have.
 #[test]
 fn oectl_refuses_an_impossible_width_in_words() {
-    let base = image();
     for width in [6u64, u64::MAX - 3] {
-        let mut bytes = base.bytes().to_vec();
-        bytes[8..16].copy_from_slice(&width.to_le_bytes());
-        let img = CrashImage::from_parts(bytes, DeviceKind::Pmem);
-        let path =
-            std::env::temp_dir().join(format!("oe_malformed_root_{width}_{}", std::process::id()));
-        save_image(&img, &path).expect("image written");
-        for cmd in ["verify", "dump"] {
-            let out = Command::new(env!("CARGO_BIN_EXE_oectl"))
-                .args([cmd, path.to_str().unwrap(), "1"])
-                .output()
-                .expect("oectl runs");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(out.status.code(), Some(1), "{cmd} {width}: {stderr}");
-            assert!(
-                stderr.contains("no initialized pool"),
-                "{cmd} {width}: {stderr}"
-            );
-        }
-        std::fs::remove_file(&path).ok();
+        assert_oectl_refuses(8, width);
+    }
+}
+
+/// ... and for a high-water mark no allocator could have persisted on
+/// the image, which it would otherwise walk slot by slot.
+#[test]
+fn oectl_refuses_an_unbacked_high_water_in_words() {
+    for high_water in [1u64 << 17, 1 << 40, 1 << 56] {
+        assert_oectl_refuses(24, high_water);
     }
 }

@@ -44,8 +44,9 @@ fn bucket_value(idx: usize) -> u64 {
 
 /// A fixed-size, lock-free histogram of nanosecond values.
 ///
-/// All methods take `&self`; recording is a handful of `Relaxed`
-/// atomic RMWs. Readers take a [`snapshot`](Histogram::snapshot) and
+/// All methods take `&self`; recording is three `Relaxed` atomic RMWs
+/// (cell, count, sum) plus one for each extreme the value beats.
+/// Readers take a [`snapshot`](Histogram::snapshot) and
 /// query quantiles on the immutable copy. A snapshot racing with
 /// writers may lag individual cells, but once writers quiesce the
 /// totals are exact — no samples are ever lost.
@@ -82,8 +83,16 @@ impl Histogram {
         self.counts[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // `min` only falls and `max` only rises, so a stale load can
+        // only send a value to a redundant RMW, never skip a needed one:
+        // the extremes stay exact under any interleaving, and a value
+        // that beats neither costs two loads instead of two RMWs.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     /// Number of recorded values.
@@ -384,6 +393,76 @@ mod tests {
                 s.max()
             );
         }
+    }
+
+    /// Count, sum (wrapping, as the atomic adds wrap), min and max of
+    /// what was recorded, folded directly.
+    fn reference_fold(values: &[u64]) -> (u64, u64, u64, u64) {
+        values
+            .iter()
+            .fold((0, 0, u64::MAX, 0), |(n, sum, lo, hi), &v| {
+                (n + 1, sum.wrapping_add(v), lo.min(v), hi.max(v))
+            })
+    }
+
+    /// A seeded sequence over the whole `u64` range and small values,
+    /// with 0 and `u64::MAX` in the middle so neither is the first
+    /// value a guard sees.
+    fn seeded_values() -> Vec<u64> {
+        let mut x = 0x5EED_u64;
+        let mut values: Vec<u64> = (0..40_000u64)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if i % 3 == 0 {
+                    x >> (x % 64)
+                } else {
+                    x % 100_000 + 1
+                }
+            })
+            .collect();
+        values[17_321] = 0;
+        values[23_456] = u64::MAX;
+        values
+    }
+
+    #[test]
+    fn guarded_extremes_match_a_reference_fold() {
+        let values = seeded_values();
+        let (n, sum, lo, hi) = reference_fold(&values);
+        assert_eq!((lo, hi), (0, u64::MAX), "the sequence holds both ends");
+        let check = |s: &HistogramSnapshot, arm: &str| {
+            assert_eq!(s.count(), n, "{arm}: count");
+            assert_eq!(s.sum(), sum, "{arm}: sum");
+            assert_eq!(s.min(), lo, "{arm}: min");
+            assert_eq!(s.max(), hi, "{arm}: max");
+        };
+
+        let h = Histogram::new();
+        for &v in &values {
+            h.record(v);
+        }
+        check(&h.snapshot(), "one thread");
+
+        const THREADS: usize = 4;
+        let h = Arc::new(Histogram::new());
+        let values = Arc::new(values);
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (h, values) = (Arc::clone(&h), Arc::clone(&values));
+                // Interleaved shares: every thread races on the extremes.
+                std::thread::spawn(move || {
+                    for &v in values.iter().skip(t).step_by(THREADS) {
+                        h.record(v);
+                    }
+                })
+            })
+            .collect();
+        for t in handles {
+            t.join().unwrap();
+        }
+        check(&h.snapshot(), "4 threads");
     }
 
     #[test]

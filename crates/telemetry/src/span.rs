@@ -150,10 +150,11 @@ impl PhaseTimes {
     }
 
     /// Open a wall-clock span for `phase`; its drop records the
-    /// elapsed time.
-    pub fn span(&self, phase: Phase) -> SpanGuard {
+    /// elapsed time. The guard borrows the phase's histogram, so a span
+    /// costs two clock reads and one record, with no handle clone.
+    pub fn span(&self, phase: Phase) -> SpanGuard<'_> {
         SpanGuard {
-            hist: self.hist(phase).clone(),
+            hist: self.hist(phase),
             start: Instant::now(),
         }
     }
@@ -161,21 +162,15 @@ impl PhaseTimes {
 
 /// RAII wall-clock timer; records elapsed ns into its histogram on drop.
 #[derive(Debug)]
-pub struct SpanGuard {
-    hist: HistogramHandle,
+pub struct SpanGuard<'a> {
+    hist: &'a HistogramHandle,
     start: Instant,
 }
 
-impl SpanGuard {
-    /// Nanoseconds elapsed so far.
-    pub fn elapsed_ns(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        self.hist.record(self.elapsed_ns());
+        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.hist.record(ns);
     }
 }
 

@@ -130,19 +130,22 @@ impl WorkloadGen {
         let inputs = self.spec.batch_size / self.spec.workers;
         // Popularity drift: rotate the rank→key mapping over time so the
         // hot set slides through the key space.
-        let offset = (batch_idx * self.spec.drift_keys_per_batch) % self.spec.num_keys;
+        let num_keys = self.spec.num_keys;
+        let offset = (batch_idx * self.spec.drift_keys_per_batch) % num_keys;
         let mut input_keys = Vec::with_capacity(inputs);
         for _ in 0..inputs {
             let keys: Vec<Key> = (0..self.spec.fields)
                 .map(|_| {
                     let pick = stream.next_f64();
                     let u = stream.next_f64();
-                    (self
-                        .spec
-                        .skew
-                        .rank_from_uniforms(pick, u, self.spec.num_keys)
-                        + offset)
-                        % self.spec.num_keys
+                    // Rank and offset are both below `num_keys`: their
+                    // sum wraps with one subtraction, no division.
+                    let key = self.spec.skew.rank_from_uniforms(pick, u, num_keys) + offset;
+                    if key >= num_keys {
+                        key - num_keys
+                    } else {
+                        key
+                    }
                 })
                 .collect();
             input_keys.push(keys);
@@ -199,6 +202,59 @@ mod tests {
         for _ in 0..10_000 {
             let u = s.next_f64();
             assert!((0.0..1.0).contains(&u));
+        }
+    }
+
+    /// The input keys of `worker_batch` with the retired
+    /// `(rank + offset) % num_keys`.
+    fn retired_input_keys(spec: &WorkloadSpec, batch_idx: u64, worker: usize) -> Vec<Vec<Key>> {
+        let mut stream = UniformStream::new(
+            spec.seed ^ batch_idx.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (worker as u64) << 48,
+        );
+        let offset = (batch_idx * spec.drift_keys_per_batch) % spec.num_keys;
+        (0..spec.batch_size / spec.workers)
+            .map(|_| {
+                (0..spec.fields)
+                    .map(|_| {
+                        let pick = stream.next_f64();
+                        let u = stream.next_f64();
+                        (spec.skew.rank_from_uniforms(pick, u, spec.num_keys) + offset)
+                            % spec.num_keys
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn conditional_wrap_matches_the_retired_modulo() {
+        for scale in [0.002, 0.05, 1.0] {
+            for drift in [0, 64] {
+                let spec = WorkloadSpec {
+                    num_keys: 5_000,
+                    fields: 4,
+                    batch_size: 8,
+                    workers: 2,
+                    skew: SkewModel::paper_fit().scaled(scale),
+                    seed: 20230403,
+                    drift_keys_per_batch: drift,
+                };
+                let g = WorkloadGen::new(spec.clone());
+                let mut wrapped = 0;
+                for b in 0..2_000 {
+                    let worker = (b % 2) as usize;
+                    let keys = g.worker_batch(b, worker).input_keys;
+                    assert_eq!(
+                        keys,
+                        retired_input_keys(&spec, b, worker),
+                        "scale {scale} drift {drift} batch {b}"
+                    );
+                    let offset = (b * drift) % spec.num_keys;
+                    wrapped += keys.iter().flatten().filter(|&&k| k < offset).count();
+                }
+                // With drift, sums past `num_keys` occur: the wrap runs.
+                assert_eq!(wrapped > 0, drift > 0, "scale {scale} drift {drift}");
+            }
         }
     }
 

@@ -18,8 +18,18 @@ use oe_simdevice::rng::Rng;
 /// normalized rank; remaining probability mass is uniform.
 #[derive(Debug, Clone)]
 pub struct SkewModel {
-    components: Vec<(f64, f64)>,
+    components: Vec<Component>,
     uniform: f64,
+}
+
+/// One truncated exponential of the mixture.
+#[derive(Debug, Clone, Copy)]
+struct Component {
+    weight: f64,
+    lambda: f64,
+    /// `1 − e^(−λ)`, the untruncated mass on [0, 1): the normaliser of
+    /// the CDF and the scale of its inverse, evaluated once in `new`.
+    mass: f64,
 }
 
 impl SkewModel {
@@ -36,7 +46,14 @@ impl SkewModel {
         }
         Self {
             uniform: (1.0 - total).max(0.0),
-            components,
+            components: components
+                .into_iter()
+                .map(|(weight, lambda)| Component {
+                    weight,
+                    lambda,
+                    mass: 1.0 - (-lambda).exp(),
+                })
+                .collect(),
         }
     }
 
@@ -65,14 +82,14 @@ impl SkewModel {
         Self::new(
             self.components
                 .iter()
-                .map(|&(w, l)| (w, l * factor))
+                .map(|c| (c.weight, c.lambda * factor))
                 .collect(),
         )
     }
 
     /// CDF of one truncated exponential at normalized rank `x`.
-    fn exp_cdf(x: f64, l: f64) -> f64 {
-        (1.0 - (-l * x).exp()) / (1.0 - (-l).exp())
+    fn exp_cdf(x: f64, c: &Component) -> f64 {
+        (1.0 - (-c.lambda * x).exp()) / c.mass
     }
 
     /// Fraction of all accesses landing on the hottest `frac` of keys
@@ -80,8 +97,8 @@ impl SkewModel {
     pub fn share_top(&self, frac: f64) -> f64 {
         let frac = frac.clamp(0.0, 1.0);
         let mut s = self.uniform * frac;
-        for &(w, l) in &self.components {
-            s += w * Self::exp_cdf(frac, l);
+        for c in &self.components {
+            s += c.weight * Self::exp_cdf(frac, c);
         }
         s
     }
@@ -94,13 +111,13 @@ impl SkewModel {
     /// key sequence that is a pure function of the seed.
     pub fn x_from_uniforms(&self, pick: f64, u: f64) -> f64 {
         let mut pick = pick;
-        for &(w, l) in &self.components {
-            if pick < w {
+        for c in &self.components {
+            if pick < c.weight {
                 // Inverse CDF of the truncated exponential.
-                let x = -(1.0 - u * (1.0 - (-l).exp())).ln() / l;
+                let x = -(1.0 - u * c.mass).ln() / c.lambda;
                 return x.min(1.0 - f64::EPSILON);
             }
-            pick -= w;
+            pick -= c.weight;
         }
         u
     }
