@@ -66,9 +66,12 @@ done
 # The wire carries only what a PsClient sends: the placement-epoch
 # fence, the entry-migration RPCs and the static-hash shell in oe-core
 # are gone (EXPERIMENTS.md, "Retired wire placement plane"); PlacedCluster
-# and PsEngine keep `placement_epoch` and `export_entry`.
+# and PsEngine keep `placement_epoch` and `export_entry`. The codec reads
+# every frame through the two views (no owned control decoder), and
+# oe-serve has one read surface, the snapshot (no ServingNode and no
+# sampling helper beside SnapshotReader::lookup).
 echo "==> retired twins stay retired"
-if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster" \
+if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster|Packet::decode|ServingNode|sampled_lookup" \
   crates tests examples README.md DESIGN.md; then
   echo "a retired name resurfaced (see above)" >&2
   exit 1
@@ -97,13 +100,21 @@ if grep -rnE 'unsafe|core::arch|std::arch' crates/serve/src; then
   exit 1
 fi
 
-# A point lookup costs ~45 ns and a wall-clock span ~100 ns more: both
-# read paths time one lookup in 256 through one sampling helper
-# (`sampled_lookup`), so its span is the only serve-lookup span.
+# A point lookup costs ~45 ns and a wall-clock span ~100 ns more: the
+# one point-lookup path, SnapshotReader::lookup, times one lookup in
+# 256, so its span is the only serve-lookup span.
 lookup_spans="$(grep -rnF 'span(Phase::ServeLookup)' crates/serve/src || true)"
 if [[ "$(grep -c . <<<"$lookup_spans")" != 1 ]] || ! grep -q 'snapshot_handle.rs' <<<"$lookup_spans"; then
   echo "${lookup_spans:-no span(Phase::ServeLookup) in crates/serve/src}"
-  echo "span(Phase::ServeLookup) must occur once in crates/serve/src, in sampled_lookup (see above)" >&2
+  echo "span(Phase::ServeLookup) must occur once in crates/serve/src, in SnapshotReader::lookup in snapshot_handle.rs (see above)" >&2
+  exit 1
+fi
+
+# The codec writes into a Vec<u8> and reads through one cursor over
+# &[u8]: oe-net uses the bytes crate only for the Bytes type the
+# Transport seam carries, never its buffer or cursor API.
+if grep -rnE 'BytesMut|BufMut|bytes::(\{[^}]*\b)?Buf\b' crates/net/src; then
+  echo "the bytes crate's buffer or cursor API resurfaced in crates/net/src (see above)" >&2
   exit 1
 fi
 

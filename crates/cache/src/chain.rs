@@ -63,11 +63,6 @@ impl VersionChain {
         (self.len > 0).then(|| self.slots[self.len as usize - 1])
     }
 
-    /// The newest retained slot with `version ≤ bound`.
-    pub fn newest_le(&self, bound: BatchId) -> Option<(SlotId, BatchId)> {
-        self.iter().filter(|&(_, v)| v <= bound).last()
-    }
-
     /// Append a new version. Versions must arrive in non-decreasing
     /// order (flushes happen in batch order for a given key). Panics if
     /// the chain is full — callers must [`Self::prune`] first.
@@ -160,9 +155,6 @@ mod tests {
         let c = chain(&[1, 3, 7]);
         assert_eq!(c.len(), 3);
         assert_eq!(c.newest(), Some((SlotId(2), 7)));
-        assert_eq!(c.newest_le(5), Some((SlotId(1), 3)));
-        assert_eq!(c.newest_le(0), None);
-        assert_eq!(c.newest_le(3), Some((SlotId(1), 3)));
     }
 
     #[test]

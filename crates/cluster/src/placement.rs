@@ -52,16 +52,6 @@ impl PlacementTable {
         self.epoch
     }
 
-    /// Number of keys with an explicit override.
-    pub fn overrides_len(&self) -> usize {
-        self.overrides.len()
-    }
-
-    /// True if `key` routes through an explicit override.
-    pub fn is_overridden(&self, key: Key) -> bool {
-        self.overrides.contains_key(&key)
-    }
-
     /// Route `key`: override if present, hash fallback otherwise.
     #[inline]
     pub fn node_of(&self, key: Key) -> usize {
@@ -97,7 +87,7 @@ mod tests {
     fn fresh_table_is_pure_hash() {
         let t = PlacementTable::new(4);
         assert_eq!(t.epoch(), 0);
-        assert_eq!(t.overrides_len(), 0);
+        assert!(t.overrides.is_empty());
         for k in 0..256u64 {
             assert_eq!(t.node_of(k), hash_node_of(k, 4));
         }
@@ -110,7 +100,7 @@ mod tests {
         let e = t.apply(&[(k, 2)]);
         assert_eq!(e, 1);
         assert_eq!(t.node_of(k), 2);
-        assert!(t.is_overridden(k));
+        assert!(t.overrides.contains_key(&k));
         for other in 0..64u64 {
             if other != k {
                 assert_eq!(t.node_of(other), hash_node_of(other, 4), "key {other}");
@@ -125,9 +115,9 @@ mod tests {
         let home = hash_node_of(k, 4);
         let away = (home + 1) % 4;
         t.apply(&[(k, away)]);
-        assert_eq!(t.overrides_len(), 1);
+        assert_eq!(t.overrides.len(), 1);
         t.apply(&[(k, home)]);
-        assert_eq!(t.overrides_len(), 0, "table stays minimal");
+        assert!(t.overrides.is_empty(), "table stays minimal");
         assert_eq!(t.node_of(k), home);
         assert_eq!(t.epoch(), 2, "both applies bumped");
     }

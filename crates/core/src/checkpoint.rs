@@ -40,11 +40,6 @@ impl CheckpointScheduler {
         }
     }
 
-    /// Whether checkpoints are being scheduled at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The configured interval.
     pub fn interval(&self) -> Nanos {
         self.interval_ns
@@ -176,7 +171,6 @@ mod tests {
     #[test]
     fn disabled_never_fires() {
         let mut s = CheckpointScheduler::disabled();
-        assert!(!s.is_enabled());
         assert_eq!(s.due(u64::MAX - 1, 1), None);
     }
 

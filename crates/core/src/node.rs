@@ -274,16 +274,16 @@ impl PsNode {
         (crate::init::splitmix64(key) % self.shards.len() as u64) as usize
     }
 
-    /// Protection boundaries: committed CBI + all pending checkpoint ids.
-    fn boundaries(&self) -> (Vec<BatchId>, Option<BatchId>, BatchId) {
+    /// Protection boundaries (committed CBI + all pending checkpoint
+    /// ids) and the highest of them.
+    fn boundaries(&self) -> (Vec<BatchId>, BatchId) {
         let committed = self.committed.load(Ordering::Acquire);
         let pending = self.ckpt_pending.lock();
-        let head = pending.front().copied();
         let protect_max = pending.iter().copied().max().unwrap_or(committed);
         let mut bounds = Vec::with_capacity(1 + pending.len());
         bounds.push(committed);
         bounds.extend(pending.iter().copied());
-        (bounds, head, protect_max)
+        (bounds, protect_max)
     }
 
     /// Flush `payload` (state at `version`) of `key` to PMem out of
@@ -471,7 +471,7 @@ impl PsNode {
             let Some(cp) = self.ckpt_pending.lock().front().copied() else {
                 break;
             };
-            let (boundaries, _, _) = self.boundaries();
+            let (boundaries, _) = self.boundaries();
             for s in &self.shards {
                 let mut g = s.write();
                 let slots: Vec<u32> = g
@@ -525,10 +525,7 @@ impl PsNode {
                     init_payload(self.cfg.seed, key, self.cfg.init_scale, dim, payload);
                     let slot = self.store.alloc(cost);
                     self.store.write_slot(slot, key, batch, payload, cost);
-                    let mut chain = VersionChain::new();
-                    chain.push(slot, batch);
                     g.index.insert_recovered(key, slot, batch);
-                    g.index.get_mut(key).unwrap().chain = chain;
                     out.extend_from_slice(&payload[..dim]);
                     EngineStats::add(&self.stats.new_entries, 1);
                     cost.charge(CostKind::Serialized, INIT_ENTRY_NS);
@@ -544,7 +541,7 @@ impl PsNode {
         let mut arena = self.scratch.acquire(Shape::lane(self.cfg.payload_f32s()));
         arena.payload.resize(self.cfg.payload_f32s(), 0.0);
         let payload = &mut arena.payload;
-        let (boundaries, _, _) = self.boundaries();
+        let (boundaries, _) = self.boundaries();
         for (i, &key) in keys.iter().enumerate() {
             let sid = self.shard_of(key);
             let mut g = self.shards[sid].write();
@@ -578,7 +575,7 @@ impl PsNode {
                 if self.access_queue.drain_into(&mut chunk, 1024) == 0 {
                     break;
                 }
-                let (boundaries, _, protect_max) = self.boundaries();
+                let (boundaries, protect_max) = self.boundaries();
                 let mut any_evicted = false;
                 for &key in chunk.iter() {
                     let sid = self.shard_of(key);
@@ -700,7 +697,7 @@ impl PsNode {
     fn pull_planned(&self, keys: &[Key], batch: BatchId, out: &mut Vec<f32>, cost: &mut Cost) {
         let dim = self.cfg.dim;
         let plan = self.build_plan(keys, cost);
-        let (boundaries, _, _) = self.boundaries();
+        let (boundaries, _) = self.boundaries();
         let lanes = plan.partition(self.cfg.parallelism);
 
         let payload_f32s = self.cfg.payload_f32s();
@@ -965,7 +962,7 @@ impl PsNode {
     fn push_planned(&self, keys: &[Key], grads: &[f32], batch: BatchId, cost: &mut Cost) {
         let dim = self.cfg.dim;
         let plan = self.build_plan(keys, cost);
-        let (boundaries, _, protect_max) = self.boundaries();
+        let (boundaries, protect_max) = self.boundaries();
         let lanes = plan.partition(self.cfg.parallelism);
 
         let payload_f32s = self.cfg.payload_f32s();

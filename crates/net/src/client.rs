@@ -38,7 +38,7 @@
 //! paper's 30 Gb intranet model.
 
 use crate::api::{PsClient, PullTicket};
-use crate::codec::{validate_frame, Frame, FrameMeta, Packet, Request, Response, ResponseView};
+use crate::codec::{validate_frame, FrameMeta, Packet, Request, Response, ResponseView};
 use crate::config::NetConfig;
 use crate::error::{Error, ErrorKind};
 use crate::failover::{FailoverEvent, Standby};
@@ -213,17 +213,17 @@ impl RemotePs {
     /// One logical RPC: fresh idempotence token, deadline per attempt,
     /// retry with backoff on retryable failures (same token each time),
     /// failover on a dead primary. The control path: every request
-    /// outside the pull/push bursts; a burst-typed reply to one of these
-    /// is `Corrupt` ([`Packet::decode`] has no owned form for it).
+    /// outside the pull/push bursts; a weights burst in reply to one of
+    /// these is `Corrupt`.
     fn call_result(&self, req: Request, cost: &mut Cost) -> Result<Response, Error> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let frame = Packet::request(self.client_id, seq, req).encode();
-        let (_, reply) = self.call_raw(seq, frame, cost)?;
-        match Packet::decode(reply)?.frame {
-            Frame::Response(r) => Ok(r),
-            // Unreachable: `call_raw` already rejected request-typed
-            // replies; kept so the match stays total.
-            Frame::Request(_) => Err(Error::corrupt("server sent a request")),
+        let (meta, reply) = self.call_raw(seq, frame, cost)?;
+        match ResponseView::decode(meta, &reply)? {
+            ResponseView::Other(r) => Ok(r),
+            ResponseView::Weights { .. } => Err(Error::corrupt(
+                "burst message type 0x81 in reply to a control request",
+            )),
         }
     }
 

@@ -28,18 +28,25 @@
 //! covered by no checksum and are refused.
 //!
 //! Bodies use length-prefixed vectors (`u32` count) of little-endian
-//! scalars, written as one bulk copy per vector. Virtual-time [`Cost`]s cross the wire as their raw
-//! (ns, ops) arrays so the client can merge server-side charges into
-//! its own accounting.
+//! scalars, written as one bulk copy per vector. Virtual-time [`Cost`]s
+//! cross the wire as their raw (ns, ops) arrays so the client can merge
+//! server-side charges into its own accounting. Every encoder writes one
+//! `Vec<u8>` and seals it (length and checksum patched in) into the
+//! [`Bytes`] the transport carries.
+//!
+//! Every frame is read one way: [`validate_frame`] checks the header,
+//! then [`RequestView::decode`] or [`ResponseView::decode`] reads the
+//! body, both through one private cursor over the frame's bytes. Each
+//! read — a scalar, a counted vector viewed in place, a string, a
+//! [`Cost`] — returns its value or a `Corrupt` error, and a body with
+//! bytes left after its last field is refused.
 //!
 //! The three bursts that dominate traffic — pull (`0x01`), push (`0x02`)
 //! and the weights reply (`0x81`) — have no owned form: they are written
 //! from borrowed slices by [`Packet::encode_pull`],
 //! [`Packet::encode_push`] and [`Packet::encode_weights_response`], and
-//! read in place by [`RequestView`] / [`ResponseView`]. [`Request`] and
-//! [`Response`] hold the small control messages only, and
-//! [`Packet::decode`] — the control decoder — refuses a burst type as
-//! `Corrupt`.
+//! their vectors stay [`LeView`]s over the frame. [`Request`] and
+//! [`Response`] hold the small control messages only.
 //!
 //! A pull or push body opens with one reserved `u64` word: written as
 //! 0, skipped on decode, never validated. It held a placement epoch
@@ -48,16 +55,17 @@
 //! the network cost model charges by frame bytes.
 //!
 //! Every decode failure — truncation, trailing bytes, bad
-//! magic/version, checksum mismatch, unknown discriminant, short body —
-//! is a structured
-//! [`Error`] with kind [`crate::ErrorKind::Corrupt`]; decode never
-//! panics on arbitrary bytes.
+//! magic/version, checksum mismatch, unknown discriminant, short or
+//! over-long body — is a structured [`Error`] with kind
+//! [`crate::ErrorKind::Corrupt`]; decode never panics on arbitrary
+//! bytes.
 
 use crate::error::{Error, ErrorKind};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use oe_core::stats::StatsSnapshot;
 use oe_core::{BatchId, Key};
 use oe_simdevice::{integrity_hash, Cost};
+use std::marker::PhantomData;
 
 /// Frame magic ("OE").
 pub const MAGIC: u16 = 0x4F45;
@@ -205,96 +213,132 @@ pub struct Packet {
     pub frame: Frame,
 }
 
-// --- primitive helpers -------------------------------------------------
+// --- scalars, writers and the reader ---------------------------------
 
-/// Append `vals` as little-endian scalars in one pass: grow the buffer
-/// once, then fill it in place (a plain copy on little-endian hosts)
-/// instead of one bounds-checked append per element.
-fn put_le<T: Copy, const N: usize>(buf: &mut BytesMut, vals: &[T], to_le: impl Fn(T) -> [u8; N]) {
+/// A little-endian scalar of the wire: header fields, body fields, and
+/// the elements of a counted vector (`u64` keys, `f32` weights and
+/// gradients).
+pub trait LeScalar: Copy + 'static {
+    /// Encoded width in bytes.
+    const WIDTH: usize;
+    /// Read one value from exactly [`Self::WIDTH`] bytes.
+    fn read_le(bytes: &[u8]) -> Self;
+    /// Write the value into exactly [`Self::WIDTH`] bytes.
+    fn write_le(self, out: &mut [u8]);
+}
+
+macro_rules! le_scalar {
+    ($($t:ty),*) => {$(
+        impl LeScalar for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn read_le(bytes: &[u8]) -> Self {
+                <$t>::from_le_bytes(bytes.try_into().expect("WIDTH bytes"))
+            }
+            fn write_le(self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+le_scalar!(u8, u16, u32, u64, f32);
+
+/// Append `vals` in one pass: grow the buffer once, then fill it in
+/// place (a plain copy on little-endian hosts) instead of one
+/// bounds-checked append per element.
+fn put<T: LeScalar>(buf: &mut Vec<u8>, vals: &[T]) {
     let start = buf.len();
-    buf.resize(start + vals.len() * N, 0);
-    for (dst, &v) in buf[start..].chunks_exact_mut(N).zip(vals) {
-        dst.copy_from_slice(&to_le(v));
+    buf.resize(start + vals.len() * T::WIDTH, 0);
+    for (out, &v) in buf[start..].chunks_exact_mut(T::WIDTH).zip(vals) {
+        v.write_le(out);
     }
 }
 
-fn put_u64s(buf: &mut BytesMut, vals: &[u64]) {
-    buf.put_u32_le(vals.len() as u32);
-    put_le(buf, vals, u64::to_le_bytes);
+/// Append `vals` as a `u32`-counted vector.
+fn put_vec<T: LeScalar>(buf: &mut Vec<u8>, vals: &[T]) {
+    put(buf, &[vals.len() as u32]);
+    put(buf, vals);
 }
 
-fn put_f32s(buf: &mut BytesMut, vals: &[f32]) {
-    buf.put_u32_le(vals.len() as u32);
-    put_le(buf, vals, f32::to_le_bytes);
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_vec(buf, s.as_bytes());
+}
+
+/// Wire size of a [`Cost`]: 8 ns counters + 8 op counters, 8 bytes each.
+const COST_WIRE_LEN: usize = 16 * 8;
+
+fn put_cost(buf: &mut Vec<u8>, cost: &Cost) {
+    let (ns, ops) = cost.raw_parts();
+    put(buf, &ns);
+    put(buf, &ops);
 }
 
 fn truncated() -> Error {
     Error::corrupt("truncated frame")
 }
 
-fn get_f32s(buf: &mut Bytes) -> Result<Vec<f32>, Error> {
-    if buf.remaining() < 4 {
-        return Err(truncated());
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n.saturating_mul(4) {
-        return Err(truncated());
-    }
-    Ok((0..n).map(|_| buf.get_f32_le()).collect())
+/// The one frame reader: a cursor over frame bytes. Each read returns
+/// its value or a `Corrupt` error — none panics, whatever the bytes —
+/// and [`Reader::finish`] refuses a body with bytes left over.
+struct Reader<'a> {
+    rest: &'a [u8],
 }
 
-/// Wire size of a [`Cost`]: 8 ns counters + 8 op counters, 8 bytes each.
-const COST_WIRE_LEN: usize = 16 * 8;
-
-fn put_cost(buf: &mut BytesMut, cost: &Cost) {
-    let (ns, ops) = cost.raw_parts();
-    for v in ns {
-        buf.put_u64_le(v);
+impl<'a> Reader<'a> {
+    /// The body of `frame`, whose header `meta` was validated from.
+    fn body(meta: FrameMeta, frame: &'a [u8]) -> Result<Self, Error> {
+        let rest = frame.get(HEADER_LEN..HEADER_LEN + meta.body_len);
+        rest.map(|rest| Self { rest }).ok_or_else(truncated)
     }
-    for v in ops {
-        buf.put_u64_le(v);
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], Error> {
+        if self.rest.len() < n {
+            return Err(truncated());
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn le<T: LeScalar>(&mut self) -> Result<T, Error> {
+        self.take(T::WIDTH).map(T::read_le)
+    }
+
+    /// A `u32`-counted vector, viewed in place.
+    fn vec<T: LeScalar>(&mut self) -> Result<LeView<'a, T>, Error> {
+        let n = self.le::<u32>()? as usize;
+        Ok(LeView {
+            bytes: self.take(n.saturating_mul(T::WIDTH))?,
+            scalar: PhantomData,
+        })
+    }
+
+    /// A `u32`-counted string; invalid UTF-8 is replaced, not refused.
+    fn str(&mut self) -> Result<String, Error> {
+        let bytes = self.vec::<u8>()?.bytes;
+        Ok(String::from_utf8_lossy(bytes).into_owned())
+    }
+
+    fn cost(&mut self) -> Result<Cost, Error> {
+        let mut ns = [0u64; 8];
+        let mut ops = [0u64; 8];
+        for v in ns.iter_mut().chain(&mut ops) {
+            *v = self.le()?;
+        }
+        Ok(Cost::from_raw_parts(ns, ops))
+    }
+
+    /// `value`, if the body was read to its last byte.
+    fn finish<T>(self, value: T) -> Result<T, Error> {
+        match self.rest.len() {
+            0 => Ok(value),
+            n => Err(Error::corrupt(format!(
+                "{n} bytes past the end of the message"
+            ))),
+        }
     }
 }
 
-fn get_cost(buf: &mut Bytes) -> Result<Cost, Error> {
-    if buf.remaining() < COST_WIRE_LEN {
-        return Err(truncated());
-    }
-    let mut ns = [0u64; 8];
-    let mut ops = [0u64; 8];
-    for v in &mut ns {
-        *v = buf.get_u64_le();
-    }
-    for v in &mut ops {
-        *v = buf.get_u64_le();
-    }
-    Ok(Cost::from_raw_parts(ns, ops))
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, Error> {
-    if buf.remaining() < 8 {
-        return Err(truncated());
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, Error> {
-    if buf.remaining() < 4 {
-        return Err(truncated());
-    }
-    let n = buf.get_u32_le() as usize;
-    if buf.remaining() < n {
-        return Err(truncated());
-    }
-    Ok(String::from_utf8_lossy(&buf.copy_to_bytes(n)).into_owned())
-}
-
-// --- frame body encode/decode ------------------------------------------
+// --- control bodies -----------------------------------------------------
 
 impl Frame {
     fn msg_type(&self) -> u8 {
@@ -324,46 +368,14 @@ impl Frame {
         }
     }
 
-    /// Exact encoded body size in bytes. Kept in lockstep with
-    /// [`Frame::encode_body`] (asserted by the codec tests) so encode
-    /// pre-sizes its buffer once.
-    fn body_len(&self) -> usize {
-        match self {
-            Frame::Request(r) => match r {
-                Request::EndPullPhase { .. }
-                | Request::Checkpoint { .. }
-                | Request::ReadWeights { .. }
-                | Request::SeqFence { .. } => 8,
-                Request::Committed
-                | Request::Stats
-                | Request::NumKeys
-                | Request::Hello
-                | Request::Metrics => 0,
-            },
-            Frame::Response(r) => match r {
-                Response::Ack { .. } => COST_WIRE_LEN,
-                Response::Maintenance { .. } => 8 + 8 + COST_WIRE_LEN,
-                Response::Committed { .. } | Response::Count(_) => 8,
-                Response::Stats(_) => 11 * 8,
-                Response::MaybeWeights(w) => match w {
-                    Some(w) => 1 + 4 + w.len() * 4,
-                    None => 1,
-                },
-                Response::HelloOk { name, .. } => 4 + 4 + name.len(),
-                Response::Metrics(text) => 4 + text.len(),
-                Response::Error { message, .. } => 1 + 4 + message.len(),
-            },
-        }
-    }
-
-    fn encode_body(&self, body: &mut BytesMut) {
+    fn encode_body(&self, body: &mut Vec<u8>) {
         match self {
             Frame::Request(r) => match r {
                 Request::EndPullPhase { batch } | Request::Checkpoint { batch } => {
-                    body.put_u64_le(*batch);
+                    put(body, &[*batch]);
                 }
-                Request::ReadWeights { key } => body.put_u64_le(*key),
-                Request::SeqFence { floor } => body.put_u64_le(*floor),
+                Request::ReadWeights { key } => put(body, &[*key]),
+                Request::SeqFence { floor } => put(body, &[*floor]),
                 Request::Committed
                 | Request::Stats
                 | Request::NumKeys
@@ -377,13 +389,13 @@ impl Frame {
                     commits,
                     cost,
                 } => {
-                    body.put_u64_le(*entries);
-                    body.put_u64_le(*commits);
+                    put(body, &[*entries, *commits]);
                     put_cost(body, cost);
                 }
-                Response::Committed { batch } => body.put_u64_le(*batch),
-                Response::Stats(s) => {
-                    for v in [
+                Response::Committed { batch } => put(body, &[*batch]),
+                Response::Stats(s) => put(
+                    body,
+                    &[
                         s.pulls,
                         s.hits,
                         s.misses,
@@ -395,118 +407,83 @@ impl Frame {
                         s.ckpt_commits,
                         s.ckpt_entries_written,
                         s.slots_recycled,
-                    ] {
-                        body.put_u64_le(v);
-                    }
-                }
+                    ],
+                ),
                 Response::MaybeWeights(w) => match w {
                     Some(w) => {
-                        body.put_u8(1);
-                        put_f32s(body, w);
+                        body.push(1);
+                        put_vec(body, w);
                     }
-                    None => body.put_u8(0),
+                    None => body.push(0),
                 },
-                Response::Count(n) => body.put_u64_le(*n),
+                Response::Count(n) => put(body, &[*n]),
                 Response::HelloOk { dim, name } => {
-                    body.put_u32_le(*dim);
-                    body.put_u32_le(name.len() as u32);
-                    body.put_slice(name.as_bytes());
+                    put(body, &[*dim]);
+                    put_str(body, name);
                 }
                 Response::Metrics(text) => put_str(body, text),
                 Response::Error { kind, message } => {
-                    body.put_u8(kind.code());
+                    body.push(kind.code());
                     put_str(body, message);
                 }
             },
         }
     }
 
-    fn decode_body(msg_type: u8, body: &mut Bytes) -> Result<Frame, Error> {
+    /// Read a control message of type `msg_type` off `body`; the caller
+    /// finishes the reader.
+    fn decode_body(msg_type: u8, body: &mut Reader<'_>) -> Result<Frame, Error> {
         let frame = match msg_type {
-            0x03 => Frame::Request(Request::EndPullPhase {
-                batch: get_u64(body)?,
-            }),
-            0x04 => Frame::Request(Request::Checkpoint {
-                batch: get_u64(body)?,
-            }),
+            0x03 => Frame::Request(Request::EndPullPhase { batch: body.le()? }),
+            0x04 => Frame::Request(Request::Checkpoint { batch: body.le()? }),
             0x05 => Frame::Request(Request::Committed),
             0x06 => Frame::Request(Request::Stats),
-            0x07 => Frame::Request(Request::ReadWeights {
-                key: get_u64(body)?,
-            }),
+            0x07 => Frame::Request(Request::ReadWeights { key: body.le()? }),
             0x08 => Frame::Request(Request::NumKeys),
             0x09 => Frame::Request(Request::Hello),
             0x0A => Frame::Request(Request::Metrics),
-            0x0B => Frame::Request(Request::SeqFence {
-                floor: get_u64(body)?,
-            }),
-            0x82 => Frame::Response(Response::Ack {
-                cost: get_cost(body)?,
-            }),
+            0x0B => Frame::Request(Request::SeqFence { floor: body.le()? }),
+            0x82 => Frame::Response(Response::Ack { cost: body.cost()? }),
             0x83 => Frame::Response(Response::Maintenance {
-                entries: get_u64(body)?,
-                commits: get_u64(body)?,
-                cost: get_cost(body)?,
+                entries: body.le()?,
+                commits: body.le()?,
+                cost: body.cost()?,
             }),
-            0x84 => Frame::Response(Response::Committed {
-                batch: get_u64(body)?,
+            0x84 => Frame::Response(Response::Committed { batch: body.le()? }),
+            0x85 => Frame::Response(Response::Stats(StatsSnapshot {
+                pulls: body.le()?,
+                hits: body.le()?,
+                misses: body.le()?,
+                new_entries: body.le()?,
+                pushes: body.le()?,
+                evictions: body.le()?,
+                flushes: body.le()?,
+                loads: body.le()?,
+                ckpt_commits: body.le()?,
+                ckpt_entries_written: body.le()?,
+                slots_recycled: body.le()?,
+            })),
+            0x86 => Frame::Response(Response::MaybeWeights(match body.le::<u8>()? {
+                0 => None,
+                1 => Some(body.vec::<f32>()?.iter().collect()),
+                other => {
+                    return Err(Error::corrupt(format!(
+                        "weights presence byte {other}, expected 0 or 1"
+                    )))
+                }
+            })),
+            0x87 => Frame::Response(Response::Count(body.le()?)),
+            0x88 => Frame::Response(Response::HelloOk {
+                dim: body.le()?,
+                name: body.str()?,
             }),
-            0x85 => {
-                let mut vals = [0u64; 11];
-                for v in &mut vals {
-                    *v = get_u64(body)?;
-                }
-                Frame::Response(Response::Stats(StatsSnapshot {
-                    pulls: vals[0],
-                    hits: vals[1],
-                    misses: vals[2],
-                    new_entries: vals[3],
-                    pushes: vals[4],
-                    evictions: vals[5],
-                    flushes: vals[6],
-                    loads: vals[7],
-                    ckpt_commits: vals[8],
-                    ckpt_entries_written: vals[9],
-                    slots_recycled: vals[10],
-                }))
-            }
-            0x86 => {
-                if body.remaining() < 1 {
-                    return Err(truncated());
-                }
-                let present = body.get_u8() == 1;
-                Frame::Response(Response::MaybeWeights(if present {
-                    Some(get_f32s(body)?)
-                } else {
-                    None
-                }))
-            }
-            0x87 => Frame::Response(Response::Count(get_u64(body)?)),
-            0x88 => {
-                if body.remaining() < 8 {
-                    return Err(truncated());
-                }
-                let dim = body.get_u32_le();
-                let n = body.get_u32_le() as usize;
-                if body.remaining() < n {
-                    return Err(truncated());
-                }
-                let name = String::from_utf8_lossy(&body.copy_to_bytes(n)).into_owned();
-                Frame::Response(Response::HelloOk { dim, name })
-            }
-            0x89 => Frame::Response(Response::Metrics(get_str(body)?)),
-            0x8F => {
-                if body.remaining() < 1 {
-                    return Err(truncated());
-                }
-                let kind = ErrorKind::from_code(body.get_u8());
-                Frame::Response(Response::Error {
-                    kind,
-                    message: get_str(body)?,
-                })
-            }
+            0x89 => Frame::Response(Response::Metrics(body.str()?)),
+            0x8F => Frame::Response(Response::Error {
+                kind: ErrorKind::from_code(body.le()?),
+                message: body.str()?,
+            }),
             // Bursts have no owned form (see the module docs): only
-            // the views read them.
+            // the views read them, each on its own side.
             0x01 | 0x02 | 0x81 => {
                 return Err(Error::corrupt(format!(
                     "burst message type {msg_type:#04x} on the control decoder"
@@ -518,7 +495,11 @@ impl Frame {
     }
 }
 
-// --- packet encode/decode -----------------------------------------------
+// --- packet encode ------------------------------------------------------
+
+/// Body bytes every control message but text and weights fits in, so
+/// its frame takes one allocation.
+const CONTROL_BODY_HINT: usize = 16 + COST_WIRE_LEN;
 
 impl Packet {
     /// Wrap a request with its idempotence token.
@@ -542,45 +523,43 @@ impl Packet {
     /// Serialize to a wire packet (header + checksum + body). The body
     /// is encoded directly into the packet buffer — no staging buffer,
     /// no body copy — and the length/checksum header fields are patched
-    /// in afterwards ([`Packet::seal`]): one allocation, one pass over
-    /// the final bytes for the checksum.
+    /// in afterwards ([`Packet::seal`]).
     pub fn encode(&self) -> Bytes {
-        let mut pkt = BytesMut::with_capacity(HEADER_LEN + self.frame.body_len());
-        Self::put_header(&mut pkt, self.frame.msg_type(), self.client, self.seq);
+        let (client, seq) = (self.client, self.seq);
+        let mut pkt = Self::header(self.frame.msg_type(), client, seq, CONTROL_BODY_HINT);
         self.frame.encode_body(&mut pkt);
         Self::seal(pkt)
     }
 
-    /// Write the fixed header with zeroed body-length and checksum
-    /// fields; [`Packet::seal`] patches both once the body is in place.
-    fn put_header(pkt: &mut BytesMut, msg_type: u8, client: u32, seq: u64) {
-        pkt.put_u16_le(MAGIC);
-        pkt.put_u8(VERSION);
-        pkt.put_u8(msg_type);
-        pkt.put_u32_le(client);
-        pkt.put_u64_le(seq);
-        pkt.put_u32_le(0); // body length, patched by seal()
-        pkt.put_u64_le(0); // checksum, patched by seal()
+    /// A packet buffer with room for `body_len` body bytes, holding the
+    /// fixed header with zeroed body-length and checksum fields;
+    /// [`Packet::seal`] patches both once the body is in place.
+    fn header(msg_type: u8, client: u32, seq: u64, body_len: usize) -> Vec<u8> {
+        let mut pkt = Vec::with_capacity(HEADER_LEN + body_len);
+        put(&mut pkt, &[MAGIC]);
+        put(&mut pkt, &[VERSION, msg_type]);
+        put(&mut pkt, &[client]);
+        put(&mut pkt, &[seq]);
+        pkt.resize(HEADER_LEN, 0); // body length and checksum
+        pkt
     }
 
     /// Patch the body length and checksum into a buffer produced by
-    /// [`Packet::put_header`] + body writes, and freeze it.
-    fn seal(mut pkt: BytesMut) -> Bytes {
+    /// [`Packet::header`] + body writes, and freeze it.
+    fn seal(mut pkt: Vec<u8>) -> Bytes {
         let body_len = (pkt.len() - HEADER_LEN) as u32;
         pkt[16..20].copy_from_slice(&body_len.to_le_bytes());
         let checksum = frame_checksum(&pkt);
         pkt[20..28].copy_from_slice(&checksum.to_le_bytes());
-        pkt.freeze()
+        Bytes::from(pkt)
     }
 
     /// Encode a pull burst (type `0x01`: reserved word, batch, keys)
     /// straight from a borrowed key slice.
     pub fn encode_pull(client: u32, seq: u64, batch: BatchId, keys: &[Key]) -> Bytes {
-        let mut pkt = BytesMut::with_capacity(HEADER_LEN + 20 + keys.len() * 8);
-        Self::put_header(&mut pkt, 0x01, client, seq);
-        pkt.put_u64_le(0); // reserved
-        pkt.put_u64_le(batch);
-        put_u64s(&mut pkt, keys);
+        let mut pkt = Self::header(0x01, client, seq, 20 + keys.len() * 8);
+        put(&mut pkt, &[0, batch]); // reserved word, batch
+        put_vec(&mut pkt, keys);
         Self::seal(pkt)
     }
 
@@ -594,12 +573,10 @@ impl Packet {
         keys: &[Key],
         grads: &[f32],
     ) -> Bytes {
-        let mut pkt = BytesMut::with_capacity(HEADER_LEN + 24 + keys.len() * 8 + grads.len() * 4);
-        Self::put_header(&mut pkt, 0x02, client, seq);
-        pkt.put_u64_le(0); // reserved
-        pkt.put_u64_le(batch);
-        put_u64s(&mut pkt, keys);
-        put_f32s(&mut pkt, grads);
+        let mut pkt = Self::header(0x02, client, seq, 24 + keys.len() * 8 + grads.len() * 4);
+        put(&mut pkt, &[0, batch]); // reserved word, batch
+        put_vec(&mut pkt, keys);
+        put_vec(&mut pkt, grads);
         Self::seal(pkt)
     }
 
@@ -608,35 +585,20 @@ impl Packet {
     /// borrowed weight slice — the server's pull path answers from its
     /// reusable output buffer.
     pub fn encode_weights_response(client: u32, seq: u64, weights: &[f32], cost: &Cost) -> Bytes {
-        let mut pkt = BytesMut::with_capacity(HEADER_LEN + 4 + weights.len() * 4 + COST_WIRE_LEN);
-        Self::put_header(&mut pkt, 0x81, client, seq);
-        put_f32s(&mut pkt, weights);
+        let mut pkt = Self::header(0x81, client, seq, 4 + weights.len() * 4 + COST_WIRE_LEN);
+        put_vec(&mut pkt, weights);
         put_cost(&mut pkt, cost);
         Self::seal(pkt)
     }
-
-    /// Parse a control packet. Any malformed input — truncated header or
-    /// body, trailing bytes, wrong magic/version, checksum mismatch,
-    /// unknown message type, or a burst type (bursts are read by the
-    /// views) — returns a structured [`Error`] of kind `Corrupt`; this
-    /// function never panics on arbitrary bytes.
-    pub fn decode(buf: Bytes) -> Result<Packet, Error> {
-        let meta = validate_frame(&buf)?;
-        let mut body = buf.slice(HEADER_LEN..HEADER_LEN + meta.body_len);
-        let frame = Frame::decode_body(meta.msg_type, &mut body)?;
-        Ok(Packet {
-            client: meta.client,
-            seq: meta.seq,
-            frame,
-        })
-    }
 }
+
+// --- frame decode -------------------------------------------------------
 
 /// A validated frame header: the idempotence token, message type, and
 /// body extent of a wire packet whose magic, version, length, and
 /// checksum have all been verified. The body is
-/// `buf[HEADER_LEN..HEADER_LEN + body_len]`; borrowed view decoders
-/// ([`RequestView`], [`ResponseView`]) parse it in place.
+/// `buf[HEADER_LEN..HEADER_LEN + body_len]`; the view decoders
+/// ([`RequestView`], [`ResponseView`]) read it in place.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameMeta {
     /// Message-type discriminant.
@@ -652,26 +614,23 @@ pub struct FrameMeta {
 /// Validate a frame's fixed header and checksum without materializing
 /// anything: magic, version, exact length, and the integrity hash over
 /// header-minus-checksum plus body. This is the single integrity pass
-/// shared by the control decoder ([`Packet::decode`]) and the borrowed
-/// view decoders.
+/// in front of both view decoders.
 pub fn validate_frame(buf: &[u8]) -> Result<FrameMeta, Error> {
-    if buf.len() < HEADER_LEN {
-        return Err(truncated());
-    }
-    if u16::from_le_bytes([buf[0], buf[1]]) != MAGIC {
+    let mut header = Reader {
+        rest: buf.get(..HEADER_LEN).ok_or_else(truncated)?,
+    };
+    if header.le::<u16>()? != MAGIC {
         return Err(Error::corrupt("bad magic"));
     }
-    let version = buf[2];
+    let version: u8 = header.le()?;
     if version != VERSION {
         return Err(Error::corrupt(format!(
             "protocol version {version}, expected {VERSION}"
         )));
     }
-    let msg_type = buf[3];
-    let client = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-    let seq = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
-    let body_len = u32::from_le_bytes(buf[16..20].try_into().expect("4 bytes")) as usize;
-    let checksum = u64::from_le_bytes(buf[20..28].try_into().expect("8 bytes"));
+    let (msg_type, client, seq) = (header.le()?, header.le()?, header.le()?);
+    let body_len = header.le::<u32>()? as usize;
+    let checksum: u64 = header.le()?;
     if buf.len() - HEADER_LEN < body_len {
         return Err(truncated());
     }
@@ -690,34 +649,25 @@ pub fn validate_frame(buf: &[u8]) -> Result<FrameMeta, Error> {
     })
 }
 
-/// A borrowed, length-prefixed vector of little-endian `u64`s viewed
-/// directly over frame bytes — the zero-copy decode of a key list. The
-/// underlying bytes need not be 8-aligned; element access reads via
-/// `from_le_bytes`.
+/// A borrowed, length-prefixed vector of little-endian scalars viewed
+/// directly over frame bytes — the zero-copy decode of a key, gradient
+/// or weight burst. The bytes need not be aligned; element access reads
+/// through [`LeScalar::read_le`].
 #[derive(Debug, Clone, Copy)]
-pub struct U64sView<'a> {
+pub struct LeView<'a, T> {
     bytes: &'a [u8],
+    scalar: PhantomData<T>,
 }
 
-impl<'a> U64sView<'a> {
-    /// Split a length-prefixed u64 vector off the front of `buf`.
-    fn split(buf: &mut &'a [u8]) -> Result<Self, Error> {
-        if buf.len() < 4 {
-            return Err(truncated());
-        }
-        let n = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-        let total = n.saturating_mul(8);
-        if buf.len() - 4 < total {
-            return Err(truncated());
-        }
-        let (head, rest) = buf[4..].split_at(total);
-        *buf = rest;
-        Ok(Self { bytes: head })
-    }
+/// A key list viewed over frame bytes.
+pub type U64sView<'a> = LeView<'a, u64>;
+/// A gradient or weight vector viewed over frame bytes.
+pub type F32sView<'a> = LeView<'a, f32>;
 
+impl<'a, T: LeScalar> LeView<'a, T> {
     /// Element count.
     pub fn len(&self) -> usize {
-        self.bytes.len() / 8
+        self.bytes.len() / T::WIDTH
     }
 
     /// Whether the vector is empty.
@@ -726,92 +676,21 @@ impl<'a> U64sView<'a> {
     }
 
     /// The `i`-th element; panics if out of range (like slice indexing).
-    pub fn get(&self, i: usize) -> u64 {
-        u64::from_le_bytes(self.bytes[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+    pub fn get(&self, i: usize) -> T {
+        T::read_le(&self.bytes[i * T::WIDTH..(i + 1) * T::WIDTH])
     }
 
     /// Iterate the elements in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + 'a {
-        self.bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = T> + 'a {
+        self.bytes.chunks_exact(T::WIDTH).map(T::read_le)
     }
 
     /// Append all elements to `out` (the one copy a zero-copy request
     /// takes: wire bytes → reusable scratch).
-    pub fn extend_into(&self, out: &mut Vec<u64>) {
+    pub fn extend_into(&self, out: &mut Vec<T>) {
         out.reserve(self.len());
         out.extend(self.iter());
     }
-}
-
-/// A borrowed, length-prefixed vector of little-endian `f32`s viewed
-/// directly over frame bytes — the zero-copy decode of a gradient or
-/// weight burst.
-#[derive(Debug, Clone, Copy)]
-pub struct F32sView<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> F32sView<'a> {
-    /// Split a length-prefixed f32 vector off the front of `buf`.
-    fn split(buf: &mut &'a [u8]) -> Result<Self, Error> {
-        if buf.len() < 4 {
-            return Err(truncated());
-        }
-        let n = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-        let total = n.saturating_mul(4);
-        if buf.len() - 4 < total {
-            return Err(truncated());
-        }
-        let (head, rest) = buf[4..].split_at(total);
-        *buf = rest;
-        Ok(Self { bytes: head })
-    }
-
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.bytes.len() / 4
-    }
-
-    /// Whether the vector is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    /// The `i`-th element; panics if out of range (like slice indexing).
-    pub fn get(&self, i: usize) -> f32 {
-        f32::from_le_bytes(self.bytes[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
-    }
-
-    /// Iterate the elements in order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = f32> + 'a {
-        self.bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-    }
-
-    /// Append all elements to `out`.
-    pub fn extend_into(&self, out: &mut Vec<f32>) {
-        out.reserve(self.len());
-        out.extend(self.iter());
-    }
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, Error> {
-    if buf.len() < 8 {
-        return Err(truncated());
-    }
-    let v = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-    *buf = &buf[8..];
-    Ok(v)
-}
-
-/// The batch id of a burst body: skip the reserved word (whatever it
-/// holds), then read the batch.
-fn burst_batch(buf: &mut &[u8]) -> Result<BatchId, Error> {
-    take_u64(buf)?;
-    take_u64(buf)
 }
 
 /// A request decoded in place over a validated frame: the bursts
@@ -841,30 +720,31 @@ pub enum RequestView<'a> {
 }
 
 impl<'a> RequestView<'a> {
-    /// Decode the body of a validated request frame. `buf` must be the
-    /// same buffer `meta` was validated from.
-    pub fn decode(meta: FrameMeta, buf: &'a Bytes) -> Result<Self, Error> {
-        let mut body: &[u8] = &buf[HEADER_LEN..HEADER_LEN + meta.body_len];
-        match meta.msg_type {
-            0x01 => Ok(RequestView::Pull {
-                batch: burst_batch(&mut body)?,
-                keys: U64sView::split(&mut body)?,
-            }),
-            0x02 => Ok(RequestView::Push {
-                batch: burst_batch(&mut body)?,
-                keys: U64sView::split(&mut body)?,
-                grads: F32sView::split(&mut body)?,
-            }),
-            mt => {
-                let mut owned = buf.slice(HEADER_LEN..HEADER_LEN + meta.body_len);
-                match Frame::decode_body(mt, &mut owned)? {
-                    Frame::Request(r) => Ok(RequestView::Other(r)),
-                    Frame::Response(_) => Err(Error::corrupt(format!(
-                        "response type {mt:#04x} as request"
-                    ))),
+    /// Decode the body of a validated request frame. `frame` must be
+    /// the bytes `meta` was validated from.
+    pub fn decode(meta: FrameMeta, frame: &'a [u8]) -> Result<Self, Error> {
+        let mut body = Reader::body(meta, frame)?;
+        let view = match meta.msg_type {
+            0x01 | 0x02 => {
+                body.le::<u64>()?; // the reserved word, skipped whatever it holds
+                let (batch, keys) = (body.le()?, body.vec()?);
+                if meta.msg_type == 0x01 {
+                    RequestView::Pull { batch, keys }
+                } else {
+                    let grads = body.vec()?;
+                    RequestView::Push { batch, keys, grads }
                 }
             }
-        }
+            mt => match Frame::decode_body(mt, &mut body)? {
+                Frame::Request(r) => RequestView::Other(r),
+                Frame::Response(_) => {
+                    return Err(Error::corrupt(format!(
+                        "response type {mt:#04x} as request"
+                    )))
+                }
+            },
+        };
+        body.finish(view)
     }
 
     /// Whether executing this request mutates server state (both bursts
@@ -894,31 +774,25 @@ pub enum ResponseView<'a> {
 }
 
 impl<'a> ResponseView<'a> {
-    /// Decode the body of a validated response frame. `buf` must be the
-    /// same buffer `meta` was validated from.
-    pub fn decode(meta: FrameMeta, buf: &'a Bytes) -> Result<Self, Error> {
-        match meta.msg_type {
-            0x81 => {
-                let mut body: &[u8] = &buf[HEADER_LEN..HEADER_LEN + meta.body_len];
-                let weights = F32sView::split(&mut body)?;
-                if body.len() < COST_WIRE_LEN {
-                    return Err(truncated());
-                }
-                let mut cost_bytes = buf.slice(HEADER_LEN..HEADER_LEN + meta.body_len);
-                cost_bytes.advance(meta.body_len - body.len());
-                let cost = get_cost(&mut cost_bytes)?;
-                Ok(ResponseView::Weights { weights, cost })
-            }
-            mt => {
-                let mut owned = buf.slice(HEADER_LEN..HEADER_LEN + meta.body_len);
-                match Frame::decode_body(mt, &mut owned)? {
-                    Frame::Response(r) => Ok(ResponseView::Other(r)),
-                    Frame::Request(_) => Err(Error::corrupt(format!(
+    /// Decode the body of a validated response frame. `frame` must be
+    /// the bytes `meta` was validated from.
+    pub fn decode(meta: FrameMeta, frame: &'a [u8]) -> Result<Self, Error> {
+        let mut body = Reader::body(meta, frame)?;
+        let view = match meta.msg_type {
+            0x81 => ResponseView::Weights {
+                weights: body.vec()?,
+                cost: body.cost()?,
+            },
+            mt => match Frame::decode_body(mt, &mut body)? {
+                Frame::Response(r) => ResponseView::Other(r),
+                Frame::Request(_) => {
+                    return Err(Error::corrupt(format!(
                         "request type {mt:#04x} as response"
-                    ))),
+                    )))
                 }
-            }
-        }
+            },
+        };
+        body.finish(view)
     }
 }
 
@@ -940,6 +814,43 @@ pub(crate) mod tests {
         }
     }
 
+    /// Owned copy of a control frame — token and message — read through
+    /// the view its message type belongs to. Panics on anything else.
+    pub(crate) fn control_packet(frame: &[u8]) -> Packet {
+        let meta = validate_frame(frame).expect("valid frame");
+        let message = if meta.msg_type < 0x80 {
+            match RequestView::decode(meta, frame).expect("request decodes") {
+                RequestView::Other(r) => Frame::Request(r),
+                other => panic!("expected a control request, got {other:?}"),
+            }
+        } else {
+            match ResponseView::decode(meta, frame).expect("response decodes") {
+                ResponseView::Other(r) => Frame::Response(r),
+                other => panic!("expected a control response, got {other:?}"),
+            }
+        };
+        Packet {
+            client: meta.client,
+            seq: meta.seq,
+            frame: message,
+        }
+    }
+
+    /// What validation and then each view make of `frame`: the request
+    /// view's error, then the response view's. Panics if either decodes.
+    fn view_errors(frame: &[u8]) -> [Error; 2] {
+        let request = validate_frame(frame).and_then(|m| RequestView::decode(m, frame).map(drop));
+        let response = validate_frame(frame).and_then(|m| ResponseView::decode(m, frame).map(drop));
+        [request.unwrap_err(), response.unwrap_err()]
+    }
+
+    /// A correctly sealed frame of `msg_type` around `body`.
+    fn sealed(msg_type: u8, body: &[u8]) -> Bytes {
+        let mut pkt = Packet::header(msg_type, 1, 1, body.len());
+        pkt.extend_from_slice(body);
+        Packet::seal(pkt)
+    }
+
     fn roundtrip(f: Frame) {
         let p = Packet {
             client: 3,
@@ -947,13 +858,17 @@ pub(crate) mod tests {
             frame: f,
         };
         let enc = p.encode();
-        assert_eq!(
-            HEADER_LEN + p.frame.body_len(),
-            enc.len(),
-            "analytic length is exact"
-        );
-        let dec = Packet::decode(enc).expect("decodes");
-        assert_eq!(dec, p);
+        assert_eq!(control_packet(&enc), p);
+        // The layout is exact: one body byte more or fewer, re-sealed,
+        // is refused.
+        let body = &enc[HEADER_LEN..];
+        let mut near = vec![[body, &[0]].concat()];
+        near.extend(body.len().checked_sub(1).map(|n| body[..n].to_vec()));
+        for body in near {
+            for err in view_errors(&sealed(enc[3], &body)) {
+                assert_eq!(err.kind(), ErrorKind::Corrupt, "{p:?}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -1021,7 +936,7 @@ pub(crate) mod tests {
     #[test]
     fn idempotence_token_roundtrips() {
         let p = Packet::request(0xDEAD_BEEF, u64::MAX - 1, Request::NumKeys);
-        let dec = Packet::decode(p.encode()).unwrap();
+        let dec = control_packet(&p.encode());
         assert_eq!(dec.client, 0xDEAD_BEEF);
         assert_eq!(dec.seq, u64::MAX - 1);
         // Same logical request, same token → byte-identical frames
@@ -1034,27 +949,29 @@ pub(crate) mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut enc = BytesMut::from(&Packet::request(1, 1, Request::Hello).encode()[..]);
+        let mut enc = Packet::request(1, 1, Request::Hello).encode().to_vec();
         enc[0] = 0;
-        let err = Packet::decode(enc.freeze()).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Corrupt);
+        for err in view_errors(&enc) {
+            assert_eq!(err.kind(), ErrorKind::Corrupt);
+        }
     }
 
     #[test]
     fn wrong_version_rejected() {
-        let mut enc = BytesMut::from(&Packet::request(1, 1, Request::Hello).encode()[..]);
+        let mut enc = Packet::request(1, 1, Request::Hello).encode().to_vec();
         // A newer peer, and protocol 3 (same header, another checksum):
         // both are refused by the version check before any checksum is
         // compared, with the version named.
         for version in [VERSION + 1, 3] {
             enc[2] = version;
-            let err = Packet::decode(enc.clone().freeze()).unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::Corrupt);
-            assert!(
-                err.context()
-                    .contains(&format!("protocol version {version}")),
-                "{err}"
-            );
+            for err in view_errors(&enc) {
+                assert_eq!(err.kind(), ErrorKind::Corrupt);
+                assert!(
+                    err.context()
+                        .contains(&format!("protocol version {version}")),
+                    "{err}"
+                );
+            }
         }
     }
 
@@ -1062,23 +979,43 @@ pub(crate) mod tests {
     fn trailing_bytes_rejected() {
         // Bytes after the body are covered by no checksum: the frame
         // must be exactly header + body.
-        let enc = Packet::request(2, 5, Request::ReadWeights { key: 9 }).encode();
-        let mut long = BytesMut::from(&enc[..]);
-        long.put_u8(0);
-        let err = Packet::decode(long.freeze()).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Corrupt);
-        assert!(err.context().contains("trailing bytes"), "{err}");
+        let mut long = Packet::request(2, 5, Request::ReadWeights { key: 9 })
+            .encode()
+            .to_vec();
+        long.push(0);
+        for err in view_errors(&long) {
+            assert_eq!(err.kind(), ErrorKind::Corrupt);
+            assert!(err.context().contains("trailing bytes"), "{err}");
+        }
+        // Bytes after the message inside a sealed body are refused too:
+        // a pull with a word after its keys, a `Hello` with a body, a
+        // weights reply with a byte after its cost.
+        let pull = Packet::encode_pull(2, 6, 1, &[3]);
+        let weights = Packet::encode_weights_response(2, 7, &[0.5], &Cost::new());
+        for (msg_type, body) in [
+            (0x01, [&pull[HEADER_LEN..], &[0; 8]].concat()),
+            (0x09, vec![0]),
+            (0x81, [&weights[HEADER_LEN..], &[0]].concat()),
+        ] {
+            for err in view_errors(&sealed(msg_type, &body)) {
+                assert_eq!(err.kind(), ErrorKind::Corrupt, "type {msg_type:#04x}");
+            }
+        }
+        let hello = sealed(0x09, &[0]);
+        let err = RequestView::decode(validate_frame(&hello).unwrap(), &hello).unwrap_err();
+        assert!(err.context().contains("1 bytes past the end"), "{err}");
     }
 
     #[test]
     fn truncated_rejected() {
         let enc = Packet::encode_pull(2, 5, 1, &[1, 2, 3]);
         for cut in [0, 4, HEADER_LEN - 1, HEADER_LEN, enc.len() - 1] {
-            let t = enc.slice(0..cut);
-            let err = validate_frame(&t).unwrap_err();
+            let t = &enc[..cut];
+            let err = validate_frame(t).unwrap_err();
             assert_eq!(err.kind(), ErrorKind::Corrupt, "cut at {cut}");
-            let err = Packet::decode(t).unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::Corrupt, "cut at {cut}");
+            for err in view_errors(t) {
+                assert_eq!(err.kind(), ErrorKind::Corrupt, "cut at {cut}");
+            }
         }
     }
 
@@ -1091,7 +1028,7 @@ pub(crate) mod tests {
         validate_frame(&enc).expect("the unflipped frame is intact");
         for byte in 0..enc.len() {
             for bit in 0..8 {
-                let mut flipped = BytesMut::from(&enc[..]);
+                let mut flipped = enc.to_vec();
                 flipped[byte] ^= 1 << bit;
                 let err = validate_frame(&flipped)
                     .expect_err(&format!("flip {byte}:{bit} must not validate"));
@@ -1102,55 +1039,52 @@ pub(crate) mod tests {
 
     #[test]
     fn unknown_type_rejected() {
-        // Rebuild a packet with an unknown msg type and a valid
-        // checksum: the type check must still reject it. The retired
+        // A sealed packet with an unknown msg type and a valid checksum:
+        // the type check must still reject it. The retired
         // placement-plane codes (placement update, entry export /
         // import / discard, and the entry reply) are unknown like any
         // other, body or no body.
         for msg_type in [0x7Fu8, 0x0C, 0x0D, 0x0E, 0x0F, 0x8A] {
             for body in [&[][..], &[1, 0, 0, 0, 0, 0, 0, 0][..]] {
-                let mut pkt = BytesMut::new();
-                Packet::put_header(&mut pkt, msg_type, 1, 1);
-                pkt.put_slice(body);
-                let buf = Packet::seal(pkt);
-                let meta = validate_frame(&buf).expect("sealed");
-                for err in [
-                    Packet::decode(buf.clone()).unwrap_err(),
-                    RequestView::decode(meta, &buf).unwrap_err(),
-                    ResponseView::decode(meta, &buf).unwrap_err(),
-                ] {
+                for err in view_errors(&sealed(msg_type, body)) {
                     assert_eq!(err.kind(), ErrorKind::Corrupt, "type {msg_type:#04x}");
                     assert!(err.context().contains("unknown message type"), "{err}");
                 }
             }
         }
+        // So is an unknown presence byte in a weights read: not `None`.
+        for err in view_errors(&sealed(0x86, &[2])) {
+            assert_eq!(err.kind(), ErrorKind::Corrupt);
+            assert!(err.context().contains("presence byte 2"), "{err}");
+        }
     }
 
     #[test]
     fn burst_types_are_corrupt_on_the_control_decoder() {
-        // Well-formed, correctly sealed burst frames: the control decoder
-        // has no owned form to give them and must say so, not panic.
+        // Well-formed, correctly sealed bursts on the other side's view:
+        // the control decoder has no owned form to give them and must
+        // say so, not panic.
         let mut cost = Cost::new();
         cost.charge(CostKind::Net, 77);
-        for (frame, msg_type) in [
-            (Packet::encode_pull(1, 1, 1, &[4, 5]), 0x01u8),
-            (Packet::encode_push(1, 2, 1, &[4], &[0.5; 4]), 0x02),
-            (
-                Packet::encode_weights_response(1, 3, &[0.5; 4], &cost),
-                0x81,
-            ),
-        ] {
-            assert_eq!(validate_frame(&frame).expect("sealed").msg_type, msg_type);
-            let err = Packet::decode(frame).unwrap_err();
+        let pull = Packet::encode_pull(1, 1, 1, &[4, 5]);
+        let push = Packet::encode_push(1, 2, 1, &[4], &[0.5; 4]);
+        let weights = Packet::encode_weights_response(1, 3, &[0.5; 4], &cost);
+        for (frame, msg_type) in [(&pull, 0x01u8), (&push, 0x02), (&weights, 0x81)] {
+            let meta = validate_frame(frame).expect("sealed");
+            assert_eq!(meta.msg_type, msg_type);
+            let err = if msg_type < 0x80 {
+                ResponseView::decode(meta, frame).unwrap_err()
+            } else {
+                RequestView::decode(meta, frame).unwrap_err()
+            };
             assert_eq!(err.kind(), ErrorKind::Corrupt, "type {msg_type:#04x}");
             assert!(err.context().contains("burst message type"), "{err}");
         }
         // A hand-built frame with a burst type and no body at all.
         for msg_type in [0x01u8, 0x02, 0x81] {
-            let mut pkt = BytesMut::new();
-            Packet::put_header(&mut pkt, msg_type, 1, 1);
-            let err = Packet::decode(Packet::seal(pkt)).unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::Corrupt, "type {msg_type:#04x}");
+            for err in view_errors(&sealed(msg_type, &[])) {
+                assert_eq!(err.kind(), ErrorKind::Corrupt, "type {msg_type:#04x}");
+            }
         }
     }
 
@@ -1268,9 +1202,9 @@ pub(crate) mod tests {
             want.extend(u64s.iter().flat_map(|v| v.to_le_bytes()));
             want.extend((n as u32).to_le_bytes());
             want.extend(f32s.iter().flat_map(|v| v.to_le_bytes()));
-            let mut got = BytesMut::from(&b"xyz"[..]); // appends, never overwrites
-            put_u64s(&mut got, &u64s);
-            put_f32s(&mut got, &f32s);
+            let mut got = b"xyz".to_vec(); // appends, never overwrites
+            put_vec(&mut got, &u64s);
+            put_vec(&mut got, &f32s);
             assert_eq!(&got[..3], b"xyz");
             assert_eq!(&got[3..], &want[..], "n = {n}");
         }
@@ -1342,17 +1276,23 @@ pub(crate) mod tests {
         // panic. Build a push, then corrupt the key-count prefix upward
         // and re-seal so only the view parser can catch it.
         let enc = Packet::encode_push(1, 1, 1, &[1, 2], &[0.5, 1.5]);
-        let mut raw = BytesMut::from(&enc[..]);
+        let mut raw = enc.to_vec();
         let count_at = HEADER_LEN + 16; // reserved word + batch, then key count
         raw[count_at..count_at + 4].copy_from_slice(&1000u32.to_le_bytes());
         let buf = Packet::seal(raw);
         let meta = validate_frame(&buf).expect("frame-level checks pass");
         let err = RequestView::decode(meta, &buf).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Corrupt);
-        assert!(
-            Packet::decode(buf).is_err(),
-            "control decoder refuses it too"
-        );
+        assert!(err.context().contains("truncated"), "{err}");
+        // So is a lying count in a control body: a weights read whose
+        // vector claims more values than follow.
+        let mut raw = Packet::response(1, 2, Response::MaybeWeights(Some(vec![1.0])))
+            .encode()
+            .to_vec();
+        raw[HEADER_LEN + 1..HEADER_LEN + 5].copy_from_slice(&1000u32.to_le_bytes());
+        for err in view_errors(&Packet::seal(raw)) {
+            assert_eq!(err.kind(), ErrorKind::Corrupt);
+        }
     }
 
     #[test]
@@ -1362,7 +1302,7 @@ pub(crate) mod tests {
         cost.charge(CostKind::Net, 456);
         cost.charge(CostKind::Net, 1);
         let p = Packet::response(1, 1, Response::Ack { cost: cost.clone() });
-        let dec = Packet::decode(p.encode()).unwrap();
+        let dec = control_packet(&p.encode());
         let Frame::Response(Response::Ack { cost: back }) = dec.frame else {
             panic!("wrong frame");
         };

@@ -159,14 +159,14 @@ mod tests {
         );
         // The promoted server answers over its transport with the
         // checkpoint-committed state.
+        use crate::codec::tests::control_packet;
         use crate::codec::{Frame, Packet, Request, Response};
-        let resp = Packet::decode(
-            promo
+        let resp = control_packet(
+            &promo
                 .transport
                 .call(Packet::request(1, 1, Request::Committed).encode(), None)
                 .unwrap(),
-        )
-        .unwrap();
+        );
         assert_eq!(
             resp.frame,
             Frame::Response(Response::Committed { batch: 1 })

@@ -29,7 +29,7 @@
 
 use crate::error::Error;
 use crate::transport::Transport;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use oe_core::init::splitmix64;
 use oe_simdevice::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,9 +176,9 @@ impl FaultInjector {
                 ^ (SALT_BITPOS << 40),
         );
         let bit = (h as usize) % (frame.len() * 8);
-        let mut m = BytesMut::from(&frame[..]);
+        let mut m = frame.to_vec();
         m[bit / 8] ^= 1 << (bit % 8);
-        m.freeze()
+        Bytes::from(m)
     }
 }
 

@@ -59,8 +59,8 @@ pub mod transport;
 pub use api::{EngineClient, PsClient, PullTicket};
 pub use client::RemotePs;
 pub use codec::{
-    validate_frame, F32sView, Frame, FrameMeta, Packet, Request, RequestView, Response,
-    ResponseView, U64sView,
+    validate_frame, F32sView, Frame, FrameMeta, LeScalar, LeView, Packet, Request, RequestView,
+    Response, ResponseView, U64sView,
 };
 pub use config::{NetCharge, NetConfig, RetryPolicy};
 pub use error::{Error, ErrorKind};

@@ -351,7 +351,7 @@ fn error_reply(token: (u32, u64), kind: ErrorKind, message: String) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::tests::weights_reply;
+    use crate::codec::tests::{control_packet, weights_reply};
     use crate::codec::Frame;
     use crate::transport::{loopback, ClientTransport, Transport};
     use oe_core::{NodeConfig, OptimizerKind, PsNode};
@@ -367,7 +367,7 @@ mod tests {
 
     /// Send a control packet, decode the control reply.
     fn call(client: &ClientTransport, pkt: Packet) -> Packet {
-        Packet::decode(client.call(pkt.encode(), None).unwrap()).unwrap()
+        control_packet(&client.call(pkt.encode(), None).unwrap())
     }
 
     /// Pull burst; the raw weights reply.
@@ -380,7 +380,7 @@ mod tests {
     /// (an `Ack` or an `Error`, both control messages).
     fn push(client: &ClientTransport, token: (u32, u64), batch: u64, key: u64, g: f32) -> Packet {
         let frame = Packet::encode_push(token.0, token.1, batch, &[key], &[g; 4]);
-        Packet::decode(client.call(frame, None).unwrap()).unwrap()
+        control_packet(&client.call(frame, None).unwrap())
     }
 
     fn read_weights(client: &ClientTransport, token: (u32, u64), key: u64) -> Vec<f32> {
@@ -554,7 +554,7 @@ mod tests {
         // One key at dim 4 needs 4 gradients; 3 is a malformed request,
         // answered structurally instead of tripping the engine's assert.
         let short = Packet::encode_push(1, 4, 1, &[9], &[1.0; 3]);
-        let resp = Packet::decode(client.call(short, None).unwrap()).unwrap();
+        let resp = control_packet(&client.call(short, None).unwrap());
         assert_rejected(&resp, "push shape mismatch");
         assert_eq!(read_weights(&client, (1, 5), 9), w0, "nothing applied");
         drop(client);
@@ -566,12 +566,11 @@ mod tests {
         let (client, handle) = spawn_node();
         // A garbage frame must not be dropped silently — the caller is
         // blocked on the reply. It gets a structured error response.
-        let resp = Packet::decode(
-            client
-                .call(bytes::Bytes::from_static(b"\xde\xad\xbe\xef"), None)
+        let resp = control_packet(
+            &client
+                .call(Bytes::from_static(b"\xde\xad\xbe\xef"), None)
                 .unwrap(),
-        )
-        .unwrap();
+        );
         match resp.frame {
             Frame::Response(Response::Error { kind, message }) => {
                 assert_eq!(kind, ErrorKind::Corrupt);
@@ -583,7 +582,7 @@ mod tests {
         // is covered by no checksum, so the request must not execute.
         let mut long = Packet::request(1, 1, Request::NumKeys).encode().to_vec();
         long.push(0);
-        let resp = Packet::decode(client.call(long.into(), None).unwrap()).unwrap();
+        let resp = control_packet(&client.call(long.into(), None).unwrap());
         match resp.frame {
             Frame::Response(Response::Error { kind, message }) => {
                 assert_eq!(kind, ErrorKind::Corrupt);
@@ -634,8 +633,7 @@ mod tests {
         // and a fence over an executed token wins over its cached reply.
         // Every frame is decode-timed; only executions are execute-timed.
         let (client, handle) = spawn_node();
-        let garbage = Packet::decode(client.call(Bytes::from_static(b"\x00"), None).unwrap());
-        let garbage = garbage.unwrap();
+        let garbage = control_packet(&client.call(Bytes::from_static(b"\x00"), None).unwrap());
         assert_eq!((garbage.client, garbage.seq), (0, 0), "untrusted token");
         let stray = call(&client, Packet::response(5, 1, Response::Count(1)));
         assert_eq!((stray.client, stray.seq), (5, 1), "token echoed");

@@ -1,16 +1,19 @@
-//! Codec fuzzing: `Packet::decode` must never panic and must classify
-//! every malformed input as a structured `Corrupt` error — truncations,
-//! bit flips, and arbitrary garbage alike. The zero-copy view decoders
-//! (`RequestView`, `ResponseView`) are held to the same bar *and* must
-//! read back exactly the values a burst was encoded from. Every property
-//! runs [`CASES`] generated inputs from a fixed seed; a failure names the
-//! case, which replays it alone.
+//! Codec fuzzing: frame validation and the two view decoders
+//! (`RequestView`, `ResponseView`) — the only ways a frame is read —
+//! must never panic and must classify every malformed input as a
+//! structured `Corrupt` error: truncations, bit flips, padded bodies
+//! and arbitrary garbage alike. They must also read back exactly the
+//! values a frame was encoded from. Every property runs [`CASES`]
+//! generated inputs from a fixed seed; a failure names the case, which
+//! replays it alone.
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
+use oe_core::stats::StatsSnapshot;
 use oe_net::{
     validate_frame, Error, ErrorKind, Frame, Packet, Request, RequestView, Response, ResponseView,
 };
 use oe_simdevice::rng::Rng;
+use oe_simdevice::{Cost, CostKind};
 use std::ops::Range;
 
 const CASES: u64 = 128;
@@ -48,10 +51,25 @@ fn client_id(rng: &mut Rng) -> u32 {
     1 + rng.below(u32::MAX as u64) as u32
 }
 
-/// The path a burst takes on the server: frame validation, then the
+/// The path a request takes on the server: frame validation, then the
 /// request view.
-fn view_decode(buf: &Bytes) -> Result<RequestView<'_>, Error> {
+fn view_decode(buf: &[u8]) -> Result<RequestView<'_>, Error> {
     RequestView::decode(validate_frame(buf)?, buf)
+}
+
+/// The path a reply takes on the client: frame validation, then the
+/// response view.
+fn response_decode(buf: &[u8]) -> Result<ResponseView<'_>, Error> {
+    ResponseView::decode(validate_frame(buf)?, buf)
+}
+
+/// A control response read back as an owned packet.
+fn control_response(buf: &[u8]) -> Packet {
+    let meta = validate_frame(buf).expect("valid frame");
+    match ResponseView::decode(meta, buf).expect("valid frame decodes") {
+        ResponseView::Other(r) => Packet::response(meta.client, meta.seq, r),
+        other => panic!("expected a control response, got {other:?}"),
+    }
 }
 
 fn assert_corrupt<T>(res: Result<T, Error>, what: &str) {
@@ -61,20 +79,31 @@ fn assert_corrupt<T>(res: Result<T, Error>, what: &str) {
     }
 }
 
-/// A frame that must not decode, on either path.
-fn assert_refused(buf: Bytes, what: &str) {
-    let err = view_decode(&buf).expect_err(what);
+/// A frame that must not decode, on either view.
+fn assert_refused(buf: &[u8], what: &str) {
+    let err = view_decode(buf).expect_err(what);
     assert_eq!(err.kind(), ErrorKind::Corrupt, "{what}: {err}");
-    let err = Packet::decode(buf).expect_err(what);
+    let err = response_decode(buf).map(drop).expect_err(what);
     assert_eq!(err.kind(), ErrorKind::Corrupt, "{what}: {err}");
 }
 
-/// Arbitrary bytes: decode never panics, never misclassifies.
+/// Every message type the codec knows, bursts included.
+const MSG_TYPES: [u8; 21] = [
+    0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A, 0x0B, 0x81, 0x82, 0x83, 0x84, 0x85,
+    0x86, 0x87, 0x88, 0x89, 0x8F,
+];
+
+/// Arbitrary bodies behind a valid seal and a known message type, so
+/// every byte reaches the body reader: decode never panics, never
+/// misclassifies.
 #[test]
 fn garbage_never_panics() {
     cases(0x6A5B_0000, |case, rng| {
-        let garbage = Bytes::from(bytes(rng, 0..512));
-        assert_corrupt(Packet::decode(garbage), &format!("case {case}: garbage"));
+        let msg_type = MSG_TYPES[rng.below(MSG_TYPES.len() as u64) as usize];
+        let buf = sealed(msg_type, &bytes(rng, 0..512));
+        let what = format!("case {case}: garbage body of type {msg_type:#04x}");
+        assert_corrupt(view_decode(&buf), &what);
+        assert_corrupt(response_decode(&buf), &what);
     });
 }
 
@@ -86,7 +115,7 @@ fn truncation_is_structured() {
         let enc = Packet::encode_pull(client, seq, 1, &u64s(rng, 0..32));
         let cut = rng.below(enc.len() as u64) as usize;
         assert_refused(
-            enc.slice(0..cut),
+            &enc[..cut],
             &format!("case {case}: cut at {cut} must not decode"),
         );
     });
@@ -100,17 +129,17 @@ fn bit_flip_is_corrupt() {
         let seq = rng.next_u64();
         let enc = Packet::encode_push(7, seq, 3, &u64s(rng, 1..16), &f32s(rng, 1..64));
         let (byte, bit) = (rng.below(enc.len() as u64) as usize, rng.below(8));
-        let mut mutated = BytesMut::from(&enc[..]);
+        let mut mutated = enc.to_vec();
         mutated[byte] ^= 1 << bit;
         assert_refused(
-            mutated.freeze(),
+            &mutated,
             &format!("case {case}: bit {bit} of byte {byte} flipped must not decode cleanly"),
         );
     });
 }
 
 /// Bytes appended to a valid frame are covered by no checksum: both
-/// the control decoder and the view path refuse the frame as corrupt.
+/// views refuse the frame as corrupt.
 #[test]
 fn trailing_bytes_are_corrupt() {
     cases(0x7A11_0000, |case, rng| {
@@ -121,21 +150,14 @@ fn trailing_bytes_are_corrupt() {
             Packet::encode_pull(7, seq, 3, &keys),
             Packet::request(7, seq, Request::ReadWeights { key: seq }).encode(),
         ] {
-            let mut long = BytesMut::from(&enc[..]);
-            long.extend_from_slice(&tail);
-            let long = long.freeze();
-            let err = validate_frame(&long).expect_err("view path must refuse trailing bytes");
+            let long = [&enc[..], &tail].concat();
+            let err = validate_frame(&long).expect_err("validation must refuse trailing bytes");
             assert_eq!(err.kind(), ErrorKind::Corrupt, "case {case}");
             assert!(
                 err.context().contains("trailing bytes"),
                 "case {case}: {err}"
             );
-            let err = Packet::decode(long).expect_err("control path must refuse trailing bytes");
-            assert_eq!(err.kind(), ErrorKind::Corrupt, "case {case}");
-            assert!(
-                err.context().contains("trailing bytes"),
-                "case {case}: {err}"
-            );
+            assert_refused(&long, &format!("case {case}: trailing bytes"));
         }
     });
 }
@@ -143,8 +165,8 @@ fn trailing_bytes_are_corrupt() {
 /// The idempotence token round-trips exactly, and re-encoding a
 /// decoded packet reproduces the original bytes — the byte-identity
 /// the server's replay cache relies on for retried requests. The frame
-/// carries a length-prefixed f32 vector, the owned codec's one
-/// variable-length numeric body.
+/// carries a length-prefixed f32 vector, the one variable-length
+/// numeric body of a control message.
 #[test]
 fn token_and_bytes_roundtrip() {
     cases(0x70CE_0000, |case, rng| {
@@ -153,7 +175,7 @@ fn token_and_bytes_roundtrip() {
         let weights = vec_of(rng, 0..64, |r| (r.below(2000) as f32 - 1000.0) * 0.125);
         let p = Packet::response(client, seq, Response::MaybeWeights(Some(weights)));
         let enc = p.encode();
-        let dec = Packet::decode(enc.clone()).expect("valid frame decodes");
+        let dec = control_response(&enc);
         assert_eq!((dec.client, dec.seq), (client, seq), "case {case}");
         assert_eq!(dec, p, "case {case}");
         assert_eq!(dec.encode(), enc, "case {case}");
@@ -176,11 +198,10 @@ fn error_kind_crosses_the_wire() {
                 message: message.clone(),
             },
         );
-        let dec = Packet::decode(p.encode()).unwrap();
         let Frame::Response(Response::Error {
             kind: back,
             message: msg,
-        }) = dec.frame
+        }) = control_response(&p.encode()).frame
         else {
             panic!("case {case}: wrong frame");
         };
@@ -194,7 +215,7 @@ fn error_kind_crosses_the_wire() {
 #[test]
 fn garbage_never_panics_views() {
     cases(0x6A5C_0000, |case, rng| {
-        let buf = Bytes::from(bytes(rng, 0..512));
+        let buf = bytes(rng, 0..512);
         match validate_frame(&buf) {
             Err(e) => assert_eq!(e.kind(), ErrorKind::Corrupt, "case {case}: {e}"),
             Ok(meta) => {
@@ -207,7 +228,7 @@ fn garbage_never_panics_views() {
 
 /// Bursts survive the wire exactly: for arbitrary inputs the
 /// borrow-encoded pull / push frame view-decodes to the token, batch,
-/// keys and gradient bits it was built from, and the control decoder
+/// keys and gradient bits it was built from, and the response view
 /// refuses the same bytes as corrupt (a burst has no owned form).
 #[test]
 fn request_views_read_back_their_inputs() {
@@ -245,7 +266,7 @@ fn request_views_read_back_their_inputs() {
             }
             other => panic!("case {case}: wrong view: {other:?}"),
         }
-        let err = Packet::decode(pull).expect_err("a burst has no owned form");
+        let err = response_decode(&pull).expect_err("a burst has no owned form");
         assert_eq!(err.kind(), ErrorKind::Corrupt, "case {case}");
 
         let push = Packet::encode_push(client, seq, batch, &keys, &grads);
@@ -284,21 +305,21 @@ fn request_views_read_back_their_inputs() {
             }
             other => panic!("case {case}: wrong view: {other:?}"),
         }
-        let err = Packet::decode(push).expect_err("a burst has no owned form");
+        let err = response_decode(&push).expect_err("a burst has no owned form");
         assert_eq!(err.kind(), ErrorKind::Corrupt, "case {case}");
     });
 }
 
 /// The weights reply reads back its inputs too, cost charges
-/// included, and is corrupt on the control decoder.
+/// included, and is corrupt on the request view.
 #[test]
 fn weights_response_view_roundtrips() {
     cases(0x3E16_0000, |case, rng| {
         let (client, seq) = (client_id(rng), rng.next_u64());
         let weights = f32s(rng, 0..128);
-        let mut cost = oe_simdevice::Cost::new();
-        cost.charge(oe_simdevice::CostKind::Net, rng.below(1_000_000));
-        cost.charge(oe_simdevice::CostKind::PmemRead, rng.below(1_000_000));
+        let mut cost = Cost::new();
+        cost.charge(CostKind::Net, rng.below(1_000_000));
+        cost.charge(CostKind::PmemRead, rng.below(1_000_000));
         let enc = Packet::encode_weights_response(client, seq, &weights, &cost);
         let meta = validate_frame(&enc).expect("valid frame");
         assert_eq!(
@@ -320,8 +341,84 @@ fn weights_response_view_roundtrips() {
             }
             other => panic!("case {case}: wrong view: {other:?}"),
         }
-        let err = Packet::decode(enc).expect_err("a burst has no owned form");
+        let err = view_decode(&enc).expect_err("a burst has no owned form");
         assert_eq!(err.kind(), ErrorKind::Corrupt, "case {case}");
+    });
+}
+
+/// A valid body with 1–64 bytes appended, re-sealed so the frame
+/// itself is intact, is refused as corrupt by both views, for every
+/// request and response type: each message is read to its last byte.
+#[test]
+fn padded_bodies_are_corrupt() {
+    cases(0x9AD5_0000, |case, rng| {
+        let (client, seq, n) = (client_id(rng), rng.next_u64(), rng.next_u64());
+        let keys = u64s(rng, 0..16);
+        let grads = f32s(rng, 0..32);
+        let mut cost = Cost::new();
+        cost.charge(CostKind::Net, rng.below(1_000_000));
+        let text = String::from_utf8_lossy(&bytes(rng, 0..32)).into_owned();
+        let requests = [
+            Request::EndPullPhase { batch: n },
+            Request::Checkpoint { batch: n },
+            Request::Committed,
+            Request::Stats,
+            Request::ReadWeights { key: n },
+            Request::NumKeys,
+            Request::Hello,
+            Request::Metrics,
+            Request::SeqFence { floor: n },
+        ];
+        let responses = [
+            Response::Ack { cost: cost.clone() },
+            Response::Maintenance {
+                entries: n,
+                commits: n >> 32,
+                cost: cost.clone(),
+            },
+            Response::Committed { batch: n },
+            Response::Stats(StatsSnapshot {
+                pulls: n,
+                ..StatsSnapshot::default()
+            }),
+            Response::MaybeWeights(Some(grads.clone())),
+            Response::MaybeWeights(None),
+            Response::Count(n),
+            Response::HelloOk {
+                dim: n as u32,
+                name: text.clone(),
+            },
+            Response::Metrics(text.clone()),
+            Response::Error {
+                kind: ErrorKind::from_code(rng.below(5) as u8),
+                message: text,
+            },
+        ];
+        let frames = [
+            Packet::encode_pull(client, seq, n, &keys),
+            Packet::encode_push(client, seq, n, &keys, &grads),
+            Packet::encode_weights_response(client, seq, &grads, &cost),
+        ]
+        .into_iter()
+        .chain(requests.map(|r| Packet::request(client, seq, r).encode()))
+        .chain(responses.map(|r| Packet::response(client, seq, r).encode()));
+        let mut types = Vec::new();
+        for frame in frames {
+            let msg_type = frame[3];
+            let what = format!("case {case}: type {msg_type:#04x}");
+            // As encoded, the frame decodes on its own side.
+            if msg_type < 0x80 {
+                view_decode(&frame).expect(&what);
+            } else {
+                response_decode(&frame).expect(&what);
+            }
+            let padded = [&frame[28..], &bytes(rng, 1..65)].concat();
+            assert_refused(&sealed(msg_type, &padded), &format!("{what} padded"));
+            types.push(msg_type);
+        }
+        types.sort_unstable();
+        types.dedup();
+        assert_eq!(types, MSG_TYPES, "every message type is padded");
     });
 }
 
@@ -333,16 +430,15 @@ fn view_rejects_lying_length_prefixes() {
     cases(0x11E5_0000, |case, rng| {
         let enc = Packet::encode_pull(9, 9, 1, &u64s(rng, 1..16));
         let lie = 64 + rng.below((u32::MAX - 64) as u64) as u32;
-        let mut raw = BytesMut::from(&enc[..]);
+        let mut raw = enc.to_vec();
         // Body layout: reserved u64 | batch u64 | count u32 | keys…;
         // the count sits 16 bytes into the body (header is 28 bytes).
         let count_at = 28 + 16;
         raw[count_at..count_at + 4].copy_from_slice(&lie.to_le_bytes());
         reseal(&mut raw);
-        let buf = raw.freeze();
-        validate_frame(&buf).expect("checksum was re-sealed");
+        validate_frame(&raw).expect("checksum was re-sealed");
         assert_refused(
-            buf,
+            &raw,
             &format!("case {case}: a count of {lie} must not decode"),
         );
     });
@@ -350,17 +446,26 @@ fn view_rejects_lying_length_prefixes() {
 
 /// `frame` with `word` in the burst body's reserved first word,
 /// re-sealed: what a peer that still stamps that word sends.
-fn with_reserved(frame: &Bytes, word: u64) -> Bytes {
-    let mut raw = BytesMut::from(&frame[..]);
+fn with_reserved(frame: &Bytes, word: u64) -> Vec<u8> {
+    let mut raw = frame.to_vec();
     raw[28..36].copy_from_slice(&word.to_le_bytes());
     reseal(&mut raw);
-    raw.freeze()
+    raw
 }
 
 /// Recompute and patch the frame checksum after a deliberate body
 /// mutation, so tests can target the *structural* validation beneath
 /// the checksum.
-fn reseal(raw: &mut BytesMut) {
+fn reseal(raw: &mut [u8]) {
     let checksum = oe_simdevice::integrity_hash(&[&raw[..20], &raw[28..]]);
     raw[20..28].copy_from_slice(&checksum.to_le_bytes());
+}
+
+/// A frame of `msg_type` around `body`, with a matching length field
+/// and checksum: what a peer that writes a wrong body sends.
+fn sealed(msg_type: u8, body: &[u8]) -> Vec<u8> {
+    let mut raw = [&[0x45, 0x4F, 4, msg_type][..], &[0; 24], body].concat();
+    raw[16..20].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    reseal(&mut raw);
+    raw
 }

@@ -89,7 +89,7 @@ pub mod prelude {
     pub use oe_pool::{FabricConfig, PoolPartition, RemotePool, SharedPool};
     pub use oe_serve::{
         load_image, recall_at_k, save_image, AnnConfig, CheckpointPublisher, ExactScan,
-        LshRetriever, Retriever, ServingNode, Snapshot, SnapshotHandle, SnapshotReader,
+        LshRetriever, Retriever, Snapshot, SnapshotHandle, SnapshotReader,
     };
     pub use oe_simdevice::{Cost, CostKind, DeviceTiming, Media, MediaConfig, VirtualClock};
     pub use oe_telemetry::{Histogram, HistogramSnapshot, Phase, PhaseTimes, Registry};

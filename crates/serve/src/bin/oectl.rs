@@ -14,8 +14,8 @@
 //! example) — a checkpointed pool's persistence-domain bytes.
 
 use oe_pmem::scan::recover;
-use oe_pmem::{PmemPool, ScanReport, ROOT_BYTES};
-use oe_serve::{load_image, AnnConfig, ExactScan, LshRetriever, Retriever, ServingNode, Snapshot};
+use oe_pmem::{PmemPool, ScanReport};
+use oe_serve::{load_image, AnnConfig, ExactScan, LshRetriever, Retriever, Snapshot};
 use oe_simdevice::{Cost, CrashImage, Media};
 use std::path::Path;
 use std::process::exit;
@@ -93,15 +93,15 @@ fn main() {
                 .get(2)
                 .and_then(|s| s.parse().ok())
                 .unwrap_or_else(|| usage());
-            let node = open_serving(image, false);
-            let (payload, c) = node.snapshot().payload(key);
+            let snap = open_snapshot(image, false);
+            let (payload, c) = snap.payload(key);
             cost.merge(&c);
             match payload {
                 Some(p) => {
-                    println!("key {key} @ checkpoint {}", node.checkpoint());
-                    println!("weights : {:?}", &p[..node.dim().min(p.len())]);
-                    if p.len() > node.dim() {
-                        println!("opt state: {:?}", &p[node.dim()..]);
+                    println!("key {key} @ checkpoint {}", snap.checkpoint());
+                    println!("weights : {:?}", &p[..snap.dim().min(p.len())]);
+                    if p.len() > snap.dim() {
+                        println!("opt state: {:?}", &p[snap.dim()..]);
                     }
                 }
                 None => die(format!("key {key} not found")),
@@ -113,15 +113,15 @@ fn main() {
                 .and_then(|s| s.parse().ok())
                 .unwrap_or_else(|| usage());
             let k: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(10);
-            let node = open_serving(image, ann);
+            let snap = open_snapshot(image, ann);
             // The query is a borrow into the snapshot arena — no copy.
-            let (query, c) = node.snapshot().lookup(key);
+            let (query, c) = snap.lookup(key);
             cost.merge(&c);
             let Some(query) = query else {
                 die(format!("key {key} not found"))
             };
             let retriever: &dyn Retriever = if ann { &LshRetriever } else { &ExactScan };
-            let (top, c) = node.retrieve(query, k, retriever);
+            let (top, c) = retriever.top_k(&snap, query, k);
             cost.merge(&c);
             println!(
                 "top-{k} items by dot product with key {key} ({}):",
@@ -215,18 +215,16 @@ fn recover_or_exit(media: impl Into<Arc<Media>>, cost: &mut Cost) -> (PmemPool, 
     recover(Arc::clone(&media), cost).unwrap_or_else(|| die(PmemPool::refusal(&media)))
 }
 
-fn open_serving(image: CrashImage, ann: bool) -> ServingNode {
+fn open_snapshot(image: CrashImage, ann: bool) -> Snapshot {
     // The image does not say where the weights end and optimizer state
     // begins, so the whole payload is served as the embedding (`dump`
-    // prints it all). Its width is in the root line, the only part of
-    // the image read before the snapshot decode.
-    let root = &image.bytes()[..image.bytes().len().min(ROOT_BYTES as usize)];
-    let root = CrashImage::from_parts(root.to_vec(), image.device());
-    let media = Arc::new(Media::from_crash(root));
+    // prints it all). Its width is in the root line, which is judged
+    // against the whole image (a root's high-water mark must be backed
+    // by the slots that follow it).
+    let media = Arc::new(Media::from_crash(image.clone()));
     let pool = PmemPool::open(Arc::clone(&media), &mut Cost::new())
         .unwrap_or_else(|| die(PmemPool::refusal(&media)));
     let cfg = AnnConfig::paper_default();
-    let snapshot = Snapshot::build(image, pool.payload_f32s(), ann.then_some(&cfg))
-        .unwrap_or_else(|| die("no initialized pool in image"));
-    ServingNode::from_snapshot(Arc::new(snapshot))
+    Snapshot::build(image, pool.payload_f32s(), ann.then_some(&cfg))
+        .unwrap_or_else(|| die("no initialized pool in image"))
 }

@@ -20,8 +20,6 @@
 //!   trait: [`ann::ExactScan`] (reference arm) and
 //!   [`ann::LshRetriever`] over a per-snapshot random-hyperplane
 //!   [`ann::LshIndex`] built at flip time;
-//! - [`serving`] — [`serving::ServingNode`]: the single-image read
-//!   surface, a thin wrapper over a snapshot;
 //! - `oectl` — the operations CLI: `info`, `scan`, `verify`, `dump`,
 //!   `top [--ann]`, `metrics` over image files (see
 //!   `src/bin/oectl.rs`).
@@ -35,11 +33,9 @@
 #![deny(clippy::needless_pass_by_ref_mut)]
 
 pub mod ann;
-pub mod serving;
 pub mod snapshot;
 pub mod snapshot_handle;
 
 pub use ann::{recall_at_k, AnnConfig, ExactScan, LshIndex, LshRetriever, Retriever, TopK};
-pub use serving::ServingNode;
 pub use snapshot::{load_image, save_image};
 pub use snapshot_handle::{CheckpointPublisher, Snapshot, SnapshotHandle, SnapshotReader};

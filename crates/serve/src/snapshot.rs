@@ -4,8 +4,8 @@
 //! crash (or clean shutdown) point. Serializing it to disk turns
 //! checkpoints into operable artifacts: copy them to backup storage
 //! (the paper's "remote storage in large periods" tier), inspect them
-//! with `oectl`, or open them read-only with a
-//! [`crate::serving::ServingNode`].
+//! with `oectl`, or decode them read-only into a
+//! [`crate::snapshot_handle::Snapshot`].
 //!
 //! File format (little-endian):
 //!

@@ -48,20 +48,6 @@ const NO_ROW: u32 = u32::MAX;
 /// telemetry").
 const LOOKUP_TIMING_STRIDE: u64 = 256;
 
-/// The one sampling rule of both point-lookup paths
-/// ([`SnapshotReader::lookup`], [`crate::ServingNode::get`]): lookup
-/// number `n` (0-based, counted per reader or per node) runs `lookup`
-/// inside a [`Phase::ServeLookup`] span iff `n % 256 == 0`. Callers keep
-/// their hit and unknown counters exact; only the latency is sampled.
-pub(crate) fn sampled_lookup<T>(phases: &PhaseTimes, n: u64, lookup: impl FnOnce() -> T) -> T {
-    if n.is_multiple_of(LOOKUP_TIMING_STRIDE) {
-        let _span = phases.span(Phase::ServeLookup);
-        lookup()
-    } else {
-        lookup()
-    }
-}
-
 /// Where `key`'s row is, or would go, in the open-addressed `index`.
 fn probe(index: &[u32], keys: &[u64], key: u64) -> usize {
     let mask = index.len() - 1;
@@ -380,8 +366,8 @@ pub struct SnapshotReader<'h> {
     handle: &'h SnapshotHandle,
     seen_epoch: u64,
     cached: Arc<Snapshot>,
-    /// Point lookups served so far: the tick of [`sampled_lookup`]. A
-    /// flip does not reset it.
+    /// Point lookups served so far: lookup `n` (0-based) is timed iff
+    /// `n % 256 == 0`. A flip does not reset it.
     lookups: u64,
 }
 
@@ -407,9 +393,12 @@ impl SnapshotReader<'_> {
     /// hit or unknown counter always, the latency one lookup in 256).
     pub fn lookup(&mut self, key: u64) -> (Option<&[f32]>, Cost) {
         let handle = self.handle;
-        let n = self.lookups;
+        let timed = self.lookups.is_multiple_of(LOOKUP_TIMING_STRIDE);
         self.lookups += 1;
-        let (value, cost) = sampled_lookup(&handle.phases, n, move || self.acquire().lookup(key));
+        let (value, cost) = {
+            let _span = timed.then(|| handle.phases.span(Phase::ServeLookup));
+            self.acquire().lookup(key)
+        };
         match value {
             Some(_) => handle.hits.inc(),
             None => handle.unknown.inc(),
@@ -514,8 +503,9 @@ mod tests {
         let (row, cost) = snap.lookup(7);
         assert_eq!(row.unwrap(), &[3_070.0, 3_071.0, 3_072.0, 3_073.0]);
         assert!(cost.total_ns() > 0, "reads charge virtual cost");
-        let (missing, _) = snap.lookup(999);
-        assert!(missing.is_none());
+        let (missing, miss_cost) = snap.lookup(999);
+        assert!(missing.is_none(), "an unknown key is None, not zeros");
+        assert!(miss_cost.total_ns() > 0, "probes still cost");
         // Payload borrows the full width.
         let (payload, _) = snap.payload(7);
         assert_eq!(payload.unwrap().len(), snap.payload_f32s());
@@ -548,6 +538,28 @@ mod tests {
             1
         );
         drop(reader);
+    }
+
+    #[test]
+    fn reader_times_every_top_k_and_renders_its_counters() {
+        let handle =
+            SnapshotHandle::new(Arc::new(Snapshot::build(image_at(1), DIM, None).unwrap()));
+        let mut reader = handle.reader();
+        reader.lookup(1);
+        reader.lookup(999); // unknown
+        let (top, cost) = reader.retrieve(&[1.0; DIM], 2, &crate::ann::ExactScan);
+        assert_eq!(top.len(), 2);
+        assert!(cost.total_ns() > 0);
+        let snap = handle.registry().snapshot();
+        assert_eq!(snap.counter("serve_hits_total"), Some(1));
+        assert_eq!(snap.counter("serve_unknown_keys_total"), Some(1));
+        assert_eq!(snap.histogram("serve_topk_latency_ns").unwrap().count(), 1);
+        let text = handle.registry().render_text();
+        assert!(text.contains("serve_hits_total"), "text:\n{text}");
+        assert!(
+            text.contains("serve_lookup_latency_ns{quantile=\"0.99\"}"),
+            "text:\n{text}"
+        );
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The point-lookup telemetry rule, pinned exactly.
 //!
-//! Both read paths — [`SnapshotReader::lookup`] and
-//! [`ServingNode::get`] — count every lookup in `serve_hits_total` or
-//! `serve_unknown_keys_total` at once, and time lookup number `n`
-//! (0-based, per reader or per node) into `serve_lookup_latency_ns` iff
-//! `n % 256 == 0`. So `n` lookups leave exactly `⌈n / 256⌉` latency
-//! samples, and a snapshot flip does not restart the count.
+//! [`oe_serve::SnapshotReader::lookup`] counts every lookup in
+//! `serve_hits_total` or `serve_unknown_keys_total` at once, and times
+//! lookup number `n` (0-based, per reader) into
+//! `serve_lookup_latency_ns` iff `n % 256 == 0`. So `n` lookups leave
+//! exactly `⌈n / 256⌉` latency samples, and a snapshot flip does not
+//! restart the count.
 
-use oe_serve::{ServingNode, Snapshot, SnapshotHandle};
+use oe_serve::{Snapshot, SnapshotHandle};
 use oe_simdevice::{Cost, CrashImage, Media, MediaConfig};
 use oe_telemetry::RegistrySnapshot;
 use std::sync::Arc;
@@ -83,18 +83,4 @@ fn a_reader_times_lookups_0_256_512_and_counts_every_one() {
     assert_eq!(hits + unknown, LOOKUPS);
     assert_eq!(timed, 3, "lookups 0, 256 and 512 are timed");
     drop(reader);
-}
-
-#[test]
-fn a_serving_node_follows_the_same_rule() {
-    let node = ServingNode::from_snapshot(snapshot_at(1));
-    for n in 0..LOOKUPS {
-        let (row, _) = node.get(key_of(n));
-        assert_eq!(row.is_some(), key_of(n) < KEYS, "lookup {n}");
-        let got = counts(&node.registry().snapshot());
-        assert_eq!(got, expected(n + 1), "after lookup {n}");
-    }
-    let (hits, unknown, timed) = counts(&node.registry().snapshot());
-    assert_eq!(hits + unknown, LOOKUPS);
-    assert_eq!(timed, 3, "lookups 0, 256 and 512 are timed");
 }

@@ -167,3 +167,38 @@ fn oectl_refuses_an_unbacked_high_water_in_words() {
         assert_oectl_refuses(24, high_water);
     }
 }
+
+/// ... while a sound root is served: `oectl dump` and `top` answer for
+/// an image whose high-water mark is past the first allocation chunk,
+/// judged against the slots the whole image backs.
+#[test]
+fn oectl_serves_a_sound_image_past_one_allocation_chunk() {
+    let media = Arc::new(Media::new(MediaConfig::pmem(1 << 18)));
+    let mut cost = Cost::new();
+    let pool = PmemPool::create_on(Arc::clone(&media), DIM * 4, &mut cost);
+    for key in 0..1_100u64 {
+        let id = pool.alloc(&mut cost);
+        pool.write_slot(id, key, 1, &[key as f32; DIM], &mut cost);
+    }
+    pool.set_checkpoint_id(1, &mut cost);
+    let path = std::env::temp_dir().join(format!("oe_sound_root_{}", std::process::id()));
+    save_image(&media.crash(5), &path).expect("image written");
+    let oectl = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_oectl"))
+            .args(args)
+            .output()
+            .expect("oectl runs");
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let at = path.to_str().unwrap();
+    let dump = oectl(&["dump", at, "7"]);
+    assert!(dump.contains("key 7 @ checkpoint 1"), "{dump}");
+    assert!(dump.contains("weights : [7.0, 7.0, 7.0, 7.0]"), "{dump}");
+    let top = oectl(&["top", at, "7", "3"]);
+    assert!(
+        top.contains("top-3 items by dot product with key 7 (exact)"),
+        "{top}"
+    );
+    std::fs::remove_file(&path).ok();
+}

@@ -36,11 +36,6 @@ impl VirtualClock {
         self.now_ns.load(Ordering::Acquire)
     }
 
-    /// Current virtual time in seconds (lossy, for reporting).
-    pub fn now_secs(&self) -> f64 {
-        self.now() as f64 / NANOS_PER_SEC as f64
-    }
-
     /// Advance the clock by `delta` nanoseconds, returning the new time.
     pub fn advance(&self, delta: Nanos) -> Nanos {
         self.now_ns.fetch_add(delta, Ordering::AcqRel) + delta
@@ -106,9 +101,6 @@ mod tests {
     fn conversions() {
         assert_eq!(secs(1.5), 1_500_000_000);
         assert_eq!(minutes(2.0), 120 * NANOS_PER_SEC);
-        let c = VirtualClock::new();
-        c.advance(secs(2.0));
-        assert!((c.now_secs() - 2.0).abs() < 1e-9);
     }
 
     #[test]

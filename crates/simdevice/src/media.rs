@@ -458,15 +458,6 @@ impl Media {
     pub fn take_crash_capture(&self) -> Option<CrashImage> {
         self.inner.write().capture.take()
     }
-
-    /// Read bytes as they would survive a crash *right now* assuming all
-    /// flushed lines made it (optimistic durable view). Test helper.
-    pub fn read_durable(&self, off: u64, buf: &mut [u8]) {
-        let g = self.inner.read();
-        let end = off as usize + buf.len();
-        assert!(end <= g.durable.len());
-        buf.copy_from_slice(&g.durable[off as usize..end]);
-    }
 }
 
 impl MediaInner {
@@ -528,6 +519,17 @@ fn apply_line(durable: &mut Vec<u8>, line: u64, data: &[u8; CACHE_LINE]) -> usiz
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Media {
+        /// Read bytes as they would survive a crash *right now*
+        /// assuming all flushed lines made it (optimistic durable view).
+        fn read_durable(&self, off: u64, buf: &mut [u8]) {
+            let g = self.inner.read();
+            let end = off as usize + buf.len();
+            assert!(end <= g.durable.len());
+            buf.copy_from_slice(&g.durable[off as usize..end]);
+        }
+    }
 
     fn pmem() -> Media {
         Media::new(MediaConfig::pmem(4096))

@@ -46,14 +46,6 @@ impl PipelineWindow {
         }
     }
 
-    /// Accumulated work on one lane (0 for an unknown lane).
-    pub fn lane_ns(&self, name: &str) -> Nanos {
-        self.lanes
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |&(_, ns)| ns)
-    }
-
     /// The window's overlapped duration: max over lanes. Zero lanes is
     /// a zero-length window.
     pub fn critical_ns(&self) -> Nanos {
@@ -70,15 +62,6 @@ impl PipelineWindow {
     pub fn hidden_ns(&self) -> Nanos {
         self.serial_ns() - self.critical_ns()
     }
-
-    /// Work on every lane other than `name` that spills past `name`'s
-    /// lane, i.e. the exposed excess if `name` is the lane the schedule
-    /// is trying to hide the others under. This generalizes the sync
-    /// trainer's maintenance-spill rule (`maintain − compute`, clamped)
-    /// to any number of overlapped lanes.
-    pub fn spill_past(&self, name: &str) -> Nanos {
-        self.critical_ns().saturating_sub(self.lane_ns(name))
-    }
 }
 
 #[cfg(test)]
@@ -94,7 +77,6 @@ mod tests {
         assert_eq!(w.critical_ns(), 100);
         assert_eq!(w.serial_ns(), 210);
         assert_eq!(w.hidden_ns(), 110);
-        assert_eq!(w.spill_past("gpu"), 0, "everything hides under compute");
     }
 
     #[test]
@@ -103,9 +85,7 @@ mod tests {
         w.charge("ps", 30);
         w.charge("ps", 50);
         w.charge("gpu", 60);
-        assert_eq!(w.lane_ns("ps"), 80);
         assert_eq!(w.critical_ns(), 80, "ps lane overtakes gpu");
-        assert_eq!(w.spill_past("gpu"), 20, "ps excess spills past compute");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   wire by `Request::Metrics` and printed by `oectl metrics`.
 //!
 //! The crate depends only on `std`, so every layer of the
-//! stack (core node, net server, serving node, trainer, benches) can
+//! stack (core node, net server, snapshot handle, trainer, benches) can
 //! link it without weight.
 
 #![warn(missing_docs)]

@@ -112,7 +112,7 @@ impl Phase {
 /// One latency histogram per registered phase.
 ///
 /// Phases are opt-in per component: a PS node registers the training
-/// phases, a server the RPC phases, a serving node the lookup phases —
+/// phases, a server the RPC phases, a snapshot handle the serve phases —
 /// so each component's exposition shows only histograms it can fill.
 #[derive(Debug)]
 pub struct PhaseTimes {

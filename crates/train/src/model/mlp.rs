@@ -165,11 +165,6 @@ impl Mlp {
             l.step(lr);
         }
     }
-
-    /// Bytes of dense parameters (for the dense-checkpoint cost model).
-    pub fn param_bytes(&self) -> usize {
-        self.num_params() * 4
-    }
 }
 
 #[cfg(test)]
@@ -252,6 +247,5 @@ mod tests {
     fn param_count() {
         let mlp = Mlp::new(&[4, 8, 1], 0);
         assert_eq!(mlp.num_params(), 4 * 8 + 8 + 8 + 1);
-        assert_eq!(mlp.param_bytes(), (4 * 8 + 8 + 8 + 1) * 4);
     }
 }

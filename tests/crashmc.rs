@@ -8,7 +8,7 @@
 //! recovery idempotence, bit-identical lossless rewind). See
 //! `train::crashmc` for the invariant definitions.
 
-use openembedding::net::{Frame, Packet, Request, Response};
+use openembedding::net::{validate_frame, Packet, Request, Response, ResponseView};
 use openembedding::prelude::*;
 use openembedding::simdevice::Media;
 use openembedding::train::crashmc::{
@@ -188,12 +188,14 @@ fn standby_promotes_consistently_from_enumerated_crash_points() {
             .transport
             .call(Packet::request(1, 1, Request::Committed).encode(), None)
             .expect("promoted server serves");
-        let resp = Packet::decode(reply).expect("well-formed response");
-        assert_eq!(
-            resp.frame,
-            Frame::Response(Response::Committed {
-                batch: resume_batch
-            })
+        let meta = validate_frame(&reply).expect("well-formed frame");
+        let resp = ResponseView::decode(meta, &reply).expect("well-formed response");
+        assert!(
+            matches!(
+                resp,
+                ResponseView::Other(Response::Committed { batch }) if batch == resume_batch
+            ),
+            "{resp:?}"
         );
     }
 }
