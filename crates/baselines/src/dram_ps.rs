@@ -9,7 +9,7 @@
 //! DRAM-PS pays in Figs. 6/12 and the recovery path measured in Fig. 14.
 
 use crate::ckpt_log::{CkptDevice, CkptLog};
-use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, OPT_FLOP_NS_PER_F32};
+use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, INIT_SCALE, OPT_FLOP_NS_PER_F32};
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::init::init_payload;
 use oe_core::optimizer::Optimizer;
@@ -117,7 +117,7 @@ impl PsEngine for DramPs {
             };
             if found.is_none() {
                 let mut payload = vec![0f32; self.cfg.payload_f32s()];
-                init_payload(self.cfg.seed, key, self.cfg.init_scale, dim, &mut payload);
+                init_payload(self.cfg.seed, key, INIT_SCALE, dim, &mut payload);
                 out.extend_from_slice(&payload[..dim]);
                 cost.charge(CostKind::Serialized, INIT_ENTRY_NS);
                 self.shards[sid]

@@ -13,7 +13,7 @@
 
 use crate::ckpt_log::{CkptDevice, CkptLog};
 use oe_cache::{DramArena, LruList};
-use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, LRU_OP_NS, OPT_FLOP_NS_PER_F32};
+use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, INIT_SCALE, LRU_OP_NS, OPT_FLOP_NS_PER_F32};
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::init::init_payload;
 use oe_core::optimizer::Optimizer;
@@ -171,7 +171,7 @@ impl PsEngine for OriCache {
                     init_payload(
                         self.cfg.seed,
                         key,
-                        self.cfg.init_scale,
+                        INIT_SCALE,
                         dim,
                         g.arena.payload_mut(slot),
                     );

@@ -8,7 +8,7 @@
 //! This is the configuration the paper uses to show that naively
 //! swapping DRAM for PMem costs 1.16×–3.17× at 4–16 GPUs (Fig. 3).
 
-use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, OPT_FLOP_NS_PER_F32};
+use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, INIT_SCALE, OPT_FLOP_NS_PER_F32};
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::init::init_payload;
 use oe_core::optimizer::Optimizer;
@@ -97,7 +97,7 @@ impl PsEngine for PmemHash {
                     EngineStats::add(&self.stats.misses, 1); // every read hits PMem
                 }
                 None => {
-                    init_payload(self.cfg.seed, key, self.cfg.init_scale, dim, &mut scratch);
+                    init_payload(self.cfg.seed, key, INIT_SCALE, dim, &mut scratch);
                     let slot = self.pool.alloc(cost);
                     self.pool.write_slot(slot, key, batch, &scratch, cost);
                     self.index.write().insert(key, slot);

@@ -11,7 +11,7 @@
 //!   could not run it on the 500 GB model, §VI-F).
 
 use crate::ckpt_log::{CkptDevice, CkptLog};
-use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, OPT_FLOP_NS_PER_F32};
+use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, INIT_SCALE, OPT_FLOP_NS_PER_F32};
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::init::init_payload;
 use oe_core::optimizer::Optimizer;
@@ -86,7 +86,7 @@ impl PsEngine for TfPs {
                 }
                 None => {
                     let mut payload = vec![0f32; self.cfg.payload_f32s()];
-                    init_payload(self.cfg.seed, key, self.cfg.init_scale, dim, &mut payload);
+                    init_payload(self.cfg.seed, key, INIT_SCALE, dim, &mut payload);
                     out.extend_from_slice(&payload[..dim]);
                     g.insert(key, payload.into_boxed_slice());
                     cost.charge(CostKind::Serialized, INIT_ENTRY_NS);

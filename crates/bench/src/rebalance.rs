@@ -136,7 +136,6 @@ impl RebalanceBenchConfig {
                 hot_fraction: self.hot_fraction,
                 max_moves: self.max_moves,
             },
-            ..RebalanceConfig::default()
         }
     }
 

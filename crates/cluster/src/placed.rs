@@ -561,17 +561,21 @@ impl<E: PsEngine> PsEngine for PlacedCluster<E> {
 /// pays per-request work, and pool-backed nodes share one fabric link,
 /// so their transfers queue rather than overlap). A simple,
 /// conservative merge for multi-node bursts (paper §IV: a burst
-/// completes when the slowest node does).
+/// completes when the slowest node does). Operation counts always sum,
+/// as in [`Cost::merge_parallel`]: they count events, not time.
 fn merge_node_parallel(costs: &[Cost], out: &mut Cost) {
+    let (mut ns, mut ops) = ([0; 8], [0; 8]);
     for kind in CostKind::ALL {
-        let ns = match kind {
+        let i = kind as usize;
+        ns[i] = match kind {
             CostKind::Cpu | CostKind::Net | CostKind::FabricTransfer => {
                 costs.iter().map(|c| c.ns(kind)).sum()
             }
             _ => costs.iter().map(|c| c.ns(kind)).max().unwrap_or(0),
         };
-        out.charge_ns_only(kind, ns);
+        ops[i] = costs.iter().map(|c| c.ops(kind)).sum();
     }
+    out.merge(&Cost::from_raw_parts(ns, ops));
 }
 
 #[cfg(test)]
@@ -630,6 +634,10 @@ mod tests {
         merge_node_parallel(&costs, &mut out);
         assert_eq!(out.ns(CostKind::PmemWrite), 300);
         assert_eq!(out.ns(CostKind::Cpu), 30);
+        // Operation counts sum whatever the nanosecond rule.
+        assert_eq!(out.ops(CostKind::PmemWrite), 2);
+        assert_eq!(out.ops(CostKind::Cpu), 2);
+        assert_eq!(out.ops(CostKind::DramTransfer), 0);
     }
 
     // The next three came from the unit tests of `oe-core`'s static-hash
@@ -874,7 +882,6 @@ mod tests {
                 hot_fraction: 0.5,
                 max_moves: 64,
             },
-            ..RebalanceConfig::default()
         };
         let c = PlacedCluster::with_auto_rebalance(nodes(3, adagrad()), cfg, Vec::new());
         let hot: Vec<u64> = (0..2000u64)

@@ -13,7 +13,6 @@
 use crate::freq::FreqTracker;
 use crate::placement::PlacementTable;
 use oe_core::Key;
-use oe_workload::SkewModel;
 
 /// How a node's memory is provisioned, for placement eligibility.
 ///
@@ -64,13 +63,6 @@ impl SkewAwarePlacer {
     /// A placer with the given config.
     pub fn new(cfg: PlacerConfig) -> Self {
         Self { cfg }
-    }
-
-    /// Fraction of accesses the configured hot head should capture under
-    /// `model` — the analytic ceiling on how much load a migration of
-    /// `hot_fraction` of the keys can move.
-    pub fn expected_hot_share(&self, model: &SkewModel) -> f64 {
-        model.share_top(self.cfg.hot_fraction)
     }
 
     /// Plan placement moves.
@@ -250,16 +242,6 @@ mod tests {
         assert!(
             a.iter().all(|&(k, _)| k != hot[0]),
             "hot[0] already off node 2"
-        );
-    }
-
-    #[test]
-    fn expected_hot_share_matches_the_paper_head() {
-        let placer = SkewAwarePlacer::default();
-        let share = placer.expected_hot_share(&SkewModel::paper_fit());
-        assert!(
-            (share - 0.857).abs() < 0.02,
-            "top 0.05% ≈ 85.7%, got {share}"
         );
     }
 }

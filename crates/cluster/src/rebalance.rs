@@ -23,6 +23,13 @@ pub struct NodeWindow {
     pub mean_ns: u64,
 }
 
+/// A node is load-overloaded when its window key share reaches this
+/// multiple of the per-node mean.
+const LOAD_RATIO: f64 = 1.5;
+/// A node is latency-overloaded when its window p99 reaches this multiple
+/// of the median peer p99.
+const P99_RATIO: f64 = 2.0;
+
 /// Controller tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RebalanceConfig {
@@ -30,12 +37,6 @@ pub struct RebalanceConfig {
     pub check_every_batches: u64,
     /// Double-write window length for migrations the controller starts.
     pub double_write_batches: u64,
-    /// A node is load-overloaded when its window key share exceeds this
-    /// multiple of the per-node mean.
-    pub load_ratio: f64,
-    /// A node is latency-overloaded when its window p99 exceeds this
-    /// multiple of the median peer p99.
-    pub p99_ratio: f64,
     /// Minimum total keys in a window before any verdict is reached.
     pub min_window_keys: u64,
     /// Placer knobs for migrations the controller plans.
@@ -47,8 +48,6 @@ impl Default for RebalanceConfig {
         Self {
             check_every_batches: 8,
             double_write_batches: 2,
-            load_ratio: 1.5,
-            p99_ratio: 2.0,
             min_window_keys: 256,
             placer: PlacerConfig::default(),
         }
@@ -80,7 +79,7 @@ impl RebalanceController {
     }
 
     /// The overloaded node, if any: the busiest node when its load or
-    /// p99 runs away from its peers per the configured ratios. `None`
+    /// p99 runs away from its peers (`LOAD_RATIO`, `P99_RATIO`). `None`
     /// when the window is too quiet, the cluster has a single node, or
     /// everything is balanced.
     pub fn overloaded(&self, windows: &[NodeWindow]) -> Option<usize> {
@@ -95,7 +94,7 @@ impl RebalanceController {
         // Busiest node by keys, then by p99 for ties.
         let i = (0..n).max_by_key(|&i| (windows[i].keys, windows[i].p99_ns))?;
         let mean_keys = total as f64 / n as f64;
-        let load_hot = windows[i].keys as f64 >= self.cfg.load_ratio * mean_keys;
+        let load_hot = windows[i].keys as f64 >= LOAD_RATIO * mean_keys;
 
         let mut peer_p99: Vec<u64> = (0..n)
             .filter(|&j| j != i)
@@ -103,8 +102,8 @@ impl RebalanceController {
             .collect();
         peer_p99.sort_unstable();
         let median_peer = peer_p99[peer_p99.len() / 2];
-        let p99_hot = windows[i].p99_ns > 0
-            && windows[i].p99_ns as f64 >= self.cfg.p99_ratio * median_peer as f64;
+        let p99_hot =
+            windows[i].p99_ns > 0 && windows[i].p99_ns as f64 >= P99_RATIO * median_peer as f64;
 
         (load_hot || p99_hot).then_some(i)
     }
@@ -138,11 +137,8 @@ mod tests {
 
     #[test]
     fn p99_runaway_flags_even_when_load_is_even() {
-        let cfg = RebalanceConfig {
-            load_ratio: 10.0, // disable the load trigger
-            ..RebalanceConfig::default()
-        };
-        let c = RebalanceController::new(cfg);
+        let c = RebalanceController::new(RebalanceConfig::default());
+        // The busiest node's load is at the mean: only its p99 trips.
         let windows = [w(1000, 500), w(1001, 5000), w(999, 480), w(1000, 520)];
         assert_eq!(c.overloaded(&windows), Some(1));
     }

@@ -68,13 +68,6 @@ impl CheckpointScheduler {
             None
         }
     }
-
-    /// Young's formula: optimal checkpoint interval ≈ √(2 · δ · MTBF)
-    /// where δ is the cost of taking one checkpoint. Exposed for the
-    /// interval-selection discussion in EXPERIMENTS.md.
-    pub fn youngs_interval(checkpoint_cost_ns: Nanos, mtbf_ns: Nanos) -> Nanos {
-        ((2.0 * checkpoint_cost_ns as f64 * mtbf_ns as f64).sqrt()) as Nanos
-    }
 }
 
 /// A drift-free *batch-count* cadence: fires every `every` completed
@@ -199,13 +192,5 @@ mod tests {
     #[should_panic(expected = "at least one batch")]
     fn batch_cadence_rejects_zero() {
         BatchCadence::every(0);
-    }
-
-    #[test]
-    fn youngs_formula_shape() {
-        // 10 s checkpoint cost, 4 h MTBF → ~9 min (within 2x).
-        let i = CheckpointScheduler::youngs_interval(secs(10.0), secs(4.0 * 3600.0));
-        let mins = i as f64 / secs(60.0) as f64;
-        assert!((4.0..20.0).contains(&mins), "interval = {mins} min");
     }
 }

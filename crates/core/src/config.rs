@@ -30,6 +30,10 @@ pub const FANOUT_KEY_NS: u64 = 8;
 /// CPU cost of one shard-lock acquisition (ns), paid once per shard
 /// group of a request.
 pub const SHARD_LOCK_NS: u64 = 30;
+/// Uniform init scale: new weights ~ U(-scale, +scale), derived
+/// deterministically from the key (every engine starts from the same
+/// weights).
+pub const INIT_SCALE: f32 = 0.01;
 
 /// Configuration of one [`crate::PsNode`].
 #[derive(Debug, Clone)]
@@ -51,9 +55,6 @@ pub struct NodeConfig {
     /// Enable pipelined maintenance (Fig. 9 ablation). When off, cache
     /// replacement and flushes run inline on the pull path.
     pub enable_pipeline: bool,
-    /// Uniform init scale: new weights ~ U(-scale, +scale), derived
-    /// deterministically from the key.
-    pub init_scale: f32,
     /// Initial PMem pool capacity in bytes.
     pub pmem_capacity: usize,
     /// Deterministic seed folded into weight initialization.
@@ -84,7 +85,6 @@ impl NodeConfig {
             shards: 1,
             enable_cache: true,
             enable_pipeline: true,
-            init_scale: 0.01,
             pmem_capacity: 1 << 24,
             seed: 42,
             parallelism: 1,
@@ -123,7 +123,6 @@ impl NodeConfig {
         assert!(self.dim > 0, "dim must be positive");
         assert!(self.shards > 0, "need at least one shard");
         assert!(self.cache_bytes > 0, "cache_bytes must be positive");
-        assert!(self.init_scale >= 0.0, "init_scale must be non-negative");
         assert!(
             self.parallelism >= 1,
             "parallelism must be ≥ 1 (the per-key path was removed in PR 15)"

@@ -30,7 +30,7 @@
 
 use crate::config::{
     NodeConfig, ACCESS_QUEUE_NS, DEDUP_KEY_NS, FANOUT_KEY_NS, HASH_PROBE_NS, INIT_ENTRY_NS,
-    LRU_OP_NS, OPT_FLOP_NS_PER_F32, PLAN_KEY_NS, SHARD_LOCK_NS,
+    INIT_SCALE, LRU_OP_NS, OPT_FLOP_NS_PER_F32, PLAN_KEY_NS, SHARD_LOCK_NS,
 };
 use crate::engine::{MaintenanceReport, PsEngine};
 use crate::init::init_payload;
@@ -522,7 +522,7 @@ impl PsNode {
                     EngineStats::add(&self.stats.misses, 1);
                 }
                 None => {
-                    init_payload(self.cfg.seed, key, self.cfg.init_scale, dim, payload);
+                    init_payload(self.cfg.seed, key, INIT_SCALE, dim, payload);
                     let slot = self.store.alloc(cost);
                     self.store.write_slot(slot, key, batch, payload, cost);
                     g.index.insert_recovered(key, slot, batch);
@@ -676,7 +676,7 @@ impl PsNode {
                     init_payload(
                         self.cfg.seed,
                         key,
-                        self.cfg.init_scale,
+                        INIT_SCALE,
                         dim,
                         g.arena.payload_mut(slot),
                     );

@@ -34,12 +34,12 @@
 //!
 //! Virtual-time accounting stays exact: server-side storage charges ride
 //! back inside each response and are merged into the caller's sink, and
-//! the client additionally charges `Net` time per frame byte using the
-//! paper's 30 Gb intranet model.
+//! the client additionally charges `Net` time for each request + reply
+//! frame pair through [`NetCharge`].
 
 use crate::api::{PsClient, PullTicket};
 use crate::codec::{validate_frame, FrameMeta, Packet, Request, Response, ResponseView};
-use crate::config::NetConfig;
+use crate::config::{NetCharge, NetConfig};
 use crate::error::{Error, ErrorKind};
 use crate::failover::{FailoverEvent, Standby};
 use crate::transport::Transport;
@@ -263,7 +263,10 @@ impl RemotePs {
             }
             let outcome = match transport.call(frame.clone(), self.cfg.deadline) {
                 Ok(reply) => {
-                    self.cfg.charge.charge(frame.len() + reply.len(), cost);
+                    cost.charge(
+                        CostKind::Net,
+                        NetCharge::round_trip_ns(frame.len() + reply.len()),
+                    );
                     match validate_frame(&reply) {
                         // A structured error reply is ours even when
                         // the token is (0,0): the server could not

@@ -1,37 +1,28 @@
 //! Client-side networking configuration: the [`NetCharge`] cost model,
-//! the [`RetryPolicy`], and the per-call deadline, consolidated into a
-//! [`NetConfig`] builder mirroring `oe_core::NodeConfig` — one
-//! `paper_default()` that encodes the testbed (30 Gb intranet,
-//! low-overhead RPC) plus fault-tolerance knobs tuned for the
-//! fault-injection suite.
+//! the [`RetryPolicy`], and the per-call deadline. [`NetConfig`] mirrors
+//! `oe_core::NodeConfig` — one `paper_default()` that encodes the
+//! testbed's fault-tolerance knobs, tuned for the fault-injection suite.
 
-use oe_simdevice::{Cost, CostKind};
+use oe_simdevice::Nanos;
 use std::time::Duration;
 
-/// Per-frame network cost model (client side).
-#[derive(Debug, Clone, Copy)]
-pub struct NetCharge {
-    /// Fixed RPC overhead per round trip (ns).
-    pub rpc_overhead_ns: u64,
-    /// Link bandwidth, bytes/ns.
-    pub bw_bytes_per_ns: f64,
-}
+/// The network's virtual-time model, and the only one: the paper's
+/// testbed (§VI-A), a 30 Gb intranet with low-overhead RPC. A round trip
+/// costs a fixed per-RPC overhead plus its bytes at link bandwidth.
+/// [`crate::RemotePs`] prices each request + reply frame pair with it;
+/// the trainer prices each worker's pull or push burst with it.
+pub struct NetCharge;
 
 impl NetCharge {
-    /// The paper's testbed: 30 Gb intranet, low-overhead RPC.
-    pub fn paper_default() -> Self {
-        Self {
-            rpc_overhead_ns: 15_000,
-            bw_bytes_per_ns: 3.75,
-        }
-    }
+    /// Fixed RPC overhead per round trip (ns): serialization + kernel
+    /// bypass.
+    pub const RPC_OVERHEAD_NS: Nanos = 15_000;
+    /// Link bandwidth in bytes/ns (30 Gb/s).
+    pub const BW_BYTES_PER_NS: f64 = 3.75;
 
-    /// Charge one round trip of `bytes` total to `cost`.
-    pub fn charge(&self, bytes: usize, cost: &mut Cost) {
-        cost.charge(
-            CostKind::Net,
-            self.rpc_overhead_ns + (bytes as f64 / self.bw_bytes_per_ns) as u64,
-        );
+    /// Virtual time of one round trip carrying `bytes` in total.
+    pub fn round_trip_ns(bytes: usize) -> Nanos {
+        Self::RPC_OVERHEAD_NS + (bytes as f64 / Self::BW_BYTES_PER_NS) as Nanos
     }
 }
 
@@ -116,12 +107,10 @@ impl SaturatingShl for u64 {
     }
 }
 
-/// Everything a [`crate::RemotePs`] needs to know about the wire:
-/// cost model, deadline, retry policy.
+/// Everything a [`crate::RemotePs`] can be told about the wire:
+/// deadline and retry policy. Its virtual-time price is [`NetCharge`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// Virtual-time cost model per round trip.
-    pub charge: NetCharge,
     /// Wall-clock bound on a single RPC attempt. `None` blocks forever
     /// (the pre-fault-tolerance behaviour).
     pub deadline: Option<Duration>,
@@ -130,13 +119,11 @@ pub struct NetConfig {
 }
 
 impl NetConfig {
-    /// The paper's testbed with fault tolerance on: 30 Gb charge model,
-    /// 250 ms attempt deadline (generous for an in-process loopback; a
-    /// dropped frame is detected in one deadline), 8-retry exponential
-    /// backoff.
+    /// The paper's testbed with fault tolerance on: 250 ms attempt
+    /// deadline (generous for an in-process loopback; a dropped frame is
+    /// detected in one deadline), 8-retry exponential backoff.
     pub fn paper_default() -> Self {
         Self {
-            charge: NetCharge::paper_default(),
             deadline: Some(Duration::from_millis(250)),
             retry: RetryPolicy::paper_default(),
         }
@@ -194,19 +181,18 @@ mod tests {
             .with_retry(RetryPolicy::none());
         assert_eq!(cfg.deadline, Some(Duration::from_millis(10)));
         assert_eq!(cfg.retry.max_retries, 0);
-        assert_eq!(
-            cfg.charge.rpc_overhead_ns,
-            NetCharge::paper_default().rpc_overhead_ns
-        );
     }
 
     #[test]
     fn charge_scales_with_bytes() {
-        let c = NetCharge::paper_default();
-        let mut small = Cost::new();
-        let mut big = Cost::new();
-        c.charge(100, &mut small);
-        c.charge(1_000_000, &mut big);
-        assert!(big.ns(CostKind::Net) > small.ns(CostKind::Net));
+        assert_eq!(NetCharge::round_trip_ns(0), NetCharge::RPC_OVERHEAD_NS);
+        assert!(NetCharge::round_trip_ns(1_000_000) > NetCharge::round_trip_ns(100));
+    }
+
+    #[test]
+    fn magnitude() {
+        // A pull of 10k keys × 64 dims is ≈ 2.6 MB → ~0.7 ms on 30 Gb.
+        let t = NetCharge::round_trip_ns(10_000 * (8 + 4 * 64));
+        assert!((500_000..2_000_000).contains(&t), "t = {t}");
     }
 }

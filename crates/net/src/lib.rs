@@ -25,9 +25,9 @@
 //! - [`fault`] — a seeded, deterministic [`FaultInjector`] that
 //!   composes over any transport (drop, delay, duplicate, corrupt,
 //!   kill-server schedules);
-//! - [`config`] — [`NetConfig`]: the [`NetCharge`] cost model plus
-//!   deadline and [`RetryPolicy`] knobs, one builder mirroring
-//!   `NodeConfig`;
+//! - [`config`] — [`NetCharge`], the one network cost model, and
+//!   [`NetConfig`]: the deadline and [`RetryPolicy`] knobs, one builder
+//!   mirroring `NodeConfig`;
 //! - [`server`] — a multi-threaded PS server event loop serving any
 //!   [`oe_core::engine::PsEngine`], with a replay cache that applies
 //!   retried/duplicated requests exactly once;

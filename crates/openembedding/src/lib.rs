@@ -83,8 +83,8 @@ pub mod prelude {
         OptimizerKind, PsNode, StorageBackend,
     };
     pub use oe_net::{
-        loopback, EngineClient, FaultInjector, FaultSpec, NetConfig, PsClient, PsServer, RemotePs,
-        RetryPolicy, Standby,
+        loopback, EngineClient, FaultInjector, FaultSpec, NetCharge, NetConfig, PsClient, PsServer,
+        RemotePs, RetryPolicy, Standby,
     };
     pub use oe_pool::{FabricConfig, PoolPartition, RemotePool, SharedPool};
     pub use oe_serve::{
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use oe_telemetry::{Histogram, HistogramSnapshot, Phase, PhaseTimes, Registry};
     pub use oe_train::model::{DeepFm, DeepFmConfig};
     pub use oe_train::{
-        CloudCostModel, CoherenceSource, GpuModel, NetModel, PipelineConfig, PipelineReport,
+        CloudCostModel, CoherenceSource, GpuModel, PipelineConfig, PipelineReport,
         PipelinedTrainer, PsDeployment, TrainMode, TrainReport, TrainerConfig,
     };
     pub use oe_workload::{CriteoSynth, SkewModel, WorkloadGen, WorkloadSpec};

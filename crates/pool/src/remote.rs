@@ -23,12 +23,14 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+/// The fabric link into every pool (latency/bandwidth/congestion curve):
+/// the same [`DeviceTiming::cxl_fabric`] that bounds a burst's fabric
+/// bandwidth in `ContentionModel`.
+const LINK: DeviceTiming = DeviceTiming::cxl_fabric();
+
 /// Fabric parameters shared by everything attached to one pool.
 #[derive(Debug, Clone, Copy)]
 pub struct FabricConfig {
-    /// Link timing (latency/bandwidth/congestion curve). Defaults to
-    /// [`DeviceTiming::cxl_fabric`].
-    pub link: DeviceTiming,
     /// Compute threads adjacent to the pool that checkpoint decode /
     /// recovery scans parallelize over (the near-pool offload).
     pub near_pool_threads: u32,
@@ -37,7 +39,6 @@ pub struct FabricConfig {
 impl Default for FabricConfig {
     fn default() -> Self {
         Self {
-            link: DeviceTiming::cxl_fabric(),
             near_pool_threads: 4,
         }
     }
@@ -78,21 +79,18 @@ impl SharedPool {
     /// the reciprocal of the link's efficiency at the current number of
     /// attached streams (1.0 when a single node owns the link).
     fn congestion(&self) -> f64 {
-        1.0 / self
-            .fabric
-            .link
-            .concurrency_efficiency(self.attached().max(1))
+        1.0 / LINK.concurrency_efficiency(self.attached().max(1))
     }
 
     /// Charge a fabric read of `bytes` (one round trip).
     fn charge_read(&self, bytes: u64, cost: &mut Cost) {
-        let ns = (self.fabric.link.read_ns(bytes) as f64 * self.congestion()) as u64;
+        let ns = (LINK.read_ns(bytes) as f64 * self.congestion()) as u64;
         cost.charge(CostKind::FabricTransfer, ns);
     }
 
     /// Charge a fabric write of `bytes` (posted write + completion).
     fn charge_write(&self, bytes: u64, cost: &mut Cost) {
-        let ns = (self.fabric.link.write_ns(bytes) as f64 * self.congestion()) as u64;
+        let ns = (LINK.write_ns(bytes) as f64 * self.congestion()) as u64;
         cost.charge(CostKind::FabricTransfer, ns);
     }
 
@@ -465,10 +463,9 @@ mod tests {
         let r = restore(&PoolPartition::new(Arc::clone(&shared), 1), node_cfg(), 3).unwrap();
         // Upper bound: what shipping every live slot would charge on
         // the fabric alone (exclusive link), ignoring the scan.
-        let link = shared.fabric().link;
         let slot_bytes = 64u64; // ≥ header+payload rounded for dim 4
         let ship_all: u64 = (0..r.report.scan.live.len())
-            .map(|_| link.read_ns(slot_bytes))
+            .map(|_| LINK.read_ns(slot_bytes))
             .sum();
         assert!(
             r.recovery_ns < ship_all * 4,

@@ -40,28 +40,6 @@ impl VirtualClock {
     pub fn advance(&self, delta: Nanos) -> Nanos {
         self.now_ns.fetch_add(delta, Ordering::AcqRel) + delta
     }
-
-    /// Move the clock forward to `t` if `t` is later than the current time.
-    /// Returns the resulting time. Used when merging parallel timelines:
-    /// the driver sets the clock to the max of all workers' finish times.
-    pub fn advance_to(&self, t: Nanos) -> Nanos {
-        let mut cur = self.now_ns.load(Ordering::Acquire);
-        while t > cur {
-            match self
-                .now_ns
-                .compare_exchange(cur, t, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return t,
-                Err(observed) => cur = observed,
-            }
-        }
-        cur
-    }
-
-    /// Reset to zero (between independent experiment runs).
-    pub fn reset(&self) {
-        self.now_ns.store(0, Ordering::Release);
-    }
 }
 
 /// Convert seconds (possibly fractional) to [`Nanos`].
@@ -88,46 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn advance_to_is_monotonic() {
-        let c = VirtualClock::new();
-        c.advance(100);
-        // Going backwards is a no-op.
-        assert_eq!(c.advance_to(50), 100);
-        assert_eq!(c.advance_to(250), 250);
-        assert_eq!(c.now(), 250);
-    }
-
-    #[test]
     fn conversions() {
         assert_eq!(secs(1.5), 1_500_000_000);
         assert_eq!(minutes(2.0), 120 * NANOS_PER_SEC);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let c = VirtualClock::new();
-        c.advance(42);
-        c.reset();
-        assert_eq!(c.now(), 0);
-    }
-
-    #[test]
-    fn advance_to_concurrent() {
-        use std::sync::Arc;
-        let c = Arc::new(VirtualClock::new());
-        let hs: Vec<_> = (0..8u64)
-            .map(|i| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for j in 0..1000 {
-                        c.advance_to(i * 1000 + j);
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        assert_eq!(c.now(), 7999);
     }
 }

@@ -18,22 +18,9 @@ use crate::clock::Nanos;
 use crate::cost::{Cost, CostKind};
 use crate::device::DeviceTiming;
 
-/// Amdahl composition: `serial` nanoseconds cannot parallelize, `parallel`
-/// nanoseconds divide evenly across `threads`.
-#[inline]
-pub fn amdahl_burst(serial_ns: Nanos, parallel_ns: Nanos, threads: u32) -> Nanos {
-    serial_ns + parallel_ns / threads.max(1) as u64
-}
-
-/// Time to move `bytes` through a device at `bw` bytes/ns shared by
-/// `streams` concurrent requesters, given the device's efficiency curve.
-#[inline]
-pub fn shared_bandwidth_ns(bytes: u64, bw_bytes_per_ns: f64, efficiency: f64) -> Nanos {
-    (bytes as f64 / (bw_bytes_per_ns * efficiency.max(1e-6))) as Nanos
-}
-
 /// Parameters describing how a parameter-server node turns a burst of
-/// charged costs into wall(-virtual)-clock time.
+/// charged costs into wall(-virtual)-clock time. The bandwidth floors
+/// are the [`DeviceTiming`] models of Table I and the CXL fabric link.
 #[derive(Debug, Clone, Copy)]
 pub struct ContentionModel {
     /// Number of service threads handling requests on the PS node.
@@ -41,14 +28,6 @@ pub struct ContentionModel {
     /// Number of concurrent requesters (≈ workers × connections) during a
     /// burst; drives device-efficiency degradation.
     pub burst_streams: u32,
-    /// PMem timing for bandwidth floors.
-    pub pmem: DeviceTiming,
-    /// DRAM timing for bandwidth floors.
-    pub dram: DeviceTiming,
-    /// SSD timing for bandwidth floors.
-    pub ssd: DeviceTiming,
-    /// Fabric-link timing for disaggregated-pool bandwidth floors.
-    pub fabric: DeviceTiming,
 }
 
 impl ContentionModel {
@@ -58,10 +37,6 @@ impl ContentionModel {
         Self {
             service_threads,
             burst_streams,
-            pmem: DeviceTiming::pmem(),
-            dram: DeviceTiming::dram(),
-            ssd: DeviceTiming::flash_ssd(),
-            fabric: DeviceTiming::cxl_fabric(),
         }
     }
 
@@ -98,25 +73,20 @@ impl ContentionModel {
             (ns as f64 / (t as f64 * eff.max(1e-6))) as Nanos
         };
 
+        let pmem_eff = DeviceTiming::pmem().concurrency_efficiency(s);
         let dram = dev(
             cost.ns(CostKind::DramTransfer),
-            self.dram.concurrency_efficiency(s),
+            DeviceTiming::dram().concurrency_efficiency(s),
         );
-        let pmem_r = dev(
-            cost.ns(CostKind::PmemRead),
-            self.pmem.concurrency_efficiency(s),
-        );
-        let pmem_w = dev(
-            cost.ns(CostKind::PmemWrite),
-            self.pmem.concurrency_efficiency(s),
-        );
+        let pmem_r = dev(cost.ns(CostKind::PmemRead), pmem_eff);
+        let pmem_w = dev(cost.ns(CostKind::PmemWrite), pmem_eff);
         let ssd = dev(
             cost.ns(CostKind::SsdTransfer),
-            self.ssd.concurrency_efficiency(s),
+            DeviceTiming::flash_ssd().concurrency_efficiency(s),
         );
         let fabric = dev(
             cost.ns(CostKind::FabricTransfer),
-            self.fabric.concurrency_efficiency(s),
+            DeviceTiming::cxl_fabric().concurrency_efficiency(s),
         );
 
         serial + cpuish + dram + pmem_r + pmem_w + ssd + fabric
@@ -129,10 +99,17 @@ mod tests {
 
     #[test]
     fn amdahl_basics() {
-        assert_eq!(amdahl_burst(100, 1000, 10), 200);
-        assert_eq!(amdahl_burst(0, 1000, 1), 1000);
+        // Serialized work adds whole; CPU work divides across threads.
+        let burst = |serial: Nanos, cpu: Nanos, threads: u32| {
+            let mut c = Cost::new();
+            c.charge(CostKind::Serialized, serial);
+            c.charge(CostKind::Cpu, cpu);
+            ContentionModel::new(threads, 1).burst_ns(&c)
+        };
+        assert_eq!(burst(100, 1000, 10), 200);
+        assert_eq!(burst(0, 1000, 1), 1000);
         // threads=0 treated as 1
-        assert_eq!(amdahl_burst(5, 100, 0), 105);
+        assert_eq!(burst(5, 100, 0), 105);
     }
 
     #[test]
@@ -183,11 +160,5 @@ mod tests {
         let calm = ContentionModel::new(16, 4).burst_ns(&c);
         let storm = ContentionModel::new(16, 32).burst_ns(&c);
         assert!(storm > calm, "storm={storm} calm={calm}");
-    }
-
-    #[test]
-    fn shared_bandwidth_helper() {
-        // 1000 bytes at 1 byte/ns, 50% efficiency → 2000 ns.
-        assert_eq!(shared_bandwidth_ns(1000, 1.0, 0.5), 2000);
     }
 }

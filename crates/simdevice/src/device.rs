@@ -157,13 +157,6 @@ impl DeviceTiming {
         (streams as f64).powf(self.concurrency_exponent - 1.0)
     }
 
-    /// Aggregate time to move `total_bytes` (writes) when `streams`
-    /// concurrent requesters share the device.
-    pub fn shared_write_ns(&self, total_bytes: u64, streams: u32) -> Nanos {
-        let eff_bw = self.write_bw_bytes_per_ns * self.concurrency_efficiency(streams);
-        self.write_lat_ns + (self.rounded(total_bytes) as f64 / eff_bw) as Nanos
-    }
-
     /// The [`CostKind`] bucket a read on this device charges to.
     pub fn read_cost_kind(&self) -> CostKind {
         match self.kind {
@@ -263,13 +256,5 @@ mod tests {
         assert_eq!(c.ops(CostKind::PmemRead), 1);
         assert_eq!(c.ops(CostKind::PmemWrite), 1);
         assert_eq!(c.ops(CostKind::DramTransfer), 1);
-    }
-
-    #[test]
-    fn shared_bandwidth_slower_than_exclusive() {
-        let p = DeviceTiming::pmem();
-        let alone = p.shared_write_ns(1 << 20, 1);
-        let crowded = p.shared_write_ns(1 << 20, 16);
-        assert!(crowded > 2 * alone, "alone={alone} crowded={crowded}");
     }
 }

@@ -28,14 +28,12 @@ pub mod cost;
 pub mod device;
 pub mod integrity;
 pub mod media;
-pub mod overlap;
 pub mod rng;
 pub mod sync;
 
 pub use clock::{Nanos, VirtualClock};
-pub use contention::{amdahl_burst, shared_bandwidth_ns, ContentionModel};
+pub use contention::ContentionModel;
 pub use cost::{Cost, CostKind};
 pub use device::{DeviceKind, DeviceTiming};
 pub use integrity::integrity_hash;
 pub use media::{CrashImage, CrashPlan, Media, MediaConfig, CACHE_LINE};
-pub use overlap::PipelineWindow;

@@ -14,7 +14,7 @@
 //! - **Performance**: storage operations charge virtual time
 //!   ([`oe_simdevice::Cost`]); the driver composes the charges per phase
 //!   with calibrated GPU ([`gpu::GpuModel`]) and network
-//!   ([`network::NetModel`]) models and a burst-contention model,
+//!   ([`oe_net::NetCharge`]) models and a burst-contention model,
 //!   reproducing the paper's batch anatomy (shown at `k = 0`):
 //!
 //! ```text
@@ -30,7 +30,6 @@ pub mod cost;
 pub mod crashmc;
 pub mod gpu;
 pub mod model;
-pub mod network;
 pub mod phases;
 pub mod pipeline;
 pub mod report;
@@ -39,7 +38,6 @@ pub mod trainer;
 pub use cost::{CloudCostModel, PsDeployment};
 pub use crashmc::{CrashMcConfig, RecoverySweepReport, SweepReport};
 pub use gpu::GpuModel;
-pub use network::NetModel;
 pub use phases::PhaseBreakdown;
 pub use pipeline::{CoherenceSource, PipelineConfig, PipelineReport, PipelinedTrainer};
 pub use report::TrainReport;

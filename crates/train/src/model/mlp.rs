@@ -108,11 +108,6 @@ impl Mlp {
         self.layers[0].in_dim
     }
 
-    /// Total trainable parameters.
-    pub fn num_params(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
-    }
-
     /// Forward pass, caching activations; returns the scalar logit.
     pub fn forward(&mut self, x: &[f32]) -> f32 {
         assert_eq!(x.len(), self.input_dim());
@@ -241,11 +236,5 @@ mod tests {
         // A second step with no new backward must not move weights.
         mlp.step(0.1);
         assert_eq!(mlp.forward(&[1.0, 2.0]), w_after);
-    }
-
-    #[test]
-    fn param_count() {
-        let mlp = Mlp::new(&[4, 8, 1], 0);
-        assert_eq!(mlp.num_params(), 4 * 8 + 8 + 8 + 1);
     }
 }

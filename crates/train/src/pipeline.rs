@@ -28,9 +28,11 @@
 //! - **Async pushes** (`k ≥ 1`): gradients enqueue instead of applying
 //!   inline; during window `t`, every pending push of batch `≤ t − k`
 //!   is force-applied on the overlapped PS lane.
-//! - **Cost composition**: each window's overlapped stages merge via
-//!   [`PipelineWindow`] — max over lanes for the overlapped portion,
-//!   plus the exposed pull and any serial tail.
+//! - **Cost composition**: each window pays the exposed pull, the max
+//!   over its overlapped lanes (GPU compute, maintenance, PS lane) and
+//!   any serial tail; the sum of the lanes minus that max is the time
+//!   the overlap hid. Each worker's pull or push burst also pays one
+//!   [`NetCharge`] round trip.
 //!
 //! Coherence: the cache is fenced on every out-of-band apply (applied
 //! keys are invalidated before the next prefetch re-pulls them), and a
@@ -67,12 +69,19 @@ use oe_cache::PrefetchCache;
 use oe_cluster::FreqTracker;
 use oe_core::engine::PsEngine;
 use oe_core::{BatchId, Key};
-use oe_net::{Error as NetError, PsClient};
+use oe_net::{Error as NetError, NetCharge, PsClient};
 use oe_simdevice::clock::Nanos;
-use oe_simdevice::{Cost, PipelineWindow, VirtualClock};
+use oe_simdevice::{Cost, VirtualClock};
 use oe_workload::trace::{TraceKind, TraceRecorder};
 use oe_workload::{Batch, LookaheadGen, WorkloadGen, WorkloadSpec};
 use std::collections::{HashMap, HashSet, VecDeque};
+
+/// Wire time of one worker's pull or push burst: a [`NetCharge`] round
+/// trip carrying each key's id and its `dim` f32s (weights one way,
+/// gradients the other).
+fn burst_net_ns(keys: usize, dim: usize) -> Nanos {
+    NetCharge::round_trip_ns(keys * (8 + 4 * dim))
+}
 
 /// Placement-plane events that stale prefetched entries: a live shard
 /// migration moves a key's authoritative copy, so any row prefetched
@@ -161,8 +170,8 @@ pub struct PipelineReport {
     pub stale_read_keys: u64,
     /// Push batches applied out-of-band on the overlapped lane.
     pub async_applied_batches: u64,
-    /// Virtual time hidden under the GPU lane by overlap (sum over
-    /// windows of `serial − critical`).
+    /// Virtual time hidden by overlap (sum over windows of the lanes'
+    /// total minus their max).
     pub hidden_ns: Nanos,
     /// Serial time spent draining the push queue at checkpoint barriers
     /// and the end-of-run epilogue.
@@ -423,7 +432,7 @@ impl<'a> PipelinedTrainer<'a> {
             if !caching {
                 // Every key takes the demand path.
                 client.pull_batch(&wb.unique_keys, b, &mut weights, &mut pull_cost)?;
-                net_pull = net_pull.max(self.cfg.net.pull_ns(wb.unique_keys.len(), dim));
+                net_pull = net_pull.max(burst_net_ns(wb.unique_keys.len(), dim));
                 demand_keys += wb.unique_keys.len();
             } else {
                 let mut hit_rows: Vec<f32> = Vec::new();
@@ -440,7 +449,7 @@ impl<'a> PipelinedTrainer<'a> {
                 let mut miss_rows: Vec<f32> = Vec::new();
                 if !miss_keys.is_empty() {
                     client.pull_batch(&miss_keys, b, &mut miss_rows, &mut pull_cost)?;
-                    net_pull = net_pull.max(self.cfg.net.pull_ns(miss_keys.len(), dim));
+                    net_pull = net_pull.max(burst_net_ns(miss_keys.len(), dim));
                     demand_keys += miss_keys.len();
                 }
                 let (mut hi, mut mi) = (0usize, 0usize);
@@ -532,22 +541,25 @@ impl<'a> PipelinedTrainer<'a> {
                     self.cache
                         .insert(key, &rows[i * dim..(i + 1) * dim], &self.heat);
                 }
-                prefetch_ns = ctx.pull_model.burst_ns(&c) + self.cfg.net.pull_ns(cand.len(), dim);
+                prefetch_ns = ctx.pull_model.burst_ns(&c) + burst_net_ns(cand.len(), dim);
                 self.record(ps_lane_at, TraceKind::Pull, cand.len());
             }
         }
 
         // ---- compose the window's virtual time ----
-        let mut window = PipelineWindow::new();
-        window.charge("gpu", batch_phase.compute_ns);
-        window.charge("maintain", batch_phase.maintain_ns);
-        if overlapped {
-            window.charge("ps", apply_ns + prefetch_ns);
+        // The lanes run on their own resources (GPU, maintainer threads,
+        // PS service threads), so the window pays the longest one and
+        // the overlap hides the rest. At k = 0 the PS lane is empty and
+        // the window's own push is the serial tail.
+        let ps_lane_ns = if overlapped {
+            apply_ns + prefetch_ns
         } else {
             batch_phase.push_ns = apply_ns;
-        }
-        let critical = window.critical_ns();
-        self.hidden_ns += window.hidden_ns();
+            0
+        };
+        let lanes = [batch_phase.compute_ns, batch_phase.maintain_ns, ps_lane_ns];
+        let critical = lanes.into_iter().fold(0, Nanos::max);
+        self.hidden_ns += lanes.into_iter().sum::<Nanos>() - critical;
         batch_phase.spill_ns = critical.saturating_sub(batch_phase.compute_ns);
         self.clock
             .advance(batch_phase.pull_ns + critical + batch_phase.push_ns);
@@ -601,7 +613,7 @@ impl<'a> PipelinedTrainer<'a> {
             } else {
                 self.client.push_batch(keys, grads, p.batch, &mut c)?;
             }
-            net = net.max(self.cfg.net.push_ns(keys.len(), ctx.dim));
+            net = net.max(burst_net_ns(keys.len(), ctx.dim));
             for key in keys {
                 if let Some(n) = self.pending_refs.get_mut(key) {
                     *n -= 1;

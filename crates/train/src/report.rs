@@ -62,12 +62,6 @@ impl TrainReport {
         self.stats.miss_rate()
     }
 
-    /// Time relative to a baseline report (the "normalized training
-    /// time" axis used by every figure in the paper).
-    pub fn normalized_to(&self, baseline: &TrainReport) -> f64 {
-        self.total_ns as f64 / baseline.total_ns.max(1) as f64
-    }
-
     /// Tail-latency lines for every batch phase and the whole batch.
     pub fn latency_summary(&self) -> String {
         format!(
@@ -117,14 +111,6 @@ mod tests {
             push_hist: HistogramSnapshot::default(),
             batch_hist: HistogramSnapshot::default(),
         }
-    }
-
-    #[test]
-    fn normalization() {
-        let base = report(1_000);
-        let slow = report(2_400);
-        assert!((slow.normalized_to(&base) - 2.4).abs() < 1e-9);
-        assert!((base.normalized_to(&base) - 1.0).abs() < 1e-9);
     }
 
     #[test]

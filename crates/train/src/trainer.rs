@@ -4,7 +4,6 @@
 
 use crate::gpu::GpuModel;
 use crate::model::{DeepFm, DeepFmConfig};
-use crate::network::NetModel;
 use crate::phases::PhaseBreakdown;
 use oe_core::init::init_weight;
 use oe_core::{BatchId, CheckpointScheduler};
@@ -26,20 +25,20 @@ pub enum TrainMode {
     DeepFm(DeepFmConfig),
 }
 
-/// Trainer configuration.
+/// Service threads on the PS node.
+const PS_SERVICE_THREADS: u32 = 16;
+/// Cache-maintainer threads (pipelined engines).
+const MAINTAINER_THREADS: u32 = 8;
+/// Concurrent request streams each worker opens during a burst.
+const STREAMS_PER_WORKER: u32 = 2;
+
+/// Trainer configuration. The network is [`oe_net::NetCharge`], the
+/// wire's one cost model.
 pub struct TrainerConfig {
     /// GPU workers (the paper's 4/8/16-GPU axis).
     pub workers: u32,
-    /// Service threads on the PS node.
-    pub ps_service_threads: u32,
-    /// Cache-maintainer threads (pipelined engines).
-    pub maintainer_threads: u32,
-    /// Concurrent request streams each worker opens during a burst.
-    pub streams_per_worker: u32,
     /// GPU compute model.
     pub gpu: GpuModel,
-    /// Network model.
-    pub net: NetModel,
     /// Gradient mode.
     pub mode: TrainMode,
     /// Checkpoint scheduler (virtual-time driven).
@@ -57,11 +56,7 @@ impl TrainerConfig {
     pub fn paper(workers: u32) -> Self {
         Self {
             workers,
-            ps_service_threads: 16,
-            maintainer_threads: 8,
-            streams_per_worker: 2,
             gpu: GpuModel::paper_default(),
-            net: NetModel::paper_default(),
             mode: TrainMode::Synthetic { grad_scale: 0.01 },
             ckpt: CheckpointScheduler::disabled(),
             dense_ckpt_pause_ns: 0,
@@ -70,7 +65,7 @@ impl TrainerConfig {
     }
 
     fn burst_streams(&self) -> u32 {
-        (self.workers * self.streams_per_worker).max(1)
+        (self.workers * STREAMS_PER_WORKER).max(1)
     }
 }
 
@@ -88,9 +83,9 @@ impl BatchCtx {
         Self {
             dim,
             spec,
-            pull_model: ContentionModel::new(cfg.ps_service_threads, cfg.burst_streams()),
-            maint_model: ContentionModel::new(cfg.maintainer_threads, cfg.maintainer_threads),
-            ckpt_model: ContentionModel::new(cfg.ps_service_threads, 1),
+            pull_model: ContentionModel::new(PS_SERVICE_THREADS, cfg.burst_streams()),
+            maint_model: ContentionModel::new(MAINTAINER_THREADS, MAINTAINER_THREADS),
+            ckpt_model: ContentionModel::new(PS_SERVICE_THREADS, 1),
         }
     }
 }

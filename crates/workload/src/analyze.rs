@@ -1,5 +1,4 @@
-//! Trace analysis: Table II statistics, Fig. 10 rank-frequency curves,
-//! and Che's approximation for LRU miss rates.
+//! Trace analysis: Table II statistics and Fig. 10 rank-frequency curves.
 
 /// Fraction of total accesses landing on the hottest `frac` of keys,
 /// measured from empirical per-key counts (Table II methodology).
@@ -64,45 +63,6 @@ impl RankFrequency {
     }
 }
 
-/// Che's approximation for the miss rate of an LRU cache of `cache_size`
-/// entries under independent-reference accesses with per-key
-/// probabilities `probs` (need not be normalized).
-///
-/// Solves `Σᵢ (1 − e^{−pᵢ·T}) = cache_size` for the characteristic time
-/// `T` by bisection, then `hit(i) = 1 − e^{−pᵢ·T}`; overall miss rate is
-/// the access-weighted complement. The standard analytic tool for
-/// cache-size sweeps (Fig. 8) without running a simulation.
-pub fn che_miss_rate(probs: &[f64], cache_size: usize) -> f64 {
-    let total: f64 = probs.iter().sum();
-    if total <= 0.0 || probs.is_empty() {
-        return 0.0;
-    }
-    if cache_size >= probs.len() {
-        return 0.0;
-    }
-    let p: Vec<f64> = probs.iter().map(|&x| x / total).collect();
-    let occupancy = |t: f64| -> f64 { p.iter().map(|&pi| 1.0 - (-pi * t).exp()).sum() };
-    // Bisection for T on a generous bracket.
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    while occupancy(hi) < cache_size as f64 {
-        hi *= 2.0;
-        if hi > 1e18 {
-            break;
-        }
-    }
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if occupancy(mid) < cache_size as f64 {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let t = 0.5 * (lo + hi);
-    let hit_rate: f64 = p.iter().map(|&pi| pi * (1.0 - (-pi * t).exp())).sum();
-    (1.0 - hit_rate).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,35 +106,5 @@ mod tests {
         // The fitted decay constant is positive and within an order of
         // magnitude of the generator's λ (tail zeros bias it down).
         assert!(lambda > 50.0, "λ = {lambda}");
-    }
-
-    #[test]
-    fn che_extremes() {
-        let probs = vec![1.0; 100];
-        assert_eq!(che_miss_rate(&probs, 100), 0.0);
-        assert!(che_miss_rate(&probs, 0) > 0.99);
-        // Uniform: miss rate ≈ 1 - cache/n.
-        let m = che_miss_rate(&probs, 50);
-        assert!((m - 0.5).abs() < 0.1, "uniform m={m}");
-    }
-
-    #[test]
-    fn che_skew_lowers_miss_rate() {
-        let n = 10_000usize;
-        let uni = vec![1.0; n];
-        let skewed: Vec<f64> = (0..n).map(|i| (-(i as f64) / 200.0).exp() + 1e-9).collect();
-        let c = 500;
-        assert!(che_miss_rate(&skewed, c) < che_miss_rate(&uni, c) / 2.0);
-    }
-
-    #[test]
-    fn che_monotone_in_cache_size() {
-        let probs: Vec<f64> = (0..5000).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut prev = 1.0;
-        for c in [10, 50, 250, 1000, 4000] {
-            let m = che_miss_rate(&probs, c);
-            assert!(m <= prev + 1e-9, "miss rate decreasing in cache size");
-            prev = m;
-        }
     }
 }

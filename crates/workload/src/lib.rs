@@ -15,7 +15,7 @@
 //! skew" variants (Fig. 10/11). The [`generator`] samples synchronous
 //! training batches from the model; [`trace`] reproduces the Fig. 2
 //! burst analysis; [`analyze`] measures empirical top-k shares and
-//! provides Che's approximation for LRU miss rates; [`criteo`] is the
+//! rank-frequency curves; [`criteo`] is the
 //! synthetic stand-in for the Criteo Kaggle dataset (Fig. 15).
 
 pub mod analyze;
@@ -26,7 +26,7 @@ pub mod skew;
 pub mod storm;
 pub mod trace;
 
-pub use analyze::{che_miss_rate, top_share_empirical, RankFrequency};
+pub use analyze::{top_share_empirical, RankFrequency};
 pub use criteo::{CriteoSample, CriteoSynth};
 pub use generator::{Batch, UniformStream, WorkloadGen, WorkloadSpec};
 pub use lookahead::LookaheadGen;

@@ -98,23 +98,6 @@ impl TraceRecorder {
         }
         buckets
     }
-
-    /// Burstiness metric: fraction of all requests that land in the
-    /// busiest 10 % of milliseconds. Near 1.0 for synchronous training.
-    pub fn burstiness(&self) -> f64 {
-        let buckets = self.per_ms();
-        if buckets.is_empty() {
-            return 0.0;
-        }
-        let mut loads: Vec<u64> = buckets.iter().map(|b| b.pulls + b.updates).collect();
-        let total: u64 = loads.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        loads.sort_unstable_by(|a, b| b.cmp(a));
-        let k = (loads.len() / 10).max(1);
-        loads[..k].iter().sum::<u64>() as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -144,33 +127,9 @@ mod tests {
     }
 
     #[test]
-    fn bursty_trace_has_high_burstiness() {
-        let mut t = TraceRecorder::new();
-        // Two long batches: bursts at 0, 44, 46, 90 ms; idle elsewhere.
-        for (ms, kind) in [
-            (0u64, TraceKind::Pull),
-            (44, TraceKind::Update),
-            (46, TraceKind::Pull),
-            (90, TraceKind::Update),
-        ] {
-            t.record(ms * 1_000_000, kind, 1000);
-        }
-        assert!(t.burstiness() > 0.9, "burstiness {}", t.burstiness());
-    }
-
-    #[test]
-    fn smooth_trace_has_low_burstiness() {
-        let mut t = TraceRecorder::new();
-        for ms in 0..100u64 {
-            t.record(ms * 1_000_000, TraceKind::Pull, 10);
-        }
-        assert!(t.burstiness() < 0.2, "burstiness {}", t.burstiness());
-    }
-
-    #[test]
     fn empty_trace() {
         let t = TraceRecorder::new();
         assert_eq!(t.per_ms().len(), 0);
-        assert_eq!(t.burstiness(), 0.0);
+        assert_eq!(t.totals(), (0, 0));
     }
 }
