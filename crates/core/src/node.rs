@@ -36,7 +36,7 @@ use crate::engine::{MaintenanceReport, PsEngine};
 use crate::init::init_payload;
 use crate::optimizer::Optimizer;
 use crate::plan::{ShardBuckets, ShardGroup, ShardPlan};
-use crate::scratch::{PooledScratch, Scratch, ScratchPool, Shape};
+use crate::scratch::{PooledScratch, ReadAhead, Scratch, ScratchPool, Shape};
 use crate::stats::{EngineStats, StatsSnapshot};
 use crate::storage::{LocalPmem, StorageBackend};
 use crate::{BatchId, Key};
@@ -354,17 +354,27 @@ impl PsNode {
         Some(vver)
     }
 
-    /// Algorithm 2 body for one accessed key. Returns true if an
+    /// Algorithm 2 body for `run[at]`, the key at position `at` of a
+    /// run of one shard's keys, under the shard lock held for the whole
+    /// run. The run's first load reads every key of the run then
+    /// PMem-resident in one batch (`ahead`): no eviction has happened
+    /// yet, so those are the keys PMem-resident as the run started, and
+    /// each one's first occurrence loads it for certain, since an
+    /// eviction only ever takes a DRAM-resident key. Returns true if an
     /// eviction occurred (commit check may be due).
+    #[allow(clippy::too_many_arguments)]
     fn maintain_key(
         &self,
         shard: &mut Shard,
-        key: Key,
+        run: &[Key],
+        at: usize,
+        ahead: &mut ReadAhead,
         batch: BatchId,
         boundaries: &[BatchId],
         protect_max: BatchId,
         cost: &mut Cost,
     ) -> bool {
+        let key = run[at];
         cost.charge(CostKind::Cpu, HASH_PROBE_NS + LRU_OP_NS);
         let mut evicted = false;
         let Some(e) = shard.index.get_mut(key) else {
@@ -391,6 +401,9 @@ impl PsNode {
             // PMem-resident entry (Alg. 2 lines 18-31): make room and
             // load.
             let pm_slot = e.loc.as_pmem().expect("tagged loc");
+            if ahead.is_empty() {
+                self.read_ahead(shard, run, at, ahead, cost);
+            }
             if shard.arena.is_full() {
                 self.evict_one(shard, boundaries, cost);
                 evicted = true;
@@ -403,8 +416,13 @@ impl PsNode {
             {
                 let Shard { arena, .. } = shard;
                 let dst = arena.payload_mut(dram_slot);
-                let ok = self.store.read_slot(pm_slot, dst, cost).is_some();
-                assert!(ok, "indexed PMem slot must be valid");
+                match ahead.take(at as u32, pm_slot) {
+                    Some(row) => dst.copy_from_slice(row),
+                    None => {
+                        let ok = self.store.read_slot(pm_slot, dst, cost).is_some();
+                        assert!(ok, "indexed PMem slot must be valid");
+                    }
+                }
                 cost.charge(
                     CostKind::DramTransfer,
                     self.dram.write_ns((dst.len() * 4) as u64),
@@ -422,6 +440,25 @@ impl PsNode {
             shard.lru.push_front(dram_slot);
         }
         evicted
+    }
+
+    /// Read, in one batch, the slot of every key of `keys[from..]` that
+    /// is PMem-resident now, for [`ReadAhead::take`] at its position in
+    /// `keys`.
+    fn read_ahead(
+        &self,
+        shard: &Shard,
+        keys: &[Key],
+        from: usize,
+        ahead: &mut ReadAhead,
+        cost: &mut Cost,
+    ) {
+        for (at, &key) in keys.iter().enumerate().skip(from) {
+            if let Some(slot) = shard.index.get(key).and_then(|e| e.loc.as_pmem()) {
+                ahead.plan(at as u32, slot);
+            }
+        }
+        ahead.read(&*self.store, cost);
     }
 
     /// Commit every pending checkpoint whose condition holds: all shards'
@@ -570,6 +607,8 @@ impl PsNode {
         let mut commits = 0u64;
         if self.cfg.enable_cache {
             let mut chunk = Vec::with_capacity(1024);
+            let mut scratch = self.scratch.acquire(Shape::lane(self.cfg.payload_f32s()));
+            let ahead = &mut scratch.ahead;
             loop {
                 chunk.clear();
                 if self.access_queue.drain_into(&mut chunk, 1024) == 0 {
@@ -577,12 +616,33 @@ impl PsNode {
                 }
                 let (boundaries, protect_max) = self.boundaries();
                 let mut any_evicted = false;
-                for &key in chunk.iter() {
-                    let sid = self.shard_of(key);
+                // The queue holds each pull's uniques group by group, so
+                // a chunk is long runs of one shard's keys: one lock and
+                // at most one batched read per run.
+                let mut rest = &chunk[..];
+                while let Some(&first) = rest.first() {
+                    let sid = self.shard_of(first);
+                    let len = rest
+                        .iter()
+                        .position(|&k| self.shard_of(k) != sid)
+                        .unwrap_or(rest.len());
+                    let (run, tail) = rest.split_at(len);
+                    rest = tail;
                     let mut g = self.shards[sid].write();
-                    any_evicted |=
-                        self.maintain_key(&mut g, key, batch, &boundaries, protect_max, cost);
-                    processed += 1;
+                    ahead.clear();
+                    for at in 0..len {
+                        any_evicted |= self.maintain_key(
+                            &mut g,
+                            run,
+                            at,
+                            ahead,
+                            batch,
+                            &boundaries,
+                            protect_max,
+                            cost,
+                        );
+                    }
+                    processed += len as u64;
                 }
                 if any_evicted {
                     commits += self.try_commit(cost);
@@ -636,7 +696,11 @@ impl PsNode {
     /// one shard never overlapped), every unique key's payload is read
     /// exactly once.
     /// Deduped weight rows land in `s.rows`, one outcome code per
-    /// unique in `s.tags`; `s.payload` is the PMem read scratch.
+    /// unique in `s.tags`. The rows of PMem-resident uniques are read
+    /// after the loop, in one batch (`s.ahead`): what the loop writes
+    /// goes to fresh slots, and it frees only slots of the keys it
+    /// evicts, which were DRAM-resident until then, so no slot read
+    /// late is one it touched.
     fn pull_group(
         &self,
         group: &ShardGroup,
@@ -648,7 +712,9 @@ impl PsNode {
         let dim = self.cfg.dim;
         cost.charge(CostKind::Cpu, SHARD_LOCK_NS);
         let mut g = self.shards[group.shard].write();
-        for &key in &group.uniques {
+        let base = s.rows.len();
+        s.ahead.clear();
+        for (ui, &key) in group.uniques.iter().enumerate() {
             cost.charge(CostKind::Cpu, HASH_PROBE_NS + ACCESS_QUEUE_NS);
             let known = g.index.get(key).map(|e| e.loc);
             match known {
@@ -658,11 +724,8 @@ impl PsNode {
                         cost.charge(CostKind::DramTransfer, self.dram.read_ns((dim * 4) as u64));
                         s.tags.push(PullOutcome::Hit.code());
                     } else {
-                        let slot = loc.as_pmem().unwrap();
-                        self.store
-                            .read_slot(slot, &mut s.payload, cost)
-                            .expect("indexed slot valid");
-                        s.rows.extend_from_slice(&s.payload[..dim]);
+                        s.ahead.plan(ui as u32, loc.as_pmem().expect("tagged loc"));
+                        s.rows.resize(s.rows.len() + dim, 0.0);
                         s.tags.push(PullOutcome::Miss.code());
                     }
                 }
@@ -687,6 +750,10 @@ impl PsNode {
                 }
             }
         }
+        s.ahead.read(&*self.store, cost);
+        for (ui, row) in s.ahead.rows() {
+            s.rows[base + ui as usize * dim..][..dim].copy_from_slice(&row[..dim]);
+        }
     }
 
     /// Shard-plan pull: bucket → dedup → parallel lane execute → merge.
@@ -706,7 +773,6 @@ impl PsNode {
             let mut cost = Cost::new();
             {
                 let s = &mut *scratch;
-                s.payload.resize(payload_f32s, 0.0);
                 for group in &plan.groups[range.clone()] {
                     self.pull_group(group, batch, &boundaries, s, &mut cost);
                 }
@@ -877,6 +943,7 @@ impl PsNode {
         cost.charge(CostKind::Cpu, SHARD_LOCK_NS);
         let mut g = self.shards[group.shard].write();
         debug_assert!(s.run.is_empty() && s.rows.is_empty() && s.grad_rows.is_empty());
+        s.ahead.clear();
         for (ui, &key) in group.uniques.iter().enumerate() {
             cost.charge(CostKind::Cpu, HASH_PROBE_NS);
             let occs = &group.occs[ui];
@@ -905,21 +972,27 @@ impl PsNode {
                     arena.set_dirty(slot, true);
                 }
                 None => {
-                    // PMem-resident: read now, join the batched run. The
+                    // PMem-resident: read ahead, join the batched run. The
                     // row's effective gradient lands in `s.grad_rows`;
                     // stateful duplicates apply all but their last
                     // occurrence in order here, so every run row takes
                     // exactly one kernel step. Charges mirror
                     // `apply_occurrences` exactly.
                     let pm_slot = loc.as_pmem().expect("tagged loc");
+                    if s.ahead.is_empty() {
+                        // The group's first PMem-resident unique: it and
+                        // every later one go out in one batch. A key moves
+                        // only at its own turn, and never into DRAM, so
+                        // each is read at the slot it is at now.
+                        self.read_ahead(&g, &group.uniques, ui, &mut s.ahead, cost);
+                    }
                     let j = s.run.len();
                     s.rows.resize((j + 1) * stride, 0.0);
                     s.grad_rows.resize((j + 1) * dim, 0.0);
                     let row = &mut s.rows[j * stride..(j + 1) * stride];
                     let grow = &mut s.grad_rows[j * dim..(j + 1) * dim];
-                    self.store
-                        .read_slot(pm_slot, row, cost)
-                        .expect("indexed slot valid");
+                    let pre = s.ahead.take(ui as u32, pm_slot);
+                    row.copy_from_slice(pre.expect("a push moves no key before its turn"));
                     let grad_at = |pos: u32| {
                         let p = pos as usize;
                         &grads[p * dim..(p + 1) * dim]

@@ -15,8 +15,11 @@
 //! lane), far from contended next to the work a request performs.
 //! Bounded shelves keep a pathological shape churn from hoarding memory.
 
+use crate::storage::StorageBackend;
 use crate::Key;
+use oe_pmem::SlotId;
 use oe_simdevice::sync::Mutex;
+use oe_simdevice::Cost;
 use std::ops::{Deref, DerefMut};
 
 /// Most-distinct request shapes the pool remembers.
@@ -77,6 +80,9 @@ pub struct Scratch {
     /// collect contiguous PMem-resident rows here, then apply one
     /// multi-row kernel and flush in order).
     pub run: Vec<u32>,
+    /// The slots a shard group or maintenance run reads, read ahead in
+    /// one batch.
+    pub ahead: ReadAhead,
 }
 
 impl Scratch {
@@ -88,6 +94,99 @@ impl Scratch {
         self.acc.clear();
         self.tags.clear();
         self.run.clear();
+        self.ahead.clear();
+    }
+}
+
+/// Slot reads made ahead of their use: every slot a shard group or a
+/// maintenance run will certainly read goes out in one
+/// [`StorageBackend::read_slots`], and the rows are handed out in
+/// position order. A row is handed out only to the position and the
+/// slot it was read for, so a caller whose key has moved since reads
+/// for itself. Each slot is read at most once per round, for the first
+/// position that plans it: a read ahead is charged like any other, so
+/// it must be one the caller would have made.
+#[derive(Debug, Default)]
+pub struct ReadAhead {
+    /// Position (unique or run index) each slot is read for, ascending.
+    at: Vec<u32>,
+    /// The slots, in the same order.
+    ids: Vec<SlotId>,
+    /// One payload row per slot.
+    rows: Vec<f32>,
+    /// One bit per slot id planned this round.
+    planned: Vec<u64>,
+    /// Payload `f32`s per row.
+    stride: usize,
+    /// Next entry to hand out.
+    next: usize,
+}
+
+impl ReadAhead {
+    /// Forget the round: nothing planned, nothing to hand out.
+    pub fn clear(&mut self) {
+        for id in &self.ids {
+            self.planned[(id.0 / 64) as usize] = 0;
+        }
+        self.at.clear();
+        self.ids.clear();
+        self.rows.clear();
+        self.next = 0;
+    }
+
+    /// True if the round plans no read.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Read `slot` for position `at` (positions ascend within a round),
+    /// unless the round already reads it.
+    pub fn plan(&mut self, at: u32, slot: SlotId) {
+        let (word, bit) = ((slot.0 / 64) as usize, 1u64 << (slot.0 % 64));
+        if self.planned.len() <= word {
+            self.planned.resize(word + 1, 0);
+        }
+        if self.planned[word] & bit == 0 {
+            self.planned[word] |= bit;
+            self.at.push(at);
+            self.ids.push(slot);
+        }
+    }
+
+    /// Read every planned slot in one batch. Panics if one is not
+    /// valid: only indexed slots are planned.
+    pub fn read(&mut self, store: &dyn StorageBackend, cost: &mut Cost) {
+        self.stride = store.pool().payload_f32s();
+        if self.ids.is_empty() {
+            return;
+        }
+        self.rows.resize(self.ids.len() * self.stride, 0.0);
+        if let Err(i) = store.read_slots(&self.ids, &mut self.rows, cost) {
+            panic!("indexed slot {:?} is not valid", self.ids[i]);
+        }
+    }
+
+    /// Every row read, with the position it was read for (after
+    /// [`Self::read`]).
+    pub fn rows(&self) -> impl Iterator<Item = (u32, &[f32])> {
+        self.at
+            .iter()
+            .copied()
+            .zip(self.rows.chunks_exact(self.stride))
+    }
+
+    /// The row read for position `at` from `slot`, if there is one.
+    /// Calls come in ascending position order.
+    pub fn take(&mut self, at: u32, slot: SlotId) -> Option<&[f32]> {
+        while self.at.get(self.next).is_some_and(|&a| a < at) {
+            self.next += 1;
+        }
+        let i = self.next;
+        if self.at.get(i) != Some(&at) || self.ids[i] != slot {
+            return None;
+        }
+        self.next += 1;
+        Some(&self.rows[i * self.stride..(i + 1) * self.stride])
     }
 }
 
@@ -174,6 +273,46 @@ impl ScratchPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::LocalPmem;
+    use oe_pmem::PoolConfig;
+    use oe_simdevice::CostKind;
+
+    #[test]
+    fn read_ahead_hands_each_row_to_its_position_and_slot_once() {
+        let mut cost = Cost::new();
+        let cfg = PoolConfig {
+            payload_bytes: 8,
+            capacity: 1 << 12,
+        };
+        let store = LocalPmem::create(cfg, &mut cost);
+        let ids: Vec<SlotId> = (0..4u64)
+            .map(|k| {
+                let id = store.alloc(&mut cost);
+                store.write_slot(id, k, 1, &[k as f32, -(k as f32)], &mut cost);
+                id
+            })
+            .collect();
+        let mut ahead = ReadAhead::default();
+        ahead.plan(0, ids[2]);
+        ahead.plan(1, ids[0]);
+        ahead.plan(3, ids[2]); // read this round already: not again
+        ahead.plan(5, ids[3]);
+        let mut reads = Cost::new();
+        ahead.read(&store, &mut reads);
+        assert_eq!(reads.ops(CostKind::PmemRead), 3);
+        assert_eq!(ahead.take(0, ids[2]), Some(&[2.0, -2.0][..]));
+        assert_eq!(ahead.take(1, ids[1]), None, "read from another slot");
+        assert_eq!(ahead.take(3, ids[2]), None, "read for position 0 only");
+        assert_eq!(ahead.take(5, ids[3]), Some(&[3.0, -3.0][..]));
+        assert_eq!(ahead.take(5, ids[3]), None, "handed out once");
+
+        ahead.clear();
+        ahead.plan(0, ids[2]);
+        let mut reads = Cost::new();
+        ahead.read(&store, &mut reads);
+        assert_eq!(reads.ops(CostKind::PmemRead), 1, "a new round reads again");
+        assert_eq!(ahead.rows().collect::<Vec<_>>(), [(0, &[2.0, -2.0][..])]);
+    }
 
     #[test]
     fn capacity_survives_the_pool() {

@@ -9,9 +9,9 @@
 //! Three arms ship:
 //!
 //! - [`LocalPmem`]: today's path — a [`PmemPool`] over local Optane
-//!   media. The default trait methods delegate straight to the pool,
-//!   so this arm is **bit-identical** to the pre-trait node (the
-//!   crashmc sweep runs unchanged against it).
+//!   media. The trait methods delegate straight to the pool, so this
+//!   arm is **bit-identical** to the pre-trait node (the crashmc sweep
+//!   runs unchanged against it).
 //! - [`DramStore`]: the volatile baseline — the same pool layout over
 //!   DRAM media. Fast, but a crash loses everything (the recovery
 //!   tests demonstrate exactly that).
@@ -77,10 +77,31 @@ pub trait StorageBackend: Send + Sync {
     fn set_checkpoint_id(&self, id: u64, cost: &mut Cost) {
         self.pool().set_checkpoint_id(id, cost)
     }
+
+    /// [`Self::read_slot`] of every slot of `ids`, the i-th payload into
+    /// the i-th payload-sized row of `rows`. Every slot is read and
+    /// charged whatever its verdict; a row whose slot is not valid is
+    /// left as it was, and the first such index is the error.
+    ///
+    /// The default is that loop, through `self`: an arm or decorator
+    /// that overrides only the five per-slot ops keeps every charge it
+    /// adds to a read. Arms whose reads batch override it.
+    fn read_slots(&self, ids: &[SlotId], rows: &mut [f32], cost: &mut Cost) -> Result<(), usize> {
+        let stride = self.pool().payload_f32s();
+        assert_eq!(rows.len(), ids.len() * stride);
+        let mut first_bad = None;
+        for (i, (&id, row)) in ids.iter().zip(rows.chunks_exact_mut(stride)).enumerate() {
+            if self.read_slot(id, row, cost).is_none() {
+                first_bad.get_or_insert(i);
+            }
+        }
+        first_bad.map_or(Ok(()), Err)
+    }
 }
 
 /// Local Optane PMem — the paper's configuration and the bit-identical
-/// default. Pure delegation: no method overrides.
+/// default. Delegation only: the one override sends a batched read to
+/// the pool's one-lock [`PmemPool::read_slots`].
 pub struct LocalPmem {
     pool: PmemPool,
 }
@@ -104,6 +125,10 @@ impl StorageBackend for LocalPmem {
 
     fn label(&self) -> &'static str {
         "pmem"
+    }
+
+    fn read_slots(&self, ids: &[SlotId], rows: &mut [f32], cost: &mut Cost) -> Result<(), usize> {
+        self.pool.read_slots(ids, rows, cost)
     }
 }
 
@@ -131,6 +156,10 @@ impl StorageBackend for DramStore {
 
     fn label(&self) -> &'static str {
         "dram"
+    }
+
+    fn read_slots(&self, ids: &[SlotId], rows: &mut [f32], cost: &mut Cost) -> Result<(), usize> {
+        self.pool.read_slots(ids, rows, cost)
     }
 }
 

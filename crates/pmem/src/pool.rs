@@ -55,6 +55,11 @@ thread_local! {
     static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Slots [`PmemPool::read_slots`] copies under one media lock: enough for
+/// their cache misses to overlap, few enough (~70 KB of 280-byte slots)
+/// that the copies are still in cache when they are verified.
+const READ_BATCH: usize = 256;
+
 impl PmemPool {
     /// Create and initialize a fresh pool on new PMem media.
     pub fn create(cfg: PoolConfig, cost: &mut Cost) -> Self {
@@ -192,6 +197,45 @@ impl PmemPool {
     pub fn read_slot(&self, id: SlotId, out: &mut [f32], cost: &mut Cost) -> Option<SlotHeader> {
         assert_eq!(out.len(), self.payload_f32s());
         self.check_slot(id, Some(out), cost).ok()
+    }
+
+    /// [`Self::read_slot`] of every slot of `ids`, the i-th payload into
+    /// the i-th `payload_f32s`-long row of `rows`: `READ_BATCH` slots at
+    /// a time are copied under one media lock, then verified and
+    /// decoded. Reads and charges every slot whatever its verdict, leaves
+    /// the row of a slot that is not valid as it was, and returns the
+    /// index of the first such slot as the error.
+    pub fn read_slots(
+        &self,
+        ids: &[SlotId],
+        rows: &mut [f32],
+        cost: &mut Cost,
+    ) -> Result<(), usize> {
+        let stride = self.payload_f32s();
+        assert_eq!(rows.len(), ids.len() * stride);
+        let len = HEADER_BYTES as usize + self.payload_bytes;
+        SCRATCH.with(|s| {
+            let mut buf = s.borrow_mut();
+            let mut first_bad = None;
+            let batches = ids
+                .chunks(READ_BATCH)
+                .zip(rows.chunks_mut(READ_BATCH * stride));
+            for (b, (ids, rows)) in batches.enumerate() {
+                buf.resize(ids.len() * len, 0);
+                let offs = ids.iter().map(|&id| self.slot_offset(id));
+                self.media.read_many(offs, len, &mut buf, cost);
+                let slots = buf.chunks_exact(len).zip(rows.chunks_exact_mut(stride));
+                for (i, (slot, row)) in slots.enumerate() {
+                    match SlotHeader::verified(slot) {
+                        Ok(_) => bytes_to_f32s(&slot[HEADER_BYTES as usize..], row),
+                        Err(_) => {
+                            first_bad.get_or_insert(b * READ_BATCH + i);
+                        }
+                    }
+                }
+            }
+            first_bad.map_or(Ok(()), Err)
+        })
     }
 
     /// One read of a whole slot (header + payload), classified from that

@@ -273,6 +273,16 @@ impl StorageBackend for RemotePool {
         h
     }
 
+    /// A batched read is the pool's one-lock read plus one whole-slot
+    /// fabric read per slot, as a `read_slot` loop charges.
+    fn read_slots(&self, ids: &[SlotId], rows: &mut [f32], cost: &mut Cost) -> Result<(), usize> {
+        let verdict = self.inner.read_slots(ids, rows, cost);
+        for _ in ids {
+            self.shared.charge_read(self.inner.slot_bytes(), cost);
+        }
+        verdict
+    }
+
     /// Checkpoint commit: one 8-byte durable fabric write.
     fn set_checkpoint_id(&self, id: u64, cost: &mut Cost) {
         self.inner.set_checkpoint_id(id, cost);

@@ -24,7 +24,8 @@
 //! Most stores are persisted right away ([`Media::write_persist`]), so
 //! the volatile shadow holds a handful of lines at a time: it is a `Vec`
 //! sorted by line number, and one store-and-persist takes the media lock
-//! once.
+//! once. Over an empty shadow, with no crash capture due at its events,
+//! a store-and-persist skips the shadow and stores in place.
 //!
 //! The media remembers how far its durable bytes were ever stored to;
 //! past that bound they are the zeros it was created or grown with, so
@@ -226,13 +227,50 @@ impl Media {
     /// Store, CLWB and SFENCE under one lock: the same bytes, costs and
     /// persistence events (a flush, then a fence) as [`Self::write`]
     /// followed by [`Self::persist`] of the written range.
+    ///
+    /// When nobody can observe the store half-done — the line shadow is
+    /// empty and no armed [`CrashPlan`] falls on either of its two
+    /// events — the bytes go straight into the durable image, which is
+    /// where the fence would have put them (see [`Self::store_durable`]).
     pub fn write_persist(&self, off: u64, data: &[u8], cost: &mut Cost) {
         let mut g = self.inner.write();
+        if self.is_pmem() && !data.is_empty() && g.unobserved() {
+            self.store_durable(&mut g, off, data, cost);
+            return;
+        }
         self.write_in(&mut g, off, data, cost);
         if self.is_pmem() {
             self.flush_in(&mut g, off, data.len() as u64, cost);
             self.fence_in(&mut g, cost);
         }
+    }
+
+    /// `write_persist` of a non-empty store over an empty shadow, with
+    /// no capture due: the shadow path would copy the covered lines out
+    /// of `durable`, overlay `data`, flush exactly those lines and fence
+    /// them back. So this stores `data` in place and leaves `durable`,
+    /// `written`, the event count and every charge as that path does —
+    /// growth included: `durable` covers the store, then its last line.
+    fn store_durable(&self, g: &mut MediaInner, off: u64, data: &[u8], cost: &mut Cost) {
+        let end = off as usize + data.len();
+        let last = Self::line_of(end as u64 - 1);
+        let lines = last - Self::line_of(off) + 1;
+        let line_end = (last as usize + 1) * CACHE_LINE;
+        if g.durable.len() < end {
+            g.durable.resize(end.next_power_of_two(), 0);
+        }
+        if g.durable.len() < line_end {
+            g.durable.resize(line_end.next_power_of_two(), 0);
+        }
+        g.durable[off as usize..end].copy_from_slice(data);
+        g.written = g.written.max(line_end);
+        g.events += 2;
+        cost.charge(CostKind::Cpu, 1 + data.len() as u64 / 64);
+        cost.charge(
+            CostKind::PmemWrite,
+            self.timing.write_ns(lines * CACHE_LINE as u64),
+        );
+        cost.charge(CostKind::Cpu, FENCE_NS);
     }
 
     fn write_in(&self, g: &mut MediaInner, off: u64, data: &[u8], cost: &mut Cost) {
@@ -302,10 +340,33 @@ impl Media {
     /// Read `buf.len()` bytes from `off`, observing the volatile shadow
     /// (a CPU always sees its own cached stores).
     pub fn read(&self, off: u64, buf: &mut [u8], cost: &mut Cost) {
-        if buf.is_empty() {
+        if !buf.is_empty() {
+            self.read_in(&self.inner.read(), off, buf, cost);
+        }
+    }
+
+    /// Read `len` bytes from each offset of `offs` into consecutive
+    /// `len`-byte chunks of `buf`, under one lock: the same bytes and
+    /// charges as one [`Self::read`] per offset. Every range is copied
+    /// before the caller looks at any of them, so the copies' cache
+    /// misses overlap instead of each waiting on the last.
+    pub fn read_many(
+        &self,
+        offs: impl IntoIterator<Item = u64>,
+        len: usize,
+        buf: &mut [u8],
+        cost: &mut Cost,
+    ) {
+        if len == 0 {
             return;
         }
         let g = self.inner.read();
+        for (off, chunk) in offs.into_iter().zip(buf.chunks_exact_mut(len)) {
+            self.read_in(&g, off, chunk, cost);
+        }
+    }
+
+    fn read_in(&self, g: &MediaInner, off: u64, buf: &mut [u8], cost: &mut Cost) {
         let end = off as usize + buf.len();
         assert!(
             end <= g.durable.len(),
@@ -491,6 +552,20 @@ impl MediaInner {
         let mut bytes = vec![0u8; self.durable.len()];
         bytes[..self.written].copy_from_slice(&self.durable[..self.written]);
         bytes
+    }
+
+    /// True if no volatile line is held and no armed [`CrashPlan`] will
+    /// capture at either of the next two persistence events: a store
+    /// persisted by them (a flush, then a fence) cannot be seen half-done.
+    fn unobserved(&self) -> bool {
+        self.lines.is_empty()
+            && self.pending.is_empty()
+            && match self.plan {
+                Some(plan) if self.capture.is_none() => {
+                    !(self.events..self.events + 2).contains(&plan.at_event)
+                }
+                _ => true,
+            }
     }
 
     /// Count one persistence event; if an armed [`CrashPlan`] names this

@@ -568,3 +568,90 @@ fn torn_draw_order_matches_over_many_flushed_lines() {
         }
     }
 }
+
+/// The product's store stream: almost every store is a `write_persist`
+/// over an empty shadow, which the media stores straight into its
+/// durable bytes. Crash plans are armed to land on the next
+/// `write_persist`'s flush event, on its fence event, or a few events
+/// later; now and then a plain `write` leaves the shadow non-empty, so
+/// the stores after it take the shadow path until a `persist` empties
+/// it. Captures, crash images, costs, event counts and the bytes a CPU
+/// reads — one range at a time or many under one lock — must equal the
+/// oracle's, which always goes through its shadow.
+#[test]
+fn in_place_write_persist_matches_the_retired_shadow() {
+    for case in 0..160u64 {
+        let mut rng = Rng::seed_from_u64(0x1A_5E00 + case);
+        let cfg = MediaConfig::pmem(256 + rng.below(2048) as usize);
+        let (m, o) = (Media::new(cfg), Oracle::new(cfg));
+        let (mut cm, mut co) = (Cost::new(), Cost::new());
+        for step in 0..80 {
+            let what = format!("case {case} step {step}");
+            let len = m.len();
+            let off = offset(&mut rng, len);
+            let data: Vec<u8> = (0..1 + rng.below(3 * CACHE_LINE as u64) as usize)
+                .map(|_| rng.below(256) as u8)
+                .collect();
+            match rng.below(16) {
+                0..=8 => {
+                    m.write_persist(off, &data, &mut cm);
+                    o.write_persist(off, &data, &mut co);
+                }
+                9 | 10 => {
+                    // Lands on this store's flush (0), its fence (1), or
+                    // a later store's event, past in-place ones.
+                    let ahead = 2 + 4 * rng.below(2);
+                    let plan = CrashPlan {
+                        at_event: m.persistence_events() + rng.below(ahead),
+                        seed: rng.next_u64(),
+                    };
+                    m.arm_crash_plan(plan);
+                    o.arm_crash_plan(plan);
+                    m.write_persist(off, &data, &mut cm);
+                    o.write_persist(off, &data, &mut co);
+                }
+                11 => assert!(
+                    bytes_of(m.take_crash_capture()) == bytes_of(o.take_crash_capture()),
+                    "{what}: plan capture"
+                ),
+                12 => {
+                    m.write(off, &data, &mut cm);
+                    o.write(off, &data, &mut co);
+                    if rng.chance(0.5) {
+                        m.flush(off, data.len() as u64, &mut cm);
+                        o.flush(off, data.len() as u64, &mut co);
+                    }
+                }
+                13 => {
+                    m.persist(0, len as u64 * 2, &mut cm);
+                    o.persist(0, len as u64 * 2, &mut co);
+                }
+                14 => {
+                    let n = 1 + rng.below(3 * CACHE_LINE as u64) as usize;
+                    let offs: Vec<u64> = (0..1 + rng.below(6))
+                        .map(|_| rng.below((m.len() - n) as u64 + 1))
+                        .collect();
+                    let mut many = vec![0u8; offs.len() * n];
+                    m.read_many(offs.iter().copied(), n, &mut many, &mut cm);
+                    for (i, &off) in offs.iter().enumerate() {
+                        let mut one = vec![0u8; n];
+                        o.read(off, &mut one, &mut co);
+                        assert!(many[i * n..][..n] == one[..], "{what}: read_many {off}+{n}");
+                    }
+                }
+                _ => {
+                    let seed = rng.next_u64();
+                    assert!(
+                        bytes_of(Some(m.crash(seed))) == bytes_of(Some(o.crash(seed))),
+                        "{what}: crash image, seed {seed:#x}"
+                    );
+                }
+            }
+            assert_same(&m, &o, &cm, &co, &what);
+        }
+        assert!(
+            bytes_of(m.take_crash_capture()) == bytes_of(o.take_crash_capture()),
+            "case {case}: final plan capture"
+        );
+    }
+}

@@ -37,13 +37,6 @@ impl GpuModel {
         }
     }
 
-    /// A faster GPU (halves per-input time) — for sensitivity studies.
-    pub fn fast() -> Self {
-        let mut m = Self::paper_default();
-        m.ns_per_input_dim /= 2.0;
-        m
-    }
-
     /// Compute time for one worker processing `inputs` examples with
     /// `fields` sparse features of dimension `dim`.
     pub fn compute_ns(&self, inputs: usize, fields: usize, dim: usize) -> Nanos {
