@@ -72,11 +72,22 @@ done
 # sampling helper beside SnapshotReader::lookup). The cost model says
 # each thing once: NetCharge is the one network model, a training
 # window composes its lanes inline, settings that had one value are
-# constants, and helpers that nothing called are gone.
+# constants, and helpers that nothing called are gone. The crash-point
+# enumerator, the rebalancing storm and the fault injector are test
+# drivers in tests/support/; the prefetch cache ranks by FreqTracker
+# itself, and Optimizer::apply checks its own shape.
 echo "==> retired twins stay retired"
-if grep -rnE "pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster|Packet::decode|ServingNode|sampled_lookup|NetModel|PipelineWindow|amdahl_burst|shared_bandwidth_ns|shared_write_ns|fn advance_to|ps_service_threads|maintainer_threads|streams_per_worker|init_scale|load_ratio|p99_ratio|youngs_interval|expected_hot_share|che_miss_rate|normalized_to|fn burstiness|GpuModel::fast" \
+if grep -rnE "train::crashmc|bench::rebalance|net::fault|HeatSketch|fn try_apply|pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster|Packet::decode|ServingNode|sampled_lookup|NetModel|PipelineWindow|amdahl_burst|shared_bandwidth_ns|shared_write_ns|fn advance_to|ps_service_threads|maintainer_threads|streams_per_worker|init_scale|load_ratio|p99_ratio|youngs_interval|expected_hot_share|che_miss_rate|normalized_to|fn burstiness|GpuModel::fast" \
   crates tests examples README.md DESIGN.md; then
   echo "a retired name resurfaced (see above)" >&2
+  exit 1
+fi
+
+# Product crates hold the product: the test drivers the integration
+# tests share live in tests/support/, so their names stay out of
+# crates/*/src.
+if grep -rnE "CrashMcConfig|RebalanceBenchConfig|FaultInjector|FaultSpec|HeatSketch" crates/*/src; then
+  echo "a test driver resurfaced in a product crate (see above)" >&2
   exit 1
 fi
 

@@ -4,7 +4,8 @@
 //! tables and figures on the simulator. Training, serving, the fabric
 //! lane and the hot path are measured end to end by `e2e/`, not here;
 //! the exact numbers of the durability, failover and rebalancing
-//! scenarios are literals in the integration tests beside them.
+//! scenarios are literals in the integration tests beside them, whose
+//! drivers live in the root package's `tests/support/`.
 //!
 //! - [`scenario`] — the scaled default workload (model size, skew, cache
 //!   fraction all preserved as *ratios* of the paper's 500 GB setup),
@@ -12,16 +13,11 @@
 //! - [`figures`] — one function per paper artifact (`table1` … `fig15`),
 //!   each printing the measured series next to the paper's published
 //!   values.
-//! - [`rebalance`] — skew-aware placement: a zipf hot-key storm melts
-//!   one shard; the telemetry-driven rebalancer drains it live and
-//!   restores tail latency (`tests/rebalance_e2e.rs` pins its numbers).
 //!
 //! Run `cargo run --release -p oe-bench --bin figures -- all` (or a
 //! single id, or `--quick` for a fast pass).
 
 pub mod figures;
-pub mod rebalance;
 pub mod scenario;
 
-pub use rebalance::RebalanceBenchConfig;
 pub use scenario::{CkptSetup, EngineKind, Scenario};

@@ -1,21 +1,26 @@
-//! Per-key access-frequency tracking for the placer.
+//! Per-key access-frequency tracking: the heat sketch of the prefetch
+//! cache and the placer's view of the hot head.
 //!
-//! The placement plane needs to know *which* keys are hot right now —
-//! not the long-run stationary skew (that is `oe-workload`'s
-//! `SkewModel`), but the empirical counts of the recent window, because
-//! a flash crowd is exactly a deviation from the stationary model. The
-//! tracker is a plain count map with exponential decay: `decay()` halves
-//! every count, so a storm that ended a few rebalance windows ago stops
-//! dominating `top_hot` without any timestamp bookkeeping.
+//! The placement plane (`oe-cluster`) needs to know *which* keys are
+//! hot right now — not the long-run stationary skew (that is
+//! `oe-workload`'s `SkewModel`), but the empirical counts of the recent
+//! window, because a flash crowd is exactly a deviation from the
+//! stationary model. The tracker is a plain count map with exponential
+//! decay: `decay()` halves every count, so a storm that ended a few
+//! rebalance windows ago stops dominating `top_hot` without any
+//! timestamp bookkeeping.
 //!
 //! The pipelined trainer keeps a second tracker as the heat sketch of
-//! its prefetch cache and decays it on its own cadence — every
+//! its [`PrefetchCache`] and decays it on its own cadence — every
 //! `PipelineConfig::heat_decay_every` training windows, not per
 //! rebalance window. Between two decays a count only rises, which is
-//! what lets the cache keep its victim index lazily (`rerank` after each
-//! decay).
+//! what lets the cache keep its victim index lazily
+//! ([`PrefetchCache::rerank`] after each decay).
+//!
+//! [`PrefetchCache`]: crate::PrefetchCache
+//! [`PrefetchCache::rerank`]: crate::PrefetchCache::rerank
 
-use oe_core::Key;
+use crate::Key;
 use std::collections::HashMap;
 
 /// Decayed per-key access counters.
@@ -75,16 +80,6 @@ impl FreqTracker {
     }
 }
 
-/// The tracker doubles as the heat oracle for `oe-cache`'s prefetch
-/// cache: the pipelined trainer feeds it observed pulls and the cache
-/// ranks admission/eviction by the same decayed counts the placer uses
-/// — one sketch, two consumers.
-impl oe_cache::prefetch::HeatSketch for FreqTracker {
-    fn heat(&self, key: Key) -> u64 {
-        self.count(key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,13 +98,19 @@ mod tests {
 
     #[test]
     fn heat_sketch_view_matches_counts() {
-        use oe_cache::prefetch::HeatSketch;
+        // The prefetch cache ranks by `count`, before and after a decay.
         let mut f = FreqTracker::new();
         f.observe(4, 6);
-        assert_eq!(f.heat(4), 6);
+        f.observe(5, 5);
+        let mut c = crate::PrefetchCache::new(1, 1);
+        assert!(c.insert(5, &[0.5], &f));
+        assert!(c.insert(4, &[0.4], &f), "6 beats 5");
         f.decay();
-        assert_eq!(f.heat(4), 3);
-        assert_eq!(f.heat(999), 0);
+        assert_eq!((f.count(4), f.count(5), f.count(999)), (3, 2, 0));
+        c.rerank(&f);
+        assert!(!c.admissible(5, &f), "2 loses to 3 after the decay");
+        f.observe(5, 2);
+        assert!(c.admissible(5, &f), "4 beats 3");
     }
 
     #[test]

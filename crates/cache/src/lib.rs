@@ -20,7 +20,8 @@
 //!   current batch's pulls, consumed by the cache-maintainer threads.
 //! - [`prefetch::PrefetchCache`] — the trainer-side, heat-ranked store
 //!   of next-batch rows for the pipelined training path, coherent with
-//!   the applied-push watermark.
+//!   the applied-push watermark, ranked by a [`freq::FreqTracker`] (the
+//!   decaying per-key access counts the placer reads too).
 //!
 //! The crate holds data structures only: Algorithm 1/2 logic lives in
 //! `oe-core`.
@@ -28,6 +29,7 @@
 pub mod access_queue;
 pub mod arena;
 pub mod chain;
+pub mod freq;
 pub mod index;
 pub mod lru;
 pub mod prefetch;
@@ -42,7 +44,8 @@ pub type BatchId = u64;
 pub use access_queue::AccessQueue;
 pub use arena::DramArena;
 pub use chain::VersionChain;
+pub use freq::FreqTracker;
 pub use index::{HashIndex, IndexEntry};
 pub use lru::LruList;
-pub use prefetch::{HeatSketch, PrefetchCache, PrefetchStats};
+pub use prefetch::{PrefetchCache, PrefetchStats};
 pub use tagged::TaggedLoc;

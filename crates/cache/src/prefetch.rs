@@ -7,11 +7,11 @@
 //! invalidates the touched keys, so a lookup never returns a value that
 //! differs from what a direct pull at serve time would have returned.
 //!
-//! Residency is skew-aware: admission and eviction are ranked by a
-//! pluggable [`HeatSketch`] (in practice the decaying frequency sketch
-//! from `oe-cluster::freq`), so hot entries stay resident across
-//! batches while cold entries stream through — the RecNMP observation
-//! that the zipf head is worth pinning. Ties break on ascending key, so
+//! Residency is skew-aware: admission and eviction are ranked by the
+//! decaying [`FreqTracker`] the trainer feeds with its pulls, so hot
+//! entries stay resident across batches while cold entries stream
+//! through — the RecNMP observation that the zipf head is worth
+//! pinning. Ties break on ascending key, so
 //! every decision is deterministic.
 //!
 //! The coldest resident `(heat, key)` comes from an ordered index of
@@ -23,23 +23,9 @@
 //! `hits + misses == lookups` always; `evictions` and `invalidations`
 //! count capacity and coherence drops separately.
 
+use crate::freq::FreqTracker;
 use crate::Key;
 use std::collections::{BTreeSet, HashMap};
-
-/// A heat oracle for admission/eviction ranking. Implemented by
-/// `oe-cluster`'s decaying `FreqTracker`; any popularity estimate works
-/// whose heats only rise between two [`PrefetchCache::rerank`] calls.
-pub trait HeatSketch {
-    /// Current heat of `key` (0 = never seen or fully decayed).
-    fn heat(&self, key: Key) -> u64;
-}
-
-/// A flat count map is sketch enough for tests and small runs.
-impl HeatSketch for HashMap<Key, u64> {
-    fn heat(&self, key: Key) -> u64 {
-        self.get(&key).copied().unwrap_or(0)
-    }
-}
 
 /// Counter snapshot of one cache's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -148,14 +134,14 @@ impl PrefetchCache {
     /// spending pull bandwidth on rows the cache would immediately
     /// refuse — refused (cold) keys stream through the demand path
     /// instead.
-    pub fn admissible(&mut self, key: Key, sketch: &dyn HeatSketch) -> bool {
+    pub fn admissible(&mut self, key: Key, sketch: &FreqTracker) -> bool {
         if self.capacity == 0 {
             return false;
         }
         if self.entries.contains_key(&key) || self.entries.len() < self.capacity {
             return true;
         }
-        (sketch.heat(key), key) > self.coldest(sketch)
+        (sketch.count(key), key) > self.coldest(sketch)
     }
 
     /// Prefetch insert: admit `key`'s freshly pulled row, evicting the
@@ -163,7 +149,7 @@ impl PrefetchCache {
     /// (ties break on ascending key — the resident entry wins an exact
     /// tie, so a churning tail cannot thrash the head). Returns true if
     /// the row was admitted.
-    pub fn insert(&mut self, key: Key, row: &[f32], sketch: &dyn HeatSketch) -> bool {
+    pub fn insert(&mut self, key: Key, row: &[f32], sketch: &FreqTracker) -> bool {
         debug_assert_eq!(row.len(), self.dim, "row shape");
         if self.capacity == 0 {
             self.stats.admission_rejects += 1;
@@ -175,7 +161,7 @@ impl PrefetchCache {
             self.stats.inserts += 1;
             return true;
         }
-        let heat = sketch.heat(key);
+        let heat = sketch.count(key);
         if self.entries.len() >= self.capacity {
             let victim = self.coldest(sketch);
             if (heat, key) <= victim {
@@ -195,10 +181,10 @@ impl PrefetchCache {
     /// Re-file every resident entry under its current heat. Call after
     /// every sketch update that can lower a heat (a decay); between two
     /// calls the victim index relies on heats only rising.
-    pub fn rerank(&mut self, sketch: &dyn HeatSketch) {
+    pub fn rerank(&mut self, sketch: &FreqTracker) {
         self.by_heat.clear();
         for (&k, (heat, _)) in &mut self.entries {
-            *heat = sketch.heat(k);
+            *heat = sketch.count(k);
             self.by_heat.insert((*heat, k));
         }
     }
@@ -207,10 +193,10 @@ impl PrefetchCache {
     /// heats. A recorded heat never exceeds the current one, so once
     /// the front entry's is current no other entry can be colder; until
     /// then the front is re-filed under its current heat.
-    fn coldest(&mut self, sketch: &dyn HeatSketch) -> (u64, Key) {
+    fn coldest(&mut self, sketch: &FreqTracker) -> (u64, Key) {
         loop {
             let (recorded, k) = *self.by_heat.first().expect("cache is non-empty when full");
-            let heat = sketch.heat(k);
+            let heat = sketch.count(k);
             if heat == recorded {
                 return (heat, k);
             }
@@ -254,8 +240,12 @@ impl PrefetchCache {
 mod tests {
     use super::*;
 
-    fn sketch(pairs: &[(Key, u64)]) -> HashMap<Key, u64> {
-        pairs.iter().copied().collect()
+    fn sketch(pairs: &[(Key, u64)]) -> FreqTracker {
+        let mut f = FreqTracker::new();
+        for &(k, heat) in pairs {
+            f.observe(k, heat);
+        }
+        f
     }
 
     #[test]
@@ -340,7 +330,10 @@ mod tests {
 
     #[test]
     fn admissible_previews_insert_exactly() {
-        let s: HashMap<Key, u64> = (0..64).map(|k| (k, (k * 11) % 17)).collect();
+        let mut s = FreqTracker::new();
+        for k in 0..64 {
+            s.observe(k, (k * 11) % 17);
+        }
         let mut c = PrefetchCache::new(4, 1);
         for k in 0..64u64 {
             let preview = c.admissible(k, &s);
@@ -362,7 +355,10 @@ mod tests {
                 x ^= x << 17;
                 x
             };
-            let s: HashMap<Key, u64> = (0..32).map(|k| (k, (k * 7) % 13)).collect();
+            let mut s = FreqTracker::new();
+            for k in 0..32 {
+                s.observe(k, (k * 7) % 13);
+            }
             let mut c = PrefetchCache::new(8, 1);
             let mut lookups = 0u64;
             for _ in 0..500 {

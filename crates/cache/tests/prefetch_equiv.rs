@@ -5,9 +5,10 @@
 //! for the coldest `(heat, key)`. [`PrefetchCache`] must return the same
 //! value from every call, count the same [`PrefetchStats`] and hold the
 //! same keys, under heats that rise on resident and absent keys, exact
-//! heat ties, and a halving of every heat followed by `rerank`.
+//! heat ties, and a [`FreqTracker::decay`] (which halves every heat and
+//! forgets the keys it takes to zero) followed by `rerank`.
 
-use oe_cache::{HeatSketch, PrefetchCache, PrefetchStats};
+use oe_cache::{FreqTracker, PrefetchCache, PrefetchStats};
 use oe_simdevice::rng::Rng;
 use std::collections::HashMap;
 
@@ -29,32 +30,32 @@ impl Oracle {
         }
     }
 
-    fn victim(&self, sketch: &dyn HeatSketch) -> (u64, Key) {
+    fn victim(&self, sketch: &FreqTracker) -> (u64, Key) {
         self.entries
             .keys()
-            .map(|&k| (sketch.heat(k), k))
+            .map(|&k| (sketch.count(k), k))
             .min()
             .expect("cache is non-empty when full")
     }
 
-    fn admissible(&self, key: Key, sketch: &dyn HeatSketch) -> bool {
+    fn admissible(&self, key: Key, sketch: &FreqTracker) -> bool {
         if self.capacity == 0 {
             return false;
         }
         if self.entries.contains_key(&key) || self.entries.len() < self.capacity {
             return true;
         }
-        (sketch.heat(key), key) > self.victim(sketch)
+        (sketch.count(key), key) > self.victim(sketch)
     }
 
-    fn insert(&mut self, key: Key, row: &[f32], sketch: &dyn HeatSketch) -> bool {
+    fn insert(&mut self, key: Key, row: &[f32], sketch: &FreqTracker) -> bool {
         if self.capacity == 0 {
             self.stats.admission_rejects += 1;
             return false;
         }
         if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             let victim = self.victim(sketch);
-            if (sketch.heat(key), key) <= victim {
+            if (sketch.count(key), key) <= victim {
                 self.stats.admission_rejects += 1;
                 return false;
             }
@@ -117,10 +118,10 @@ fn indexed_victim_matches_full_scan() {
         let capacity = CAPACITIES[case as usize % CAPACITIES.len()];
         let universe = 4 * capacity as u64 + 5;
         // Small heats over a small universe: exact ties are common.
-        let mut sketch: HashMap<Key, u64> = HashMap::new();
+        let mut sketch = FreqTracker::new();
         for k in 0..universe {
             if rng.chance(0.7) {
-                sketch.insert(k, rng.below(4));
+                sketch.observe(k, rng.below(4));
             }
         }
         let mut cache = PrefetchCache::new(capacity, DIM);
@@ -130,7 +131,7 @@ fn indexed_victim_matches_full_scan() {
             let key = pick(&mut rng, &oracle, universe);
             let what = match rng.below(1000) {
                 0..=249 => {
-                    *sketch.entry(key).or_insert(0) += 1 + rng.below(3);
+                    sketch.observe(key, 1 + rng.below(3));
                     "heat"
                 }
                 250..=419 => {
@@ -168,11 +169,9 @@ fn indexed_victim_matches_full_scan() {
                     "clear"
                 }
                 _ => {
-                    for heat in sketch.values_mut() {
-                        *heat /= 2;
-                    }
+                    sketch.decay();
                     cache.rerank(&sketch);
-                    "halve + rerank"
+                    "decay + rerank"
                 }
             };
             assert_eq!(

@@ -11,8 +11,9 @@
 //! * [`PlacementTable`] — epoch-versioned key→node overrides for the hot
 //!   head, the static hash ([`hash_node_of`]) for the cold tail. Same
 //!   epoch ⇒ same routing.
-//! * [`FreqTracker`] + [`SkewAwarePlacer`] — recent access counts turned
-//!   into minimal hot-key move lists onto the coolest DRAM-rich nodes.
+//! * [`SkewAwarePlacer`] — recent access counts (`oe-cache`'s
+//!   [`oe_cache::FreqTracker`]) turned into minimal hot-key move lists
+//!   onto the coolest DRAM-rich nodes.
 //! * [`PlacedCluster`] — routes pull/push bursts through the table and
 //!   performs **live migration**: seed-copy of full entries (weights +
 //!   optimizer state), a double-write window keeping both replicas in
@@ -32,14 +33,12 @@
 
 #![warn(missing_docs)]
 
-pub mod freq;
 pub mod migration;
 pub mod placed;
 pub mod placement;
 pub mod placer;
 pub mod rebalance;
 
-pub use freq::FreqTracker;
 pub use migration::{MigrationSpec, MigrationStats};
 pub use placed::PlacedCluster;
 pub use placement::{hash_node_of, PlacementTable};

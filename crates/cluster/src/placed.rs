@@ -24,11 +24,11 @@
 //! the in-flight migration only adds destination double-writes; it never
 //! changes where reads go until the cutover's epoch bump.
 
-use crate::freq::FreqTracker;
 use crate::migration::{ActiveMigration, MigrationSpec, MigrationStats};
 use crate::placement::PlacementTable;
 use crate::placer::{NodeClass, SkewAwarePlacer};
 use crate::rebalance::{NodeWindow, RebalanceConfig, RebalanceController};
+use oe_cache::FreqTracker;
 use oe_core::plan::{ShardBuckets, ShardPlan};
 use oe_core::{BatchId, Key, MaintenanceReport, PsEngine, StatsSnapshot};
 use oe_simdevice::sync::{Mutex, RwLock};

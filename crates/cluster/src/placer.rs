@@ -10,8 +10,8 @@
 //! round-robin across them — skipping keys already well placed so the
 //! move list, and with it the double-write window, stays minimal.
 
-use crate::freq::FreqTracker;
 use crate::placement::PlacementTable;
+use oe_cache::FreqTracker;
 use oe_core::Key;
 
 /// How a node's memory is provisioned, for placement eligibility.

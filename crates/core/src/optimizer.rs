@@ -143,25 +143,14 @@ impl Optimizer {
 
     /// Apply gradient `grad` (length `dim`) to `payload`
     /// (length `dim + state_f32s(dim)`), updating weights and state.
-    /// Panics on a length mismatch; use [`Self::try_apply`] to handle
-    /// malformed shapes (e.g. straight off the wire) structurally.
+    /// Panics on a length mismatch, before touching any element; a
+    /// shape straight off the wire is refused by the server first, and
+    /// [`Self::apply_batch`] reports one as a [`ShapeError`].
     pub fn apply(&self, dim: usize, payload: &mut [f32], grad: &[f32]) {
-        if let Err(e) = self.try_apply(dim, payload, grad) {
+        if let Err(e) = self.check(dim, payload.len(), grad.len()) {
             panic!("{e}");
         }
-    }
-
-    /// Checked apply: verifies both lengths *before* touching any
-    /// element, so a bad shape leaves the payload untouched.
-    pub fn try_apply(
-        &self,
-        dim: usize,
-        payload: &mut [f32],
-        grad: &[f32],
-    ) -> Result<(), ShapeError> {
-        self.check(dim, payload.len(), grad.len())?;
         self.row_vectorized(dim, payload, grad);
-        Ok(())
     }
 
     /// One kernel over `rows` contiguous rows: `payloads` is `rows`
@@ -515,7 +504,7 @@ mod tests {
                 .collect();
             let mut p = before.clone();
             let err = opt
-                .try_apply(dim, &mut p, &[1.0, 2.0]) // short gradient
+                .apply_batch(dim, &mut p, &[1.0, 2.0], 1) // short gradient
                 .expect_err("short gradient must not apply");
             assert_eq!(err.dim, dim);
             assert_eq!(err.grad_len, 2);
@@ -523,7 +512,7 @@ mod tests {
             // Payload length mismatches are caught the same way.
             let mut short_payload = vec![0.0f32; dim];
             if kind.state_f32s(dim) > 0 {
-                opt.try_apply(dim, &mut short_payload, &[1.0; 4])
+                opt.apply_batch(dim, &mut short_payload, &[1.0; 4], 1)
                     .expect_err("short payload must not apply");
             }
         }

@@ -159,7 +159,7 @@ fn shape_errors_are_structured_and_nonmutating() {
         // Short gradient.
         let mut p = before.clone();
         let err = opt
-            .try_apply(dim, &mut p, &vec![0.5; dim - 1])
+            .apply_batch(dim, &mut p, &vec![0.5; dim - 1], 1)
             .expect_err("short gradient must be rejected");
         assert_eq!(
             (err.dim, err.grad_len, err.payload_len, err.payload_expected),
@@ -168,15 +168,19 @@ fn shape_errors_are_structured_and_nonmutating() {
         assert_eq!(bits(&p), bits(&before), "payload untouched on error");
 
         // Long gradient.
-        assert!(opt.try_apply(dim, &mut p, &vec![0.5; dim + 1]).is_err());
+        assert!(opt
+            .apply_batch(dim, &mut p, &vec![0.5; dim + 1], 1)
+            .is_err());
 
         // Wrong payload length (off by one either way).
         let mut long = before.clone();
         long.push(0.0);
-        assert!(opt.try_apply(dim, &mut long, &vec![0.5; dim]).is_err());
+        assert!(opt.apply_batch(dim, &mut long, &vec![0.5; dim], 1).is_err());
         let mut short = before.clone();
         short.pop();
-        assert!(opt.try_apply(dim, &mut short, &vec![0.5; dim]).is_err());
+        assert!(opt
+            .apply_batch(dim, &mut short, &vec![0.5; dim], 1)
+            .is_err());
 
         // Batched shape mismatches.
         let mut rows2 = [before.clone(), before.clone()].concat();

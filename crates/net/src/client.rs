@@ -536,7 +536,6 @@ mod tests {
     use super::*;
     use crate::codec::RequestView;
     use crate::config::RetryPolicy;
-    use crate::fault::{FaultInjector, FaultSpec};
     use crate::server::PsServer;
     use crate::transport::loopback;
     use oe_core::{NodeConfig, OptimizerKind, PsEngine, PsNode};
@@ -651,49 +650,6 @@ mod tests {
             "client side:\n{text}"
         );
         assert!(text.contains("client_rpc_failovers_total"));
-    }
-
-    #[test]
-    fn retries_survive_a_lossy_wire() {
-        let mut cfg = NodeConfig::small(4);
-        cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
-        let engine: Arc<dyn PsEngine> = Arc::new(PsNode::new(cfg));
-        let (client_t, server_t) = loopback(32);
-        let _handle = PsServer::spawn(engine, server_t, 2);
-        let faulty = Arc::new(FaultInjector::new(
-            Arc::new(client_t),
-            FaultSpec::lossy(21, 0.20, 0.05),
-        ));
-        let remote = RemotePs::try_connect(faulty, NetConfig::paper_default()).unwrap();
-        let keys: Vec<u64> = (0..8).collect();
-        let mut cost = Cost::new();
-        for b in 1..=20 {
-            let mut out = Vec::new();
-            remote
-                .pull_batch(&keys, b, &mut out, &mut cost)
-                .expect("pull survives retries");
-            assert_eq!(out.len(), 32);
-            remote.flush_batch(b).expect("flush survives");
-            remote
-                .push_batch(&keys, &[0.1; 32], b, &mut cost)
-                .expect("push survives");
-        }
-        let snap = remote.registry().snapshot();
-        let retried = snap.counter("client_rpc_retries_total").unwrap_or(0);
-        assert!(retried > 0, "a 20% drop schedule must force retries");
-        assert!(
-            cost.ns(CostKind::Net) > 0,
-            "backoff waits charged to virtual time"
-        );
-        // Exactly-once despite the storm: every batch's push applied
-        // exactly once (SGD lr=1, grad 0.1 × 20 batches).
-        let w = remote.weights_of(0).unwrap().expect("key exists");
-        let expect = oe_core::init::init_weight(42, 0, 0, 0.01) - 0.1 * 20.0;
-        assert!(
-            (w[0] - expect).abs() < 1e-5,
-            "{} vs {expect} — retries must not double-apply",
-            w[0]
-        );
     }
 
     #[test]
@@ -858,31 +814,6 @@ mod tests {
             .pull_batch(&[1], 1, &mut out, &mut Cost::new())
             .unwrap();
         assert_eq!(remote.key_count().unwrap(), 1);
-    }
-
-    #[test]
-    fn control_rpcs_without_a_standby_return_structured_errors() {
-        let mut cfg = NodeConfig::small(4);
-        cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
-        let engine: Arc<dyn PsEngine> = Arc::new(PsNode::new(cfg));
-        let (client_t, server_t) = loopback(32);
-        let _handle = PsServer::spawn(engine, server_t, 2);
-        let inj = Arc::new(FaultInjector::new(Arc::new(client_t), FaultSpec::none(11)));
-        let remote = RemotePs::try_connect(
-            Arc::clone(&inj) as Arc<dyn Transport>,
-            NetConfig::paper_default(),
-        )
-        .unwrap();
-        assert_eq!(remote.committed().unwrap(), 0);
-
-        // Primary dies with no standby configured: a structured verdict
-        // on the control path, and again on the next call.
-        inj.kill();
-        let err = remote.committed().unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Disconnected);
-        assert!(err.to_string().contains("no standby"), "{err}");
-        let err = remote.checkpoint(1).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Disconnected);
     }
 
     #[test]

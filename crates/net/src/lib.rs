@@ -22,9 +22,6 @@
 //!   abstraction with an in-process loopback implementation (bounded
 //!   channels carrying frames), standing in for the testbed's 30 Gb
 //!   intranet the way the simulated media stands in for Optane;
-//! - [`fault`] — a seeded, deterministic [`FaultInjector`] that
-//!   composes over any transport (drop, delay, duplicate, corrupt,
-//!   kill-server schedules);
 //! - [`config`] — [`NetCharge`], the one network cost model, and
 //!   [`NetConfig`]: the deadline and [`RetryPolicy`] knobs, one builder
 //!   mirroring `NodeConfig`;
@@ -52,7 +49,6 @@ pub mod codec;
 pub mod config;
 pub mod error;
 pub mod failover;
-pub mod fault;
 pub mod server;
 pub mod transport;
 
@@ -65,6 +61,5 @@ pub use codec::{
 pub use config::{NetCharge, NetConfig, RetryPolicy};
 pub use error::{Error, ErrorKind};
 pub use failover::{FailoverEvent, Promotion, Standby};
-pub use fault::{FaultInjector, FaultSpec};
 pub use server::{PsServer, ServerHandle};
 pub use transport::{loopback, ClientTransport, Transport};

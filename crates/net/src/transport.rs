@@ -5,9 +5,10 @@
 //! in for the testbed's 30 Gb intranet exactly the way the simulated
 //! media stands in for Optane: the *protocol* is real, the physics is
 //! modelled (the client charges virtual network time per frame byte). A
-//! TCP transport would implement the same trait. The
-//! [`crate::fault::FaultInjector`] composes over any `Transport` to
-//! inject seeded failures between the two halves.
+//! TCP transport would implement the same trait, and so does the
+//! integration tests' seeded fault injector (`tests/support/fault.rs`),
+//! which wraps any `Transport` to inject failures between the two
+//! halves.
 //!
 //! Calls take an optional deadline: a request that outlives it — queue
 //! saturated on send, or the response frame never arriving — fails

@@ -49,8 +49,8 @@
 //! | [`cluster`] | skew-aware placement plane: epoch-versioned routing, live shard migration, rebalancing |
 //! | [`baselines`] | DRAM-PS, Ori-Cache, PMem-Hash, TF-PS, incremental checkpointing |
 //! | [`workload`] | skew models fitted to the paper's trace, Criteo synth, analysis |
-//! | [`train`] | the training simulator (one trainer; k = 0 is the paper's synchronous batch), DeepFM, failure injection, cost model |
-//! | [`net`] | wire protocol, fault-injecting transports, retry/deadline, checkpoint failover (one `Standby`) |
+//! | [`train`] | the training simulator (one trainer; k = 0 is the paper's synchronous batch), DeepFM, failover rewind, cost model |
+//! | [`net`] | wire protocol, loopback transport, retry/deadline, checkpoint failover (one `Standby`) |
 //! | [`pool`] | disaggregated PMem: shared remote pool, fabric cost model, the pool partition as a recovery home |
 //! | [`telemetry`] | lock-free latency histograms, metric registry, phase spans, text exposition |
 
@@ -83,8 +83,8 @@ pub mod prelude {
         OptimizerKind, PsNode, StorageBackend,
     };
     pub use oe_net::{
-        loopback, EngineClient, FaultInjector, FaultSpec, NetCharge, NetConfig, PsClient, PsServer,
-        RemotePs, RetryPolicy, Standby,
+        loopback, EngineClient, NetCharge, NetConfig, PsClient, PsServer, RemotePs, RetryPolicy,
+        Standby,
     };
     pub use oe_pool::{FabricConfig, PoolPartition, RemotePool, SharedPool};
     pub use oe_serve::{

@@ -27,7 +27,6 @@
 //! paper's Figs. 6/7/9/12/13 measure.
 
 pub mod cost;
-pub mod crashmc;
 pub mod gpu;
 pub mod model;
 pub mod phases;
@@ -36,7 +35,6 @@ pub mod report;
 pub mod trainer;
 
 pub use cost::{CloudCostModel, PsDeployment};
-pub use crashmc::{CrashMcConfig, RecoverySweepReport, SweepReport};
 pub use gpu::GpuModel;
 pub use phases::PhaseBreakdown;
 pub use pipeline::{CoherenceSource, PipelineConfig, PipelineReport, PipelinedTrainer};

@@ -65,8 +65,7 @@ use crate::phases::PhaseBreakdown;
 use crate::report::TrainReport;
 use crate::trainer::{teacher_label, worker_grads, BatchCtx, RunAcc};
 use crate::{TrainMode, TrainerConfig};
-use oe_cache::PrefetchCache;
-use oe_cluster::FreqTracker;
+use oe_cache::{FreqTracker, PrefetchCache};
 use oe_core::engine::PsEngine;
 use oe_core::{BatchId, Key};
 use oe_net::{Error as NetError, NetCharge, PsClient};

@@ -6,15 +6,18 @@
 //! `core::recovery`, and checks the five durability invariants
 //! (committed-id bounds, checksum integrity, slot accounting,
 //! recovery idempotence, bit-identical lossless rewind). See
-//! `train::crashmc` for the invariant definitions.
+//! `support::crashmc` for the invariant definitions.
+
+pub mod support;
 
 use openembedding::net::{validate_frame, Packet, Request, Response, ResponseView};
 use openembedding::prelude::*;
 use openembedding::simdevice::Media;
-use openembedding::train::crashmc::{
-    capture_image, committed_bounds, recovery_crash_sweep, reference, sweep, CrashMcConfig,
-};
 use std::sync::Arc;
+use support::crashmc::{
+    capture_image, check_crash_point, committed_bounds, recovery_crash_sweep, reference, sweep,
+    CrashMcConfig,
+};
 
 fn assert_clean_exhaustive(optimizer: OptimizerKind) {
     let cfg = CrashMcConfig::exhaustive(optimizer);
@@ -198,4 +201,77 @@ fn standby_promotes_consistently_from_enumerated_crash_points() {
             "{resp:?}"
         );
     }
+}
+
+// The harness's own checks, at the smallest shapes that exercise each
+// entry point.
+
+fn sgd_cfg() -> CrashMcConfig {
+    CrashMcConfig::exhaustive(OptimizerKind::Sgd { lr: 0.5 })
+}
+
+#[test]
+fn reference_run_is_deterministic() {
+    let cfg = sgd_cfg();
+    let a = reference(&cfg);
+    let b = reference(&cfg);
+    assert_eq!(a.total_events, b.total_events);
+    assert!(a.total_events > 50, "schedule generates real traffic");
+    assert_eq!(a.final_weights, b.final_weights, "bit-identical replays");
+    assert_eq!(a.requested, vec![2, 4, 6]);
+    // Three commits land in the reference (requests at 2, 4, 6
+    // commit during the following batch's maintenance).
+    assert_eq!(a.records.last().unwrap().committed, 6);
+    // Boundary event counters never decrease (a batch with no
+    // eviction or commit traffic legally issues zero events), and
+    // the run as a whole generates traffic past creation.
+    for w in a.records.windows(2) {
+        assert!(w[0].events <= w[1].events);
+    }
+    let first = a.records.first().unwrap().events;
+    let last = a.records.last().unwrap().events;
+    assert!(last > first);
+}
+
+#[test]
+fn spot_crash_points_hold_all_invariants() {
+    // The full sweeps are above; here a spot check at characteristic
+    // indices (fresh pool, mid-run, quiescence).
+    let cfg = sgd_cfg();
+    let r = reference(&cfg);
+    for k in [0, 1, 2, r.total_events / 2, r.total_events] {
+        let rep = check_crash_point(&cfg, &r, k, 7);
+        assert!(rep.violations.is_empty(), "{:?}", rep.violations);
+        assert!(rep.checks > 0);
+    }
+}
+
+#[test]
+fn sampled_sweep_is_clean_and_counts_coverage() {
+    let mut cfg = sgd_cfg();
+    cfg.stride = 29;
+    cfg.seeds_per_index = 1;
+    let rep = sweep(&cfg);
+    assert!(rep.violations.is_empty(), "{:#?}", rep.violations);
+    assert_eq!(
+        rep.indices_checked,
+        rep.total_events / 29 + 1,
+        "stride covers the range"
+    );
+    assert!(rep.invariant_checks > rep.indices_checked * 5);
+}
+
+#[test]
+fn crash_during_recovery_recovers_again() {
+    let cfg = sgd_cfg();
+    let r = reference(&cfg);
+    // Crash mid-run where uncommitted future slots exist, so the
+    // recovery scan has durable frees to issue (and be crashed in).
+    let rep = recovery_crash_sweep(&cfg, r.total_events - 3, 11);
+    assert!(
+        rep.recovery_events > 0,
+        "recovery at this index issues durable frees"
+    );
+    assert_eq!(rep.indices_checked, rep.recovery_events);
+    assert!(rep.violations.is_empty(), "{:#?}", rep.violations);
 }

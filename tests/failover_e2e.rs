@@ -6,10 +6,13 @@
 //! pool-partition home has its own suite in `pool_failover_e2e.rs`, and
 //! the refusal test below runs on both.
 
-use openembedding::net::{ErrorKind, FaultInjector, FaultSpec, NetConfig};
+pub mod support;
+
+use openembedding::net::{ErrorKind, NetConfig};
 use openembedding::pmem::PoolConfig;
 use openembedding::prelude::*;
 use std::sync::Arc;
+use support::fault::{FaultInjector, FaultSpec};
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec {

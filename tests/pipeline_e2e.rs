@@ -6,7 +6,7 @@
 //! accounting honest; and placement-plane cutovers must invalidate
 //! prefetched rows for moved keys exactly once.
 
-use openembedding::cache::PrefetchCache;
+use openembedding::cache::{FreqTracker, PrefetchCache};
 use openembedding::core::stats::StatsSnapshot;
 use openembedding::net::NetConfig;
 use openembedding::prelude::*;
@@ -428,7 +428,10 @@ fn migration_cutover_invalidates_prefetched_keys_exactly_once() {
     assert_eq!(moved.len(), moves.len(), "every moved key surfaced");
 
     let mut cache = PrefetchCache::new(256, DIM);
-    let sketch: std::collections::HashMap<u64, u64> = keys.iter().map(|&k| (k, 10)).collect();
+    let mut sketch = FreqTracker::new();
+    for &k in &keys {
+        sketch.observe(k, 10);
+    }
     let resident = moved
         .iter()
         .filter(|&&k| cache.insert(k, &[0.5; DIM], &sketch))

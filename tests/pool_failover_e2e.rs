@@ -9,14 +9,17 @@
 //! enumerable persistence events, and interrupting any of them must
 //! leave the partition recoverable to the identical state.
 
+pub mod support;
+
 use openembedding::core::recovery::restore;
-use openembedding::net::{FaultInjector, FaultSpec, NetConfig, PsServer};
+use openembedding::net::{NetConfig, PsServer};
 use openembedding::pmem::scan::recover as pmem_recover;
 use openembedding::pmem::PoolConfig;
 use openembedding::prelude::*;
 use openembedding::simdevice::{CrashPlan, Media};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use support::fault::{FaultInjector, FaultSpec};
 
 fn spec() -> WorkloadSpec {
     WorkloadSpec {

@@ -3,8 +3,11 @@
 //! weights, logical counters and checkpoints bit-identical to a run
 //! that never migrated, with zero double-applied gradients.
 
-use openembedding::cluster::MigrationStats;
+pub mod support;
+
+use openembedding::cluster::{hash_node_of, MigrationStats};
 use openembedding::prelude::*;
+use support::rebalance::{self, RebalanceBenchConfig};
 
 const DIM: usize = 8;
 const NODES: usize = 3;
@@ -126,7 +129,7 @@ fn forced_mid_epoch_migration_is_bit_identical() {
 /// virtual time; the two arms end bit-identical.
 #[test]
 fn smoke_shape_p99_improvement_is_pinned() {
-    let r = oe_bench::rebalance::run(&oe_bench::RebalanceBenchConfig::smoke());
+    let r = rebalance::run(&RebalanceBenchConfig::smoke());
     assert!(r.bit_identical, "migration must be invisible to training");
     assert_eq!(r.static_arm.storm_late_p99_ns, 171_017, "static late p99");
     assert_eq!(
@@ -134,4 +137,54 @@ fn smoke_shape_p99_improvement_is_pinned() {
         "rebalanced late p99"
     );
     assert_eq!(r.p99_improvement, 2.300161398789509, "p99 improvement");
+}
+
+// The storm at a smaller shape than the pinned one.
+
+fn tiny() -> RebalanceBenchConfig {
+    RebalanceBenchConfig {
+        num_keys: 2_000,
+        keys_per_batch: 512,
+        crowd_size: 48,
+        batches: 24,
+        storm_start: 5,
+        storm_end: 21,
+        cache_entries_per_node: 36,
+        min_window_keys: 96,
+        // The tiny storm dedups to ~200 distinct keys, so the hot
+        // head must cover a large fraction of them to reach the
+        // whole 48-key crowd.
+        hot_fraction: 0.4,
+        ..RebalanceBenchConfig::smoke()
+    }
+}
+
+#[test]
+fn rebalancer_restores_tail_latency_bit_identically() {
+    let r = rebalance::run(&tiny());
+    assert!(r.bit_identical, "migration must be invisible to training");
+    assert_eq!(r.static_arm.placement_epoch, 0);
+    assert!(
+        r.rebalanced_arm.placement_epoch >= 1,
+        "storm must trigger the controller"
+    );
+    assert!(r.migration.keys_moved > 0);
+    assert!(
+        r.crowd_left_on_melted < r.config.crowd_size,
+        "crowd drained off the melted node: {} left",
+        r.crowd_left_on_melted
+    );
+    assert!(
+        r.p99_improvement > 1.0,
+        "rebalanced late-storm p99 must beat static: {:.3}×",
+        r.p99_improvement
+    );
+}
+
+#[test]
+fn crowd_is_adversarial_for_the_hash() {
+    let cfg = tiny();
+    let crowd = cfg.crowd();
+    assert_eq!(crowd.len(), cfg.crowd_size);
+    assert!(crowd.iter().all(|&k| hash_node_of(k, cfg.num_nodes) == 0));
 }

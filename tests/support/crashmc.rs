@@ -4,7 +4,7 @@
 //! The paper's durability claims (§V-B/§V-C) are quantified over *every*
 //! instant a power cut can strike, but ordinary crash tests sample a
 //! handful of instants. This harness makes the claim checkable by
-//! exhaustion: [`oe_simdevice::Media`] numbers every persistence event
+//! exhaustion: [`Media`] numbers every persistence event
 //! (each CLWB-equivalent `flush` and each SFENCE-equivalent `fence`),
 //! and a [`CrashPlan`] captures the torn-write crash image immediately
 //! *before* event `k` applies. Because the training schedule here is
@@ -38,12 +38,12 @@
 //! at every persistence event *of the recovery scan itself* (the
 //! `free_no_list` stream) and re-recovering.
 
-use oe_core::config::NodeConfig;
-use oe_core::engine::PsEngine;
-use oe_core::optimizer::OptimizerKind;
-use oe_core::recovery::{recover_node, RecoveryReport};
-use oe_core::{BatchId, Key, PsNode};
-use oe_simdevice::{Cost, CrashPlan, Media, MediaConfig};
+use openembedding::core::config::NodeConfig;
+use openembedding::core::engine::PsEngine;
+use openembedding::core::optimizer::OptimizerKind;
+use openembedding::core::recovery::{recover_node, RecoveryReport};
+use openembedding::core::{BatchId, Key, PsNode};
+use openembedding::simdevice::{Cost, CrashImage, CrashPlan, Media, MediaConfig};
 use std::sync::Arc;
 
 /// Configuration of one enumeration sweep.
@@ -459,7 +459,7 @@ pub fn sweep(cfg: &CrashMcConfig) -> SweepReport {
 /// Capture the crash image at `at_event` of the reference schedule —
 /// e.g. to hand a `net::failover` standby a mid-run crash state and
 /// drive promotion from an enumerated crash point.
-pub fn capture_image(cfg: &CrashMcConfig, at_event: u64, seed: u64) -> oe_simdevice::CrashImage {
+pub fn capture_image(cfg: &CrashMcConfig, at_event: u64, seed: u64) -> CrashImage {
     let out = run(cfg, Some(CrashPlan { at_event, seed }));
     out.media
         .take_crash_capture()
@@ -579,79 +579,4 @@ pub fn recovery_crash_sweep(cfg: &CrashMcConfig, at_event: u64, seed: u64) -> Re
         }
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sgd_cfg() -> CrashMcConfig {
-        CrashMcConfig::exhaustive(OptimizerKind::Sgd { lr: 0.5 })
-    }
-
-    #[test]
-    fn reference_run_is_deterministic() {
-        let cfg = sgd_cfg();
-        let a = reference(&cfg);
-        let b = reference(&cfg);
-        assert_eq!(a.total_events, b.total_events);
-        assert!(a.total_events > 50, "schedule generates real traffic");
-        assert_eq!(a.final_weights, b.final_weights, "bit-identical replays");
-        assert_eq!(a.requested, vec![2, 4, 6]);
-        // Three commits land in the reference (requests at 2, 4, 6
-        // commit during the following batch's maintenance).
-        assert_eq!(a.records.last().unwrap().committed, 6);
-        // Boundary event counters never decrease (a batch with no
-        // eviction or commit traffic legally issues zero events), and
-        // the run as a whole generates traffic past creation.
-        for w in a.records.windows(2) {
-            assert!(w[0].events <= w[1].events);
-        }
-        let first = a.records.first().unwrap().events;
-        let last = a.records.last().unwrap().events;
-        assert!(last > first);
-    }
-
-    #[test]
-    fn spot_crash_points_hold_all_invariants() {
-        // The full sweep lives in tests/crashmc.rs; here a spot check at
-        // characteristic indices (fresh pool, mid-run, quiescence).
-        let cfg = sgd_cfg();
-        let r = reference(&cfg);
-        for k in [0, 1, 2, r.total_events / 2, r.total_events] {
-            let rep = check_crash_point(&cfg, &r, k, 7);
-            assert!(rep.violations.is_empty(), "{:?}", rep.violations);
-            assert!(rep.checks > 0);
-        }
-    }
-
-    #[test]
-    fn sampled_sweep_is_clean_and_counts_coverage() {
-        let mut cfg = sgd_cfg();
-        cfg.stride = 29;
-        cfg.seeds_per_index = 1;
-        let rep = sweep(&cfg);
-        assert!(rep.violations.is_empty(), "{:#?}", rep.violations);
-        assert_eq!(
-            rep.indices_checked,
-            rep.total_events / 29 + 1,
-            "stride covers the range"
-        );
-        assert!(rep.invariant_checks > rep.indices_checked * 5);
-    }
-
-    #[test]
-    fn crash_during_recovery_recovers_again() {
-        let cfg = sgd_cfg();
-        let r = reference(&cfg);
-        // Crash mid-run where uncommitted future slots exist, so the
-        // recovery scan has durable frees to issue (and be crashed in).
-        let rep = recovery_crash_sweep(&cfg, r.total_events - 3, 11);
-        assert!(
-            rep.recovery_events > 0,
-            "recovery at this index issues durable frees"
-        );
-        assert_eq!(rep.indices_checked, rep.recovery_events);
-        assert!(rep.violations.is_empty(), "{:#?}", rep.violations);
-    }
 }

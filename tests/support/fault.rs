@@ -27,11 +27,10 @@
 //! - **kill after N calls** — the inner transport is dropped and every
 //!   later call fails `Disconnected`: the failover trigger.
 
-use crate::error::Error;
-use crate::transport::Transport;
 use bytes::Bytes;
-use oe_core::init::splitmix64;
-use oe_simdevice::sync::Mutex;
+use openembedding::core::init::splitmix64;
+use openembedding::net::{Error, Transport};
+use openembedding::simdevice::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -242,133 +241,5 @@ impl Transport for FaultInjector {
         }
 
         Ok(response)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::error::ErrorKind;
-    use crate::transport::loopback;
-
-    fn echo_server() -> (Arc<dyn Transport>, std::thread::JoinHandle<()>) {
-        let (client, server) = loopback(16);
-        let h = std::thread::spawn(move || {
-            while let Some((req, reply)) = server.recv() {
-                let _ = reply.send(req);
-            }
-        });
-        (Arc::new(client), h)
-    }
-
-    #[test]
-    fn passthrough_when_no_faults() {
-        let (inner, h) = echo_server();
-        let inj = FaultInjector::new(Arc::clone(&inner), FaultSpec::none(1));
-        for i in 0..50u8 {
-            let r = inj.call(Bytes::copy_from_slice(&[i]), None).unwrap();
-            assert_eq!(&r[..], &[i]);
-        }
-        assert_eq!(inj.injected(), 0);
-        assert_eq!(inj.calls(), 50);
-        drop(inj);
-        drop(inner);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn drop_schedule_is_deterministic() {
-        let run = || {
-            let (inner, h) = echo_server();
-            let inj = FaultInjector::new(Arc::clone(&inner), FaultSpec::drops(42, 0.3));
-            let outcomes: Vec<bool> = (0..200u8)
-                .map(|i| inj.call(Bytes::copy_from_slice(&[i]), None).is_ok())
-                .collect();
-            drop(inj);
-            drop(inner);
-            h.join().unwrap();
-            outcomes
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same seed, same schedule");
-        let drops = a.iter().filter(|ok| !**ok).count();
-        assert!((30..90).contains(&drops), "~30% of 200: {drops}");
-    }
-
-    #[test]
-    fn dropped_calls_surface_as_timeouts() {
-        let (inner, h) = echo_server();
-        let inj = FaultInjector::new(Arc::clone(&inner), FaultSpec::drops(7, 1.0));
-        let err = inj.call(Bytes::from_static(b"x"), None).unwrap_err();
-        assert_eq!(err.kind(), ErrorKind::Timeout);
-        assert!(err.is_retryable());
-        drop(inj);
-        drop(inner);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn corruption_flips_exactly_one_bit() {
-        let (inner, h) = echo_server();
-        let spec = FaultSpec {
-            corrupt_response: 1.0,
-            ..FaultSpec::none(3)
-        };
-        let inj = FaultInjector::new(Arc::clone(&inner), spec);
-        let sent = Bytes::from_static(b"hello world");
-        let got = inj.call(sent.clone(), None).unwrap();
-        let diff: u32 = sent
-            .iter()
-            .zip(got.iter())
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(diff, 1, "exactly one bit flipped");
-        drop(inj);
-        drop(inner);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn kill_after_n_calls_disconnects_forever() {
-        let (inner, h) = echo_server();
-        let inj = FaultInjector::new(Arc::clone(&inner), FaultSpec::kill_after(1, 3));
-        for i in 0..3u8 {
-            assert!(inj.call(Bytes::copy_from_slice(&[i]), None).is_ok());
-        }
-        for _ in 0..2 {
-            let err = inj.call(Bytes::from_static(b"x"), None).unwrap_err();
-            assert_eq!(err.kind(), ErrorKind::Disconnected);
-            assert!(!err.is_retryable());
-        }
-        // The injector dropped its inner handle; once the test's own
-        // handle goes too, the server drains and exits.
-        drop(inner);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn duplicate_delivers_twice() {
-        let (client, server) = loopback(16);
-        let served = Arc::new(AtomicU64::new(0));
-        let served2 = Arc::clone(&served);
-        let h = std::thread::spawn(move || {
-            while let Some((req, reply)) = server.recv() {
-                served2.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(req);
-            }
-        });
-        let spec = FaultSpec {
-            duplicate: 1.0,
-            ..FaultSpec::none(9)
-        };
-        let client: Arc<dyn Transport> = Arc::new(client);
-        let inj = FaultInjector::new(Arc::clone(&client), spec);
-        let r = inj.call(Bytes::from_static(b"q"), None).unwrap();
-        assert_eq!(&r[..], b"q");
-        assert_eq!(served.load(Ordering::Relaxed), 2, "delivered twice");
-        drop(inj);
-        drop(client);
-        h.join().unwrap();
     }
 }

@@ -20,10 +20,12 @@
 //! pure mechanism, invisible to training. `tests/rebalance_e2e.rs` pins
 //! the [`RebalanceBenchConfig::smoke`] shape's numbers.
 
-use oe_cluster::{hash_node_of, MigrationStats, PlacedCluster, PlacerConfig, RebalanceConfig};
-use oe_core::{NodeConfig, OptimizerKind, PsEngine, PsNode};
-use oe_simdevice::Cost;
-use oe_workload::{SkewModel, StormGen, StormSpec};
+use openembedding::cluster::{
+    hash_node_of, MigrationStats, PlacedCluster, PlacerConfig, RebalanceConfig,
+};
+use openembedding::core::{NodeConfig, OptimizerKind, PsEngine, PsNode};
+use openembedding::simdevice::Cost;
+use openembedding::workload::{SkewModel, StormGen, StormSpec};
 
 /// Workload + storm + controller shape for one run.
 #[derive(Debug, Clone)]
@@ -240,58 +242,5 @@ pub fn run(cfg: &RebalanceBenchConfig) -> RebalanceReport {
         crowd_left_on_melted,
         migration: auto_cluster.migration_stats(),
         bit_identical,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> RebalanceBenchConfig {
-        RebalanceBenchConfig {
-            num_keys: 2_000,
-            keys_per_batch: 512,
-            crowd_size: 48,
-            batches: 24,
-            storm_start: 5,
-            storm_end: 21,
-            cache_entries_per_node: 36,
-            min_window_keys: 96,
-            // The tiny storm dedups to ~200 distinct keys, so the hot
-            // head must cover a large fraction of them to reach the
-            // whole 48-key crowd.
-            hot_fraction: 0.4,
-            ..RebalanceBenchConfig::smoke()
-        }
-    }
-
-    #[test]
-    fn rebalancer_restores_tail_latency_bit_identically() {
-        let r = run(&tiny());
-        assert!(r.bit_identical, "migration must be invisible to training");
-        assert_eq!(r.static_arm.placement_epoch, 0);
-        assert!(
-            r.rebalanced_arm.placement_epoch >= 1,
-            "storm must trigger the controller"
-        );
-        assert!(r.migration.keys_moved > 0);
-        assert!(
-            r.crowd_left_on_melted < r.config.crowd_size,
-            "crowd drained off the melted node: {} left",
-            r.crowd_left_on_melted
-        );
-        assert!(
-            r.p99_improvement > 1.0,
-            "rebalanced late-storm p99 must beat static: {:.3}×",
-            r.p99_improvement
-        );
-    }
-
-    #[test]
-    fn crowd_is_adversarial_for_the_hash() {
-        let cfg = tiny();
-        let crowd = cfg.crowd();
-        assert_eq!(crowd.len(), cfg.crowd_size);
-        assert!(crowd.iter().all(|&k| hash_node_of(k, cfg.num_nodes) == 0));
     }
 }
