@@ -17,6 +17,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets --offline -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Public docs may not link to private items or to names that are gone.
+echo "==> cargo doc --no-deps --workspace --offline (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 # One implementation per primitive (DESIGN.md §3): every package in the
 # graph is a path package, and no manifest outside e2e/ asks a registry
 # for a version. `bytes` resolves by path to e2e/stubs/bytes until the
@@ -75,9 +79,11 @@ done
 # constants, and helpers that nothing called are gone. The crash-point
 # enumerator, the rebalancing storm and the fault injector are test
 # drivers in tests/support/; the prefetch cache ranks by FreqTracker
-# itself, and Optimizer::apply checks its own shape.
+# itself, and Optimizer::apply checks its own shape. A router forwards
+# a push's occurrences straight from its shard buckets, with no
+# coalesce-then-sort round trip.
 echo "==> retired twins stay retired"
-if grep -rnE "train::crashmc|bench::rebalance|net::fault|HeatSketch|fn try_apply|pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster|Packet::decode|ServingNode|sampled_lookup|NetModel|PipelineWindow|amdahl_burst|shared_bandwidth_ns|shared_write_ns|fn advance_to|ps_service_threads|maintainer_threads|streams_per_worker|init_scale|load_ratio|p99_ratio|youngs_interval|expected_hot_share|che_miss_rate|normalized_to|fn burstiness|GpuModel::fast" \
+if grep -rnE "train::crashmc|bench::rebalance|net::fault|HeatSketch|fn try_apply|occurrences_in_request_order|pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster|Packet::decode|ServingNode|sampled_lookup|NetModel|PipelineWindow|amdahl_burst|shared_bandwidth_ns|shared_write_ns|fn advance_to|ps_service_threads|maintainer_threads|streams_per_worker|init_scale|load_ratio|p99_ratio|youngs_interval|expected_hot_share|che_miss_rate|normalized_to|fn burstiness|GpuModel::fast" \
   crates tests examples README.md DESIGN.md; then
   echo "a retired name resurfaced (see above)" >&2
   exit 1
@@ -88,6 +94,26 @@ fi
 # crates/*/src.
 if grep -rnE "CrashMcConfig|RebalanceBenchConfig|FaultInjector|FaultSpec|HeatSketch" crates/*/src; then
   echo "a test driver resurfaced in a product crate (see above)" >&2
+  exit 1
+fi
+
+# Maps and sets keyed by an embedding key hash with oe_cache's keyed
+# multiply-fold hasher (KeyMap / KeySet), not SipHash; test modules may
+# still build std maps.
+keyed_default="$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+  FNR == 1 { skip = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+  !skip && /Hash(Map|Set)<Key[^A-Za-z0-9_]/ && !/KeyState/ { print FILENAME ":" FNR ": " $0 }')"
+if [[ -n "$keyed_default" ]]; then
+  echo "$keyed_default"
+  echo "a default-hasher map or set keyed by Key in crates/*/src: use oe_cache::{KeyMap, KeySet} (see above)" >&2
+  exit 1
+fi
+# The shard plan is flat: one occurrence array for the whole request,
+# not one Vec per unique key (the nested plan lives on only as the
+# oracle in crates/core/tests/plan_equiv.rs).
+if grep -nF 'Vec<Vec<u32>>' crates/core/src/plan.rs; then
+  echo "a nested occurrence list resurfaced in crates/core/src/plan.rs (see above)" >&2
   exit 1
 fi
 
@@ -206,6 +232,10 @@ cargo test --offline -q -p oe-pmem --test survey_equiv
 
 echo "==> prefetch victim index = retired full scan"
 cargo test --release --offline -q -p oe-cache --test prefetch_equiv
+
+echo "==> no prefetch decision, heat ranking or shard plan depends on the key hasher; flat plan = retired nested coalesce"
+cargo test --release --offline -q -p oe-cache --test hash_seed_independence
+cargo test --release --offline -q -p oe-core --test plan_equiv
 
 echo "==> serving-plane suite (snapshot-flip torture, ANN recall floors, flat index + sketch-filtered top-k = retired index, decode = recovery scan)"
 cargo test --release --offline -q -p oe-serve

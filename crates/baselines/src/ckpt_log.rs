@@ -11,10 +11,10 @@
 //! Replay scans the log and keeps the newest record per key with version
 //! ≤ the committed id, which is how `DRAM-PS` recovers in Fig. 14.
 
+use oe_cache::KeyMap;
 use oe_core::Key;
 use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, Media, MediaConfig};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which device holds the checkpoint log.
@@ -140,7 +140,7 @@ impl CkptLog {
     /// Open a log from (possibly crash-surviving) media and replay it:
     /// newest record per key with version ≤ the committed header id.
     /// Returns `(committed_batch, entries)`.
-    pub fn replay(media: &Arc<Media>, cost: &mut Cost) -> Option<(u64, HashMap<Key, Vec<f32>>)> {
+    pub fn replay(media: &Arc<Media>, cost: &mut Cost) -> Option<(u64, KeyMap<Vec<f32>>)> {
         let mut h = [0u8; HEADER_BYTES as usize];
         if media.len() < HEADER_BYTES as usize {
             return None;
@@ -154,7 +154,7 @@ impl CkptLog {
         let payload_f32s = u64::from_le_bytes(h[24..32].try_into().unwrap()) as usize;
         let rec_bytes = 16 + payload_f32s * 4;
 
-        let mut newest: HashMap<Key, (u64, Vec<f32>)> = HashMap::new();
+        let mut newest: KeyMap<(u64, Vec<f32>)> = KeyMap::default();
         // Sequential chunked read: recovery streams the log, it does not
         // random-access records.
         let total_bytes = records as usize * rec_bytes;

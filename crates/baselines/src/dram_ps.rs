@@ -9,6 +9,7 @@
 //! DRAM-PS pays in Figs. 6/12 and the recovery path measured in Fig. 14.
 
 use crate::ckpt_log::{CkptDevice, CkptLog};
+use oe_cache::{KeyMap, KeySet};
 use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, INIT_SCALE, OPT_FLOP_NS_PER_F32};
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::init::init_payload;
@@ -17,7 +18,6 @@ use oe_core::stats::{EngineStats, StatsSnapshot};
 use oe_core::{BatchId, Key, NodeConfig};
 use oe_simdevice::sync::{Mutex, RwLock};
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const SHARDS: usize = 16;
@@ -26,8 +26,8 @@ const SHARDS: usize = 16;
 pub struct DramPs {
     cfg: NodeConfig,
     opt: Optimizer,
-    shards: Vec<RwLock<HashMap<Key, Box<[f32]>>>>,
-    dirty: Mutex<HashSet<Key>>,
+    shards: Vec<RwLock<KeyMap<Box<[f32]>>>>,
+    dirty: Mutex<KeySet>,
     log: CkptLog,
     latest_batch: AtomicU64,
     stats: EngineStats,
@@ -41,8 +41,10 @@ impl DramPs {
         let log = CkptLog::create(device, cfg.payload_f32s(), 1 << 20);
         Self {
             opt: cfg.optimizer.build(),
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            dirty: Mutex::new(HashSet::new()),
+            shards: (0..SHARDS)
+                .map(|_| RwLock::new(KeyMap::default()))
+                .collect(),
+            dirty: Mutex::new(KeySet::default()),
             log,
             latest_batch: AtomicU64::new(0),
             stats: EngineStats::default(),

@@ -8,18 +8,18 @@
 //! interfere with training I/O and pause the trainer.
 
 use crate::ckpt_log::{CkptDevice, CkptLog};
+use oe_cache::KeySet;
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::stats::{EngineStats, StatsSnapshot};
 use oe_core::{BatchId, Key};
 use oe_simdevice::sync::Mutex;
 use oe_simdevice::Cost;
-use std::collections::HashSet;
 
 /// Wraps an engine, replacing its checkpoint path with incremental
 /// dumps of dirty keys.
 pub struct IncrementalCkpt<E: PsEngine> {
     inner: E,
-    dirty: Mutex<HashSet<Key>>,
+    dirty: Mutex<KeySet>,
     log: CkptLog,
     stats: EngineStats,
 }
@@ -30,7 +30,7 @@ impl<E: PsEngine> IncrementalCkpt<E> {
         let log = CkptLog::create(device, inner.dim(), 1 << 20);
         Self {
             inner,
-            dirty: Mutex::new(HashSet::new()),
+            dirty: Mutex::new(KeySet::default()),
             log,
             stats: EngineStats::default(),
         }

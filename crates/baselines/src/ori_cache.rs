@@ -12,7 +12,7 @@
 //! Checkpointing is CheckFreq-style incremental (Table III).
 
 use crate::ckpt_log::{CkptDevice, CkptLog};
-use oe_cache::{DramArena, LruList};
+use oe_cache::{DramArena, KeyMap, KeySet, LruList};
 use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, INIT_SCALE, LRU_OP_NS, OPT_FLOP_NS_PER_F32};
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::init::init_payload;
@@ -22,7 +22,6 @@ use oe_core::{BatchId, Key, NodeConfig};
 use oe_pmem::{PmemPool, PoolConfig, SlotId};
 use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
-use std::collections::{HashMap, HashSet};
 
 /// Cost of acquiring and releasing the global list lock (uncontended
 /// base; the contention model inflates it with the burst stream count).
@@ -35,7 +34,7 @@ struct OriEntry {
 }
 
 struct Inner {
-    index: HashMap<Key, OriEntry>,
+    index: KeyMap<OriEntry>,
     arena: DramArena,
     lru: LruList,
 }
@@ -46,7 +45,7 @@ pub struct OriCache {
     opt: Optimizer,
     inner: Mutex<Inner>,
     pool: PmemPool,
-    dirty: Mutex<HashSet<Key>>,
+    dirty: Mutex<KeySet>,
     log: CkptLog,
     stats: EngineStats,
     dram: DeviceTiming,
@@ -69,12 +68,12 @@ impl OriCache {
         Self {
             opt: cfg.optimizer.build(),
             inner: Mutex::new(Inner {
-                index: HashMap::new(),
+                index: KeyMap::default(),
                 arena: DramArena::new(entries, cfg.payload_f32s()),
                 lru: LruList::new(entries),
             }),
             pool,
-            dirty: Mutex::new(HashSet::new()),
+            dirty: Mutex::new(KeySet::default()),
             log,
             stats: EngineStats::default(),
             dram: DeviceTiming::dram(),

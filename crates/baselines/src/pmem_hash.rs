@@ -8,6 +8,7 @@
 //! This is the configuration the paper uses to show that naively
 //! swapping DRAM for PMem costs 1.16×–3.17× at 4–16 GPUs (Fig. 3).
 
+use oe_cache::KeyMap;
 use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, INIT_SCALE, OPT_FLOP_NS_PER_F32};
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::init::init_payload;
@@ -17,7 +18,6 @@ use oe_core::{BatchId, Key, NodeConfig};
 use oe_pmem::{PmemPool, PoolConfig, SlotId};
 use oe_simdevice::sync::RwLock;
 use oe_simdevice::{Cost, CostKind};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Extra per-operation CPU cost of the PMem-aware structure (allocator
@@ -36,7 +36,7 @@ pub struct PmemHash {
     cfg: NodeConfig,
     opt: Optimizer,
     pool: PmemPool,
-    index: RwLock<HashMap<Key, SlotId>>,
+    index: RwLock<KeyMap<SlotId>>,
     committed: AtomicU64,
     stats: EngineStats,
 }
@@ -56,7 +56,7 @@ impl PmemHash {
         Self {
             opt: cfg.optimizer.build(),
             pool,
-            index: RwLock::new(HashMap::new()),
+            index: RwLock::new(KeyMap::default()),
             committed: AtomicU64::new(0),
             stats: EngineStats::default(),
             cfg,

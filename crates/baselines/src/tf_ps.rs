@@ -11,6 +11,7 @@
 //!   could not run it on the 500 GB model, §VI-F).
 
 use crate::ckpt_log::{CkptDevice, CkptLog};
+use oe_cache::KeyMap;
 use oe_core::config::{HASH_PROBE_NS, INIT_ENTRY_NS, INIT_SCALE, OPT_FLOP_NS_PER_F32};
 use oe_core::engine::{MaintenanceReport, PsEngine};
 use oe_core::init::init_payload;
@@ -19,7 +20,6 @@ use oe_core::stats::{EngineStats, StatsSnapshot};
 use oe_core::{BatchId, Key, NodeConfig};
 use oe_simdevice::sync::Mutex;
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
-use std::collections::HashMap;
 
 /// Framework op-dispatch overhead per embedding lookup/update (ns):
 /// graph-op scheduling, tensor wrapping, kernel launch bookkeeping.
@@ -40,7 +40,7 @@ fn lock_held_ns(dim: usize) -> u64 {
 pub struct TfPs {
     cfg: NodeConfig,
     opt: Optimizer,
-    table: Mutex<HashMap<Key, Box<[f32]>>>,
+    table: Mutex<KeyMap<Box<[f32]>>>,
     log: CkptLog,
     stats: EngineStats,
     dram: DeviceTiming,
@@ -53,7 +53,7 @@ impl TfPs {
         let log = CkptLog::create(device, cfg.payload_f32s(), 1 << 20);
         Self {
             opt: cfg.optimizer.build(),
-            table: Mutex::new(HashMap::new()),
+            table: Mutex::new(KeyMap::default()),
             log,
             stats: EngineStats::default(),
             dram: DeviceTiming::dram(),

@@ -20,13 +20,13 @@
 //! [`PrefetchCache`]: crate::PrefetchCache
 //! [`PrefetchCache::rerank`]: crate::PrefetchCache::rerank
 
+use crate::keymap::{KeyMap, KeyState};
 use crate::Key;
-use std::collections::HashMap;
 
 /// Decayed per-key access counters.
 #[derive(Debug, Default)]
 pub struct FreqTracker {
-    counts: HashMap<Key, u64>,
+    counts: KeyMap<u64>,
     total: u64,
 }
 
@@ -34,6 +34,15 @@ impl FreqTracker {
     /// An empty tracker.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty tracker whose map hashes under `state` (tests that show
+    /// no ranking depends on the hash function).
+    pub fn with_hasher(state: KeyState) -> Self {
+        Self {
+            counts: KeyMap::with_hasher(state),
+            total: 0,
+        }
     }
 
     /// Record `n` accesses of `key`.

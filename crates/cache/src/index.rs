@@ -6,10 +6,10 @@
 //! rebuilt by recovery (paper §V-C step 2).
 
 use crate::chain::VersionChain;
+use crate::keymap::{KeyMap, KeyState};
 use crate::tagged::TaggedLoc;
 use crate::{BatchId, Key};
 use oe_pmem::SlotId;
-use std::collections::HashMap;
 
 /// Index record for one embedding key.
 #[derive(Debug, Clone)]
@@ -27,14 +27,14 @@ pub struct IndexEntry {
 /// not internally synchronized.
 #[derive(Default)]
 pub struct HashIndex {
-    map: HashMap<Key, IndexEntry>,
+    map: KeyMap<IndexEntry>,
 }
 
 impl HashIndex {
     /// An empty index with reserved capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            map: HashMap::with_capacity(capacity),
+            map: KeyMap::with_capacity_and_hasher(capacity, KeyState::new()),
         }
     }
 

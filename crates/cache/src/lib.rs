@@ -22,6 +22,9 @@
 //!   of next-batch rows for the pipelined training path, coherent with
 //!   the applied-push watermark, ranked by a [`freq::FreqTracker`] (the
 //!   decaying per-key access counts the placer reads too).
+//! - [`keymap::KeyMap`] / [`keymap::KeySet`] — std maps keyed by an
+//!   embedding key under the one keyed, multiply-fold key hasher; every
+//!   product crate keys its per-key maps with them.
 //!
 //! The crate holds data structures only: Algorithm 1/2 logic lives in
 //! `oe-core`.
@@ -31,6 +34,7 @@ pub mod arena;
 pub mod chain;
 pub mod freq;
 pub mod index;
+pub mod keymap;
 pub mod lru;
 pub mod prefetch;
 pub mod tagged;
@@ -46,6 +50,7 @@ pub use arena::DramArena;
 pub use chain::VersionChain;
 pub use freq::FreqTracker;
 pub use index::{HashIndex, IndexEntry};
+pub use keymap::{KeyMap, KeySet, KeyState};
 pub use lru::LruList;
 pub use prefetch::{PrefetchCache, PrefetchStats};
 pub use tagged::TaggedLoc;

@@ -24,8 +24,9 @@
 //! count capacity and coherence drops separately.
 
 use crate::freq::FreqTracker;
+use crate::keymap::{KeyMap, KeyState};
 use crate::Key;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// Counter snapshot of one cache's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -66,8 +67,16 @@ impl PrefetchStats {
 pub struct PrefetchCache {
     capacity: usize,
     dim: usize,
-    /// Resident rows, each with the heat it is filed under in `by_heat`.
-    entries: HashMap<Key, (u64, Vec<f32>)>,
+    /// Resident keys: the heat each is filed under in `by_heat`, and
+    /// its row in `rows`.
+    entries: KeyMap<(u64, usize)>,
+    /// The row slab, `capacity × dim` f32s; row `r` is
+    /// `rows[r * dim..][..dim]`. Zeroed on allocation, so the pages of
+    /// rows never used are never touched.
+    rows: Vec<f32>,
+    /// Rows once used and now vacant. Rows `0..entries.len() +
+    /// free.len()` have been handed out; the rest never were.
+    free: Vec<usize>,
     /// `(recorded heat, key)` of every resident entry, coldest first.
     by_heat: BTreeSet<(u64, Key)>,
     stats: PrefetchStats,
@@ -76,10 +85,21 @@ pub struct PrefetchCache {
 impl PrefetchCache {
     /// A cache holding at most `capacity` entries of `dim` f32s each.
     pub fn new(capacity: usize, dim: usize) -> Self {
+        Self::with_hasher(capacity, dim, KeyState::new())
+    }
+
+    /// [`PrefetchCache::new`] with its key map hashed under `state`
+    /// (tests that show no decision depends on the hash function).
+    pub fn with_hasher(capacity: usize, dim: usize, state: KeyState) -> Self {
+        let slab = capacity
+            .checked_mul(dim)
+            .expect("prefetch slab size fits in usize");
         Self {
             capacity,
             dim,
-            entries: HashMap::new(),
+            entries: KeyMap::with_hasher(state),
+            rows: vec![0.0; slab],
+            free: Vec::new(),
             by_heat: BTreeSet::new(),
             stats: PrefetchStats::default(),
         }
@@ -111,13 +131,21 @@ impl PrefetchCache {
         self.stats
     }
 
+    fn row(&self, r: usize) -> &[f32] {
+        &self.rows[r * self.dim..][..self.dim]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        &mut self.rows[r * self.dim..][..self.dim]
+    }
+
     /// Serve-time lookup: append the cached row to `out` and count a
     /// hit, or count a miss and leave `out` untouched. Exactly one
     /// counter moves per call, preserving `hits + misses == lookups`.
     pub fn lookup(&mut self, key: Key, out: &mut Vec<f32>) -> bool {
         match self.entries.get(&key) {
-            Some((_, row)) => {
-                out.extend_from_slice(row);
+            Some(&(_, r)) => {
+                out.extend_from_slice(self.row(r));
                 self.stats.hits += 1;
                 true
             }
@@ -155,9 +183,8 @@ impl PrefetchCache {
             self.stats.admission_rejects += 1;
             return false;
         }
-        if let Some((_, existing)) = self.entries.get_mut(&key) {
-            existing.clear();
-            existing.extend_from_slice(row);
+        if let Some(&(_, r)) = self.entries.get(&key) {
+            self.row_mut(r).copy_from_slice(row);
             self.stats.inserts += 1;
             return true;
         }
@@ -169,10 +196,17 @@ impl PrefetchCache {
                 return false;
             }
             self.by_heat.remove(&victim);
-            self.entries.remove(&victim.1);
+            let (_, r) = self
+                .entries
+                .remove(&victim.1)
+                .expect("indexed keys are resident");
+            self.free.push(r);
             self.stats.evictions += 1;
         }
-        self.entries.insert(key, (heat, row.to_vec()));
+        // With no vacant row, rows `0..len` are all resident.
+        let r = self.free.pop().unwrap_or(self.entries.len());
+        self.row_mut(r).copy_from_slice(row);
+        self.entries.insert(key, (heat, r));
         self.by_heat.insert((heat, key));
         self.stats.inserts += 1;
         true
@@ -218,8 +252,9 @@ impl PrefetchCache {
     pub fn invalidate(&mut self, keys: &[Key]) -> u64 {
         let mut dropped = 0;
         for &k in keys {
-            if let Some((heat, _)) = self.entries.remove(&k) {
+            if let Some((heat, r)) = self.entries.remove(&k) {
                 self.by_heat.remove(&(heat, k));
+                self.free.push(r);
                 dropped += 1;
             }
         }
@@ -232,6 +267,7 @@ impl PrefetchCache {
         let n = self.entries.len() as u64;
         self.stats.invalidations += n;
         self.entries.clear();
+        self.free.clear();
         self.by_heat.clear();
     }
 }

@@ -17,8 +17,8 @@
 //! The struct here is only the ledger; [`crate::PlacedCluster`] drives
 //! the protocol.
 
+use oe_cache::{KeyMap, KeySet};
 use oe_core::{BatchId, Key};
-use std::collections::{HashMap, HashSet};
 
 /// A requested migration: which keys go where, and how long the
 /// double-write window runs before cutover.
@@ -38,10 +38,10 @@ pub(crate) struct ActiveMigration {
     /// `(key, source, destination)` for every real move.
     pub moves: Vec<(Key, usize, usize)>,
     /// key → destination, for O(1) double-write lookups on the push path.
-    pub dest_of: HashMap<Key, usize>,
+    pub dest_of: KeyMap<usize>,
     /// Keys whose destination replica has been seeded (at start, or
     /// lazily on first double-write of a key born after the snapshot).
-    pub seeded: HashSet<Key>,
+    pub seeded: KeySet,
     /// Batch the migration started after (its state is the snapshot).
     pub started_batch: BatchId,
     /// First batch whose `end_pull_phase` performs the cutover.

@@ -28,13 +28,13 @@ use crate::migration::{ActiveMigration, MigrationSpec, MigrationStats};
 use crate::placement::PlacementTable;
 use crate::placer::{NodeClass, SkewAwarePlacer};
 use crate::rebalance::{NodeWindow, RebalanceConfig, RebalanceController};
-use oe_cache::FreqTracker;
+use oe_cache::{FreqTracker, KeySet};
 use oe_core::plan::{ShardBuckets, ShardPlan};
 use oe_core::{BatchId, Key, MaintenanceReport, PsEngine, StatsSnapshot};
 use oe_simdevice::sync::{Mutex, RwLock};
 use oe_simdevice::{Cost, CostKind};
 use oe_telemetry::{Counter, Gauge, HistogramHandle, HistogramSnapshot, Registry};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A cluster of PS engines routed by an epoch-versioned placement table.
 pub struct PlacedCluster<E: PsEngine> {
@@ -223,7 +223,7 @@ impl<E: PsEngine> PlacedCluster<E> {
         // Seed: copy full entries (weights + optimizer state + version)
         // to the destinations. Keys with no entry yet are seeded lazily
         // on their first double-write (or at cutover).
-        let mut seeded = HashSet::new();
+        let mut seeded = KeySet::default();
         let mut copies = 0u64;
         for &(k, src, dest) in &real {
             if let Some((v, payload)) = self.nodes[src].export_entry(k, cost) {
@@ -334,10 +334,10 @@ impl<E: PsEngine> PlacedCluster<E> {
         }
     }
 
-    /// Bucket a burst by the *current* table and coalesce duplicates.
+    /// Plan a pull burst by the *current* table, coalescing duplicates.
     fn scatter(&self, keys: &[Key]) -> ShardPlan {
         let table = self.table.read();
-        ShardBuckets::bucket(keys, self.nodes.len(), |k| table.node_of(k)).coalesce()
+        ShardPlan::build(keys, self.nodes.len(), |k| table.node_of(k))
     }
 }
 
@@ -355,22 +355,23 @@ impl<E: PsEngine> PsEngine for PlacedCluster<E> {
         let start = out.len();
         out.resize(start + keys.len() * dim, 0.0);
         let plan = self.scatter(keys);
-        let mut node_costs = Vec::with_capacity(plan.groups.len());
-        {
+        let mut node_costs = Vec::with_capacity(plan.group_count());
+        // The counts' one reader is the controller's placer: without a
+        // controller they are not kept.
+        if self.controller.is_some() {
             let mut freq = self.freq.lock();
-            for g in &plan.groups {
-                for (ui, occ) in g.occs.iter().enumerate() {
-                    freq.observe(g.uniques[ui], occ.len() as u64);
-                }
+            for (u, &key) in plan.uniques().iter().enumerate() {
+                freq.observe(key, plan.occs(u).len() as u64);
             }
         }
-        for g in &plan.groups {
-            let mut node_out = Vec::with_capacity(g.uniques.len() * dim);
+        let mut node_out = Vec::new();
+        for g in plan.groups() {
+            node_out.clear();
             let mut c = Cost::new();
-            self.nodes[g.shard].pull(&g.uniques, batch, &mut node_out, &mut c);
-            for (ui, occ) in g.occs.iter().enumerate() {
+            self.nodes[g.shard].pull(g.uniques, batch, &mut node_out, &mut c);
+            for ui in 0..g.uniques.len() {
                 let src = ui * dim;
-                for &pos in occ {
+                for &pos in g.occs(ui) {
                     let dst = start + pos as usize * dim;
                     out[dst..dst + dim].copy_from_slice(&node_out[src..src + dim]);
                 }
@@ -436,20 +437,25 @@ impl<E: PsEngine> PsEngine for PlacedCluster<E> {
                 self.mig.lock().seed_copies += copies;
             }
         }
-        let plan = self.scatter(keys);
-        let mut node_costs = Vec::with_capacity(plan.groups.len());
-        for g in &plan.groups {
-            let occ = g.occurrences_in_request_order();
-            let mut node_keys = Vec::with_capacity(occ.len());
-            let mut node_grads = Vec::with_capacity(occ.len() * dim);
-            for &(pos, k) in &occ {
+        // Every occurrence goes to its owner in request order: only the
+        // owner's optimizer knows whether duplicates may coalesce.
+        let buckets = {
+            let table = self.table.read();
+            ShardBuckets::bucket(keys, self.nodes.len(), |k| table.node_of(k))
+        };
+        let mut node_costs = Vec::new();
+        let (mut node_keys, mut node_grads) = (Vec::new(), Vec::new());
+        for (node, occ) in buckets.iter() {
+            node_keys.clear();
+            node_grads.clear();
+            for &(pos, k) in occ {
                 node_keys.push(k);
                 let p = pos as usize * dim;
                 node_grads.extend_from_slice(&grads[p..p + dim]);
             }
             let mut c = Cost::new();
-            self.nodes[g.shard].push(&node_keys, &node_grads, batch, &mut c);
-            self.node_hist[g.shard].record(c.total_ns());
+            self.nodes[node].push(&node_keys, &node_grads, batch, &mut c);
+            self.node_hist[node].record(c.total_ns());
             node_costs.push(c);
         }
         // Double-write: migrating keys also push to their destination,

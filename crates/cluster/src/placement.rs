@@ -9,9 +9,9 @@
 //! fully determines routing, which is what lets tests assert *same
 //! epoch ⇒ same routing* as a property.
 
+use oe_cache::KeyMap;
 use oe_core::Key;
 use oe_simdevice::rng::splitmix64;
-use std::collections::HashMap;
 
 /// The static hash placement: which of `nodes` owns `key` when no
 /// placement override applies. Salted so node routing decorrelates from
@@ -26,7 +26,7 @@ pub fn hash_node_of(key: Key, nodes: usize) -> usize {
 pub struct PlacementTable {
     nodes: usize,
     epoch: u64,
-    overrides: HashMap<Key, usize>,
+    overrides: KeyMap<usize>,
 }
 
 impl PlacementTable {
@@ -36,7 +36,7 @@ impl PlacementTable {
         Self {
             nodes,
             epoch: 0,
-            overrides: HashMap::new(),
+            overrides: KeyMap::default(),
         }
     }
 

@@ -35,7 +35,7 @@ use crate::config::{
 use crate::engine::{MaintenanceReport, PsEngine};
 use crate::init::init_payload;
 use crate::optimizer::Optimizer;
-use crate::plan::{ShardBuckets, ShardGroup, ShardPlan};
+use crate::plan::{ShardGroup, ShardPlan};
 use crate::scratch::{PooledScratch, ReadAhead, Scratch, ScratchPool, Shape};
 use crate::stats::{EngineStats, StatsSnapshot};
 use crate::storage::{LocalPmem, StorageBackend};
@@ -677,18 +677,17 @@ impl PsNode {
         );
     }
 
-    /// Build the request's [`ShardPlan`], charging the plan and dedup
-    /// stages (pure CPU bookkeeping, proportional to occurrences).
-    fn build_plan(&self, keys: &[Key], cost: &mut Cost) -> ShardPlan {
+    /// Rebuild `plan` as the request's [`ShardPlan`], charging the plan
+    /// and dedup stages (pure CPU bookkeeping, proportional to
+    /// occurrences).
+    fn build_plan(&self, keys: &[Key], plan: &mut ShardPlan, cost: &mut Cost) {
         let plan_ns = PLAN_KEY_NS * keys.len() as u64;
         cost.charge(CostKind::Cpu, plan_ns);
-        let buckets = ShardBuckets::bucket(keys, self.shards.len(), |k| self.shard_of(k));
         self.phases.record_ns(Phase::Plan, plan_ns);
         let dedup_ns = DEDUP_KEY_NS * keys.len() as u64;
         cost.charge(CostKind::Cpu, dedup_ns);
-        let plan = buckets.coalesce();
+        plan.rebuild(keys, self.shards.len(), |k| self.shard_of(k));
         self.phases.record_ns(Phase::Dedup, dedup_ns);
-        plan
     }
 
     /// Execute one shard group of a planned pull: the shard's write
@@ -703,7 +702,7 @@ impl PsNode {
     /// late is one it touched.
     fn pull_group(
         &self,
-        group: &ShardGroup,
+        group: ShardGroup<'_>,
         batch: BatchId,
         boundaries: &[BatchId],
         s: &mut Scratch,
@@ -763,18 +762,20 @@ impl PsNode {
     /// produced on duplicate-free batches.
     fn pull_planned(&self, keys: &[Key], batch: BatchId, out: &mut Vec<f32>, cost: &mut Cost) {
         let dim = self.cfg.dim;
-        let plan = self.build_plan(keys, cost);
+        let payload_f32s = self.cfg.payload_f32s();
+        let mut planned = self.scratch.acquire(Shape::lane(payload_f32s));
+        self.build_plan(keys, &mut planned.plan, cost);
+        let plan = &planned.plan;
         let (boundaries, _) = self.boundaries();
         let lanes = plan.partition(self.cfg.parallelism);
 
-        let payload_f32s = self.cfg.payload_f32s();
         let run_lane = |range: &Range<usize>| {
             let mut scratch = self.scratch.acquire(Shape::lane(payload_f32s));
             let mut cost = Cost::new();
             {
                 let s = &mut *scratch;
-                for group in &plan.groups[range.clone()] {
-                    self.pull_group(group, batch, &boundaries, s, &mut cost);
+                for g in range.clone() {
+                    self.pull_group(plan.group(g), batch, &boundaries, s, &mut cost);
                 }
             }
             PullLane { scratch, cost }
@@ -805,36 +806,36 @@ impl PsNode {
         // positions, append the access queue once per unique (in stable
         // group order, so maintenance is identical at any lane count),
         // and settle occurrence-weighted stats.
-        let merge_ns = FANOUT_KEY_NS * plan.total_keys as u64;
+        let merge_ns = FANOUT_KEY_NS * plan.total_keys() as u64;
         cost.charge(CostKind::Cpu, merge_ns);
         let base = out.len();
         out.resize(base + keys.len() * dim, 0.0);
         for (lane, range) in lane_results.iter().zip(&lanes) {
-            let mut ul = 0; // unique cursor within the lane
-            for group in &plan.groups[range.clone()] {
-                for occs in &group.occs {
-                    let w = &lane.scratch.rows[ul * dim..(ul + 1) * dim];
-                    let cnt = occs.len() as u64;
-                    for &pos in occs {
-                        let dst = base + pos as usize * dim;
-                        out[dst..dst + dim].copy_from_slice(w);
-                    }
-                    match PullOutcome::from_code(lane.scratch.tags[ul]) {
-                        PullOutcome::Hit => EngineStats::add(&self.stats.hits, cnt),
-                        PullOutcome::Miss => EngineStats::add(&self.stats.misses, cnt),
-                        PullOutcome::New => {
-                            EngineStats::add(&self.stats.new_entries, 1);
-                            // Repeat occurrences read the just-inserted
-                            // DRAM entry: cache hits.
-                            EngineStats::add(&self.stats.hits, cnt - 1);
-                        }
-                    }
-                    ul += 1;
+            // A lane's groups are contiguous, so are its uniques: `ul`
+            // is the unique cursor within the lane.
+            let uniques = plan.unique_range(range.clone());
+            for (ul, u) in uniques.clone().enumerate() {
+                let occs = plan.occs(u);
+                let w = &lane.scratch.rows[ul * dim..(ul + 1) * dim];
+                let cnt = occs.len() as u64;
+                for &pos in occs {
+                    let dst = base + pos as usize * dim;
+                    out[dst..dst + dim].copy_from_slice(w);
                 }
-                self.access_queue.push_all(&group.uniques);
+                match PullOutcome::from_code(lane.scratch.tags[ul]) {
+                    PullOutcome::Hit => EngineStats::add(&self.stats.hits, cnt),
+                    PullOutcome::Miss => EngineStats::add(&self.stats.misses, cnt),
+                    PullOutcome::New => {
+                        EngineStats::add(&self.stats.new_entries, 1);
+                        // Repeat occurrences read the just-inserted
+                        // DRAM entry: cache hits.
+                        EngineStats::add(&self.stats.hits, cnt - 1);
+                    }
+                }
             }
+            self.access_queue.push_all(&plan.uniques()[uniques]);
         }
-        EngineStats::add(&self.stats.pulls, plan.total_keys as u64);
+        EngineStats::add(&self.stats.pulls, plan.total_keys() as u64);
         self.phases.record_ns(Phase::Merge, merge_ns);
 
         if !self.cfg.enable_pipeline {
@@ -893,7 +894,7 @@ impl PsNode {
     fn flush_pmem_run(
         &self,
         g: &mut Shard,
-        group: &ShardGroup,
+        group: ShardGroup<'_>,
         batch: BatchId,
         boundaries: &[BatchId],
         s: &mut Scratch,
@@ -930,7 +931,7 @@ impl PsNode {
     #[allow(clippy::too_many_arguments)]
     fn push_group(
         &self,
-        group: &ShardGroup,
+        group: ShardGroup<'_>,
         grads: &[f32],
         batch: BatchId,
         boundaries: &[BatchId],
@@ -946,7 +947,7 @@ impl PsNode {
         s.ahead.clear();
         for (ui, &key) in group.uniques.iter().enumerate() {
             cost.charge(CostKind::Cpu, HASH_PROBE_NS);
-            let occs = &group.occs[ui];
+            let occs = group.occs(ui);
             let loc = g.index.get(key).expect("pushed key must exist").loc;
             match loc.as_dram() {
                 Some(slot) => {
@@ -984,7 +985,7 @@ impl PsNode {
                         // every later one go out in one batch. A key moves
                         // only at its own turn, and never into DRAM, so
                         // each is read at the slot it is at now.
-                        self.read_ahead(&g, &group.uniques, ui, &mut s.ahead, cost);
+                        self.read_ahead(&g, group.uniques, ui, &mut s.ahead, cost);
                     }
                     let j = s.run.len();
                     s.rows.resize((j + 1) * stride, 0.0);
@@ -1034,17 +1035,20 @@ impl PsNode {
     /// apply sequentially within each key).
     fn push_planned(&self, keys: &[Key], grads: &[f32], batch: BatchId, cost: &mut Cost) {
         let dim = self.cfg.dim;
-        let plan = self.build_plan(keys, cost);
+        let payload_f32s = self.cfg.payload_f32s();
+        let mut planned = self.scratch.acquire(Shape::lane(payload_f32s));
+        self.build_plan(keys, &mut planned.plan, cost);
+        let plan = &planned.plan;
         let (boundaries, protect_max) = self.boundaries();
         let lanes = plan.partition(self.cfg.parallelism);
 
-        let payload_f32s = self.cfg.payload_f32s();
         let run_lane = |range: &Range<usize>| -> Cost {
             let mut lcost = Cost::new();
             let mut scratch = self.scratch.acquire(Shape::lane(payload_f32s));
             let s = &mut *scratch;
             s.acc.resize(dim, 0.0);
-            for group in &plan.groups[range.clone()] {
+            for g in range.clone() {
+                let group = plan.group(g);
                 self.push_group(group, grads, batch, &boundaries, protect_max, s, &mut lcost);
             }
             lcost

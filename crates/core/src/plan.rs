@@ -7,147 +7,241 @@
 //! payload access per *occurrence*. A [`ShardPlan`] restructures the
 //! request once up front:
 //!
-//! 1. **bucket** — group the keys by shard, preserving request order
-//!    within each group;
-//! 2. **coalesce** — deduplicate within each group, remembering every
-//!    occurrence position so pulls fan one payload read out to all
-//!    positions and pushes can sum duplicate gradients (when the
-//!    optimizer is linear in the gradient, see
-//!    [`crate::OptimizerKind::coalescible`]);
-//! 3. **partition** — split the groups into contiguous lane ranges
+//! 1. **bucket and coalesce** — group the keys by shard and
+//!    deduplicate within each group, remembering every occurrence
+//!    position so pulls fan one payload read out to all positions and
+//!    pushes can sum duplicate gradients (when the optimizer is linear
+//!    in the gradient, see [`crate::OptimizerKind::coalescible`]);
+//! 2. **partition** — split the groups into contiguous lane ranges
 //!    balanced by unique-key count, for parallel execution with one
 //!    lock acquisition per shard per request.
+//!
+//! The plan is flat (DESIGN.md, "The flat shard plan"): three arrays
+//! for the whole request, deduplicated through one [`KeyMap`], so a
+//! unique key costs no allocation of its own. A router that forwards
+//! every occurrence instead buckets alone ([`ShardBuckets`]).
 //!
 //! The plan is pure data: the node executes it (`PsNode::pull`/`push`)
 //! and the cost model prices it (`oe_simdevice::Cost::merge_parallel`).
 
 use crate::Key;
-use std::collections::HashMap;
+use oe_cache::{KeyMap, KeyState};
 use std::ops::Range;
 
-/// One shard's slice of a request after duplicate coalescing.
-#[derive(Debug)]
-pub struct ShardGroup {
+/// One shard's slice of a planned request, borrowed from its
+/// [`ShardPlan`].
+#[derive(Debug, Clone, Copy)]
+pub struct ShardGroup<'p> {
     /// Shard index in the node's shard vector.
     pub shard: usize,
     /// Distinct keys of this group, in first-occurrence order.
-    pub uniques: Vec<Key>,
-    /// For each unique key, the positions it occupies in the original
-    /// request, in request order (`occs[i]` is never empty).
-    pub occs: Vec<Vec<u32>>,
+    pub uniques: &'p [Key],
+    /// `occ_start[ui]..occ_start[ui + 1]` indexes `occ_pos`: one more
+    /// entry than `uniques`.
+    occ_start: &'p [u32],
+    occ_pos: &'p [u32],
 }
 
-impl ShardGroup {
-    /// Flatten the group back to its `(position, key)` occurrence list
-    /// in original request order — the inverse of coalescing. Used when
-    /// a router buckets a request but must keep per-occurrence payloads
-    /// on the wire (e.g. gradient pushes whose coalescibility only the
-    /// owning node's optimizer can decide).
-    pub fn occurrences_in_request_order(&self) -> Vec<(u32, Key)> {
-        let mut v: Vec<(u32, Key)> = Vec::with_capacity(self.occs.iter().map(Vec::len).sum());
-        for (ui, occ) in self.occs.iter().enumerate() {
-            for &pos in occ {
-                v.push((pos, self.uniques[ui]));
-            }
-        }
-        v.sort_unstable_by_key(|&(pos, _)| pos);
-        v
+impl<'p> ShardGroup<'p> {
+    /// The positions unique `ui` occupies in the original request, in
+    /// request order (never empty).
+    #[inline]
+    pub fn occs(&self, ui: usize) -> &'p [u32] {
+        &self.occ_pos[self.occ_start[ui] as usize..self.occ_start[ui + 1] as usize]
     }
 }
 
-/// A batched request bucketed by shard and coalesced per group.
-#[derive(Debug)]
+/// A batched request bucketed by shard and coalesced per group, kept
+/// flat: the request's distinct keys in one array ordered by group, and
+/// each unique's occurrence positions as one range of a second array
+/// (compressed sparse rows). A group is a range of uniques.
+///
+/// A plan is reusable: [`ShardPlan::rebuild`] keeps every buffer's
+/// capacity and its dedup map, so a node that pools its plans plans a
+/// steady-state request without allocating.
+#[derive(Debug, Default)]
 pub struct ShardPlan {
-    /// Non-empty shard groups, ascending by shard index.
-    pub groups: Vec<ShardGroup>,
-    /// Total key occurrences in the request.
-    pub total_keys: usize,
-    /// Total distinct keys across all groups.
-    pub total_uniques: usize,
-}
-
-/// Intermediate result of the bucketing stage, before coalescing.
-#[derive(Debug)]
-pub struct ShardBuckets {
-    /// `(position, key)` pairs per shard, request order preserved.
-    buckets: Vec<Vec<(u32, Key)>>,
+    /// `(shard, end of its uniques)` of each non-empty group, ascending
+    /// by shard; a group's uniques start where the previous one's end.
+    groups: Vec<(usize, u32)>,
+    /// Distinct keys: group by group, first-occurrence order within one.
+    uniques: Vec<Key>,
+    /// `occ_start[u]..occ_start[u + 1]` indexes `occ_pos`; one more
+    /// entry than `uniques` (or none for an empty request).
+    occ_start: Vec<u32>,
+    /// Request positions of every unique's occurrences, unique by
+    /// unique, request order within one.
+    occ_pos: Vec<u32>,
     total_keys: usize,
-}
-
-impl ShardBuckets {
-    /// Stage 1: bucket `keys` by shard. `shard_of` must be a pure
-    /// function of the key.
-    pub fn bucket(keys: &[Key], shards: usize, shard_of: impl Fn(Key) -> usize) -> Self {
-        Self::bucket_from(keys.iter().copied(), shards, shard_of)
-    }
-
-    /// Stage 1 over any key producer: scatter keys straight into shard
-    /// buckets without requiring a materialized slice. This is the
-    /// zero-copy entry point — a borrowed wire view (e.g.
-    /// `oe_net::codec` key slices over the frame bytes) can feed the
-    /// plan directly, so the only copy a request's keys ever take is
-    /// wire → per-shard scratch.
-    pub fn bucket_from(
-        keys: impl Iterator<Item = Key>,
-        shards: usize,
-        shard_of: impl Fn(Key) -> usize,
-    ) -> Self {
-        let mut buckets: Vec<Vec<(u32, Key)>> = vec![Vec::new(); shards];
-        let mut total_keys = 0usize;
-        for (pos, key) in keys.enumerate() {
-            buckets[shard_of(key)].push((pos as u32, key));
-            total_keys += 1;
-        }
-        Self {
-            buckets,
-            total_keys,
-        }
-    }
-
-    /// Stage 2: coalesce duplicates within each bucket into a
-    /// [`ShardPlan`].
-    pub fn coalesce(self) -> ShardPlan {
-        let mut groups = Vec::new();
-        let mut total_uniques = 0;
-        for (shard, bucket) in self.buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let mut uniques: Vec<Key> = Vec::new();
-            let mut occs: Vec<Vec<u32>> = Vec::new();
-            let mut seen: HashMap<Key, usize> = HashMap::with_capacity(bucket.len());
-            for (pos, key) in bucket {
-                match seen.get(&key) {
-                    Some(&ui) => occs[ui].push(pos),
-                    None => {
-                        seen.insert(key, uniques.len());
-                        uniques.push(key);
-                        occs.push(vec![pos]);
-                    }
-                }
-            }
-            total_uniques += uniques.len();
-            groups.push(ShardGroup {
-                shard,
-                uniques,
-                occs,
-            });
-        }
-        ShardPlan {
-            groups,
-            total_keys: self.total_keys,
-            total_uniques,
-        }
-    }
+    /// Build scratch, kept for reuse: first-occurrence id of each key…
+    seen: KeyMap<u32>,
+    /// …and of each request position; each first-occurrence id's key,
+    /// shard, occurrence count and final unique index.
+    pos_id: Vec<u32>,
+    first_key: Vec<Key>,
+    first_shard: Vec<u32>,
+    first_count: Vec<u32>,
+    first_rank: Vec<u32>,
+    /// Per shard: uniques, then the next free unique index.
+    shard_next: Vec<u32>,
 }
 
 impl ShardPlan {
+    /// Plan `keys` over `shards` shards. `shard_of` must be a pure
+    /// function of the key below `shards`.
+    pub fn build(keys: &[Key], shards: usize, shard_of: impl Fn(Key) -> usize) -> Self {
+        let mut plan = Self::default();
+        plan.rebuild(keys, shards, shard_of);
+        plan
+    }
+
+    /// An empty plan whose dedup map hashes under `state` (tests that
+    /// show no plan depends on the hash function).
+    pub fn with_hasher(state: KeyState) -> Self {
+        Self {
+            seen: KeyMap::with_hasher(state),
+            ..Self::default()
+        }
+    }
+
+    /// Replace this plan with the plan of `keys`, reusing its buffers.
+    /// Groups ascend by shard; uniques keep first-occurrence order
+    /// within a group, and occurrences keep request order within a
+    /// unique.
+    pub fn rebuild(&mut self, keys: &[Key], shards: usize, shard_of: impl Fn(Key) -> usize) {
+        assert!(
+            u32::try_from(keys.len()).is_ok(),
+            "a request holds fewer than 2^32 keys"
+        );
+        self.total_keys = keys.len();
+        // Pass 1: number distinct keys in first-occurrence order.
+        self.seen.clear();
+        self.seen.reserve(keys.len());
+        self.pos_id.clear();
+        self.first_key.clear();
+        self.first_shard.clear();
+        self.first_count.clear();
+        for &key in keys {
+            let next = self.first_key.len() as u32;
+            let id = *self.seen.entry(key).or_insert(next);
+            if id == next {
+                let shard = shard_of(key);
+                debug_assert!(shard < shards, "shard {shard} of key {key} out of range");
+                self.first_key.push(key);
+                self.first_shard.push(shard as u32);
+                self.first_count.push(0);
+            }
+            self.first_count[id as usize] += 1;
+            self.pos_id.push(id);
+        }
+        // Pass 2: a stable counting sort of the uniques by shard, which
+        // keeps first-occurrence order within each group.
+        self.shard_next.clear();
+        self.shard_next.resize(shards, 0);
+        for &shard in &self.first_shard {
+            self.shard_next[shard as usize] += 1;
+        }
+        self.groups.clear();
+        let mut end = 0u32;
+        for (shard, next) in self.shard_next.iter_mut().enumerate() {
+            let n = *next;
+            *next = end;
+            if n > 0 {
+                end += n;
+                self.groups.push((shard, end));
+            }
+        }
+        let n = self.first_key.len();
+        self.uniques.clear();
+        self.uniques.resize(n, 0);
+        self.first_rank.clear();
+        self.occ_start.clear();
+        self.occ_start.resize(if n == 0 { 0 } else { n + 1 }, 0);
+        for (id, (&key, &shard)) in self.first_key.iter().zip(&self.first_shard).enumerate() {
+            let next = &mut self.shard_next[shard as usize];
+            let u = *next as usize;
+            *next += 1;
+            self.uniques[u] = key;
+            self.first_rank.push(u as u32);
+            self.occ_start[u + 1] = self.first_count[id];
+        }
+        for u in 1..self.occ_start.len() {
+            self.occ_start[u] += self.occ_start[u - 1];
+        }
+        // Pass 3: file each position under its unique, in request order,
+        // with the last pass's counts as cursors.
+        self.occ_pos.clear();
+        self.occ_pos.resize(keys.len(), 0);
+        let cursor = &mut self.first_count;
+        for (id, &u) in self.first_rank.iter().enumerate() {
+            cursor[id] = self.occ_start[u as usize];
+        }
+        for (pos, &id) in self.pos_id.iter().enumerate() {
+            let c = &mut cursor[id as usize];
+            self.occ_pos[*c as usize] = pos as u32;
+            *c += 1;
+        }
+    }
+
+    /// Number of non-empty shard groups.
+    pub fn group_count(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// The uniques of groups `range`: a range of [`ShardPlan::uniques`].
+    pub fn unique_range(&self, range: Range<usize>) -> Range<usize> {
+        // Uniques of the groups before group `g`.
+        let before = |g: usize| match g {
+            0 => 0,
+            g => self.groups[g - 1].1 as usize,
+        };
+        before(range.start)..before(range.end)
+    }
+
+    /// Group `g`, groups ascending by shard index.
+    pub fn group(&self, g: usize) -> ShardGroup<'_> {
+        let uniques = self.unique_range(g..g + 1);
+        ShardGroup {
+            shard: self.groups[g].0,
+            uniques: &self.uniques[uniques.clone()],
+            occ_start: &self.occ_start[uniques.start..=uniques.end],
+            occ_pos: &self.occ_pos,
+        }
+    }
+
+    /// Every group, ascending by shard index.
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = ShardGroup<'_>> + '_ {
+        (0..self.groups.len()).map(|g| self.group(g))
+    }
+
+    /// The request's distinct keys, group by group.
+    pub fn uniques(&self) -> &[Key] {
+        &self.uniques
+    }
+
+    /// The request positions of unique `u` (an index into
+    /// [`ShardPlan::uniques`]), in request order.
+    #[inline]
+    pub fn occs(&self, u: usize) -> &[u32] {
+        &self.occ_pos[self.occ_start[u] as usize..self.occ_start[u + 1] as usize]
+    }
+
+    /// Total key occurrences in the request.
+    pub fn total_keys(&self) -> usize {
+        self.total_keys
+    }
+
+    /// Total distinct keys across all groups.
+    pub fn total_uniques(&self) -> usize {
+        self.uniques.len()
+    }
+
     /// Duplicate-key coalescing ratio: occurrences per unique key.
     pub fn dedup_ratio(&self) -> f64 {
-        if self.total_uniques == 0 {
+        if self.uniques.is_empty() {
             1.0
         } else {
-            self.total_keys as f64 / self.total_uniques as f64
+            self.total_keys as f64 / self.uniques.len() as f64
         }
     }
 
@@ -156,31 +250,62 @@ impl ShardPlan {
     /// the plan alone, so lane assignment (and therefore the per-lane
     /// simulated cost) is reproducible.
     pub fn partition(&self, lanes: usize) -> Vec<Range<usize>> {
-        let lanes = lanes.max(1).min(self.groups.len().max(1));
-        if self.groups.is_empty() {
+        let groups = self.groups.len();
+        let lanes = lanes.max(1).min(groups.max(1));
+        if groups == 0 {
             return Vec::new();
         }
-        let total: usize = self.groups.iter().map(|g| g.uniques.len()).sum();
         let mut ranges = Vec::with_capacity(lanes);
         let mut start = 0usize;
-        let mut remaining = total;
+        let mut remaining = self.uniques.len();
         for lane in 0..lanes {
             let lanes_left = lanes - lane;
             // Leave at least one group for each remaining lane.
-            let max_end = self.groups.len() - (lanes_left - 1);
+            let max_end = groups - (lanes_left - 1);
             let target = remaining.div_ceil(lanes_left);
             let mut end = start;
             let mut acc = 0usize;
             while end < max_end && (acc < target || end == start) {
-                acc += self.groups[end].uniques.len();
+                acc += self.unique_range(end..end + 1).len();
                 end += 1;
             }
             remaining -= acc;
             ranges.push(start..end);
             start = end;
         }
-        debug_assert_eq!(start, self.groups.len());
+        debug_assert_eq!(start, groups);
         ranges
+    }
+}
+
+/// A request's `(position, key)` pairs bucketed by shard, request order
+/// kept within each bucket: what a router forwards when each owner must
+/// see every occurrence (gradient pushes, whose coalescibility only the
+/// owning node's optimizer can decide).
+#[derive(Debug)]
+pub struct ShardBuckets {
+    buckets: Vec<Vec<(u32, Key)>>,
+}
+
+impl ShardBuckets {
+    /// Bucket `keys` by shard. `shard_of` must be a pure function of
+    /// the key below `shards`.
+    pub fn bucket(keys: &[Key], shards: usize, shard_of: impl Fn(Key) -> usize) -> Self {
+        let mut buckets: Vec<Vec<(u32, Key)>> = vec![Vec::new(); shards];
+        for (pos, &key) in keys.iter().enumerate() {
+            buckets[shard_of(key)].push((pos as u32, key));
+        }
+        Self { buckets }
+    }
+
+    /// Each non-empty bucket as `(shard, occurrences)`, ascending by
+    /// shard, occurrences in request order.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[(u32, Key)])> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| !b.is_empty())
+            .map(|(shard, b)| (shard, b.as_slice()))
     }
 }
 
@@ -189,52 +314,55 @@ mod tests {
     use super::*;
 
     fn plan(keys: &[Key], shards: usize) -> ShardPlan {
-        ShardBuckets::bucket(keys, shards, |k| (k % shards as u64) as usize).coalesce()
+        ShardPlan::build(keys, shards, |k| (k % shards as u64) as usize)
+    }
+
+    fn occs(g: ShardGroup<'_>) -> Vec<&[u32]> {
+        (0..g.uniques.len()).map(|ui| g.occs(ui)).collect()
     }
 
     #[test]
     fn buckets_preserve_order_and_coalesce_duplicates() {
         // Shard 0: 4, 2, 4, 2, 4 · shard 1: 7, 7.
         let p = plan(&[4, 7, 2, 4, 2, 7, 4], 2);
-        assert_eq!(p.total_keys, 7);
-        assert_eq!(p.total_uniques, 3);
-        assert_eq!(p.groups.len(), 2);
-        let g0 = &p.groups[0];
+        assert_eq!(p.total_keys(), 7);
+        assert_eq!(p.total_uniques(), 3);
+        assert_eq!(p.group_count(), 2);
+        let g0 = p.group(0);
         assert_eq!(g0.shard, 0);
-        assert_eq!(g0.uniques, vec![4, 2]);
-        assert_eq!(g0.occs, vec![vec![0, 3, 6], vec![2, 4]]);
-        let g1 = &p.groups[1];
-        assert_eq!(g1.uniques, vec![7]);
-        assert_eq!(g1.occs, vec![vec![1, 5]]);
+        assert_eq!(g0.uniques, [4, 2]);
+        assert_eq!(occs(g0), [&[0, 3, 6][..], &[2, 4]]);
+        let g1 = p.group(1);
+        assert_eq!(g1.uniques, [7]);
+        assert_eq!(occs(g1), [&[1, 5]]);
+        assert_eq!(p.uniques(), [4, 2, 7]);
+        assert_eq!(p.occs(2), [1, 5]);
+        assert_eq!(p.unique_range(1..2), 2..3);
         assert!((p.dedup_ratio() - 7.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
-    fn occurrences_round_trip_through_coalescing() {
+    fn buckets_list_each_shards_positions_in_request_order() {
         let keys = [4u64, 7, 2, 4, 2, 7, 4];
-        let p = plan(&keys, 2);
-        // Group 0 holds positions {0,2,3,4,6}, group 1 holds {1,5};
-        // flattening each group reproduces the original (pos, key)
-        // pairs in request order.
-        let g0 = p.groups[0].occurrences_in_request_order();
-        assert_eq!(g0, vec![(0, 4), (2, 2), (3, 4), (4, 2), (6, 4)]);
-        let g1 = p.groups[1].occurrences_in_request_order();
-        assert_eq!(g1, vec![(1, 7), (5, 7)]);
-        let mut all: Vec<(u32, u64)> = p
-            .groups
-            .iter()
-            .flat_map(|g| g.occurrences_in_request_order())
-            .collect();
-        all.sort_unstable_by_key(|&(pos, _)| pos);
-        let rebuilt: Vec<u64> = all.iter().map(|&(_, k)| k).collect();
-        assert_eq!(rebuilt, keys);
+        let b = ShardBuckets::bucket(&keys, 3, |k| (k % 2) as usize);
+        let buckets: Vec<(usize, Vec<(u32, Key)>)> =
+            b.iter().map(|(s, occ)| (s, occ.to_vec())).collect();
+        assert_eq!(
+            buckets,
+            vec![
+                (0, vec![(0, 4), (2, 2), (3, 4), (4, 2), (6, 4)]),
+                (1, vec![(1, 7), (5, 7)]),
+            ],
+            "shard 2 is empty and skipped"
+        );
     }
 
     #[test]
     fn empty_shards_are_skipped() {
         let p = plan(&[8, 8, 8], 4); // all land on shard 0
-        assert_eq!(p.groups.len(), 1);
-        assert_eq!(p.groups[0].uniques, vec![8]);
+        assert_eq!(p.group_count(), 1);
+        assert_eq!(p.group(0).uniques, [8]);
+        assert_eq!(p.group(0).occs(0), [0, 1, 2]);
     }
 
     #[test]
@@ -242,7 +370,7 @@ mod tests {
         let p = plan(&(0..97u64).collect::<Vec<_>>(), 16);
         for lanes in [1usize, 2, 3, 4, 16, 100] {
             let ranges = p.partition(lanes);
-            assert!(ranges.len() <= lanes.min(p.groups.len()));
+            assert!(ranges.len() <= lanes.min(p.group_count()));
             let mut covered = 0;
             let mut next = 0;
             for r in &ranges {
@@ -251,7 +379,7 @@ mod tests {
                 covered += r.len();
                 next = r.end;
             }
-            assert_eq!(covered, p.groups.len(), "lanes={lanes}");
+            assert_eq!(covered, p.group_count(), "lanes={lanes}");
         }
     }
 
@@ -268,23 +396,30 @@ mod tests {
     }
 
     #[test]
-    fn bucket_from_iterator_matches_slice_bucketing() {
+    fn a_rebuilt_plan_equals_a_fresh_one() {
+        let mut p = plan(&(0..300u64).map(|i| i * i % 97).collect::<Vec<_>>(), 5);
         let keys = [4u64, 7, 2, 4, 2, 7, 4, 9, 0];
-        let a = ShardBuckets::bucket(&keys, 3, |k| (k % 3) as usize).coalesce();
-        let b = ShardBuckets::bucket_from(keys.iter().copied(), 3, |k| (k % 3) as usize).coalesce();
-        assert_eq!(a.total_keys, b.total_keys);
-        assert_eq!(a.total_uniques, b.total_uniques);
-        for (ga, gb) in a.groups.iter().zip(&b.groups) {
+        p.rebuild(&keys, 3, |k| (k % 3) as usize);
+        let fresh = plan(&keys, 3);
+        assert_eq!(p.total_keys(), fresh.total_keys());
+        assert_eq!(p.uniques(), fresh.uniques());
+        assert_eq!(p.group_count(), fresh.group_count());
+        for (ga, gb) in p.groups().zip(fresh.groups()) {
             assert_eq!(ga.shard, gb.shard);
             assert_eq!(ga.uniques, gb.uniques);
-            assert_eq!(ga.occs, gb.occs);
+            assert_eq!(occs(ga), occs(gb));
         }
+        p.rebuild(&[], 3, |k| (k % 3) as usize);
+        assert_eq!(
+            (p.group_count(), p.total_uniques(), p.total_keys()),
+            (0, 0, 0)
+        );
     }
 
     #[test]
     fn empty_request_yields_empty_plan() {
         let p = plan(&[], 4);
-        assert!(p.groups.is_empty());
+        assert_eq!(p.group_count(), 0);
         assert_eq!(p.dedup_ratio(), 1.0);
         assert!(p.partition(4).is_empty());
     }

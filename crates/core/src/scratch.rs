@@ -15,6 +15,7 @@
 //! lane), far from contended next to the work a request performs.
 //! Bounded shelves keep a pathological shape churn from hoarding memory.
 
+use crate::plan::ShardPlan;
 use crate::storage::StorageBackend;
 use crate::Key;
 use oe_pmem::SlotId;
@@ -83,6 +84,9 @@ pub struct Scratch {
     /// The slots a shard group or maintenance run reads, read ahead in
     /// one batch.
     pub ahead: ReadAhead,
+    /// A planned request's shard plan; [`ShardPlan::rebuild`] reuses
+    /// its buffers and dedup map, so it is not cleared here.
+    pub plan: ShardPlan,
 }
 
 impl Scratch {

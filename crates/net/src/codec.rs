@@ -523,7 +523,7 @@ impl Packet {
     /// Serialize to a wire packet (header + checksum + body). The body
     /// is encoded directly into the packet buffer — no staging buffer,
     /// no body copy — and the length/checksum header fields are patched
-    /// in afterwards ([`Packet::seal`]).
+    /// in afterwards (the private `Packet::seal`).
     pub fn encode(&self) -> Bytes {
         let (client, seq) = (self.client, self.seq);
         let mut pkt = Self::header(self.frame.msg_type(), client, seq, CONTROL_BODY_HINT);

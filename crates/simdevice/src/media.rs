@@ -231,7 +231,7 @@ impl Media {
     /// When nobody can observe the store half-done — the line shadow is
     /// empty and no armed [`CrashPlan`] falls on either of its two
     /// events — the bytes go straight into the durable image, which is
-    /// where the fence would have put them (see [`Self::store_durable`]).
+    /// where the fence would have put them (the private `store_durable`).
     pub fn write_persist(&self, off: u64, data: &[u8], cost: &mut Cost) {
         let mut g = self.inner.write();
         if self.is_pmem() && !data.is_empty() && g.unobserved() {

@@ -65,7 +65,7 @@ use crate::phases::PhaseBreakdown;
 use crate::report::TrainReport;
 use crate::trainer::{teacher_label, worker_grads, BatchCtx, RunAcc};
 use crate::{TrainMode, TrainerConfig};
-use oe_cache::{FreqTracker, PrefetchCache};
+use oe_cache::{FreqTracker, KeyMap, KeySet, PrefetchCache};
 use oe_core::engine::PsEngine;
 use oe_core::{BatchId, Key};
 use oe_net::{Error as NetError, NetCharge, PsClient};
@@ -73,7 +73,7 @@ use oe_simdevice::clock::Nanos;
 use oe_simdevice::{Cost, VirtualClock};
 use oe_workload::trace::{TraceKind, TraceRecorder};
 use oe_workload::{Batch, LookaheadGen, WorkloadGen, WorkloadSpec};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Wire time of one worker's pull or push burst: a [`NetCharge`] round
 /// trip carrying each key's id and its `dim` f32s (weights one way,
@@ -206,12 +206,12 @@ pub struct PipelinedTrainer<'a> {
     cache: PrefetchCache,
     heat: FreqTracker,
     pending: VecDeque<PendingPush>,
-    pending_refs: HashMap<Key, u32>,
+    pending_refs: KeyMap<u32>,
     coherence: Option<&'a dyn CoherenceSource>,
     trace: TraceRecorder,
     windows_run: u64,
     stale_occurrences: u64,
-    stale_keys: HashSet<Key>,
+    stale_keys: KeySet,
     async_applied_batches: u64,
     hidden_ns: Nanos,
     drain_ns: Nanos,
@@ -244,12 +244,12 @@ impl<'a> PipelinedTrainer<'a> {
             pcfg,
             heat: FreqTracker::new(),
             pending: VecDeque::new(),
-            pending_refs: HashMap::new(),
+            pending_refs: KeyMap::default(),
             coherence: None,
             trace: TraceRecorder::new(),
             windows_run: 0,
             stale_occurrences: 0,
-            stale_keys: HashSet::new(),
+            stale_keys: KeySet::default(),
             async_applied_batches: 0,
             hidden_ns: 0,
             drain_ns: 0,
@@ -386,6 +386,13 @@ impl<'a> PipelinedTrainer<'a> {
         let k = self.pcfg.staleness as u64;
         let caching = self.pcfg.staleness >= 1 && self.cache.capacity() > 0;
         let mut batch_phase = PhaseBreakdown::default();
+        // At k = 0 each window's push applies before the window ends (an
+        // error drops it), so no push is pending at a boundary and no
+        // pull can read a stale key: the refcounts are not kept.
+        debug_assert!(
+            k >= 1 || self.pending.is_empty(),
+            "k = 0 starts a window with no push pending"
+        );
 
         // ---- coherence fences from the placement plane ----
         if let Some(src) = self.coherence {
@@ -418,13 +425,17 @@ impl<'a> PipelinedTrainer<'a> {
         let mut demand_keys = 0usize;
         let mut worker_data: Vec<(Batch, Vec<f32>)> = Vec::with_capacity(global.len());
         for wb in global {
-            for &key in &wb.unique_keys {
-                if caching {
+            if caching {
+                for &key in &wb.unique_keys {
                     self.heat.observe(key, 1);
                 }
-                if self.pending_refs.contains_key(&key) {
-                    self.stale_occurrences += 1;
-                    self.stale_keys.insert(key);
+            }
+            if k >= 1 {
+                for &key in &wb.unique_keys {
+                    if self.pending_refs.contains_key(&key) {
+                        self.stale_occurrences += 1;
+                        self.stale_keys.insert(key);
+                    }
                 }
             }
             let mut weights = Vec::with_capacity(wb.unique_keys.len() * dim);
@@ -478,27 +489,29 @@ impl<'a> PipelinedTrainer<'a> {
 
         // ---- gradients (functional) ----
         let mut bursts: Vec<(Vec<Key>, Vec<f32>)> = Vec::with_capacity(worker_data.len());
-        for (wb, weights) in &worker_data {
+        for (wb, weights) in worker_data {
             let grads = worker_grads(
                 &self.cfg.mode,
                 &mut self.model,
-                wb,
-                weights,
+                &wb,
+                &weights,
                 b,
                 dim,
                 ctx.spec.fields,
                 acc,
             );
-            bursts.push((wb.unique_keys.clone(), grads));
+            bursts.push((wb.unique_keys, grads));
         }
         if let Some(model) = self.model.as_mut() {
             model.step_dense(); // synchronous allreduce equivalent
         }
 
         // ---- enqueue this window's push ----
-        for (keys, _) in &bursts {
-            for &key in keys {
-                *self.pending_refs.entry(key).or_insert(0) += 1;
+        if k >= 1 {
+            for (keys, _) in &bursts {
+                for &key in keys {
+                    *self.pending_refs.entry(key).or_insert(0) += 1;
+                }
             }
         }
         self.pending.push_back(PendingPush { batch: b, bursts });
@@ -613,15 +626,19 @@ impl<'a> PipelinedTrainer<'a> {
                 self.client.push_batch(keys, grads, p.batch, &mut c)?;
             }
             net = net.max(burst_net_ns(keys.len(), ctx.dim));
-            for key in keys {
-                if let Some(n) = self.pending_refs.get_mut(key) {
-                    *n -= 1;
-                    if *n == 0 {
-                        self.pending_refs.remove(key);
+            if self.pcfg.staleness >= 1 {
+                for key in keys {
+                    if let Some(n) = self.pending_refs.get_mut(key) {
+                        *n -= 1;
+                        if *n == 0 {
+                            self.pending_refs.remove(key);
+                        }
                     }
                 }
             }
-            self.cache.invalidate(keys);
+            if !self.cache.is_empty() {
+                self.cache.invalidate(keys);
+            }
             self.record(at, TraceKind::Update, keys.len());
         }
         Ok(ctx.pull_model.burst_ns(&c) + net)

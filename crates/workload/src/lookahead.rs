@@ -59,16 +59,33 @@ impl LookaheadGen {
     /// The union of all workers' deduplicated keys for `batch_idx`,
     /// sorted ascending — the set a prefetcher wants to stage before
     /// the batch starts. Shares the memo with [`Self::global_batch`].
+    /// Each worker's keys are already sorted and distinct, so the lists
+    /// merge pairwise, dropping keys two workers share.
     pub fn unique_union(&mut self, batch_idx: u64) -> Vec<Key> {
-        let batches = self.global_batch(batch_idx);
-        let mut union: Vec<Key> = batches
-            .iter()
-            .flat_map(|b| b.unique_keys.iter().copied())
-            .collect();
-        union.sort_unstable();
-        union.dedup();
+        let mut union: Vec<Key> = Vec::new();
+        let mut merged: Vec<Key> = Vec::new();
+        for b in self.global_batch(batch_idx) {
+            merge_distinct(&union, &b.unique_keys, &mut merged);
+            std::mem::swap(&mut union, &mut merged);
+        }
         union
     }
+}
+
+/// Write the sorted, distinct union of two sorted, distinct lists to
+/// `out`.
+fn merge_distinct(a: &[Key], b: &[Key], out: &mut Vec<Key>) {
+    out.clear();
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 #[cfg(test)]
@@ -115,17 +132,30 @@ mod tests {
     }
 
     #[test]
+    fn merge_keeps_each_key_once_in_order() {
+        let mut out = vec![99];
+        merge_distinct(&[1, 3, 5, 9], &[2, 3, 9, 10], &mut out);
+        assert_eq!(out, [1, 2, 3, 5, 9, 10]);
+        merge_distinct(&[], &[4], &mut out);
+        assert_eq!(out, [4]);
+        merge_distinct(&[], &[], &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
     fn unique_union_is_sorted_dedup_superset() {
         let mut la = LookaheadGen::new(WorkloadGen::new(WorkloadSpec::small()));
-        let union = la.unique_union(3);
-        let mut sorted = union.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(union, sorted);
-        for b in la.global_batch(3).to_vec() {
-            for k in b.unique_keys {
-                assert!(union.binary_search(&k).is_ok());
-            }
+        for batch in 0..4 {
+            let union = la.unique_union(batch);
+            // The reference: concatenate, sort, deduplicate.
+            let mut all: Vec<Key> = la
+                .global_batch(batch)
+                .iter()
+                .flat_map(|b| b.unique_keys.iter().copied())
+                .collect();
+            all.sort_unstable();
+            all.dedup();
+            assert_eq!(union, all, "batch {batch}");
         }
     }
 }
