@@ -81,9 +81,11 @@ done
 # drivers in tests/support/; the prefetch cache ranks by FreqTracker
 # itself, and Optimizer::apply checks its own shape. A router forwards
 # a push's occurrences straight from its shard buckets, with no
-# coalesce-then-sort round trip.
+# coalesce-then-sort round trip. The node's request path runs one way:
+# one gradient apply (no batched multi-row kernel, no PMem-run flush)
+# and one scratch shelf (no shape-keyed table).
 echo "==> retired twins stay retired"
-if grep -rnE "train::crashmc|bench::rebalance|net::fault|HeatSketch|fn try_apply|occurrences_in_request_order|pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster|Packet::decode|ServingNode|sampled_lookup|NetModel|PipelineWindow|amdahl_burst|shared_bandwidth_ns|shared_write_ns|fn advance_to|ps_service_threads|maintainer_threads|streams_per_worker|init_scale|load_ratio|p99_ratio|youngs_interval|expected_hot_share|che_miss_rate|normalized_to|fn burstiness|GpuModel::fast" \
+if grep -rnE "train::crashmc|bench::rebalance|net::fault|HeatSketch|fn try_apply|occurrences_in_request_order|pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster|Packet::decode|ServingNode|sampled_lookup|NetModel|PipelineWindow|amdahl_burst|shared_bandwidth_ns|shared_write_ns|fn advance_to|ps_service_threads|maintainer_threads|streams_per_worker|init_scale|load_ratio|p99_ratio|youngs_interval|expected_hot_share|che_miss_rate|normalized_to|fn burstiness|GpuModel::fast|apply_batch|flush_pmem_run|grad_rows|Shape::lane|Shape::request|MAX_SHAPES" \
   crates tests examples README.md DESIGN.md; then
   echo "a retired name resurfaced (see above)" >&2
   exit 1
@@ -186,7 +188,15 @@ if awk '/fn flush_payload\(/ { f = 1 } f && /Vec::new\(\)/ { print FILENAME ":" 
   echo "flush_payload allocates again (see above)" >&2
   exit 1
 fi
-# A shard group's reads, rows and outcome tags live in the lane's pooled
+# Lanes are virtual: a request's shard groups run in order on the
+# request thread, and each lane is a Cost bucket. The node's product
+# code starts no thread.
+if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /thread::(scope|spawn)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/core/src/node.rs; then
+  echo "crates/core/src/node.rs forks the request path onto threads again (see above)" >&2
+  exit 1
+fi
+# A shard group's reads, rows and outcome tags live in the request's pooled
 # scratch: the pull and push group bodies allocate nothing per group.
 if awk '/fn (pull_group|push_group)\(/ { f = 1 } f && /Vec::new\(\)|vec!\[|\.collect\(\)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         f && /^    }$/ { f = 0 } END { exit !hit }' crates/core/src/node.rs; then

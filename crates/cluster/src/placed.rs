@@ -646,6 +646,48 @@ mod tests {
         assert_eq!(out.ops(CostKind::DramTransfer), 0);
     }
 
+    /// A node merge creates and loses no operation of any kind, adds
+    /// what was already in `out`, and a summed kind's ns (`Cpu`, `Net`,
+    /// fabric) is exactly the sum over nodes, every other kind's the
+    /// max, over seeded random node sets.
+    #[test]
+    fn node_cost_merge_conserves_ops_and_summed_ns() {
+        let mut rng = oe_simdevice::rng::Rng::seed_from_u64(0x90DE_5EED);
+        let mut random_cost = || {
+            let mut c = Cost::new();
+            for kind in CostKind::ALL {
+                for _ in 0..rng.below(4) {
+                    c.charge(kind, rng.below(10_000));
+                }
+            }
+            c
+        };
+        for case in 0..500 {
+            let before = random_cost();
+            let nodes: Vec<Cost> = (0..case % 6).map(|_| random_cost()).collect();
+            let mut out = before.clone();
+            merge_node_parallel(&nodes, &mut out);
+            for kind in CostKind::ALL {
+                let ops: u64 = nodes.iter().map(|c| c.ops(kind)).sum();
+                assert_eq!(
+                    out.ops(kind),
+                    before.ops(kind) + ops,
+                    "case {case} {kind:?}"
+                );
+                let ns = nodes.iter().map(|c| c.ns(kind));
+                let merged = match kind {
+                    CostKind::Cpu | CostKind::Net | CostKind::FabricTransfer => ns.sum(),
+                    _ => ns.max().unwrap_or(0),
+                };
+                assert_eq!(
+                    out.ns(kind),
+                    before.ns(kind) + merged,
+                    "case {case} {kind:?}"
+                );
+            }
+        }
+    }
+
     // The next three came from the unit tests of `oe-core`'s static-hash
     // cluster type when it was deleted (static hash = placement epoch
     // 0). Its other tests are covered elsewhere: never-empty by `build`'s

@@ -59,15 +59,14 @@ pub struct NodeConfig {
     pub pmem_capacity: usize,
     /// Deterministic seed folded into weight initialization.
     pub seed: u64,
-    /// Pull/push execution lanes (≥ 1) for the shard-plan hot path (the
+    /// Virtual pull/push lanes (≥ 1) of the shard-plan hot path (the
     /// paper's "multiple threads pre-allocated" on the PS). Keys are
     /// bucketed by shard, deduplicated per group, and each shard lock is
-    /// taken exactly once per request:
-    ///
-    /// - `1` — the groups execute on a single lane;
-    /// - `n > 1` — shard groups execute on `n` parallel lanes; lane
-    ///   costs merge as max-over-lanes for parallelizable cost kinds
-    ///   (see `oe_simdevice::CostKind::lane_parallel`).
+    /// taken exactly once per request. The groups always execute in
+    /// order on the request thread; `parallelism` splits them into that
+    /// many contiguous lanes, each one `Cost` bucket, and the buckets
+    /// merge as the max over lanes for parallelizable cost kinds (see
+    /// `oe_simdevice::CostKind::lane_parallel`).
     pub parallelism: usize,
 }
 

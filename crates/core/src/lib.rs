@@ -17,10 +17,10 @@
 //! - **recovery** ([`recovery`]): scan PMem, discard post-checkpoint
 //!   versions, rebuild the DRAM hash index — no data copy;
 //! - a **shard-plan hot path** ([`plan`]): batch keys are bucketed by
-//!   shard, duplicates coalesced, and shard groups executed on parallel
-//!   lanes with one lock acquisition per shard per request
-//!   ([`config::NodeConfig::parallelism`] ≥ 1 lanes; the only pull/push
-//!   execution there is).
+//!   shard, duplicates coalesced, and shard groups executed in order
+//!   with one lock acquisition per shard per request, their virtual
+//!   time priced as [`config::NodeConfig::parallelism`] ≥ 1 lanes (the
+//!   only pull/push execution there is).
 //!
 //! Engines (this one and the baselines in `oe-baselines`) implement the
 //! [`engine::PsEngine`] trait consumed by the training simulator.
@@ -41,9 +41,9 @@ pub use checkpoint::{BatchCadence, CheckpointScheduler};
 pub use config::{NodeConfig, CACHE_ENTRY_OVERHEAD_BYTES};
 pub use engine::{MaintenanceReport, PsEngine};
 pub use node::PsNode;
-pub use optimizer::{Optimizer, OptimizerKind, ShapeError};
+pub use optimizer::{Optimizer, OptimizerKind};
 pub use plan::{ShardBuckets, ShardGroup, ShardPlan};
-pub use scratch::{PooledScratch, ScratchPool, Shape};
+pub use scratch::{PooledScratch, ScratchPool};
 pub use stats::{EngineStats, StatsSnapshot};
 pub use storage::{DramStore, LocalPmem, StorageBackend};
 

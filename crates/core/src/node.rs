@@ -35,8 +35,8 @@ use crate::config::{
 use crate::engine::{MaintenanceReport, PsEngine};
 use crate::init::init_payload;
 use crate::optimizer::Optimizer;
-use crate::plan::{ShardGroup, ShardPlan};
-use crate::scratch::{PooledScratch, ReadAhead, Scratch, ScratchPool, Shape};
+use crate::plan::ShardPlan;
+use crate::scratch::{ReadAhead, Scratch, ScratchPool};
 use crate::stats::{EngineStats, StatsSnapshot};
 use crate::storage::{LocalPmem, StorageBackend};
 use crate::{BatchId, Key};
@@ -47,7 +47,6 @@ use oe_simdevice::sync::{Mutex, RwLock};
 use oe_simdevice::{Cost, CostKind, DeviceTiming};
 use oe_telemetry::{Gauge, Phase, PhaseTimes, Registry};
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,8 +81,8 @@ enum PullOutcome {
 }
 
 impl PullOutcome {
-    /// Byte tag for the pooled lane scratch (outcomes ride in
-    /// [`Scratch::tags`] so a lane performs zero allocations of its own).
+    /// Byte tag for the pooled scratch (outcomes ride in
+    /// [`Scratch::tags`] so a pull performs zero allocations of its own).
     fn code(self) -> u8 {
         match self {
             PullOutcome::Hit => 0,
@@ -99,17 +98,6 @@ impl PullOutcome {
             _ => PullOutcome::New,
         }
     }
-}
-
-/// One execution lane's output for a planned pull, carried entirely in
-/// a pooled scratch arena: deduped payloads (uniques × dim, in the
-/// lane's group order) in `scratch.rows`, one outcome tag per unique in
-/// `scratch.tags`, plus the lane's virtual-time cost (folded
-/// max-over-lanes for parallelizable kinds by [`Cost::merge_parallel`]).
-/// Dropping the lane returns its buffers to the node's pool.
-struct PullLane<'p> {
-    scratch: PooledScratch<'p>,
-    cost: Cost,
 }
 
 /// The OpenEmbedding parameter-server node ("PMem-OE").
@@ -131,9 +119,9 @@ pub struct PsNode {
     registry: Arc<Registry>,
     phases: PhaseTimes,
     committed_gauge: Gauge,
-    /// Per-request/per-lane scratch recycling: every hot-path buffer
-    /// (payload read scratch, gradient accumulators, lane weight rows,
-    /// batched-kernel rows) is drawn from here instead of allocated.
+    /// Per-request scratch recycling: every hot-path buffer (the shard
+    /// plan, payload read scratch, gradient accumulator, pulled weight
+    /// rows, read-ahead rows) is drawn from here instead of allocated.
     scratch: ScratchPool,
 }
 
@@ -544,7 +532,7 @@ impl PsNode {
     /// Pull for cache-disabled mode: entries live in PMem only.
     fn pull_uncached(&self, keys: &[Key], batch: BatchId, out: &mut Vec<f32>, cost: &mut Cost) {
         let dim = self.cfg.dim;
-        let mut arena = self.scratch.acquire(Shape::lane(self.cfg.payload_f32s()));
+        let mut arena = self.scratch.acquire();
         arena.payload.resize(self.cfg.payload_f32s(), 0.0);
         let payload = &mut arena.payload;
         for &key in keys {
@@ -575,7 +563,7 @@ impl PsNode {
     /// Push for cache-disabled mode: read-modify-write out of place.
     fn push_uncached(&self, keys: &[Key], grads: &[f32], batch: BatchId, cost: &mut Cost) {
         let dim = self.cfg.dim;
-        let mut arena = self.scratch.acquire(Shape::lane(self.cfg.payload_f32s()));
+        let mut arena = self.scratch.acquire();
         arena.payload.resize(self.cfg.payload_f32s(), 0.0);
         let payload = &mut arena.payload;
         let (boundaries, _) = self.boundaries();
@@ -607,7 +595,7 @@ impl PsNode {
         let mut commits = 0u64;
         if self.cfg.enable_cache {
             let mut chunk = Vec::with_capacity(1024);
-            let mut scratch = self.scratch.acquire(Shape::lane(self.cfg.payload_f32s()));
+            let mut scratch = self.scratch.acquire();
             let ahead = &mut scratch.ahead;
             loop {
                 chunk.clear();
@@ -690,10 +678,34 @@ impl PsNode {
         self.phases.record_ns(Phase::Dedup, dedup_ns);
     }
 
-    /// Execute one shard group of a planned pull: the shard's write
-    /// lock is taken exactly once (a first touch inserts, and pulls of
-    /// one shard never overlapped), every unique key's payload is read
-    /// exactly once.
+    /// Execute the plan's shard groups lane by lane, in order, on the
+    /// request thread: `group(g, s, lane_cost)` runs group `g`. A lane
+    /// is only a `Cost` bucket over its contiguous group range; the
+    /// buckets merge max-over-lanes for parallelizable kinds, sum for
+    /// serialized and bandwidth-contended ones ([`Cost::merge_parallel`]),
+    /// and the merged execute cost is added to `cost`.
+    fn execute_lanes(
+        &self,
+        s: &mut Scratch,
+        cost: &mut Cost,
+        mut group: impl FnMut(usize, &mut Scratch, &mut Cost),
+    ) {
+        let mut par = Cost::new();
+        for lane in s.plan.partition(self.cfg.parallelism) {
+            let mut lane_cost = Cost::new();
+            for g in lane {
+                group(g, s, &mut lane_cost);
+            }
+            par.merge_parallel(&lane_cost);
+        }
+        self.phases.record_ns(Phase::Execute, par.total_ns());
+        cost.merge(&par);
+    }
+
+    /// Execute shard group `gi` of the planned pull in `s.plan`: the
+    /// shard's write lock is taken exactly once (a first touch inserts,
+    /// and pulls of one shard never overlapped), every unique key's
+    /// payload is read exactly once.
     /// Deduped weight rows land in `s.rows`, one outcome code per
     /// unique in `s.tags`. The rows of PMem-resident uniques are read
     /// after the loop, in one batch (`s.ahead`): what the loop writes
@@ -702,13 +714,14 @@ impl PsNode {
     /// late is one it touched.
     fn pull_group(
         &self,
-        group: ShardGroup<'_>,
+        gi: usize,
         batch: BatchId,
         boundaries: &[BatchId],
         s: &mut Scratch,
         cost: &mut Cost,
     ) {
         let dim = self.cfg.dim;
+        let group = s.plan.group(gi);
         cost.charge(CostKind::Cpu, SHARD_LOCK_NS);
         let mut g = self.shards[group.shard].write();
         let base = s.rows.len();
@@ -755,86 +768,49 @@ impl PsNode {
         }
     }
 
-    /// Shard-plan pull: bucket → dedup → parallel lane execute → merge.
+    /// Shard-plan pull: bucket → dedup → execute the groups → merge.
     /// Every unique key is read once and fanned out to its occurrences;
     /// stats are occurrence-weighted. `tests/parallel_equiv.rs` pins the
     /// weights, stats and `Serialized` ns the retired per-key execution
     /// produced on duplicate-free batches.
     fn pull_planned(&self, keys: &[Key], batch: BatchId, out: &mut Vec<f32>, cost: &mut Cost) {
         let dim = self.cfg.dim;
-        let payload_f32s = self.cfg.payload_f32s();
-        let mut planned = self.scratch.acquire(Shape::lane(payload_f32s));
-        self.build_plan(keys, &mut planned.plan, cost);
-        let plan = &planned.plan;
+        let mut scratch = self.scratch.acquire();
+        let s = &mut *scratch;
+        self.build_plan(keys, &mut s.plan, cost);
         let (boundaries, _) = self.boundaries();
-        let lanes = plan.partition(self.cfg.parallelism);
-
-        let run_lane = |range: &Range<usize>| {
-            let mut scratch = self.scratch.acquire(Shape::lane(payload_f32s));
-            let mut cost = Cost::new();
-            {
-                let s = &mut *scratch;
-                for g in range.clone() {
-                    self.pull_group(plan.group(g), batch, &boundaries, s, &mut cost);
-                }
-            }
-            PullLane { scratch, cost }
-        };
-        let lane_results: Vec<PullLane> = if lanes.len() <= 1 {
-            lanes.iter().map(run_lane).collect()
-        } else {
-            std::thread::scope(|s| {
-                let run_lane = &run_lane;
-                let handles: Vec<_> = lanes.iter().map(|r| s.spawn(move || run_lane(r))).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pull lane panicked"))
-                    .collect()
-            })
-        };
-
-        // Lane costs compose max-over-lanes for parallelizable kinds,
-        // sum for serialized/bandwidth-contended ones.
-        let mut par = Cost::new();
-        for lane in &lane_results {
-            par.merge_parallel(&lane.cost);
-        }
-        self.phases.record_ns(Phase::Execute, par.total_ns());
-        cost.merge(&par);
+        self.execute_lanes(s, cost, |g, s, lane_cost| {
+            self.pull_group(g, batch, &boundaries, s, lane_cost)
+        });
 
         // Merge: fan each deduped payload out to its original request
-        // positions, append the access queue once per unique (in stable
-        // group order, so maintenance is identical at any lane count),
-        // and settle occurrence-weighted stats.
+        // positions, append the access queue once per unique (in group
+        // order, so maintenance is identical at any lane count), and
+        // settle occurrence-weighted stats.
+        let plan = &s.plan;
         let merge_ns = FANOUT_KEY_NS * plan.total_keys() as u64;
         cost.charge(CostKind::Cpu, merge_ns);
         let base = out.len();
         out.resize(base + keys.len() * dim, 0.0);
-        for (lane, range) in lane_results.iter().zip(&lanes) {
-            // A lane's groups are contiguous, so are its uniques: `ul`
-            // is the unique cursor within the lane.
-            let uniques = plan.unique_range(range.clone());
-            for (ul, u) in uniques.clone().enumerate() {
-                let occs = plan.occs(u);
-                let w = &lane.scratch.rows[ul * dim..(ul + 1) * dim];
-                let cnt = occs.len() as u64;
-                for &pos in occs {
-                    let dst = base + pos as usize * dim;
-                    out[dst..dst + dim].copy_from_slice(w);
-                }
-                match PullOutcome::from_code(lane.scratch.tags[ul]) {
-                    PullOutcome::Hit => EngineStats::add(&self.stats.hits, cnt),
-                    PullOutcome::Miss => EngineStats::add(&self.stats.misses, cnt),
-                    PullOutcome::New => {
-                        EngineStats::add(&self.stats.new_entries, 1);
-                        // Repeat occurrences read the just-inserted
-                        // DRAM entry: cache hits.
-                        EngineStats::add(&self.stats.hits, cnt - 1);
-                    }
+        for (u, (w, &tag)) in s.rows.chunks_exact(dim).zip(&s.tags).enumerate() {
+            let occs = plan.occs(u);
+            let cnt = occs.len() as u64;
+            for &pos in occs {
+                let dst = base + pos as usize * dim;
+                out[dst..dst + dim].copy_from_slice(w);
+            }
+            match PullOutcome::from_code(tag) {
+                PullOutcome::Hit => EngineStats::add(&self.stats.hits, cnt),
+                PullOutcome::Miss => EngineStats::add(&self.stats.misses, cnt),
+                PullOutcome::New => {
+                    EngineStats::add(&self.stats.new_entries, 1);
+                    // Repeat occurrences read the just-inserted
+                    // DRAM entry: cache hits.
+                    EngineStats::add(&self.stats.hits, cnt - 1);
                 }
             }
-            self.access_queue.push_all(&plan.uniques()[uniques]);
         }
+        self.access_queue.push_all(plan.uniques());
         EngineStats::add(&self.stats.pulls, plan.total_keys() as u64);
         self.phases.record_ns(Phase::Merge, merge_ns);
 
@@ -883,55 +859,17 @@ impl PsNode {
         }
     }
 
-    /// Apply one batched optimizer kernel over the pending run of
-    /// contiguous PMem-resident uniques gathered in `s` (payload rows in
-    /// `s.rows`, one effective gradient row each in `s.grad_rows`,
-    /// unique indices in `s.run`), then flush the rows in original
-    /// unique order. The run only ever reorders PMem *reads* ahead of
-    /// flushes; reads are not persistence events, so the recovery
-    /// protocol's event stream is identical to the one-key-at-a-time
-    /// path. All virtual cost was charged at gather time.
-    fn flush_pmem_run(
-        &self,
-        g: &mut Shard,
-        group: ShardGroup<'_>,
-        batch: BatchId,
-        boundaries: &[BatchId],
-        s: &mut Scratch,
-        cost: &mut Cost,
-    ) {
-        let n = s.run.len();
-        if n == 0 {
-            return;
-        }
-        let dim = self.cfg.dim;
-        let stride = self.cfg.payload_f32s();
-        self.opt
-            .apply_batch(dim, &mut s.rows, &s.grad_rows, n)
-            .expect("run buffers are sized by construction");
-        for (j, &ui) in s.run.iter().enumerate() {
-            let key = group.uniques[ui as usize];
-            let row = &s.rows[j * stride..(j + 1) * stride];
-            let e = g.index.get_mut(key).expect("indexed");
-            self.flush_payload(key, batch, row, &mut e.chain, boundaries, cost);
-            let (newest, _) = e.chain.newest().expect("just flushed");
-            e.loc = TaggedLoc::pmem(newest);
-            e.version = batch;
-        }
-        s.run.clear();
-        s.rows.clear();
-        s.grad_rows.clear();
-    }
-
-    /// Execute one shard group of a planned push under a single write
-    /// lock acquisition. Contiguous runs of PMem-resident uniques are
-    /// read up front and updated by one multi-row optimizer kernel
-    /// ([`Optimizer::apply_batch`]); DRAM-resident keys apply in place
-    /// and act as run boundaries so per-key flush order is unchanged.
+    /// Execute shard group `gi` of the planned push in `s.plan` under a
+    /// single write lock acquisition, unique by unique. A DRAM-resident
+    /// key applies in place; a PMem-resident one applies to its row in
+    /// `s.payload` and is flushed out of place at its own turn, so
+    /// flushes come in unique order. The group's PMem rows are read
+    /// ahead in one batch: reads are not persistence events, so the
+    /// persistence stream is that of reading each key at its turn.
     #[allow(clippy::too_many_arguments)]
     fn push_group(
         &self,
-        group: ShardGroup<'_>,
+        gi: usize,
         grads: &[f32],
         batch: BatchId,
         boundaries: &[BatchId],
@@ -939,11 +877,9 @@ impl PsNode {
         s: &mut Scratch,
         cost: &mut Cost,
     ) {
-        let dim = self.cfg.dim;
-        let stride = self.cfg.payload_f32s();
+        let group = s.plan.group(gi);
         cost.charge(CostKind::Cpu, SHARD_LOCK_NS);
         let mut g = self.shards[group.shard].write();
-        debug_assert!(s.run.is_empty() && s.rows.is_empty() && s.grad_rows.is_empty());
         s.ahead.clear();
         for (ui, &key) in group.uniques.iter().enumerate() {
             cost.charge(CostKind::Cpu, HASH_PROBE_NS);
@@ -951,9 +887,6 @@ impl PsNode {
             let loc = g.index.get(key).expect("pushed key must exist").loc;
             match loc.as_dram() {
                 Some(slot) => {
-                    // A DRAM-resident key bounds the pending PMem run:
-                    // settle it first so flushes stay in unique order.
-                    self.flush_pmem_run(&mut g, group, batch, boundaries, s, cost);
                     let v = g.arena.version(slot);
                     let Shard { index, arena, .. } = &mut *g;
                     let e = index.get_mut(key).expect("indexed");
@@ -973,12 +906,6 @@ impl PsNode {
                     arena.set_dirty(slot, true);
                 }
                 None => {
-                    // PMem-resident: read ahead, join the batched run. The
-                    // row's effective gradient lands in `s.grad_rows`;
-                    // stateful duplicates apply all but their last
-                    // occurrence in order here, so every run row takes
-                    // exactly one kernel step. Charges mirror
-                    // `apply_occurrences` exactly.
                     let pm_slot = loc.as_pmem().expect("tagged loc");
                     if s.ahead.is_empty() {
                         // The group's first PMem-resident unique: it and
@@ -987,91 +914,35 @@ impl PsNode {
                         // each is read at the slot it is at now.
                         self.read_ahead(&g, group.uniques, ui, &mut s.ahead, cost);
                     }
-                    let j = s.run.len();
-                    s.rows.resize((j + 1) * stride, 0.0);
-                    s.grad_rows.resize((j + 1) * dim, 0.0);
-                    let row = &mut s.rows[j * stride..(j + 1) * stride];
-                    let grow = &mut s.grad_rows[j * dim..(j + 1) * dim];
-                    let pre = s.ahead.take(ui as u32, pm_slot);
-                    row.copy_from_slice(pre.expect("a push moves no key before its turn"));
-                    let grad_at = |pos: u32| {
-                        let p = pos as usize;
-                        &grads[p * dim..(p + 1) * dim]
-                    };
-                    let row_write = self.dram.write_ns((dim * 4) as u64);
-                    if self.opt.coalescible() && occs.len() > 1 {
-                        grow.copy_from_slice(grad_at(occs[0]));
-                        for &pos in &occs[1..] {
-                            for (sg, gv) in grow.iter_mut().zip(grad_at(pos)) {
-                                *sg += gv;
-                            }
-                        }
-                        cost.charge(
-                            CostKind::Cpu,
-                            occs.len() as u64 * dim as u64 * OPT_FLOP_NS_PER_F32,
-                        );
-                        cost.charge(CostKind::DramTransfer, row_write);
-                    } else {
-                        for &pos in &occs[..occs.len() - 1] {
-                            cost.charge(CostKind::Cpu, dim as u64 * OPT_FLOP_NS_PER_F32);
-                            cost.charge(CostKind::DramTransfer, row_write);
-                            self.opt.apply(dim, row, grad_at(pos));
-                        }
-                        grow.copy_from_slice(grad_at(occs[occs.len() - 1]));
-                        cost.charge(CostKind::Cpu, dim as u64 * OPT_FLOP_NS_PER_F32);
-                        cost.charge(CostKind::DramTransfer, row_write);
-                    }
-                    s.run.push(ui as u32);
+                    let row = s.ahead.take(ui as u32, pm_slot);
+                    s.payload.clear();
+                    s.payload
+                        .extend_from_slice(row.expect("a push moves no key before its turn"));
+                    self.apply_occurrences(&mut s.payload, grads, occs, &mut s.acc, cost);
+                    let e = g.index.get_mut(key).expect("indexed");
+                    self.flush_payload(key, batch, &s.payload, &mut e.chain, boundaries, cost);
+                    let (newest, _) = e.chain.newest().expect("just flushed");
+                    e.loc = TaggedLoc::pmem(newest);
+                    e.version = batch;
                 }
             }
             EngineStats::add(&self.stats.pushes, occs.len() as u64);
         }
-        self.flush_pmem_run(&mut g, group, batch, boundaries, s, cost);
     }
 
-    /// Shard-plan push: bucket → dedup → parallel lane execute. Final
+    /// Shard-plan push: bucket → dedup → execute the groups. Final
     /// weights equal one apply per occurrence in request order
     /// (coalescing is gated on gradient linearity; stateful optimizers
     /// apply sequentially within each key).
     fn push_planned(&self, keys: &[Key], grads: &[f32], batch: BatchId, cost: &mut Cost) {
-        let dim = self.cfg.dim;
-        let payload_f32s = self.cfg.payload_f32s();
-        let mut planned = self.scratch.acquire(Shape::lane(payload_f32s));
-        self.build_plan(keys, &mut planned.plan, cost);
-        let plan = &planned.plan;
+        let mut scratch = self.scratch.acquire();
+        let s = &mut *scratch;
+        self.build_plan(keys, &mut s.plan, cost);
         let (boundaries, protect_max) = self.boundaries();
-        let lanes = plan.partition(self.cfg.parallelism);
-
-        let run_lane = |range: &Range<usize>| -> Cost {
-            let mut lcost = Cost::new();
-            let mut scratch = self.scratch.acquire(Shape::lane(payload_f32s));
-            let s = &mut *scratch;
-            s.acc.resize(dim, 0.0);
-            for g in range.clone() {
-                let group = plan.group(g);
-                self.push_group(group, grads, batch, &boundaries, protect_max, s, &mut lcost);
-            }
-            lcost
-        };
-        let lane_costs: Vec<Cost> = if lanes.len() <= 1 {
-            lanes.iter().map(run_lane).collect()
-        } else {
-            std::thread::scope(|s| {
-                let run_lane = &run_lane;
-                let handles: Vec<_> = lanes.iter().map(|r| s.spawn(move || run_lane(r))).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("push lane panicked"))
-                    .collect()
-            })
-        };
-
-        let mut par = Cost::new();
-        for lane in &lane_costs {
-            par.merge_parallel(lane);
-        }
-        self.phases.record_ns(Phase::Execute, par.total_ns());
-        cost.merge(&par);
+        s.acc.resize(self.cfg.dim, 0.0);
+        self.execute_lanes(s, cost, |g, s, lane_cost| {
+            self.push_group(g, grads, batch, &boundaries, protect_max, s, lane_cost)
+        });
     }
 }
 

@@ -20,10 +20,6 @@
 //! reference performs, in the same order, so the vectorized kernels are
 //! bit-identical to [`Optimizer::apply_reference`] — the property the
 //! `kernel_equiv` sweep and the `parallel_equiv` suite pin down.
-//! [`Optimizer::apply_batch`] runs one kernel over `rows` contiguous
-//! payload/gradient rows so a coalesced shard group amortizes dispatch
-//! (and, for stateless SGD, collapses to a single flat kernel over the
-//! whole run).
 
 /// SIMD-friendly inner-loop width (f32 lanes per unrolled step).
 pub const KERNEL_LANES: usize = 8;
@@ -83,34 +79,6 @@ impl OptimizerKind {
     }
 }
 
-/// A gradient/payload length mismatch caught before any element is
-/// touched. Carried as a structured error (not a `debug_assert`) so a
-/// short gradient can never silently update a prefix of the row and
-/// leave stale state behind in release builds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShapeError {
-    /// Embedding dimension the apply was issued for.
-    pub dim: usize,
-    /// Gradient f32s actually supplied (wanted `dim` per row).
-    pub grad_len: usize,
-    /// Payload f32s actually supplied.
-    pub payload_len: usize,
-    /// Payload f32s the optimizer's state layout requires per row.
-    pub payload_expected: usize,
-}
-
-impl std::fmt::Display for ShapeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "optimizer shape mismatch: dim {} wants grad {} and payload {}, got grad {} and payload {}",
-            self.dim, self.dim, self.payload_expected, self.grad_len, self.payload_len
-        )
-    }
-}
-
-impl std::error::Error for ShapeError {}
-
 /// Applies gradients to an entry payload in place.
 #[derive(Debug, Clone, Copy)]
 pub struct Optimizer {
@@ -128,65 +96,25 @@ impl Optimizer {
         self.kind.coalescible()
     }
 
-    fn check(&self, dim: usize, payload_len: usize, grad_len: usize) -> Result<(), ShapeError> {
+    /// Panic on a gradient or payload length the optimizer's layout
+    /// does not have, before any element is touched: a short gradient
+    /// must never update a prefix of the row and leave stale state.
+    fn check(&self, dim: usize, payload_len: usize, grad_len: usize) {
         let payload_expected = dim + self.kind.state_f32s(dim);
-        if grad_len != dim || payload_len != payload_expected {
-            return Err(ShapeError {
-                dim,
-                grad_len,
-                payload_len,
-                payload_expected,
-            });
-        }
-        Ok(())
+        assert!(
+            grad_len == dim && payload_len == payload_expected,
+            "optimizer shape mismatch: dim {dim} wants grad {dim} and payload \
+             {payload_expected}, got grad {grad_len} and payload {payload_len}"
+        );
     }
 
     /// Apply gradient `grad` (length `dim`) to `payload`
     /// (length `dim + state_f32s(dim)`), updating weights and state.
     /// Panics on a length mismatch, before touching any element; a
-    /// shape straight off the wire is refused by the server first, and
-    /// [`Self::apply_batch`] reports one as a [`ShapeError`].
+    /// shape straight off the wire is refused by the server first.
     pub fn apply(&self, dim: usize, payload: &mut [f32], grad: &[f32]) {
-        if let Err(e) = self.check(dim, payload.len(), grad.len()) {
-            panic!("{e}");
-        }
+        self.check(dim, payload.len(), grad.len());
         self.row_vectorized(dim, payload, grad);
-    }
-
-    /// One kernel over `rows` contiguous rows: `payloads` is `rows`
-    /// payload rows back to back (`stride` f32s each, where
-    /// `stride = dim + state_f32s(dim)`) and `grads` is `rows` gradient
-    /// rows (`dim` f32s each). Bit-identical to applying each row
-    /// separately; for stateless SGD the whole run collapses into a
-    /// single flat kernel because payload rows are exactly weight rows.
-    pub fn apply_batch(
-        &self,
-        dim: usize,
-        payloads: &mut [f32],
-        grads: &[f32],
-        rows: usize,
-    ) -> Result<(), ShapeError> {
-        let stride = dim + self.kind.state_f32s(dim);
-        if payloads.len() != rows * stride || grads.len() != rows * dim {
-            return Err(ShapeError {
-                dim,
-                grad_len: grads.len(),
-                payload_len: payloads.len(),
-                payload_expected: rows * stride,
-            });
-        }
-        if let OptimizerKind::Sgd { lr } = self.kind {
-            // stride == dim: the run is one contiguous weight/grad pair.
-            sgd_kernel(lr, payloads, grads);
-            return Ok(());
-        }
-        for (p, g) in payloads
-            .chunks_exact_mut(stride)
-            .zip(grads.chunks_exact(dim))
-        {
-            self.row_vectorized(dim, p, g);
-        }
-        Ok(())
     }
 
     /// The scalar reference implementation: one element at a time,
@@ -194,9 +122,7 @@ impl Optimizer {
     /// Public as the ground truth of the `kernel_equiv` bit-identity
     /// sweep; no apply on the pull/push path reaches it.
     pub fn apply_reference(&self, dim: usize, payload: &mut [f32], grad: &[f32]) {
-        if let Err(e) = self.check(dim, payload.len(), grad.len()) {
-            panic!("{e}");
-        }
+        self.check(dim, payload.len(), grad.len());
         self.row_scalar(dim, payload, grad);
     }
 
@@ -503,59 +429,22 @@ mod tests {
                 .map(|i| i as f32 * 0.5)
                 .collect();
             let mut p = before.clone();
-            let err = opt
-                .apply_batch(dim, &mut p, &[1.0, 2.0], 1) // short gradient
-                .expect_err("short gradient must not apply");
-            assert_eq!(err.dim, dim);
-            assert_eq!(err.grad_len, 2);
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                opt.apply(dim, &mut p, &[1.0, 2.0]) // short gradient
+            }))
+            .expect_err("short gradient must not apply");
+            let text = refused.downcast_ref::<String>().expect("formatted message");
+            assert!(text.contains("got grad 2"), "{text}");
             assert_eq!(p, before, "{kind:?}: no element may move on a bad shape");
             // Payload length mismatches are caught the same way.
             let mut short_payload = vec![0.0f32; dim];
             if kind.state_f32s(dim) > 0 {
-                opt.apply_batch(dim, &mut short_payload, &[1.0; 4], 1)
-                    .expect_err("short payload must not apply");
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    opt.apply(dim, &mut short_payload, &[1.0; 4])
+                }))
+                .expect_err("short payload must not apply");
+                assert_eq!(short_payload, vec![0.0; dim]);
             }
         }
-    }
-
-    #[test]
-    fn batch_apply_matches_per_row() {
-        for kind in [
-            OptimizerKind::Sgd { lr: 0.1 },
-            OptimizerKind::Adagrad { lr: 0.1, eps: 1e-8 },
-            OptimizerKind::Adam {
-                lr: 0.01,
-                beta1: 0.9,
-                beta2: 0.999,
-                eps: 1e-8,
-            },
-        ] {
-            let opt = kind.build();
-            let dim = 5; // odd: exercises the remainder path
-            let stride = dim + kind.state_f32s(dim);
-            let rows = 3;
-            let mut batch: Vec<f32> = (0..rows * stride).map(|i| (i as f32).sin()).collect();
-            let grads: Vec<f32> = (0..rows * dim).map(|i| (i as f32).cos()).collect();
-            let mut per_row = batch.clone();
-            for r in 0..rows {
-                opt.apply(
-                    dim,
-                    &mut per_row[r * stride..(r + 1) * stride],
-                    &grads[r * dim..(r + 1) * dim],
-                );
-            }
-            opt.apply_batch(dim, &mut batch, &grads, rows).unwrap();
-            let a: Vec<u32> = batch.iter().map(|f| f.to_bits()).collect();
-            let b: Vec<u32> = per_row.iter().map(|f| f.to_bits()).collect();
-            assert_eq!(a, b, "{kind:?}: batched kernel must be bit-identical");
-        }
-    }
-
-    #[test]
-    fn batch_apply_rejects_bad_shapes() {
-        let opt = OptimizerKind::Sgd { lr: 0.1 }.build();
-        let mut p = vec![0.0f32; 8];
-        assert!(opt.apply_batch(4, &mut p, &[0.0; 7], 2).is_err());
-        assert!(opt.apply_batch(4, &mut p[..7], &[0.0; 8], 2).is_err());
     }
 }

@@ -13,7 +13,8 @@
 //!    pushes can sum duplicate gradients (when the optimizer is linear
 //!    in the gradient, see [`crate::OptimizerKind::coalescible`]);
 //! 2. **partition** — split the groups into contiguous lane ranges
-//!    balanced by unique-key count, for parallel execution with one
+//!    balanced by unique-key count: the virtual lanes whose costs merge
+//!    as the max over lanes. The groups themselves run in order, one
 //!    lock acquisition per shard per request.
 //!
 //! The plan is flat (DESIGN.md, "The flat shard plan"): three arrays

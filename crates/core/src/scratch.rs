@@ -1,19 +1,19 @@
 //! Pooled per-request scratch arenas for the pull/push hot paths.
 //!
-//! Steady-state training issues millions of identically-shaped requests
-//! (fixed batch size, fixed embedding dimension). Before this module,
-//! every request paid a handful of heap allocations: the decoded key and
-//! gradient vectors on the server, and one payload-sized scratch buffer
-//! plus one gradient accumulator *per lane* on the node. A [`Scratch`]
-//! bundles all of those per-request buffers into one arena; a
-//! [`ScratchPool`] recycles arenas keyed by request shape so a shape
-//! seen twice never allocates again (the `Vec`s keep their capacity
-//! across uses — `clear()` is free).
+//! Every request needs a handful of buffers: the decoded key and
+//! gradient vectors on the server, the shard plan, the pulled rows and
+//! a payload-sized row on the node. A [`Scratch`] bundles all of them
+//! into one arena; a [`ScratchPool`] is one bounded shelf of arenas, so
+//! a request takes the arena the last one returned and allocates only
+//! when it is larger than any before it (the `Vec`s keep their
+//! capacity across uses — `clear()` is free). Arenas are not sorted by
+//! request size: a server burst's key count changes from call to call,
+//! and an arena grown for one size serves every smaller one.
 //!
-//! The pool is a small sharded-by-shape shelf behind one mutex: acquire
-//! and release are two short critical sections per request (or per
-//! lane), far from contended next to the work a request performs.
-//! Bounded shelves keep a pathological shape churn from hoarding memory.
+//! The shelf sits behind one mutex: acquire and release are two short
+//! critical sections per request, far from contended next to the work
+//! a request performs. The bound keeps a burst of concurrent requests
+//! from parking more arenas than steady state reuses.
 
 use crate::plan::ShardPlan;
 use crate::storage::StorageBackend;
@@ -23,64 +23,26 @@ use oe_simdevice::sync::Mutex;
 use oe_simdevice::Cost;
 use std::ops::{Deref, DerefMut};
 
-/// Most-distinct request shapes the pool remembers.
-const MAX_SHAPES: usize = 16;
-/// Arenas kept per shape (≥ the lane count of a planned request).
-const MAX_PER_SHAPE: usize = 32;
+/// Arenas the shelf keeps; one more returned is dropped.
+const MAX_PARKED: usize = 32;
 
-/// The shape of a request, used as the pool key: how many keys it
-/// carries and how many f32s ride along (gradients, payloads, output
-/// rows). Shapes only key the shelf — an arena acquired under one shape
-/// may be grown freely; its capacity survives back into the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shape {
-    /// Keys in the request (0 for lane-local scratch).
-    pub keys: usize,
-    /// f32 payload of the request (grads, weights out, …).
-    pub f32s: usize,
-}
-
-impl Shape {
-    /// Shape of a wire request: `keys` keys and `f32s` gradient/weight
-    /// f32s.
-    pub fn request(keys: usize, f32s: usize) -> Self {
-        Self { keys, f32s }
-    }
-
-    /// Shape of one execution lane's scratch on a node with the given
-    /// payload width (keys don't key lane scratch; every lane of every
-    /// request reuses the same shelf).
-    pub fn lane(payload_f32s: usize) -> Self {
-        Self {
-            keys: 0,
-            f32s: payload_f32s,
-        }
-    }
-}
-
-/// One request's (or one lane's) worth of reusable buffers. All start
-/// empty; users `clear()`-free extend/resize them. Which fields a code
-/// path uses is up to it — unused fields cost nothing.
+/// One request's worth of reusable buffers. All start empty; users
+/// extend/resize them. Which fields a code path uses is up to it —
+/// unused fields cost nothing.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Decoded request keys.
     pub keys: Vec<Key>,
-    /// Large f32 buffer: decoded gradients, pulled weights, or the
-    /// batched-kernel payload rows of a contiguous PMem run.
+    /// Large f32 buffer: decoded gradients, or pulled weights (one row
+    /// per unique key of a planned pull).
     pub rows: Vec<f32>,
-    /// Second large f32 buffer: gathered gradient rows for the batched
-    /// kernel (lives beside `rows` so one arena serves both sides).
-    pub grad_rows: Vec<f32>,
     /// One payload-sized (`dim + state`) read/write scratch row.
     pub payload: Vec<f32>,
     /// One dim-sized gradient accumulator (duplicate coalescing).
     pub acc: Vec<f32>,
-    /// Per-unique outcome tags (pull lanes record hit/miss codes here).
+    /// Per-unique outcome tags (a planned pull records hit/miss codes
+    /// here).
     pub tags: Vec<u8>,
-    /// Unique-key indices of the current batched-kernel run (push lanes
-    /// collect contiguous PMem-resident rows here, then apply one
-    /// multi-row kernel and flush in order).
-    pub run: Vec<u32>,
     /// The slots a shard group or maintenance run reads, read ahead in
     /// one batch.
     pub ahead: ReadAhead,
@@ -93,11 +55,9 @@ impl Scratch {
     fn clear(&mut self) {
         self.keys.clear();
         self.rows.clear();
-        self.grad_rows.clear();
         self.payload.clear();
         self.acc.clear();
         self.tags.clear();
-        self.run.clear();
         self.ahead.clear();
     }
 }
@@ -198,7 +158,6 @@ impl ReadAhead {
 /// the pool (cleared, capacity intact) on drop.
 pub struct PooledScratch<'a> {
     pool: &'a ScratchPool,
-    shape: Shape,
     inner: Option<Scratch>,
 }
 
@@ -219,15 +178,15 @@ impl Drop for PooledScratch<'_> {
     fn drop(&mut self) {
         if let Some(mut s) = self.inner.take() {
             s.clear();
-            self.pool.release(self.shape, s);
+            self.pool.release(s);
         }
     }
 }
 
-/// Shape-keyed recycling pool of [`Scratch`] arenas.
+/// A bounded shelf of recycled [`Scratch`] arenas.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    shelves: Mutex<Vec<(Shape, Vec<Scratch>)>>,
+    shelf: Mutex<Vec<Scratch>>,
 }
 
 impl ScratchPool {
@@ -236,41 +195,26 @@ impl ScratchPool {
         Self::default()
     }
 
-    /// Check out an arena for `shape`: recycled if this shape has been
-    /// seen (zero allocations), freshly default-constructed otherwise.
-    pub fn acquire(&self, shape: Shape) -> PooledScratch<'_> {
-        let recycled = {
-            let mut shelves = self.shelves.lock();
-            shelves
-                .iter_mut()
-                .find(|(s, _)| *s == shape)
-                .and_then(|(_, v)| v.pop())
-        };
+    /// Check out an arena: the one returned last if any is parked,
+    /// freshly default-constructed otherwise.
+    pub fn acquire(&self) -> PooledScratch<'_> {
+        let recycled = self.shelf.lock().pop();
         PooledScratch {
             pool: self,
-            shape,
             inner: Some(recycled.unwrap_or_default()),
         }
     }
 
-    fn release(&self, shape: Shape, scratch: Scratch) {
-        let mut shelves = self.shelves.lock();
-        if let Some((_, v)) = shelves.iter_mut().find(|(s, _)| *s == shape) {
-            if v.len() < MAX_PER_SHAPE {
-                v.push(scratch);
-            }
-            return;
+    fn release(&self, scratch: Scratch) {
+        let mut shelf = self.shelf.lock();
+        if shelf.len() < MAX_PARKED {
+            shelf.push(scratch);
         }
-        if shelves.len() < MAX_SHAPES {
-            shelves.push((shape, vec![scratch]));
-        }
-        // Shape table full: let the arena drop. A workload cycling
-        // through more than MAX_SHAPES shapes is not steady-state.
     }
 
     /// Arenas currently parked (test/diagnostic visibility).
     pub fn parked(&self) -> usize {
-        self.shelves.lock().iter().map(|(_, v)| v.len()).sum()
+        self.shelf.lock().len()
     }
 }
 
@@ -321,61 +265,47 @@ mod tests {
     #[test]
     fn capacity_survives_the_pool() {
         let pool = ScratchPool::new();
-        let shape = Shape::request(128, 4096);
         let keys_ptr;
         {
-            let mut s = pool.acquire(shape);
+            let mut s = pool.acquire();
             s.keys.extend(0..128u64);
             s.rows.resize(4096, 0.0);
             keys_ptr = s.keys.as_ptr();
         }
         assert_eq!(pool.parked(), 1);
-        let s = pool.acquire(shape);
+        let s = pool.acquire();
         assert!(s.keys.is_empty() && s.rows.is_empty(), "cleared on return");
         assert!(s.keys.capacity() >= 128, "capacity retained");
         assert_eq!(s.keys.as_ptr(), keys_ptr, "same allocation reused");
     }
 
+    /// A server burst's key count changes from call to call: requests
+    /// of many sizes, one at a time, keep reusing one arena.
     #[test]
-    fn shapes_do_not_mix() {
+    fn one_arena_serves_every_request_size() {
         let pool = ScratchPool::new();
-        {
-            let mut a = pool.acquire(Shape::request(8, 64));
-            a.rows.resize(64, 1.0);
+        let (keys_ptr, rows_ptr) = {
+            let mut s = pool.acquire();
+            s.keys.reserve(64);
+            s.rows.reserve(64 * 8);
+            (s.keys.as_ptr(), s.rows.as_ptr())
+        };
+        for n in 1..=40u64 {
+            let mut s = pool.acquire();
+            assert_eq!(s.keys.as_ptr(), keys_ptr, "request of {n} keys");
+            assert_eq!(s.rows.as_ptr(), rows_ptr, "request of {n} keys");
+            s.keys.extend(0..n);
+            s.rows.resize(n as usize * 8, 1.0);
         }
-        // A different shape gets a fresh arena; the first stays parked.
-        let b = pool.acquire(Shape::lane(40));
-        assert!(b.rows.is_empty());
         assert_eq!(pool.parked(), 1);
     }
 
     #[test]
-    fn shelves_are_bounded() {
+    fn parked_arenas_are_bounded() {
         let pool = ScratchPool::new();
-        for i in 0..2 * MAX_SHAPES {
-            let _ = pool.acquire(Shape::request(i, i));
-        }
-        assert!(pool.parked() <= MAX_SHAPES * MAX_PER_SHAPE);
-        // A shape arriving after the table is full is simply dropped.
-        assert!(pool
-            .shelves
-            .lock()
-            .iter()
-            .all(|(s, _)| *s != Shape::lane(8)));
-        // Same shape many times in flight at once: shelf caps at
-        // MAX_PER_SHAPE on the way back.
-        let pool = ScratchPool::new();
-        let held: Vec<_> = (0..2 * MAX_PER_SHAPE)
-            .map(|_| pool.acquire(Shape::lane(8)))
-            .collect();
+        let held: Vec<_> = (0..2 * MAX_PARKED).map(|_| pool.acquire()).collect();
+        assert_eq!(pool.parked(), 0, "every arena is out");
         drop(held);
-        let lane_parked = pool
-            .shelves
-            .lock()
-            .iter()
-            .find(|(s, _)| *s == Shape::lane(8))
-            .map(|(_, v)| v.len())
-            .unwrap();
-        assert_eq!(lane_parked, MAX_PER_SHAPE);
+        assert_eq!(pool.parked(), MAX_PARKED);
     }
 }

@@ -7,8 +7,7 @@
 //! lane would surface as corruption. This sweep drives every optimizer
 //! across dimensions that exercise the full-lane, remainder-only, and
 //! mixed paths, over many seeded random payload/gradient streams, and
-//! compares `to_bits()` after every step. The batched multi-row kernel
-//! is held to the same standard against per-row applies.
+//! compares `to_bits()` after every step.
 
 use oe_core::optimizer::{Optimizer, OptimizerKind, KERNEL_LANES};
 
@@ -115,36 +114,13 @@ fn vectorized_matches_scalar_reference_bit_for_bit() {
     }
 }
 
-#[test]
-fn batched_kernel_matches_per_row_applies() {
-    for kind in kinds() {
-        let opt = kind.build();
-        for &dim in &[1usize, 5, 8, 17, 32] {
-            let stride = dim + kind.state_f32s(dim);
-            for rows in [1usize, 2, 7, 16] {
-                let mut rng = SplitMix(0xAB5E * (dim as u64 + 1) + rows as u64);
-                let mut batch = Vec::with_capacity(rows * stride);
-                for _ in 0..rows {
-                    batch.extend(random_payload(kind, dim, &mut rng));
-                }
-                let grads: Vec<f32> = (0..rows * dim).map(|_| rng.next_f32()).collect();
-                let mut per_row = batch.clone();
-                for r in 0..rows {
-                    opt.apply(
-                        dim,
-                        &mut per_row[r * stride..(r + 1) * stride],
-                        &grads[r * dim..(r + 1) * dim],
-                    );
-                }
-                opt.apply_batch(dim, &mut batch, &grads, rows).unwrap();
-                assert_eq!(
-                    bits(&batch),
-                    bits(&per_row),
-                    "{kind:?} dim={dim} rows={rows}: batched kernel diverged"
-                );
-            }
-        }
-    }
+/// The message `apply` panics with, or `None` if it applied.
+fn refusal(opt: Optimizer, dim: usize, payload: &mut [f32], grad: &[f32]) -> Option<String> {
+    let applied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        opt.apply(dim, payload, grad)
+    }));
+    let panic = applied.err()?;
+    Some(panic.downcast_ref::<String>().expect("formatted").clone())
 }
 
 #[test]
@@ -158,41 +134,37 @@ fn shape_errors_are_structured_and_nonmutating() {
 
         // Short gradient.
         let mut p = before.clone();
-        let err = opt
-            .apply_batch(dim, &mut p, &vec![0.5; dim - 1], 1)
-            .expect_err("short gradient must be rejected");
+        let text = refusal(opt, dim, &mut p, &vec![0.5; dim - 1])
+            .expect("short gradient must be rejected");
         assert_eq!(
-            (err.dim, err.grad_len, err.payload_len, err.payload_expected),
-            (dim, dim - 1, expected, expected)
+            text,
+            format!(
+                "optimizer shape mismatch: dim {dim} wants grad {dim} and payload {expected}, \
+                 got grad {} and payload {expected}",
+                dim - 1
+            )
         );
         assert_eq!(bits(&p), bits(&before), "payload untouched on error");
 
         // Long gradient.
-        assert!(opt
-            .apply_batch(dim, &mut p, &vec![0.5; dim + 1], 1)
-            .is_err());
+        assert!(refusal(opt, dim, &mut p, &vec![0.5; dim + 1]).is_some());
+        assert_eq!(bits(&p), bits(&before), "payload untouched on error");
 
         // Wrong payload length (off by one either way).
         let mut long = before.clone();
         long.push(0.0);
-        assert!(opt.apply_batch(dim, &mut long, &vec![0.5; dim], 1).is_err());
+        assert!(refusal(opt, dim, &mut long, &vec![0.5; dim]).is_some());
+        assert_eq!(bits(&long[..expected]), bits(&before));
         let mut short = before.clone();
         short.pop();
-        assert!(opt
-            .apply_batch(dim, &mut short, &vec![0.5; dim], 1)
-            .is_err());
+        assert!(refusal(opt, dim, &mut short, &vec![0.5; dim]).is_some());
+        assert_eq!(bits(&short), bits(&before[..expected - 1]));
 
-        // Batched shape mismatches.
-        let mut rows2 = [before.clone(), before.clone()].concat();
-        assert!(opt
-            .apply_batch(dim, &mut rows2, &vec![0.0; 2 * dim - 1], 2)
-            .is_err());
-        assert!(opt
-            .apply_batch(dim, &mut rows2[..2 * expected - 1], &vec![0.0; 2 * dim], 2)
-            .is_err());
-
-        // The error renders the mismatch for humans.
-        let text = err.to_string();
-        assert!(text.contains("shape mismatch"), "{text}");
+        // The reference checks the same shapes.
+        let reference = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            opt.apply_reference(dim, &mut p, &vec![0.5; dim - 1])
+        }));
+        assert!(reference.is_err(), "the reference refuses a short gradient");
+        assert_eq!(bits(&p), bits(&before));
     }
 }

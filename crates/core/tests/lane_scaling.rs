@@ -1,6 +1,9 @@
-//! Lane-parallel pull/push: more lanes buy pull time, and nothing else
-//! moves — serialized time and hit/miss accounting are identical at 1,
-//! 4 and 16 lanes. `e2e/` `hot-wire` measures this path end to end.
+//! Virtual lanes of the pull/push path: more lanes buy virtual pull
+//! time, and nothing else moves — serialized time and hit/miss
+//! accounting are identical at 1, 4 and 16 lanes. The groups run in
+//! order on the request thread at any lane count; only the cost merge
+//! sees the lanes. Every `e2e/` workload runs one lane: more than one
+//! is measured only here and in `parallel_equiv.rs`.
 
 use oe_core::engine::PsEngine;
 use oe_core::init::splitmix64 as mix;

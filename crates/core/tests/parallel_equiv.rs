@@ -94,14 +94,14 @@ fn run_epochs(node: &PsNode, seed: u64, epochs: u64) -> (Vec<(u64, Vec<f32>)>, u
 /// Same results at every lane count — and less virtual pull time with
 /// more lanes: the lane-parallel cost kinds merge as the max over lanes.
 /// The one-lane pull total over the three seeds was printed at commit
-/// 35907ce. The 4- and 8-lane totals (about 160 032 and 136 089 ns
-/// there) are bounded, not pinned: when two lanes allocate PMem slots,
-/// `PmemPool::alloc` charges the high-water persist (31 ns of `Cpu`) to
-/// whichever lane extends the pool first, so their max over lanes moves
-/// in steps of 31 ns with the thread interleaving.
+/// 35907ce. Lanes run in order on the request thread, so the 4- and
+/// 8-lane totals are exact too: the lane that extends the shared slot
+/// allocator first, and pays its high-water persist, is always the same.
 #[test]
 fn parallelism_levels_are_bit_identical_for_sgd() {
     const ONE_LANE_PULL_NS: u64 = 265_545;
+    const FOUR_LANE_PULL_NS: u64 = 160_032;
+    const EIGHT_LANE_PULL_NS: u64 = 136_089;
     let mut pull_ns = [0u64; 3];
     for seed in [1u64, 99, 2024] {
         let reference = node_with(OptimizerKind::Sgd { lr: 0.5 }, 1, 24);
@@ -123,10 +123,10 @@ fn parallelism_levels_are_bit_identical_for_sgd() {
             );
         }
     }
-    assert_eq!(pull_ns[0], ONE_LANE_PULL_NS, "virtual pull ns on one lane");
-    assert!(
-        pull_ns[1] < pull_ns[0] && pull_ns[2] < pull_ns[0],
-        "4 and 8 lanes pull faster than 1: {pull_ns:?}"
+    assert_eq!(
+        pull_ns,
+        [ONE_LANE_PULL_NS, FOUR_LANE_PULL_NS, EIGHT_LANE_PULL_NS],
+        "virtual pull ns on 1, 4 and 8 lanes"
     );
 }
 
@@ -296,11 +296,12 @@ fn plan_path_reproduces_the_per_key_arm_on_distinct_keys() {
 /// lands before its maintenance, as when the maintainer threads are still
 /// draining the access queue when the gradients arrive. Deferring every
 /// commit to the drain pass keeps the weights and recycles 124 fewer
-/// slots. Literals printed at commit c7f9dd5; `total_ns` is pinned at one
-/// lane only (see `parallelism_levels_are_bit_identical_for_sgd`).
+/// slots. Literals printed at commit c7f9dd5, the one-lane `total_ns`
+/// too; the 4- and 8-lane totals were first exact once lanes ran in
+/// order (see `parallelism_levels_are_bit_identical_for_sgd`).
 #[test]
 fn commit_on_eviction_is_pinned() {
-    const ONE_LANE_TOTAL_NS: u64 = 11_886_099;
+    const TOTAL_NS: [(usize, u64); 3] = [(1, 11_886_099), (4, 8_769_527), (8, 7_682_720)];
     let want = StatsSnapshot {
         pulls: 8_977,
         hits: 2_133,
@@ -314,7 +315,7 @@ fn commit_on_eviction_is_pinned() {
         ckpt_entries_written: 0,
         slots_recycled: 2_774,
     };
-    for parallelism in [1usize, 4, 8] {
+    for (parallelism, want_ns) in TOTAL_NS {
         let n = node_with(OptimizerKind::Sgd { lr: 0.25 }, parallelism, 1024);
         let mut total_ns = 0;
         for b in 1..=6u64 {
@@ -339,9 +340,7 @@ fn commit_on_eviction_is_pinned() {
             0xe75b_2ad5_505e_6fea,
             "{what}: weights"
         );
-        if parallelism == 1 {
-            assert_eq!(total_ns, ONE_LANE_TOTAL_NS, "virtual ns on one lane");
-        }
+        assert_eq!(total_ns, want_ns, "{what}: virtual ns");
     }
 }
 

@@ -35,7 +35,7 @@ use crate::error::{Error, ErrorKind};
 use crate::transport::ServerTransport;
 use bytes::Bytes;
 use oe_core::engine::PsEngine;
-use oe_core::{ScratchPool, Shape};
+use oe_core::ScratchPool;
 use oe_simdevice::sync::Mutex;
 use oe_simdevice::Cost;
 use oe_telemetry::{Counter, Phase, PhaseTimes, Registry};
@@ -246,8 +246,8 @@ impl Shared {
     /// Pull and push — the two requests that dominate steady-state
     /// traffic — never materialize owned key/grad vectors from the wire
     /// bytes: the length-validated views are copied once into a pooled
-    /// [`Scratch`](oe_core::PooledScratch) arena (zero allocations once
-    /// the shape has been seen), and the pull reply is borrow-encoded
+    /// [`Scratch`](oe_core::PooledScratch) arena (no allocation once a
+    /// request as large has been served), and the pull reply is borrow-encoded
     /// straight from the scratch weights. Control messages go through
     /// [`Self::execute`].
     fn execute_view(
@@ -260,7 +260,7 @@ impl Shared {
         match view {
             RequestView::Pull { batch, keys } => {
                 let dim = engine.dim();
-                let mut arena = scratch.acquire(Shape::request(keys.len(), keys.len() * dim));
+                let mut arena = scratch.acquire();
                 let s = &mut *arena;
                 keys.extend_into(&mut s.keys);
                 s.rows.reserve(s.keys.len() * dim);
@@ -286,7 +286,7 @@ impl Shared {
                         ),
                     );
                 }
-                let mut arena = scratch.acquire(Shape::request(keys.len(), grads.len()));
+                let mut arena = scratch.acquire();
                 let s = &mut *arena;
                 keys.extend_into(&mut s.keys);
                 grads.extend_into(&mut s.rows);

@@ -300,6 +300,51 @@ mod tests {
         assert_eq!(fold(&[0, 1, 2, 3]).ns(CostKind::Serialized), 10);
     }
 
+    /// A cost with a few charges of random size on random kinds, some
+    /// without an op count.
+    fn random_cost(rng: &mut crate::rng::Rng) -> Cost {
+        let mut c = Cost::new();
+        for kind in CostKind::ALL {
+            for _ in 0..rng.below(4) {
+                let ns = rng.below(10_000);
+                if rng.chance(0.25) {
+                    c.charge_ns_only(kind, ns);
+                } else {
+                    c.charge(kind, ns);
+                }
+            }
+        }
+        c
+    }
+
+    /// A lane merge creates and loses no operation of any kind, a
+    /// summed kind's ns is exactly the sum over lanes and a
+    /// lane-parallel kind's the max, over seeded random lane sets.
+    #[test]
+    fn parallel_lane_merge_conserves_ops_and_summed_ns() {
+        let mut rng = crate::rng::Rng::seed_from_u64(0x1A4E_5EED);
+        for case in 0..500 {
+            let lanes: Vec<Cost> = (0..1 + rng.below(8))
+                .map(|_| random_cost(&mut rng))
+                .collect();
+            let mut acc = Cost::new();
+            for lane in &lanes {
+                acc.merge_parallel(lane);
+            }
+            for kind in CostKind::ALL {
+                let ops: u64 = lanes.iter().map(|c| c.ops(kind)).sum();
+                assert_eq!(acc.ops(kind), ops, "case {case} {kind:?} ops");
+                let ns = lanes.iter().map(|c| c.ns(kind));
+                let want = if kind.lane_parallel() {
+                    ns.max().expect("one lane at least")
+                } else {
+                    ns.sum()
+                };
+                assert_eq!(acc.ns(kind), want, "case {case} {kind:?} ns");
+            }
+        }
+    }
+
     #[test]
     fn charge_ns_only_skips_counter() {
         let mut c = Cost::new();

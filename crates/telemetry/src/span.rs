@@ -36,7 +36,8 @@ pub enum Phase {
     Plan,
     /// Shard-plan duplicate-key coalescing within each shard group.
     Dedup,
-    /// Shard-plan parallel lane execution (locked per-shard work).
+    /// Shard-plan group execution (locked per-shard work; its virtual
+    /// time is the lane-merged cost).
     Execute,
     /// Shard-plan result merge: fan-out of deduped payloads to the
     /// response buffer in original key order.

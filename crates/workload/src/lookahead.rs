@@ -7,8 +7,9 @@
 //! wasteful: sampling `batch_size × fields` ranks twice doubles the
 //! host-side generation work of every batch. [`LookaheadGen`] memoizes
 //! the most recent global batch so the peek-then-consume pattern
-//! generates each batch exactly once, while staying bit-identical to
-//! calling [`WorkloadGen::global_batch`] directly.
+//! generates each batch exactly once, and the consume moves the memo
+//! out rather than copying it, while staying bit-identical to calling
+//! [`WorkloadGen::global_batch`] directly.
 
 use crate::generator::{Batch, Key, WorkloadGen, WorkloadSpec};
 
@@ -46,9 +47,22 @@ impl LookaheadGen {
         self.generations
     }
 
-    /// All workers' shares of `batch_idx`, memoized. Bit-identical to
+    /// All workers' shares of `batch_idx`, taken out of the memo (or
+    /// generated, on a miss): the consume of peek-then-consume, after
+    /// which the memo is empty. Bit-identical to
     /// [`WorkloadGen::global_batch`].
-    pub fn global_batch(&mut self, batch_idx: u64) -> &[Batch] {
+    pub fn take_global_batch(&mut self, batch_idx: u64) -> Vec<Batch> {
+        match self.slot.take() {
+            Some((b, batches)) if b == batch_idx => batches,
+            _ => {
+                self.generations += 1;
+                self.gen.global_batch(batch_idx)
+            }
+        }
+    }
+
+    /// All workers' shares of `batch_idx`, memoized.
+    fn memo(&mut self, batch_idx: u64) -> &[Batch] {
         if self.slot.as_ref().map(|(b, _)| *b) != Some(batch_idx) {
             self.slot = Some((batch_idx, self.gen.global_batch(batch_idx)));
             self.generations += 1;
@@ -58,13 +72,14 @@ impl LookaheadGen {
 
     /// The union of all workers' deduplicated keys for `batch_idx`,
     /// sorted ascending — the set a prefetcher wants to stage before
-    /// the batch starts. Shares the memo with [`Self::global_batch`].
+    /// the batch starts. Fills the memo [`Self::take_global_batch`]
+    /// takes.
     /// Each worker's keys are already sorted and distinct, so the lists
     /// merge pairwise, dropping keys two workers share.
     pub fn unique_union(&mut self, batch_idx: u64) -> Vec<Key> {
         let mut union: Vec<Key> = Vec::new();
         let mut merged: Vec<Key> = Vec::new();
-        for b in self.global_batch(batch_idx) {
+        for b in self.memo(batch_idx) {
             merge_distinct(&union, &b.unique_keys, &mut merged);
             std::mem::swap(&mut union, &mut merged);
         }
@@ -97,15 +112,20 @@ mod tests {
         let spec = WorkloadSpec::small();
         let direct = WorkloadGen::new(spec.clone());
         let mut la = LookaheadGen::new(WorkloadGen::new(spec));
-        for b in [0u64, 1, 2] {
+        for b in [0u64, 1, 2, 2] {
+            // Batch 1 is consumed after a peek, the others on a miss.
+            if b == 1 {
+                la.unique_union(b);
+            }
             let d = direct.global_batch(b);
-            let m = la.global_batch(b);
+            let m = la.take_global_batch(b);
             assert_eq!(d.len(), m.len());
             for (x, y) in d.iter().zip(m.iter()) {
                 assert_eq!(x.input_keys, y.input_keys);
                 assert_eq!(x.unique_keys, y.unique_keys);
             }
         }
+        assert_eq!(la.generations(), 4, "a taken batch leaves the memo");
     }
 
     #[test]
@@ -116,19 +136,16 @@ mod tests {
         // then consume t+1 at the next window.
         la.unique_union(0);
         for t in 0..n {
-            la.global_batch(t);
+            // Repeated peeks at the same batch never regenerate.
+            la.unique_union(t);
+            la.take_global_batch(t);
             if t + 1 < n {
                 la.unique_union(t + 1);
             }
         }
         // Each batch is generated exactly once: the peek fills the slot
-        // and the consume one window later hits it.
+        // and the consume one window later takes it.
         assert_eq!(la.generations(), n);
-        // Repeated calls for the same batch never regenerate.
-        let before = la.generations();
-        la.global_batch(n - 1);
-        la.unique_union(n - 1);
-        assert_eq!(la.generations(), before);
     }
 
     #[test]
@@ -149,7 +166,7 @@ mod tests {
             let union = la.unique_union(batch);
             // The reference: concatenate, sort, deduplicate.
             let mut all: Vec<Key> = la
-                .global_batch(batch)
+                .take_global_batch(batch)
                 .iter()
                 .flat_map(|b| b.unique_keys.iter().copied())
                 .collect();
