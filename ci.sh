@@ -119,6 +119,27 @@ if grep -nF 'Vec<Vec<u32>>' crates/core/src/plan.rs; then
   exit 1
 fi
 
+# The one unsafe call in the product is the row kernel's run-time
+# dispatch to its #[target_feature] copy (crates/core/src/init.rs);
+# every other crate is safe Rust.
+unsafe_lines="$(find crates/*/src -name '*.rs' ! -path crates/core/src/init.rs -print0 | xargs -0 awk '
+  FNR == 1 { skip = 0 }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+  !skip && /unsafe/ { print FILENAME ":" FNR ": " $0 }')"
+if [[ -n "$unsafe_lines" ]]; then
+  echo "$unsafe_lines"
+  echo "unsafe outside crates/core/src/init.rs in crates/*/src (see above)" >&2
+  exit 1
+fi
+# A worker batch is one flat key buffer deduplicated through a bitmap;
+# the per-input lists and the comparison sort live on only as the
+# oracle in the generator's tests.
+if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /sort_unstable|Vec<Vec<Key>>/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/workload/src/generator.rs; then
+  echo "the retired sort or nested key lists resurfaced in crates/workload/src/generator.rs (see above)" >&2
+  exit 1
+fi
+
 # PR 20 deleted the registry crates; their paths, the stand-in generator's
 # name and the shard lock's upgrade dance stay out of the sources.
 if grep -rnE "parking_lot::|crossbeam::|serde::|serde_json::|proptest::|criterion::|rand::|StdRng|upgradable_read" \
@@ -246,6 +267,11 @@ cargo test --release --offline -q -p oe-cache --test prefetch_equiv
 echo "==> no prefetch decision, heat ranking or shard plan depends on the key hasher; flat plan = retired nested coalesce"
 cargo test --release --offline -q -p oe-cache --test hash_seed_independence
 cargo test --release --offline -q -p oe-core --test plan_equiv
+
+echo "==> bitmap dedup = retired sort; every row-kernel copy this CPU runs = init_weight, bit for bit"
+cargo test --release --offline -q -p oe-workload --lib generator::tests::bitmap_dedup_matches_the_retired_sort
+cargo test --release --offline -q -p oe-core --lib \
+  init::tests::every_row_kernel_variant_equals_init_weight_bit_for_bit -- --nocapture
 
 echo "==> serving-plane suite (snapshot-flip torture, ANN recall floors, flat index + sketch-filtered top-k = retired index, decode = recovery scan)"
 cargo test --release --offline -q -p oe-serve

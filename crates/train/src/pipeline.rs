@@ -670,7 +670,7 @@ impl<'a> PipelinedTrainer<'a> {
         let (mut correct, mut total) = (0u64, 0u64);
         for b in 0..eval_batches {
             let wb = gen.worker_batch(b, 0);
-            for (ii, input) in wb.input_keys.iter().enumerate() {
+            for (ii, input) in wb.input_keys().enumerate() {
                 let mut emb = vec![0.0f32; fields * dim];
                 let mut known = true;
                 for (f, k) in input.iter().enumerate() {

@@ -5,7 +5,7 @@
 use crate::gpu::GpuModel;
 use crate::model::{DeepFm, DeepFmConfig};
 use crate::phases::PhaseBreakdown;
-use oe_core::init::init_weight;
+use oe_core::init::init_rows;
 use oe_core::{BatchId, CheckpointScheduler};
 use oe_simdevice::clock::Nanos;
 use oe_simdevice::ContentionModel;
@@ -148,18 +148,11 @@ pub(crate) fn worker_grads(
     let keys = &wb.unique_keys;
     let mut grads = vec![0.0f32; keys.len() * dim];
     match mode {
-        TrainMode::Synthetic { grad_scale } => {
-            let scale = *grad_scale;
-            for (i, &k) in keys.iter().enumerate() {
-                for d in 0..dim {
-                    grads[i * dim + d] = init_weight(b ^ 0x5A5A, k, d, scale);
-                }
-            }
-        }
+        TrainMode::Synthetic { grad_scale } => init_rows(b ^ 0x5A5A, keys, *grad_scale, &mut grads),
         TrainMode::DeepFm(_) => {
             let model = model.as_mut().expect("model built");
             let mut emb = vec![0.0f32; fields * dim];
-            for (ii, input) in wb.input_keys.iter().enumerate() {
+            for (ii, input) in wb.input_keys().enumerate() {
                 for (f, k) in input.iter().enumerate() {
                     let idx = keys.binary_search(k).expect("key pulled");
                     emb[f * dim..(f + 1) * dim]

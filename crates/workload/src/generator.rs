@@ -83,8 +83,10 @@ pub struct Batch {
     pub batch_idx: u64,
     /// Worker index.
     pub worker: usize,
-    /// Per-input key lists (`inputs × fields`), for model training.
-    pub input_keys: Vec<Vec<Key>>,
+    /// Keys per input.
+    fields: usize,
+    /// Every input's keys, input after input (`inputs × fields`).
+    keys: Vec<Key>,
     /// Deduplicated, sorted keys this worker pulls/pushes.
     pub unique_keys: Vec<Key>,
 }
@@ -92,12 +94,23 @@ pub struct Batch {
 impl Batch {
     /// Number of inputs in this worker batch.
     pub fn inputs(&self) -> usize {
-        self.input_keys.len()
+        self.keys.len() / self.fields
+    }
+
+    /// Each input's keys in input order, `fields` a slice, for model
+    /// training.
+    pub fn input_keys(&self) -> std::slice::ChunksExact<'_, Key> {
+        self.keys.chunks_exact(self.fields)
+    }
+
+    /// Every key reference (with duplicates), input after input.
+    pub fn keys(&self) -> &[Key] {
+        &self.keys
     }
 
     /// Raw (with duplicates) key references.
     pub fn total_refs(&self) -> usize {
-        self.input_keys.iter().map(|v| v.len()).sum()
+        self.keys.len()
     }
 }
 
@@ -132,31 +145,27 @@ impl WorkloadGen {
         // hot set slides through the key space.
         let num_keys = self.spec.num_keys;
         let offset = (batch_idx * self.spec.drift_keys_per_batch) % num_keys;
-        let mut input_keys = Vec::with_capacity(inputs);
-        for _ in 0..inputs {
-            let keys: Vec<Key> = (0..self.spec.fields)
-                .map(|_| {
-                    let pick = stream.next_f64();
-                    let u = stream.next_f64();
-                    // Rank and offset are both below `num_keys`: their
-                    // sum wraps with one subtraction, no division.
-                    let key = self.spec.skew.rank_from_uniforms(pick, u, num_keys) + offset;
-                    if key >= num_keys {
-                        key - num_keys
-                    } else {
-                        key
-                    }
-                })
-                .collect();
-            input_keys.push(keys);
-        }
-        let mut unique_keys: Vec<Key> = input_keys.iter().flatten().copied().collect();
-        unique_keys.sort_unstable();
-        unique_keys.dedup();
+        let fields = self.spec.fields;
+        let keys: Vec<Key> = (0..inputs * fields)
+            .map(|_| {
+                let pick = stream.next_f64();
+                let u = stream.next_f64();
+                // Rank and offset are both below `num_keys`: their sum
+                // wraps with one subtraction, no division.
+                let key = self.spec.skew.rank_from_uniforms(pick, u, num_keys) + offset;
+                if key >= num_keys {
+                    key - num_keys
+                } else {
+                    key
+                }
+            })
+            .collect();
+        let unique_keys = distinct_ascending(&keys, num_keys);
         Batch {
             batch_idx,
             worker,
-            input_keys,
+            fields,
+            keys,
             unique_keys,
         }
     }
@@ -174,16 +183,36 @@ impl WorkloadGen {
         let mut counts = vec![0u64; self.spec.num_keys as usize];
         for b in 0..batches {
             for w in 0..self.spec.workers {
-                let batch = self.worker_batch(b, w);
-                for keys in &batch.input_keys {
-                    for &k in keys {
-                        counts[k as usize] += 1;
-                    }
+                for &k in self.worker_batch(b, w).keys() {
+                    counts[k as usize] += 1;
                 }
             }
         }
         counts
     }
+}
+
+/// The distinct keys of `keys`, ascending. Each key sets its bit in a
+/// bitmap of one bit per key of `0..num_keys`; reading the set bits back
+/// word by word yields them sorted and distinct without comparing two
+/// keys.
+fn distinct_ascending(keys: &[Key], num_keys: u64) -> Vec<Key> {
+    let mut bits = vec![0u64; num_keys.div_ceil(64) as usize];
+    let mut distinct = 0;
+    for &k in keys {
+        let (word, bit) = (&mut bits[(k >> 6) as usize], 1u64 << (k & 63));
+        distinct += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+    let mut out = Vec::with_capacity(distinct);
+    for (w, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            out.push((w as u64) << 6 | u64::from(rest.trailing_zeros()));
+            rest &= rest - 1;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -226,6 +255,71 @@ mod tests {
             .collect()
     }
 
+    /// Each input's keys as its own list, the retired layout.
+    fn input_lists(batch: &Batch) -> Vec<Vec<Key>> {
+        batch.input_keys().map(<[Key]>::to_vec).collect()
+    }
+
+    /// The retired dedup: flatten, comparison-sort, drop repeats.
+    fn retired_unique_keys(input_keys: &[Vec<Key>]) -> Vec<Key> {
+        let mut unique: Vec<Key> = input_keys.iter().flatten().copied().collect();
+        unique.sort_unstable();
+        unique.dedup();
+        unique
+    }
+
+    #[test]
+    fn bitmap_dedup_matches_the_retired_sort() {
+        let mut case = 0u64;
+        for num_keys in [1, 63, 64, 65, 5_000, 1_000_000] {
+            for fields in [1, 8, 26] {
+                for drift in [0, 64] {
+                    for workers in 1..=16 {
+                        case += 1;
+                        let spec = WorkloadSpec {
+                            num_keys,
+                            fields,
+                            // 1 to 8 inputs a worker, uneven splits too.
+                            batch_size: workers * (1 + case as usize % 8) + case as usize % workers,
+                            workers,
+                            // Flat to steep: few keys repeat, or most do.
+                            skew: SkewModel::paper_fit()
+                                .scaled([0.002, 0.05, 1.0][case as usize % 3]),
+                            seed: 20230403 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                            drift_keys_per_batch: drift,
+                        };
+                        let g = WorkloadGen::new(spec.clone());
+                        for b in [0, 1, 7_919] {
+                            for worker in 0..workers {
+                                let batch = g.worker_batch(b, worker);
+                                let retired = retired_input_keys(&spec, b, worker);
+                                assert_eq!(input_lists(&batch), retired, "case {case} batch {b}");
+                                assert_eq!(
+                                    batch.unique_keys,
+                                    retired_unique_keys(&retired),
+                                    "case {case} batch {b}"
+                                );
+                                assert_eq!(batch.total_refs(), batch.inputs() * fields);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_dedup_reads_every_word_edge() {
+        // Keys on both sides of each word boundary and the last key.
+        let keys = [129, 0, 64, 63, 129, 127, 128, 0, 199, 65];
+        assert_eq!(
+            distinct_ascending(&keys, 200),
+            [0, 63, 64, 65, 127, 128, 129, 199]
+        );
+        assert_eq!(distinct_ascending(&[0, 0], 1), [0]);
+        assert!(distinct_ascending(&[], 5).is_empty());
+    }
+
     #[test]
     fn conditional_wrap_matches_the_retired_modulo() {
         for scale in [0.002, 0.05, 1.0] {
@@ -243,14 +337,14 @@ mod tests {
                 let mut wrapped = 0;
                 for b in 0..2_000 {
                     let worker = (b % 2) as usize;
-                    let keys = g.worker_batch(b, worker).input_keys;
+                    let batch = g.worker_batch(b, worker);
                     assert_eq!(
-                        keys,
+                        input_lists(&batch),
                         retired_input_keys(&spec, b, worker),
                         "scale {scale} drift {drift} batch {b}"
                     );
                     let offset = (b * drift) % spec.num_keys;
-                    wrapped += keys.iter().flatten().filter(|&&k| k < offset).count();
+                    wrapped += batch.keys().iter().filter(|&&k| k < offset).count();
                 }
                 // With drift, sums past `num_keys` occur: the wrap runs.
                 assert_eq!(wrapped > 0, drift > 0, "scale {scale} drift {drift}");
@@ -263,10 +357,10 @@ mod tests {
         let g = WorkloadGen::new(WorkloadSpec::small());
         let a = g.worker_batch(3, 1);
         let b = g.worker_batch(3, 1);
-        assert_eq!(a.input_keys, b.input_keys);
+        assert_eq!(input_lists(&a), input_lists(&b));
         assert_eq!(a.unique_keys, b.unique_keys);
         let c = g.worker_batch(4, 1);
-        assert_ne!(a.input_keys, c.input_keys);
+        assert_ne!(input_lists(&a), input_lists(&c));
     }
 
     #[test]

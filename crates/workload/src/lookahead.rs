@@ -121,7 +121,8 @@ mod tests {
             let m = la.take_global_batch(b);
             assert_eq!(d.len(), m.len());
             for (x, y) in d.iter().zip(m.iter()) {
-                assert_eq!(x.input_keys, y.input_keys);
+                assert_eq!(x.keys(), y.keys());
+                assert!(x.input_keys().eq(y.input_keys()));
                 assert_eq!(x.unique_keys, y.unique_keys);
             }
         }
