@@ -3,9 +3,9 @@
 //! The experiment harness: everything needed to regenerate the paper's
 //! tables and figures on the simulator. Training, serving, the fabric
 //! lane and the hot path are measured end to end by `e2e/`, not here;
-//! the exact numbers of the durability, failover and rebalancing
-//! scenarios are literals in the integration tests beside them, whose
-//! drivers live in the root package's `tests/support/`.
+//! the exact numbers of the durability and failover scenarios are
+//! literals in the integration tests beside them, whose drivers live
+//! in the root package's `tests/support/`.
 //!
 //! - [`scenario`] — the scaled default workload (model size, skew, cache
 //!   fraction all preserved as *ratios* of the paper's 500 GB setup),

@@ -1,21 +1,19 @@
 //! Per-key access-frequency tracking: the heat sketch of the prefetch
-//! cache and the placer's view of the hot head.
+//! cache.
 //!
-//! The placement plane (`oe-cluster`) needs to know *which* keys are
-//! hot right now — not the long-run stationary skew (that is
-//! `oe-workload`'s `SkewModel`), but the empirical counts of the recent
-//! window, because a flash crowd is exactly a deviation from the
-//! stationary model. The tracker is a plain count map with exponential
-//! decay: `decay()` halves every count, so a storm that ended a few
-//! rebalance windows ago stops dominating `top_hot` without any
-//! timestamp bookkeeping.
+//! The pipelined trainer needs to know *which* keys are hot right now —
+//! not the long-run stationary skew (that is `oe-workload`'s
+//! `SkewModel`), but the empirical counts of the recent window, because
+//! popularity drifts. The tracker is a plain count map with exponential
+//! decay: `decay()` halves every count, so keys that went cold a few
+//! periods ago stop dominating `top_hot` without any timestamp
+//! bookkeeping.
 //!
-//! The pipelined trainer keeps a second tracker as the heat sketch of
-//! its [`PrefetchCache`] and decays it on its own cadence — every
-//! `PipelineConfig::heat_decay_every` training windows, not per
-//! rebalance window. Between two decays a count only rises, which is
-//! what lets the cache keep its victim index lazily
-//! ([`PrefetchCache::rerank`] after each decay).
+//! The trainer keeps one tracker as the heat sketch of its
+//! [`PrefetchCache`] and decays it every
+//! `PipelineConfig::heat_decay_every` training windows. Between two
+//! decays a count only rises, which is what lets the cache keep its
+//! victim index lazily ([`PrefetchCache::rerank`] after each decay).
 //!
 //! [`PrefetchCache`]: crate::PrefetchCache
 //! [`PrefetchCache::rerank`]: crate::PrefetchCache::rerank
@@ -67,8 +65,7 @@ impl FreqTracker {
     }
 
     /// The `limit` hottest keys with their counts, hottest first.
-    /// Ties break on ascending key so the ordering — and therefore every
-    /// placement decision downstream — is deterministic.
+    /// Ties break on ascending key so the ordering is deterministic.
     pub fn top_hot(&self, limit: usize) -> Vec<(Key, u64)> {
         let mut v: Vec<(Key, u64)> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
         v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -77,8 +74,8 @@ impl FreqTracker {
     }
 
     /// Halve every count, dropping keys that reach zero. Call once per
-    /// rebalance window (or trainer decay period) to age out finished
-    /// storms; it is the only call that lowers a count.
+    /// decay period to age out keys that went cold; it is the only call
+    /// that lowers a count.
     pub fn decay(&mut self) {
         self.total = 0;
         self.counts.retain(|_, c| {

@@ -88,8 +88,7 @@ impl HashIndex {
     }
 
     /// Remove a key entirely, returning its entry so the caller can
-    /// release the DRAM slot and chained PMem slots it references
-    /// (entry migration: the source side forgets a key at cutover).
+    /// release the DRAM slot and chained PMem slots it references.
     pub fn remove(&mut self, key: Key) -> Option<IndexEntry> {
         self.map.remove(&key)
     }

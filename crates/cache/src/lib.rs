@@ -21,7 +21,7 @@
 //! - [`prefetch::PrefetchCache`] — the trainer-side, heat-ranked store
 //!   of next-batch rows for the pipelined training path, coherent with
 //!   the applied-push watermark, ranked by a [`freq::FreqTracker`] (the
-//!   decaying per-key access counts the placer reads too).
+//!   decaying per-key access counts).
 //! - [`keymap::KeyMap`] / [`keymap::KeySet`] — std maps keyed by an
 //!   embedding key under the one keyed, multiply-fold key hasher; every
 //!   product crate keys its per-key maps with them.

@@ -262,7 +262,7 @@ impl PrefetchCache {
         dropped
     }
 
-    /// Drop everything (placement-epoch change fallback, tests).
+    /// Drop everything (the failover rewind, tests).
     pub fn clear(&mut self) {
         let n = self.entries.len() as u64;
         self.stats.invalidations += n;

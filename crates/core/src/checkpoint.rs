@@ -75,8 +75,7 @@ impl CheckpointScheduler {
 /// [`CheckpointScheduler::due`] does in virtual time (an overshoot —
 /// e.g. a failover rewind skipping boundary calls — advances by whole
 /// multiples, so the long-run rate stays pinned and a long gap yields
-/// one fire, not a burst). Used by `oe-cluster`'s rebalance controller
-/// to rate-limit placement decisions.
+/// one fire, not a burst).
 #[derive(Debug, Clone)]
 pub struct BatchCadence {
     every: u64,

@@ -88,37 +88,28 @@ pub trait PsEngine: Send + Sync {
         String::new()
     }
 
-    // ---- entry migration (live shard rebalancing, `oe-cluster`) ----
+    // ---- entry export (refusing defaults only) ----
     //
-    // A migrating key is seed-copied from source to destination with its
-    // *complete* state — weights plus optimizer slots plus version — so
-    // that subsequent double-written pushes keep the replicas in
-    // lockstep and the cutover is bit-exact. None of these touch the
-    // engine's logical counters (pulls/pushes/new_entries): migration is
-    // placement plumbing, not training traffic. Engines that don't
-    // support migration inherit the refusing defaults and simply can't
-    // be rebalanced.
+    // No engine in this workspace overrides these and nothing calls
+    // them. The refusing defaults remain only because
+    // `e2e/src/seams.rs` forwards them through its engine decorator;
+    // ROADMAP item 7 deletes them.
 
-    /// Export `key`'s full entry: `(version, payload)` where the payload
-    /// carries weights *and* optimizer state (unlike
-    /// [`PsEngine::read_weights`], which truncates to `dim`). `None` if
-    /// the key has no entry or the engine doesn't support export.
+    /// Export `key`'s full entry (weights and optimizer state). Always
+    /// `None`.
     fn export_entry(&self, key: Key, cost: &mut Cost) -> Option<(BatchId, Vec<f32>)> {
         let _ = (key, cost);
         None
     }
 
-    /// Install a full entry previously exported from another engine,
-    /// replacing any existing entry for `key`. Returns false if the
-    /// engine doesn't support import.
+    /// Install a full entry exported from another engine. Always
+    /// refuses (`false`).
     fn import_entry(&self, key: Key, version: BatchId, payload: &[f32], cost: &mut Cost) -> bool {
         let _ = (key, version, payload, cost);
         false
     }
 
-    /// Drop `key`'s entry entirely (cutover: the source side forgets a
-    /// migrated key, freeing its cache slot and storage). Returns false
-    /// if there was no entry or the engine doesn't support discard.
+    /// Drop `key`'s entry entirely. Always refuses (`false`).
     fn discard_entry(&self, key: Key, cost: &mut Cost) -> bool {
         let _ = (key, cost);
         false

@@ -1050,70 +1050,6 @@ impl PsEngine for PsNode {
     fn metrics_text(&self) -> String {
         self.registry.render_text()
     }
-
-    fn export_entry(&self, key: Key, cost: &mut Cost) -> Option<(BatchId, Vec<f32>)> {
-        cost.charge(CostKind::Cpu, HASH_PROBE_NS + SHARD_LOCK_NS);
-        let sid = self.shard_of(key);
-        let g = self.shards[sid].read();
-        let e = g.index.get(key)?;
-        let mut payload = vec![0f32; self.cfg.payload_f32s()];
-        if let Some(slot) = e.loc.as_dram() {
-            // Full payload: weights + optimizer slots, not the
-            // dim-truncated view `read_weights` serves.
-            payload.copy_from_slice(g.arena.payload(slot));
-            cost.charge(
-                CostKind::DramTransfer,
-                self.dram.read_ns((payload.len() * 4) as u64),
-            );
-            Some((g.arena.version(slot), payload))
-        } else {
-            self.store
-                .read_slot(e.loc.as_pmem().expect("tagged loc"), &mut payload, cost)
-                .expect("indexed slot valid");
-            Some((e.version, payload))
-        }
-    }
-
-    fn import_entry(&self, key: Key, version: BatchId, payload: &[f32], cost: &mut Cost) -> bool {
-        assert_eq!(
-            payload.len(),
-            self.cfg.payload_f32s(),
-            "import carries the full payload (weights + optimizer state)"
-        );
-        cost.charge(CostKind::Cpu, HASH_PROBE_NS + SHARD_LOCK_NS);
-        let sid = self.shard_of(key);
-        // Replace any existing entry (repeated migrations), releasing
-        // its slots first.
-        if self.shards[sid].read().index.get(key).is_some() {
-            self.discard_entry(key, cost);
-        }
-        // Land in PMem; the destination's cache promotes it through
-        // normal maintenance once it proves hot there. Deliberately no
-        // `new_entries` bump: migration is placement plumbing, not a
-        // first touch.
-        let slot = self.store.alloc(cost);
-        self.store.write_slot(slot, key, version, payload, cost);
-        let mut g = self.shards[sid].write();
-        g.index.insert_recovered(key, slot, version);
-        true
-    }
-
-    fn discard_entry(&self, key: Key, cost: &mut Cost) -> bool {
-        cost.charge(CostKind::Cpu, HASH_PROBE_NS + SHARD_LOCK_NS + LRU_OP_NS);
-        let sid = self.shard_of(key);
-        let mut g = self.shards[sid].write();
-        let Some(mut e) = g.index.remove(key) else {
-            return false;
-        };
-        if let Some(slot) = e.loc.as_dram() {
-            g.lru.remove(slot);
-            g.arena.remove(slot);
-        }
-        let mut freed = Vec::new();
-        e.chain.clear_into(&mut freed);
-        self.recycle(&freed, cost);
-        true
-    }
 }
 
 #[cfg(test)]
@@ -1384,62 +1320,6 @@ mod tests {
         );
         // The parallel request simulates faster on a skewed batch.
         assert!(pc.total_ns() <= sc.total_ns());
-    }
-
-    #[test]
-    fn export_import_carries_optimizer_state() {
-        // AdaGrad keeps per-key accumulators in the payload tail; a
-        // migration that only copied the dim-truncated weights would
-        // diverge on the very next push. Export/import must keep the
-        // replicas in lockstep.
-        let mk = || {
-            let mut cfg = NodeConfig::small(4);
-            cfg.optimizer = OptimizerKind::Adagrad { lr: 0.1, eps: 1e-8 };
-            cfg.cache_bytes = 16 * cfg.bytes_per_cached_entry();
-            PsNode::new(cfg)
-        };
-        let (src, dst) = (mk(), mk());
-        let mut cost = Cost::new();
-        pull1(&src, 7, 1);
-        src.end_pull_phase(1);
-        src.push(&[7], &[0.5; 4], 1, &mut cost);
-
-        let (ver, payload) = src.export_entry(7, &mut cost).expect("entry exists");
-        assert_eq!(payload.len(), src.cfg.payload_f32s(), "full payload");
-        assert!(dst.import_entry(7, ver, &payload, &mut cost));
-        assert_eq!(dst.read_weights(7), src.read_weights(7));
-        assert_eq!(dst.stats().new_entries, 0, "import is not a first touch");
-
-        // Same push on both replicas stays bit-identical (state moved).
-        src.push(&[7], &[0.25; 4], 2, &mut cost);
-        dst.push(&[7], &[0.25; 4], 2, &mut cost);
-        assert_eq!(dst.read_weights(7), src.read_weights(7));
-    }
-
-    #[test]
-    fn export_missing_key_is_none() {
-        let n = node(4);
-        let mut cost = Cost::new();
-        assert!(n.export_entry(99, &mut cost).is_none());
-    }
-
-    #[test]
-    fn discard_forgets_key_and_frees_slots() {
-        let n = node(2);
-        let mut cost = Cost::new();
-        for k in 0..5u64 {
-            pull1(&n, k, 1); // forces evictions → PMem chains exist
-        }
-        n.end_pull_phase(1);
-        n.push(&(0..5u64).collect::<Vec<_>>(), &[0.1; 20], 1, &mut cost);
-        let before = n.num_keys();
-        assert!(n.discard_entry(3, &mut cost));
-        assert_eq!(n.num_keys(), before - 1);
-        assert!(n.read_weights(3).is_none());
-        assert!(!n.discard_entry(3, &mut cost), "second discard is a no-op");
-        // A later first touch re-initializes deterministically.
-        let w = pull1(&n, 3, 2);
-        assert_eq!(w.len(), 4);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   weight reads, …) plus the failover sequence fence, with explicit
 //!   framing, versioning, a per-request `(client, seq)` idempotence
 //!   token, and a whole-frame checksum that turns in-flight bit flips
-//!   into structured errors. Placement is in-process (`oe-cluster`):
+//!   into structured errors. Routing is in-process (`oe-cluster`):
 //!   the wire carries no placement epoch and no migration message;
 //! - [`transport`] — a deadline-aware [`transport::Transport`]
 //!   abstraction with an in-process loopback implementation (bounded

@@ -46,7 +46,7 @@
 //! | [`pmem`] | PMDK-style pool: slot allocator, persistent root, recovery scan |
 //! | [`cache`] | DRAM cache primitives: arena, tagged pointers, LRU, version chains |
 //! | [`core`] | the PS node (Algorithms 1 & 2), checkpointing, recovery, optimizers |
-//! | [`cluster`] | skew-aware placement plane: epoch-versioned routing, live shard migration, rebalancing |
+//! | [`cluster`] | the sharded cluster: static hash routing, per-node scatter/gather, parallel cost merge |
 //! | [`baselines`] | DRAM-PS, Ori-Cache, PMem-Hash, TF-PS, incremental checkpointing |
 //! | [`workload`] | skew models fitted to the paper's trace, Criteo synth, analysis |
 //! | [`train`] | the training simulator (one trainer; k = 0 is the paper's synchronous batch), DeepFM, failover rewind, cost model |
@@ -73,9 +73,7 @@ pub use oe_workload as workload;
 pub mod prelude {
     pub use crate::layer::{EmbeddingActivation, EmbeddingLayer};
     pub use oe_baselines::{CkptDevice, DramPs, IncrementalCkpt, OriCache, PmemHash, TfPs};
-    pub use oe_cluster::{
-        MigrationSpec, NodeClass, PlacedCluster, PlacementTable, RebalanceConfig,
-    };
+    pub use oe_cluster::PlacedCluster;
     pub use oe_core::engine::PsEngine;
     pub use oe_core::recovery::{DurableHome, LocalMedia};
     pub use oe_core::{
@@ -95,8 +93,8 @@ pub mod prelude {
     pub use oe_telemetry::{Histogram, HistogramSnapshot, Phase, PhaseTimes, Registry};
     pub use oe_train::model::{DeepFm, DeepFmConfig};
     pub use oe_train::{
-        CloudCostModel, CoherenceSource, GpuModel, PipelineConfig, PipelineReport,
-        PipelinedTrainer, PsDeployment, TrainMode, TrainReport, TrainerConfig,
+        CloudCostModel, GpuModel, PipelineConfig, PipelineReport, PipelinedTrainer, PsDeployment,
+        TrainMode, TrainReport, TrainerConfig,
     };
     pub use oe_workload::{CriteoSynth, SkewModel, WorkloadGen, WorkloadSpec};
 }

@@ -35,11 +35,10 @@
 //!   [`NetCharge`] round trip.
 //!
 //! Coherence: the cache is fenced on every out-of-band apply (applied
-//! keys are invalidated before the next prefetch re-pulls them), and a
-//! [`CoherenceSource`] lets placement-plane events — a live shard
-//! migration cutover — invalidate moved keys exactly once. A lookup
-//! therefore never returns weights that differ from a demand pull at
-//! the same point in the schedule.
+//! keys are invalidated before the next prefetch re-pulls them), so a
+//! lookup never returns weights that differ from a demand pull at the
+//! same point in the schedule. Keys never change nodes (the cluster
+//! routes by the static hash), so nothing else can stale a row.
 //!
 //! Staleness semantics: the pull of batch `t` observes all applies
 //! `≤ t − 1 − k`. Every pull of a key with a pending unapplied push is
@@ -82,21 +81,13 @@ fn burst_net_ns(keys: usize, dim: usize) -> Nanos {
     NetCharge::round_trip_ns(keys * (8 + 4 * dim))
 }
 
-/// Placement-plane events that stale prefetched entries: a live shard
-/// migration moves a key's authoritative copy, so any row prefetched
-/// from the old placement must drop. Implemented by
-/// [`oe_cluster::PlacedCluster`]; draining is destructive, so each
-/// moved key is surfaced — and invalidated — exactly once.
-pub trait CoherenceSource {
-    /// Keys whose placement changed since the last drain.
-    fn drain_invalidations(&self) -> Vec<Key>;
-}
+/// A marker for engines [`PipelinedTrainer::set_coherence`] accepts.
+/// Keys never change nodes, so it carries nothing. It stays only
+/// because the end-to-end benchmark (`e2e/`) names it; ROADMAP item 7
+/// deletes it.
+pub trait CoherenceSource {}
 
-impl<E: PsEngine> CoherenceSource for oe_cluster::PlacedCluster<E> {
-    fn drain_invalidations(&self) -> Vec<Key> {
-        self.drain_moved_keys()
-    }
-}
+impl<E: PsEngine> CoherenceSource for oe_cluster::PlacedCluster<E> {}
 
 /// Pipeline knobs.
 #[derive(Debug, Clone)]
@@ -153,8 +144,7 @@ pub struct PipelineReport {
     pub prefetch_misses: u64,
     /// Cache entries dropped for hotter keys.
     pub prefetch_evictions: u64,
-    /// Cache entries dropped by coherence fences (applied pushes,
-    /// migration cutovers).
+    /// Cache entries dropped by coherence fences (applied pushes).
     pub prefetch_invalidations: u64,
     /// Rows admitted by the prefetcher.
     pub prefetch_inserts: u64,
@@ -207,7 +197,6 @@ pub struct PipelinedTrainer<'a> {
     heat: FreqTracker,
     pending: VecDeque<PendingPush>,
     pending_refs: KeyMap<u32>,
-    coherence: Option<&'a dyn CoherenceSource>,
     trace: TraceRecorder,
     windows_run: u64,
     stale_occurrences: u64,
@@ -245,7 +234,6 @@ impl<'a> PipelinedTrainer<'a> {
             heat: FreqTracker::new(),
             pending: VecDeque::new(),
             pending_refs: KeyMap::default(),
-            coherence: None,
             trace: TraceRecorder::new(),
             windows_run: 0,
             stale_occurrences: 0,
@@ -256,10 +244,11 @@ impl<'a> PipelinedTrainer<'a> {
         }
     }
 
-    /// Subscribe placement-plane invalidations (shard migration
-    /// cutovers drop moved keys from the prefetch cache).
+    /// Does nothing: keys never change nodes, so no placement event can
+    /// stale a prefetched row. It stays only because the end-to-end
+    /// benchmark (`e2e/`) calls it; ROADMAP item 7 deletes it.
     pub fn set_coherence(&mut self, src: &'a dyn CoherenceSource) {
-        self.coherence = Some(src);
+        let _ = src;
     }
 
     /// Virtual clock (exposed for checkpoint-interval experiments).
@@ -283,20 +272,6 @@ impl<'a> PipelinedTrainer<'a> {
         start_batch: BatchId,
         batches: u64,
     ) -> Result<PipelineReport, NetError> {
-        self.try_run_with_hook(start_batch, batches, |_| {})
-    }
-
-    /// [`PipelinedTrainer::try_run`] with a hook fired after every
-    /// window that completes (receiving that batch's id) — the seam for
-    /// out-of-band control: a rebalancer forcing a migration mid-epoch,
-    /// a test asserting at a window boundary. Batches replayed after a
-    /// failover fire the hook again.
-    pub fn try_run_with_hook(
-        &mut self,
-        start_batch: BatchId,
-        batches: u64,
-        mut hook: impl FnMut(BatchId),
-    ) -> Result<PipelineReport, NetError> {
         let ctx = BatchCtx::new(self.client.embed_dim(), self.gen.spec().clone(), &self.cfg);
         let stats0 = self.client.snapshot_stats()?;
         let mut acc = RunAcc::new();
@@ -306,10 +281,7 @@ impl<'a> PipelinedTrainer<'a> {
         let mut b = start_batch;
         while b < end {
             match self.run_window(b, end, &ctx, &mut acc) {
-                Ok(()) => {
-                    hook(b);
-                    b += 1;
-                }
+                Ok(()) => b += 1,
                 Err(err) => {
                     let Some(ev) = self.client.failover_resume() else {
                         return Err(err);
@@ -393,14 +365,6 @@ impl<'a> PipelinedTrainer<'a> {
             k >= 1 || self.pending.is_empty(),
             "k = 0 starts a window with no push pending"
         );
-
-        // ---- coherence fences from the placement plane ----
-        if let Some(src) = self.coherence {
-            let moved = src.drain_invalidations();
-            if !moved.is_empty() {
-                self.cache.invalidate(&moved);
-            }
-        }
 
         // ---- heat decay (tracks the current hot set under drift) ----
         // The sketch's one reader is the cache: without one, it is not

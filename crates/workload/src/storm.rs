@@ -1,4 +1,5 @@
-//! Hot-key storm workloads for placement/rebalancing studies.
+//! Hot-key storm workloads: a transient flash crowd over a stationary
+//! background.
 //!
 //! A *flash crowd* — a small set of keys suddenly absorbing most of the
 //! traffic (a viral item, a trending ad campaign) — is the adversarial
@@ -125,8 +126,8 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    /// The storm stream feeds the serving stages of the benchmark and
-    /// the rebalance bench: pinned to what the parent commit (`ac0ac0c`,
+    /// The storm stream feeds the serving stages of the benchmark:
+    /// pinned to what the parent commit (`ac0ac0c`,
     /// the benchmark's stand-in generator) produced for this spec.
     #[test]
     fn batch_and_request_streams_are_pinned() {

@@ -118,6 +118,10 @@ fn all_engines_run_the_same_pipeline() {
     assert!(t_of("PMem-OE") < t_of("PMem-Hash"));
 }
 
+/// A 3-node cluster trains exactly like one node under the synchronous
+/// schedule and under a pipelined, prefetching one (k = 2, the
+/// `pool-pipe` shape): same weights bit for bit, and the same prefetch
+/// and stale-read accounting.
 #[test]
 fn cluster_of_nodes_trains_identically_to_single_node() {
     let mk_cfg = || {
@@ -126,18 +130,39 @@ fn cluster_of_nodes_trains_identically_to_single_node() {
         c.cache_bytes = 1000 * c.bytes_per_cached_entry();
         c
     };
-    let single = PsNode::new(mk_cfg());
-    // Static hash routing: a placed cluster at placement epoch 0.
-    let cluster = PlacedCluster::new((0..3).map(|_| PsNode::new(mk_cfg())).collect());
+    let bits = |w: Option<Vec<f32>>| w.map(|w| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+    for pcfg in [PipelineConfig::sync(), PipelineConfig::bounded(2, 2048)] {
+        let k = pcfg.staleness;
+        let single = PsNode::new(mk_cfg());
+        // The paper's static hash routing over three nodes.
+        let cluster = PlacedCluster::new((0..3).map(|_| PsNode::new(mk_cfg())).collect());
+        let run = |ps: &dyn PsClient| {
+            PipelinedTrainer::with_client(ps, spec(1), TrainerConfig::paper(1), pcfg.clone())
+                .run(1, 10)
+        };
+        let (r1, r3) = (run(&single), run(&cluster));
 
-    sync_trainer(&single, 1, TrainerConfig::paper(1)).run(1, 10);
-    sync_trainer(&cluster, 1, TrainerConfig::paper(1)).run(1, 10);
-
-    for key in 0..200u64 {
-        assert_eq!(
-            single.read_weights(key),
-            cluster.read_weights(key),
-            "key {key}"
-        );
+        for key in 0..200u64 {
+            assert_eq!(
+                bits(single.read_weights(key)),
+                bits(cluster.read_weights(key)),
+                "k = {k}: key {key}"
+            );
+        }
+        let counters = |r: &PipelineReport| {
+            [
+                r.prefetch_hits,
+                r.prefetch_misses,
+                r.prefetch_inserts,
+                r.prefetch_evictions,
+                r.prefetch_invalidations,
+                r.prefetch_admission_rejects,
+                r.stale_read_occurrences,
+            ]
+        };
+        assert_eq!(counters(&r1), counters(&r3), "k = {k}");
+        if k > 0 {
+            assert!(r3.prefetch_hits > 0, "k = {k}: the prefetch cache served");
+        }
     }
 }

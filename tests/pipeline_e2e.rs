@@ -3,10 +3,8 @@
 //! — same weights, same engine counters, same virtual nanoseconds, for
 //! every optimizer (pinned below as golden literals); bounded staleness
 //! must strictly improve virtual time while keeping the conflict
-//! accounting honest; and placement-plane cutovers must invalidate
-//! prefetched rows for moved keys exactly once.
+//! accounting honest.
 
-use openembedding::cache::{FreqTracker, PrefetchCache};
 use openembedding::core::stats::StatsSnapshot;
 use openembedding::net::NetConfig;
 use openembedding::prelude::*;
@@ -378,124 +376,5 @@ fn prefetch_eviction_decisions_are_pinned() {
         ];
         assert_eq!(got, want, "seed {seed}");
         assert!(r.prefetch_evictions > 0, "seed {seed}: the cache ran full");
-    }
-}
-
-/// A mid-epoch shard-migration cutover invalidates prefetched rows for
-/// moved keys exactly once — the drain is destructive, a second fence
-/// drops nothing — and the pipelined run over the migrated cluster
-/// produces the same weights as an unmigrated one.
-#[test]
-fn migration_cutover_invalidates_prefetched_keys_exactly_once() {
-    let cluster_with = |nodes: usize| -> PlacedCluster<PsNode> {
-        let mut cfg = NodeConfig::small(DIM);
-        cfg.optimizer = OptimizerKind::Sgd { lr: 0.1 };
-        cfg.cache_bytes = 400 * cfg.bytes_per_cached_entry();
-        PlacedCluster::new((0..nodes).map(|_| PsNode::new(cfg.clone())).collect())
-    };
-
-    // -- unit-level exactly-once: cutover → drain → fence → empty --
-    let cluster = cluster_with(3);
-    let moves: Vec<(u64, usize)> = (0..spec(77).num_keys)
-        .filter(|&k| cluster.node_of(k) == 0)
-        .take(64)
-        .map(|k| (k, 1))
-        .collect();
-    assert!(moves.len() > 10);
-    let mut cost = Cost::new();
-    // Seed the keys so the migration has entries to copy.
-    let keys: Vec<u64> = moves.iter().map(|&(k, _)| k).collect();
-    let mut out = Vec::new();
-    cluster.pull(&keys, 1, &mut out, &mut cost);
-    cluster.end_pull_phase(1);
-    cluster.push(&keys, &vec![0.01; keys.len() * DIM], 1, &mut cost);
-    cluster.start_migration(
-        MigrationSpec {
-            moves: moves.clone(),
-            double_write_batches: 2,
-        },
-        1,
-        &mut cost,
-    );
-    // Drive batches through the double-write window to the cutover.
-    for b in 2..=4u64 {
-        cluster.pull(&keys, b, &mut out, &mut cost);
-        cluster.end_pull_phase(b);
-        cluster.push(&keys, &vec![0.01; keys.len() * DIM], b, &mut cost);
-    }
-    assert!(!cluster.migration_active(), "window closed");
-    let moved = cluster.drain_moved_keys();
-    assert_eq!(moved.len(), moves.len(), "every moved key surfaced");
-
-    let mut cache = PrefetchCache::new(256, DIM);
-    let mut sketch = FreqTracker::new();
-    for &k in &keys {
-        sketch.observe(k, 10);
-    }
-    let resident = moved
-        .iter()
-        .filter(|&&k| cache.insert(k, &[0.5; DIM], &sketch))
-        .count() as u64;
-    assert!(resident > 0);
-    assert_eq!(cache.invalidate(&moved), resident, "first fence drops all");
-    assert_eq!(cache.invalidate(&moved), 0, "second fence drops nothing");
-    assert!(
-        cluster.drain_moved_keys().is_empty(),
-        "drain is destructive: moved keys surface exactly once"
-    );
-
-    // -- trainer-integrated: migration is invisible to training --
-    let migrated = cluster_with(3);
-    let reference = cluster_with(3);
-    let moves: Vec<(u64, usize)> = (0..spec(77).num_keys)
-        .filter(|&k| migrated.node_of(k) == 0)
-        .map(|k| (k, 1 + (k as usize % 2)))
-        .collect();
-    let mk = || {
-        let mut cfg = TrainerConfig::paper(2);
-        cfg.mode = TrainMode::Synthetic { grad_scale: 0.01 };
-        cfg
-    };
-    let report_m = {
-        let pcfg = PipelineConfig::bounded(2, 2048);
-        let mut t = PipelinedTrainer::with_client(&migrated, spec(77), mk(), pcfg);
-        t.set_coherence(&migrated);
-        t.try_run_with_hook(1, 24, |b| {
-            if b == 8 {
-                let n = migrated.start_migration(
-                    MigrationSpec {
-                        moves: moves.clone(),
-                        double_write_batches: 4,
-                    },
-                    8,
-                    &mut Cost::new(),
-                );
-                assert!(n > 0);
-            }
-        })
-        .expect("in-process cluster is infallible")
-    };
-    let report_r = {
-        let pcfg = PipelineConfig::bounded(2, 2048);
-        PipelinedTrainer::with_client(&reference, spec(77), mk(), pcfg).run(1, 24)
-    };
-
-    assert!(!migrated.migration_active());
-    assert!(
-        migrated.drain_moved_keys().is_empty(),
-        "the trainer's coherence drain consumed the moved keys"
-    );
-    assert!(
-        report_m.prefetch_invalidations >= report_r.prefetch_invalidations,
-        "the cutover fence added invalidations: {} vs {}",
-        report_m.prefetch_invalidations,
-        report_r.prefetch_invalidations
-    );
-    for k in 0..spec(77).num_keys {
-        assert_eq!(
-            migrated.read_weights(k),
-            reference.read_weights(k),
-            "key {k} diverged across the migration"
-        );
     }
 }
