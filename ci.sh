@@ -87,9 +87,12 @@ done
 # the static hash only: the skew-aware placer, the rebalance
 # controller, live migration, the placement table and the trainer's
 # coherence drain and run hook are gone (EXPERIMENTS.md, "The placement
-# plane, measured then retired").
+# plane, measured then retired"). The node keeps the paper's one lock:
+# the cache shards, the virtual lanes and their cost merge, the sharded
+# figures engine and the batch cadence nothing called are gone
+# (EXPERIMENTS.md, "Retired ablations" and "Retired A/B arms").
 echo "==> retired twins stay retired"
-if grep -rnE "train::crashmc|bench::rebalance|net::fault|HeatSketch|fn try_apply|occurrences_in_request_order|pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster|Packet::decode|ServingNode|sampled_lookup|NetModel|PipelineWindow|amdahl_burst|shared_bandwidth_ns|shared_write_ns|fn advance_to|ps_service_threads|maintainer_threads|streams_per_worker|init_scale|load_ratio|p99_ratio|youngs_interval|expected_hot_share|che_miss_rate|normalized_to|fn burstiness|GpuModel::fast|apply_batch|flush_pmem_run|grad_rows|Shape::lane|Shape::request|MAX_SHAPES|SkewAwarePlacer|PlacerConfig|NodeClass|RebalanceController|RebalanceConfig|NodeWindow|with_auto_rebalance|start_migration|MigrationSpec|PlacementTable|drain_moved_keys|drain_invalidations|try_run_with_hook" \
+if grep -rnE "train::crashmc|bench::rebalance|net::fault|HeatSketch|fn try_apply|occurrences_in_request_order|pull_cached_legacy|push_cached_legacy|scalar_kernels|build_scalar|Request::Pull|Request::Push|Response::Weights|legacy-per-key|CheckpointReplica|PoolStandby|spawn_promoted|recovery_burst_ns|FailureOutcome|train::failure|BENCH_trajectory|DEFAULT_THRESHOLD|gated_metrics|--bin (pullpush|pipeline|serve|pool)|figures -- (pullpush|kernels|failover|crashmc|rebalance|pipeline|serve)|PolicyKind|AdmissionKind|EvictionPolicy|FifoPolicy|ClockPolicy|Doorkeeper|SecondTouch|NewDeclined|LatencyHistogram|OeCustom|gated_main|update_baseline|parse_flat_json|GateOutcome|BENCH_baseline|UPDATE_BASELINE|CRASHMC_FULL|KernelsConfig|--bin (kernels|crashmc|failover|rebalance)|PlacementUpdate|ExportEntry|ImportEntry|DiscardEntry|Response::Entry|set_placement_epoch|try_export_entry|try_import_entry|try_discard_entry|rpc_stale_epoch_rejections_total|rpc_placement_updates_total|oe_core::cluster|Packet::decode|ServingNode|sampled_lookup|NetModel|PipelineWindow|amdahl_burst|shared_bandwidth_ns|shared_write_ns|fn advance_to|ps_service_threads|maintainer_threads|streams_per_worker|init_scale|load_ratio|p99_ratio|youngs_interval|expected_hot_share|che_miss_rate|normalized_to|fn burstiness|GpuModel::fast|apply_batch|flush_pmem_run|grad_rows|Shape::lane|Shape::request|MAX_SHAPES|SkewAwarePlacer|PlacerConfig|NodeClass|RebalanceController|RebalanceConfig|NodeWindow|with_auto_rebalance|start_migration|MigrationSpec|PlacementTable|drain_moved_keys|drain_invalidations|try_run_with_hook|OeSharded|merge_parallel|lane_parallel|cache_entries_per_shard|execute_lanes|BatchCadence|fn partition\(" \
   crates tests examples README.md DESIGN.md; then
   echo "a retired name resurfaced (see above)" >&2
   exit 1
@@ -213,16 +216,22 @@ if awk '/fn flush_payload\(/ { f = 1 } f && /Vec::new\(\)/ { print FILENAME ":" 
   echo "flush_payload allocates again (see above)" >&2
   exit 1
 fi
-# Lanes are virtual: a request's shard groups run in order on the
-# request thread, and each lane is a Cost bucket. The node's product
-# code starts no thread.
+# A request runs on the request thread, as one group under the node's
+# one lock. The node's product code starts no thread.
 if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /thread::(scope|spawn)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         END { exit !hit }' crates/core/src/node.rs; then
   echo "crates/core/src/node.rs forks the request path onto threads again (see above)" >&2
   exit 1
 fi
-# A shard group's reads, rows and outcome tags live in the request's pooled
-# scratch: the pull and push group bodies allocate nothing per group.
+# A node's one lock guards its index, arena and LRU (the paper's one
+# reader-writer lock): no vector of shard locks.
+if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } /Vec<RwLock<Shard>>/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/core/src/node.rs; then
+  echo "crates/core/src/node.rs splits its cache into shard locks again (see above)" >&2
+  exit 1
+fi
+# A request's reads, rows and outcome tags live in the request's pooled
+# scratch: the pull and push group bodies allocate nothing.
 if awk '/fn (pull_group|push_group)\(/ { f = 1 } f && /Vec::new\(\)|vec!\[|\.collect\(\)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
         f && /^    }$/ { f = 0 } END { exit !hit }' crates/core/src/node.rs; then
   echo "pull_group or push_group allocates (see above)" >&2
@@ -291,6 +300,15 @@ cargo run --release --offline -q -p oe-bench --bin figures -- --quick all >"$fig
 cargo run --release --offline -q -p oe-bench --bin figures -- --quick all >"$figures_b"
 if ! cmp "$figures_a" "$figures_b"; then
   echo "figures --quick all printed different bytes on a second run" >&2
+  exit 1
+fi
+
+# figures_output.txt is the bare stdout of a full `figures all`: the
+# committed artifacts must be what the source prints.
+echo "==> figures all prints the committed figures_output.txt"
+cargo run --release --offline -q -p oe-bench --bin figures -- all >"$figures_a"
+if ! cmp "$figures_a" figures_output.txt; then
+  echo "figures all differs from the committed figures_output.txt: regenerate it and say why" >&2
   exit 1
 fi
 

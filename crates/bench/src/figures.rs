@@ -579,25 +579,9 @@ pub fn table5(sc: &Scenario) {
     println!("(paper headline: PMem-OE saves 42% storage cost vs DRAM-PS, 24% vs Ori-Cache)");
 }
 
-/// Ablations beyond the paper: shard count and popularity drift — a
-/// design axis the paper fixes (one lock) and a workload property its
-/// trace has (147 days of item churn).
+/// Ablation beyond the paper: popularity drift, a workload property
+/// its trace has (147 days of item churn).
 pub fn ablations(sc: &Scenario) {
-    hr("Ablation C — shard count @ 16 GPUs (the paper uses one RW lock)");
-    println!("{:<10} {:>10} {:>12}", "shards", "norm time", "maintain ms");
-    let mut base = None;
-    for shards in [1usize, 4, 16] {
-        let r = run_scenario(EngineKind::OeSharded { shards }, sc, 16, CkptSetup::None);
-        let b = *base.get_or_insert(r.total_ns as f64);
-        println!(
-            "{:<10} {:>10.3} {:>12.3}",
-            shards,
-            r.total_ns as f64 / b,
-            r.phases.maintain_ns as f64 / r.batches as f64 / 1e6
-        );
-    }
-    println!("(sharding is a scalability reserve: with the pipeline hiding maintenance, one lock is already enough at this scale — the paper's design point)");
-
     hr("Ablation D — popularity drift @ 16 GPUs (item churn over the 147-day trace)");
     println!(
         "{:<16} {:>10} {:>10}",

@@ -131,11 +131,6 @@ pub enum EngineKind {
     PmemHash,
     /// Framework-default PS (Fig. 15).
     TfPs,
-    /// PMem-OE with `shards` cache shards (the paper uses one lock).
-    OeSharded {
-        /// Shard count.
-        shards: usize,
-    },
 }
 
 impl EngineKind {
@@ -158,11 +153,6 @@ impl EngineKind {
             EngineKind::OriCache => Arc::new(OriCache::new(cfg, CkptDevice::Pmem)),
             EngineKind::PmemHash => Arc::new(PmemHash::new(cfg)),
             EngineKind::TfPs => Arc::new(TfPs::new(cfg, CkptDevice::Ssd)),
-            EngineKind::OeSharded { shards } => {
-                let mut cfg = cfg;
-                cfg.shards = shards;
-                Arc::new(PsNode::new(cfg))
-            }
         };
         EngineClient::new(engine)
     }
@@ -182,7 +172,6 @@ impl EngineKind {
             EngineKind::OriCache => "Ori-Cache",
             EngineKind::PmemHash => "PMem-Hash",
             EngineKind::TfPs => "Tensorflow",
-            EngineKind::OeSharded { .. } => "PMem-OE(sharded)",
         }
     }
 }

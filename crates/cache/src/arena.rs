@@ -10,7 +10,7 @@ use crate::{BatchId, Key};
 const NIL: u32 = u32::MAX;
 
 /// A slab of embedding entries in DRAM. Not internally synchronized:
-/// the owning shard wraps it in its lock (paper Algorithm 1/2 use a
+/// the owning node wraps it in its lock (paper Algorithm 1/2 use a
 /// reader-writer lock around the whole cache).
 pub struct DramArena {
     payload_f32s: usize,

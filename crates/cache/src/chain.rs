@@ -111,15 +111,6 @@ impl VersionChain {
         self.len = w as u8;
         freed
     }
-
-    /// Drop every slot (e.g. when the key's entry is fully rewritten at
-    /// recovery); appends them to `freed`.
-    pub fn clear_into(&mut self, freed: &mut Vec<SlotId>) {
-        for (s, _) in self.iter() {
-            freed.push(s);
-        }
-        self.len = 0;
-    }
 }
 
 /// The slots one [`VersionChain::prune`] released, inline: the newest
@@ -215,15 +206,6 @@ mod tests {
         let freed = c.prune(&[5, 7]);
         assert_eq!(c.len(), 2);
         assert!(freed.is_empty());
-    }
-
-    #[test]
-    fn clear_into_frees_all() {
-        let mut c = chain(&[1, 2, 3]);
-        let mut freed = Vec::new();
-        c.clear_into(&mut freed);
-        assert!(c.is_empty());
-        assert_eq!(freed.len(), 3);
     }
 
     #[test]

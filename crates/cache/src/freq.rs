@@ -6,8 +6,8 @@
 //! `SkewModel`), but the empirical counts of the recent window, because
 //! popularity drifts. The tracker is a plain count map with exponential
 //! decay: `decay()` halves every count, so keys that went cold a few
-//! periods ago stop dominating `top_hot` without any timestamp
-//! bookkeeping.
+//! periods ago stop dominating the prefetch cache's ranking without
+//! any timestamp bookkeeping.
 //!
 //! The trainer keeps one tracker as the heat sketch of its
 //! [`PrefetchCache`] and decays it every
@@ -64,15 +64,6 @@ impl FreqTracker {
         self.counts.get(&key).copied().unwrap_or(0)
     }
 
-    /// The `limit` hottest keys with their counts, hottest first.
-    /// Ties break on ascending key so the ordering is deterministic.
-    pub fn top_hot(&self, limit: usize) -> Vec<(Key, u64)> {
-        let mut v: Vec<(Key, u64)> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(limit);
-        v
-    }
-
     /// Halve every count, dropping keys that reach zero. Call once per
     /// decay period to age out keys that went cold; it is the only call
     /// that lowers a count.
@@ -89,18 +80,6 @@ impl FreqTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn top_hot_is_sorted_and_deterministic() {
-        let mut f = FreqTracker::new();
-        f.observe(5, 10);
-        f.observe(3, 10); // tie with 5 → key order
-        f.observe(9, 100);
-        f.observe(1, 1);
-        assert_eq!(f.top_hot(3), vec![(9, 100), (3, 10), (5, 10)]);
-        assert_eq!(f.total(), 121);
-        assert_eq!(f.distinct(), 4);
-    }
 
     #[test]
     fn heat_sketch_view_matches_counts() {

@@ -23,7 +23,7 @@ pub struct IndexEntry {
     pub chain: VersionChain,
 }
 
-/// Hash index over embedding keys. Wrapped in the shard lock by `oe-core`;
+/// Hash index over embedding keys. Wrapped in the node lock by `oe-core`;
 /// not internally synchronized.
 #[derive(Default)]
 pub struct HashIndex {
@@ -87,12 +87,6 @@ impl HashIndex {
         );
     }
 
-    /// Remove a key entirely, returning its entry so the caller can
-    /// release the DRAM slot and chained PMem slots it references.
-    pub fn remove(&mut self, key: Key) -> Option<IndexEntry> {
-        self.map.remove(&key)
-    }
-
     /// Iterate all entries (reporting / invariant checks).
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &IndexEntry)> {
         self.map.iter()
@@ -133,17 +127,6 @@ mod tests {
         let idx = HashIndex::default();
         assert!(idx.get(1).is_none());
         assert!(idx.is_empty());
-    }
-
-    #[test]
-    fn remove_returns_entry_and_forgets_key() {
-        let mut idx = HashIndex::default();
-        idx.insert_recovered(9, SlotId(3), 5);
-        let e = idx.remove(9).expect("entry existed");
-        assert_eq!(e.chain.newest(), Some((SlotId(3), 5)));
-        assert!(idx.get(9).is_none());
-        assert!(idx.is_empty());
-        assert!(idx.remove(9).is_none(), "second remove is a no-op");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every batch touches the per-key structures once per unique key: the
 //! node's hash index, the trainer's prefetch cache and heat counts, the
-//! shard plan's dedup. std's default hasher is SipHash-1-3, built to
+//! request plan's dedup. std's default hasher is SipHash-1-3, built to
 //! digest arbitrary bytes; a [`Key`] is one `u64`, so [`KeyHasher`]
 //! folds it with a single 64×64→128-bit multiply instead.
 //!

@@ -14,8 +14,7 @@ use oe_simdevice::rng::splitmix64;
 use oe_simdevice::{Cost, CostKind};
 
 /// The static hash placement: which of `nodes` owns `key`. Salted so
-/// node routing decorrelates from the in-node shard hash
-/// (`splitmix64(key)`).
+/// node routing decorrelates from the plain `splitmix64(key)`.
 #[inline]
 pub fn hash_node_of(key: Key, nodes: usize) -> usize {
     (splitmix64(key ^ 0xC1u64) % nodes as u64) as usize
@@ -199,8 +198,8 @@ impl<E: PsEngine> PsEngine for PlacedCluster<E> {
 /// pays per-request work, and pool-backed nodes share one fabric link,
 /// so their transfers queue rather than overlap). A simple,
 /// conservative merge for multi-node bursts (paper §IV: a burst
-/// completes when the slowest node does). Operation counts always sum,
-/// as in [`Cost::merge_parallel`]: they count events, not time.
+/// completes when the slowest node does). Operation counts always sum:
+/// they count events, not time.
 fn merge_node_parallel(costs: &[Cost], out: &mut Cost) {
     let (mut ns, mut ops) = ([0; 8], [0; 8]);
     for kind in CostKind::ALL {

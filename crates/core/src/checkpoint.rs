@@ -70,43 +70,6 @@ impl CheckpointScheduler {
     }
 }
 
-/// A drift-free *batch-count* cadence: fires every `every` completed
-/// batches, re-arming on the fixed grid exactly like
-/// [`CheckpointScheduler::due`] does in virtual time (an overshoot —
-/// e.g. a failover rewind skipping boundary calls — advances by whole
-/// multiples, so the long-run rate stays pinned and a long gap yields
-/// one fire, not a burst).
-#[derive(Debug, Clone)]
-pub struct BatchCadence {
-    every: u64,
-    last: BatchId,
-}
-
-impl BatchCadence {
-    /// Fire every `every` batches (≥ 1).
-    pub fn every(every: u64) -> Self {
-        assert!(every >= 1, "cadence must be at least one batch");
-        Self { every, last: 0 }
-    }
-
-    /// The configured period in batches.
-    pub fn period(&self) -> u64 {
-        self.every
-    }
-
-    /// Called at a batch boundary with the just-completed batch id.
-    /// True when a full period has elapsed since the last grid point.
-    pub fn due(&mut self, completed: BatchId) -> bool {
-        let elapsed = completed.saturating_sub(self.last);
-        if elapsed >= self.every {
-            self.last += (elapsed / self.every) * self.every;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,32 +127,5 @@ mod tests {
     fn disabled_never_fires() {
         let mut s = CheckpointScheduler::disabled();
         assert_eq!(s.due(u64::MAX - 1, 1), None);
-    }
-
-    #[test]
-    fn batch_cadence_fires_on_grid() {
-        let mut c = BatchCadence::every(4);
-        assert_eq!(c.period(), 4);
-        assert!(!c.due(1));
-        assert!(!c.due(3));
-        assert!(c.due(4));
-        assert!(!c.due(5));
-        assert!(c.due(8));
-    }
-
-    #[test]
-    fn batch_cadence_long_gap_fires_once_without_drift() {
-        // Skipping many boundaries (failover rewind) yields one fire and
-        // re-arms on the grid, like the virtual-time scheduler.
-        let mut c = BatchCadence::every(10);
-        assert!(c.due(35)); // 3 periods late
-        assert!(!c.due(36), "no catch-up burst");
-        assert!(c.due(40), "grid point 40, not 45");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one batch")]
-    fn batch_cadence_rejects_zero() {
-        BatchCadence::every(0);
     }
 }

@@ -18,18 +18,19 @@ pub const LRU_OP_NS: u64 = 25;
 pub const OPT_FLOP_NS_PER_F32: u64 = 1;
 /// CPU cost of initializing a brand-new entry (ns, excl. memory traffic).
 pub const INIT_ENTRY_NS: u64 = 150;
-/// Per-key CPU cost of bucketing a request's keys by shard (ns).
+/// Per-key CPU cost of planning a request: reading its key list into
+/// the plan (ns).
 pub const PLAN_KEY_NS: u64 = 4;
-/// Per-key CPU cost of duplicate-key coalescing within a shard group
-/// (one hash-map probe + occurrence-list append, ns).
+/// Per-key CPU cost of duplicate-key coalescing (one hash-map probe +
+/// occurrence-list append, ns).
 pub const DEDUP_KEY_NS: u64 = 6;
 /// Per-occurrence CPU cost of fanning a deduped payload out to the
 /// response buffer during the merge stage (ns; the row itself was read
 /// once per *unique* key).
 pub const FANOUT_KEY_NS: u64 = 8;
-/// CPU cost of one shard-lock acquisition (ns), paid once per shard
-/// group of a request.
-pub const SHARD_LOCK_NS: u64 = 30;
+/// CPU cost of one acquisition of the node lock (ns), paid once per
+/// planned request.
+pub const NODE_LOCK_NS: u64 = 30;
 /// Uniform init scale: new weights ~ U(-scale, +scale), derived
 /// deterministically from the key (every engine starts from the same
 /// weights).
@@ -45,10 +46,6 @@ pub struct NodeConfig {
     /// DRAM cache budget in bytes (translated to entries). The cache is
     /// the paper's: LRU replacement, every missed key admitted.
     pub cache_bytes: usize,
-    /// Number of index/arena/LRU shards. 1 reproduces the paper's single
-    /// reader-writer lock exactly; more shards is the scalability
-    /// ablation.
-    pub shards: usize,
     /// Enable the DRAM cache (Fig. 9 ablation). When off, every entry
     /// lives in PMem and pull/push go straight to the pool.
     pub enable_cache: bool,
@@ -59,20 +56,16 @@ pub struct NodeConfig {
     pub pmem_capacity: usize,
     /// Deterministic seed folded into weight initialization.
     pub seed: u64,
-    /// Virtual pull/push lanes (≥ 1) of the shard-plan hot path (the
-    /// paper's "multiple threads pre-allocated" on the PS). Keys are
-    /// bucketed by shard, deduplicated per group, and each shard lock is
-    /// taken exactly once per request. The groups always execute in
-    /// order on the request thread; `parallelism` splits them into that
-    /// many contiguous lanes, each one `Cost` bucket, and the buckets
-    /// merge as the max over lanes for parallelizable cost kinds (see
-    /// `oe_simdevice::CostKind::lane_parallel`).
+    /// Ignored: a node runs each request as one group under its one
+    /// lock, on the request thread. Kept only because the end-to-end
+    /// benchmark's stack (`e2e/src/stack.rs`) still assigns it; it goes
+    /// with that benchmark's `Shape::parallelism`. Must be ≥ 1.
     pub parallelism: usize,
 }
 
 impl NodeConfig {
     /// A reasonable default for tests and examples: dim-8 embeddings,
-    /// AdaGrad, 1 MiB cache, one shard, everything enabled.
+    /// AdaGrad, 1 MiB cache, everything enabled.
     pub fn small(dim: usize) -> Self {
         Self {
             dim,
@@ -81,7 +74,6 @@ impl NodeConfig {
                 eps: 1e-8,
             },
             cache_bytes: 1 << 20,
-            shards: 1,
             enable_cache: true,
             enable_pipeline: true,
             pmem_capacity: 1 << 24,
@@ -107,20 +99,12 @@ impl NodeConfig {
 
     /// Total cache capacity in entries implied by `cache_bytes`.
     pub fn cache_entries(&self) -> usize {
-        (self.cache_bytes / self.bytes_per_cached_entry())
-            .max(self.shards)
-            .max(1)
-    }
-
-    /// Cache entries per shard.
-    pub fn cache_entries_per_shard(&self) -> usize {
-        (self.cache_entries() / self.shards.max(1)).max(1)
+        (self.cache_bytes / self.bytes_per_cached_entry()).max(1)
     }
 
     /// Validate invariants; panics with a clear message on nonsense.
     pub fn validate(&self) {
         assert!(self.dim > 0, "dim must be positive");
-        assert!(self.shards > 0, "need at least one shard");
         assert!(self.cache_bytes > 0, "cache_bytes must be positive");
         assert!(
             self.parallelism >= 1,

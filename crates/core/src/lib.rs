@@ -16,11 +16,10 @@
 //!   with the weights so checkpoints capture training state exactly;
 //! - **recovery** ([`recovery`]): scan PMem, discard post-checkpoint
 //!   versions, rebuild the DRAM hash index — no data copy;
-//! - a **shard-plan hot path** ([`plan`]): batch keys are bucketed by
-//!   shard, duplicates coalesced, and shard groups executed in order
-//!   with one lock acquisition per shard per request, their virtual
-//!   time priced as [`config::NodeConfig::parallelism`] ≥ 1 lanes (the
-//!   only pull/push execution there is).
+//! - a **planned hot path** ([`plan`]): a request's duplicate keys are
+//!   coalesced and its uniques executed in order under one acquisition
+//!   of the node's one reader-writer lock (the only pull/push execution
+//!   there is).
 //!
 //! Engines (this one and the baselines in `oe-baselines`) implement the
 //! [`engine::PsEngine`] trait consumed by the training simulator.
@@ -37,7 +36,7 @@ pub mod scratch;
 pub mod stats;
 pub mod storage;
 
-pub use checkpoint::{BatchCadence, CheckpointScheduler};
+pub use checkpoint::CheckpointScheduler;
 pub use config::{NodeConfig, CACHE_ENTRY_OVERHEAD_BYTES};
 pub use engine::{MaintenanceReport, PsEngine};
 pub use node::PsNode;

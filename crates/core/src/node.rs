@@ -1,7 +1,7 @@
 //! The OpenEmbedding PS node: Algorithm 1 (pull weights) and Algorithm 2
 //! (cache replacement & checkpoint), plus gradient application. The
-//! cache is the paper's: one LRU list per shard, every missed key
-//! admitted.
+//! cache is the paper's: one hash index, DRAM arena and LRU list under
+//! one reader-writer lock, every missed key admitted.
 //!
 //! ## Checkpoint-correctness invariant
 //!
@@ -16,9 +16,9 @@
 //!   the PMem copy is stale;
 //! - **out-of-place flushes with version-chain pruning** keep exactly the
 //!   slots the boundaries require (see [`oe_cache::VersionChain`]);
-//! - **commit-on-eviction** (Alg. 2 lines 24–27): when every shard's LRU
-//!   victim (its list's tail) is newer than the head checkpoint, all
-//!   ≤-cp states have been flushed, so the Checkpointed Batch ID is
+//! - **commit-on-eviction** (Alg. 2 lines 24–27): when the LRU victim
+//!   (the list's tail) is newer than the head checkpoint, all ≤-cp
+//!   states have been flushed, so the Checkpointed Batch ID is
 //!   atomically advanced;
 //! - a **drain pass** at the end of each maintenance run flushes the
 //!   stragglers (cached entries still at version ≤ cp) so checkpoints
@@ -30,7 +30,7 @@
 
 use crate::config::{
     NodeConfig, ACCESS_QUEUE_NS, DEDUP_KEY_NS, FANOUT_KEY_NS, HASH_PROBE_NS, INIT_ENTRY_NS,
-    INIT_SCALE, LRU_OP_NS, OPT_FLOP_NS_PER_F32, PLAN_KEY_NS, SHARD_LOCK_NS,
+    INIT_SCALE, LRU_OP_NS, NODE_LOCK_NS, OPT_FLOP_NS_PER_F32, PLAN_KEY_NS,
 };
 use crate::engine::{MaintenanceReport, PsEngine};
 use crate::init::init_payload;
@@ -55,9 +55,9 @@ use std::sync::Arc;
 /// checkpoint strictly supersedes an uncommitted earlier one).
 const MAX_PENDING_CKPTS: usize = 3;
 
-/// One cache shard: hash index + DRAM arena + LRU, guarded together by
-/// the shard lock (the paper's reader-writer lock, Alg. 1 line 3 /
-/// Alg. 2 line 9).
+/// The node's cache state: hash index + DRAM arena + LRU, guarded
+/// together by the node's one lock (the paper's reader-writer lock,
+/// Alg. 1 line 3 / Alg. 2 line 9).
 struct Shard {
     index: HashIndex,
     arena: DramArena,
@@ -108,7 +108,7 @@ pub struct PsNode {
     /// [`crate::storage`] for the DRAM and remote-pool arms). All slot
     /// traffic is charged through this seam.
     store: Arc<dyn StorageBackend>,
-    shards: Vec<RwLock<Shard>>,
+    shard: RwLock<Shard>,
     access_queue: AccessQueue,
     ckpt_pending: Mutex<VecDeque<BatchId>>,
     committed: AtomicU64,
@@ -119,7 +119,7 @@ pub struct PsNode {
     registry: Arc<Registry>,
     phases: PhaseTimes,
     committed_gauge: Gauge,
-    /// Per-request scratch recycling: every hot-path buffer (the shard
+    /// Per-request scratch recycling: every hot-path buffer (the request
     /// plan, payload read scratch, gradient accumulator, pulled weight
     /// rows, read-ahead rows) is drawn from here instead of allocated.
     scratch: ScratchPool,
@@ -170,16 +170,12 @@ impl PsNode {
     }
 
     fn with_backend(cfg: NodeConfig, store: Arc<dyn StorageBackend>) -> Self {
-        let per_shard = cfg.cache_entries_per_shard();
-        let shards = (0..cfg.shards)
-            .map(|_| {
-                RwLock::new(Shard {
-                    index: HashIndex::with_capacity(per_shard * 2),
-                    arena: DramArena::new(per_shard, cfg.payload_f32s()),
-                    lru: LruList::new(per_shard),
-                })
-            })
-            .collect();
+        let entries = cfg.cache_entries();
+        let shard = RwLock::new(Shard {
+            index: HashIndex::with_capacity(entries * 2),
+            arena: DramArena::new(entries, cfg.payload_f32s()),
+            lru: LruList::new(entries),
+        });
         let opt = cfg.optimizer.build();
         let registry = Arc::new(Registry::new());
         let stats = EngineStats::registered(&registry);
@@ -203,7 +199,7 @@ impl PsNode {
             cfg,
             opt,
             store,
-            shards,
+            shard,
             access_queue: AccessQueue::new(),
             ckpt_pending: Mutex::new(VecDeque::new()),
             committed: AtomicU64::new(0),
@@ -226,10 +222,11 @@ impl PsNode {
         scan: &oe_pmem::scan::ScanReport,
     ) -> Self {
         let node = Self::with_backend(cfg, store);
-        for r in &scan.live {
-            let sid = node.shard_of(r.key);
-            let mut g = node.shards[sid].write();
-            g.index.insert_recovered(r.key, r.id, r.version);
+        {
+            let mut g = node.shard.write();
+            for r in &scan.live {
+                g.index.insert_recovered(r.key, r.id, r.version);
+            }
         }
         node.committed.store(scan.checkpoint_id, Ordering::Release);
         node.committed_gauge.set(scan.checkpoint_id);
@@ -255,11 +252,6 @@ impl PsNode {
     /// The storage backend behind this node.
     pub fn storage(&self) -> &Arc<dyn StorageBackend> {
         &self.store
-    }
-
-    #[inline]
-    fn shard_of(&self, key: Key) -> usize {
-        (crate::init::splitmix64(key) % self.shards.len() as u64) as usize
     }
 
     /// Protection boundaries (committed CBI + all pending checkpoint
@@ -311,7 +303,7 @@ impl PsNode {
         EngineStats::add(&self.stats.slots_recycled, slots.len() as u64);
     }
 
-    /// Evict the shard's LRU victim to PMem, freeing one arena slot.
+    /// Evict the LRU victim to PMem, freeing one arena slot.
     /// Returns the victim's version, or None if nothing is cached.
     fn evict_one(
         &self,
@@ -343,8 +335,8 @@ impl PsNode {
     }
 
     /// Algorithm 2 body for `run[at]`, the key at position `at` of a
-    /// run of one shard's keys, under the shard lock held for the whole
-    /// run. The run's first load reads every key of the run then
+    /// run of queued keys, under the node lock held for the whole run.
+    /// The run's first load reads every key of the run then
     /// PMem-resident in one batch (`ahead`): no eviction has happened
     /// yet, so those are the keys PMem-resident as the run started, and
     /// each one's first occurrence loads it for certain, since an
@@ -449,23 +441,23 @@ impl PsNode {
         ahead.read(&*self.store, cost);
     }
 
-    /// Commit every pending checkpoint whose condition holds: all shards'
-    /// LRU victims are newer than it (Alg. 2 lines 24-27, generalized to
-    /// shards). Call without holding shard locks.
+    /// Commit every pending checkpoint whose condition holds: the LRU
+    /// victim is newer than it (Alg. 2 lines 24-27). Call without
+    /// holding the node lock.
     fn try_commit(&self, cost: &mut Cost) -> u64 {
         let mut commits = 0;
         loop {
             let Some(cp) = self.ckpt_pending.lock().front().copied() else {
                 break;
             };
-            let all_newer = self.shards.iter().all(|s| {
-                let g = s.read();
+            let newer = {
+                let g = self.shard.read();
                 match g.lru.tail() {
                     Some(t) => g.arena.version(t) > cp,
                     None => g.arena.is_empty(),
                 }
-            });
-            if !all_newer {
+            };
+            if !newer {
                 break;
             }
             self.commit_checkpoint(cp, cost);
@@ -497,8 +489,8 @@ impl PsNode {
                 break;
             };
             let (boundaries, _) = self.boundaries();
-            for s in &self.shards {
-                let mut g = s.write();
+            {
+                let mut g = self.shard.write();
                 let slots: Vec<u32> = g
                     .arena
                     .iter_live()
@@ -535,10 +527,9 @@ impl PsNode {
         let mut arena = self.scratch.acquire();
         arena.payload.resize(self.cfg.payload_f32s(), 0.0);
         let payload = &mut arena.payload;
+        let mut g = self.shard.write();
         for &key in keys {
             cost.charge(CostKind::Cpu, HASH_PROBE_NS);
-            let sid = self.shard_of(key);
-            let mut g = self.shards[sid].write();
             match g.index.get(key) {
                 Some(e) => {
                     let slot = e.loc.as_pmem().expect("uncached mode: PMem only");
@@ -567,11 +558,9 @@ impl PsNode {
         arena.payload.resize(self.cfg.payload_f32s(), 0.0);
         let payload = &mut arena.payload;
         let (boundaries, _) = self.boundaries();
+        let mut g = self.shard.write();
         for (i, &key) in keys.iter().enumerate() {
-            let sid = self.shard_of(key);
-            let mut g = self.shards[sid].write();
-            let Shard { index, .. } = &mut *g;
-            let e = index.get_mut(key).expect("pushed key must exist");
+            let e = g.index.get_mut(key).expect("pushed key must exist");
             let slot = e.loc.as_pmem().expect("uncached mode: PMem only");
             self.store.read_slot(slot, payload, cost).expect("valid");
             self.opt.apply(dim, payload, &grads[i * dim..(i + 1) * dim]);
@@ -604,24 +593,15 @@ impl PsNode {
                 }
                 let (boundaries, protect_max) = self.boundaries();
                 let mut any_evicted = false;
-                // The queue holds each pull's uniques group by group, so
-                // a chunk is long runs of one shard's keys: one lock and
-                // at most one batched read per run.
-                let mut rest = &chunk[..];
-                while let Some(&first) = rest.first() {
-                    let sid = self.shard_of(first);
-                    let len = rest
-                        .iter()
-                        .position(|&k| self.shard_of(k) != sid)
-                        .unwrap_or(rest.len());
-                    let (run, tail) = rest.split_at(len);
-                    rest = tail;
-                    let mut g = self.shards[sid].write();
+                // A chunk is one run: one lock acquisition and at most
+                // one batched read.
+                {
+                    let mut g = self.shard.write();
                     ahead.clear();
-                    for at in 0..len {
+                    for at in 0..chunk.len() {
                         any_evicted |= self.maintain_key(
                             &mut g,
-                            run,
+                            &chunk,
                             at,
                             ahead,
                             batch,
@@ -630,8 +610,8 @@ impl PsNode {
                             cost,
                         );
                     }
-                    processed += len as u64;
                 }
+                processed += chunk.len() as u64;
                 if any_evicted {
                     commits += self.try_commit(cost);
                 }
@@ -674,59 +654,30 @@ impl PsNode {
         self.phases.record_ns(Phase::Plan, plan_ns);
         let dedup_ns = DEDUP_KEY_NS * keys.len() as u64;
         cost.charge(CostKind::Cpu, dedup_ns);
-        plan.rebuild(keys, self.shards.len(), |k| self.shard_of(k));
+        plan.rebuild(keys, 1, |_| 0);
         self.phases.record_ns(Phase::Dedup, dedup_ns);
     }
 
-    /// Execute the plan's shard groups lane by lane, in order, on the
-    /// request thread: `group(g, s, lane_cost)` runs group `g`. A lane
-    /// is only a `Cost` bucket over its contiguous group range; the
-    /// buckets merge max-over-lanes for parallelizable kinds, sum for
-    /// serialized and bandwidth-contended ones ([`Cost::merge_parallel`]),
-    /// and the merged execute cost is added to `cost`.
-    fn execute_lanes(
-        &self,
-        s: &mut Scratch,
-        cost: &mut Cost,
-        mut group: impl FnMut(usize, &mut Scratch, &mut Cost),
-    ) {
-        let mut par = Cost::new();
-        for lane in s.plan.partition(self.cfg.parallelism) {
-            let mut lane_cost = Cost::new();
-            for g in lane {
-                group(g, s, &mut lane_cost);
-            }
-            par.merge_parallel(&lane_cost);
-        }
-        self.phases.record_ns(Phase::Execute, par.total_ns());
-        cost.merge(&par);
-    }
-
-    /// Execute shard group `gi` of the planned pull in `s.plan`: the
-    /// shard's write lock is taken exactly once (a first touch inserts,
-    /// and pulls of one shard never overlapped), every unique key's
-    /// payload is read exactly once.
-    /// Deduped weight rows land in `s.rows`, one outcome code per
+    /// Execute the planned pull in `s.plan`, its one group: the node's
+    /// write lock is taken exactly once (a first touch inserts), every
+    /// unique key's payload is read exactly once. An empty request
+    /// takes no lock. Deduped weight rows land in the request's empty
+    /// `s.rows`, one per unique in plan order, one outcome code per
     /// unique in `s.tags`. The rows of PMem-resident uniques are read
     /// after the loop, in one batch (`s.ahead`): what the loop writes
     /// goes to fresh slots, and it frees only slots of the keys it
     /// evicts, which were DRAM-resident until then, so no slot read
     /// late is one it touched.
-    fn pull_group(
-        &self,
-        gi: usize,
-        batch: BatchId,
-        boundaries: &[BatchId],
-        s: &mut Scratch,
-        cost: &mut Cost,
-    ) {
+    fn pull_group(&self, batch: BatchId, boundaries: &[BatchId], s: &mut Scratch, cost: &mut Cost) {
         let dim = self.cfg.dim;
-        let group = s.plan.group(gi);
-        cost.charge(CostKind::Cpu, SHARD_LOCK_NS);
-        let mut g = self.shards[group.shard].write();
-        let base = s.rows.len();
+        let uniques = s.plan.uniques();
+        if uniques.is_empty() {
+            return;
+        }
+        cost.charge(CostKind::Cpu, NODE_LOCK_NS);
+        let mut g = self.shard.write();
         s.ahead.clear();
-        for (ui, &key) in group.uniques.iter().enumerate() {
+        for (ui, &key) in uniques.iter().enumerate() {
             cost.charge(CostKind::Cpu, HASH_PROBE_NS + ACCESS_QUEUE_NS);
             let known = g.index.get(key).map(|e| e.loc);
             match known {
@@ -764,29 +715,29 @@ impl PsNode {
         }
         s.ahead.read(&*self.store, cost);
         for (ui, row) in s.ahead.rows() {
-            s.rows[base + ui as usize * dim..][..dim].copy_from_slice(&row[..dim]);
+            s.rows[ui as usize * dim..][..dim].copy_from_slice(&row[..dim]);
         }
     }
 
-    /// Shard-plan pull: bucket → dedup → execute the groups → merge.
-    /// Every unique key is read once and fanned out to its occurrences;
-    /// stats are occurrence-weighted. `tests/parallel_equiv.rs` pins the
-    /// weights, stats and `Serialized` ns the retired per-key execution
-    /// produced on duplicate-free batches.
+    /// Planned pull: dedup → execute → merge. Every unique key is read
+    /// once and fanned out to its occurrences; stats are
+    /// occurrence-weighted. `tests/parallel_equiv.rs` pins the weights,
+    /// stats and `Serialized` ns the retired per-key execution produced
+    /// on duplicate-free batches.
     fn pull_planned(&self, keys: &[Key], batch: BatchId, out: &mut Vec<f32>, cost: &mut Cost) {
         let dim = self.cfg.dim;
         let mut scratch = self.scratch.acquire();
         let s = &mut *scratch;
         self.build_plan(keys, &mut s.plan, cost);
         let (boundaries, _) = self.boundaries();
-        self.execute_lanes(s, cost, |g, s, lane_cost| {
-            self.pull_group(g, batch, &boundaries, s, lane_cost)
-        });
+        let t0 = cost.total_ns();
+        self.pull_group(batch, &boundaries, s, cost);
+        self.phases
+            .record_ns(Phase::Execute, cost.total_ns().saturating_sub(t0));
 
         // Merge: fan each deduped payload out to its original request
-        // positions, append the access queue once per unique (in group
-        // order, so maintenance is identical at any lane count), and
-        // settle occurrence-weighted stats.
+        // positions, append the access queue once per unique (in
+        // first-occurrence order), and settle occurrence-weighted stats.
         let plan = &s.plan;
         let merge_ns = FANOUT_KEY_NS * plan.total_keys() as u64;
         cost.charge(CostKind::Cpu, merge_ns);
@@ -859,17 +810,16 @@ impl PsNode {
         }
     }
 
-    /// Execute shard group `gi` of the planned push in `s.plan` under a
-    /// single write lock acquisition, unique by unique. A DRAM-resident
+    /// Execute the planned push in `s.plan` under a single acquisition of
+    /// the node's write lock, unique by unique. A DRAM-resident
     /// key applies in place; a PMem-resident one applies to its row in
     /// `s.payload` and is flushed out of place at its own turn, so
-    /// flushes come in unique order. The group's PMem rows are read
+    /// flushes come in unique order. The request's PMem rows are read
     /// ahead in one batch: reads are not persistence events, so the
-    /// persistence stream is that of reading each key at its turn.
-    #[allow(clippy::too_many_arguments)]
+    /// persistence stream is that of reading each key at its turn. An
+    /// empty request takes no lock.
     fn push_group(
         &self,
-        gi: usize,
         grads: &[f32],
         batch: BatchId,
         boundaries: &[BatchId],
@@ -877,13 +827,17 @@ impl PsNode {
         s: &mut Scratch,
         cost: &mut Cost,
     ) {
-        let group = s.plan.group(gi);
-        cost.charge(CostKind::Cpu, SHARD_LOCK_NS);
-        let mut g = self.shards[group.shard].write();
+        let plan = &s.plan;
+        let uniques = plan.uniques();
+        if uniques.is_empty() {
+            return;
+        }
+        cost.charge(CostKind::Cpu, NODE_LOCK_NS);
+        let mut g = self.shard.write();
         s.ahead.clear();
-        for (ui, &key) in group.uniques.iter().enumerate() {
+        for (ui, &key) in uniques.iter().enumerate() {
             cost.charge(CostKind::Cpu, HASH_PROBE_NS);
-            let occs = group.occs(ui);
+            let occs = plan.occs(ui);
             let loc = g.index.get(key).expect("pushed key must exist").loc;
             match loc.as_dram() {
                 Some(slot) => {
@@ -908,11 +862,11 @@ impl PsNode {
                 None => {
                     let pm_slot = loc.as_pmem().expect("tagged loc");
                     if s.ahead.is_empty() {
-                        // The group's first PMem-resident unique: it and
-                        // every later one go out in one batch. A key moves
-                        // only at its own turn, and never into DRAM, so
-                        // each is read at the slot it is at now.
-                        self.read_ahead(&g, group.uniques, ui, &mut s.ahead, cost);
+                        // The first PMem-resident unique: it and every
+                        // later one go out in one batch. A key moves only
+                        // at its own turn, and never into DRAM, so each
+                        // is read at the slot it is at now.
+                        self.read_ahead(&g, uniques, ui, &mut s.ahead, cost);
                     }
                     let row = s.ahead.take(ui as u32, pm_slot);
                     s.payload.clear();
@@ -930,19 +884,20 @@ impl PsNode {
         }
     }
 
-    /// Shard-plan push: bucket → dedup → execute the groups. Final
-    /// weights equal one apply per occurrence in request order
-    /// (coalescing is gated on gradient linearity; stateful optimizers
-    /// apply sequentially within each key).
+    /// Planned push: dedup → execute. Final weights equal one apply per
+    /// occurrence in request order (coalescing is gated on gradient
+    /// linearity; stateful optimizers apply sequentially within each
+    /// key).
     fn push_planned(&self, keys: &[Key], grads: &[f32], batch: BatchId, cost: &mut Cost) {
         let mut scratch = self.scratch.acquire();
         let s = &mut *scratch;
         self.build_plan(keys, &mut s.plan, cost);
         let (boundaries, protect_max) = self.boundaries();
         s.acc.resize(self.cfg.dim, 0.0);
-        self.execute_lanes(s, cost, |g, s, lane_cost| {
-            self.push_group(g, grads, batch, &boundaries, protect_max, s, lane_cost)
-        });
+        let t0 = cost.total_ns();
+        self.push_group(grads, batch, &boundaries, protect_max, s, cost);
+        self.phases
+            .record_ns(Phase::Execute, cost.total_ns().saturating_sub(t0));
     }
 }
 
@@ -1027,8 +982,7 @@ impl PsEngine for PsNode {
     }
 
     fn read_weights(&self, key: Key) -> Option<Vec<f32>> {
-        let sid = self.shard_of(key);
-        let g = self.shards[sid].read();
+        let g = self.shard.read();
         let e = g.index.get(key)?;
         let dim = self.cfg.dim;
         if let Some(slot) = e.loc.as_dram() {
@@ -1044,7 +998,7 @@ impl PsEngine for PsNode {
     }
 
     fn num_keys(&self) -> usize {
-        self.shards.iter().map(|s| s.read().index.len()).sum()
+        self.shard.read().index.len()
     }
 
     fn metrics_text(&self) -> String {
@@ -1254,7 +1208,7 @@ mod tests {
         assert!(text.contains("oe_pulls_total"));
         assert!(text.contains("oe_pull_latency_ns{quantile=\"0.99\"}"));
 
-        // Shard-plan stages record one sample per planned request
+        // Plan stages record one sample per planned request
         // (2 pulls + 1 push); merge only runs on pulls.
         for h in [
             "oe_plan_latency_ns",
@@ -1282,44 +1236,6 @@ mod tests {
         assert_eq!(&out[0..4], &out[8..12]);
         // Exactly one Serialized init despite three occurrences.
         assert_eq!(cost.ops(CostKind::Serialized), 1);
-    }
-
-    #[test]
-    fn parallel_lanes_match_single_lane() {
-        let mk = |parallelism: usize| {
-            let mut cfg = NodeConfig::small(4);
-            cfg.cache_bytes = 16 * cfg.bytes_per_cached_entry();
-            cfg.shards = 8;
-            cfg.parallelism = parallelism;
-            PsNode::new(cfg)
-        };
-        let serial = mk(1);
-        let parallel = mk(4);
-        // Skewed batch with duplicates scattered across shards.
-        let keys: Vec<u64> = (0..64).map(|i| (i * i) % 24).collect();
-        let grads: Vec<f32> = (0..64 * 4).map(|i| ((i % 5) as f32 - 2.0) * 0.25).collect();
-        for n in [&serial, &parallel] {
-            let mut out = Vec::new();
-            let mut cost = Cost::new();
-            n.pull(&keys, 1, &mut out, &mut cost);
-            n.end_pull_phase(1);
-            n.push(&keys, &grads, 1, &mut cost);
-        }
-        let mut so = Vec::new();
-        let mut po = Vec::new();
-        let mut sc = Cost::new();
-        let mut pc = Cost::new();
-        serial.pull(&keys, 2, &mut so, &mut sc);
-        parallel.pull(&keys, 2, &mut po, &mut pc);
-        assert_eq!(so, po, "weights identical across lane counts");
-        assert_eq!(serial.stats(), parallel.stats());
-        assert_eq!(
-            sc.ns(CostKind::Serialized),
-            pc.ns(CostKind::Serialized),
-            "Serialized never parallelizes"
-        );
-        // The parallel request simulates faster on a skewed batch.
-        assert!(pc.total_ns() <= sc.total_ns());
     }
 
     #[test]

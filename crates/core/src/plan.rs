@@ -1,33 +1,27 @@
-//! Per-request shard plans for the pull/push hot path.
+//! Per-request plans for the pull/push hot path.
 //!
 //! DLRM batches are heavily skewed (paper Table II: the top 0.1 % of
 //! keys take ~90 % of accesses), so a request's key list contains the
-//! same hot keys many times and scatters the rest across shards.
-//! Executing it key by key would pay one lock acquisition and one
+//! same hot keys many times. Executing it key by key would pay one
 //! payload access per *occurrence*. A [`ShardPlan`] restructures the
-//! request once up front:
+//! request once up front: it buckets the keys by owner and
+//! deduplicates within each group, remembering every occurrence
+//! position so pulls fan one payload read out to all positions and
+//! pushes can sum duplicate gradients (when the optimizer is linear in
+//! the gradient, see [`crate::OptimizerKind::coalescible`]).
 //!
-//! 1. **bucket and coalesce** — group the keys by shard and
-//!    deduplicate within each group, remembering every occurrence
-//!    position so pulls fan one payload read out to all positions and
-//!    pushes can sum duplicate gradients (when the optimizer is linear
-//!    in the gradient, see [`crate::OptimizerKind::coalescible`]);
-//! 2. **partition** — split the groups into contiguous lane ranges
-//!    balanced by unique-key count: the virtual lanes whose costs merge
-//!    as the max over lanes. The groups themselves run in order, one
-//!    lock acquisition per shard per request.
-//!
-//! The plan is flat (DESIGN.md, "The flat shard plan"): three arrays
-//! for the whole request, deduplicated through one [`KeyMap`], so a
-//! unique key costs no allocation of its own. A router that forwards
-//! every occurrence instead buckets alone ([`ShardBuckets`]).
+//! A node plans each request as one group, under its one lock; a
+//! cluster router plans a request with one group per node. The plan is
+//! flat (DESIGN.md, "The flat shard plan"): three arrays for the whole
+//! request, deduplicated through one [`KeyMap`], so a unique key costs
+//! no allocation of its own. A router that forwards every occurrence
+//! instead buckets alone ([`ShardBuckets`]).
 //!
 //! The plan is pure data: the node executes it (`PsNode::pull`/`push`)
-//! and the cost model prices it (`oe_simdevice::Cost::merge_parallel`).
+//! and the router fans it out (`oe_cluster::PlacedCluster`).
 
 use crate::Key;
 use oe_cache::{KeyMap, KeyState};
-use std::ops::Range;
 
 /// One shard's slice of a planned request, borrowed from its
 /// [`ShardPlan`].
@@ -189,23 +183,18 @@ impl ShardPlan {
         self.groups.len()
     }
 
-    /// The uniques of groups `range`: a range of [`ShardPlan::uniques`].
-    pub fn unique_range(&self, range: Range<usize>) -> Range<usize> {
-        // Uniques of the groups before group `g`.
-        let before = |g: usize| match g {
+    /// Group `g`, groups ascending by shard index.
+    pub fn group(&self, g: usize) -> ShardGroup<'_> {
+        let start = match g {
             0 => 0,
             g => self.groups[g - 1].1 as usize,
         };
-        before(range.start)..before(range.end)
-    }
-
-    /// Group `g`, groups ascending by shard index.
-    pub fn group(&self, g: usize) -> ShardGroup<'_> {
-        let uniques = self.unique_range(g..g + 1);
+        let (shard, end) = self.groups[g];
+        let end = end as usize;
         ShardGroup {
-            shard: self.groups[g].0,
-            uniques: &self.uniques[uniques.clone()],
-            occ_start: &self.occ_start[uniques.start..=uniques.end],
+            shard,
+            uniques: &self.uniques[start..end],
+            occ_start: &self.occ_start[start..=end],
             occ_pos: &self.occ_pos,
         }
     }
@@ -244,38 +233,6 @@ impl ShardPlan {
         } else {
             self.total_keys as f64 / self.uniques.len() as f64
         }
-    }
-
-    /// Stage 3: split the groups into at most `lanes` contiguous,
-    /// non-empty ranges, balanced by unique-key count. Deterministic in
-    /// the plan alone, so lane assignment (and therefore the per-lane
-    /// simulated cost) is reproducible.
-    pub fn partition(&self, lanes: usize) -> Vec<Range<usize>> {
-        let groups = self.groups.len();
-        let lanes = lanes.max(1).min(groups.max(1));
-        if groups == 0 {
-            return Vec::new();
-        }
-        let mut ranges = Vec::with_capacity(lanes);
-        let mut start = 0usize;
-        let mut remaining = self.uniques.len();
-        for lane in 0..lanes {
-            let lanes_left = lanes - lane;
-            // Leave at least one group for each remaining lane.
-            let max_end = groups - (lanes_left - 1);
-            let target = remaining.div_ceil(lanes_left);
-            let mut end = start;
-            let mut acc = 0usize;
-            while end < max_end && (acc < target || end == start) {
-                acc += self.unique_range(end..end + 1).len();
-                end += 1;
-            }
-            remaining -= acc;
-            ranges.push(start..end);
-            start = end;
-        }
-        debug_assert_eq!(start, groups);
-        ranges
     }
 }
 
@@ -338,7 +295,6 @@ mod tests {
         assert_eq!(occs(g1), [&[1, 5]]);
         assert_eq!(p.uniques(), [4, 2, 7]);
         assert_eq!(p.occs(2), [1, 5]);
-        assert_eq!(p.unique_range(1..2), 2..3);
         assert!((p.dedup_ratio() - 7.0 / 3.0).abs() < 1e-12);
     }
 
@@ -367,36 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn partition_covers_all_groups_exactly_once() {
-        let p = plan(&(0..97u64).collect::<Vec<_>>(), 16);
-        for lanes in [1usize, 2, 3, 4, 16, 100] {
-            let ranges = p.partition(lanes);
-            assert!(ranges.len() <= lanes.min(p.group_count()));
-            let mut covered = 0;
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "contiguous");
-                assert!(!r.is_empty(), "no empty lane");
-                covered += r.len();
-                next = r.end;
-            }
-            assert_eq!(covered, p.group_count(), "lanes={lanes}");
-        }
-    }
-
-    #[test]
-    fn partition_balances_by_uniques() {
-        // One huge group + 7 tiny ones: the huge group must not drag
-        // every other group into its lane.
-        let mut keys: Vec<u64> = (0..800u64).map(|i| i * 8).collect(); // shard 0
-        keys.extend(1..8u64); // shards 1..7, one key each
-        let p = plan(&keys, 8);
-        let ranges = p.partition(4);
-        assert_eq!(ranges.len(), 4);
-        assert_eq!(ranges[0], 0..1, "hot shard gets its own lane");
-    }
-
-    #[test]
     fn a_rebuilt_plan_equals_a_fresh_one() {
         let mut p = plan(&(0..300u64).map(|i| i * i % 97).collect::<Vec<_>>(), 5);
         let keys = [4u64, 7, 2, 4, 2, 7, 4, 9, 0];
@@ -422,6 +348,5 @@ mod tests {
         let p = plan(&[], 4);
         assert_eq!(p.group_count(), 0);
         assert_eq!(p.dedup_ratio(), 1.0);
-        assert!(p.partition(4).is_empty());
     }
 }

@@ -1,7 +1,7 @@
 //! Pooled per-request scratch arenas for the pull/push hot paths.
 //!
 //! Every request needs a handful of buffers: the decoded key and
-//! gradient vectors on the server, the shard plan, the pulled rows and
+//! gradient vectors on the server, the request plan, the pulled rows and
 //! a payload-sized row on the node. A [`Scratch`] bundles all of them
 //! into one arena; a [`ScratchPool`] is one bounded shelf of arenas, so
 //! a request takes the arena the last one returned and allocates only
@@ -43,10 +43,10 @@ pub struct Scratch {
     /// Per-unique outcome tags (a planned pull records hit/miss codes
     /// here).
     pub tags: Vec<u8>,
-    /// The slots a shard group or maintenance run reads, read ahead in
+    /// The slots a planned request or maintenance run reads, read ahead in
     /// one batch.
     pub ahead: ReadAhead,
-    /// A planned request's shard plan; [`ShardPlan::rebuild`] reuses
+    /// A planned request's plan; [`ShardPlan::rebuild`] reuses
     /// its buffers and dedup map, so it is not cleared here.
     pub plan: ShardPlan,
 }
@@ -62,7 +62,7 @@ impl Scratch {
     }
 }
 
-/// Slot reads made ahead of their use: every slot a shard group or a
+/// Slot reads made ahead of their use: every slot a planned request or a
 /// maintenance run will certainly read goes out in one
 /// [`StorageBackend::read_slots`], and the rows are handed out in
 /// position order. A row is handed out only to the position and the

@@ -1,7 +1,7 @@
 //! Property tests over the PS node's operational envelope: arbitrary
 //! interleavings of pulls, pushes, maintenance, and checkpoint requests
 //! must preserve the node's structural invariants regardless of cache
-//! size or shard count.
+//! size.
 
 use oe_core::engine::PsEngine;
 use oe_core::{NodeConfig, OptimizerKind, PsNode};
@@ -33,11 +33,10 @@ fn gen_op(rng: &mut Rng) -> Op {
     }
 }
 
-fn node_cfg(cache_entries: usize, shards: usize) -> NodeConfig {
+fn node_cfg(cache_entries: usize) -> NodeConfig {
     let mut cfg = NodeConfig::small(DIM);
     cfg.optimizer = OptimizerKind::Sgd { lr: 0.1 };
     cfg.cache_bytes = cache_entries * cfg.bytes_per_cached_entry();
-    cfg.shards = shards;
     cfg
 }
 
@@ -54,8 +53,7 @@ fn node_invariants_hold() {
         let mut rng = Rng::seed_from_u64(0x40DE_0000 + case);
         let ops: Vec<Op> = (0..1 + rng.below(49)).map(|_| gen_op(&mut rng)).collect();
         let cache_entries = 2 + rng.below(30) as usize;
-        let shards = 1 + rng.below(3) as usize;
-        let node = PsNode::new(node_cfg(cache_entries, shards));
+        let node = PsNode::new(node_cfg(cache_entries));
 
         let mut batch = 1u64;
         let mut known = std::collections::BTreeSet::new();

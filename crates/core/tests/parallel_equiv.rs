@@ -1,14 +1,14 @@
-//! Shard-parallel execution equivalence: the shard-plan pull/push path
-//! must be a pure *performance* transform. These tests sweep
-//! deterministic skewed workloads (splitmix64-derived, multiple seeds —
-//! a property sweep without an external generator dependency) and
-//! assert, for every parallelism level:
+//! Planned-execution equivalence: the planned pull/push path must be a
+//! pure *performance* transform of the per-key execution it replaced.
+//! These tests drive deterministic skewed workloads (splitmix64-derived,
+//! multiple seeds — a property sweep without an external generator
+//! dependency) through one node under its one lock and pin:
 //!
-//! - bit-identical weights after interleaved pull/maintain/push epochs;
-//! - identical [`StatsSnapshot`]s (the occurrence-weighted accounting
-//!   preserves `hits + misses + new_entries == pulls` exactly);
-//! - identical `Serialized` virtual time (a global-lock critical
-//!   section never parallelizes, whatever the lane count).
+//! - the weights, [`StatsSnapshot`]s and `Serialized` virtual time the
+//!   retired per-key execution printed on duplicate-free batches;
+//! - bit-identical results, virtual time included, whatever the ignored
+//!   `NodeConfig::parallelism` holds;
+//! - the commit-on-eviction rule and the cold-cache persistence stream.
 //!
 //! Duplicate-key semantics get their own tests: SGD (linear in the
 //! gradient) coalesces duplicates into one summed apply and must match
@@ -19,8 +19,8 @@
 use oe_core::{NodeConfig, OptimizerKind, PsEngine, PsNode, StatsSnapshot};
 use oe_simdevice::{integrity_hash, Cost, CostKind};
 
-/// SplitMix64, the same mixer the node uses for sharding — reused here
-/// as a tiny deterministic RNG so the sweep needs no external crate.
+/// SplitMix64 as a tiny deterministic RNG, so the sweep needs no
+/// external crate.
 fn mix(z: u64) -> u64 {
     let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -54,10 +54,15 @@ fn grads_for(keys: &[u64], dim: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-fn node_with(optimizer: OptimizerKind, parallelism: usize, cache_entries: usize) -> PsNode {
+fn node_with(optimizer: OptimizerKind, cache_entries: usize) -> PsNode {
+    node_at(optimizer, 1, cache_entries)
+}
+
+/// [`node_with`], with `NodeConfig::parallelism` set: a field the node
+/// ignores, kept only because the end-to-end benchmark assigns it.
+fn node_at(optimizer: OptimizerKind, parallelism: usize, cache_entries: usize) -> PsNode {
     let mut cfg = NodeConfig::small(8);
     cfg.optimizer = optimizer;
-    cfg.shards = 8;
     cfg.cache_bytes = cache_entries * cfg.bytes_per_cached_entry();
     cfg.parallelism = parallelism;
     PsNode::new(cfg)
@@ -91,67 +96,56 @@ fn run_epochs(node: &PsNode, seed: u64, epochs: u64) -> (Vec<(u64, Vec<f32>)>, u
     (weights, serialized, pull_ns)
 }
 
-/// Same results at every lane count — and less virtual pull time with
-/// more lanes: the lane-parallel cost kinds merge as the max over lanes.
-/// The one-lane pull total over the three seeds was printed at commit
-/// 35907ce. Lanes run in order on the request thread, so the 4- and
-/// 8-lane totals are exact too: the lane that extends the shared slot
-/// allocator first, and pays its high-water persist, is always the same.
+/// The node runs each request as one group under its one lock, so
+/// `NodeConfig::parallelism` changes nothing: weights, stats,
+/// `Serialized` time and the virtual pull time are equal at 1, 4 and 8.
+/// The pull total over the three seeds was printed at commit 2f65d02
+/// with one shard and one lane.
 #[test]
 fn parallelism_levels_are_bit_identical_for_sgd() {
-    const ONE_LANE_PULL_NS: u64 = 265_545;
-    const FOUR_LANE_PULL_NS: u64 = 160_032;
-    const EIGHT_LANE_PULL_NS: u64 = 136_089;
-    let mut pull_ns = [0u64; 3];
+    const PULL_NS: u64 = 265_056;
+    let mut pull_ns = 0;
     for seed in [1u64, 99, 2024] {
-        let reference = node_with(OptimizerKind::Sgd { lr: 0.5 }, 1, 24);
-        let (ref_w, ref_ser, ref_pull) = run_epochs(&reference, seed, 6);
-        pull_ns[0] += ref_pull;
-        for (lane, parallelism) in [(1, 4usize), (2, 8)] {
-            let n = node_with(OptimizerKind::Sgd { lr: 0.5 }, parallelism, 24);
-            let (w, ser, pull) = run_epochs(&n, seed, 6);
-            pull_ns[lane] += pull;
-            assert_eq!(ref_w, w, "seed {seed} parallelism {parallelism}");
-            assert_eq!(
-                reference.stats(),
-                n.stats(),
-                "seed {seed} parallelism {parallelism}"
-            );
-            assert_eq!(
-                ref_ser, ser,
-                "Serialized time must not depend on lane count"
-            );
+        let reference = node_at(OptimizerKind::Sgd { lr: 0.5 }, 1, 24);
+        let want = run_epochs(&reference, seed, 6);
+        pull_ns += want.2;
+        for parallelism in [4usize, 8] {
+            let n = node_at(OptimizerKind::Sgd { lr: 0.5 }, parallelism, 24);
+            let what = format!("seed {seed} parallelism {parallelism}");
+            assert_eq!(run_epochs(&n, seed, 6), want, "{what}");
+            assert_eq!(reference.stats(), n.stats(), "{what}");
         }
     }
-    assert_eq!(
-        pull_ns,
-        [ONE_LANE_PULL_NS, FOUR_LANE_PULL_NS, EIGHT_LANE_PULL_NS],
-        "virtual pull ns on 1, 4 and 8 lanes"
-    );
+    assert_eq!(pull_ns, PULL_NS, "virtual pull ns");
 }
 
 #[test]
 fn parallelism_levels_are_bit_identical_for_adagrad() {
     let opt = OptimizerKind::Adagrad { lr: 0.1, eps: 1e-8 };
     for seed in [7u64, 4242] {
-        let reference = node_with(opt, 1, 24);
-        let (ref_w, ref_ser, _) = run_epochs(&reference, seed, 5);
+        let reference = node_at(opt, 1, 24);
+        let want = run_epochs(&reference, seed, 5);
         for parallelism in [4usize, 8] {
-            let n = node_with(opt, parallelism, 24);
-            let (w, ser, _) = run_epochs(&n, seed, 5);
-            assert_eq!(ref_w, w, "seed {seed} parallelism {parallelism}");
-            assert_eq!(reference.stats(), n.stats());
-            assert_eq!(ref_ser, ser);
+            let n = node_at(opt, parallelism, 24);
+            let what = format!("seed {seed} parallelism {parallelism}");
+            assert_eq!(run_epochs(&n, seed, 5), want, "{what}");
+            assert_eq!(reference.stats(), n.stats(), "{what}");
         }
     }
 }
 
 /// What the per-key execution (`parallelism = 0`: one lock acquisition
-/// and one payload access per key occurrence, deleted in PR 15) produced
-/// for one duplicate-free workload: the weights digest, the full stats
-/// snapshot and the summed `Serialized` ns. Measured at commit 6a68af9,
-/// the last one that carried that arm; with no duplicates to coalesce
-/// the plan path must reproduce every literal at any lane count.
+/// and one payload access per key occurrence) produced for one
+/// duplicate-free workload: the weights digest, the full stats snapshot
+/// and the summed `Serialized` ns. With no duplicates to coalesce the
+/// plan path must reproduce every literal.
+///
+/// Regenerated at one shard from commit 6a68af9, the last one that
+/// carried the per-key arm: its tree, with the registry dependencies
+/// pointed at `e2e/stubs` through a `[patch.crates-io]` table and the
+/// `proptest` / `criterion` dev-dependencies dropped, runs these
+/// workloads at `shards = 1, parallelism = 0` and prints the literals
+/// below.
 struct PerKeyGolden {
     weights: u64,
     stats: StatsSnapshot,
@@ -182,7 +176,7 @@ fn assert_matches_per_key(node: &PsNode, serialized_ns: u64, want: &PerKeyGolden
 #[test]
 fn plan_path_reproduces_the_per_key_arm_on_duplicate_free_batches() {
     // Five epochs of sorted, deduplicated skewed batches: SGD lr 0.25,
-    // dim 8, 8 shards, 24 cache entries.
+    // dim 8, 24 cache entries.
     let goldens = [
         (
             3u64,
@@ -190,16 +184,16 @@ fn plan_path_reproduces_the_per_key_arm_on_duplicate_free_batches() {
                 weights: 0xee80_7355_59ce_7069,
                 stats: StatsSnapshot {
                     pulls: 203,
-                    hits: 48,
-                    misses: 85,
+                    hits: 53,
+                    misses: 80,
                     new_entries: 70,
                     pushes: 203,
-                    evictions: 232,
-                    flushes: 238,
-                    loads: 186,
+                    evictions: 239,
+                    flushes: 248,
+                    loads: 193,
                     ckpt_commits: 0,
                     ckpt_entries_written: 0,
-                    slots_recycled: 168,
+                    slots_recycled: 178,
                 },
                 serialized_ns: 10_500,
             },
@@ -210,47 +204,44 @@ fn plan_path_reproduces_the_per_key_arm_on_duplicate_free_batches() {
                 weights: 0xa628_ab61_8d62_ecb9,
                 stats: StatsSnapshot {
                     pulls: 203,
-                    hits: 51,
-                    misses: 85,
+                    hits: 48,
+                    misses: 88,
                     new_entries: 67,
                     pushes: 203,
-                    evictions: 215,
-                    flushes: 220,
-                    loads: 172,
+                    evictions: 237,
+                    flushes: 245,
+                    loads: 194,
                     ckpt_commits: 0,
                     ckpt_entries_written: 0,
-                    slots_recycled: 154,
+                    slots_recycled: 179,
                 },
                 serialized_ns: 10_050,
             },
         ),
     ];
     for (seed, want) in &goldens {
-        for parallelism in [1usize, 4, 8] {
-            let n = node_with(OptimizerKind::Sgd { lr: 0.25 }, parallelism, 24);
-            let mut serialized = 0;
-            for e in 0..5u64 {
-                let mut keys = skewed_batch(seed.wrapping_add(e), 96, 12, 64);
-                keys.sort_unstable();
-                keys.dedup();
-                let grads = grads_for(&keys, 8, seed ^ e);
-                let mut out = Vec::new();
-                let mut cost = Cost::new();
-                n.pull(&keys, e + 1, &mut out, &mut cost);
-                n.end_pull_phase(e + 1);
-                n.push(&keys, &grads, e + 1, &mut cost);
-                serialized += cost.ns(CostKind::Serialized);
-            }
-            let what = format!("seed {seed} parallelism {parallelism}");
-            assert_matches_per_key(&n, serialized, want, &what);
+        let n = node_with(OptimizerKind::Sgd { lr: 0.25 }, 24);
+        let mut serialized = 0;
+        for e in 0..5u64 {
+            let mut keys = skewed_batch(seed.wrapping_add(e), 96, 12, 64);
+            keys.sort_unstable();
+            keys.dedup();
+            let grads = grads_for(&keys, 8, seed ^ e);
+            let mut out = Vec::new();
+            let mut cost = Cost::new();
+            n.pull(&keys, e + 1, &mut out, &mut cost);
+            n.end_pull_phase(e + 1);
+            n.push(&keys, &grads, e + 1, &mut cost);
+            serialized += cost.ns(CostKind::Serialized);
         }
+        assert_matches_per_key(&n, serialized, want, &format!("seed {seed}"));
     }
 }
 
 #[test]
 fn plan_path_reproduces_the_per_key_arm_on_distinct_keys() {
     // One pull → maintain → push of keys 0..32 that overflow an 8-entry
-    // cache: SGD lr 1.0, dim 4, 4 shards (8 lanes clamp to 4 groups).
+    // cache: SGD lr 1.0, dim 4.
     let want = PerKeyGolden {
         weights: 0xa4a6_b5c7_1063_5860,
         stats: StatsSnapshot {
@@ -270,78 +261,70 @@ fn plan_path_reproduces_the_per_key_arm_on_distinct_keys() {
     };
     let keys: Vec<u64> = (0..32).collect();
     let grads: Vec<f32> = (0..32 * 4).map(|i| (i % 7) as f32 * 0.125).collect();
-    for parallelism in [1usize, 4, 8] {
-        let mut cfg = NodeConfig::small(4);
-        cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
-        cfg.cache_bytes = 8 * cfg.bytes_per_cached_entry();
-        cfg.shards = 4;
-        cfg.parallelism = parallelism;
-        let n = PsNode::new(cfg);
-        let mut out = Vec::new();
-        let mut cost = Cost::new();
-        n.pull(&keys, 1, &mut out, &mut cost);
-        n.end_pull_phase(1);
-        n.push(&keys, &grads, 1, &mut cost);
-        let what = format!("parallelism {parallelism}");
-        assert_matches_per_key(&n, cost.ns(CostKind::Serialized), &want, &what);
-    }
+    let mut cfg = NodeConfig::small(4);
+    cfg.optimizer = OptimizerKind::Sgd { lr: 1.0 };
+    cfg.cache_bytes = 8 * cfg.bytes_per_cached_entry();
+    let n = PsNode::new(cfg);
+    let mut out = Vec::new();
+    let mut cost = Cost::new();
+    n.pull(&keys, 1, &mut out, &mut cost);
+    n.end_pull_phase(1);
+    n.push(&keys, &grads, 1, &mut cost);
+    assert_matches_per_key(&n, cost.ns(CostKind::Serialized), &want, "distinct keys");
 }
 
 /// Algorithm 2's commit on eviction (lines 24–27): a checkpoint commits
-/// as soon as every shard's LRU victim is newer than it, mid-maintenance,
-/// rather than in the drain pass at the end. The two are only told apart
-/// when the commit lands between two access-queue chunks (more than
-/// 1 024 uniques a batch) and a later chunk then evicts a dirty entry
-/// whose version chain the commit lets it prune: here each batch's push
-/// lands before its maintenance, as when the maintainer threads are still
-/// draining the access queue when the gradients arrive. Deferring every
-/// commit to the drain pass keeps the weights and recycles 124 fewer
-/// slots. Literals printed at commit c7f9dd5, the one-lane `total_ns`
-/// too; the 4- and 8-lane totals were first exact once lanes ran in
-/// order (see `parallelism_levels_are_bit_identical_for_sgd`).
+/// as soon as the LRU victim is newer than it, mid-maintenance, rather
+/// than in the drain pass at the end. The two are only told apart when
+/// the commit lands between two access-queue chunks (more than 1 024
+/// uniques a batch) and a later chunk then evicts a dirty entry whose
+/// version chain the commit lets it prune: here each batch's push lands
+/// before its maintenance, as when the maintainer threads are still
+/// draining the access queue when the gradients arrive, and the
+/// 2 048-entry cache keeps the drained entries cached long enough for
+/// that. Deferring every commit to the drain pass keeps the weights,
+/// recycles 196 fewer slots (2 658) and reads 7 831 620 ns. Literals
+/// printed at commit 2f65d02 with one shard; with a 1 024-entry cache
+/// one shard cannot tell the two rules apart.
 #[test]
 fn commit_on_eviction_is_pinned() {
-    const TOTAL_NS: [(usize, u64); 3] = [(1, 11_886_099), (4, 8_769_527), (8, 7_682_720)];
     let want = StatsSnapshot {
         pulls: 8_977,
-        hits: 2_133,
-        misses: 3_863,
+        hits: 4_697,
+        misses: 1_299,
         new_entries: 2_981,
         pushes: 8_977,
-        evictions: 10_251,
-        flushes: 9_428,
-        loads: 8_294,
+        evictions: 3_405,
+        flushes: 8_189,
+        loads: 2_472,
         ckpt_commits: 5,
         ckpt_entries_written: 0,
-        slots_recycled: 2_774,
+        slots_recycled: 2_854,
     };
-    for (parallelism, want_ns) in TOTAL_NS {
-        let n = node_with(OptimizerKind::Sgd { lr: 0.25 }, parallelism, 1024);
-        let mut total_ns = 0;
-        for b in 1..=6u64 {
-            let mut keys = skewed_batch(b, 4000, 64, 3000);
-            keys.sort_unstable();
-            keys.dedup();
-            assert!(keys.len() > 1024, "batch {b}: two access-queue chunks");
-            let grads = grads_for(&keys, 8, b);
-            let mut out = Vec::new();
-            let mut cost = Cost::new();
-            n.pull(&keys, b, &mut out, &mut cost);
-            n.push(&keys, &grads, b, &mut cost);
-            cost.merge(&n.end_pull_phase(b).cost);
-            cost.merge(&n.request_checkpoint(b));
-            total_ns += cost.total_ns();
-        }
-        let what = format!("parallelism {parallelism}");
-        assert_eq!(n.stats(), want, "{what}: stats");
-        assert_eq!(n.committed_checkpoint(), 5, "{what}");
-        assert_eq!(
-            weights_digest(&n, 64 + 3000),
-            0xe75b_2ad5_505e_6fea,
-            "{what}: weights"
-        );
-        assert_eq!(total_ns, want_ns, "{what}: virtual ns");
+    let n = node_with(OptimizerKind::Sgd { lr: 0.25 }, 2048);
+    let mut total_ns = 0;
+    for b in 1..=6u64 {
+        let mut keys = skewed_batch(b, 4000, 64, 3000);
+        keys.sort_unstable();
+        keys.dedup();
+        assert!(keys.len() > 1024, "batch {b}: two access-queue chunks");
+        let grads = grads_for(&keys, 8, b);
+        let mut out = Vec::new();
+        let mut cost = Cost::new();
+        n.pull(&keys, b, &mut out, &mut cost);
+        n.push(&keys, &grads, b, &mut cost);
+        cost.merge(&n.end_pull_phase(b).cost);
+        cost.merge(&n.request_checkpoint(b));
+        total_ns += cost.total_ns();
     }
+    assert_eq!(n.stats(), want, "stats");
+    assert_eq!(n.committed_checkpoint(), 5);
+    assert_eq!(
+        weights_digest(&n, 64 + 3000),
+        0xe75b_2ad5_505e_6fea,
+        "weights"
+    );
+    assert_eq!(total_ns, 7_842_154, "virtual ns");
 }
 
 /// The node's persistence stream on a cold cache. With 16 cache entries
@@ -350,23 +333,24 @@ fn commit_on_eviction_is_pinned() {
 /// each prune a durable free, each checkpoint commit a root update, all
 /// through the simulated PMem's store → CLWB → SFENCE path. The event
 /// count, the stats, the virtual time and a crash image of the media pin
-/// that path's exact behaviour. Literals printed at commit 8ed1b9a.
+/// that path's exact behaviour. Literals printed at commit 2f65d02 with
+/// one shard.
 #[test]
 fn cold_cache_persistence_stream_is_pinned() {
     let want = StatsSnapshot {
         pulls: 2_304,
-        hits: 192,
-        misses: 1_656,
+        hits: 189,
+        misses: 1_659,
         new_entries: 456,
         pushes: 2_304,
-        evictions: 1_610,
+        evictions: 1_611,
         flushes: 1_611,
-        loads: 1_170,
+        loads: 1_171,
         ckpt_commits: 2,
         ckpt_entries_written: 0,
-        slots_recycled: 869,
+        slots_recycled: 867,
     };
-    let n = node_with(OptimizerKind::Adagrad { lr: 0.1, eps: 1e-8 }, 1, 16);
+    let n = node_with(OptimizerKind::Adagrad { lr: 0.1, eps: 1e-8 }, 16);
     let mut total_ns = 0;
     for b in 1..=9u64 {
         let keys = skewed_batch(b ^ 0x5EED, 256, 32, 480);
@@ -383,13 +367,13 @@ fn cold_cache_persistence_stream_is_pinned() {
     }
     let media = n.pool().media();
     let stats = n.stats();
-    assert_eq!(media.persistence_events(), 8_190, "persistence events");
+    assert_eq!(media.persistence_events(), 8_186, "persistence events");
     assert_eq!(stats.slots_recycled, want.slots_recycled, "slots recycled");
     assert_eq!(stats, want, "stats");
-    assert_eq!(total_ns, 2_083_647, "virtual ns");
+    assert_eq!(total_ns, 2_080_684, "virtual ns");
     assert_eq!(
         integrity_hash(&[media.crash(0xC4A5).bytes()]),
-        0xa405_f469_3ab8_5902,
+        0x4f14_11e8_695b_acb6,
         "crash image"
     );
     assert_eq!(
@@ -404,8 +388,8 @@ fn sgd_coalescing_matches_sequential_applies() {
     // Power-of-two gradient values make f32 summation exact, so the
     // coalesced duplicate apply must be bit-identical to pushing each
     // occurrence separately.
-    let coalesced = node_with(OptimizerKind::Sgd { lr: 1.0 }, 1, 24);
-    let separate = node_with(OptimizerKind::Sgd { lr: 1.0 }, 1, 24);
+    let coalesced = node_with(OptimizerKind::Sgd { lr: 1.0 }, 24);
+    let separate = node_with(OptimizerKind::Sgd { lr: 1.0 }, 24);
     let dim = 8;
     let key = 5u64;
     let g1: Vec<f32> = (0..dim).map(|i| 0.25 * (i as f32 + 1.0)).collect();
@@ -443,8 +427,8 @@ fn stateful_optimizer_falls_back_to_sequential_applies() {
     // equality holds only because both sides apply sequentially in
     // occurrence order.
     let opt = OptimizerKind::Adagrad { lr: 0.3, eps: 1e-8 };
-    let duplicated = node_with(opt, 1, 24);
-    let separate = node_with(opt, 1, 24);
+    let duplicated = node_with(opt, 24);
+    let separate = node_with(opt, 24);
     let dim = 8;
     let key = 11u64;
     let g1: Vec<f32> = (0..dim).map(|i| 0.1 + 0.017 * i as f32).collect();
@@ -475,23 +459,16 @@ fn stateful_optimizer_falls_back_to_sequential_applies() {
 
 #[test]
 fn accounting_identity_holds_with_duplicates() {
-    // hits + misses + new_entries == pulls, even with heavy duplication
-    // and across parallelism levels.
-    for parallelism in [1usize, 4, 8] {
-        let n = node_with(OptimizerKind::Sgd { lr: 0.5 }, parallelism, 8);
-        for e in 0..4u64 {
-            let keys = skewed_batch(e, 128, 6, 40);
-            let mut out = Vec::new();
-            let mut cost = Cost::new();
-            n.pull(&keys, e + 1, &mut out, &mut cost);
-            n.end_pull_phase(e + 1);
-        }
-        let s = n.stats();
-        assert_eq!(
-            s.hits + s.misses + s.new_entries,
-            s.pulls,
-            "parallelism {parallelism}: {s:?}"
-        );
-        assert_eq!(s.pulls, 4 * 128);
+    // hits + misses + new_entries == pulls, even with heavy duplication.
+    let n = node_with(OptimizerKind::Sgd { lr: 0.5 }, 8);
+    for e in 0..4u64 {
+        let keys = skewed_batch(e, 128, 6, 40);
+        let mut out = Vec::new();
+        let mut cost = Cost::new();
+        n.pull(&keys, e + 1, &mut out, &mut cost);
+        n.end_pull_phase(e + 1);
     }
+    let s = n.stats();
+    assert_eq!(s.hits + s.misses + s.new_entries, s.pulls, "{s:?}");
+    assert_eq!(s.pulls, 4 * 128);
 }

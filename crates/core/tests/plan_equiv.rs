@@ -4,14 +4,13 @@
 //! `(position, key)` pairs per shard, then deduplicate each bucket
 //! through its own map into one `Vec` of positions per unique key.
 //! [`ShardPlan`] must give the same groups, the same first-occurrence
-//! unique order, the same occurrence lists and the same lane partitions,
-//! fresh or rebuilt over a previous request, under any key-hash state.
+//! unique order and the same occurrence lists, fresh or rebuilt over a
+//! previous request, under any key-hash state.
 
 use oe_cache::KeyState;
 use oe_core::plan::ShardPlan;
 use oe_simdevice::rng::{splitmix64, Rng};
 use std::collections::HashMap;
-use std::ops::Range;
 
 type Key = u64;
 
@@ -47,31 +46,6 @@ fn reference(keys: &[Key], shards: usize, shard_of: impl Fn(Key) -> usize) -> Ve
     groups
 }
 
-/// The retired partition over the reference groups' unique counts.
-fn reference_partition(groups: &[Group], lanes: usize) -> Vec<Range<usize>> {
-    let lanes = lanes.max(1).min(groups.len().max(1));
-    if groups.is_empty() {
-        return Vec::new();
-    }
-    let total: usize = groups.iter().map(|g| g.1.len()).sum();
-    let mut ranges = Vec::with_capacity(lanes);
-    let (mut start, mut remaining) = (0usize, total);
-    for lane in 0..lanes {
-        let lanes_left = lanes - lane;
-        let max_end = groups.len() - (lanes_left - 1);
-        let target = remaining.div_ceil(lanes_left);
-        let (mut end, mut acc) = (start, 0usize);
-        while end < max_end && (acc < target || end == start) {
-            acc += groups[end].1.len();
-            end += 1;
-        }
-        remaining -= acc;
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
 fn assert_matches(plan: &ShardPlan, keys: &[Key], want: &[Group], at: &str) {
     assert_eq!(plan.total_keys(), keys.len(), "{at}: total keys");
     let uniques: usize = want.iter().map(|g| g.1.len()).sum();
@@ -89,13 +63,6 @@ fn assert_matches(plan: &ShardPlan, keys: &[Key], want: &[Group], at: &str) {
         flat.extend(uniques);
     }
     assert_eq!(plan.uniques(), &flat[..], "{at}: flat uniques");
-    for lanes in [1usize, 2, 3, 4, 7, 64] {
-        assert_eq!(
-            plan.partition(lanes),
-            reference_partition(want, lanes),
-            "{at}: partition over {lanes} lanes"
-        );
-    }
 }
 
 /// A request of the case's shape: skewed (a small hot set repeats),

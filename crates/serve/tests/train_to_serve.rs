@@ -4,7 +4,7 @@
 //! whole from one of the two. `e2e/` `serve-flip` measures this path end
 //! to end.
 
-use oe_core::{BatchCadence, NodeConfig, OptimizerKind, PsEngine, PsNode};
+use oe_core::{NodeConfig, OptimizerKind, PsEngine, PsNode};
 use oe_serve::{
     recall_at_k, AnnConfig, CheckpointPublisher, ExactScan, LshRetriever, Retriever, Snapshot,
     SnapshotHandle,
@@ -48,7 +48,6 @@ fn train() -> (PsNode, CrashImage) {
         .max(1 << 22);
     let node = PsNode::new(nc);
     let gen = storm();
-    let mut cadence = BatchCadence::every(CKPT_A);
     let mut cost = Cost::new();
     let mut image_a = None;
     for b in 1..=CKPT_B {
@@ -68,7 +67,8 @@ fn train() -> (PsNode, CrashImage) {
             .map(|i| ((i % 17) as f32 - 8.0) * 0.02 + (b % 29) as f32 * 0.001)
             .collect();
         node.push(&keys, &grads, b, &mut cost);
-        if cadence.due(b) {
+        // A checkpoint every CKPT_A batches: A, then B.
+        if b % CKPT_A == 0 {
             node.request_checkpoint(b);
         }
     }

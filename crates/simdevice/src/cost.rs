@@ -52,20 +52,6 @@ impl CostKind {
         CostKind::FabricTransfer,
     ];
 
-    /// True if work of this kind charged on *distinct parallel lanes*
-    /// overlaps in time, so a lane merge takes the max over lanes:
-    /// per-lane CPU work runs on separate cores, DRAM transfers are far
-    /// from the bandwidth wall at our scales, and media *reads* have
-    /// enough bandwidth headroom to overlap (RecNMP/TensorDIMM's case).
-    /// Everything else contends for a single resource — PMem/SSD write
-    /// bandwidth, the network, global-lock critical sections — and sums.
-    pub fn lane_parallel(self) -> bool {
-        matches!(
-            self,
-            CostKind::Cpu | CostKind::DramTransfer | CostKind::PmemRead
-        )
-    }
-
     /// Stable short name for reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -132,28 +118,6 @@ impl Cost {
         for i in 0..N_KINDS {
             self.ns[i] += other.ns[i];
             self.ops[i] += other.ops[i];
-        }
-    }
-
-    /// Merge one *parallel lane* into this accumulator: nanoseconds of
-    /// [`CostKind::lane_parallel`] kinds take the max over lanes (the
-    /// lanes run concurrently, so the slowest lane bounds the phase),
-    /// while serialized/bandwidth-contended kinds sum. Operation
-    /// counters always sum — they count events, not time.
-    ///
-    /// The accumulator must start empty and absorb only sibling lanes of
-    /// one parallel phase; fold the result into the request's cost with
-    /// [`Self::merge`] afterwards (which sums, as the phase as a whole is
-    /// sequential with the rest of the request).
-    pub fn merge_parallel(&mut self, lane: &Cost) {
-        for kind in CostKind::ALL {
-            let i = kind as usize;
-            if kind.lane_parallel() {
-                self.ns[i] = self.ns[i].max(lane.ns[i]);
-            } else {
-                self.ns[i] += lane.ns[i];
-            }
-            self.ops[i] += lane.ops[i];
         }
     }
 
@@ -251,98 +215,6 @@ mod tests {
         assert!(format!("{c}").contains("cpu=2us"));
         c.clear();
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn parallel_lane_merge_maxes_parallel_kinds_and_sums_serial() {
-        let mut a = Cost::new();
-        a.charge(CostKind::Cpu, 100);
-        a.charge(CostKind::PmemRead, 40);
-        a.charge(CostKind::Serialized, 10);
-        a.charge(CostKind::PmemWrite, 5);
-        let mut b = Cost::new();
-        b.charge(CostKind::Cpu, 300);
-        b.charge(CostKind::Serialized, 20);
-        b.charge(CostKind::PmemWrite, 7);
-
-        let mut acc = Cost::new();
-        acc.merge_parallel(&a);
-        acc.merge_parallel(&b);
-        // Parallel kinds: max over lanes.
-        assert_eq!(acc.ns(CostKind::Cpu), 300);
-        assert_eq!(acc.ns(CostKind::PmemRead), 40);
-        // Contended kinds: sum over lanes.
-        assert_eq!(acc.ns(CostKind::Serialized), 30);
-        assert_eq!(acc.ns(CostKind::PmemWrite), 12);
-        // Event counters always sum.
-        assert_eq!(acc.ops(CostKind::Cpu), 2);
-        assert_eq!(acc.ops(CostKind::Serialized), 2);
-    }
-
-    #[test]
-    fn parallel_lane_merge_is_order_independent() {
-        let mut lanes = Vec::new();
-        for i in 1..=4u64 {
-            let mut c = Cost::new();
-            c.charge(CostKind::Cpu, i * 100);
-            c.charge(CostKind::Serialized, i);
-            lanes.push(c);
-        }
-        let fold = |order: &[usize]| {
-            let mut acc = Cost::new();
-            for &i in order {
-                acc.merge_parallel(&lanes[i]);
-            }
-            acc
-        };
-        assert_eq!(fold(&[0, 1, 2, 3]), fold(&[3, 1, 0, 2]));
-        assert_eq!(fold(&[0, 1, 2, 3]).ns(CostKind::Cpu), 400);
-        assert_eq!(fold(&[0, 1, 2, 3]).ns(CostKind::Serialized), 10);
-    }
-
-    /// A cost with a few charges of random size on random kinds, some
-    /// without an op count.
-    fn random_cost(rng: &mut crate::rng::Rng) -> Cost {
-        let mut c = Cost::new();
-        for kind in CostKind::ALL {
-            for _ in 0..rng.below(4) {
-                let ns = rng.below(10_000);
-                if rng.chance(0.25) {
-                    c.charge_ns_only(kind, ns);
-                } else {
-                    c.charge(kind, ns);
-                }
-            }
-        }
-        c
-    }
-
-    /// A lane merge creates and loses no operation of any kind, a
-    /// summed kind's ns is exactly the sum over lanes and a
-    /// lane-parallel kind's the max, over seeded random lane sets.
-    #[test]
-    fn parallel_lane_merge_conserves_ops_and_summed_ns() {
-        let mut rng = crate::rng::Rng::seed_from_u64(0x1A4E_5EED);
-        for case in 0..500 {
-            let lanes: Vec<Cost> = (0..1 + rng.below(8))
-                .map(|_| random_cost(&mut rng))
-                .collect();
-            let mut acc = Cost::new();
-            for lane in &lanes {
-                acc.merge_parallel(lane);
-            }
-            for kind in CostKind::ALL {
-                let ops: u64 = lanes.iter().map(|c| c.ops(kind)).sum();
-                assert_eq!(acc.ops(kind), ops, "case {case} {kind:?} ops");
-                let ns = lanes.iter().map(|c| c.ns(kind));
-                let want = if kind.lane_parallel() {
-                    ns.max().expect("one lane at least")
-                } else {
-                    ns.sum()
-                };
-                assert_eq!(acc.ns(kind), want, "case {case} {kind:?} ns");
-            }
-        }
     }
 
     #[test]

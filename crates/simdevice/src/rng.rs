@@ -19,7 +19,7 @@ pub fn splitmix64_next(state: &mut u64) -> u64 {
 }
 
 /// First SplitMix64 value of seed `z`: the stateless mixer that hashes
-/// keys to shards and derives per-index values.
+/// keys to nodes and derives per-index values.
 #[inline]
 pub fn splitmix64(mut z: u64) -> u64 {
     splitmix64_next(&mut z)

@@ -32,14 +32,13 @@ pub enum Phase {
     ServeLookup,
     /// Inference-side top-k scan.
     ServeTopk,
-    /// Shard-plan construction: bucketing a request's keys by shard.
+    /// Request-plan construction: reading a request's keys into the plan.
     Plan,
-    /// Shard-plan duplicate-key coalescing within each shard group.
+    /// Request-plan duplicate-key coalescing.
     Dedup,
-    /// Shard-plan group execution (locked per-shard work; its virtual
-    /// time is the lane-merged cost).
+    /// Request-plan execution: the work done under the node lock.
     Execute,
-    /// Shard-plan result merge: fan-out of deduped payloads to the
+    /// Request-plan result merge: fan-out of deduped payloads to the
     /// response buffer in original key order.
     Merge,
     /// Client-side retry backoff wait (virtual time charged between

@@ -380,9 +380,6 @@ impl<'a> PipelinedTrainer<'a> {
         self.windows_run += 1;
 
         // ---- serve pulls: cache hits + demand misses ----
-        // Engines that price a request as parallel shard lanes have
-        // already lane-merged its cost: the aggregate passes through
-        // the ContentionModel like a single-lane engine's.
         let global = self.gen.take_global_batch(b);
         let mut pull_cost = Cost::new();
         let mut net_pull: Nanos = 0;

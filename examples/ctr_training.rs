@@ -47,6 +47,9 @@ fn main() {
         seed: 5,
     });
 
+    // The framework-facing layer: PullWeights + gather on the way in,
+    // scatter-add + PushGradients on the way out.
+    let layer = EmbeddingLayer::new(&node, CAT_FIELDS);
     let mut cost = Cost::new();
     let mut window_loss = 0.0f64;
     let mut window_n = 0u64;
@@ -56,35 +59,19 @@ fn main() {
     );
     for b in 1..=BATCHES {
         let samples = data.batch((b - 1) * BATCH as u64, BATCH);
+        let sample_keys: Vec<Vec<u64>> = samples.iter().map(|s| s.cat_keys.clone()).collect();
+        let act = layer.forward(b, &sample_keys, &mut cost);
 
-        // Collect this batch's unique keys and pull them.
-        let mut keys: Vec<u64> = samples.iter().flat_map(|s| s.cat_keys.clone()).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let mut weights = Vec::new();
-        node.pull(&keys, b, &mut weights, &mut cost);
-        node.end_pull_phase(b);
-
-        // Train and aggregate per-key gradients.
-        let mut grads = vec![0.0f32; keys.len() * DIM];
-        let mut emb = vec![0.0f32; CAT_FIELDS * DIM];
-        for s in &samples {
-            for (f, k) in s.cat_keys.iter().enumerate() {
-                let idx = keys.binary_search(k).expect("pulled");
-                emb[f * DIM..(f + 1) * DIM].copy_from_slice(&weights[idx * DIM..(idx + 1) * DIM]);
-            }
-            let (loss, d_emb) = model.train_example(&emb, &s.dense, s.label);
+        // Train, collecting each sample's embedding gradients in order.
+        let mut d_emb = Vec::with_capacity(act.embeddings.len());
+        for (i, s) in samples.iter().enumerate() {
+            let (loss, d) = model.train_example(act.sample(i), &s.dense, s.label);
             window_loss += loss as f64;
             window_n += 1;
-            for (f, k) in s.cat_keys.iter().enumerate() {
-                let idx = keys.binary_search(k).expect("pulled");
-                for d in 0..DIM {
-                    grads[idx * DIM + d] += d_emb[f * DIM + d];
-                }
-            }
+            d_emb.extend_from_slice(&d);
         }
         model.step_dense();
-        node.push(&keys, &grads, b, &mut cost);
+        layer.backward(&act, &d_emb, &mut cost);
 
         if b % 10 == 0 {
             let s = node.stats();

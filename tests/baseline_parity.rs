@@ -81,9 +81,6 @@ fn all_engines_converge_to_identical_weights() {
         let mut no_pipe = node_cfg(64);
         no_pipe.enable_pipeline = false;
         engines.push(client(PsNode::new(no_pipe)));
-        let mut sharded = node_cfg(256);
-        sharded.shards = 8;
-        engines.push(client(PsNode::new(sharded)));
     }
 
     for engine in &engines {

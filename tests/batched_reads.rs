@@ -183,7 +183,6 @@ impl StorageBackend for Forwarding {
 fn remote_node(wrap: bool) -> PsNode {
     let mut cfg = NodeConfig::small(DIM);
     cfg.cache_bytes = 24 * cfg.bytes_per_cached_entry();
-    cfg.shards = 4;
     let shared = SharedPool::new(FabricConfig::default());
     let remote: Arc<dyn StorageBackend> =
         Arc::new(shared.create_partition(0, pool_cfg(), &mut Cost::new()));

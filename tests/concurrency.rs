@@ -8,51 +8,48 @@ use std::sync::Arc;
 
 const DIM: usize = 4;
 
-fn oe(cache_entries: usize, shards: usize) -> PsNode {
+fn oe(cache_entries: usize) -> PsNode {
     let mut cfg = NodeConfig::small(DIM);
     cfg.optimizer = OptimizerKind::Sgd { lr: 0.1 };
     cfg.cache_bytes = cache_entries * cfg.bytes_per_cached_entry();
-    cfg.shards = shards;
     PsNode::new(cfg)
 }
 
 #[test]
 fn parallel_pulls_return_stable_weights() {
-    for shards in [1, 4] {
-        let node = Arc::new(oe(256, shards));
-        // Warm 128 keys at batch 1, maintain so they're versioned.
-        let keys: Vec<u64> = (0..128).collect();
-        let mut out = Vec::new();
-        let mut cost = Cost::new();
-        node.pull(&keys, 1, &mut out, &mut cost);
-        node.end_pull_phase(1);
-        let expected = out.clone();
+    let node = Arc::new(oe(256));
+    // Warm 128 keys at batch 1, maintain so they're versioned.
+    let keys: Vec<u64> = (0..128).collect();
+    let mut out = Vec::new();
+    let mut cost = Cost::new();
+    node.pull(&keys, 1, &mut out, &mut cost);
+    node.end_pull_phase(1);
+    let expected = out.clone();
 
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let node = Arc::clone(&node);
-                let keys = keys.clone();
-                let expected = expected.clone();
-                std::thread::spawn(move || {
-                    let mut out = Vec::new();
-                    let mut cost = Cost::new();
-                    for round in 0..30 {
-                        out.clear();
-                        node.pull(&keys, 2 + round, &mut out, &mut cost);
-                        assert_eq!(out, expected, "weights stable under read load");
-                    }
-                })
+    let handles: Vec<_> = (0..8)
+        .map(|_| {
+            let node = Arc::clone(&node);
+            let keys = keys.clone();
+            let expected = expected.clone();
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                let mut cost = Cost::new();
+                for round in 0..30 {
+                    out.clear();
+                    node.pull(&keys, 2 + round, &mut out, &mut cost);
+                    assert_eq!(out, expected, "weights stable under read load");
+                }
             })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
     }
 }
 
 #[test]
 fn parallel_first_touch_initializes_each_key_once() {
-    let node = Arc::new(oe(2048, 4));
+    let node = Arc::new(oe(2048));
     let created = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..8)
         .map(|t| {
@@ -85,7 +82,7 @@ fn parallel_first_touch_initializes_each_key_once() {
 
 #[test]
 fn concurrent_pushes_to_disjoint_keys_all_apply() {
-    let node = Arc::new(oe(4096, 4));
+    let node = Arc::new(oe(4096));
     let n_threads = 8u64;
     let per = 128u64;
     // Warm all keys and run maintenance.
@@ -121,7 +118,7 @@ fn concurrent_pushes_to_disjoint_keys_all_apply() {
 fn maintenance_races_with_pulls_without_corruption() {
     // Pulls of batch n+1 proceed while maintenance of batch n drains —
     // the pipeline overlap the paper's design hinges on.
-    let node = Arc::new(oe(64, 2));
+    let node = Arc::new(oe(64));
     let keys: Vec<u64> = (0..256).collect();
     let mut out = Vec::new();
     let mut cost = Cost::new();

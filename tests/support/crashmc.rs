@@ -88,14 +88,11 @@ impl CrashMcConfig {
         }
     }
 
-    /// The node configuration the harness drives. Single-lane and
-    /// single-shard so the persistence-event stream is deterministic.
+    /// The node configuration the harness drives.
     pub fn node_config(&self) -> NodeConfig {
         let mut cfg = NodeConfig::small(self.dim);
         cfg.optimizer = self.optimizer;
         cfg.cache_bytes = self.cache_entries.max(1) * cfg.bytes_per_cached_entry();
-        cfg.shards = 1;
-        cfg.parallelism = 1;
         cfg.pmem_capacity = 1 << 22;
         cfg
     }
